@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare sentinel-baseline sentinel-check eval examples vet clean
+.PHONY: all test bench bench-compare bench-perf sentinel-baseline sentinel-check eval examples vet clean
 
 all: vet test
 
@@ -27,6 +27,12 @@ BASELINE ?= bench/baseline_pr6.txt
 bench-compare:
 	$(GO) test -run '^$$' -bench BenchmarkSimEngine -benchmem -count=10 ./internal/sim/ | tee bench_new.txt
 	$(GO) run ./cmd/benchcmp $(BASELINE) bench_new.txt -json bench/benchcmp.json
+
+# The repository's benchmark (bench/perf/README.md): one run of each of its
+# four workloads, one JSON line each. Per-layer numbers: PERF_ARGS='--trace 1'.
+PERF_ARGS ?= --seed 1 --seconds 10 --trace 0
+bench-perf:
+	for w in echo-udp echo-tcp lenet kv-rack; do bash bench/perf/run.sh --workload $$w $(PERF_ARGS) || exit 1; done
 
 # Regression sentinel: record a full attribution baseline artifact (profile
 # report, scorecard claims, knee predictions, plus the bench-compare recording

@@ -11,8 +11,10 @@
 package lenet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Input geometry (MNIST).
@@ -21,6 +23,11 @@ const (
 	InputBytes = InputSize * InputSize
 	NumClasses = 10
 )
+
+// memoCap bounds the number of images a Network's Classify memo holds. The
+// served workloads repeat a few hundred images at most; the cap keeps a
+// stream of distinct images from growing the memo without limit.
+const memoCap = 4096
 
 // Network holds the LeNet-5 parameters.
 type Network struct {
@@ -34,6 +41,12 @@ type Network struct {
 	fc2B   []float32
 	fc3W   [][]float32 // 10 x 84
 	fc3B   []float32
+
+	// memo maps the SHA-256 digest of an image to its class. The weights
+	// never change after New, so an entry never goes stale. Digests, not
+	// images, are the keys, so an entry costs 33 bytes rather than 785.
+	mu   sync.Mutex
+	memo map[[sha256.Size]byte]uint8
 }
 
 // New builds a network with deterministic pseudo-random weights derived from
@@ -51,7 +64,7 @@ func New(seed uint64) *Network {
 		v := rng * 0x2545F4914F6CDD1D
 		return (float32(v>>40)/float32(1<<24) - 0.5) * 0.25
 	}
-	n := &Network{}
+	n := &Network{memo: make(map[[sha256.Size]byte]uint8)}
 	for f := 0; f < 6; f++ {
 		for i := 0; i < 5; i++ {
 			for j := 0; j < 5; j++ {
@@ -165,7 +178,7 @@ func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 		}
 	}
 	// pool2: 2x2 max -> 16 x 5 x 5 = 400, flattened channel-major.
-	flat := make([]float32, 400)
+	var flat [400]float32
 	idx := 0
 	for f := 0; f < 16; f++ {
 		for y := 0; y < 5; y++ {
@@ -184,15 +197,17 @@ func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 		}
 	}
 	// fc1 -> ReLU -> fc2 -> ReLU -> fc3.
-	h1 := dense(n.fc1W, n.fc1B, flat, true)
-	h2 := dense(n.fc2W, n.fc2B, h1, true)
-	h3 := dense(n.fc3W, n.fc3B, h2, false)
-	copy(out[:], h3)
+	var h1 [120]float32
+	var h2 [84]float32
+	dense(n.fc1W, n.fc1B, flat[:], h1[:], true)
+	dense(n.fc2W, n.fc2B, h1[:], h2[:], true)
+	dense(n.fc3W, n.fc3B, h2[:], out[:], false)
 	return out, nil
 }
 
-func dense(w [][]float32, b []float32, in []float32, act bool) []float32 {
-	out := make([]float32, len(w))
+// dense writes the fully connected layer w·in + b, optionally ReLU'd, into
+// out, which has one element per row of w.
+func dense(w [][]float32, b, in, out []float32, act bool) {
 	for r := range w {
 		sum := b[r]
 		row := w[r]
@@ -204,22 +219,42 @@ func dense(w [][]float32, b []float32, in []float32, act bool) []float32 {
 		}
 		out[r] = sum
 	}
-	return out
 }
 
-// Classify returns the argmax class for the image.
+// Classify returns the argmax class for the image. Answers are memoized per
+// Network by image digest, so a repeated image costs a hash and a lookup
+// instead of a forward pass. Errors are never memoized. Classify is safe for
+// concurrent use.
 func (n *Network) Classify(img []byte) (int, error) {
+	key := sha256.Sum256(img)
+	n.mu.Lock()
+	cls, ok := n.memo[key]
+	n.mu.Unlock()
+	if ok {
+		return int(cls), nil
+	}
 	scores, err := n.Infer(img)
 	if err != nil {
 		return 0, err
 	}
+	best := argmax(scores)
+	n.mu.Lock()
+	if len(n.memo) < memoCap {
+		n.memo[key] = uint8(best)
+	}
+	n.mu.Unlock()
+	return best, nil
+}
+
+// argmax returns the index of the highest score, the first one on ties.
+func argmax(scores [NumClasses]float32) int {
 	best, bestV := 0, float32(math.Inf(-1))
 	for i, v := range scores {
 		if v > bestV {
 			best, bestV = i, v
 		}
 	}
-	return best, nil
+	return best
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +385,14 @@ func (n *Network) InferReference(img []byte) ([NumClasses]float32, error) {
 	for f := 0; f < 16; f++ {
 		flat = append(flat, maxPool(c2[f], 10)...)
 	}
-	h1 := dense(n.fc1W, n.fc1B, flat, true)
-	h2 := dense(n.fc2W, n.fc2B, h1, true)
-	h3 := dense(n.fc3W, n.fc3B, h2, false)
+	fc := func(w [][]float32, b, in []float32, act bool) []float32 {
+		out := make([]float32, len(w))
+		dense(w, b, in, out, act)
+		return out
+	}
+	h1 := fc(n.fc1W, n.fc1B, flat, true)
+	h2 := fc(n.fc2W, n.fc2B, h1, true)
+	h3 := fc(n.fc3W, n.fc3B, h2, false)
 	copy(out[:], h3)
 	return out, nil
 }

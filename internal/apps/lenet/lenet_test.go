@@ -2,6 +2,8 @@ package lenet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -164,4 +166,199 @@ func TestInferReferenceRejectsBadInput(t *testing.T) {
 	if _, err := New(1).InferReference(make([]byte, 5)); err == nil {
 		t.Fatal("short input must fail")
 	}
+}
+
+// gridImages returns RenderDigit's 10 digit × 5 × 5 shift grid.
+func gridImages() [][]byte {
+	var imgs [][]byte
+	for d := 0; d < 10; d++ {
+		for dx := -2; dx <= 2; dx++ {
+			for dy := -2; dy <= 2; dy++ {
+				imgs = append(imgs, RenderDigit(d, dx, dy))
+			}
+		}
+	}
+	return imgs
+}
+
+// distinctImage returns a grid image whose first pixels encode i, so every i
+// gives a different image.
+func distinctImage(i int) []byte {
+	img := RenderDigit(i%10, i%5-2, i/5%5-2)
+	for b := 0; b < 4; b++ {
+		img[b] = byte(i >> (8 * b))
+	}
+	return img
+}
+
+func memoLen(n *Network) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.memo)
+}
+
+func uncachedClass(t *testing.T, n *Network, img []byte) int {
+	t.Helper()
+	scores, err := n.Infer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return argmax(scores)
+}
+
+// Property: a memo hit answers exactly what an uncached forward pass does,
+// for every grid image and for noised variants of it.
+func TestClassifyMemoMatchesInfer(t *testing.T) {
+	n := New(42)
+	imgs := gridImages()
+	for i, grid := 0, len(imgs); i < grid; i += 5 {
+		noised := bytes.Clone(imgs[i])
+		for p := 0; p < 1+i%40; p++ {
+			noised[(p*131+i*17)%len(noised)] ^= 0x55
+		}
+		imgs = append(imgs, noised)
+	}
+	want := make([]int, len(imgs))
+	for i, img := range imgs {
+		want[i] = uncachedClass(t, n, img)
+	}
+	for pass := 0; pass < 2; pass++ { // pass 0 fills the memo, pass 1 hits it
+		for i, img := range imgs {
+			got, err := n.Classify(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Fatalf("pass %d, image %d: Classify %d, uncached argmax %d", pass, i, got, want[i])
+			}
+		}
+	}
+	if got := memoLen(n); got != len(imgs) {
+		t.Fatalf("memo holds %d entries for %d distinct images", got, len(imgs))
+	}
+}
+
+func TestClassifyErrorsAreNotMemoized(t *testing.T) {
+	n := New(1)
+	for _, size := range []int{0, InputBytes - 1, InputBytes + 1} {
+		for call := 0; call < 3; call++ {
+			if _, err := n.Classify(make([]byte, size)); err == nil {
+				t.Fatalf("%d-byte input, call %d: want an error", size, call)
+			}
+		}
+	}
+	if got := memoLen(n); got != 0 {
+		t.Fatalf("memo holds %d entries after only bad inputs", got)
+	}
+}
+
+// The memo stops growing at memoCap and keeps answering correctly past it.
+// It is filled with synthetic digests up to a few entries short of the cap,
+// so the cap is crossed by real inputs without memoCap forward passes.
+func TestClassifyMemoBounded(t *testing.T) {
+	const short, extra = 3, 5
+	n := New(7)
+	for i := 0; len(n.memo) < memoCap-short; i++ {
+		n.memo[sha256.Sum256([]byte{byte(i), byte(i >> 8), 0xfe})] = 0
+	}
+	for i := 0; i < short+extra; i++ {
+		img := distinctImage(i)
+		want := uncachedClass(t, n, img)
+		for call := 0; call < 2; call++ {
+			got, err := n.Classify(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("input %d, call %d: Classify %d, uncached argmax %d", i, call, got, want)
+			}
+		}
+		_, memoized := n.memo[sha256.Sum256(img)]
+		if memoized != (i < short) {
+			t.Fatalf("input %d: memoized = %v with the cap at %d", i, memoized, memoCap)
+		}
+	}
+	if got := memoLen(n); got != memoCap {
+		t.Fatalf("memo holds %d entries, want %d", got, memoCap)
+	}
+}
+
+// Concurrent callers sharing one Network, as experiment sweep workers do,
+// get the same answers as a sequential uncached pass.
+func TestClassifyConcurrent(t *testing.T) {
+	const workers, images = 8, 50
+	n := New(42)
+	imgs := gridImages()[:images]
+	want := make([]int, images)
+	for i, img := range imgs {
+		want[i] = uncachedClass(t, n, img)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 2*images; k++ {
+				i := (k*7 + w*13) % images
+				got, err := n.Classify(imgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("worker %d, image %d: Classify %d, want %d", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := memoLen(n); got != images {
+		t.Fatalf("memo holds %d entries for %d distinct images", got, images)
+	}
+}
+
+func TestClassifyHitAndInferMissAllocateNothing(t *testing.T) {
+	n := New(3)
+	img := RenderDigit(4, 1, 0)
+	if _, err := n.Classify(img); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = n.Classify(img) }); a != 0 {
+		t.Errorf("Classify hit: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _ = n.Infer(img) }); a != 0 {
+		t.Errorf("Infer: %v allocs/op, want 0", a)
+	}
+}
+
+var sinkClass int
+
+// BenchmarkClassify times a memo hit (one grid image over and over) and a
+// miss (a different image every iteration).
+func BenchmarkClassify(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		n := New(42)
+		img := RenderDigit(3, 0, 0)
+		if _, err := n.Classify(img); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkClass, _ = n.Classify(img)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		n := New(42)
+		imgs := make([][]byte, b.N)
+		for i := range imgs {
+			imgs[i] = distinctImage(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkClass, _ = n.Classify(imgs[i])
+		}
+	})
 }

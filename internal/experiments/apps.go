@@ -158,7 +158,7 @@ func fig9(cfg Config) *Report {
 		}
 		lenetGen := workload.New(e.tb.Sim, workload.Config{
 			Proto: workload.UDP, Target: lenetTarget, Payload: lenetPayload,
-			Body: lenetBody(lenetNet), Clients: 3, Duration: window, Warmup: window / 5,
+			Body: lenetBody, Clients: 3, Duration: window, Warmup: window / 5,
 			BasePort: 23000,
 		}, e.clients[0])
 		lenetRes := lenetGen.Run()

@@ -9,9 +9,11 @@ import (
 // and CSV. Every sweep point builds its own Sim, so the only way the outputs
 // can differ is a point result leaking across workers or rows being
 // assembled in completion order — exactly the bugs this test pins down.
+// fig8a's points share one *lenet.Network, so under -race it also checks
+// that the network's classification memo is safe across workers.
 func TestParallelSweepDeterminism(t *testing.T) {
 	base := Config{Seed: 7, Scale: 0.05}
-	for _, id := range []string{"fig6", "degradation"} {
+	for _, id := range []string{"fig6", "degradation", "fig8a"} {
 		seqCfg := base
 		seqCfg.Workers = 1
 		parCfg := base

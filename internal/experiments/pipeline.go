@@ -175,7 +175,7 @@ func extLatencyCurve(cfg Config) *Report {
 		}
 		res := e.measure(workload.Config{
 			Proto: workload.UDP, Target: target, Payload: lenetPayload,
-			Body: lenetBody(net), Clients: 4, RatePerSec: rate, Poisson: true,
+			Body: lenetBody, Clients: 4, RatePerSec: rate, Poisson: true,
 			Duration: window, Warmup: window / 5,
 		})
 		e.tb.Sim.Shutdown()

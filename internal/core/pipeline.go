@@ -14,7 +14,6 @@ import (
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
 	"lynx/internal/sim"
-	"lynx/internal/trace"
 )
 
 // Pipeline is a chain of accelerator stages behind one network service.
@@ -122,44 +121,4 @@ func (pl *Pipeline) pushStage(p *sim.Proc, stage int, payload []byte, to replyTo
 	if stage == 0 {
 		rt.stats.Received++
 	}
-}
-
-// advance handles a TX message from stage i: relay to stage i+1 or answer
-// the client.
-func (pl *Pipeline) advance(p *sim.Proc, stage int, pq *pipeQueue, msg mqueue.TxMsg) {
-	rt := pl.rt
-	fifo := pq.pending[msg.Corr]
-	if len(fifo) == 0 {
-		// Output without a matching input; drop.
-		rt.plat.Check.Failf("core.orphan-response",
-			"pipeline port %d stage %d: TX message for slot %d has no pending request",
-			pl.port, stage, msg.Corr)
-		return
-	}
-	to := fifo[0]
-	pq.pending[msg.Corr] = fifo[1:]
-	rt.inTransit++
-	if stage+1 < len(pl.stages) {
-		// Stage-to-stage relay: one dispatch cost, no network stack.
-		rt.exec(p, rt.plat.Params.DispatchCost)
-		pl.relayed++
-		rt.plat.Tracer.Emit(p.Now(), trace.Relay, uint64(stage+1), 0)
-		pl.pushStage(p, stage+1, msg.Payload, to)
-		rt.inTransit--
-		return
-	}
-	// Final stage: back to the client.
-	rt.exec(p, rt.plat.Params.ForwardCost)
-	switch pl.proto {
-	case UDP:
-		rt.exec(p, rt.udpCost())
-		pl.udpSock.SendTo(to.udpFrom, msg.Payload)
-	case TCP:
-		rt.exec(p, rt.tcpCost())
-		if to.conn != nil {
-			_ = to.conn.Send(p, msg.Payload)
-		}
-	}
-	rt.stats.Responded++
-	rt.inTransit--
 }

@@ -435,16 +435,8 @@ func (r *Replicator) pump(p *sim.Proc) {
 			hr := r.releasable[0]
 			id := trace.SpanID(hr.payload)
 			qw := rt.exec(p, rt.plat.Params.ForwardCost)
-			switch r.svc.proto {
-			case UDP:
-				qw += rt.exec(p, rt.udpCost())
-				r.svc.udpSock.SendTo(hr.to.udpFrom, hr.payload)
-			case TCP:
-				qw += rt.exec(p, rt.tcpCost())
-				if hr.to.conn != nil {
-					_ = hr.to.conn.Send(p, hr.payload)
-				}
-			}
+			qw += rt.exec(p, r.svc.protoCost())
+			r.svc.reply(hr.to, hr.payload)
 			rt.stats.Responded++
 			r.releasable = r.releasable[1:]
 			r.held--

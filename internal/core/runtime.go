@@ -266,34 +266,6 @@ func (rt *Runtime) exec(p *sim.Proc, cost time.Duration) time.Duration {
 	return p.Now().Sub(t0) - scaled
 }
 
-// execBatch charges the frontend CPU work of k equal-cost messages processed
-// in one dispatcher pass. The serialized section is entered once for the
-// whole quantum: its per-message fixed portion (model.SerialBatchFixed — the
-// ring doorbell read, dispatcher lock handoff) is paid once, the remainder
-// scales with k; the parallel share is k full units, since per-message
-// payload work does not amortize. Like exec, it returns the time the quantum
-// queued beyond the charged cost — the caller apportions that wait across
-// the batch's spans so attribution stays telescoping-exact (the per-span
-// shares sum exactly to the measured wait). execBatch with k == 1 takes the
-// exec path and is charge-for-charge identical to it.
-func (rt *Runtime) execBatch(p *sim.Proc, cost time.Duration, k int) time.Duration {
-	if k <= 1 {
-		return rt.exec(p, cost)
-	}
-	scaled := rt.plat.Machine.Scale(cost)
-	ser1 := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
-	fixed := time.Duration(float64(ser1) * rt.plat.Params.SerialBatchFixed)
-	ser := fixed + time.Duration(k)*(ser1-fixed)
-	par := time.Duration(k) * (scaled - ser1)
-	rt.cpuBusy += ser + par
-	rt.serialBusy += ser
-	rt.execCalls += uint64(k)
-	t0 := p.Now()
-	rt.serial.With(p, ser, nil)
-	rt.cores.With(p, par, nil)
-	return p.Now().Sub(t0) - (ser + par)
-}
-
 // execParallel charges CPU work with no serialized section: client-mqueue
 // bindings each own a dedicated connection context, so they scale with
 // cores. Like exec it returns the queueing delay beyond the charged cost.
@@ -585,24 +557,12 @@ func (s *Service) Port() uint16 { return s.port }
 // Addr returns the service's network address.
 func (s *Service) Addr() netstack.Addr { return s.rt.plat.NetHost.Addr(s.port) }
 
-// dispatch delivers one client message to a server mqueue. Queues the
-// watchdog marked failed are skipped (graceful degradation): the policy's
-// pick rotates forward to the next healthy queue. When every queue is failed
-// the original pick is kept — shedding everything on a (possibly false)
-// watchdog verdict would be worse than trying the ring.
+// dispatch delivers one client message to a server mqueue chosen by pick.
 func (s *Service) dispatch(p *sim.Proc, payload []byte, to replyTo, from netstack.Addr) {
 	rt := s.rt
 	rt.plat.Tracer.Emit(p.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
 	qw := rt.exec(p, rt.plat.Params.DispatchCost)
-	qi := s.policy.Pick(from, len(s.queues))
-	if s.queues[qi].failed {
-		for off := 1; off < len(s.queues); off++ {
-			if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
-				qi = alt
-				break
-			}
-		}
-	}
+	qi := s.pick(from)
 	bq := s.queues[qi]
 	id := trace.SpanID(payload)
 	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
@@ -629,43 +589,57 @@ func (s *Service) dispatch(p *sim.Proc, payload []byte, to replyTo, from netstac
 	}
 }
 
-// forwardResponse routes one TX message of a server queue back to its
-// client.
-func (s *Service) forwardResponse(p *sim.Proc, bq *boundQueue, msg mqueue.TxMsg) {
-	rt := s.rt
-	rt.plat.Tracer.Emit(p.Now(), trace.Drain, uint64(msg.Slot), uint64(msg.Corr))
-	id := trace.SpanID(msg.Payload)
-	rt.plat.Spans.Stamp(id, trace.StageDrain, p.Now())
-	qw := rt.exec(p, rt.plat.Params.ForwardCost)
-	fifo := bq.pending[msg.Corr]
-	if len(fifo) == 0 {
-		// Response without a matching request (app bug); drop.
-		rt.plat.Check.Failf("core.orphan-response",
-			"service port %d: TX message for slot %d has no pending request", s.port, msg.Corr)
-		return
-	}
-	to := fifo[0]
-	bq.pending[msg.Corr] = fifo[1:]
-	if s.repl != nil && s.repl.onResponse(to, msg.Payload) {
-		// Parked for peer acks: the replicator's pump finishes the forward.
-		return
-	}
-	rt.inTransit++
-	switch s.proto {
-	case UDP:
-		qw += rt.exec(p, rt.udpCost())
-		s.udpSock.SendTo(to.udpFrom, msg.Payload)
-	case TCP:
-		qw += rt.exec(p, rt.tcpCost())
-		if to.conn != nil {
-			_ = to.conn.Send(p, msg.Payload)
+// pick applies the dispatch policy for a message from the client. Queues the
+// watchdog marked failed are skipped (graceful degradation): the pick rotates
+// forward to the next healthy queue. When every queue is failed the original
+// pick is kept — shedding everything on a (possibly false) watchdog verdict
+// would be worse than trying the ring.
+func (s *Service) pick(from netstack.Addr) int {
+	qi := s.policy.Pick(from, len(s.queues))
+	if s.queues[qi].failed {
+		for off := 1; off < len(s.queues); off++ {
+			if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
+				return alt
+			}
 		}
 	}
-	rt.stats.Responded++
-	rt.inTransit--
-	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-	rt.plat.Spans.Stamp(id, trace.StageForward, p.Now())
-	rt.plat.Tracer.Emit(p.Now(), trace.Forward, uint64(len(msg.Payload)), 0)
+	return qi
+}
+
+// protoCost is the CPU cost of sending one message on the service's
+// client-facing transport.
+func (s *Service) protoCost() time.Duration {
+	if s.proto == TCP {
+		return s.rt.tcpCost()
+	}
+	return s.rt.udpCost()
+}
+
+// reply sends a response payload to the client that asked for it.
+func (s *Service) reply(to replyTo, payload []byte) {
+	switch s.proto {
+	case UDP:
+		s.udpSock.SendTo(to.udpFrom, payload)
+	case TCP:
+		if to.conn != nil {
+			_ = to.conn.Send(nil, payload)
+		}
+	}
+}
+
+// popReply takes the oldest reply destination waiting on an RX slot. The
+// rest of the slot's FIFO shifts down in place, so each slot reuses one
+// backing array for the whole run instead of reallocating per request.
+func popReply(fifos [][]replyTo, slot uint16) (replyTo, bool) {
+	fifo := fifos[slot]
+	if len(fifo) == 0 {
+		return replyTo{}, false
+	}
+	to := fifo[0]
+	n := copy(fifo, fifo[1:])
+	fifo[n] = replyTo{}
+	fifos[slot] = fifo[:n]
+	return to, true
 }
 
 // shareWait splits a measured queueing wait evenly across the k spans of a
@@ -680,142 +654,6 @@ func shareWait(qw time.Duration, k, i int) time.Duration {
 		share += qw % time.Duration(k)
 	}
 	return share
-}
-
-// dispatchBatch delivers a run of ready datagrams as one dispatcher
-// scheduling quantum (Params.Batch.Quantum > 1): the serialized section is
-// entered once for the whole run, every message's slot is reserved and its
-// reply bookkeeping recorded before any RDMA is posted, and the
-// message-bearing writes are posted in doorbell groups with a checkpointed
-// completion wait — ceil(k/doorbell) issue charges and ceil(k/cqDrain)
-// wakeups for a k-message quantum.
-//
-// Bookkeeping must precede posting: with only checkpoint completions
-// awaited, an early message of the batch lands — and its response can race
-// back through the MQ manager — before the posting context regains control.
-// Reserving the pending-reply FIFO entry at preparation time keeps that
-// response from being misread as an orphan. StagePushed is stamped by the
-// write's delivery hook exactly as in the per-message path.
-func (s *Service) dispatchBatch(p *sim.Proc, dgs []netstack.Datagram) {
-	rt := s.rt
-	n := len(dgs)
-	if n == 0 {
-		return
-	}
-	for i := range dgs {
-		rt.plat.Tracer.Emit(p.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(s.port))
-	}
-	qw := rt.execBatch(p, rt.plat.Params.DispatchCost, n)
-	type preparedWR struct {
-		wr rdma.WR
-		qp *rdma.QP
-	}
-	preps := make([]preparedWR, 0, n)
-	for i := range dgs {
-		payload := dgs[i].Payload
-		qi := s.policy.Pick(dgs[i].From, len(s.queues))
-		if s.queues[qi].failed {
-			for off := 1; off < len(s.queues); off++ {
-				if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
-					qi = alt
-					break
-				}
-			}
-		}
-		bq := s.queues[qi]
-		id := trace.SpanID(payload)
-		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
-		rt.plat.Spans.Stamp(id, trace.StageDispatch, p.Now())
-		rt.plat.Spans.SetQueue(id, qi)
-		wr, slot, err := bq.q.PrepareWrite(p, payload, 0)
-		if err != nil {
-			cause := DropOverflow
-			if bq.failed {
-				cause = DropStalled
-			}
-			rt.drop(p.Now(), cause, uint64(qi))
-			rt.plat.Spans.Close(id, trace.SpanDropped, p.Now())
-			continue
-		}
-		bq.pending[slot] = append(bq.pending[slot], replyTo{udpFrom: dgs[i].From})
-		rt.stats.Received++
-		rt.plat.Tracer.Emit(p.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-		if s.repl != nil {
-			s.repl.onDispatch(payload)
-		}
-		preps = append(preps, preparedWR{wr: wr, qp: bq.q.QP()})
-	}
-	// Post per QP in first-appearance order (queues of one accelerator share
-	// a QP, so the common case is a single doorbell-grouped batch).
-	batch := rt.plat.Params.Batch
-	wrs := make([]rdma.WR, 0, len(preps))
-	for len(preps) > 0 {
-		qp := preps[0].qp
-		wrs = wrs[:0]
-		rest := preps[:0]
-		for _, pr := range preps {
-			if pr.qp == qp {
-				wrs = append(wrs, pr.wr)
-			} else {
-				rest = append(rest, pr)
-			}
-		}
-		qp.PostAndWait(p, wrs, batch.EffDoorbell(), batch.EffCQDrain())
-		preps = rest
-	}
-}
-
-// forwardResponseBatch routes a run of TX messages drained from one server
-// queue in a single manager sweep visit, entering the serialized section
-// once for the whole run (per-message sequencing — FIFO pop, send, stamps —
-// is unchanged). With a single message it performs exactly the operations of
-// forwardResponse.
-func (s *Service) forwardResponseBatch(p *sim.Proc, bq *boundQueue, msgs []mqueue.TxMsg) {
-	rt := s.rt
-	n := len(msgs)
-	if n == 0 {
-		return
-	}
-	for i := range msgs {
-		rt.plat.Tracer.Emit(p.Now(), trace.Drain, uint64(msgs[i].Slot), uint64(msgs[i].Corr))
-		rt.plat.Spans.Stamp(trace.SpanID(msgs[i].Payload), trace.StageDrain, p.Now())
-	}
-	qw := rt.execBatch(p, rt.plat.Params.ForwardCost, n)
-	switch s.proto {
-	case UDP:
-		qw += rt.execBatch(p, rt.udpCost(), n)
-	case TCP:
-		qw += rt.execBatch(p, rt.tcpCost(), n)
-	}
-	for i := range msgs {
-		msg := msgs[i]
-		id := trace.SpanID(msg.Payload)
-		fifo := bq.pending[msg.Corr]
-		if len(fifo) == 0 {
-			rt.plat.Check.Failf("core.orphan-response",
-				"service port %d: TX message for slot %d has no pending request", s.port, msg.Corr)
-			continue
-		}
-		to := fifo[0]
-		bq.pending[msg.Corr] = fifo[1:]
-		if s.repl != nil && s.repl.onResponse(to, msg.Payload) {
-			continue
-		}
-		rt.inTransit++
-		switch s.proto {
-		case UDP:
-			s.udpSock.SendTo(to.udpFrom, msg.Payload)
-		case TCP:
-			if to.conn != nil {
-				_ = to.conn.Send(p, msg.Payload)
-			}
-		}
-		rt.stats.Responded++
-		rt.inTransit--
-		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
-		rt.plat.Spans.Stamp(id, trace.StageForward, p.Now())
-		rt.plat.Tracer.Emit(p.Now(), trace.Forward, uint64(len(msg.Payload)), 0)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -868,35 +706,6 @@ func (rt *Runtime) AddClientQueue(h *AccelHandle, proto Proto, dst netstack.Addr
 // QueueIndex returns the index of the claimed mqueue within the handle's
 // group (to find the matching AccelQueues() entry).
 func (cb *ClientBinding) QueueIndex() int { return cb.qi }
-
-// forwardOut ships one accelerator-originated message to the backend.
-func (cb *ClientBinding) forwardOut(p *sim.Proc, msg mqueue.TxMsg) {
-	rt := cb.rt
-	rt.plat.Tracer.Emit(p.Now(), trace.BackendOut, uint64(len(msg.Payload)), uint64(cb.qi))
-	rt.plat.Spans.Stamp(trace.SpanID(msg.Payload), trace.StageBackendOut, p.Now())
-	rt.execParallel(p, rt.plat.Params.ForwardCost)
-	rt.stats.Forwarded++
-	switch cb.proto {
-	case UDP:
-		rt.execParallel(p, rt.udpCost())
-		cb.sock.SendTo(cb.dst, msg.Payload)
-		if rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
-			cb.outstanding = append(cb.outstanding, pendingSend{
-				payload:  msg.Payload,
-				deadline: p.Now().Add(rt.plat.Params.ClientRetryTimeout),
-			})
-		}
-	case TCP:
-		rt.execParallel(p, rt.tcpCost())
-		if cb.conn != nil {
-			if err := cb.conn.Send(p, msg.Payload); err != nil {
-				// Report the connection error through mqueue metadata
-				// (§5.1): push an empty error-flagged message.
-				_, _ = cb.bq.q.Push(p, nil, 1)
-			}
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Runtime start: spawn the worker processes
@@ -977,28 +786,7 @@ func (rt *Runtime) Start() error {
 				continue
 			}
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
-					var loop func()
-					var handle func(dg netstack.Datagram)
-					handle = func(dg netstack.Datagram) {
-						id := trace.SpanID(dg.Payload)
-						now := t.Now()
-						rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-						if dg.EnqueuedAt > 0 {
-							rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(dg.EnqueuedAt))
-						}
-						rt.execT(t, rt.udpCost(), func(qw time.Duration) {
-							rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-							svc.dispatchT(t, dg.Payload, replyTo{udpFrom: dg.From}, dg.From, loop)
-						})
-					}
-					loop = func() {
-						if dg, ok := svc.udpSock.RecvT(t, handle); ok {
-							handle(dg)
-						}
-					}
-					loop()
-				})
+				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), svc.runUDPRx)
 			}
 		case TCP:
 			s.Spawn(fmt.Sprintf("lynx/tcp-accept:%d", svc.port), func(p *sim.Proc) {
@@ -1154,60 +942,9 @@ func (rt *Runtime) Start() error {
 	// Remote MQ manager + message forwarder: one sweep process per
 	// accelerator (its QP context), draining TX rings with batched header
 	// polling.
-	type sink struct {
-		svc     *Service
-		cb      *ClientBinding
-		bq      *boundQueue
-		pl      *Pipeline
-		plStage int
-		pq      *pipeQueue
-		rp      *replPeer
-	}
 	for _, h := range rt.handles {
 		h := h
-		sinks := make([]sink, h.group.Len())
-		for _, svc := range rt.services {
-			for _, bq := range svc.queues {
-				if bq.h == h {
-					for i := 0; i < h.group.Len(); i++ {
-						if h.group.Queue(i) == bq.q {
-							sinks[i] = sink{svc: svc, bq: bq}
-						}
-					}
-				}
-			}
-		}
-		for _, cb := range rt.clients {
-			if cb.bq.h == h {
-				sinks[cb.qi] = sink{cb: cb, bq: cb.bq}
-			}
-		}
-		for _, pl := range rt.pipelines {
-			for si, stage := range pl.stages {
-				for _, pq := range stage {
-					if pq.h != h {
-						continue
-					}
-					for i := 0; i < h.group.Len(); i++ {
-						if h.group.Queue(i) == pq.q {
-							sinks[i] = sink{pl: pl, plStage: si, pq: pq}
-						}
-					}
-				}
-			}
-		}
-		for _, r := range rt.replicators {
-			for _, rp := range r.peers {
-				if rp.h != h {
-					continue
-				}
-				for i := 0; i < h.group.Len(); i++ {
-					if h.group.Queue(i) == rp.q {
-						sinks[i] = sink{rp: rp}
-					}
-				}
-			}
-		}
+		sinks := rt.sinks(h)
 		// The Remote MQ Manager's sweep work is shared by the worker
 		// cores: each context owns a partition of the accelerator's
 		// queues (the paper's workers split mqueues round-robin, §6.1).
@@ -1219,198 +956,73 @@ func (rt *Runtime) Start() error {
 			w := w
 			// The sweep is the hottest always-on process (it wakes for every
 			// accelerator response), so it runs on the run-to-completion Task
-			// substrate. The continuation chain performs exactly the
-			// operation sequence of the coroutine form it replaced: refresh,
-			// per-owned-queue drain loops, commit, watchdog, then block on
-			// the activity gate — so output stays byte-identical.
+			// substrate (see mqManager in runtime_task.go).
 			s.SpawnTask(fmt.Sprintf("lynx/mq-manager:%s/%d", h.acc.Name(), w), func(t *sim.Task) {
-				gate := h.group.ActivityGate()
-				// Watchdog state for the queues this context owns: the
-				// accelerator progress counters last observed and when they
-				// last moved. A queue holding in-flight messages with
-				// neither counter advancing for MQWatchdogTimeout is marked
-				// failed; it is restored the moment it makes progress.
-				wd := rt.plat.Params.MQWatchdogTimeout
-				type qhealth struct {
-					rxc, txs uint64
-					last     sim.Time
-				}
-				health := make([]qhealth, h.group.Len())
-				for i := range health {
-					health[i].last = t.Now()
-				}
-				// TX batch drain: with batching configured, each ring visit
-				// pulls up to the CQ-drain budget of responses in one
-				// spanning READ and forwards service responses as a batch.
-				batch := rt.plat.Params.Batch
-				var txBuf []mqueue.TxMsg
-				if !batch.Unit() {
-					txBuf = make([]mqueue.TxMsg, batch.EffCQDrain())
-				}
-				var (
-					sweep      func()
-					visit      func(i int)
-					drainQ     func(i int)
-					commit     func(i int)
-					afterSweep func()
-					v          uint64
-					drained    bool
-				)
-				sweep = func() {
-					v = gate.Version()
-					h.group.RefreshT(t, func() {
-						drained = false
-						visit(w)
-					})
-				}
-				visit = func(i int) {
-					if i >= h.group.Len() {
-						afterSweep()
-						return
-					}
-					drainQ(i)
-				}
-				drainQ = func(i int) {
-					q := h.group.Queue(i)
-					if !q.Ready() {
-						commit(i)
-						return
-					}
-					if txBuf != nil {
-						q.PopTxManyT(t, len(txBuf), txBuf, func(k int) {
-							if k == 0 {
-								commit(i)
-								return
-							}
-							drained = true
-							sk := sinks[i]
-							switch {
-							case sk.svc != nil:
-								sk.svc.forwardResponseBatchT(t, sk.bq, txBuf[:k], func() { drainQ(i) })
-							case sk.cb != nil:
-								var fw func(j int)
-								fw = func(j int) {
-									if j >= k {
-										drainQ(i)
-										return
-									}
-									sk.cb.forwardOutT(t, txBuf[j], func() { fw(j + 1) })
-								}
-								fw(0)
-							case sk.pl != nil:
-								var adv func(j int)
-								adv = func(j int) {
-									if j >= k {
-										drainQ(i)
-										return
-									}
-									sk.pl.advanceT(t, sk.plStage, sk.pq, txBuf[j], func() { adv(j + 1) })
-								}
-								adv(0)
-							case sk.rp != nil:
-								for j := 0; j < k; j++ {
-									sk.rp.r.onAck(sk.rp, txBuf[j].Payload)
-								}
-								drainQ(i)
-							default:
-								drainQ(i)
-							}
-						})
-						return
-					}
-					q.PopTxT(t, func(msg mqueue.TxMsg, ok bool) {
-						if !ok {
-							commit(i)
-							return
-						}
-						drained = true
-						sk := sinks[i]
-						next := func() { drainQ(i) }
-						switch {
-						case sk.svc != nil:
-							sk.svc.forwardResponseT(t, sk.bq, msg, next)
-						case sk.cb != nil:
-							sk.cb.forwardOutT(t, msg, next)
-						case sk.pl != nil:
-							sk.pl.advanceT(t, sk.plStage, sk.pq, msg, next)
-						case sk.rp != nil:
-							sk.rp.r.onAck(sk.rp, msg.Payload)
-							next()
-						default:
-							next()
-						}
-					})
-				}
-				commit = func(i int) {
-					q := h.group.Queue(i)
-					q.CommitTxT(t, func() {
-						if wd <= 0 {
-							visit(i + nMgr)
-							return
-						}
-						rxc, txs := q.Counters()
-						hs := &health[i]
-						switch {
-						case rxc != hs.rxc || txs != hs.txs || q.InFlight() == 0:
-							hs.rxc, hs.txs, hs.last = rxc, txs, t.Now()
-							if bq := sinks[i].bq; bq != nil && bq.failed {
-								bq.failed = false
-								rt.stats.Failbacks++
-								rt.plat.Tracer.Emit(t.Now(), trace.Failover, uint64(i), 1)
-							}
-						case t.Now().Sub(hs.last) >= wd:
-							if bq := sinks[i].bq; bq != nil && sinks[i].svc != nil && !bq.failed {
-								bq.failed = true
-								rt.stats.Failovers++
-								rt.plat.Tracer.Emit(t.Now(), trace.Failover, uint64(i), 0)
-							}
-							// A frozen replication ingest ring is a dead
-							// peer: waive its acks and release every
-							// response blocked only on it.
-							if rp := sinks[i].rp; rp != nil {
-								rp.r.killPeer(t.Now(), rp)
-							}
-						}
-						visit(i + nMgr)
-					})
-				}
-				afterSweep = func() {
-					if drained {
-						sweep()
-						return
-					}
-					// The real manager spins at MQPollInterval; the
-					// simulator blocks on header activity and re-adds
-					// the polling detection delay. While any owned
-					// queue holds in-flight work the wait is bounded by
-					// the watchdog timeout, so a fully stalled
-					// accelerator (which never fires the gate) still
-					// gets inspected.
-					stuck := false
-					if wd > 0 {
-						for i := w; i < h.group.Len(); i += nMgr {
-							if h.group.Queue(i).InFlight() > 0 {
-								stuck = true
-								break
-							}
-						}
-					}
-					poll := func() { t.Sleep(rt.plat.Params.MQPollInterval/2, sweep) }
-					if stuck {
-						if inline, _ := gate.WaitTimeoutT(t, v, wd, func(bool) { poll() }); inline {
-							poll()
-						}
-					} else {
-						if gate.WaitT(t, v, poll) {
-							poll()
-						}
-					}
-				}
-				sweep()
+				rt.newMQManager(t, h, sinks, w, nMgr).sweep()
 			})
 		}
 	}
 	return nil
+}
+
+// sink is what one queue of an accelerator's group feeds: a service, a
+// client binding, a pipeline stage, or a replication peer's ingest ring.
+type sink struct {
+	svc     *Service
+	cb      *ClientBinding
+	bq      *boundQueue
+	pl      *Pipeline
+	plStage int
+	pq      *pipeQueue
+	rp      *replPeer
+}
+
+// sinks maps every queue of h's group to what it feeds.
+func (rt *Runtime) sinks(h *AccelHandle) []sink {
+	sinks := make([]sink, h.group.Len())
+	for _, svc := range rt.services {
+		for _, bq := range svc.queues {
+			if bq.h == h {
+				for i := 0; i < h.group.Len(); i++ {
+					if h.group.Queue(i) == bq.q {
+						sinks[i] = sink{svc: svc, bq: bq}
+					}
+				}
+			}
+		}
+	}
+	for _, cb := range rt.clients {
+		if cb.bq.h == h {
+			sinks[cb.qi] = sink{cb: cb, bq: cb.bq}
+		}
+	}
+	for _, pl := range rt.pipelines {
+		for si, stage := range pl.stages {
+			for _, pq := range stage {
+				if pq.h != h {
+					continue
+				}
+				for i := 0; i < h.group.Len(); i++ {
+					if h.group.Queue(i) == pq.q {
+						sinks[i] = sink{pl: pl, plStage: si, pq: pq}
+					}
+				}
+			}
+		}
+	}
+	for _, r := range rt.replicators {
+		for _, rp := range r.peers {
+			if rp.h != h {
+				continue
+			}
+			for i := 0; i < h.group.Len(); i++ {
+				if h.group.Queue(i) == rp.q {
+					sinks[i] = sink{rp: rp}
+				}
+			}
+		}
+	}
+	return sinks
 }
 
 // Stats returns a snapshot of the runtime's counters.

@@ -27,7 +27,7 @@ type bed struct {
 	client *netstack.Host
 }
 
-func newBed(t *testing.T, seed uint64) *bed {
+func newBed(t testing.TB, seed uint64) *bed {
 	t.Helper()
 	p := model.Default()
 	tb := snic.NewTestbed(seed, &p)
@@ -42,7 +42,7 @@ func newBed(t *testing.T, seed uint64) *bed {
 }
 
 // startEchoTBs launches persistent echo threadblocks, one per queue.
-func startEchoTBs(t *testing.T, b *bed, h *core.AccelHandle, compute time.Duration) {
+func startEchoTBs(t testing.TB, b *bed, h *core.AccelHandle, compute time.Duration) {
 	t.Helper()
 	qs := h.AccelQueues()
 	err := b.gpu.LaunchPersistent(b.tb.Sim, len(qs), func(tb *accel.TB) {

@@ -254,7 +254,9 @@ func (f *Fabric) WriteDMA(p *sim.Proc, from, to *Device, region *memdev.Region, 
 func (f *Fabric) ReadDMA(p *sim.Proc, from, to *Device, region *memdev.Region, off, n int) []byte {
 	f.transfer(p, from, to, 32) // read request TLP
 	f.transfer(p, to, from, n)  // completion with data
-	return region.ReadDMA(off, n)
+	out := make([]byte, n)
+	region.ReadDMA(off, out)
+	return out
 }
 
 // FlushBarrier performs a zero-byte ordered read round trip that forces all

@@ -221,24 +221,29 @@ func (r *Region) Flush() {
 // ReadLocal copies n bytes at off into a fresh slice, observing only writes
 // that have become visible.
 func (r *Region) ReadLocal(off, n int) []byte {
-	r.check(off, n)
-	r.applyPending()
-	r.reads++
 	out := make([]byte, n)
-	copy(out, r.buf[off:])
+	r.ReadLocalInto(off, out)
 	return out
 }
 
-// ReadDMA is a DMA read of the region (e.g. the SNIC polling a TX ring).
-// DMA reads are performed by the NIC through the same ordered path as the
-// barrier read, so they see all committed writes.
-func (r *Region) ReadDMA(off, n int) []byte {
-	r.check(off, n)
+// ReadLocalInto is ReadLocal into a caller buffer: it fills dst from off, so
+// header and counter reads can land in a stack array.
+func (r *Region) ReadLocalInto(off int, dst []byte) {
+	r.check(off, len(dst))
+	r.applyPending()
+	r.reads++
+	copy(dst, r.buf[off:])
+}
+
+// ReadDMA is a DMA read of the region (e.g. the SNIC polling a TX ring)
+// into dst, which it fills from off. DMA reads are performed by the NIC
+// through the same ordered path as the barrier read, so they see all
+// committed writes.
+func (r *Region) ReadDMA(off int, dst []byte) {
+	r.check(off, len(dst))
 	r.Flush()
 	r.reads++
-	out := make([]byte, n)
-	copy(out, r.buf[off:])
-	return out
+	copy(dst, r.buf[off:])
 }
 
 // Byte reads one visible byte (convenience for doorbell polling).

@@ -109,7 +109,8 @@ func TestReadDMAActsAsBarrier(t *testing.T) {
 	s := newSim()
 	r := NewRegion(s, "gpu", 32, Config{Relaxed: true, MaxSkew: time.Second})
 	r.WriteDMA(0, []byte{7})
-	if got := r.ReadDMA(0, 1); got[0] != 7 {
+	var got [1]byte
+	if r.ReadDMA(0, got[:]); got[0] != 7 {
 		t.Fatal("DMA read must observe committed writes")
 	}
 	if r.PendingWrites() != 0 {

@@ -164,6 +164,10 @@ type Queue struct {
 	txDirty    bool     // txConsumed needs publishing to the accelerator
 	hdrAt      sim.Time // wire instant of the freshest absorbed header snapshot
 
+	// ops is the frame pool of the queue's task-form operations, shared by
+	// every queue of a group (see op).
+	ops *opPool
+
 	pushed, polled, full uint64
 }
 
@@ -177,24 +181,23 @@ func New(region *memdev.Region, base int, cfg Config, qp *rdma.QP) (*Queue, erro
 		return nil, fmt.Errorf("mqueue: footprint %d at base %d exceeds region %d",
 			cfg.Footprint(), base, region.Size())
 	}
-	return &Queue{cfg: cfg, region: region, qp: qp,
+	return &Queue{cfg: cfg, region: region, qp: qp, ops: &opPool{},
 		lay: layout{hdr: base, ring: base + QueueHeaderBytes}}, nil
 }
 
 // Config returns the queue geometry.
 func (q *Queue) Config() Config { return q.cfg }
 
-// buildSlot assembles header+payload for one slot write.
+// buildSlot assembles header+payload for one slot write into a fresh slice.
 func buildSlot(payload []byte, errStatus byte, corr uint16, doorbell byte) []byte {
-	buf := make([]byte, HeaderBytes+len(payload))
-	buf[offDoorbell] = doorbell
-	buf[offError] = errStatus
-	buf[offSize] = byte(len(payload))
-	buf[offSize+1] = byte(len(payload) >> 8)
-	buf[offCorr] = byte(corr)
-	buf[offCorr+1] = byte(corr >> 8)
-	copy(buf[HeaderBytes:], payload)
-	return buf
+	return appendSlot(make([]byte, 0, HeaderBytes+len(payload)), payload, errStatus, corr, doorbell)
+}
+
+// appendSlot appends the slot image — header, then payload — to dst.
+func appendSlot(dst, payload []byte, errStatus byte, corr uint16, doorbell byte) []byte {
+	n := len(payload)
+	dst = append(dst, doorbell, errStatus, byte(n), byte(n>>8), byte(corr), byte(corr>>8))
+	return append(dst, payload...)
 }
 
 // Push delivers one message into the accelerator's RX ring, returning the
@@ -228,29 +231,32 @@ func (q *Queue) Push(p *sim.Proc, payload []byte, errStatus byte) (int, error) {
 	// stamping on return would let AccelRecv precede Pushed and break stage
 	// monotonicity.
 	stamp := q.stampPushed(payload)
+	// The slot image lives in a pooled frame's buffer until the writes
+	// carrying it complete.
+	o := q.ops.get(q)
 	switch {
 	case q.cfg.Barrier:
 		// Three transactions: payload+metadata (excluding the doorbell
 		// byte, which only the doorbell write may touch), barrier,
 		// doorbell.
-		buf := buildSlot(payload, errStatus, 0, 0)
+		buf := o.image(payload, errStatus, 0)
 		q.qp.Write(p, q.region, off+offError, buf[offError:])
 		q.qp.Barrier(p, q.region)
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, []byte{1}, stamp)
+		q.qp.WriteNotify(p, q.region, off+offDoorbell, doorbellSet, stamp)
 	case q.cfg.NoCoalesce:
 		// Two transactions: payload+metadata, then doorbell. Without a
 		// barrier these may become visible out of order on relaxed
 		// memory — the §5.1 hazard.
-		buf := buildSlot(payload, errStatus, 0, 0)
+		buf := o.image(payload, errStatus, 0)
 		q.qp.Write(p, q.region, off+offError, buf[offError:])
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, []byte{1}, stamp)
+		q.qp.WriteNotify(p, q.region, off+offDoorbell, doorbellSet, stamp)
 	default:
 		// One coalesced transaction; NIC DMA commits lower addresses
 		// first, so a single write carrying data and notification is
 		// safe on strongly ordered regions (§5.1).
-		buf := buildSlot(payload, errStatus, 0, 1)
-		q.qp.WriteNotify(p, q.region, off, buf, stamp)
+		q.qp.WriteNotify(p, q.region, off, o.image(payload, errStatus, 1), stamp)
 	}
+	o.release()
 	q.pushed++
 	return slot, nil
 }
@@ -264,58 +270,21 @@ func (q *Queue) QP() *rdma.QP { return q.qp }
 // the error) once the message-bearing writes complete. Flow control, slot
 // reservation before any yield, checking and stamping match Push operation
 // for operation, so a ported caller produces byte-identical output. k runs
-// inline only on immediate validation failure.
+// inline only on immediate validation failure. The push travels in a pooled
+// frame (see op), so it allocates nothing.
 func (q *Queue) PushT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
 	if len(payload) > q.cfg.MaxPayload() {
 		k(0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()))
 		return
 	}
+	o := q.ops.get(q)
+	o.t, o.payload, o.errStatus, o.kPush = t, payload, errStatus, k
 	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.RefreshT(t, func() {
-			if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-				q.full++
-				k(0, ErrQueueFull)
-				return
-			}
-			q.pushSlotT(t, payload, errStatus, k)
-		})
+		o.stage = stPushRefresh
+		q.qp.ReadCQET(t, q.region, q.lay.hdr, 16, o.step)
 		return
 	}
-	q.pushSlotT(t, payload, errStatus, k)
-}
-
-// pushSlotT reserves the next RX slot and issues the mode-dependent write
-// chain (the post-flow-control body of Push, in continuation-passing form).
-func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	off := q.lay.rxSlot(q.cfg, slot)
-	stamp := q.stampPushed(payload)
-	done := func(rdma.CQE) {
-		q.pushed++
-		k(slot, nil)
-	}
-	switch {
-	case q.cfg.Barrier:
-		buf := buildSlot(payload, errStatus, 0, 0)
-		q.qp.WriteT(t, q.region, off+offError, buf[offError:], func(rdma.CQE) {
-			q.qp.BarrierT(t, q.region, func() {
-				q.qp.WriteNotifyT(t, q.region, off+offDoorbell, []byte{1}, stamp, done)
-			})
-		})
-	case q.cfg.NoCoalesce:
-		buf := buildSlot(payload, errStatus, 0, 0)
-		q.qp.WriteT(t, q.region, off+offError, buf[offError:], func(rdma.CQE) {
-			q.qp.WriteNotifyT(t, q.region, off+offDoorbell, []byte{1}, stamp, done)
-		})
-	default:
-		buf := buildSlot(payload, errStatus, 0, 1)
-		q.qp.WriteNotifyT(t, q.region, off, buf, stamp, done)
-	}
+	o.pushSlot()
 }
 
 // PrepareWrite reserves the next RX slot and returns the coalesced work
@@ -404,27 +373,33 @@ func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
 	}, slot
 }
 
-// stampPushed returns the OnDeliver hook stamping StagePushed (or, for
-// replication ingest rings, StageReplPushed) for payload's span at the
-// write's delivery instant; nil when the queue has no span table (keeps the
-// uninstrumented push path allocation-free).
-func (q *Queue) stampPushed(payload []byte) func(at sim.Time) {
-	sp := q.cfg.Spans
+// pushStamp names the span stamp a push of payload records at its write's
+// delivery instant: StagePushed into the queue's span table or, on
+// replication ingest rings, StageReplPushed into the origin's table. A nil
+// table means no stamp (no span table, or a payload without a span id).
+func (q *Queue) pushStamp(payload []byte) (*trace.SpanTable, uint64, trace.Stage) {
+	sp, stage := q.cfg.Spans, trace.StagePushed
 	if rp := q.cfg.ReplSpans; rp != nil {
-		id := trace.SpanID(payload)
-		if id == 0 {
-			return nil
-		}
-		return func(at sim.Time) { rp.Stamp(id, trace.StageReplPushed, at) }
+		sp, stage = rp, trace.StageReplPushed
 	}
 	if sp == nil {
-		return nil
+		return nil, 0, 0
 	}
 	id := trace.SpanID(payload)
 	if id == 0 {
+		return nil, 0, 0
+	}
+	return sp, id, stage
+}
+
+// stampPushed returns the OnDeliver hook recording pushStamp's stamp; nil
+// when there is none (keeps the uninstrumented push path allocation-free).
+func (q *Queue) stampPushed(payload []byte) func(at sim.Time) {
+	sp, id, stage := q.pushStamp(payload)
+	if sp == nil {
 		return nil
 	}
-	return func(at sim.Time) { sp.Stamp(id, trace.StagePushed, at) }
+	return func(at sim.Time) { sp.Stamp(id, stage, at) }
 }
 
 // PushAsync delivers one message like Push but does not wait for the RDMA
@@ -465,10 +440,9 @@ func (q *Queue) Refresh(p *sim.Proc) {
 // RefreshT is Refresh for tasks: k runs once the header read lands and the
 // cached counters are updated.
 func (q *Queue) RefreshT(t *sim.Task, k func()) {
-	q.qp.ReadCQET(t, q.region, q.lay.hdr, 16, func(cqe rdma.CQE) {
-		q.absorbHeader(cqe.Data, cqe.At)
-		k()
-	})
+	o := q.ops.get(q)
+	o.t, o.k, o.stage = t, k, stRefresh
+	q.qp.ReadCQET(t, q.region, q.lay.hdr, 16, o.step)
 }
 
 // absorbHeader ingests the accelerator-written half of a header block. at is
@@ -524,12 +498,32 @@ func (q *Queue) PopTx(p *sim.Proc) (TxMsg, bool) {
 	}
 	drainStart := p.Now()
 	slot := int(q.txTail % uint64(q.cfg.Slots))
-	off := q.lay.txSlot(q.cfg, slot)
-	raw := q.qp.Read(p, q.region, off, q.cfg.SlotSize)
+	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, slot), q.cfg.SlotSize)
+	return q.takeTx(raw, slot, drainStart)
+}
+
+// PopTxT is PopTx for tasks: k runs with the drained message. k runs inline
+// (with ok=false) only when the cached counters show nothing ready.
+func (q *Queue) PopTxT(t *sim.Task, k func(TxMsg, bool)) {
+	if !q.Ready() {
+		k(TxMsg{}, false)
+		return
+	}
+	o := q.ops.get(q)
+	o.t, o.kPop, o.stage = t, k, stPop
+	o.drainStart = t.Now()
+	o.slot = int(q.txTail % uint64(q.cfg.Slots))
+	q.qp.ReadCQET(t, q.region, q.lay.txSlot(q.cfg, o.slot), q.cfg.SlotSize, o.step)
+}
+
+// takeTx consumes the TX message in raw, the image of the next TX slot
+// (index slot) read by a drain that started at drainStart: it copies the
+// payload out, advances the drain counters and books the TX-ring wait. ok is
+// false when the doorbell is clear — counters said ready but the slot write
+// is not visible, which cannot happen with local accelerator stores (strong
+// ordering); kept as a guard.
+func (q *Queue) takeTx(raw []byte, slot int, drainStart sim.Time) (TxMsg, bool) {
 	if raw[offDoorbell] == 0 {
-		// Counter said ready but the slot write is not visible — cannot
-		// happen with local accelerator stores (strong ordering), kept as
-		// a guard.
 		q.cfg.Check.Failf("mqueue.doorbell-miss",
 			"TX slot %d counted ready (seen %d, drained %d) but doorbell clear", slot, q.txSeen, q.txTail)
 		return TxMsg{}, false
@@ -555,41 +549,33 @@ func (q *Queue) PopTx(p *sim.Proc) (TxMsg, bool) {
 	return TxMsg{Payload: payload, Err: raw[offError], Corr: corr, Slot: slot}, true
 }
 
-// PopTxT is PopTx for tasks: k runs with the drained message. k runs inline
-// (with ok=false) only when the cached counters show nothing ready.
-func (q *Queue) PopTxT(t *sim.Task, k func(TxMsg, bool)) {
-	if !q.Ready() {
-		k(TxMsg{}, false)
-		return
+// takeRun consumes len(out) consecutive TX slots from raw, starting at slot
+// first, stopping at the first clear doorbell; it returns the count taken.
+func (q *Queue) takeRun(raw []byte, first int, drainStart sim.Time, out []TxMsg) int {
+	for i := range out {
+		msg, ok := q.takeTx(raw[i*q.cfg.SlotSize:], first+i, drainStart)
+		if !ok {
+			return i
+		}
+		out[i] = msg
 	}
-	drainStart := t.Now()
-	slot := int(q.txTail % uint64(q.cfg.Slots))
-	off := q.lay.txSlot(q.cfg, slot)
-	q.qp.ReadT(t, q.region, off, q.cfg.SlotSize, func(raw []byte) {
-		if raw[offDoorbell] == 0 {
-			q.cfg.Check.Failf("mqueue.doorbell-miss",
-				"TX slot %d counted ready (seen %d, drained %d) but doorbell clear", slot, q.txSeen, q.txTail)
-			k(TxMsg{}, false)
-			return
-		}
-		size := int(raw[offSize]) | int(raw[offSize+1])<<8
-		corr := uint16(raw[offCorr]) | uint16(raw[offCorr+1])<<8
-		if size > q.cfg.MaxPayload() {
-			size = q.cfg.MaxPayload()
-		}
-		payload := make([]byte, size)
-		copy(payload, raw[HeaderBytes:HeaderBytes+size])
-		q.txTail++
-		q.txDirty = true
-		q.polled++
-		if sp := q.cfg.Spans; sp != nil {
-			id := trace.SpanID(payload)
-			if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-				sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-			}
-		}
-		k(TxMsg{Payload: payload, Err: raw[offError], Corr: corr, Slot: slot}, true)
-	})
+	return len(out)
+}
+
+// txRun clamps a drain budget to the ready backlog and the ring wrap,
+// returning the first TX slot of the run and the run's length.
+func (q *Queue) txRun(budget, room int) (first, n int) {
+	if budget > room {
+		budget = room
+	}
+	if backlog := q.TxBacklog(); budget > backlog {
+		budget = backlog
+	}
+	first = int(q.txTail % uint64(q.cfg.Slots))
+	if run := q.cfg.Slots - first; budget > run {
+		budget = run
+	}
+	return first, budget
 }
 
 // PopTxMany drains up to budget TX messages with a single RDMA READ spanning
@@ -600,98 +586,28 @@ func (q *Queue) PopTxT(t *sim.Task, k func(TxMsg, bool)) {
 // TX-drain wait booking are identical to PopTx; like PopTx, the caller must
 // eventually CommitTx.
 func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
-	if budget > len(out) {
-		budget = len(out)
-	}
-	if backlog := q.TxBacklog(); budget > backlog {
-		budget = backlog
-	}
-	first := int(q.txTail % uint64(q.cfg.Slots))
-	if run := q.cfg.Slots - first; budget > run {
-		budget = run
-	}
-	if budget <= 0 {
+	first, n := q.txRun(budget, len(out))
+	if n <= 0 {
 		return 0
 	}
 	drainStart := p.Now()
-	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), budget*q.cfg.SlotSize)
-	for i := 0; i < budget; i++ {
-		sraw := raw[i*q.cfg.SlotSize:]
-		if sraw[offDoorbell] == 0 {
-			q.cfg.Check.Failf("mqueue.doorbell-miss",
-				"TX slot %d counted ready (seen %d, drained %d) but doorbell clear",
-				first+i, q.txSeen, q.txTail)
-			return i
-		}
-		size := int(sraw[offSize]) | int(sraw[offSize+1])<<8
-		corr := uint16(sraw[offCorr]) | uint16(sraw[offCorr+1])<<8
-		if size > q.cfg.MaxPayload() {
-			size = q.cfg.MaxPayload()
-		}
-		payload := make([]byte, size)
-		copy(payload, sraw[HeaderBytes:HeaderBytes+size])
-		q.txTail++
-		q.txDirty = true
-		q.polled++
-		if sp := q.cfg.Spans; sp != nil {
-			id := trace.SpanID(payload)
-			if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-				sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-			}
-		}
-		out[i] = TxMsg{Payload: payload, Err: sraw[offError], Corr: corr, Slot: first + i}
-	}
-	return budget
+	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize)
+	return q.takeRun(raw, first, drainStart, out[:n])
 }
 
 // PopTxManyT is PopTxMany for tasks: k runs with the number of messages
 // stored into out. k runs inline (with 0) only when nothing is ready.
 func (q *Queue) PopTxManyT(t *sim.Task, budget int, out []TxMsg, k func(n int)) {
-	if budget > len(out) {
-		budget = len(out)
-	}
-	if backlog := q.TxBacklog(); budget > backlog {
-		budget = backlog
-	}
-	first := int(q.txTail % uint64(q.cfg.Slots))
-	if run := q.cfg.Slots - first; budget > run {
-		budget = run
-	}
-	if budget <= 0 {
+	first, n := q.txRun(budget, len(out))
+	if n <= 0 {
 		k(0)
 		return
 	}
-	drainStart := t.Now()
-	q.qp.ReadT(t, q.region, q.lay.txSlot(q.cfg, first), budget*q.cfg.SlotSize, func(raw []byte) {
-		for i := 0; i < budget; i++ {
-			sraw := raw[i*q.cfg.SlotSize:]
-			if sraw[offDoorbell] == 0 {
-				q.cfg.Check.Failf("mqueue.doorbell-miss",
-					"TX slot %d counted ready (seen %d, drained %d) but doorbell clear",
-					first+i, q.txSeen, q.txTail)
-				k(i)
-				return
-			}
-			size := int(sraw[offSize]) | int(sraw[offSize+1])<<8
-			corr := uint16(sraw[offCorr]) | uint16(sraw[offCorr+1])<<8
-			if size > q.cfg.MaxPayload() {
-				size = q.cfg.MaxPayload()
-			}
-			payload := make([]byte, size)
-			copy(payload, sraw[HeaderBytes:HeaderBytes+size])
-			q.txTail++
-			q.txDirty = true
-			q.polled++
-			if sp := q.cfg.Spans; sp != nil {
-				id := trace.SpanID(payload)
-				if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-					sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-				}
-			}
-			out[i] = TxMsg{Payload: payload, Err: sraw[offError], Corr: corr, Slot: first + i}
-		}
-		k(budget)
-	})
+	o := q.ops.get(q)
+	o.t, o.kMany, o.stage = t, k, stPopMany
+	o.drainStart = t.Now()
+	o.slot, o.out = first, out[:n]
+	q.qp.ReadCQET(t, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize, o.step)
 }
 
 // CommitTx publishes the drained-TX counter to the accelerator (one RDMA
@@ -708,18 +624,17 @@ func (q *Queue) CommitTx(p *sim.Proc) {
 }
 
 // CommitTxT is CommitTx for tasks: k runs once the counter write completes.
-// k runs inline when nothing was drained since the last commit.
+// k runs inline when nothing was drained since the last commit. The counter
+// travels in the frame until the write completes.
 func (q *Queue) CommitTxT(t *sim.Task, k func()) {
 	if !q.txDirty {
 		k()
 		return
 	}
-	var buf [8]byte
-	putLeUint64(buf[:], q.txTail)
-	q.qp.WriteT(t, q.region, q.lay.hdr+hdrTxConsumed, buf[:], func(rdma.CQE) {
-		q.txDirty = false
-		k()
-	})
+	o := q.ops.get(q)
+	o.t, o.k, o.stage = t, k, stCommit
+	putLeUint64(o.cnt[:], q.txTail)
+	q.qp.WriteT(t, q.region, q.lay.hdr+hdrTxConsumed, o.cnt[:], o.step)
 }
 
 // Poll is the standalone-queue convenience: refresh if idle, drain one
@@ -780,6 +695,7 @@ type Group struct {
 	base   int
 	qp     *rdma.QP
 	queues []*Queue
+	ops    *opPool // shared with every queue of the group
 
 	refreshes uint64
 	activity  *sim.Gate
@@ -797,11 +713,11 @@ func NewGroup(region *memdev.Region, base int, cfg Config, n int, qp *rdma.QP) (
 		return nil, fmt.Errorf("mqueue: group footprint %d at base %d exceeds region %d",
 			GroupFootprint(cfg, n), base, region.Size())
 	}
-	g := &Group{cfg: cfg, region: region, base: base, qp: qp}
+	g := &Group{cfg: cfg, region: region, base: base, qp: qp, ops: &opPool{}}
 	ringBase := base + n*QueueHeaderBytes
 	for i := 0; i < n; i++ {
 		g.queues = append(g.queues, &Queue{
-			cfg: cfg, region: region, qp: qp,
+			cfg: cfg, region: region, qp: qp, ops: g.ops,
 			lay: layout{hdr: base + i*QueueHeaderBytes, ring: ringBase + i*cfg.RingBytes()},
 		})
 	}
@@ -819,6 +735,11 @@ func (g *Group) Queue(i int) *Queue { return g.queues[i] }
 // mqueues affordable.
 func (g *Group) Refresh(p *sim.Proc) {
 	cqe := g.qp.ReadCQE(p, g.region, g.base, len(g.queues)*QueueHeaderBytes)
+	g.absorb(cqe)
+}
+
+// absorb ingests a header-block snapshot into every queue's counters.
+func (g *Group) absorb(cqe rdma.CQE) {
 	for i, q := range g.queues {
 		q.absorbHeader(cqe.Data[i*QueueHeaderBytes:], cqe.At)
 	}
@@ -828,13 +749,9 @@ func (g *Group) Refresh(p *sim.Proc) {
 // RefreshT is Refresh for tasks: one RDMA READ covers every queue header in
 // the group; k runs once all cached counters are updated.
 func (g *Group) RefreshT(t *sim.Task, k func()) {
-	g.qp.ReadCQET(t, g.region, g.base, len(g.queues)*QueueHeaderBytes, func(cqe rdma.CQE) {
-		for i, q := range g.queues {
-			q.absorbHeader(cqe.Data[i*QueueHeaderBytes:], cqe.At)
-		}
-		g.refreshes++
-		k()
-	})
+	o := g.ops.get(nil)
+	o.g, o.t, o.k, o.stage = g, t, k, stGroupRefresh
+	g.qp.ReadCQET(t, g.region, g.base, len(g.queues)*QueueHeaderBytes, o.step)
 }
 
 // Refreshes reports header-block reads performed.
@@ -895,6 +812,8 @@ type AccelQueue struct {
 	// modelled polling latency is re-added on wake-up.
 	rxGate     *sim.Gate
 	txFreeGate *sim.Gate
+
+	img []byte // TX slot image scratch (WriteLocal copies it)
 
 	received, sent, errs uint64
 }
@@ -970,7 +889,8 @@ func (aq *AccelQueue) TryRecv(p *sim.Proc) (Msg, bool) {
 	}
 	seen := p.Now() // doorbell observed set: RX-ring residency ends here
 	p.Sleep(aq.prof.LocalAccess)
-	hdr := aq.region.ReadLocal(off, HeaderBytes)
+	var hdr [HeaderBytes]byte
+	aq.region.ReadLocalInto(off, hdr[:])
 	size := int(hdr[offSize]) | int(hdr[offSize+1])<<8
 	if ck := aq.prof.Check; ck.Enabled() && size > aq.cfg.MaxPayload() {
 		ck.Failf("mqueue.slot-corrupt", "RX slot %d size %d exceeds capacity %d",
@@ -1062,11 +982,13 @@ func (aq *AccelQueue) SendErr(p *sim.Proc, corr uint16, payload []byte, errStatu
 	// Wait for the SNIC to have freed this slot (polling the SNIC-written
 	// consumed counter; blocked on its write gate in the simulator).
 	var consumed uint64
+	var cnt [8]byte
 	freeWaitStart := p.Now()
 	for {
 		v := aq.txFreeGate.Version()
 		p.Sleep(aq.prof.LocalAccess)
-		consumed = leUint64(aq.region.ReadLocal(aq.lay.hdr+hdrTxConsumed, 8))
+		aq.region.ReadLocalInto(aq.lay.hdr+hdrTxConsumed, cnt[:])
+		consumed = leUint64(cnt[:])
 		if aq.txHead-consumed < uint64(aq.cfg.Slots) {
 			break
 		}
@@ -1086,11 +1008,12 @@ func (aq *AccelQueue) SendErr(p *sim.Proc, corr uint16, payload []byte, errStatu
 			aq.txHead+1, consumed, aq.cfg.Slots)
 	}
 	off := aq.lay.txSlot(aq.cfg, slot)
-	buf := buildSlot(payload, errStatus, corr, 1)
 	p.Sleep(aq.prof.LocalAccess)
-	aq.region.WriteLocal(off, buf)
+	// Built right before the store, with no yield in between: the image
+	// buffer is the queue's, reused by every send.
+	aq.img = appendSlot(aq.img[:0], payload, errStatus, corr, 1)
+	aq.region.WriteLocal(off, aq.img)
 	aq.txHead++
-	var cnt [8]byte
 	putLeUint64(cnt[:], aq.txHead)
 	aq.region.WriteLocal(aq.lay.hdr+hdrTxSent, cnt[:])
 	aq.sent++

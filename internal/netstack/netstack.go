@@ -84,6 +84,8 @@ type Network struct {
 	udpDelivered   uint64
 	udpRxqDropped  uint64
 	udpUnreachable uint64
+
+	flights []*flight // free list of UDP wire records
 }
 
 // New creates an empty network using the wire constants in params.
@@ -276,32 +278,64 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	dg := Datagram{From: s.Addr(), To: to, Payload: buf}
-	deliver := func() {
-		sock, ok := dst.udp[to.Port]
-		if !ok {
-			if checked {
-				n.udpUnreachable++
-			}
-			return // port unreachable
-		}
-		dg := dg // per-delivery copy: duplicates stamp their own arrival
-		dg.EnqueuedAt = n.sim.Now()
-		if !sock.rxq.TryPut(dg) {
-			dst.dropped++
-			if checked {
-				n.udpRxqDropped++
-			}
-		} else if checked {
-			n.udpDelivered++
-		}
-	}
-	n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, deliver)
+	n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
 	if fate == fault.Duplicate {
 		if checked {
 			n.udpDuplicated++
 		}
 		// The copy serializes behind the original on the same links.
-		n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, deliver)
+		n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
+	}
+}
+
+// flight is one datagram on the wire. Records recycle through
+// Network.flights and arrive is bound once, so a send allocates only its
+// payload copy, which the receiver keeps.
+type flight struct {
+	n       *Network
+	dst     *Host
+	dg      Datagram
+	checked bool
+	arrive  func() // pre-bound f.land
+}
+
+// flight takes a wire record for dg bound for dst and returns its arrival
+// thunk.
+func (n *Network) flight(dst *Host, dg Datagram, checked bool) func() {
+	var f *flight
+	if k := len(n.flights); k > 0 {
+		f = n.flights[k-1]
+		n.flights[k-1] = nil
+		n.flights = n.flights[:k-1]
+	} else {
+		f = &flight{n: n}
+		f.arrive = f.land
+	}
+	f.dst, f.dg, f.checked = dst, dg, checked
+	return f.arrive
+}
+
+// land delivers the datagram into its destination socket's receive queue,
+// stamping the arrival, and recycles the record.
+func (f *flight) land() {
+	n, dst, dg, checked := f.n, f.dst, f.dg, f.checked
+	f.dst, f.dg = nil, Datagram{}
+	n.flights = append(n.flights, f)
+	sock, ok := dst.udp[dg.To.Port]
+	if !ok {
+		if checked {
+			n.udpUnreachable++
+		}
+		return // port unreachable
+	}
+	dg.EnqueuedAt = n.sim.Now()
+	if !sock.rxq.TryPut(dg) {
+		dst.dropped++
+		if checked {
+			n.udpRxqDropped++
+		}
+	} else if checked {
+		n.udpDelivered++
 	}
 }
 

@@ -58,9 +58,11 @@ type WR struct {
 	Op     OpCode
 	Region *memdev.Region
 	Offset int
-	Data   []byte // OpWrite payload
-	Len    int    // OpRead length
-	ID     uint64 // user cookie echoed in the completion
+	// Data is the OpWrite payload, or the OpRead destination: a READ fills
+	// all of it. The engine reads or fills it at the WR's wire instant, so
+	// the poster must leave it untouched until the completion.
+	Data []byte
+	ID   uint64 // user cookie echoed in the completion
 
 	// OnDeliver, when set on an OpWrite, is invoked at the simulated instant
 	// the data lands in the target region — before the completion travels
@@ -85,7 +87,7 @@ type WR struct {
 type CQE struct {
 	ID      uint64
 	Op      OpCode
-	Data    []byte // OpRead result
+	Data    []byte // OpRead result: the WR's destination buffer
 	Dropped bool   // UC write discarded for lack of receive credits
 	Retried bool   // completed only after a transport-level retry (fault plan)
 	At      sim.Time
@@ -147,11 +149,13 @@ type QP struct {
 	inflight []*inflightWR
 	inflHead int
 
-	// flFree and replyFree recycle inflight nodes and reply channels so the
-	// per-operation hot path allocates nothing once warm. Recycling changes
-	// no scheduling decision — only where the bookkeeping structs live.
+	// flFree, replyFree and calls recycle inflight nodes, reply channels and
+	// task-form call frames so the per-operation hot path allocates nothing
+	// once warm. Recycling changes no scheduling decision — only where the
+	// bookkeeping structs live.
 	flFree    []*inflightWR
 	replyFree []*sim.Chan[CQE]
+	calls     []*call
 
 	credits  int // UC receive credits
 	dropped  uint64
@@ -236,7 +240,8 @@ func (fl *inflightWR) wireDone() {
 			fl.wr.OnDeliver(fl.qp.engine.sim.Now())
 		}
 	case OpRead:
-		fl.cqe.Data = fl.wr.Region.ReadDMA(fl.wr.Offset, fl.wr.Len)
+		fl.wr.Region.ReadDMA(fl.wr.Offset, fl.wr.Data)
+		fl.cqe.Data = fl.wr.Data
 	case OpBarrier:
 		fl.wr.Region.Flush()
 	}
@@ -323,7 +328,7 @@ func (qp *QP) process(wr WR) {
 		e.sim.After(transit, fl.onWire)
 	case OpRead:
 		transit := 2*qp.remote + e.fab.TransferTime(e.nic, qp.target, 32) +
-			e.fab.TransferTime(qp.target, e.nic, wr.Len) + perturb
+			e.fab.TransferTime(qp.target, e.nic, len(wr.Data)) + perturb
 		e.sim.After(transit, fl.onWire)
 	case OpBarrier:
 		// The barrier read cannot be pipelined behind other traffic;
@@ -490,7 +495,8 @@ func (qp *QP) WriteNotify(p *sim.Proc, region *memdev.Region, off int, data []by
 	return cqe
 }
 
-// Read performs a blocking one-sided RDMA READ of n bytes.
+// Read performs a blocking one-sided RDMA READ of n bytes into a fresh
+// slice.
 func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) []byte {
 	return qp.ReadCQE(p, region, off, n).Data
 }
@@ -503,7 +509,7 @@ func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) []byte {
 // delivery.
 func (qp *QP) ReadCQE(p *sim.Proc, region *memdev.Region, off, n int) CQE {
 	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpRead, Region: region, Offset: off, Len: n, reply: reply})
+	qp.Post(p, WR{Op: OpRead, Region: region, Offset: off, Data: make([]byte, n), reply: reply})
 	cqe := reply.Get(p)
 	qp.putReply(reply)
 	return cqe
@@ -528,22 +534,80 @@ func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
 // caller ported from one substrate to the other produces byte-identical
 // virtual-time results.
 
-// PostT is Post for run-to-completion tasks: k runs once the WR has entered
-// the send queue (after the CPU-side issue cost, unless hardware driven).
-func (qp *QP) PostT(t *sim.Task, wr WR, k func()) {
-	if qp.hw {
-		qp.posted++
-		if qp.sq.PutT(t, wr, k) {
-			k()
-		}
+// call carries one task-form RDMA operation (WriteT, WriteNotifyT, ReadCQET,
+// BarrierT) through its issue cost, send-queue entry and completion wait
+// without per-call closures: its continuations are bound once when the frame
+// is created, and frames recycle through QP.calls, so the pool is bounded by
+// the operations in flight. Each frame owns its completion channel and, for
+// READs, the destination buffer: CQE.Data is lent to the continuation and
+// valid only until it returns.
+type call struct {
+	qp    *QP
+	t     *sim.Task
+	wr    WR
+	k     func(CQE)
+	reply *sim.Chan[CQE]
+	buf   []byte
+
+	issued   func()    // pre-bound c.enqueue: runs after the CPU issue cost
+	enqueued func()    // pre-bound c.await: runs once the WR is in the send queue
+	done     func(CQE) // pre-bound c.complete: runs with the completion
+}
+
+// getCall takes a call frame from the QP's pool (or creates one).
+func (qp *QP) getCall() *call {
+	if n := len(qp.calls); n > 0 {
+		c := qp.calls[n-1]
+		qp.calls[n-1] = nil
+		qp.calls = qp.calls[:n-1]
+		return c
+	}
+	c := &call{qp: qp, reply: sim.NewChan[CQE](qp.engine.sim, 0)}
+	c.issued, c.enqueued, c.done = c.enqueue, c.await, c.complete
+	return c
+}
+
+// start posts wr from t with Post's sequence (the CPU issue cost unless the
+// QP is hardware driven, then the send queue), then waits for its
+// completion; k runs with the CQE.
+func (c *call) start(t *sim.Task, wr WR, k func(CQE)) {
+	wr.reply = c.reply
+	c.t, c.wr, c.k = t, wr, k
+	if c.qp.hw {
+		c.enqueue()
 		return
 	}
-	t.Sleep(qp.engine.params.RDMAIssue, func() {
-		qp.posted++
-		if qp.sq.PutT(t, wr, k) {
-			k()
-		}
-	})
+	t.Sleep(c.qp.engine.params.RDMAIssue, c.issued)
+}
+
+// readBuf returns the frame's READ destination resized to n bytes.
+func (c *call) readBuf(n int) []byte {
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	return c.buf[:n]
+}
+
+func (c *call) enqueue() {
+	c.qp.posted++
+	if c.qp.sq.PutT(c.t, c.wr, c.enqueued) {
+		c.await()
+	}
+}
+
+func (c *call) await() {
+	if cqe, ok := c.reply.GetT(c.t, c.done); ok {
+		c.complete(cqe)
+	}
+}
+
+// complete runs the continuation, then recycles the frame: the READ buffer
+// stays reserved until k returns.
+func (c *call) complete(cqe CQE) {
+	k := c.k
+	c.t, c.wr, c.k = nil, WR{}, nil
+	k(cqe)
+	c.qp.calls = append(c.qp.calls, c)
 }
 
 // PostManyT is PostMany for tasks: one issue cost for the whole group, then
@@ -638,52 +702,21 @@ func (qp *QP) WriteT(t *sim.Task, region *memdev.Region, off int, data []byte, k
 // WriteNotifyT is WriteNotify for tasks: onDeliver (when non-nil) fires at
 // the instant the data lands; k runs with the completion.
 func (qp *QP) WriteNotifyT(t *sim.Task, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time), k func(CQE)) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver, reply: reply}, func() {
-		if cqe, ok := reply.GetT(t, func(c CQE) {
-			qp.putReply(reply)
-			k(c)
-		}); ok {
-			qp.putReply(reply)
-			k(cqe)
-		}
-	})
-}
-
-// ReadT performs a one-sided RDMA READ of n bytes from a task; k runs with
-// the read bytes.
-func (qp *QP) ReadT(t *sim.Task, region *memdev.Region, off, n int, k func([]byte)) {
-	qp.ReadCQET(t, region, off, n, func(cqe CQE) { k(cqe.Data) })
+	qp.getCall().start(t, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver}, k)
 }
 
 // ReadCQET is ReadCQE for tasks: k runs with the full completion, whose At
-// field carries the snapshot instant (see ReadCQE).
+// field carries the snapshot instant (see ReadCQE). CQE.Data holds the n
+// bytes read; it is lent to k and must be copied to be kept past k's return.
 func (qp *QP) ReadCQET(t *sim.Task, region *memdev.Region, off, n int, k func(CQE)) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpRead, Region: region, Offset: off, Len: n, reply: reply}, func() {
-		if cqe, ok := reply.GetT(t, func(c CQE) {
-			qp.putReply(reply)
-			k(c)
-		}); ok {
-			qp.putReply(reply)
-			k(cqe)
-		}
-	})
+	c := qp.getCall()
+	c.start(t, WR{Op: OpRead, Region: region, Offset: off, Data: c.readBuf(n)}, k)
 }
 
 // BarrierT is Barrier for tasks: k runs once earlier writes to the region
 // are forced visible.
-func (qp *QP) BarrierT(t *sim.Task, region *memdev.Region, k func()) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpBarrier, Region: region, reply: reply}, func() {
-		if _, ok := reply.GetT(t, func(CQE) {
-			qp.putReply(reply)
-			k()
-		}); ok {
-			qp.putReply(reply)
-			k()
-		}
-	})
+func (qp *QP) BarrierT(t *sim.Task, region *memdev.Region, k func(CQE)) {
+	qp.getCall().start(t, WR{Op: OpBarrier, Region: region}, k)
 }
 
 // AddCredits provisions n UC receive credits (the NICA helper thread's ring

@@ -206,7 +206,7 @@ func TestRCOrderedCompletionProperty(t *testing.T) {
 				if isWrite {
 					qp.Post(p, WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)})
 				} else {
-					qp.Post(p, WR{Op: OpRead, Region: region, Offset: i * 8, Len: 1, ID: uint64(i)})
+					qp.Post(p, WR{Op: OpRead, Region: region, Offset: i * 8, Data: make([]byte, 1), ID: uint64(i)})
 				}
 			}
 			good := true

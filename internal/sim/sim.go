@@ -123,6 +123,8 @@ type Sim struct {
 	order    []runner
 	nprocs   int
 	stopping bool
+
+	timers []*timer // free list of wait-timeout records
 }
 
 // runner is one spawn-order entry: a coroutine Proc or a run-to-completion
@@ -187,9 +189,10 @@ func (s *Sim) TimeRegressions() uint64 { return s.timeRegressions }
 func (s *Sim) OnShutdown(fn func()) { s.onShutdown = append(s.onShutdown, fn) }
 
 // event is one scheduled entry. Resuming a blocked coroutine process stores
-// the process directly; task activations and channel wake thunks carry a
-// pre-bound func; only irregular callbacks (timeouts, user events) carry a
-// fresh closure. Events are heap values, never allocated individually.
+// the process directly; task activations, channel wake thunks and wait
+// timeouts carry a pre-bound func; only irregular callbacks (user events)
+// carry a fresh closure. Events are heap values, never allocated
+// individually.
 type event struct {
 	at   Time
 	seq  uint64
@@ -526,9 +529,12 @@ type waiter[T any] struct {
 	kn   func()
 	wake func()
 	// gen guards recycled waiters against stale timeout events: it is
-	// bumped when the waiter returns to the free list, so a pending timeout
-	// closure that captured the old generation becomes a no-op.
+	// bumped when the waiter returns to the free list, so a pending timer
+	// that recorded the old generation becomes a no-op.
 	gen uint64
+	// expire is the node's GetTimeout timeout body, bound once like wake.
+	expire   func(gen uint64)
+	timedOut bool
 }
 
 // getWaiter takes a node from the free list (or allocates the first time).
@@ -543,11 +549,11 @@ func (c *Chan[T]) getWaiter(p *Proc) *waiter[T] {
 	return &waiter[T]{p: p}
 }
 
-// putWaiter recycles a node whose wait has fully resolved. The wake thunk
-// survives recycling (it is bound to the node, not the wait).
+// putWaiter recycles a node whose wait has fully resolved. The wake and
+// expire thunks survive recycling (they are bound to the node, not the wait).
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
-	w.p, w.t, w.kv, w.kn, w.val, w.ok = nil, nil, nil, nil, zero, false
+	w.p, w.t, w.kv, w.kn, w.val, w.ok, w.timedOut = nil, nil, nil, nil, zero, false, false
 	w.gen++
 	c.free = append(c.free, w)
 }
@@ -756,28 +762,70 @@ func (c *Chan[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 		return zero, false
 	}
 	w := c.getWaiter(p)
-	gen := w.gen
 	c.getters.push(w)
-	timedOut := false
-	c.sim.At(c.sim.now.Add(d), func() {
-		if w.gen != gen || w.ok || timedOut {
-			return
-		}
-		timedOut = true
-		c.getters.remove(w)
-		c.sim.step(w.p)
-	})
+	if w.expire == nil {
+		w.expire = func(gen uint64) { c.expireWait(w, gen) }
+	}
+	c.sim.timeout(d, w.gen, w.expire)
 	defer func() {
-		if !w.ok && !timedOut {
+		if !w.ok && !w.timedOut {
 			c.getters.remove(w)
 		}
 		c.putWaiter(w)
 	}()
 	p.block()
-	if timedOut {
+	if w.timedOut {
 		return zero, false
 	}
 	return w.val, true
+}
+
+// expireWait is the body of a GetTimeout timer armed at generation gen: it
+// times the wait out and resumes the getter inside the timer event, unless
+// the wait already resolved.
+func (c *Chan[T]) expireWait(w *waiter[T], gen uint64) {
+	if w.gen != gen || w.ok || w.timedOut {
+		return
+	}
+	w.timedOut = true
+	c.getters.remove(w)
+	c.sim.step(w.p)
+}
+
+// timer is one pending wait timeout. Records recycle through the
+// simulation's free list and fire is bound once per record, so arming a
+// timeout allocates nothing once warm. A record names the waiter
+// generation it was armed at, and the waiter's expire body ignores a
+// generation that is no longer current: a timer that outlives its wait
+// fires as a no-op, even when the waiter node already serves another wait.
+type timer struct {
+	s      *Sim
+	gen    uint64
+	expire func(gen uint64)
+	fire   func() // pre-bound r.run
+}
+
+// timeout schedules expire(gen) d from now. It consumes one scheduler slot,
+// like the At call it replaces.
+func (s *Sim) timeout(d time.Duration, gen uint64, expire func(gen uint64)) {
+	var r *timer
+	if n := len(s.timers); n > 0 {
+		r = s.timers[n-1]
+		s.timers[n-1] = nil
+		s.timers = s.timers[:n-1]
+	} else {
+		r = &timer{s: s}
+		r.fire = r.run
+	}
+	r.gen, r.expire = gen, expire
+	s.At(s.now.Add(d), r.fire)
+}
+
+func (r *timer) run() {
+	gen, expire := r.gen, r.expire
+	r.expire = nil
+	r.s.timers = append(r.s.timers, r)
+	expire(gen)
 }
 
 // ---------------------------------------------------------------------------
@@ -947,6 +995,10 @@ type gateWaiter struct {
 	t     *Task // task waiter; its continuation was armed by WaitT
 	woken bool
 	gen   uint64 // guards recycled waiters against stale timeout events
+	// expire is the node's timeout body (WaitTimeout/WaitTimeoutT), bound
+	// once; see timer.
+	expire   func(gen uint64)
+	timedOut bool
 }
 
 // NewGate creates a gate bound to s.
@@ -1002,9 +1054,43 @@ func (g *Gate) getWaiter(p *Proc) *gateWaiter {
 
 // putWaiter recycles a node whose wait has fully resolved.
 func (g *Gate) putWaiter(w *gateWaiter) {
-	w.p, w.t, w.woken = nil, nil, false
+	w.p, w.t, w.woken, w.timedOut = nil, nil, false, false
 	w.gen++
 	g.free = append(g.free, w)
+}
+
+// armTimer schedules w's timeout d from now.
+func (g *Gate) armTimer(w *gateWaiter, d time.Duration) {
+	if w.expire == nil {
+		w.expire = func(gen uint64) { g.expireWait(w, gen) }
+	}
+	g.sim.timeout(d, w.gen, w.expire)
+}
+
+// expireWait is the body of a gate timeout armed at generation gen. Unless
+// the wait already resolved (fired, or recycled), it times out: a Proc
+// resumes inside this event, a Task runs its continuation with fired=false.
+func (g *Gate) expireWait(w *gateWaiter, gen uint64) {
+	if w.gen != gen || w.woken || w.timedOut {
+		return
+	}
+	w.timedOut = true
+	g.remove(w)
+	if p := w.p; p != nil {
+		g.sim.step(p)
+		return
+	}
+	t := w.t
+	g.putWaiter(w)
+	if t.killed || t.done {
+		return
+	}
+	t.k = nil
+	t.parkedOn = nil
+	k := t.gateK
+	t.gateK = nil
+	k(false)
+	t.maybeFinish()
 }
 
 // Wait blocks until the gate fires, unless it already fired since the caller
@@ -1033,27 +1119,15 @@ func (g *Gate) WaitTimeout(p *Proc, since uint64, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	timedOut := false
 	w := g.getWaiter(p)
-	gen := w.gen
 	g.waiters = append(g.waiters, w)
-	g.sim.At(g.sim.now.Add(d), func() {
-		if w.gen != gen || w.woken || timedOut {
-			return
-		}
-		timedOut = true
-		g.remove(w)
-		g.sim.step(p)
-	})
-	fired := false
+	g.armTimer(w, d)
 	defer func() {
-		fired = w.woken
-		if !w.woken && !timedOut {
+		if !w.woken && !w.timedOut {
 			g.remove(w)
 		}
 		g.putWaiter(w)
 	}()
 	p.block()
-	_ = fired
 	return w.woken
 }

@@ -217,6 +217,69 @@ func TestChanGetTimeout(t *testing.T) {
 	}
 }
 
+// A GetTimeout that receives before its deadline leaves its timer pending;
+// when that stale timer fires during the getter's next wait it must not end
+// that wait.
+func TestChanGetTimeoutStaleTimer(t *testing.T) {
+	s := New(Config{})
+	ch := NewChan[int](s, 0)
+	var v1, v2 int
+	var ok1, ok2 bool
+	var at2 Time
+	s.Spawn("consumer", func(p *Proc) {
+		v1, ok1 = ch.GetTimeout(p, 10*time.Microsecond)
+		v2, ok2 = ch.GetTimeout(p, 50*time.Microsecond)
+		at2 = p.Now()
+	})
+	s.Spawn("producer", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		ch.Put(p, 1)
+		p.Sleep(19 * time.Microsecond)
+		ch.Put(p, 2)
+	})
+	s.Run()
+	if !ok1 || v1 != 1 || !ok2 || v2 != 2 {
+		t.Fatalf("got (%d,%v) then (%d,%v), want (1,true) then (2,true)", v1, ok1, v2, ok2)
+	}
+	if at2 != Time(20*time.Microsecond) {
+		t.Fatalf("second wait ended at %v, want 20µs (the stale 10µs timer must not end it)", at2)
+	}
+}
+
+// The gate's timeout follows the same rule on both substrates: the timer of
+// a wait the gate fired first must not end the waiter's next wait.
+func TestGateWaitTimeoutStaleTimer(t *testing.T) {
+	s := New(Config{})
+	g := NewGate(s)
+	var procAt, taskAt Time
+	var procFired, taskFired bool
+	s.Spawn("proc", func(p *Proc) {
+		g.WaitTimeout(p, g.Version(), 10*time.Microsecond)
+		procFired = g.WaitTimeout(p, g.Version(), 50*time.Microsecond)
+		procAt = p.Now()
+	})
+	s.SpawnTask("task", func(tk *Task) {
+		g.WaitTimeoutT(tk, g.Version(), 10*time.Microsecond, func(bool) {
+			g.WaitTimeoutT(tk, g.Version(), 50*time.Microsecond, func(fired bool) {
+				taskFired, taskAt = fired, tk.Now()
+			})
+		})
+	})
+	s.Spawn("firer", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		g.Fire()
+		p.Sleep(19 * time.Microsecond)
+		g.Fire()
+	})
+	s.Run()
+	if !procFired || procAt != Time(20*time.Microsecond) {
+		t.Fatalf("proc: second wait fired=%v at %v, want fired at 20µs", procFired, procAt)
+	}
+	if !taskFired || taskAt != Time(20*time.Microsecond) {
+		t.Fatalf("task: second wait fired=%v at %v, want fired at 20µs", taskFired, taskAt)
+	}
+}
+
 func TestResourceSerializes(t *testing.T) {
 	s := New(Config{})
 	r := NewResource(s, 1)

@@ -63,6 +63,12 @@ type Task struct {
 	// have been copied out), so a single lazily-allocated frame per task
 	// makes every WithT call allocation-free.
 	resF *resFrame
+
+	// gateK is the continuation of the task's pending Gate.WaitTimeoutT;
+	// gateFired, bound once, delivers it fired=true (the timeout path
+	// delivers fired=false), so a timed gate wait allocates nothing.
+	gateK     func(fired bool)
+	gateFired func()
 }
 
 // unparker is implemented by blocking primitives that hold task waiter
@@ -403,27 +409,17 @@ func (g *Gate) WaitTimeoutT(t *Task, since uint64, d time.Duration, k func(fired
 	}
 	w := g.getWaiter(nil)
 	w.t = t
-	gen := w.gen
 	g.waiters = append(g.waiters, w)
-	timedOut := false
-	t.park(g, func() { k(true) })
-	g.sim.At(g.sim.now.Add(d), func() {
-		// The fire path recycles the node (bumping gen), so a stale timeout
-		// after a fire is a no-op — same guard as the Proc variant.
-		if w.gen != gen || timedOut {
-			return
+	t.gateK = k
+	if t.gateFired == nil {
+		t.gateFired = func() {
+			k := t.gateK
+			t.gateK = nil
+			k(true)
 		}
-		timedOut = true
-		g.remove(w)
-		g.putWaiter(w)
-		if t.killed || t.done {
-			return
-		}
-		t.k = nil
-		t.parkedOn = nil
-		k(false)
-		t.maybeFinish()
-	})
+	}
+	t.park(g, t.gateFired)
+	g.armTimer(w, d)
 	return false, false
 }
 

@@ -6,27 +6,28 @@ import (
 
 	"lynx/internal/core"
 	"lynx/internal/mqueue"
-	"lynx/internal/netstack"
+	"lynx/internal/sim"
 )
 
-// echoRig is one warm UDP echo deployment driven one request at a time from
+// echoRig is one warm echo deployment driven one request at a time from
 // outside any simulated process: Lynx on BlueField in front of four GPU
-// mqueues whose persistent threadblocks echo each request back.
+// mqueues whose persistent threadblocks echo each request back. A UDP rig
+// sends datagrams from a client socket; a TCP rig kicks a client process
+// holding one connection.
 type echoRig struct {
-	b       *bed
-	cli     *netstack.UDPSocket
-	to      netstack.Addr
-	payload []byte
+	b    *bed
+	send func()      // issues one 64 B request
+	back func() bool // reports (and consumes) its echo
 }
 
-func newEchoRig(tb testing.TB) *echoRig {
+func newEchoRig(tb testing.TB, proto core.Proto) *echoRig {
 	b := newBed(tb, 1)
 	rt := core.NewRuntime(b.bf.Platform(7))
 	h, err := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	svc, err := rt.AddService(core.UDP, 7000, nil, 4, h)
+	svc, err := rt.AddService(proto, 7000, nil, 4, h)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -34,7 +35,45 @@ func newEchoRig(tb testing.TB) *echoRig {
 	if err := rt.Start(); err != nil {
 		tb.Fatal(err)
 	}
-	r := &echoRig{b: b, cli: b.client.MustUDPBind(9000), to: svc.Addr(), payload: make([]byte, 64)}
+	r := &echoRig{b: b}
+	payload := make([]byte, 64)
+	switch proto {
+	case core.UDP:
+		cli := b.client.MustUDPBind(9000)
+		r.send = func() { cli.SendTo(svc.Addr(), payload) }
+		r.back = func() bool {
+			_, ok := cli.TryRecv()
+			return ok
+		}
+	case core.TCP:
+		kick := sim.NewChan[struct{}](b.tb.Sim, 0)
+		var echoed, seen uint64
+		b.tb.Sim.Spawn("client", func(p *sim.Proc) {
+			conn, err := b.client.TCPDial(p, svc.Addr())
+			if err != nil {
+				tb.Error(err)
+				return
+			}
+			for {
+				kick.Get(p)
+				if conn.Send(p, payload) != nil {
+					return
+				}
+				if _, err := conn.Recv(p); err != nil {
+					return
+				}
+				echoed++
+			}
+		})
+		r.send = func() { kick.TryPut(struct{}{}) }
+		r.back = func() bool {
+			if seen == echoed {
+				return false
+			}
+			seen++
+			return true
+		}
+	}
 	// Warm every pool on the path: frames, waiter nodes, timer records (the
 	// MQ manager's watchdog-bounded parks leave 5 ms timers pending).
 	for i := 0; i < 500; i++ {
@@ -43,47 +82,62 @@ func newEchoRig(tb testing.TB) *echoRig {
 	return r
 }
 
-// request sends one 64 B request and runs the simulation until its echo is
-// back at the client.
+// request sends one request and runs the simulation until its echo is back
+// at the client.
 func (r *echoRig) request(tb testing.TB) {
 	s := r.b.tb.Sim
-	r.cli.SendTo(r.to, r.payload)
+	r.send()
 	deadline := s.Now().Add(time.Millisecond)
-	for r.cli.Pending() == 0 {
+	for !r.back() {
 		if s.Now() >= deadline {
 			tb.Fatal("no echo within 1ms")
 		}
 		s.RunUntil(s.Now().Add(time.Microsecond))
 	}
-	if _, ok := r.cli.TryRecv(); !ok {
-		tb.Fatal("echo vanished")
-	}
 }
 
-// BenchmarkEchoRequest is the core layer's benchmark: one warm UDP echo
-// request, SNIC → GPU → SNIC, through the Task-hosted receive workers and
-// MQ-manager sweep. events/op counts the simulator events one request costs.
-func BenchmarkEchoRequest(b *testing.B) {
-	r := newEchoRig(b)
-	defer r.b.tb.Sim.Shutdown()
-	s := r.b.tb.Sim
-	start := s.Executed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.request(b)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(s.Executed()-start)/float64(b.N), "events/op")
-}
-
-// One warm echo request allocates only the copies their receivers keep: the
+// echoCeilings bounds the objects one warm echo request may allocate, per
+// client protocol. UDP allocates only the copies their receivers keep: the
 // client's and the runtime's datagram payloads, the accelerator's received
-// message and the drained response.
+// message and the drained response. TCP keeps the same two payload copies,
+// and each direction's send also allocates its delivery callback.
+var echoCeilings = []struct {
+	proto   core.Proto
+	ceiling float64
+}{
+	{core.UDP, 6},
+	{core.TCP, 6},
+}
+
+// BenchmarkEchoRequest is the core layer's benchmark: one warm echo request,
+// SNIC → GPU → SNIC, through the Task-hosted receive contexts and MQ-manager
+// sweep. events/op counts the simulator events one request costs.
+func BenchmarkEchoRequest(b *testing.B) {
+	for _, c := range echoCeilings {
+		b.Run(c.proto.String(), func(b *testing.B) {
+			r := newEchoRig(b, c.proto)
+			defer r.b.tb.Sim.Shutdown()
+			s := r.b.tb.Sim
+			start := s.Executed()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.request(b)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Executed()-start)/float64(b.N), "events/op")
+		})
+	}
+}
+
 func TestEchoRequestAllocs(t *testing.T) {
-	r := newEchoRig(t)
-	defer r.b.tb.Sim.Shutdown()
-	if n := testing.AllocsPerRun(200, func() { r.request(t) }); n > 6 {
-		t.Fatalf("one echo request allocates %.1f objects, want at most 6", n)
+	for _, c := range echoCeilings {
+		t.Run(c.proto.String(), func(t *testing.T) {
+			r := newEchoRig(t, c.proto)
+			defer r.b.tb.Sim.Shutdown()
+			if n := testing.AllocsPerRun(200, func() { r.request(t) }); n > c.ceiling {
+				t.Fatalf("one %v echo request allocates %.1f objects, want at most %.0f", c.proto, n, c.ceiling)
+			}
+		})
 	}
 }

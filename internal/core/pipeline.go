@@ -13,7 +13,6 @@ import (
 
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
-	"lynx/internal/sim"
 )
 
 // Pipeline is a chain of accelerator stages behind one network service.
@@ -100,25 +99,8 @@ func (pl *Pipeline) Relayed() uint64 { return pl.relayed }
 // Stages reports the number of stages.
 func (pl *Pipeline) Stages() int { return len(pl.stages) }
 
-// enter dispatches a client request into stage 0.
-func (pl *Pipeline) enter(p *sim.Proc, payload []byte, to replyTo) {
-	rt := pl.rt
-	rt.exec(p, rt.plat.Params.DispatchCost)
-	pl.pushStage(p, 0, payload, to)
-}
-
-// pushStage delivers a message into one stage, recording the continuation.
-func (pl *Pipeline) pushStage(p *sim.Proc, stage int, payload []byte, to replyTo) {
-	rt := pl.rt
+// pick applies the dispatch policy to one stage's parallel queues.
+func (pl *Pipeline) pick(stage int) *pipeQueue {
 	queues := pl.stages[stage]
-	pq := queues[pl.policy.Pick(netstack.Addr{}, len(queues))]
-	slot, err := pq.q.Push(p, payload, 0)
-	if err != nil {
-		rt.drop(p.Now(), DropOverflow, uint64(stage))
-		return
-	}
-	pq.pending[slot] = append(pq.pending[slot], to)
-	if stage == 0 {
-		rt.stats.Received++
-	}
+	return queues[pl.policy.Pick(netstack.Addr{}, len(queues))]
 }

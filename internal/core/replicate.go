@@ -139,6 +139,21 @@ type Replicator struct {
 	gate *sim.Gate
 
 	stats ReplStats
+
+	// The pump task's frame (see pump): the pass's gate version and
+	// progress, the peer being flushed and its record in flight, and the
+	// response being released with its queueing wait so far.
+	t                        *sim.Task
+	v                        uint64
+	progressed               bool
+	pi                       int
+	rec                      []byte
+	hr                       heldResp
+	qw                       time.Duration
+	passK                    func()
+	chargedK, servedK, sentK func(time.Duration)
+	pushedK                  func(slot int, err error)
+	wokeK                    func(fired bool)
 }
 
 // AddReplication attaches a replication layer to the service. Configure
@@ -397,87 +412,133 @@ func (r *Replicator) killPeer(now sim.Time, rp *replPeer) {
 	r.gate.Fire()
 }
 
-// pump is the replicator's delivery process ("lynx/repl-pump"), spawned by
-// Start: it flushes peer outboxes into ingest rings and completes the
-// forward of released responses. One pass per gate version; when a pass
-// makes no progress and nothing fired meanwhile, it blocks — bounded by the
+// pump is the body of the replicator's delivery task ("lynx/repl-pump"),
+// spawned by Start: it flushes peer outboxes into ingest rings and completes
+// the forward of released responses. One pass per gate version; when a pass
+// makes no progress and nothing fired meanwhile, it parks — bounded by the
 // ack deadline while any live peer owes acknowledgements, since a fully
 // frozen peer produces no TX activity to wake the MQ manager (whose watchdog
 // is the other failover trigger) and would otherwise park responses forever.
-func (r *Replicator) pump(p *sim.Proc) {
-	rt := r.rt
-	wd := rt.plat.Params.MQWatchdogTimeout
-	for {
-		v := r.gate.Version()
-		progressed := false
+func (r *Replicator) pump(t *sim.Task) {
+	r.t = t
+	r.passK, r.chargedK, r.servedK, r.sentK = r.pass, r.charged, r.served, r.sent
+	r.pushedK, r.wokeK = r.pushed, func(bool) { r.pass() }
+	r.pass()
+}
+
+// pass starts a pass at the gate's current version.
+func (r *Replicator) pass() {
+	r.v = r.gate.Version()
+	r.progressed = false
+	r.pi = 0
+	r.flush()
+}
+
+// flush delivers the next outbox record of the peer being flushed, moving
+// on to the next peer once its outbox is empty; past the last peer, the
+// pass releases responses.
+func (r *Replicator) flush() {
+	for ; r.pi < len(r.peers); r.pi++ {
+		if rp := r.peers[r.pi]; len(rp.outbox) > 0 && !rp.dead {
+			r.rec = rp.outbox[0]
+			r.rt.execParallelT(r.t, r.rt.plat.Params.ForwardCost, r.chargedK)
+			return
+		}
+	}
+	r.release()
+}
+
+func (r *Replicator) charged(time.Duration) {
+	r.peers[r.pi].q.PushT(r.t, r.rec, 0, r.pushedK)
+}
+
+func (r *Replicator) pushed(_ int, err error) {
+	rp := r.peers[r.pi]
+	if err != nil {
+		// Ingest ring full: the peer is backlogged (or stalling). Keep the
+		// record queued; the next ack frees a slot and re-fires the gate,
+		// and a dead verdict discards the outbox.
+		r.stats.Backlogged++
+		r.pi++
+		r.flush()
+		return
+	}
+	rp.outbox = rp.outbox[1:]
+	if rp.outstanding == 0 {
+		rp.since = r.t.Now()
+	}
+	rp.outstanding++
+	r.stats.Records++
+	r.progressed = true
+	r.flush()
+}
+
+// release forwards the oldest released response, or ends the pass.
+func (r *Replicator) release() {
+	if len(r.releasable) == 0 {
+		r.passed()
+		return
+	}
+	r.hr = r.releasable[0]
+	r.rt.execT(r.t, r.rt.plat.Params.ForwardCost, r.servedK)
+}
+
+func (r *Replicator) served(qw time.Duration) {
+	r.qw = qw
+	r.rt.execT(r.t, r.rt.stackCost(r.svc.proto), r.sentK)
+}
+
+func (r *Replicator) sent(qw time.Duration) {
+	hr := r.hr
+	hr.to.send(r.svc.udpSock, hr.payload)
+	r.releasable = r.releasable[1:]
+	r.held--
+	r.stats.Released++
+	r.rt.responded(r.t.Now(), hr.payload, r.qw+qw)
+	r.progressed = true
+	r.release()
+}
+
+// passed ends a pass: a pass that made progress starts the next at once.
+// Otherwise a live peer holding delivered-but-unacknowledged records whose
+// progress clock stopped for the watchdog timeout is declared dead here, on
+// the SNIC, without waiting for the MQ manager (its activity gate never
+// fires for a frozen ring); failing that, the pump parks until the gate
+// fires or the earliest ack deadline.
+func (r *Replicator) passed() {
+	if r.progressed {
+		r.pass()
+		return
+	}
+	if wd := r.rt.plat.Params.MQWatchdogTimeout; wd > 0 {
+		now := r.t.Now()
+		killed := false
+		wait := time.Duration(-1)
 		for _, rp := range r.peers {
-			for len(rp.outbox) > 0 && !rp.dead {
-				rec := rp.outbox[0]
-				rt.execParallel(p, rt.plat.Params.ForwardCost)
-				if _, err := rp.q.Push(p, rec, 0); err != nil {
-					// Ingest ring full: the peer is backlogged (or
-					// stalling). Keep the record queued; the next ack
-					// frees a slot and re-fires the gate, and a dead
-					// verdict discards the outbox.
-					r.stats.Backlogged++
-					break
-				}
-				rp.outbox = rp.outbox[1:]
-				if rp.outstanding == 0 {
-					rp.since = p.Now()
-				}
-				rp.outstanding++
-				r.stats.Records++
-				progressed = true
-			}
-		}
-		for len(r.releasable) > 0 {
-			hr := r.releasable[0]
-			id := trace.SpanID(hr.payload)
-			qw := rt.exec(p, rt.plat.Params.ForwardCost)
-			qw += rt.exec(p, r.svc.protoCost())
-			r.svc.reply(hr.to, hr.payload)
-			rt.stats.Responded++
-			r.releasable = r.releasable[1:]
-			r.held--
-			r.stats.Released++
-			rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-			rt.plat.Spans.Stamp(id, trace.StageForward, p.Now())
-			rt.plat.Tracer.Emit(p.Now(), trace.Forward, uint64(len(hr.payload)), 0)
-			progressed = true
-		}
-		if progressed {
-			continue
-		}
-		// Ack deadline: a live peer holding delivered-but-unacknowledged
-		// records whose progress clock stopped for the watchdog timeout is
-		// declared dead here, on the SNIC, without waiting for the MQ
-		// manager (its activity gate never fires for a frozen ring).
-		if wd > 0 {
-			now := p.Now()
-			killed := false
-			wait := time.Duration(-1)
-			for _, rp := range r.peers {
-				if rp.dead || rp.outstanding == 0 {
-					continue
-				}
-				left := rp.since.Add(wd).Sub(now)
-				if left <= 0 {
-					r.killPeer(now, rp)
-					killed = true
-				} else if wait < 0 || left < wait {
-					wait = left
-				}
-			}
-			if killed {
-				continue // flush the responses the verdicts released
-			}
-			if wait >= 0 {
-				r.gate.WaitTimeout(p, v, wait)
+			if rp.dead || rp.outstanding == 0 {
 				continue
 			}
+			left := rp.since.Add(wd).Sub(now)
+			if left <= 0 {
+				r.killPeer(now, rp)
+				killed = true
+			} else if wait < 0 || left < wait {
+				wait = left
+			}
 		}
-		r.gate.Wait(p, v)
+		if killed {
+			r.pass() // flush the responses the verdicts released
+			return
+		}
+		if wait >= 0 {
+			if inline, _ := r.gate.WaitTimeoutT(r.t, r.v, wait, r.wokeK); inline {
+				r.pass()
+			}
+			return
+		}
+	}
+	if r.gate.WaitT(r.t, r.v, r.passK) {
+		r.pass()
 	}
 }
 

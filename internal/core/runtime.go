@@ -182,6 +182,16 @@ func (rt *Runtime) drop(now sim.Time, cause DropCause, qi uint64) {
 	rt.plat.Tracer.Emit(now, trace.Drop, qi, uint64(cause))
 }
 
+// responded books a response sent to its client: the counter, the span's
+// SNIC-phase queueing wait qw, its forward stamp and the tracer event.
+func (rt *Runtime) responded(now sim.Time, payload []byte, qw time.Duration) {
+	rt.stats.Responded++
+	id := trace.SpanID(payload)
+	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
+	rt.plat.Spans.Stamp(id, trace.StageForward, now)
+	rt.plat.Tracer.Emit(now, trace.Forward, uint64(len(payload)), 0)
+}
+
 // CPUBusy reports accumulated runtime CPU time (for utilization probes).
 func (rt *Runtime) CPUBusy() time.Duration { return rt.cpuBusy }
 
@@ -191,7 +201,7 @@ func (rt *Runtime) CPUBusy() time.Duration { return rt.cpuBusy }
 // aggregate core pool does).
 func (rt *Runtime) SerialBusy() time.Duration { return rt.serialBusy }
 
-// ExecCalls reports frontend exec invocations (for utilization probes).
+// ExecCalls reports frontend execT charges (for utilization probes).
 func (rt *Runtime) ExecCalls() uint64 { return rt.execCalls }
 
 // NewRuntime creates a runtime on the platform. Call Register/AddService/
@@ -249,40 +259,13 @@ func NewRuntime(plat Platform) *Runtime {
 	return rt
 }
 
-// exec charges one unit of frontend CPU work, splitting it into the
-// serialized stack section (the shared VMA ring + dispatcher state) and the
-// parallel remainder (see model.StackSerialFraction). It returns the time the
-// work queued for a core or the serial section beyond the charged cost — the
-// dispatcher-inbox wait the attribution profile books against PhaseSNIC.
-func (rt *Runtime) exec(p *sim.Proc, cost time.Duration) time.Duration {
-	scaled := rt.plat.Machine.Scale(cost)
-	ser := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
-	rt.cpuBusy += scaled
-	rt.serialBusy += ser
-	rt.execCalls++
-	t0 := p.Now()
-	rt.serial.With(p, ser, nil)
-	rt.cores.With(p, scaled-ser, nil)
-	return p.Now().Sub(t0) - scaled
-}
-
-// execParallel charges CPU work with no serialized section: client-mqueue
-// bindings each own a dedicated connection context, so they scale with
-// cores. Like exec it returns the queueing delay beyond the charged cost.
-func (rt *Runtime) execParallel(p *sim.Proc, cost time.Duration) time.Duration {
-	scaled := rt.plat.Machine.Scale(cost)
-	rt.cpuBusy += scaled
-	t0 := p.Now()
-	rt.cores.With(p, scaled, nil)
-	return p.Now().Sub(t0) - scaled
-}
-
-func (rt *Runtime) udpCost() time.Duration {
+// stackCost is the CPU cost of one message on the given client-facing
+// transport.
+func (rt *Runtime) stackCost(p Proto) time.Duration {
+	if p == TCP {
+		return rt.plat.Params.TCPCost(model.XeonCore, rt.plat.Bypass)
+	}
 	return rt.plat.Params.UDPCost(model.XeonCore, rt.plat.Bypass)
-}
-
-func (rt *Runtime) tcpCost() time.Duration {
-	return rt.plat.Params.TCPCost(model.XeonCore, rt.plat.Bypass)
 }
 
 // ---------------------------------------------------------------------------
@@ -469,10 +452,21 @@ func (p Proto) String() string {
 	return "UDP"
 }
 
-// replyTo records where a response must go.
+// replyTo records where a response must go: the request's TCP connection,
+// or else the UDP address it came from.
 type replyTo struct {
 	udpFrom netstack.Addr
 	conn    *netstack.TCPConn
+}
+
+// send delivers a response payload to the client that asked for it; sock is
+// the frontend's UDP socket.
+func (to replyTo) send(sock *netstack.UDPSocket, payload []byte) {
+	if to.conn != nil {
+		_ = to.conn.Send(nil, payload)
+		return
+	}
+	sock.SendTo(to.udpFrom, payload)
 }
 
 // boundQueue is one server mqueue attached to a service.
@@ -557,38 +551,6 @@ func (s *Service) Port() uint16 { return s.port }
 // Addr returns the service's network address.
 func (s *Service) Addr() netstack.Addr { return s.rt.plat.NetHost.Addr(s.port) }
 
-// dispatch delivers one client message to a server mqueue chosen by pick.
-func (s *Service) dispatch(p *sim.Proc, payload []byte, to replyTo, from netstack.Addr) {
-	rt := s.rt
-	rt.plat.Tracer.Emit(p.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
-	qw := rt.exec(p, rt.plat.Params.DispatchCost)
-	qi := s.pick(from)
-	bq := s.queues[qi]
-	id := trace.SpanID(payload)
-	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-	rt.plat.Spans.Stamp(id, trace.StageDispatch, p.Now())
-	rt.plat.Spans.SetQueue(id, qi)
-	slot, err := bq.q.Push(p, payload, 0)
-	if err != nil {
-		cause := DropOverflow
-		if bq.failed {
-			cause = DropStalled
-		}
-		rt.drop(p.Now(), cause, uint64(qi))
-		rt.plat.Spans.Close(id, trace.SpanDropped, p.Now())
-		return
-	}
-	// Fallback for queues without their own span table (first-write-wins:
-	// a queue armed with cfg.Spans already stamped at write-delivery time).
-	rt.plat.Spans.Stamp(id, trace.StagePushed, p.Now())
-	bq.pending[slot] = append(bq.pending[slot], to)
-	rt.stats.Received++
-	rt.plat.Tracer.Emit(p.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-	if s.repl != nil {
-		s.repl.onDispatch(payload)
-	}
-}
-
 // pick applies the dispatch policy for a message from the client. Queues the
 // watchdog marked failed are skipped (graceful degradation): the pick rotates
 // forward to the next healthy queue. When every queue is failed the original
@@ -604,27 +566,6 @@ func (s *Service) pick(from netstack.Addr) int {
 		}
 	}
 	return qi
-}
-
-// protoCost is the CPU cost of sending one message on the service's
-// client-facing transport.
-func (s *Service) protoCost() time.Duration {
-	if s.proto == TCP {
-		return s.rt.tcpCost()
-	}
-	return s.rt.udpCost()
-}
-
-// reply sends a response payload to the client that asked for it.
-func (s *Service) reply(to replyTo, payload []byte) {
-	switch s.proto {
-	case UDP:
-		s.udpSock.SendTo(to.udpFrom, payload)
-	case TCP:
-		if to.conn != nil {
-			_ = to.conn.Send(nil, payload)
-		}
-	}
 }
 
 // popReply takes the oldest reply destination waiting on an RX slot. The
@@ -679,9 +620,24 @@ type ClientBinding struct {
 	qi    int
 
 	// outstanding is the FIFO of unanswered UDP requests, retransmitted by
-	// the per-binding retry process (TCP bindings rely on the transport and
+	// the per-binding retry task (TCP bindings rely on the transport and
 	// report failures through mqueue metadata instead).
 	outstanding []pendingSend
+
+	// The pump task's frame (see pump): the backend message in flight.
+	t        *sim.Task
+	msg      []byte
+	dgK      func(netstack.Datagram)
+	msgK     func([]byte, sim.Time, error)
+	chargedK func(time.Duration)
+	pushedK  func(slot int, err error)
+	// The retry task's frame (see retry): the pass's start time and the
+	// request being resent.
+	retryT  *sim.Task
+	now     sim.Time
+	head    *pendingSend
+	checkK  func()
+	resentK func(time.Duration)
 }
 
 // AddClientQueue claims one mqueue of the handle as a client mqueue bound to
@@ -711,8 +667,8 @@ func (cb *ClientBinding) QueueIndex() int { return cb.qi }
 // Runtime start: spawn the worker processes
 
 // Start brings up the Network Server, Message Dispatcher, Message Forwarder
-// and Remote MQ Manager processes. It must be called once, after all
-// registration.
+// and Remote MQ Manager. Every stage runs as a run-to-completion Task (see
+// runtime_task.go). It must be called once, after all registration.
 func (rt *Runtime) Start() error {
 	if rt.started {
 		return fmt.Errorf("core: already started")
@@ -720,17 +676,13 @@ func (rt *Runtime) Start() error {
 	rt.started = true
 	s := rt.plat.Sim
 
-	// Network server: receive paths.
+	// Network server: one receive context per worker core draining a
+	// service's UDP socket (RSS-like), or one per TCP connection, spawned by
+	// the port's accept context.
 	for _, svc := range rt.services {
 		svc := svc
 		switch svc.proto {
 		case UDP:
-			// One receive context per worker core, all draining the
-			// shared socket (RSS-like). These always-on contexts run on the
-			// run-to-completion Task substrate: every wake executes inline
-			// in the scheduler loop, with no goroutine switch per datagram.
-			// The operation sequence is identical to the coroutine form
-			// (see runtime_task.go), so results match byte-for-byte.
 			if batch := rt.plat.Params.Batch; !batch.Unit() {
 				// Batched dequeue: each context drains a quantum of ready
 				// datagrams per wakeup, optionally lingering one coalescing
@@ -751,7 +703,7 @@ func (rt *Runtime) Start() error {
 									rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(dgs[i].EnqueuedAt))
 								}
 							}
-							rt.execBatchT(t, rt.udpCost(), n, func(qw time.Duration) {
+							rt.execBatchT(t, rt.stackCost(UDP), n, func(qw time.Duration) {
 								for i := 0; i < n; i++ {
 									rt.plat.Spans.AddWait(trace.SpanID(dgs[i].Payload), trace.PhaseSNIC, shareWait(qw, n, i))
 								}
@@ -786,147 +738,35 @@ func (rt *Runtime) Start() error {
 				continue
 			}
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), svc.runUDPRx)
+				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), rt.newRx(svc, nil, nil).run)
 			}
 		case TCP:
-			s.Spawn(fmt.Sprintf("lynx/tcp-accept:%d", svc.port), func(p *sim.Proc) {
-				for {
-					conn := svc.tcpList.Accept(p)
-					s.Spawn(fmt.Sprintf("lynx/tcp-rx:%d", svc.port), func(p *sim.Proc) {
-						for {
-							msg, enq, err := conn.RecvQueued(p)
-							if err != nil {
-								return
-							}
-							id := trace.SpanID(msg)
-							now := p.Now()
-							rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-							if enq > 0 {
-								rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(enq))
-							}
-							qw := rt.exec(p, rt.tcpCost())
-							rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-							svc.dispatch(p, msg, replyTo{conn: conn}, conn.RemoteAddr())
-						}
-					})
-				}
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/tcp-accept:%d", svc.port),
+				rt.acceptor(svc.tcpList, fmt.Sprintf("lynx/tcp-rx:%d", svc.port), svc, nil))
 		}
 	}
 
-	// Pipeline frontends: same receive paths as services, entering stage 0.
+	// Pipeline frontends: the same receive contexts, entering stage 0.
 	for _, pl := range rt.pipelines {
 		pl := pl
 		switch pl.proto {
 		case UDP:
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.Spawn(fmt.Sprintf("lynx/pipe-rx:%d/%d", pl.port, w), func(p *sim.Proc) {
-					for {
-						dg := pl.udpSock.Recv(p)
-						rt.exec(p, rt.udpCost())
-						pl.enter(p, dg.Payload, replyTo{udpFrom: dg.From})
-					}
-				})
+				s.SpawnTask(fmt.Sprintf("lynx/pipe-rx:%d/%d", pl.port, w), rt.newRx(nil, pl, nil).run)
 			}
 		case TCP:
-			s.Spawn(fmt.Sprintf("lynx/pipe-accept:%d", pl.port), func(p *sim.Proc) {
-				for {
-					conn := pl.tcpList.Accept(p)
-					s.Spawn(fmt.Sprintf("lynx/pipe-tcp-rx:%d", pl.port), func(p *sim.Proc) {
-						for {
-							msg, err := conn.Recv(p)
-							if err != nil {
-								return
-							}
-							rt.exec(p, rt.tcpCost())
-							pl.enter(p, msg, replyTo{conn: conn})
-						}
-					})
-				}
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/pipe-accept:%d", pl.port),
+				rt.acceptor(pl.tcpList, fmt.Sprintf("lynx/pipe-tcp-rx:%d", pl.port), nil, pl))
 		}
 	}
 
 	// Client bindings: establish static connections, then pump responses
-	// inbound. UDP bindings also run a retry process enforcing the
-	// per-request timeout with bounded retransmission + exponential backoff.
+	// inbound. UDP bindings also run a retry task enforcing the per-request
+	// timeout with bounded retransmission + exponential backoff.
 	for _, cb := range rt.clients {
-		cb := cb
-		s.Spawn(fmt.Sprintf("lynx/client-mq:%s", cb.dst), func(p *sim.Proc) {
-			switch cb.proto {
-			case UDP:
-				rt.nextEphemeral++
-				sock, err := rt.plat.NetHost.UDPBind(52000 + rt.nextEphemeral)
-				if err != nil {
-					return
-				}
-				cb.sock = sock
-				for {
-					dg := sock.Recv(p)
-					rt.execParallel(p, rt.udpCost())
-					if len(cb.outstanding) > 0 {
-						// FIFO response matching settles the oldest request
-						// (late duplicates of retransmitted requests settle
-						// newer ones — harmless for idempotent backends).
-						cb.outstanding = cb.outstanding[1:]
-					}
-					rt.plat.Tracer.Emit(p.Now(), trace.BackendIn, uint64(len(dg.Payload)), uint64(cb.qi))
-					rt.plat.Spans.Stamp(trace.SpanID(dg.Payload), trace.StageBackendIn, p.Now())
-					if _, err := cb.bq.q.Push(p, dg.Payload, 0); err != nil {
-						rt.drop(p.Now(), DropBackend, uint64(cb.qi))
-					}
-				}
-			case TCP:
-				conn, err := rt.plat.NetHost.TCPDial(p, cb.dst)
-				if err != nil {
-					return
-				}
-				cb.conn = conn
-				for {
-					msg, err := conn.Recv(p)
-					if err != nil {
-						// §5.1: error status delivered via metadata.
-						_, _ = cb.bq.q.Push(p, nil, 1)
-						return
-					}
-					rt.execParallel(p, rt.tcpCost())
-					rt.plat.Tracer.Emit(p.Now(), trace.BackendIn, uint64(len(msg)), uint64(cb.qi))
-					rt.plat.Spans.Stamp(trace.SpanID(msg), trace.StageBackendIn, p.Now())
-					if _, err := cb.bq.q.Push(p, msg, 0); err != nil {
-						rt.drop(p.Now(), DropBackend, uint64(cb.qi))
-					}
-				}
-			}
-		})
+		s.SpawnTask(fmt.Sprintf("lynx/client-mq:%s", cb.dst), cb.pump)
 		if cb.proto == UDP && rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
-			s.Spawn(fmt.Sprintf("lynx/client-retry:%s", cb.dst), func(p *sim.Proc) {
-				timeout := rt.plat.Params.ClientRetryTimeout
-				for {
-					p.Sleep(timeout / 4)
-					if cb.sock == nil {
-						continue
-					}
-					now := p.Now()
-					for len(cb.outstanding) > 0 {
-						head := &cb.outstanding[0]
-						if now < head.deadline {
-							break
-						}
-						if head.attempts >= rt.plat.Params.ClientRetryMax {
-							cb.outstanding = cb.outstanding[1:]
-							rt.drop(now, DropBackend, uint64(cb.qi))
-							continue
-						}
-						head.attempts++
-						rt.stats.Retries++
-						rt.plat.Tracer.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
-						rt.execParallel(p, rt.udpCost())
-						cb.sock.SendTo(cb.dst, head.payload)
-						// Exponential backoff: double the wait per attempt.
-						head.deadline = now.Add(timeout << uint(head.attempts))
-					}
-				}
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/client-retry:%s", cb.dst), cb.retry)
 		}
 	}
 
@@ -935,11 +775,10 @@ func (rt *Runtime) Start() error {
 	// responses whose quorum was met. Spawned only when a replicator
 	// exists, so unreplicated runtimes schedule exactly as before.
 	for _, r := range rt.replicators {
-		r := r
-		s.Spawn(fmt.Sprintf("lynx/repl-pump:%d", r.svc.port), r.pump)
+		s.SpawnTask(fmt.Sprintf("lynx/repl-pump:%d", r.svc.port), r.pump)
 	}
 
-	// Remote MQ manager + message forwarder: one sweep process per
+	// Remote MQ manager + message forwarder: the sweep contexts of each
 	// accelerator (its QP context), draining TX rings with batched header
 	// polling.
 	for _, h := range rt.handles {
@@ -954,9 +793,6 @@ func (rt *Runtime) Start() error {
 		}
 		for w := 0; w < nMgr; w++ {
 			w := w
-			// The sweep is the hottest always-on process (it wakes for every
-			// accelerator response), so it runs on the run-to-completion Task
-			// substrate (see mqManager in runtime_task.go).
 			s.SpawnTask(fmt.Sprintf("lynx/mq-manager:%s/%d", h.acc.Name(), w), func(t *sim.Task) {
 				rt.newMQManager(t, h, sinks, w, nMgr).sweep()
 			})

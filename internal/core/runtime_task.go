@@ -1,16 +1,16 @@
-// Task-substrate hot-path stages of the runtime: the UDP receive workers
-// and the Remote MQ Manager sweep, the always-on processes that wake for
-// every single message. Start() hosts them on run-to-completion Tasks. Their
-// operation sequence — the order of exec charges, span stamps, tracer
-// emissions, counter updates, and blocking-primitive calls — is what the
-// committed goldens pin (see the seq-parity contract in internal/sim): a
-// reordering changes every simulation output.
+// The runtime's stages. Start() hosts every process the runtime spawns,
+// except the monitor, on run-to-completion Tasks: the receive contexts of
+// services and pipeline frontends, the TCP accept contexts, the client-mqueue
+// pumps and retry timers, the replicator pump (replicate.go) and the Remote
+// MQ Manager sweep. Their operation sequence — the order of exec charges,
+// span stamps, tracer emissions, counter updates, and blocking-primitive
+// calls — is what the committed goldens pin (see the seq-parity contract in
+// internal/sim): a reordering changes every simulation output.
 //
-// Every continuation on the unbatched path is a method value bound once:
-// execFrame pools exec calls, and each receive worker and manager context is
-// its own frame, because it has exactly one operation in flight. Cold and
-// connection-scoped paths (TCP accept/rx, pipeline frontends, client
-// bindings, retry timers, the replicator pump) stay on coroutine Procs.
+// Every continuation on the unbatched paths is a method value bound once:
+// execFrame pools exec calls, and each receive context, manager context,
+// client binding and replicator is its own frame, because it has exactly one
+// operation in flight.
 package core
 
 import (
@@ -173,43 +173,28 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 			}
 			postNext()
 		}
-		finish := func(i, qi int, bq *boundQueue, wr rdma.WR, slot int, err error) {
-			id := trace.SpanID(dgs[i].Payload)
-			if err != nil {
-				cause := DropOverflow
-				if bq.failed {
-					cause = DropStalled
-				}
-				rt.drop(t.Now(), cause, uint64(qi))
-				rt.plat.Spans.Close(id, trace.SpanDropped, t.Now())
-				return
+		finish := func(i, qi int, wr rdma.WR, slot int, err error) {
+			if s.admit(t.Now(), qi, slot, err, replyTo{udpFrom: dgs[i].From}, dgs[i].Payload) {
+				preps = append(preps, preparedWR{wr: wr, qp: s.queues[qi].q.QP()})
 			}
-			bq.pending[slot] = append(bq.pending[slot], replyTo{udpFrom: dgs[i].From})
-			rt.stats.Received++
-			rt.plat.Tracer.Emit(t.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-			if s.repl != nil {
-				s.repl.onDispatch(dgs[i].Payload)
-			}
-			preps = append(preps, preparedWR{wr: wr, qp: bq.q.QP()})
 		}
 		prep = func(i int) {
 			for ; i < n; i++ {
 				payload := dgs[i].Payload
 				qi := s.pick(dgs[i].From)
-				bq := s.queues[qi]
 				id := trace.SpanID(payload)
 				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
 				rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
 				rt.plat.Spans.SetQueue(id, qi)
-				i, qi, bq := i, qi, bq
-				wr, slot, err, inline := bq.q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
-					finish(i, qi, bq, wr, slot, err)
+				i, qi := i, qi
+				wr, slot, err, inline := s.queues[qi].q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
+					finish(i, qi, wr, slot, err)
 					prep(i + 1)
 				})
 				if !inline {
 					return
 				}
-				finish(i, qi, bq, wr, slot, err)
+				finish(i, qi, wr, slot, err)
 			}
 			post()
 		}
@@ -217,86 +202,174 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 	})
 }
 
-// udpRx is one unbatched UDP receive context of a service: it takes one
-// datagram at a time, charges the stack cost, and dispatches the message into
-// a server mqueue with Service.dispatch's sequence.
-type udpRx struct {
-	s  *Service
-	t  *sim.Task
-	dg netstack.Datagram // the datagram being dispatched
-	id uint64            // its span id
-	qi int               // the queue it was steered to
+// rx is one receive context of a service or a pipeline frontend: it takes
+// one message at a time — the next datagram of the shared UDP socket, or
+// the next message of its TCP connection — charges the protocol stack and
+// the dispatcher, and pushes the message into the mqueue its policy picks
+// (a pipeline's stage 0). Only a service's context books spans and events.
+type rx struct {
+	rt   *Runtime
+	s    *Service  // the receiving service, or nil
+	pl   *Pipeline // the receiving pipeline, or nil
+	t    *sim.Task
+	sock *netstack.UDPSocket
+	conn *netstack.TCPConn // TCP: the context's connection
+	cost time.Duration     // the protocol stack's cost per message
 
-	handleK   func(netstack.Datagram)
+	msg  []byte // the message being dispatched
+	to   replyTo
+	from netstack.Addr
+	id   uint64     // its span id
+	qi   int        // service: the queue it was steered to
+	pq   *pipeQueue // pipeline: the queue it was steered to
+
+	dgK       func(netstack.Datagram)
+	msgK      func([]byte, sim.Time, error)
 	chargedK  func(time.Duration)
 	steerK    func(time.Duration)
 	enqueuedK func(slot int, err error)
 }
 
-// runUDPRx is the body of one receive task.
-func (s *Service) runUDPRx(t *sim.Task) {
-	r := &udpRx{s: s, t: t}
-	r.handleK, r.chargedK, r.steerK, r.enqueuedK = r.handle, r.charged, r.steer, r.enqueued
+// newRx binds a receive context for service s or pipeline pl; conn is the
+// TCP connection it serves, nil for UDP.
+func (rt *Runtime) newRx(s *Service, pl *Pipeline, conn *netstack.TCPConn) *rx {
+	r := &rx{rt: rt, s: s, pl: pl, conn: conn}
+	if s != nil {
+		r.sock, r.cost = s.udpSock, rt.stackCost(s.proto)
+	} else {
+		r.sock, r.cost = pl.udpSock, rt.stackCost(pl.proto)
+	}
+	r.dgK, r.msgK, r.chargedK, r.steerK, r.enqueuedK = r.gotDatagram, r.gotMsg, r.charged, r.steer, r.enqueued
+	return r
+}
+
+// run is the body of the context's task.
+func (r *rx) run(t *sim.Task) {
+	r.t = t
 	r.loop()
 }
 
-func (r *udpRx) loop() {
-	if dg, ok := r.s.udpSock.RecvT(r.t, r.handleK); ok {
-		r.handle(dg)
+// acceptor returns the body of a TCP frontend's accept task: every
+// connection gets a receive context of its own, a task named name.
+func (rt *Runtime) acceptor(l *netstack.TCPListener, name string, s *Service, pl *Pipeline) func(*sim.Task) {
+	return func(t *sim.Task) {
+		var accepted func(*netstack.TCPConn)
+		accepted = func(conn *netstack.TCPConn) {
+			for ok := true; ok; conn, ok = l.AcceptT(t, accepted) {
+				rt.plat.Sim.SpawnTask(name, rt.newRx(s, pl, conn).run)
+			}
+		}
+		if conn, ok := l.AcceptT(t, accepted); ok {
+			accepted(conn)
+		}
 	}
 }
 
-// handle stamps the datagram's arrival and charges the UDP stack cost.
-func (r *udpRx) handle(dg netstack.Datagram) {
-	rt := r.s.rt
-	r.dg, r.id = dg, trace.SpanID(dg.Payload)
-	now := r.t.Now()
-	rt.plat.Spans.Stamp(r.id, trace.StageSnicRecv, now)
-	if dg.EnqueuedAt > 0 {
-		rt.plat.Spans.AddWait(r.id, trace.PhaseNetwork, now.Sub(dg.EnqueuedAt))
+// loop takes the next message.
+func (r *rx) loop() {
+	if r.conn != nil {
+		r.conn.RecvQueuedT(r.t, r.msgK)
+		return
 	}
-	rt.execT(r.t, rt.udpCost(), r.chargedK)
+	if dg, ok := r.sock.RecvT(r.t, r.dgK); ok {
+		r.gotDatagram(dg)
+	}
+}
+
+func (r *rx) gotDatagram(dg netstack.Datagram) {
+	r.msg, r.to, r.from = dg.Payload, replyTo{udpFrom: dg.From}, dg.From
+	r.arrived(dg.EnqueuedAt)
+}
+
+// gotMsg takes one message of the connection; an error ends the context.
+func (r *rx) gotMsg(msg []byte, enq sim.Time, err error) {
+	if err != nil {
+		return
+	}
+	r.msg, r.to, r.from = msg, replyTo{conn: r.conn}, r.conn.RemoteAddr()
+	r.arrived(enq)
+}
+
+// arrived stamps the message's arrival and charges the protocol stack.
+func (r *rx) arrived(enq sim.Time) {
+	rt := r.rt
+	if r.s != nil {
+		r.id = trace.SpanID(r.msg)
+		now := r.t.Now()
+		rt.plat.Spans.Stamp(r.id, trace.StageSnicRecv, now)
+		if enq > 0 {
+			rt.plat.Spans.AddWait(r.id, trace.PhaseNetwork, now.Sub(enq))
+		}
+	}
+	rt.execT(r.t, r.cost, r.chargedK)
 }
 
 // charged starts the dispatch: the dispatcher's own cost.
-func (r *udpRx) charged(qw time.Duration) {
-	rt := r.s.rt
-	rt.plat.Spans.AddWait(r.id, trace.PhaseSNIC, qw)
-	rt.plat.Tracer.Emit(r.t.Now(), trace.Recv, uint64(len(r.dg.Payload)), uint64(r.s.port))
+func (r *rx) charged(qw time.Duration) {
+	rt := r.rt
+	if r.s != nil {
+		rt.plat.Spans.AddWait(r.id, trace.PhaseSNIC, qw)
+		rt.plat.Tracer.Emit(r.t.Now(), trace.Recv, uint64(len(r.msg)), uint64(r.s.port))
+	}
 	rt.execT(r.t, rt.plat.Params.DispatchCost, r.steerK)
 }
 
 // steer picks the queue and pushes the message into it.
-func (r *udpRx) steer(qw time.Duration) {
-	s, sp := r.s, r.s.rt.plat.Spans
-	r.qi = s.pick(r.dg.From)
+func (r *rx) steer(qw time.Duration) {
+	if r.pl != nil {
+		r.pq = r.pl.pick(0)
+		r.pq.q.PushT(r.t, r.msg, 0, r.enqueuedK)
+		return
+	}
+	s, sp := r.s, r.rt.plat.Spans
+	r.qi = s.pick(r.from)
 	sp.AddWait(r.id, trace.PhaseSNIC, qw)
 	sp.Stamp(r.id, trace.StageDispatch, r.t.Now())
 	sp.SetQueue(r.id, r.qi)
-	s.queues[r.qi].q.PushT(r.t, r.dg.Payload, 0, r.enqueuedK)
+	s.queues[r.qi].q.PushT(r.t, r.msg, 0, r.enqueuedK)
 }
 
-// enqueued records the push's outcome, then takes the next datagram.
-func (r *udpRx) enqueued(slot int, err error) {
-	s, rt, now := r.s, r.s.rt, r.t.Now()
-	bq := s.queues[r.qi]
+// enqueued records the push's outcome, then takes the next message.
+func (r *rx) enqueued(slot int, err error) {
+	now := r.t.Now()
+	switch {
+	case r.pl != nil && err != nil:
+		r.rt.drop(now, DropOverflow, 0)
+	case r.pl != nil:
+		r.pq.pending[slot] = append(r.pq.pending[slot], r.to)
+		r.rt.stats.Received++
+	default:
+		if err == nil {
+			// Fallback for queues without their own span table (first write
+			// wins: a queue armed with cfg.Spans stamped at write delivery).
+			r.rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
+		}
+		r.s.admit(now, r.qi, slot, err, r.to, r.msg)
+	}
+	r.loop()
+}
+
+// admit books the outcome of pushing a client message into queue qi: its
+// reply destination and the dispatch, or the drop. It reports whether the
+// message was accepted.
+func (s *Service) admit(now sim.Time, qi, slot int, err error, to replyTo, payload []byte) bool {
+	rt, bq := s.rt, s.queues[qi]
 	if err != nil {
 		cause := DropOverflow
 		if bq.failed {
 			cause = DropStalled
 		}
-		rt.drop(now, cause, uint64(r.qi))
-		rt.plat.Spans.Close(r.id, trace.SpanDropped, now)
-	} else {
-		rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
-		bq.pending[slot] = append(bq.pending[slot], replyTo{udpFrom: r.dg.From})
-		rt.stats.Received++
-		rt.plat.Tracer.Emit(now, trace.Dispatch, uint64(r.qi), uint64(slot))
-		if s.repl != nil {
-			s.repl.onDispatch(r.dg.Payload)
-		}
+		rt.drop(now, cause, uint64(qi))
+		rt.plat.Spans.Close(trace.SpanID(payload), trace.SpanDropped, now)
+		return false
 	}
-	r.loop()
+	bq.pending[slot] = append(bq.pending[slot], to)
+	rt.stats.Received++
+	rt.plat.Tracer.Emit(now, trace.Dispatch, uint64(qi), uint64(slot))
+	if s.repl != nil {
+		s.repl.onDispatch(payload)
+	}
+	return true
 }
 
 // qhealth is the watchdog state of one queue: the accelerator progress
@@ -471,34 +544,36 @@ func (m *mqManager) respond(msg *mqueue.TxMsg) {
 }
 
 func (m *mqManager) respServed(qw time.Duration) {
-	sk, msg := &m.sinks[m.i], &m.msgs[m.j]
-	to, ok := popReply(sk.bq.pending, msg.Corr)
+	sk := &m.sinks[m.i]
+	to, ok := m.replyFor(sk, &m.msgs[m.j])
 	if !ok {
-		// Response without a matching request (app bug); drop.
-		m.rt.plat.Check.Failf("core.orphan-response",
-			"service port %d: TX message for slot %d has no pending request", sk.svc.port, msg.Corr)
-		m.next()
-		return
-	}
-	if sk.svc.repl != nil && sk.svc.repl.onResponse(to, msg.Payload) {
-		// Parked for peer acks: the replicator's pump finishes the forward.
 		m.next()
 		return
 	}
 	m.rt.inTransit++
 	m.to, m.qw = to, qw
-	m.rt.execT(m.t, sk.svc.protoCost(), m.respSentK)
+	m.rt.execT(m.t, m.rt.stackCost(sk.svc.proto), m.respSentK)
+}
+
+// replyFor takes the reply destination of a server queue's response; false
+// means the response is not sent now: it answers no request (an app bug,
+// reported and dropped), or the replicator parked it for peer acks and its
+// pump finishes the forward.
+func (m *mqManager) replyFor(sk *sink, msg *mqueue.TxMsg) (replyTo, bool) {
+	to, ok := popReply(sk.bq.pending, msg.Corr)
+	if !ok {
+		m.rt.plat.Check.Failf("core.orphan-response",
+			"service port %d: TX message for slot %d has no pending request", sk.svc.port, msg.Corr)
+		return to, false
+	}
+	return to, sk.svc.repl == nil || !sk.svc.repl.onResponse(to, msg.Payload)
 }
 
 func (m *mqManager) respSent(qw time.Duration) {
-	rt, msg, now := m.rt, &m.msgs[m.j], m.t.Now()
-	m.sinks[m.i].svc.reply(m.to, msg.Payload)
-	rt.stats.Responded++
-	rt.inTransit--
-	id := trace.SpanID(msg.Payload)
-	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, m.qw+qw)
-	rt.plat.Spans.Stamp(id, trace.StageForward, now)
-	rt.plat.Tracer.Emit(now, trace.Forward, uint64(len(msg.Payload)), 0)
+	msg := &m.msgs[m.j]
+	m.to.send(m.sinks[m.i].svc.udpSock, msg.Payload)
+	m.rt.inTransit--
+	m.rt.responded(m.t.Now(), msg.Payload, m.qw+qw)
 	m.next()
 }
 
@@ -516,32 +591,18 @@ func (m *mqManager) respondBatch(sk *sink) {
 
 func (m *mqManager) batchServed(qw time.Duration) {
 	m.qw = qw
-	m.rt.execBatchT(m.t, m.sinks[m.i].svc.protoCost(), len(m.msgs), m.batchSentK)
+	m.rt.execBatchT(m.t, m.rt.stackCost(m.sinks[m.i].svc.proto), len(m.msgs), m.batchSentK)
 }
 
 func (m *mqManager) batchSent(qw time.Duration) {
-	rt, sk, now := m.rt, &m.sinks[m.i], m.t.Now()
+	sk, now := &m.sinks[m.i], m.t.Now()
 	qw += m.qw
-	n := len(m.msgs)
 	for i := range m.msgs {
 		msg := &m.msgs[i]
-		to, ok := popReply(sk.bq.pending, msg.Corr)
-		if !ok {
-			rt.plat.Check.Failf("core.orphan-response",
-				"service port %d: TX message for slot %d has no pending request", sk.svc.port, msg.Corr)
-			continue
+		if to, ok := m.replyFor(sk, msg); ok {
+			to.send(sk.svc.udpSock, msg.Payload)
+			m.rt.responded(now, msg.Payload, shareWait(qw, len(m.msgs), i))
 		}
-		if sk.svc.repl != nil && sk.svc.repl.onResponse(to, msg.Payload) {
-			continue
-		}
-		rt.inTransit++
-		sk.svc.reply(to, msg.Payload)
-		rt.stats.Responded++
-		rt.inTransit--
-		id := trace.SpanID(msg.Payload)
-		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
-		rt.plat.Spans.Stamp(id, trace.StageForward, now)
-		rt.plat.Tracer.Emit(now, trace.Forward, uint64(len(msg.Payload)), 0)
 	}
 	m.drain()
 }
@@ -557,11 +618,7 @@ func (m *mqManager) forwardOut(cb *ClientBinding, msg *mqueue.TxMsg) {
 
 func (m *mqManager) outServed(time.Duration) {
 	m.rt.stats.Forwarded++
-	cost := m.rt.udpCost()
-	if m.sinks[m.i].cb.proto == TCP {
-		cost = m.rt.tcpCost()
-	}
-	m.rt.execParallelT(m.t, cost, m.outSentK)
+	m.rt.execParallelT(m.t, m.rt.stackCost(m.sinks[m.i].cb.proto), m.outSentK)
 }
 
 func (m *mqManager) outSent(time.Duration) {
@@ -617,8 +674,7 @@ func (m *mqManager) relayServed(time.Duration) {
 	pl, stage := m.sinks[m.i].pl, m.sinks[m.i].plStage+1
 	pl.relayed++
 	m.rt.plat.Tracer.Emit(m.t.Now(), trace.Relay, uint64(stage), 0)
-	queues := pl.stages[stage]
-	m.relayTo = queues[pl.policy.Pick(netstack.Addr{}, len(queues))]
+	m.relayTo = pl.pick(stage)
 	m.relayTo.q.PushT(m.t, m.msgs[m.j].Payload, 0, m.relayPushedK)
 }
 
@@ -633,23 +689,11 @@ func (m *mqManager) relayPushed(slot int, err error) {
 }
 
 func (m *mqManager) lastServed(time.Duration) {
-	cost := m.rt.udpCost()
-	if m.sinks[m.i].pl.proto == TCP {
-		cost = m.rt.tcpCost()
-	}
-	m.rt.execT(m.t, cost, m.lastSentK)
+	m.rt.execT(m.t, m.rt.stackCost(m.sinks[m.i].pl.proto), m.lastSentK)
 }
 
 func (m *mqManager) lastSent(time.Duration) {
-	pl, payload := m.sinks[m.i].pl, m.msgs[m.j].Payload
-	switch pl.proto {
-	case UDP:
-		pl.udpSock.SendTo(m.to.udpFrom, payload)
-	case TCP:
-		if m.to.conn != nil {
-			_ = m.to.conn.Send(nil, payload)
-		}
-	}
+	m.to.send(m.sinks[m.i].pl.udpSock, m.msgs[m.j].Payload)
 	m.rt.stats.Responded++
 	m.rt.inTransit--
 	m.next()
@@ -732,3 +776,129 @@ func (m *mqManager) idle() {
 func (m *mqManager) poll() { m.t.Sleep(m.rt.plat.Params.MQPollInterval/2, m.sweepK) }
 
 func (m *mqManager) woke(bool) { m.poll() }
+
+// pump is the body of a client binding's task: it establishes the static
+// connection — a bound UDP socket, or one TCP connection to the backend —
+// then pushes every backend message it receives into the binding's mqueue.
+func (cb *ClientBinding) pump(t *sim.Task) {
+	rt := cb.rt
+	cb.t = t
+	cb.dgK = func(dg netstack.Datagram) { cb.received(dg.Payload) }
+	cb.msgK, cb.chargedK, cb.pushedK = cb.gotMsg, cb.charged, cb.pushed
+	if cb.proto == TCP {
+		rt.plat.NetHost.TCPDialT(t, cb.dst, func(conn *netstack.TCPConn, err error) {
+			if err == nil {
+				cb.conn = conn
+				cb.recv()
+			}
+		})
+		return
+	}
+	rt.nextEphemeral++
+	sock, err := rt.plat.NetHost.UDPBind(52000 + rt.nextEphemeral)
+	if err != nil {
+		return
+	}
+	cb.sock = sock
+	cb.recv()
+}
+
+// recv takes the next backend message.
+func (cb *ClientBinding) recv() {
+	if cb.conn != nil {
+		cb.conn.RecvQueuedT(cb.t, cb.msgK)
+		return
+	}
+	if dg, ok := cb.sock.RecvT(cb.t, cb.dgK); ok {
+		cb.received(dg.Payload)
+	}
+}
+
+// gotMsg takes one message of the TCP connection. A connection error ends
+// the pump, after reporting it to the accelerator through mqueue metadata
+// (§5.1): an empty error-flagged message.
+func (cb *ClientBinding) gotMsg(msg []byte, _ sim.Time, err error) {
+	if err != nil {
+		cb.bq.q.PushT(cb.t, nil, 1, func(int, error) {})
+		return
+	}
+	cb.received(msg)
+}
+
+// received charges the transport's stack cost for one backend message.
+func (cb *ClientBinding) received(msg []byte) {
+	cb.msg = msg
+	cb.rt.execParallelT(cb.t, cb.rt.stackCost(cb.proto), cb.chargedK)
+}
+
+func (cb *ClientBinding) charged(time.Duration) {
+	rt, now := cb.rt, cb.t.Now()
+	if len(cb.outstanding) > 0 {
+		// FIFO response matching settles the oldest request (late
+		// duplicates of retransmitted requests settle newer ones —
+		// harmless for idempotent backends).
+		cb.outstanding = cb.outstanding[1:]
+	}
+	rt.plat.Tracer.Emit(now, trace.BackendIn, uint64(len(cb.msg)), uint64(cb.qi))
+	rt.plat.Spans.Stamp(trace.SpanID(cb.msg), trace.StageBackendIn, now)
+	cb.bq.q.PushT(cb.t, cb.msg, 0, cb.pushedK)
+}
+
+func (cb *ClientBinding) pushed(_ int, err error) {
+	if err != nil {
+		cb.rt.drop(cb.t.Now(), DropBackend, uint64(cb.qi))
+	}
+	cb.recv()
+}
+
+// retry is the body of a UDP binding's retransmission task: every quarter
+// timeout it resends each request whose deadline passed, doubling the next
+// deadline per attempt, and drops a request that exhausted its attempts.
+func (cb *ClientBinding) retry(t *sim.Task) {
+	cb.retryT = t
+	cb.checkK, cb.resentK = cb.check, cb.resent
+	cb.sleep()
+}
+
+func (cb *ClientBinding) sleep() {
+	cb.retryT.Sleep(cb.rt.plat.Params.ClientRetryTimeout/4, cb.checkK)
+}
+
+func (cb *ClientBinding) check() {
+	if cb.sock == nil {
+		cb.sleep()
+		return
+	}
+	cb.now = cb.retryT.Now()
+	cb.resend()
+}
+
+// resend works through the expired requests at the head of the FIFO, as of
+// the pass's start time.
+func (cb *ClientBinding) resend() {
+	rt, now := cb.rt, cb.now
+	for len(cb.outstanding) > 0 {
+		head := &cb.outstanding[0]
+		if now < head.deadline {
+			break
+		}
+		if head.attempts >= rt.plat.Params.ClientRetryMax {
+			cb.outstanding = cb.outstanding[1:]
+			rt.drop(now, DropBackend, uint64(cb.qi))
+			continue
+		}
+		head.attempts++
+		rt.stats.Retries++
+		rt.plat.Tracer.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
+		cb.head = head
+		rt.execParallelT(cb.retryT, rt.stackCost(UDP), cb.resentK)
+		return
+	}
+	cb.sleep()
+}
+
+func (cb *ClientBinding) resent(time.Duration) {
+	cb.sock.SendTo(cb.dst, cb.head.payload)
+	cb.head.deadline = cb.now.Add(cb.rt.plat.Params.ClientRetryTimeout << uint(cb.head.attempts))
+	cb.resend()
+}

@@ -1,66 +1,441 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"lynx/internal/accel"
+	"lynx/internal/apps/kvstore"
+	"lynx/internal/cluster"
+	"lynx/internal/core"
+	"lynx/internal/fault"
+	"lynx/internal/model"
+	"lynx/internal/mqueue"
+	"lynx/internal/netstack"
+	"lynx/internal/sim"
+	"lynx/internal/trace"
+	"lynx/internal/workload"
 )
 
-// The testdata golden files were recorded from the PR 6 build — the last
-// release before the scheduler's run-to-completion Task substrate took over
-// the hot path (UDP receive, MQ-manager sweeps, the RDMA engine loop). These
-// tests pin the substrate port: any drift in virtual-time behaviour shows up
-// as a byte diff in the CSV report or the Chrome trace timeline. If an
-// intentional semantic change lands, regenerate with:
+// goldenPath is one committed golden: a published path's exact report CSV
+// and, where the path has a runtime tracer, its event sequence with
+// virtual-time stamps. Paths without a tracer pin the simulator's executed
+// event count and their counters in the CSV instead.
+type goldenPath struct {
+	name       string
+	csv, trace string // testdata file names; trace is empty for CSV-only goldens
+	run        func(t *testing.T) (csv, trace string)
+}
+
+// TestGoldens pins every published path byte for byte: any drift in
+// virtual-time behaviour shows up as a diff in a report or an event trace.
+// The breakdown and batch cases were recorded before the run-to-completion
+// Task substrate took over the hot path; the others pin each runtime stage
+// that runs on it — TCP accept/rx, pipeline
+// frontends, client-mqueue pumps and retries, the replicator pump under a
+// replica kill — and the Innova AFU, which reaches the SNIC queue
+// operations through their coroutine adapters. After an intentional
+// semantic change, regenerate with
 //
-//	go run ./cmd/lynxbench -exp breakdown -scale 0.25 -seed 7 -csv \
-//	    -trace-json internal/experiments/testdata/pr6_breakdown_scale025_seed7_trace.json \
-//	    > internal/experiments/testdata/pr6_breakdown_scale025_seed7.csv
-//	go run ./cmd/lynxbench -exp batch -scale 0.25 -seed 7 -csv \
-//	    > internal/experiments/testdata/pr6_batch_scale025_seed7.csv
+//	LYNX_UPDATE_GOLDENS=1 go test ./internal/experiments/ -run TestGoldens
 //
 // and say so in the commit message.
-func TestBreakdownMatchesPR6Golden(t *testing.T) {
+func TestGoldens(t *testing.T) {
+	for _, g := range []goldenPath{
+		{"breakdown", "pr6_breakdown_scale025_seed7.csv", "pr6_breakdown_scale025_seed7_trace.json", goldenBreakdown},
+		{"batch", "pr6_batch_scale025_seed7.csv", "", goldenBatch},
+		{"tcp-service", "path_tcp_service.csv", "path_tcp_service_trace.txt", goldenTCPService},
+		{"udp-pipeline", "path_udp_pipeline.csv", "path_udp_pipeline_trace.txt", func(t *testing.T) (string, string) {
+			return goldenPipeline(t, core.UDP)
+		}},
+		{"tcp-pipeline", "path_tcp_pipeline.csv", "path_tcp_pipeline_trace.txt", func(t *testing.T) (string, string) {
+			return goldenPipeline(t, core.TCP)
+		}},
+		{"tcp-client-mqueue", "path_tcp_client_mqueue.csv", "path_tcp_client_mqueue_trace.txt", goldenTCPClientQueue},
+		{"udp-client-mqueue", "path_udp_client_mqueue.csv", "path_udp_client_mqueue_trace.txt", goldenUDPClientQueue},
+		{"replication-kill", "path_replication_kill.csv", "path_replication_kill_trace.txt", goldenReplicationKill},
+		{"innova-duplex", "path_innova_duplex.csv", "", func(t *testing.T) (string, string) {
+			return goldenInnovaDuplex(model.BatchConfig{}), ""
+		}},
+		{"innova-duplex-batched", "path_innova_duplex_batched.csv", "", func(t *testing.T) (string, string) {
+			return goldenInnovaDuplex(model.DefaultBatchConfig()), ""
+		}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			gotCSV, gotTrace := g.run(t)
+			checkGolden(t, g.csv, gotCSV)
+			if g.trace != "" {
+				checkGolden(t, g.trace, gotTrace)
+			}
+		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file when
+// LYNX_UPDATE_GOLDENS is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("LYNX_UPDATE_GOLDENS") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its golden: got %d bytes, want %d\n%s",
+			name, len(got), len(want), firstDiff(got, string(want)))
+	}
+}
+
+func goldenBreakdown(t *testing.T) (string, string) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	rep, err := Run("breakdown", Config{Seed: 7, Scale: 0.25, Workers: 1, TraceJSON: tracePath})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCSV, err := os.ReadFile("testdata/pr6_breakdown_scale025_seed7.csv")
+	tr, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.CSV(); got != string(wantCSV) {
-		t.Errorf("breakdown CSV drifted from the PR 6 golden:\n got %d bytes\nwant %d bytes\n%s",
-			len(got), len(wantCSV), firstDiff(got, string(wantCSV)))
-	}
-	gotTrace, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTrace, err := os.ReadFile("testdata/pr6_breakdown_scale025_seed7_trace.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotTrace) != string(wantTrace) {
-		t.Errorf("breakdown trace timeline drifted from the PR 6 golden: got %d bytes, want %d\n%s",
-			len(gotTrace), len(wantTrace), firstDiff(string(gotTrace), string(wantTrace)))
-	}
+	return rep.CSV(), string(tr)
 }
 
-func TestBatchMatchesPR6Golden(t *testing.T) {
+func goldenBatch(t *testing.T) (string, string) {
 	rep, err := Run("batch", Config{Seed: 7, Scale: 0.25, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCSV, err := os.ReadFile("testdata/pr6_batch_scale025_seed7.csv")
+	return rep.CSV(), ""
+}
+
+// goldenCfg is the configuration every path golden runs under; windows are
+// short and fixed so the committed files stay small.
+var goldenCfg = Config{Seed: 7, Scale: 1, Workers: 1}
+
+// goldenReport renders a path's exact outcome: the workload's counts and
+// latency distribution in virtual nanoseconds, the simulator's executed
+// event count, and any further counters as extra rows.
+func goldenReport(id string, s *sim.Sim, res workload.Result, extra ...[2]string) string {
+	r := &Report{ID: id, Columns: []string{"value"}}
+	h := res.Hist
+	for _, kv := range [][2]string{
+		{"sent", fmt.Sprint(res.Sent)},
+		{"received", fmt.Sprint(res.Received)},
+		{"lost", fmt.Sprint(res.Lost)},
+		{"retries", fmt.Sprint(res.Retries)},
+		{"latency count", fmt.Sprint(h.Count())},
+		{"latency sum ns", fmt.Sprint(int64(h.Sum()))},
+		{"latency p50 ns", fmt.Sprint(int64(h.Median()))},
+		{"latency p99 ns", fmt.Sprint(int64(h.P99()))},
+		{"latency max ns", fmt.Sprint(int64(h.Max()))},
+		{"sim events", fmt.Sprint(s.Executed())},
+	} {
+		r.AddRow(kv[0], kv[1])
+	}
+	for _, kv := range extra {
+		r.AddRow(kv[0], kv[1])
+	}
+	return r.CSV()
+}
+
+// traceText renders a tracer's events one per line, failing if the ring
+// wrapped (a truncated trace would pin only its tail).
+func traceText(t *testing.T, tr *trace.Tracer) string {
+	t.Helper()
+	evs := tr.Events()
+	if uint64(len(evs)) != tr.Total() {
+		t.Fatalf("tracer kept %d of %d events; raise its capacity", len(evs), tr.Total())
+	}
+	var b strings.Builder
+	for _, ev := range evs {
+		b.WriteString(ev.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// goldenTCPService is the fig8a-tcp deployment: the LeNet service on
+// BlueField behind TCP, three closed-loop connections.
+func goldenTCPService(t *testing.T) (string, string) {
+	e := newEnv(goldenCfg)
+	plat := e.lynxPlatform(platLynxBF)
+	plat.Tracer = trace.New(1 << 16)
+	rt := core.NewRuntime(plat)
+	target := deployLynxLeNet(e, rt, e.gpu, lenetNew(), 7000, core.TCP)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.measure(workload.Config{
+		Proto: workload.TCP, Target: target, Payload: lenetPayload,
+		Body: lenetBody, Clients: 3, Duration: 8 * time.Millisecond, Warmup: time.Millisecond,
+	})
+	e.tb.Sim.Shutdown()
+	return goldenReport("tcp-service", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)
+}
+
+// goldenPipeline is ext-pipeline's composed deployment (GPU0 -> GPU1 behind
+// one frontend) over proto.
+func goldenPipeline(t *testing.T, proto core.Proto) (string, string) {
+	const nq = 4
+	e := newEnv(goldenCfg)
+	gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
+	plat := e.bf.Platform(7)
+	plat.Tracer = trace.New(1 << 16)
+	rt := core.NewRuntime(plat)
+	mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+	var hs []*core.AccelHandle
+	for _, g := range []*accel.GPU{e.gpu, gpu2} {
+		h, err := rt.Register(g, mqCfg, nq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+		startEcho(t, e, g, h, nq, 10*time.Microsecond)
+	}
+	pl, err := rt.AddPipeline(proto, 7000, nil, nq, hs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.CSV(); got != string(wantCSV) {
-		t.Errorf("batch CSV drifted from the PR 6 golden:\n got %d bytes\nwant %d bytes\n%s",
-			len(got), len(wantCSV), firstDiff(got, string(wantCSV)))
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
 	}
+	res := e.measure(workload.Config{
+		Proto: protoToWorkload(proto), Target: pl.Addr(), Payload: 64,
+		Clients: 2 * nq, Duration: 2 * time.Millisecond, Warmup: 500 * time.Microsecond,
+	})
+	e.tb.Sim.Shutdown()
+	return goldenReport(proto.String()+"-pipeline", e.tb.Sim, res,
+			[2]string{"runtime", rt.Stats().String()}, [2]string{"relayed", fmt.Sprint(pl.Relayed())}),
+		traceText(t, plat.Tracer)
+}
+
+// startEcho launches one persistent echo threadblock per queue of h.
+func startEcho(t *testing.T, e *env, gpu *accel.GPU, h *core.AccelHandle, n int, work time.Duration) {
+	qs := h.AccelQueues()
+	if err := gpu.LaunchPersistent(e.tb.Sim, n, func(tb *accel.TB) {
+		aq := qs[tb.Index()]
+		for {
+			m := aq.Recv(tb.Proc())
+			tb.Compute(work)
+			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenTCPClientQueue is sec64-faceverify's Lynx deployment: server
+// mqueues for the clients, one TCP client mqueue per threadblock to the
+// memcached backend.
+func goldenTCPClientQueue(t *testing.T) (string, string) {
+	const nTB = 8
+	e := newEnv(goldenCfg)
+	memcachedBackend(e)
+	plat := e.lynxPlatform(platLynxBF)
+	plat.Tracer = trace.New(1 << 16)
+	rt := core.NewRuntime(plat)
+	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: fvReqBytes + 96}, 2*nTB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := rt.AddService(core.UDP, 7000, nil, nTB, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientIdx := make([]int, nTB)
+	for i := range clientIdx {
+		cb, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{Host: "dbserver", Port: 11211})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientIdx[i] = cb.QueueIndex()
+	}
+	qs := h.AccelQueues()
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, nTB, func(tb *accel.TB) {
+		serverQ, clientQ := qs[tb.Index()], qs[clientIdx[tb.Index()]]
+		for {
+			m := serverQ.Recv(tb.Proc())
+			label := m.Payload[workload.SeqBytes : workload.SeqBytes+fvLabelBytes]
+			if clientQ.Send(tb.Proc(), 0, kvstore.EncodeGet(string(label))) != nil {
+				return
+			}
+			dbReply := clientQ.Recv(tb.Proc())
+			img, _, _ := kvstore.DecodeValue(dbReply.Payload)
+			resp := make([]byte, workload.SeqBytes+1)
+			copy(resp, m.Payload[:workload.SeqBytes])
+			resp[workload.SeqBytes] = byte(len(img) >> 8)
+			tb.Compute(e.params.FaceVerifyService)
+			if serverQ.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: svc.Addr(), Payload: fvReqBytes,
+		Body: fvBody, Clients: 2 * nTB, Duration: 2 * time.Millisecond, Warmup: 500 * time.Microsecond,
+	})
+	e.tb.Sim.Shutdown()
+	return goldenReport("tcp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)
+}
+
+// goldenUDPClientQueue drives UDP client mqueues to a memcached backend over
+// a lossy network, so the per-binding retry loop retransmits and gives up.
+func goldenUDPClientQueue(t *testing.T) (string, string) {
+	const nTB = 4
+	cfg := goldenCfg
+	cfg.Faults = fault.Config{Seed: 3, DropRate: 0.25}
+	e := newEnv(cfg)
+	backend := e.tb.NewMachine("dbserver", 6)
+	store := memcachedInstances(e.tb, backend.NetHost, backend.CPU, &e.params, 11211, 2, false, 0, nil)
+	for i := 0; i < 64; i++ {
+		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
+	}
+	plat := e.lynxPlatform(platLynxBF)
+	plat.Tracer = trace.New(1 << 16)
+	rt := core.NewRuntime(plat)
+	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: 128}, 2*nTB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := rt.AddService(core.UDP, 7000, nil, nTB, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientIdx := make([]int, nTB)
+	for i := range clientIdx {
+		cb, err := rt.AddClientQueue(h, core.UDP, netstack.Addr{Host: "dbserver", Port: 11211})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientIdx[i] = cb.QueueIndex()
+	}
+	qs := h.AccelQueues()
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, nTB, func(tb *accel.TB) {
+		serverQ, clientQ := qs[tb.Index()], qs[clientIdx[tb.Index()]]
+		for {
+			m := serverQ.Recv(tb.Proc())
+			get := make([]byte, workload.SeqBytes, 64)
+			copy(get, m.Payload[:workload.SeqBytes])
+			get = append(get, kvstore.EncodeGet(fmt.Sprintf("key-%03d", m.Slot%64))...)
+			if clientQ.Send(tb.Proc(), 0, get) != nil {
+				return
+			}
+			reply, ok, _ := clientQ.RecvTimeout(tb.Proc(), 20*time.Millisecond)
+			resp := make([]byte, workload.SeqBytes+1)
+			copy(resp, m.Payload[:workload.SeqBytes])
+			if ok {
+				resp[workload.SeqBytes] = byte(len(reply.Payload))
+			}
+			if serverQ.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: svc.Addr(), Payload: 64,
+		Clients: 2 * nTB, Duration: 20 * time.Millisecond, Warmup: time.Millisecond,
+		Timeout: 5 * time.Millisecond, Retries: 2,
+	})
+	e.tb.Sim.Shutdown()
+	return goldenReport("udp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)
+}
+
+// goldenReplicationKill is the replication sweep's kill point on a short
+// timeline: a 3-node RF=3 rack whose node 1 accelerator freezes at 1 ms, so
+// node 0's replicator pump runs through the ack deadline, the peer-kill
+// verdict and the release of every response held on the dead peer.
+func goldenReplicationKill(t *testing.T) (string, string) {
+	p := model.Default()
+	tr := trace.New(1 << 16)
+	rack, err := cluster.Build(cluster.Config{
+		Nodes: 3, Replicas: 3, Seed: goldenCfg.Seed + 1, Params: &p, Tracer: tr,
+		Faults: fault.Config{
+			Seed:   goldenCfg.Seed,
+			Stalls: []fault.Stall{{Accel: "gpu1", Queue: -1, At: time.Millisecond, For: time.Hour}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := rack.OwnedKeys(0)
+	s := rack.TB.Sim
+	res := workload.RunFor(s, workload.New(s, workload.Config{
+		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
+		Body: func(seq uint64, buf []byte) {
+			copy(buf[workload.SeqBytes:],
+				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+		},
+		Clients: 2, Duration: 8 * time.Millisecond, Warmup: 500 * time.Microsecond,
+		Timeout: 2 * time.Millisecond, Retries: 3,
+	}, rack.Clients...))
+	s.Shutdown()
+	repl := rack.Node(0).Repl
+	return goldenReport("replication-kill", s, res,
+			[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
+		traceText(t, tr)
+}
+
+// goldenInnovaDuplex is ext-innova-duplex's FPGA echo: the AFU's receive
+// and egress stages drive the queue group from coroutine processes. Innova
+// has no runtime tracer, so the golden pins the executed event count and
+// the AFU counters.
+func goldenInnovaDuplex(batch model.BatchConfig) string {
+	const nq = 16
+	p := model.Default()
+	p.Batch = batch
+	e := newEnvWith(goldenCfg, &p)
+	in := e.server.AttachInnova("innova1")
+	qs, err := in.ServeUDPFullDuplex(7000, e.gpu, mqueue.Config{Slots: 16, SlotSize: 128}, nq)
+	if err != nil {
+		panic(err)
+	}
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
+		aq := qs[tb.Index()]
+		for {
+			m := aq.Recv(tb.Proc())
+			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		panic(err)
+	}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: in.NetHost.Addr(7000), Payload: 64,
+		Clients: 8, RatePerSec: 2e6, Duration: time.Millisecond, Warmup: 250 * time.Microsecond,
+	})
+	e.tb.Sim.Shutdown()
+	received, dropped := in.Stats()
+	return goldenReport("innova-duplex", e.tb.Sim, res,
+		[2]string{"afu received", fmt.Sprint(received)},
+		[2]string{"afu dropped", fmt.Sprint(dropped)},
+		[2]string{"afu sent", fmt.Sprint(in.Sent())},
+		[2]string{"rdma ops", fmt.Sprint(in.RDMA.Ops())})
 }
 
 // firstDiff renders the first divergent line pair for a readable failure.

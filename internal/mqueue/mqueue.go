@@ -188,11 +188,6 @@ func New(region *memdev.Region, base int, cfg Config, qp *rdma.QP) (*Queue, erro
 // Config returns the queue geometry.
 func (q *Queue) Config() Config { return q.cfg }
 
-// buildSlot assembles header+payload for one slot write into a fresh slice.
-func buildSlot(payload []byte, errStatus byte, corr uint16, doorbell byte) []byte {
-	return appendSlot(make([]byte, 0, HeaderBytes+len(payload)), payload, errStatus, corr, doorbell)
-}
-
 // appendSlot appends the slot image — header, then payload — to dst.
 func appendSlot(dst, payload []byte, errStatus byte, corr uint16, doorbell byte) []byte {
 	n := len(payload)
@@ -203,62 +198,11 @@ func appendSlot(dst, payload []byte, errStatus byte, corr uint16, doorbell byte)
 // Push delivers one message into the accelerator's RX ring, returning the
 // slot used. It fails with ErrQueueFull when the ring has no free slot
 // (after refreshing the accelerator's counters once via RDMA).
-func (q *Queue) Push(p *sim.Proc, payload []byte, errStatus byte) (int, error) {
-	if len(payload) > q.cfg.MaxPayload() {
-		return 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.Refresh(p)
-		if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-			q.full++
-			return 0, ErrQueueFull
-		}
-	}
-	// Reserve the slot before the (blocking) RDMA write: several dispatcher
-	// contexts may push into the same queue concurrently, and the slot
-	// assignment must not be computed from a stale head after a yield.
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	off := q.lay.rxSlot(q.cfg, slot)
-	// The span's StagePushed is stamped when the message-bearing write is
-	// DELIVERED into the RX ring, not when its completion returns to the
-	// pushing context: the accelerator can consume the message as soon as
-	// the doorbell lands, which under load beats the completion's way back —
-	// stamping on return would let AccelRecv precede Pushed and break stage
-	// monotonicity.
-	stamp := q.stampPushed(payload)
-	// The slot image lives in a pooled frame's buffer until the writes
-	// carrying it complete.
-	o := q.ops.get(q)
-	switch {
-	case q.cfg.Barrier:
-		// Three transactions: payload+metadata (excluding the doorbell
-		// byte, which only the doorbell write may touch), barrier,
-		// doorbell.
-		buf := o.image(payload, errStatus, 0)
-		q.qp.Write(p, q.region, off+offError, buf[offError:])
-		q.qp.Barrier(p, q.region)
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, doorbellSet, stamp)
-	case q.cfg.NoCoalesce:
-		// Two transactions: payload+metadata, then doorbell. Without a
-		// barrier these may become visible out of order on relaxed
-		// memory — the §5.1 hazard.
-		buf := o.image(payload, errStatus, 0)
-		q.qp.Write(p, q.region, off+offError, buf[offError:])
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, doorbellSet, stamp)
-	default:
-		// One coalesced transaction; NIC DMA commits lower addresses
-		// first, so a single write carrying data and notification is
-		// safe on strongly ordered regions (§5.1).
-		q.qp.WriteNotify(p, q.region, off, o.image(payload, errStatus, 1), stamp)
-	}
-	o.release()
-	q.pushed++
-	return slot, nil
+func (q *Queue) Push(p *sim.Proc, payload []byte, errStatus byte) (slot int, err error) {
+	p.Await(func(t *sim.Task, done func()) {
+		q.PushT(t, payload, errStatus, func(s int, e error) { slot, err = s, e; done() })
+	})
+	return slot, err
 }
 
 // QP returns the queue pair this queue's transfers ride on. Queues of one
@@ -267,11 +211,12 @@ func (q *Queue) Push(p *sim.Proc, payload []byte, errStatus byte) (int, error) {
 func (q *Queue) QP() *rdma.QP { return q.qp }
 
 // PushT is Push for run-to-completion tasks: k runs with the slot used (or
-// the error) once the message-bearing writes complete. Flow control, slot
-// reservation before any yield, checking and stamping match Push operation
-// for operation, so a ported caller produces byte-identical output. k runs
-// inline only on immediate validation failure. The push travels in a pooled
-// frame (see op), so it allocates nothing.
+// the error) once the message-bearing writes complete. The message's span
+// stamp is recorded when its write is delivered into the RX ring, not when
+// the completion returns: the accelerator can consume the message as soon as
+// the doorbell lands, which under load beats the completion's way back. k
+// runs inline only on immediate validation failure. The push travels in a
+// pooled frame (see op), so it allocates nothing.
 func (q *Queue) PushT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
 	if len(payload) > q.cfg.MaxPayload() {
 		k(0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()))
@@ -287,53 +232,22 @@ func (q *Queue) PushT(t *sim.Task, payload []byte, errStatus byte, k func(slot i
 	o.pushSlot()
 }
 
-// PrepareWrite reserves the next RX slot and returns the coalesced work
+// PrepareWriteT reserves the next RX slot and returns the coalesced work
 // request that delivers payload into it, without posting. Callers collect
-// WRs from several PrepareWrite calls — across all queues of a group, which
-// share a QP — and post them together (rdma.PostAndWait) so a k-message
+// WRs from several PrepareWriteT calls — across all queues of a group, which
+// share a QP — and post them together (rdma.PostAndWaitT) so a k-message
 // quantum costs ceil(k/doorbell) issue charges and ceil(k/cqDrain) wakeups
-// instead of k of each. Flow control (one header Refresh retry, then
-// ErrQueueFull), slot reservation before any yield, ring-bound checking and
-// delivery-time StagePushed stamping are identical to Push. Coalesced mode
-// only: the barrier and no-coalesce ablations model per-message transaction
-// splits that multi-WQE posting cannot honestly amortize.
-func (q *Queue) PrepareWrite(p *sim.Proc, payload []byte, errStatus byte) (rdma.WR, int, error) {
-	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWrite requires coalesced mode")
-	}
-	if len(payload) > q.cfg.MaxPayload() {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.Refresh(p)
-		if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-			q.full++
-			return rdma.WR{}, 0, ErrQueueFull
-		}
-	}
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	q.pushed++
-	return rdma.WR{
-		Op:        rdma.OpWrite,
-		Region:    q.region,
-		Offset:    q.lay.rxSlot(q.cfg, slot),
-		Data:      buildSlot(payload, errStatus, 0, 1),
-		OnDeliver: q.stampPushed(payload),
-	}, slot, nil
-}
-
-// PrepareWriteT is PrepareWrite for tasks. When no header refresh is needed
-// (the common case — the ring has known free slots) the WR returns inline
-// with ok=true and k never runs; otherwise the task parks in the refresh and
-// k runs with the result. Reservation and checks match PrepareWrite exactly.
+// instead of k of each. Flow control (one header refresh retry, then
+// ErrQueueFull), ring-bound checking and delivery-time span stamping are
+// Push's. When no header refresh is needed (the common case — the ring has
+// known free slots) the WR returns inline with ok=true and k never runs;
+// otherwise the task parks in the refresh and k runs with the result.
+// Coalesced mode only: the barrier and no-coalesce ablations model
+// per-message transaction splits that multi-WQE posting cannot honestly
+// amortize.
 func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k func(rdma.WR, int, error)) (rdma.WR, int, error, bool) {
 	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWrite requires coalesced mode"), true
+		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWriteT requires coalesced mode"), true
 	}
 	if len(payload) > q.cfg.MaxPayload() {
 		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()), true
@@ -354,21 +268,29 @@ func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k fun
 	return wr, slot, nil, true
 }
 
-// reserveWrite reserves the next RX slot and builds its coalesced WR (the
-// non-blocking tail of PrepareWrite).
-func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
+// reserve takes the next RX slot. Pushes reserve before any yield: several
+// dispatcher contexts may push into one queue concurrently, and a slot must
+// not be computed from a stale head.
+func (q *Queue) reserve() int {
 	slot := int(q.rxHead % uint64(q.cfg.Slots))
 	q.rxHead++
 	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
 		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
 			q.rxHead, q.rxConsumed, q.cfg.Slots)
 	}
+	return slot
+}
+
+// reserveWrite reserves the next RX slot and builds its coalesced WR (the
+// non-blocking tail of PrepareWriteT and PushAsync).
+func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
+	slot := q.reserve()
 	q.pushed++
 	return rdma.WR{
 		Op:        rdma.OpWrite,
 		Region:    q.region,
 		Offset:    q.lay.rxSlot(q.cfg, slot),
-		Data:      buildSlot(payload, errStatus, 0, 1),
+		Data:      appendSlot(make([]byte, 0, HeaderBytes+len(payload)), payload, errStatus, 0, 1),
 		OnDeliver: q.stampPushed(payload),
 	}, slot
 }
@@ -418,23 +340,14 @@ func (q *Queue) PushAsync(p *sim.Proc, payload []byte, errStatus byte) (int, err
 		q.full++
 		return 0, ErrQueueFull
 	}
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "async RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	off := q.lay.rxSlot(q.cfg, slot)
-	q.qp.Post(p, rdma.WR{Op: rdma.OpWrite, Region: q.region, Offset: off,
-		Data: buildSlot(payload, errStatus, 0, 1), OnDeliver: q.stampPushed(payload)})
-	q.pushed++
+	wr, slot := q.reserveWrite(payload, errStatus)
+	q.qp.Post(p, wr)
 	return slot, nil
 }
 
 // Refresh re-reads this queue's header counters with one RDMA READ.
 func (q *Queue) Refresh(p *sim.Proc) {
-	cqe := q.qp.ReadCQE(p, q.region, q.lay.hdr, 16)
-	q.absorbHeader(cqe.Data, cqe.At)
+	p.Await(q.RefreshT)
 }
 
 // RefreshT is Refresh for tasks: k runs once the header read lands and the
@@ -492,14 +405,11 @@ type TxMsg struct {
 // PopTx drains the next TX message (one full-slot RDMA READ). The caller
 // must have observed Ready(); it must eventually call CommitTx so the
 // accelerator sees the slots freed.
-func (q *Queue) PopTx(p *sim.Proc) (TxMsg, bool) {
-	if !q.Ready() {
-		return TxMsg{}, false
-	}
-	drainStart := p.Now()
-	slot := int(q.txTail % uint64(q.cfg.Slots))
-	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, slot), q.cfg.SlotSize)
-	return q.takeTx(raw, slot, drainStart)
+func (q *Queue) PopTx(p *sim.Proc) (msg TxMsg, ok bool) {
+	p.Await(func(t *sim.Task, done func()) {
+		q.PopTxT(t, func(m TxMsg, o bool) { msg, ok = m, o; done() })
+	})
+	return msg, ok
 }
 
 // PopTxT is PopTx for tasks: k runs with the drained message. k runs inline
@@ -585,14 +495,11 @@ func (q *Queue) txRun(budget, room int) (first, n int) {
 // of one per message. Per-slot parsing, the doorbell-miss guard and the
 // TX-drain wait booking are identical to PopTx; like PopTx, the caller must
 // eventually CommitTx.
-func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
-	first, n := q.txRun(budget, len(out))
-	if n <= 0 {
-		return 0
-	}
-	drainStart := p.Now()
-	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize)
-	return q.takeRun(raw, first, drainStart, out[:n])
+func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) (n int) {
+	p.Await(func(t *sim.Task, done func()) {
+		q.PopTxManyT(t, budget, out, func(k int) { n = k; done() })
+	})
+	return n
 }
 
 // PopTxManyT is PopTxMany for tasks: k runs with the number of messages
@@ -614,13 +521,7 @@ func (q *Queue) PopTxManyT(t *sim.Task, budget int, out []TxMsg, k func(n int)) 
 // WRITE), releasing the slots for reuse. No-op when nothing was drained
 // since the last commit.
 func (q *Queue) CommitTx(p *sim.Proc) {
-	if !q.txDirty {
-		return
-	}
-	var buf [8]byte
-	putLeUint64(buf[:], q.txTail)
-	q.qp.Write(p, q.region, q.lay.hdr+hdrTxConsumed, buf[:])
-	q.txDirty = false
+	p.Await(q.CommitTxT)
 }
 
 // CommitTxT is CommitTx for tasks: k runs once the counter write completes.
@@ -734,8 +635,7 @@ func (g *Group) Queue(i int) *Queue { return g.queues[i] }
 // queue's cached counters — the batching that makes polling hundreds of
 // mqueues affordable.
 func (g *Group) Refresh(p *sim.Proc) {
-	cqe := g.qp.ReadCQE(p, g.region, g.base, len(g.queues)*QueueHeaderBytes)
-	g.absorb(cqe)
+	p.Await(g.RefreshT)
 }
 
 // absorb ingests a header-block snapshot into every queue's counters.

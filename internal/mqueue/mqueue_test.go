@@ -618,9 +618,9 @@ func TestPopTxManyMatchesPopTx(t *testing.T) {
 	}
 }
 
-// PrepareWrite + PostAndWait is the batched push path: the payload WQEs of a
-// whole dispatch quantum go out under shared doorbells, yet every message is
-// delivered intact and in order.
+// PrepareWriteT + PostAndWaitT is the batched push path: the payload WQEs of
+// a whole dispatch quantum go out under shared doorbells, yet every message
+// is delivered intact and in order.
 func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 	r := newRig(t, false, 1<<16)
 	cfg := stdCfg()
@@ -640,17 +640,17 @@ func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 			recvd = append(recvd, append([]byte(nil), m.Payload...))
 		}
 	})
-	r.s.Spawn("snic", func(p *sim.Proc) {
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]rdma.WR, 0, n)
 		for i := 0; i < n; i++ {
-			wr, _, err := snicQ.PrepareWrite(p, []byte(fmt.Sprintf("batched-%d", i)), 0)
-			if err != nil {
-				t.Error(err)
+			wr, _, err, inline := snicQ.PrepareWriteT(tk, []byte(fmt.Sprintf("batched-%d", i)), 0, nil)
+			if !inline || err != nil {
+				t.Errorf("prepare %d: inline=%v err=%v", i, inline, err)
 				return
 			}
 			wrs = append(wrs, wr)
 		}
-		snicQ.QP().PostAndWait(p, wrs, 4, 3)
+		snicQ.QP().PostAndWaitT(tk, wrs, 4, 3, func(rdma.CQE) {})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()

@@ -98,23 +98,24 @@ func (o *op) image(payload []byte, errStatus, doorbell byte) []byte {
 func (o *op) stamp(at sim.Time) { o.spans.Stamp(o.spanID, o.spanStage, at) }
 
 // pushSlot reserves the next RX slot and issues the mode-dependent write
-// chain (the post-flow-control body of Push).
+// chain (the post-flow-control body of PushT).
 func (o *op) pushSlot() {
 	q := o.q
-	o.slot = int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
+	o.slot = q.reserve()
 	o.off = q.lay.rxSlot(q.cfg, o.slot)
 	o.spans, o.spanID, o.spanStage = q.pushStamp(o.payload)
 	if q.cfg.Barrier || q.cfg.NoCoalesce {
+		// Split transactions: payload and metadata without the doorbell
+		// byte, which only the doorbell write may touch, then (barrier
+		// mode) a barrier read, then the doorbell. Without the barrier the
+		// two writes may land out of order on relaxed memory (§5.1).
 		buf := o.image(o.payload, o.errStatus, 0)
 		o.stage = stPushData
 		q.qp.WriteT(o.t, q.region, o.off+offError, buf[offError:], o.step)
 		return
 	}
+	// One coalesced write: NIC DMA commits lower addresses first, so data
+	// and doorbell in one write is safe on strongly ordered regions (§5.1).
 	o.stage = stPushDoorbell
 	q.qp.WriteNotifyT(o.t, q.region, o.off, o.image(o.payload, o.errStatus, 1), o.onDeliver(), o.step)
 }

@@ -351,14 +351,6 @@ func (s *UDPSocket) RecvTimeout(p *sim.Proc, d time.Duration) (Datagram, bool, e
 	return dg, ok, nil
 }
 
-// RecvBatch receives up to len(buf) datagrams: it blocks for the first, then
-// drains whatever is already queued without blocking. Returns the count
-// stored (at least 1 for a non-empty buf). This is the dispatcher's batched
-// dequeue path: one wakeup per burst instead of one per packet.
-func (s *UDPSocket) RecvBatch(p *sim.Proc, buf []Datagram) int {
-	return s.rxq.GetBatch(p, buf)
-}
-
 // RecvT is Recv for tasks: reports (dg, true) when a datagram was already
 // queued (continuation NOT called — caller continues inline), else parks the
 // task and fn runs when one arrives.
@@ -366,8 +358,11 @@ func (s *UDPSocket) RecvT(t *sim.Task, fn func(Datagram)) (Datagram, bool) {
 	return s.rxq.GetT(t, fn)
 }
 
-// RecvBatchT is RecvBatch for tasks, with the same inline-return convention
-// as RecvT: (n, true) means n datagrams were stored inline.
+// RecvBatchT receives up to len(buf) datagrams: it waits for the first, then
+// drains whatever is already queued without waiting — the dispatcher's
+// batched dequeue, one wakeup per burst instead of one per packet. It has
+// RecvT's inline-return convention: (n, true) means n datagrams were stored
+// inline.
 func (s *UDPSocket) RecvBatchT(t *sim.Task, buf []Datagram, fn func(int)) (int, bool) {
 	return s.rxq.GetBatchT(t, buf, fn)
 }
@@ -404,6 +399,12 @@ type TCPConn struct {
 	peer       *TCPConn
 	closed     bool
 	reset      bool
+
+	// The pending RecvQueuedT of the connection's task reader: the task, its
+	// continuation, and the pre-bound poll continuation (c.polled).
+	rt    *sim.Task
+	rk    func(msg []byte, enq sim.Time, err error)
+	pollK func(tcpMsg, bool)
 }
 
 // tcpMsg is one framed message with its receive-queue entry time, so TCP
@@ -442,19 +443,48 @@ func (h *Host) MustTCPListen(port uint16) *TCPListener {
 // side.
 func (l *TCPListener) Accept(p *sim.Proc) *TCPConn { return l.backlog.Get(p) }
 
+// AcceptT is Accept for tasks, with RecvT's inline-return convention:
+// (conn, true) means a connection was already waiting and k never runs;
+// otherwise t parks and k runs with the next one.
+func (l *TCPListener) AcceptT(t *sim.Task, k func(*TCPConn)) (*TCPConn, bool) {
+	return l.backlog.GetT(t, k)
+}
+
 // Close stops listening.
 func (l *TCPListener) Close() { delete(l.host.listeners, l.port) }
 
 // TCPDial establishes a connection to addr, blocking for the handshake
 // (SYN + SYN-ACK round trip).
 func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
+	c, established, err := h.dial(to)
+	if err != nil {
+		return nil, err
+	}
+	established.Get(p)
+	return c, nil
+}
+
+// TCPDialT is TCPDial for tasks: k runs with the connection once the
+// handshake completes, or at once with the error.
+func (h *Host) TCPDialT(t *sim.Task, to Addr, k func(*TCPConn, error)) {
+	c, established, err := h.dial(to)
+	if err != nil {
+		k(nil, err)
+		return
+	}
+	established.GetT(t, func(struct{}) { k(c, nil) }) // a round trip away: never inline
+}
+
+// dial creates both ends of a connection to addr and starts the handshake;
+// established receives once the SYN-ACK is back.
+func (h *Host) dial(to Addr) (c *TCPConn, established *sim.Chan[struct{}], err error) {
 	dst, ok := h.net.hosts[to.Host]
 	if !ok {
-		return nil, fmt.Errorf("netstack: no route to host %q", to.Host)
+		return nil, nil, fmt.Errorf("netstack: no route to host %q", to.Host)
 	}
 	l, ok := dst.listeners[to.Port]
 	if !ok {
-		return nil, fmt.Errorf("netstack: connection refused: %v", to)
+		return nil, nil, fmt.Errorf("netstack: connection refused: %v", to)
 	}
 	h.net.ephemeral++
 	local := Addr{Host: h.name, Port: h.net.ephemeral}
@@ -465,7 +495,7 @@ func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
 		rxq: sim.NewChan[tcpMsg](h.net.sim, 0)}
 	client.peer, server.peer = server, client
 
-	established := sim.NewChan[struct{}](h.net.sim, 0)
+	established = sim.NewChan[struct{}](h.net.sim, 0)
 	// SYN out...
 	h.net.transmit(h, dst, 0, tcpOverhead, func() {
 		// ...SYN-ACK back.
@@ -474,8 +504,7 @@ func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
 		})
 		l.backlog.TryPut(server)
 	})
-	established.Get(p)
-	return client, nil
+	return client, established, nil
 }
 
 // LocalAddr returns this side's address.
@@ -517,24 +546,62 @@ func (c *TCPConn) Recv(p *sim.Proc) ([]byte, error) {
 	return msg, err
 }
 
+// recvPoll bounds each receive wait, so a blocked receiver notices a close
+// or reset (which deliver no message) within one poll.
+const recvPoll = 100 * time.Microsecond
+
 // RecvQueued is Recv returning also the virtual time the message entered the
 // receive queue, for queue-wait attribution.
 func (c *TCPConn) RecvQueued(p *sim.Proc) ([]byte, sim.Time, error) {
 	for {
-		if msg, ok := c.rxq.TryGet(); ok {
-			return msg.b, msg.enq, nil
+		if msg, enq, err, done := c.recvNow(); done {
+			return msg, enq, err
 		}
-		if c.reset {
-			return nil, 0, ErrConnReset
-		}
-		if c.closed {
-			return nil, 0, ErrConnClosed
-		}
-		msg, ok := c.rxq.GetTimeout(p, 100*time.Microsecond)
-		if ok {
+		if msg, ok := c.rxq.GetTimeout(p, recvPoll); ok {
 			return msg.b, msg.enq, nil
 		}
 	}
+}
+
+// RecvQueuedT is RecvQueued for tasks: k runs with the result, inline when
+// a message is queued or the connection has failed; otherwise t parks,
+// polling exactly like RecvQueued. A connection serves one task reader at a
+// time.
+func (c *TCPConn) RecvQueuedT(t *sim.Task, k func(msg []byte, enq sim.Time, err error)) {
+	if c.pollK == nil {
+		c.pollK = c.polled
+	}
+	c.rt, c.rk = t, k
+	c.polled(tcpMsg{}, false)
+}
+
+// polled continues a RecvQueuedT wait after a message or one poll interval.
+func (c *TCPConn) polled(m tcpMsg, ok bool) {
+	if ok {
+		c.rk(m.b, m.enq, nil)
+		return
+	}
+	if msg, enq, err, done := c.recvNow(); done {
+		c.rk(msg, enq, err)
+		return
+	}
+	// The queue was just found empty, so the wait cannot complete inline.
+	c.rxq.GetTimeoutT(c.rt, recvPoll, c.pollK)
+}
+
+// recvNow takes a queued message or reports the connection's error without
+// waiting; done is false when the receiver has to wait.
+func (c *TCPConn) recvNow() (msg []byte, enq sim.Time, err error, done bool) {
+	if m, ok := c.rxq.TryGet(); ok {
+		return m.b, m.enq, nil, true
+	}
+	if c.reset {
+		return nil, 0, ErrConnReset, true
+	}
+	if c.closed {
+		return nil, 0, ErrConnClosed, true
+	}
+	return nil, 0, nil, false
 }
 
 // RecvTimeout blocks up to d for the next message.
@@ -546,14 +613,8 @@ func (c *TCPConn) RecvTimeout(p *sim.Proc, d time.Duration) ([]byte, bool, error
 // RecvQueuedTimeout is RecvTimeout returning also the receive-queue entry
 // time of the message.
 func (c *TCPConn) RecvQueuedTimeout(p *sim.Proc, d time.Duration) ([]byte, sim.Time, bool, error) {
-	if msg, ok := c.rxq.TryGet(); ok {
-		return msg.b, msg.enq, true, nil
-	}
-	if c.reset {
-		return nil, 0, false, ErrConnReset
-	}
-	if c.closed {
-		return nil, 0, false, ErrConnClosed
+	if msg, enq, err, done := c.recvNow(); done {
+		return msg, enq, err == nil, err
 	}
 	msg, ok := c.rxq.GetTimeout(p, d)
 	if !ok {

@@ -3,6 +3,8 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -202,6 +204,88 @@ func TestTCPCloseDelivery(t *testing.T) {
 	s.Shutdown()
 	if !errors.Is(errGot, ErrConnClosed) {
 		t.Fatalf("err = %v, want ErrConnClosed", errGot)
+	}
+}
+
+// The task forms of dial, accept and receive see what the coroutine forms
+// see, at the same instants and for the same number of scheduler events:
+// each message with its queue-entry time, then the close within one poll.
+func TestTCPTaskFormsMatchProcForms(t *testing.T) {
+	run := func(task bool) ([]string, uint64) {
+		s, n, _ := newNet()
+		server := n.AddHost("server")
+		client := n.AddHost("client")
+		l := server.MustTCPListen(80)
+		var log []string
+		got := func(now sim.Time, msg []byte, enq sim.Time, err error) {
+			log = append(log, fmt.Sprintf("%v %q enq=%v err=%v", now, msg, enq, err))
+		}
+		send := func(conn *TCPConn, p *sim.Proc) {
+			for _, m := range []string{"a", "bb", "ccc"} {
+				conn.Send(p, []byte(m))
+				p.Sleep(150 * time.Microsecond)
+			}
+			conn.Close()
+		}
+		if task {
+			s.SpawnTask("server", func(tk *sim.Task) {
+				var recv func([]byte, sim.Time, error)
+				var conn *TCPConn
+				recv = func(msg []byte, enq sim.Time, err error) {
+					got(tk.Now(), msg, enq, err)
+					if err == nil {
+						conn.RecvQueuedT(tk, recv)
+					}
+				}
+				accepted := func(c *TCPConn) {
+					conn = c
+					conn.RecvQueuedT(tk, recv)
+				}
+				if c, ok := l.AcceptT(tk, accepted); ok {
+					accepted(c)
+				}
+			})
+			s.SpawnTask("client", func(tk *sim.Task) {
+				client.TCPDialT(tk, server.Addr(80), func(conn *TCPConn, err error) {
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					s.Spawn("sender", func(p *sim.Proc) { send(conn, p) })
+				})
+			})
+		} else {
+			s.Spawn("server", func(p *sim.Proc) {
+				conn := l.Accept(p)
+				for {
+					msg, enq, err := conn.RecvQueued(p)
+					got(p.Now(), msg, enq, err)
+					if err != nil {
+						return
+					}
+				}
+			})
+			s.Spawn("client", func(p *sim.Proc) {
+				conn, err := client.TCPDial(p, server.Addr(80))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.Spawn("sender", func(p *sim.Proc) { send(conn, p) })
+			})
+		}
+		s.RunUntil(sim.Time(time.Second))
+		s.Shutdown()
+		return log, s.Executed()
+	}
+	procLog, procEvents := run(false)
+	taskLog, taskEvents := run(true)
+	if fmt.Sprint(procLog) != fmt.Sprint(taskLog) || procEvents != taskEvents {
+		t.Fatalf("task forms diverge:\n proc (%d events): %q\n task (%d events): %q",
+			procEvents, procLog, taskEvents, taskLog)
+	}
+	if len(procLog) != 4 || !strings.Contains(procLog[3], ErrConnClosed.Error()) {
+		t.Fatalf("want three messages then the close, got %q", procLog)
 	}
 }
 

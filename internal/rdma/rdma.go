@@ -1,6 +1,6 @@
 // Package rdma models the one-sided RDMA machinery Lynx relies on: an RDMA
 // engine embedded in a NIC, queue pairs (reliable RC and unreliable UC),
-// work requests, and completion queues.
+// work requests, and their completions.
 //
 // Lynx uses one-sided RDMA READ/WRITE from the SmartNIC into accelerator
 // memory for all mqueue management (§4.2 "Remote Message Queue Manager"),
@@ -71,16 +71,10 @@ type WR struct {
 	// before its stamp. Never called for dropped UC writes.
 	OnDeliver func(at sim.Time)
 
-	// reply, when set by the blocking helpers, receives this WR's CQE
+	// reply, when set by the waiting operations, receives this WR's CQE
 	// directly so concurrent posters never steal each other's completions.
+	// A WR without one is unsignaled: it completes, but surfaces no CQE.
 	reply *sim.Chan[CQE]
-
-	// silent marks an unsignaled WQE: the transfer happens but no CQE is
-	// surfaced anywhere. PostAndWait sets it on non-checkpoint WRs so a
-	// batch of n writes generates ceil(n/cqDrain) completions, matching
-	// how verbs applications suppress per-WQE signaling under doorbell
-	// batching.
-	silent bool
 }
 
 // CQE is a completion queue entry.
@@ -144,18 +138,16 @@ type QP struct {
 
 	hw       bool
 	sq       *sim.Chan[WR]
-	cq       *sim.Chan[CQE]
 	cur      WR // WR between dequeue and engine stage of the run task
 	inflight []*inflightWR
 	inflHead int
 
-	// flFree, replyFree and calls recycle inflight nodes, reply channels and
-	// task-form call frames so the per-operation hot path allocates nothing
-	// once warm. Recycling changes no scheduling decision — only where the
-	// bookkeeping structs live.
-	flFree    []*inflightWR
-	replyFree []*sim.Chan[CQE]
-	calls     []*call
+	// flFree and calls recycle inflight nodes and task-form call frames so
+	// the per-operation hot path allocates nothing once warm. Recycling
+	// changes no scheduling decision — only where the bookkeeping structs
+	// live.
+	flFree []*inflightWR
+	calls  []*call
 
 	credits  int // UC receive credits
 	dropped  uint64
@@ -171,15 +163,15 @@ type QPConfig struct {
 	// SQDepth bounds the send queue (0 = unbounded).
 	SQDepth int
 	// HWIssue marks the QP as driven by NIC-resident hardware (the Innova
-	// AFU): posting costs no CPU time, WRITE completions are discarded,
-	// and writes are fully pipelined (posted semantics — the engine only
-	// pays its per-WQE processing time; wire transit overlaps).
+	// AFU): posting costs no CPU time, and writes are fully pipelined
+	// (posted semantics — the engine only pays its per-WQE processing time;
+	// wire transit overlaps).
 	HWIssue bool
 }
 
 // CreateQP connects a queue pair from the engine's NIC to the target device.
 // The returned QP processes work requests in order on a dedicated engine
-// context; completions appear on CQ in posting order.
+// context and completes them in posting order.
 func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 	if target.Mem == nil {
 		panic(fmt.Sprintf("rdma: target %s has no DMA-visible memory", target.Name()))
@@ -193,7 +185,6 @@ func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 		target: target,
 		hw:     cfg.HWIssue,
 		sq:     sim.NewChan[WR](e.sim, cfg.SQDepth),
-		cq:     sim.NewChan[CQE](e.sim, 0),
 	}
 	if cfg.Remote {
 		qp.remote = e.params.RDMARemotePenalty
@@ -247,23 +238,6 @@ func (fl *inflightWR) wireDone() {
 	}
 	fl.qp.finish(fl)
 }
-
-// getReply takes a reply channel from the QP's pool. Reply channels only ever
-// hold buffered completions (TryPut by finish, Get/GetT by the poster), so an
-// unbounded recycled channel behaves identically to a fresh exact-capacity
-// one.
-func (qp *QP) getReply() *sim.Chan[CQE] {
-	if n := len(qp.replyFree); n > 0 {
-		c := qp.replyFree[n-1]
-		qp.replyFree[n-1] = nil
-		qp.replyFree = qp.replyFree[:n-1]
-		return c
-	}
-	return sim.NewChan[CQE](qp.engine.sim, 0)
-}
-
-// putReply returns a drained reply channel to the pool.
-func (qp *QP) putReply(c *sim.Chan[CQE]) { qp.replyFree = append(qp.replyFree, c) }
 
 // run is the QP's engine context, hosted on the run-to-completion task
 // substrate (every RDMA operation in the system crosses this loop, making it
@@ -347,7 +321,9 @@ func (qp *QP) process(wr WR) {
 }
 
 // finish marks a WR complete and delivers every leading completed CQE in
-// posting order.
+// posting order to its WR's reply channel. Unsignaled WRs — including UC
+// writes dropped for lack of credits, which QP.Dropped counts — surface
+// nothing.
 func (qp *QP) finish(fl *inflightWR) {
 	fl.done = true
 	fl.cqe.At = qp.engine.sim.Now()
@@ -356,15 +332,8 @@ func (qp *QP) finish(fl *inflightWR) {
 		qp.inflight[qp.inflHead] = nil
 		qp.inflHead++
 		qp.complete++
-		switch {
-		case head.wr.reply != nil:
-			head.wr.reply.TryPut(head.cqe)
-		case head.wr.silent:
-			// Unsignaled WQE: completed, but surfaces no CQE.
-		case qp.hw && head.wr.Op == OpWrite && !head.cqe.Dropped:
-			// Hardware QPs discard write completions.
-		default:
-			qp.cq.TryPut(head.cqe)
+		if r := head.wr.reply; r != nil {
+			r.TryPut(head.cqe)
 		}
 		// The CQE escaped by value; drop the node's references and recycle.
 		head.wr = WR{}
@@ -387,7 +356,7 @@ func (qp *QP) finish(fl *inflightWR) {
 
 // Post enqueues a work request asynchronously, charging the caller the
 // CPU-side issue cost ("less than 1 µsec", §5.1) unless the QP is hardware
-// driven. Completion arrives on CQ (hardware QPs discard write CQEs).
+// driven. The WR completes unsignaled.
 func (qp *QP) Post(p *sim.Proc, wr WR) {
 	if !qp.hw {
 		p.Sleep(qp.engine.params.RDMAIssue)
@@ -395,89 +364,6 @@ func (qp *QP) Post(p *sim.Proc, wr WR) {
 	qp.posted++
 	qp.sq.Put(p, wr)
 }
-
-// PostMany enqueues a run of work requests under a single doorbell
-// (multi-WQE posting): the CPU pays one issue cost for the whole group
-// instead of one per WQE, then the WRs enter the send queue in order.
-// Hardware-driven QPs skip the issue cost entirely, as with Post. The
-// engine-side pipeline cost and wire time remain per-WR — doorbell
-// coalescing amortizes only the CPU touch, as on real verbs.
-func (qp *QP) PostMany(p *sim.Proc, wrs []WR) {
-	if len(wrs) == 0 {
-		return
-	}
-	if !qp.hw {
-		p.Sleep(qp.engine.params.RDMAIssue)
-	}
-	for i := range wrs {
-		qp.posted++
-		qp.sq.Put(p, wrs[i])
-	}
-}
-
-// PostAndWait posts wrs in doorbell groups of at most doorbell WRs (one
-// issue cost per group) and blocks until the last completes. The completion
-// wait is checkpointed: a reply is requested on every cqDrain-th WR and on
-// the final one, and since RC QPs complete in posting order, observing a
-// checkpoint CQE implies every preceding WR is done — ceil(n/cqDrain)
-// wakeups instead of n. doorbell/cqDrain values below 1 mean 1, which
-// degenerates to per-message post-and-wait. Returns the final CQE.
-func (qp *QP) PostAndWait(p *sim.Proc, wrs []WR, doorbell, cqDrain int) CQE {
-	n := len(wrs)
-	if n == 0 {
-		return CQE{}
-	}
-	if doorbell < 1 {
-		doorbell = 1
-	}
-	if cqDrain < 1 {
-		cqDrain = 1
-	}
-	checkpoints := 0
-	reply := qp.getReply()
-	for i := range wrs {
-		if (i+1)%cqDrain == 0 || i == n-1 {
-			wrs[i].reply = reply
-			checkpoints++
-		} else {
-			wrs[i].silent = true
-		}
-	}
-	for off := 0; off < n; off += doorbell {
-		end := off + doorbell
-		if end > n {
-			end = n
-		}
-		qp.PostMany(p, wrs[off:end])
-	}
-	var last CQE
-	for i := 0; i < checkpoints; i++ {
-		last = reply.Get(p)
-	}
-	qp.putReply(reply)
-	return last
-}
-
-// DrainCQ moves up to budget pending completions into out without blocking
-// and returns the number drained: one wakeup absorbs a whole burst of CQEs
-// instead of polling once per completion. Completions appear in posting
-// order, as the RC completion model guarantees.
-func (qp *QP) DrainCQ(budget int, out []CQE) int {
-	n := 0
-	for n < budget && n < len(out) {
-		cqe, ok := qp.cq.TryGet()
-		if !ok {
-			break
-		}
-		out[n] = cqe
-		n++
-	}
-	return n
-}
-
-// CQ returns the completion queue. Callers typically Get in a loop or after
-// a batch of Posts.
-func (qp *QP) CQ() *sim.Chan[CQE] { return qp.cq }
 
 // Write performs a blocking one-sided RDMA WRITE.
 func (qp *QP) Write(p *sim.Proc, region *memdev.Region, off int, data []byte) CQE {
@@ -487,32 +373,20 @@ func (qp *QP) Write(p *sim.Proc, region *memdev.Region, off int, data []byte) CQ
 // WriteNotify performs a blocking one-sided RDMA WRITE like Write,
 // additionally invoking onDeliver (when non-nil) at the simulated instant
 // the data lands in the target region, before the completion returns.
-func (qp *QP) WriteNotify(p *sim.Proc, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time)) CQE {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver, reply: reply})
-	cqe := reply.Get(p)
-	qp.putReply(reply)
+func (qp *QP) WriteNotify(p *sim.Proc, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time)) (cqe CQE) {
+	p.Await(func(t *sim.Task, done func()) {
+		qp.WriteNotifyT(t, region, off, data, onDeliver, func(c CQE) { cqe = c; done() })
+	})
 	return cqe
 }
 
 // Read performs a blocking one-sided RDMA READ of n bytes into a fresh
 // slice.
-func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) []byte {
-	return qp.ReadCQE(p, region, off, n).Data
-}
-
-// ReadCQE performs a blocking one-sided RDMA READ like Read but returns the
-// full completion. CQE.At is the wire instant the memory snapshot was taken
-// at — under transport retries (fault plan go-back-N) completions are
-// delivered in posting order while snapshots land in wire order, so a caller
-// comparing successive reads of shared counters must order them by At, not by
-// delivery.
-func (qp *QP) ReadCQE(p *sim.Proc, region *memdev.Region, off, n int) CQE {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpRead, Region: region, Offset: off, Data: make([]byte, n), reply: reply})
-	cqe := reply.Get(p)
-	qp.putReply(reply)
-	return cqe
+func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) (data []byte) {
+	p.Await(func(t *sim.Task, done func()) {
+		qp.ReadCQET(t, region, off, n, func(c CQE) { data = append(make([]byte, 0, n), c.Data...); done() })
+	})
+	return data
 }
 
 // Barrier performs the blocking RDMA-read write barrier of §5.1, forcing
@@ -522,17 +396,13 @@ func (qp *QP) ReadCQE(p *sim.Proc, region *memdev.Region, off, n int) CQE {
 // message needs three transactions instead of one) the total overhead comes
 // to the ~5 µs per message the paper measures.
 func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpBarrier, Region: region, reply: reply})
-	reply.Get(p)
-	qp.putReply(reply)
+	p.Await(func(t *sim.Task, done func()) { qp.BarrierT(t, region, func(CQE) { done() }) })
 }
 
 // ---------------------------------------------------------------------------
-// Task-form (continuation-passing) posting API. Each method performs the
-// exact same sequence of scheduler operations as its Proc counterpart, so a
-// caller ported from one substrate to the other produces byte-identical
-// virtual-time results.
+// Task-form (continuation-passing) operations: the one body of each RDMA
+// operation. The blocking forms above run them from coroutine processes
+// through sim.Proc.Await, which consumes no scheduler slot of its own.
 
 // call carries one task-form RDMA operation (WriteT, WriteNotifyT, ReadCQET,
 // BarrierT) through its issue cost, send-queue entry and completion wait
@@ -540,7 +410,9 @@ func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
 // is created, and frames recycle through QP.calls, so the pool is bounded by
 // the operations in flight. Each frame owns its completion channel and, for
 // READs, the destination buffer: CQE.Data is lent to the continuation and
-// valid only until it returns.
+// valid only until it returns. A completion channel only ever holds buffered
+// completions (TryPut by finish, GetT by the poster), so an unbounded
+// recycled channel behaves exactly like a fresh one.
 type call struct {
 	qp    *QP
 	t     *sim.Task
@@ -610,9 +482,13 @@ func (c *call) complete(cqe CQE) {
 	c.qp.calls = append(c.qp.calls, c)
 }
 
-// PostManyT is PostMany for tasks: one issue cost for the whole group, then
-// the WRs enter the send queue in order; k runs when all are enqueued.
-func (qp *QP) PostManyT(t *sim.Task, wrs []WR, k func()) {
+// postManyT enqueues a run of work requests under a single doorbell
+// (multi-WQE posting): the poster pays one issue cost for the whole group
+// instead of one per WQE (none on hardware-driven QPs), then the WRs enter
+// the send queue in order; k runs when all are enqueued. The engine-side
+// pipeline cost and wire time remain per-WR — doorbell coalescing amortizes
+// only the CPU touch, as on real verbs.
+func (qp *QP) postManyT(t *sim.Task, wrs []WR, k func()) {
 	if len(wrs) == 0 {
 		k()
 		return
@@ -640,9 +516,14 @@ func (qp *QP) postAllT(t *sim.Task, wrs []WR, k func()) {
 	k()
 }
 
-// PostAndWaitT is PostAndWait for tasks: wrs post in doorbell groups with
-// checkpointed completions, and k runs with the final CQE once the last
-// checkpoint lands.
+// PostAndWaitT posts wrs in doorbell groups of at most doorbell WRs (one
+// issue cost per group) and runs k with the final CQE once the last
+// completes. The completion wait is checkpointed: a reply is requested on
+// every cqDrain-th WR and on the final one, the rest go unsignaled, and
+// since RC QPs complete in posting order, observing a checkpoint CQE implies
+// every preceding WR is done — ceil(n/cqDrain) wakeups instead of n.
+// doorbell/cqDrain values below 1 mean 1, which degenerates to per-message
+// post-and-wait.
 func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(CQE)) {
 	n := len(wrs)
 	if n == 0 {
@@ -656,13 +537,12 @@ func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(
 		cqDrain = 1
 	}
 	checkpoints := 0
-	reply := qp.getReply()
+	// The checkpoints complete on a pooled call frame's channel.
+	f := qp.getCall()
 	for i := range wrs {
 		if (i+1)%cqDrain == 0 || i == n-1 {
-			wrs[i].reply = reply
+			wrs[i].reply = f.reply
 			checkpoints++
-		} else {
-			wrs[i].silent = true
 		}
 	}
 	var postGroup func(off int)
@@ -676,19 +556,19 @@ func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(
 		if end > n {
 			end = n
 		}
-		qp.PostManyT(t, wrs[off:end], func() { postGroup(end) })
+		qp.postManyT(t, wrs[off:end], func() { postGroup(end) })
 	}
 	collect = func(remaining int, last CQE) {
 		for remaining > 0 {
 			rem := remaining
-			cqe, ok := reply.GetT(t, func(c CQE) { collect(rem-1, c) })
+			cqe, ok := f.reply.GetT(t, func(c CQE) { collect(rem-1, c) })
 			if !ok {
 				return
 			}
 			last = cqe
 			remaining--
 		}
-		qp.putReply(reply)
+		qp.calls = append(qp.calls, f)
 		k(last)
 	}
 	postGroup(0)
@@ -699,15 +579,20 @@ func (qp *QP) WriteT(t *sim.Task, region *memdev.Region, off int, data []byte, k
 	qp.WriteNotifyT(t, region, off, data, nil, k)
 }
 
-// WriteNotifyT is WriteNotify for tasks: onDeliver (when non-nil) fires at
-// the instant the data lands; k runs with the completion.
+// WriteNotifyT is WriteT with a delivery hook: onDeliver (when non-nil)
+// fires at the instant the data lands in the target region, before the
+// completion travels back; k runs with the completion.
 func (qp *QP) WriteNotifyT(t *sim.Task, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time), k func(CQE)) {
 	qp.getCall().start(t, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver}, k)
 }
 
-// ReadCQET is ReadCQE for tasks: k runs with the full completion, whose At
-// field carries the snapshot instant (see ReadCQE). CQE.Data holds the n
-// bytes read; it is lent to k and must be copied to be kept past k's return.
+// ReadCQET performs a one-sided RDMA READ of n bytes from a task; k runs
+// with the full completion. CQE.Data holds the bytes read; it is lent to k
+// and must be copied to be kept past k's return. CQE.At is the wire instant
+// the memory snapshot was taken at — under transport retries (fault plan
+// go-back-N) completions are delivered in posting order while snapshots
+// land in wire order, so a caller comparing successive reads of shared
+// counters must order them by At, not by delivery.
 func (qp *QP) ReadCQET(t *sim.Task, region *memdev.Region, off, n int, k func(CQE)) {
 	c := qp.getCall()
 	c.start(t, WR{Op: OpRead, Region: region, Offset: off, Data: c.readBuf(n)}, k)

@@ -187,8 +187,9 @@ func TestBarrierFlushesRelaxedWrites(t *testing.T) {
 	}
 }
 
-// Property: completions arrive in posting order with matching IDs and a
-// completion for every post (RC reliability), for any op mix.
+// Property: completions arrive on their reply channel in posting order with
+// matching IDs and a completion for every post (RC reliability), for any op
+// mix.
 func TestRCOrderedCompletionProperty(t *testing.T) {
 	prop := func(ops []bool) bool {
 		if len(ops) == 0 {
@@ -202,16 +203,17 @@ func TestRCOrderedCompletionProperty(t *testing.T) {
 		qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 		okCh := make(chan bool, 1)
 		r.s.Spawn("snic", func(p *sim.Proc) {
+			cqes := sim.NewChan[CQE](r.s, 0)
 			for i, isWrite := range ops {
 				if isWrite {
-					qp.Post(p, WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)})
+					qp.Post(p, WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i), reply: cqes})
 				} else {
-					qp.Post(p, WR{Op: OpRead, Region: region, Offset: i * 8, Data: make([]byte, 1), ID: uint64(i)})
+					qp.Post(p, WR{Op: OpRead, Region: region, Offset: i * 8, Data: make([]byte, 1), ID: uint64(i), reply: cqes})
 				}
 			}
 			good := true
 			for i := range ops {
-				cqe := qp.CQ().Get(p)
+				cqe := cqes.Get(p)
 				if cqe.ID != uint64(i) {
 					good = false
 				}
@@ -279,78 +281,83 @@ func TestReadBackMatchesWrite(t *testing.T) {
 	r.s.Shutdown()
 }
 
-// PostMany + DrainCQ: a burst posted under one doorbell completes in posting
-// order, and one DrainCQ wakeup absorbs the whole burst (budget permitting)
-// instead of one poll per CQE.
-func TestPostManyDrainCQOrdering(t *testing.T) {
+// A burst posted under one doorbell costs one issue charge and completes in
+// posting order.
+func TestPostManyCompletesInOrder(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	const n = 12
-	r.s.Spawn("snic", func(p *sim.Proc) {
+	cqes := sim.NewChan[CQE](r.s, 0)
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]WR, n)
 		for i := range wrs {
-			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(100 + i)}
+			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(100 + i), reply: cqes}
 		}
-		issueStart := p.Now()
-		qp.PostMany(p, wrs)
-		if issue := p.Now().Sub(issueStart); issue > r.params.RDMAIssue {
-			t.Errorf("PostMany charged %v for %d WRs, want one issue cost (%v)", issue, n, r.params.RDMAIssue)
-		}
-		p.Sleep(time.Millisecond) // let every completion land
-		out := make([]CQE, n)
-		if got := qp.DrainCQ(5, out); got != 5 {
-			t.Errorf("DrainCQ budget 5 drained %d", got)
-		}
-		if got := qp.DrainCQ(n, out[5:]); got != n-5 {
-			t.Errorf("second DrainCQ drained %d, want %d", got, n-5)
-		}
-		for i := range out {
-			if out[i].ID != uint64(100+i) {
-				t.Fatalf("completion %d has ID %d, want %d (posting order)", i, out[i].ID, 100+i)
+		issueStart := tk.Now()
+		qp.postManyT(tk, wrs, func() {
+			if issue := tk.Now().Sub(issueStart); issue > r.params.RDMAIssue {
+				t.Errorf("postManyT charged %v for %d WRs, want one issue cost (%v)", issue, n, r.params.RDMAIssue)
 			}
-		}
-		if got := qp.DrainCQ(1, out[:1]); got != 0 {
-			t.Errorf("CQ not empty after draining all %d completions", n)
-		}
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
+	for i := 0; i < n; i++ {
+		cqe, ok := cqes.TryGet()
+		if !ok {
+			t.Fatalf("only %d of %d completions arrived", i, n)
+		}
+		if cqe.ID != uint64(100+i) {
+			t.Fatalf("completion %d has ID %d, want %d (posting order)", i, cqe.ID, 100+i)
+		}
+	}
 	if posted, completed := qp.Stats(); posted != n || completed != n {
 		t.Fatalf("posted=%d completed=%d, want %d each", posted, completed, n)
 	}
 }
 
-// PostAndWait suppresses signaling on non-checkpoint WQEs: a batch of n
-// writes surfaces only its checkpoint completions to the poster and leaks
-// nothing into the shared CQ.
+// PostAndWaitT suppresses signaling on non-checkpoint WQEs: a batch of n
+// writes surfaces only its checkpoint completions, and its reply channel
+// returns to the pool with nothing left in it.
 func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	const n = 10
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		wrs := make([]WR, n)
-		for i := range wrs {
-			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)}
-		}
-		last := qp.PostAndWait(p, wrs, 3, 4)
-		if last.ID != n-1 {
-			t.Errorf("PostAndWait returned CQE ID %d, want %d (the batch's last WR)", last.ID, n-1)
-		}
-		// All data must be visible once the final checkpoint completes.
-		for i := 0; i < n; i++ {
-			if got := region.ReadLocal(i*8, 1); got[0] != byte(i) {
-				t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
+	wrs := make([]WR, n)
+	for i := range wrs {
+		wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)}
+	}
+	var last CQE
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		qp.PostAndWaitT(tk, wrs, 3, 4, func(c CQE) {
+			last = c
+			// All data must be visible once the final checkpoint completes.
+			for i := 0; i < n; i++ {
+				if got := region.ReadLocal(i*8, 1); got[0] != byte(i) {
+					t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
+				}
 			}
-		}
-		var scratch [1]CQE
-		if leaked := qp.DrainCQ(1, scratch[:]); leaked != 0 {
-			t.Errorf("unsignaled WQE leaked a CQE into the shared CQ: %+v", scratch[0])
-		}
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
+	if last.ID != n-1 {
+		t.Errorf("PostAndWaitT returned CQE ID %d, want %d (the batch's last WR)", last.ID, n-1)
+	}
+	signaled := 0
+	for _, wr := range wrs {
+		if wr.reply != nil {
+			signaled++
+		}
+	}
+	if signaled != 3 {
+		t.Errorf("%d WRs signaled, want 3 checkpoints (every 4th and the last)", signaled)
+	}
+	if len(qp.calls) != 1 || qp.calls[0].reply.Len() != 0 {
+		t.Errorf("completion channel not returned empty: %d frames pooled", len(qp.calls))
+	}
 	if posted, completed := qp.Stats(); posted != n || completed != n {
 		t.Fatalf("posted=%d completed=%d, want %d each", posted, completed, n)
 	}

@@ -147,36 +147,58 @@ func BenchmarkSimEngine(b *testing.B) {
 	// and TCP receiver sits in: each consumer waits with a 2 µs deadline on a
 	// channel fed every 3 µs, so waits alternately time out and receive, and
 	// the timer of every wait that received fires later as a stale no-op.
-	b.Run("get-timeout", func(b *testing.B) {
-		const nPairs = 64
-		s := New(Config{Seed: 1})
-		for i := 0; i < nPairs; i++ {
-			ch := NewChan[int](s, 0)
-			s.Spawn("producer", func(p *Proc) {
-				for {
-					p.Sleep(3 * time.Microsecond)
-					ch.Put(p, 1)
+	// The -task variant runs the consumers on the Task substrate (the TCP
+	// receive contexts of the runtime).
+	for _, task := range []bool{false, true} {
+		name := "get-timeout"
+		if task {
+			name += "-task"
+		}
+		b.Run(name, func(b *testing.B) {
+			const nPairs = 64
+			s := New(Config{Seed: 1})
+			for i := 0; i < nPairs; i++ {
+				ch := NewChan[int](s, 0)
+				s.Spawn("producer", func(p *Proc) {
+					for {
+						p.Sleep(3 * time.Microsecond)
+						ch.Put(p, 1)
+					}
+				})
+				if task {
+					s.SpawnTask("consumer", func(t *Task) {
+						var wait func(int, bool)
+						wait = func(int, bool) {
+							for {
+								if _, _, inline := ch.GetTimeoutT(t, 2*time.Microsecond, wait); !inline {
+									return
+								}
+							}
+						}
+						wait(0, false)
+					})
+					continue
 				}
-			})
-			s.Spawn("consumer", func(p *Proc) {
-				for {
-					ch.GetTimeout(p, 2*time.Microsecond)
-				}
-			})
-		}
-		s.RunUntil(s.Now().Add(10 * time.Microsecond))
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := s.Executed()
-		for i := 0; i < b.N; i++ {
-			s.RunUntil(s.Now().Add(time.Microsecond))
-		}
-		b.StopTimer()
-		if b.N > 0 {
-			reportEventRate(b, int(s.Executed()-start)/b.N)
-		}
-		s.Shutdown()
-	})
+				s.Spawn("consumer", func(p *Proc) {
+					for {
+						ch.GetTimeout(p, 2*time.Microsecond)
+					}
+				})
+			}
+			s.RunUntil(s.Now().Add(10 * time.Microsecond))
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := s.Executed()
+			for i := 0; i < b.N; i++ {
+				s.RunUntil(s.Now().Add(time.Microsecond))
+			}
+			b.StopTimer()
+			if b.N > 0 {
+				reportEventRate(b, int(s.Executed()-start)/b.N)
+			}
+			s.Shutdown()
+		})
+	}
 
 	// echo is the batched hot path: each client bursts a window of requests
 	// as same-instant delivery callbacks (the shape of fabric/NIC delivery

@@ -371,6 +371,15 @@ type Proc struct {
 	resume chan struct{}
 	killed bool
 	done   bool
+
+	// bridge runs the process's task-form operations (see Await), created
+	// on first use; doneK is the pre-bound completion Await hands them.
+	// awaited marks the pending operation complete, parked that the process
+	// is blocked waiting for it.
+	bridge  *Task
+	doneK   func()
+	awaited bool
+	parked  bool
 }
 
 // Name returns the process name given at Spawn time.
@@ -521,12 +530,14 @@ type waiter[T any] struct {
 	t   *Task // task waiter: the task whose continuation the wake runs
 	val T     // value being delivered (getter: filled by putter; putter: value to enqueue)
 	ok  bool  // set when the rendezvous happened
-	// kv/kn are the task-side continuations: kv receives the delivered
-	// value (getter), kn resumes a parked putter. wake is the node's
-	// reusable event thunk, bound once per node (see getTaskWaiter) and
-	// kept across the free list so steady-state parking allocates nothing.
+	// kv/kn/kto are the task-side continuations: kv receives the delivered
+	// value (getter), kn resumes a parked putter, kto ends a GetTimeoutT
+	// wait either way. wake is the node's reusable event thunk, bound once
+	// per node (see getTaskWaiter) and kept across the free list so
+	// steady-state parking allocates nothing.
 	kv   func(T)
 	kn   func()
+	kto  func(v T, ok bool)
 	wake func()
 	// gen guards recycled waiters against stale timeout events: it is
 	// bumped when the waiter returns to the free list, so a pending timer
@@ -553,7 +564,7 @@ func (c *Chan[T]) getWaiter(p *Proc) *waiter[T] {
 // expire thunks survive recycling (they are bound to the node, not the wait).
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
-	w.p, w.t, w.kv, w.kn, w.val, w.ok, w.timedOut = nil, nil, nil, nil, zero, false, false
+	w.p, w.t, w.kv, w.kn, w.kto, w.val, w.ok, w.timedOut = nil, nil, nil, nil, nil, zero, false, false
 	w.gen++
 	c.free = append(c.free, w)
 }
@@ -763,10 +774,7 @@ func (c *Chan[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 	}
 	w := c.getWaiter(p)
 	c.getters.push(w)
-	if w.expire == nil {
-		w.expire = func(gen uint64) { c.expireWait(w, gen) }
-	}
-	c.sim.timeout(d, w.gen, w.expire)
+	c.armTimeout(w, d)
 	defer func() {
 		if !w.ok && !w.timedOut {
 			c.getters.remove(w)
@@ -780,16 +788,34 @@ func (c *Chan[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 	return w.val, true
 }
 
-// expireWait is the body of a GetTimeout timer armed at generation gen: it
-// times the wait out and resumes the getter inside the timer event, unless
-// the wait already resolved.
+// armTimeout schedules the timeout of w's wait d from now.
+func (c *Chan[T]) armTimeout(w *waiter[T], d time.Duration) {
+	if w.expire == nil {
+		w.expire = func(gen uint64) { c.expireWait(w, gen) }
+	}
+	c.sim.timeout(d, w.gen, w.expire)
+}
+
+// expireWait is the body of a GetTimeout[T] timer armed at generation gen:
+// unless the wait already resolved, it times the wait out inside the timer
+// event — a Proc getter resumes, a Task getter runs its continuation with
+// ok=false.
 func (c *Chan[T]) expireWait(w *waiter[T], gen uint64) {
 	if w.gen != gen || w.ok || w.timedOut {
 		return
 	}
 	w.timedOut = true
 	c.getters.remove(w)
-	c.sim.step(w.p)
+	if w.p != nil {
+		c.sim.step(w.p)
+		return
+	}
+	t, k := w.t, w.kto
+	c.putWaiter(w)
+	t.parkedOn = nil
+	var zero T
+	k(zero, false)
+	t.maybeFinish()
 }
 
 // timer is one pending wait timeout. Records recycle through the

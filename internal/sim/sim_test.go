@@ -219,30 +219,43 @@ func TestChanGetTimeout(t *testing.T) {
 
 // A GetTimeout that receives before its deadline leaves its timer pending;
 // when that stale timer fires during the getter's next wait it must not end
-// that wait.
+// that wait — on either substrate.
 func TestChanGetTimeoutStaleTimer(t *testing.T) {
-	s := New(Config{})
-	ch := NewChan[int](s, 0)
-	var v1, v2 int
-	var ok1, ok2 bool
-	var at2 Time
-	s.Spawn("consumer", func(p *Proc) {
-		v1, ok1 = ch.GetTimeout(p, 10*time.Microsecond)
-		v2, ok2 = ch.GetTimeout(p, 50*time.Microsecond)
-		at2 = p.Now()
-	})
-	s.Spawn("producer", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		ch.Put(p, 1)
-		p.Sleep(19 * time.Microsecond)
-		ch.Put(p, 2)
-	})
-	s.Run()
-	if !ok1 || v1 != 1 || !ok2 || v2 != 2 {
-		t.Fatalf("got (%d,%v) then (%d,%v), want (1,true) then (2,true)", v1, ok1, v2, ok2)
-	}
-	if at2 != Time(20*time.Microsecond) {
-		t.Fatalf("second wait ended at %v, want 20µs (the stale 10µs timer must not end it)", at2)
+	for _, task := range []bool{false, true} {
+		s := New(Config{})
+		ch := NewChan[int](s, 0)
+		var v1, v2 int
+		var ok1, ok2 bool
+		var at2 Time
+		if task {
+			s.SpawnTask("consumer", func(tk *Task) {
+				second := func(v int, ok bool) { v2, ok2, at2 = v, ok, tk.Now() }
+				first := func(v int, ok bool) {
+					v1, ok1 = v, ok
+					ch.GetTimeoutT(tk, 50*time.Microsecond, second)
+				}
+				ch.GetTimeoutT(tk, 10*time.Microsecond, first)
+			})
+		} else {
+			s.Spawn("consumer", func(p *Proc) {
+				v1, ok1 = ch.GetTimeout(p, 10*time.Microsecond)
+				v2, ok2 = ch.GetTimeout(p, 50*time.Microsecond)
+				at2 = p.Now()
+			})
+		}
+		s.Spawn("producer", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			ch.Put(p, 1)
+			p.Sleep(19 * time.Microsecond)
+			ch.Put(p, 2)
+		})
+		s.Run()
+		if !ok1 || v1 != 1 || !ok2 || v2 != 2 {
+			t.Fatalf("task=%v: got (%d,%v) then (%d,%v), want (1,true) then (2,true)", task, v1, ok1, v2, ok2)
+		}
+		if at2 != Time(20*time.Microsecond) {
+			t.Fatalf("task=%v: second wait ended at %v, want 20µs (the stale 10µs timer must not end it)", task, at2)
+		}
 	}
 }
 

@@ -69,6 +69,10 @@ type Task struct {
 	// delivers fired=false), so a timed gate wait allocates nothing.
 	gateK     func(fired bool)
 	gateFired func()
+
+	// proc is set on a Proc's bridge task (see Proc.Await), which lives as
+	// long as its process and is never retired on its own.
+	proc *Proc
 }
 
 // unparker is implemented by blocking primitives that hold task waiter
@@ -115,7 +119,7 @@ func (t *Task) activate() {
 
 // maybeFinish retires the task once no continuation or waiter is pending.
 func (t *Task) maybeFinish() {
-	if !t.done && t.k == nil && t.parkedOn == nil {
+	if !t.done && t.proc == nil && t.k == nil && t.parkedOn == nil {
 		t.done = true
 		t.sim.nprocs--
 	}
@@ -169,6 +173,44 @@ func (t *Task) kill() {
 }
 
 // ---------------------------------------------------------------------------
+// Bridging coroutine Procs onto task-form operations
+
+// Await runs one task-form operation from coroutine process p, so each
+// operation needs only its continuation-passing body. start issues the
+// operation on p's bridge task and arranges for done to run as (or from)
+// its continuation. A continuation that runs inline returns Await without
+// yielding; otherwise p blocks and resumes inside the event that runs the
+// continuation, the way a Chan.GetTimeout expiry resumes its getter. A
+// bridged call therefore consumes exactly the scheduler slots of the task
+// form, which the seq-parity contract makes equal to a Proc-native body.
+// Like any blocking call, Await unwinds a killed p when it resumes.
+func (p *Proc) Await(start func(t *Task, done func())) {
+	t := p.bridge
+	if t == nil {
+		t = &Task{sim: p.sim, name: p.name, proc: p}
+		t.runEv = t.activate
+		p.bridge, p.doneK = t, p.awaitDone
+	}
+	p.awaited = false
+	start(t, p.doneK)
+	if p.awaited {
+		return
+	}
+	p.parked = true
+	p.block()
+}
+
+// awaitDone completes the pending Await, resuming p inside the current event
+// if it is blocked there.
+func (p *Proc) awaitDone() {
+	p.awaited = true
+	if p.parked {
+		p.parked = false
+		p.sim.step(p)
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Channel operations in continuation-passing form
 
 // getTaskWaiter takes a waiter node for a task, lazily binding its reusable
@@ -187,15 +229,18 @@ func (c *Chan[T]) getTaskWaiter(t *Task) *waiter[T] {
 // the waiter node, then runs the recorded continuation with the delivered
 // value (getter) or none (putter).
 func (c *Chan[T]) wakeTask(w *waiter[T]) {
-	t, kv, kn, v := w.t, w.kv, w.kn, w.val
+	t, kv, kn, kto, v := w.t, w.kv, w.kn, w.kto, w.val
 	c.putWaiter(w)
 	if t.killed || t.done {
 		return
 	}
 	t.parkedOn = nil
-	if kv != nil {
+	switch {
+	case kv != nil:
 		kv(v)
-	} else if kn != nil {
+	case kto != nil:
+		kto(v, true)
+	case kn != nil:
 		kn()
 	}
 	t.maybeFinish()
@@ -217,6 +262,26 @@ func (c *Chan[T]) GetT(t *Task, fn func(v T)) (T, bool) {
 	t.park(c, nil)
 	var zero T
 	return zero, false
+}
+
+// GetTimeoutT is GetTimeout for tasks. It returns inline (inline=true, k
+// never runs) when a value is buffered (ok=true) or d <= 0 (ok=false).
+// Otherwise t parks and k runs from whichever comes first: the putter's
+// hand-off event (ok=true) or the timeout event (ok=false), exactly where a
+// Proc's GetTimeout would resume.
+func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v T, ok, inline bool) {
+	if v, ok := c.TryGet(); ok {
+		return v, true, true
+	}
+	if d <= 0 {
+		return v, false, true
+	}
+	w := c.getTaskWaiter(t)
+	w.kto = k
+	c.getters.push(w)
+	t.park(c, nil)
+	c.armTimeout(w, d)
+	return v, false, false
 }
 
 // GetBatchT is GetBatch for tasks: inline when a value is immediately

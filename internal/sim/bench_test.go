@@ -347,6 +347,22 @@ func BenchmarkSimEngine(b *testing.B) {
 	})
 }
 
+// BenchmarkSpawn measures the life of one short coroutine Proc: Spawn, its
+// start event, and its exit. It sits outside BenchmarkSimEngine because a
+// spawn allocates (the Proc and its coroutine), while every engine primitive
+// must stay at 0 allocs/op.
+func BenchmarkSpawn(b *testing.B) {
+	s := New(Config{Seed: 1})
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Spawn("short", body)
+		s.RunUntil(s.Now())
+	}
+	b.StopTimer()
+	s.Shutdown()
+}
+
 // reportEventRate converts per-iteration event counts into events/sec.
 func reportEventRate(b *testing.B, eventsPerOp int) {
 	if b.Elapsed() > 0 {

@@ -8,8 +8,9 @@ import (
 
 // TestShutdownReleasesGoroutines verifies Shutdown unwinds every process
 // goroutine regardless of what it is blocked on: timers, empty channels,
-// full channels, exhausted resources, signals, and gates. Each process
-// goroutine must exit, returning runtime.NumGoroutine() to its baseline.
+// full channels, exhausted resources, signals, and gates, or whether it was
+// ever stepped at all. Each process goroutine must exit, returning
+// runtime.NumGoroutine() to its baseline.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	baseline := countGoroutinesSettled()
 
@@ -37,6 +38,10 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	}
 	// Let every process reach its blocking point.
 	s.RunUntil(s.Now().Add(time.Millisecond))
+	// Spawned after the run: Shutdown is the first to step these.
+	for i := 0; i < 8; i++ {
+		s.Spawn("never-stepped", func(p *Proc) { p.Sleep(time.Hour) })
+	}
 	if live := s.Live(); live == 0 {
 		t.Fatal("expected live processes before Shutdown")
 	}

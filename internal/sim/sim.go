@@ -5,12 +5,12 @@
 // two process substrates that coexist on the same heap and interoperate
 // freely:
 //
-//   - Coroutine Procs (Spawn): each process is a goroutine, but the
-//     scheduler guarantees that at most one goroutine belonging to a
-//     simulation runs at any instant, handing control back and forth
-//     explicitly through the per-proc resume channel and the shared yield
-//     channel. Natural straight-line code; two channel operations and a
-//     goroutine switch per scheduler step.
+//   - Coroutine Procs (Spawn): each process is a runtime coroutine
+//     (iter.Pull), so at most one goroutine belonging to a simulation runs
+//     at any instant: the scheduler resumes a process with a direct
+//     goroutine switch, and the process switches straight back when it
+//     blocks. Natural straight-line code; two goroutine switches, and no
+//     channel operation or scheduler round trip, per scheduler step.
 //   - Run-to-completion Tasks (SpawnTask, see task.go): state-machine
 //     processes whose continuations the scheduler calls inline in its event
 //     loop — zero goroutine switches, zero channel operations per step.
@@ -112,11 +112,6 @@ type Sim struct {
 	onShutdown []func()
 	shutdown   bool
 
-	// yield is signalled by the currently running coroutine process when it
-	// blocks or exits, returning control to the scheduler. Tasks never touch
-	// it: their continuations run inline in the event loop.
-	yield chan struct{}
-
 	// order lists spawned processes and tasks in spawn order (lazily
 	// compacted), so Shutdown unwinds them deterministically regardless of
 	// substrate.
@@ -164,10 +159,7 @@ func (s *Sim) addRunner(r runner) {
 
 // New creates an empty simulation at time zero.
 func New(cfg Config) *Sim {
-	return &Sim{
-		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
-		yield: make(chan struct{}, 1),
-	}
+	return &Sim{rng: rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))}
 }
 
 // Now returns the current virtual time.
@@ -362,13 +354,16 @@ func (s *Sim) Pending() int { return len(s.events) + len(s.iq) - s.iqHead }
 // ---------------------------------------------------------------------------
 // Processes
 
-// Proc is a simulated process: a goroutine that runs under the simulation
+// Proc is a simulated process: a coroutine that runs under the simulation
 // scheduler. All blocking methods (Sleep, Chan.Get, Resource.Acquire, ...)
 // take the Proc so that control can be handed back to the scheduler.
 type Proc struct {
-	sim    *Sim
-	name   string
-	resume chan struct{}
+	sim  *Sim
+	name string
+	// next resumes the coroutine until it blocks or exits; yield, called
+	// from inside it, switches back to whoever called next (see Spawn).
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
 	killed bool
 	done   bool
 
@@ -396,34 +391,7 @@ type killedErr struct{ name string }
 
 func (k killedErr) Error() string { return "sim: process " + k.name + " killed" }
 
-// Spawn starts fn as a new process at the current virtual time. The process
-// begins executing when the scheduler reaches its start event.
-func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{}, 1)}
-	s.addRunner(runner{p: p})
-	go func() {
-		<-p.resume
-		defer func() {
-			p.done = true
-			s.nprocs--
-			if r := recover(); r != nil {
-				if _, ok := r.(killedErr); ok {
-					s.yield <- struct{}{}
-					return
-				}
-				// Re-panic on the scheduler side would deadlock; print and
-				// crash the whole program instead, preserving the trace.
-				panic(r)
-			}
-			s.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	s.atStep(s.now, p)
-	return p
-}
-
-// step transfers control to p and blocks until p yields or exits.
+// step transfers control to p and returns once p blocks or exits.
 func (s *Sim) step(p *Proc) {
 	if p.done {
 		return
@@ -431,14 +399,15 @@ func (s *Sim) step(p *Proc) {
 	if s.stopping {
 		p.killed = true
 	}
-	p.resume <- struct{}{}
-	<-s.yield
+	p.next()
 }
 
-// block suspends the calling process until the scheduler resumes it.
+// block suspends the calling process until the scheduler resumes it. Once
+// Shutdown has begun nothing will resume it, so it unwinds at once.
 func (p *Proc) block() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	if !p.sim.stopping {
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(killedErr{p.name})
 	}
@@ -889,7 +858,15 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p})
+	w := resWaiter{p: p}
+	r.waiters = append(r.waiters, w)
+	defer func() {
+		if p.killed && !r.remove(w) {
+			// Unwound by Kill after Release handed this waiter the unit:
+			// pass it on rather than leak it.
+			r.Release()
+		}
+	}()
 	p.block()
 }
 
@@ -931,6 +908,23 @@ func (r *Resource) Release() {
 		panic("sim: Release without Acquire")
 	}
 	r.inUse--
+}
+
+// remove deletes w from the wait queue (Kill path), reporting whether it was
+// still waiting there, i.e. had not been granted a unit.
+func (r *Resource) remove(w resWaiter) bool {
+	for i := r.wHead; i < len(r.waiters); i++ {
+		if r.waiters[i] == w {
+			copy(r.waiters[i:], r.waiters[i+1:])
+			r.waiters[len(r.waiters)-1] = resWaiter{}
+			r.waiters = r.waiters[:len(r.waiters)-1]
+			if r.wHead == len(r.waiters) {
+				r.waiters, r.wHead = r.waiters[:0], 0
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // InUse reports the number of currently held units.

@@ -331,6 +331,51 @@ func TestResourceParallelism(t *testing.T) {
 	}
 }
 
+// TestResourceKilledWaiterLeavesNoUnit: a Proc that unwinds from Acquire
+// gives the resource back what its wait took. Killed mid-run, it unwinds only
+// when Release hands it the unit, which must pass on to the next acquirer;
+// shut down while still queued, its queue entry must go.
+func TestResourceKilledWaiterLeavesNoUnit(t *testing.T) {
+	t.Run("killed", func(t *testing.T) {
+		s := New(Config{})
+		r := NewResource(s, 1)
+		s.Spawn("holder", func(p *Proc) { r.With(p, 2*time.Microsecond, nil) })
+		victim := s.Spawn("victim", func(p *Proc) {
+			r.With(p, time.Microsecond, nil)
+			t.Error("killed victim acquired the resource")
+		})
+		finished := Time(-1)
+		s.Spawn("later", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			r.With(p, time.Microsecond, nil)
+			finished = p.Now()
+		})
+		s.After(time.Microsecond, victim.Kill)
+		s.Run()
+		if finished != Time(3*time.Microsecond) {
+			t.Fatalf("later acquirer finished at %v, want 3µs (inUse=%d waiting=%d)", finished, r.InUse(), r.Waiting())
+		}
+		if r.InUse() != 0 || r.Waiting() != 0 || s.Live() != 0 {
+			t.Fatalf("inUse=%d waiting=%d live=%d, want all 0", r.InUse(), r.Waiting(), s.Live())
+		}
+	})
+	t.Run("shut down while queued", func(t *testing.T) {
+		s := New(Config{})
+		r := NewResource(s, 1)
+		// Spawned first, so Shutdown unwinds it before the holder releases.
+		s.Spawn("victim", func(p *Proc) { p.Yield(); r.Acquire(p) })
+		s.Spawn("holder", func(p *Proc) { r.With(p, time.Hour, nil) })
+		s.RunUntil(Time(time.Microsecond))
+		if r.Waiting() != 1 {
+			t.Fatalf("waiting = %d before Shutdown, want 1", r.Waiting())
+		}
+		s.Shutdown()
+		if r.InUse() != 0 || r.Waiting() != 0 {
+			t.Fatalf("inUse=%d waiting=%d after Shutdown, want 0 and 0", r.InUse(), r.Waiting())
+		}
+	})
+}
+
 func TestSignalBroadcast(t *testing.T) {
 	s := New(Config{})
 	sg := NewSignal(s)

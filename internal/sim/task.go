@@ -1,12 +1,12 @@
 // Run-to-completion tasks: the simulator's second process substrate.
 //
 // A Task is a state-machine process the scheduler executes inline in its
-// event loop — no goroutine, no resume/yield channel rendezvous. Where a
-// coroutine Proc blocks by parking its goroutine, a Task *returns*, leaving a
-// continuation (a plain func) that the waking event invokes directly. The
-// price is continuation-passing style at every blocking point; the payoff is
-// that a scheduler step costs a function call instead of two channel
-// operations and an OS-level goroutine switch.
+// event loop — no goroutine, no coroutine switch. Where a coroutine Proc
+// blocks by switching back to the scheduler's goroutine, a Task *returns*,
+// leaving a continuation (a plain func) that the waking event invokes
+// directly. The price is continuation-passing style at every blocking point;
+// the payoff is that a scheduler step costs a function call instead of two
+// goroutine switches.
 //
 // Tasks and Procs coexist on the same event heap, virtual clock, channels,
 // gates, and resources, and interoperate freely: a Task can park on a Chan a
@@ -430,19 +430,7 @@ func (f *resFrame) done() {
 }
 
 // unparkTask removes t's wait-queue entry (Kill path).
-func (r *Resource) unparkTask(t *Task) {
-	for i := r.wHead; i < len(r.waiters); i++ {
-		if r.waiters[i].t == t {
-			copy(r.waiters[i:], r.waiters[i+1:])
-			r.waiters[len(r.waiters)-1] = resWaiter{}
-			r.waiters = r.waiters[:len(r.waiters)-1]
-			if r.wHead == len(r.waiters) {
-				r.waiters, r.wHead = r.waiters[:0], 0
-			}
-			return
-		}
-	}
-}
+func (r *Resource) unparkTask(t *Task) { r.remove(resWaiter{t: t}) }
 
 // ---------------------------------------------------------------------------
 // Gate operations in continuation-passing form

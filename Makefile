@@ -21,9 +21,10 @@ bench:
 # Statistical comparison of the scheduler benchmarks against a recorded
 # baseline, using the bundled dependency-free comparator (cmd/benchcmp —
 # benchstat needs network access to install, this repo builds offline).
-# Override BASELINE to diff against a different recording, e.g.:
-#   make bench-compare BASELINE=bench/pr7.txt
-BASELINE ?= bench/baseline_pr6.txt
+# Rows present in both files are compared. Override BASELINE to diff against
+# a different recording, e.g.:
+#   make bench-compare BASELINE=old.txt
+BASELINE ?= bench/sim_engine.txt
 bench-compare:
 	$(GO) test -run '^$$' -bench BenchmarkSimEngine -benchmem -count=10 ./internal/sim/ | tee bench_new.txt
 	$(GO) run ./cmd/benchcmp $(BASELINE) bench_new.txt -json bench/benchcmp.json

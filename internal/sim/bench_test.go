@@ -145,68 +145,96 @@ func BenchmarkSimEngine(b *testing.B) {
 
 	// get-timeout is the receive-with-deadline path every retrying client
 	// and TCP receiver sits in: each consumer waits with a 2 µs deadline on a
-	// channel fed every 3 µs, so waits alternately time out and receive, and
-	// the timer of every wait that received fires later as a stale no-op.
-	// The -task variant runs the consumers on the Task substrate (the TCP
-	// receive contexts of the runtime).
-	for _, task := range []bool{false, true} {
-		name := "get-timeout"
-		if task {
-			name += "-task"
-		}
-		b.Run(name, func(b *testing.B) {
-			const nPairs = 64
-			s := New(Config{Seed: 1})
-			for i := 0; i < nPairs; i++ {
-				ch := NewChan[int](s, 0)
-				s.Spawn("producer", func(p *Proc) {
-					for {
-						p.Sleep(3 * time.Microsecond)
-						ch.Put(p, 1)
-					}
-				})
-				if task {
-					s.SpawnTask("consumer", func(t *Task) {
-						var wait func(int, bool)
-						wait = func(int, bool) {
+	// channel its own producer feeds every 3 µs, so waits alternately time
+	// out and receive, and the timer of every wait that received fires later
+	// as a stale no-op. stale-timeouts is the shape of a loaded deployment's
+	// receive timeouts: each consumer waits with a 1 ms deadline on a channel
+	// one producer feeds every 1 µs, so every wait receives and leaves a dead
+	// timer behind, ~64 k of them pending at once. Runs settle for two
+	// deadlines, so the event queues have reached their full size before
+	// timing starts. The -task variants run the consumers on the Task
+	// substrate (the TCP receive contexts of the runtime).
+	for _, c := range []struct {
+		name             string
+		deadline, period time.Duration
+		oneProducer      bool
+	}{
+		{"get-timeout", 2 * time.Microsecond, 3 * time.Microsecond, false},
+		{"stale-timeouts", time.Millisecond, time.Microsecond, true},
+	} {
+		for _, task := range []bool{false, true} {
+			name := c.name
+			if task {
+				name += "-task"
+			}
+			b.Run(name, func(b *testing.B) {
+				const nPairs = 64
+				s := New(Config{Seed: 1})
+				chans := make([]*Chan[int], nPairs)
+				for i := range chans {
+					ch := NewChan[int](s, 0)
+					chans[i] = ch
+					if !c.oneProducer {
+						s.Spawn("producer", func(p *Proc) {
 							for {
-								if _, _, inline := ch.GetTimeoutT(t, 2*time.Microsecond, wait); !inline {
-									return
+								p.Sleep(c.period)
+								ch.Put(p, 1)
+							}
+						})
+					}
+					if task {
+						s.SpawnTask("consumer", func(t *Task) {
+							var wait func(int, bool)
+							wait = func(int, bool) {
+								for {
+									if _, _, inline := ch.GetTimeoutT(t, c.deadline, wait); !inline {
+										return
+									}
 								}
 							}
-						}
-						wait(0, false)
-					})
-					continue
-				}
-				s.Spawn("consumer", func(p *Proc) {
-					for {
-						ch.GetTimeout(p, 2*time.Microsecond)
+							wait(0, false)
+						})
+						continue
 					}
-				})
-			}
-			s.RunUntil(s.Now().Add(10 * time.Microsecond))
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := s.Executed()
-			for i := 0; i < b.N; i++ {
-				s.RunUntil(s.Now().Add(time.Microsecond))
-			}
-			b.StopTimer()
-			if b.N > 0 {
-				reportEventRate(b, int(s.Executed()-start)/b.N)
-			}
-			s.Shutdown()
-		})
+					s.Spawn("consumer", func(p *Proc) {
+						for {
+							ch.GetTimeout(p, c.deadline)
+						}
+					})
+				}
+				if c.oneProducer {
+					s.Spawn("producer", func(p *Proc) {
+						for {
+							p.Sleep(c.period)
+							for _, ch := range chans {
+								ch.Put(p, 1)
+							}
+						}
+					})
+				}
+				s.RunUntil(s.Now().Add(max(10*time.Microsecond, 2*c.deadline)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := s.Executed()
+				for i := 0; i < b.N; i++ {
+					s.RunUntil(s.Now().Add(time.Microsecond))
+				}
+				b.StopTimer()
+				if b.N > 0 {
+					reportEventRate(b, int(s.Executed()-start)/b.N)
+				}
+				s.Shutdown()
+			})
+		}
 	}
 
 	// echo is the batched hot path: each client bursts a window of requests
 	// as same-instant delivery callbacks (the shape of fabric/NIC delivery
 	// events), the server drains the whole run with one GetBatch wakeup and
 	// echoes it back the same way. The same-timestamp burst rides the
-	// scheduler's FIFO fast path (O(1) per event instead of O(log n) heap
-	// ops) and amortizes one goroutine handoff over the run — the two
-	// mechanisms the end-to-end batching work (BatchConfig) leans on.
+	// scheduler's same-instant FIFO (O(1) per event) and amortizes one
+	// goroutine handoff over the run — the two mechanisms the end-to-end
+	// batching work (BatchConfig) leans on.
 	// events/sec here is computed from the engine's actual executed-event
 	// counter, not a nominal per-cycle estimate.
 	b.Run("echo", func(b *testing.B) {

@@ -8,7 +8,7 @@ import (
 
 // TestShutdownReleasesGoroutines verifies Shutdown unwinds every process
 // goroutine regardless of what it is blocked on: timers, empty channels,
-// full channels, exhausted resources, signals, and gates, or whether it was
+// full channels, exhausted resources, and gates, or whether it was
 // ever stepped at all. Each process goroutine must exit, returning
 // runtime.NumGoroutine() to its baseline.
 func TestShutdownReleasesGoroutines(t *testing.T) {
@@ -18,7 +18,6 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	emptyCh := NewChan[int](s, 0)
 	fullCh := NewChan[int](s, 1)
 	res := NewResource(s, 1)
-	sig := NewSignal(s)
 	gate := NewGate(s)
 
 	for i := 0; i < 8; i++ {
@@ -32,7 +31,6 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			res.Acquire(p)
 			p.Sleep(time.Hour)
 		})
-		s.Spawn("signaled", func(p *Proc) { sig.Wait(p) })
 		s.Spawn("gated", func(p *Proc) { gate.Wait(p, gate.Version()) })
 		s.Spawn("gated-timeout", func(p *Proc) { gate.WaitTimeout(p, gate.Version(), time.Hour) })
 	}

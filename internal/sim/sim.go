@@ -2,8 +2,8 @@
 //
 // The simulator advances a virtual clock by executing events in
 // (timestamp, sequence-number) order. On top of the raw event loop it offers
-// two process substrates that coexist on the same heap and interoperate
-// freely:
+// two process substrates that coexist on the same event queues and
+// interoperate freely:
 //
 //   - Coroutine Procs (Spawn): each process is a runtime coroutine
 //     (iter.Pull), so at most one goroutine belonging to a simulation runs
@@ -22,13 +22,17 @@
 // ported between them leaves simulation output byte-identical. Together with
 // the seeded random source this makes every simulation bit-reproducible.
 //
-// The event loop is built for throughput: events are plain values in an
-// inlined 4-ary min-heap (no container/heap interface boxing, no per-event
-// allocation), resuming a blocked Proc schedules a direct proc-step event
-// instead of a closure, waking a Task schedules its one pre-bound activation
-// thunk, and the waiter nodes of channels and gates recycle through free
-// lists. Steady-state scheduling therefore allocates nothing on either
-// substrate.
+// The event loop is built for throughput. Events are plain values (no
+// container/heap interface boxing, no per-event allocation) in three queues:
+// a FIFO of events at the current instant, an in-order FIFO lane that takes
+// every later event scheduled no earlier than the lane's tail — the runs of
+// equal-duration sleeps and wait timeouts, most of which are stale by the
+// time they fire — and an inlined 4-ary min-heap holding only the short,
+// out-of-order remainder. Resuming a blocked Proc schedules a direct
+// proc-step event instead of a closure, waking a Task schedules its one
+// pre-bound activation thunk, and the waiter nodes of channels and gates
+// recycle through free lists. Steady-state scheduling therefore allocates
+// nothing on either substrate.
 //
 // Typical usage:
 //
@@ -81,26 +85,29 @@ type Sim struct {
 
 	// iq is the same-instant fast path: events scheduled at exactly the
 	// current timestamp — Proc resume steps, Task activations, and plain
-	// callbacks alike — land in this flat FIFO instead of the heap, so a
-	// k-event burst of immediate handoffs (channel rendezvous, gate fires,
-	// resource releases) costs O(k) appends and pops rather than O(k log n)
-	// heap operations. Entries always satisfy at == now and carry strictly
-	// increasing seq values greater than any same-timestamp heap entry, so
-	// draining iq in FIFO order — after any older heap events at the same
-	// instant — preserves the exact (at, seq) total order of a pure heap:
-	// results are byte-identical. Same-instant events from the two process
-	// substrates have no tie-break of their own: a Task activation and a
-	// Proc step at the same timestamp run purely in seq order, i.e. the
-	// order their wakes were scheduled. iqHead indexes the next entry; the
-	// slice resets (keeping capacity) whenever it fully drains, which
-	// happens before the clock can advance.
-	iq     []event
-	iqHead int
+	// callbacks alike — land in this FIFO instead of the lane or the heap,
+	// so a k-event burst of immediate handoffs (channel rendezvous, gate
+	// fires, resource releases) costs O(k) pushes and pops. Entries always
+	// satisfy at == now and carry seq values greater than any queued event
+	// at the same instant, so iq is (at, seq)-sorted. Same-instant events
+	// from the two process substrates have no tie-break of their own: a
+	// Task activation and a Proc step at the same timestamp run purely in
+	// seq order, i.e. the order their wakes were scheduled.
+	iq fifo
+
+	// lane takes every later event whose time is no earlier than the
+	// lane's tail; the rest go to the heap. seq only grows, so the lane is
+	// (at, seq)-sorted too, and every wait timeout armed with one duration
+	// rides it in time order, keeping the thousands of stale timers a busy
+	// deployment leaves pending out of the heap. The loop runs the least of
+	// the three heads, which is exactly the (at, seq) order of one heap:
+	// results are byte-identical.
+	lane fifo
 
 	executed uint64
 
 	// timeRegressions counts events that executed with a timestamp earlier
-	// than the clock — impossible in a correct heap, so any non-zero value
+	// than the clock — impossible with correct queues, so any non-zero value
 	// is an ordering bug. Maintained unconditionally: it is one branch per
 	// event, and the invariant layer (internal/check) asserts it is zero.
 	timeRegressions uint64
@@ -172,7 +179,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Executed() uint64 { return s.executed }
 
 // TimeRegressions reports how many events ran with a timestamp before the
-// clock. Always zero unless the event heap's total order is broken.
+// clock. Always zero unless the event queues' total order is broken.
 func (s *Sim) TimeRegressions() uint64 { return s.timeRegressions }
 
 // OnShutdown registers fn to run once during Shutdown, after all processes
@@ -183,8 +190,8 @@ func (s *Sim) OnShutdown(fn func()) { s.onShutdown = append(s.onShutdown, fn) }
 // event is one scheduled entry. Resuming a blocked coroutine process stores
 // the process directly; task activations, channel wake thunks and wait
 // timeouts carry a pre-bound func; only irregular callbacks (user events)
-// carry a fresh closure. Events are heap values, never allocated
-// individually.
+// carry a fresh closure. Events are stored by value in the queues, never
+// allocated individually.
 type event struct {
 	at   Time
 	seq  uint64
@@ -193,7 +200,7 @@ type event struct {
 }
 
 // eventLess orders events by (timestamp, sequence): the unique total order
-// that makes runs bit-reproducible regardless of heap shape.
+// that makes runs bit-reproducible regardless of which queue holds an event.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -251,86 +258,150 @@ func (s *Sim) popMin() event {
 	return min
 }
 
+// fifo is a ring buffer of events, popped in push order. It grows only when
+// full, unwrapping into a larger array sized by append's growth policy, so a
+// warm fifo allocates nothing.
+type fifo struct {
+	buf  []event // len(buf) == cap(buf) is the ring's capacity
+	head int     // index of the oldest entry
+	n    int     // number of entries
+}
+
+// front returns the oldest entry; back returns the newest. Both require
+// q.n > 0.
+func (q *fifo) front() *event { return &q.buf[q.head] }
+
+func (q *fifo) back() *event {
+	i := q.head + q.n - 1
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
+func (q *fifo) push(e event) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = e
+	q.n++
+}
+
+func (q *fifo) pop() event {
+	e := q.buf[q.head]
+	q.buf[q.head] = event{} // release proc/closure references
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return e
+}
+
+// grow moves the full ring into a larger array, oldest entry first.
+func (q *fifo) grow() {
+	n := len(q.buf)
+	buf := append(q.buf, event{}) // a new array: the ring is full
+	buf = buf[:cap(buf)]
+	copy(buf, q.buf[q.head:])
+	copy(buf[n-q.head:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+// enqueue gives e the next sequence number and queues it: on iq at the
+// current instant, on the lane at or after the lane's tail, and on the heap
+// otherwise.
+func (s *Sim) enqueue(e event) {
+	s.seq++
+	e.seq = s.seq
+	switch {
+	case e.at == s.now:
+		s.iq.push(e)
+	case s.lane.n == 0 || e.at >= s.lane.back().at:
+		s.lane.push(e)
+	default:
+		s.push(e)
+	}
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a logic error in a discrete-event model.
 func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	s.seq++
-	if t == s.now {
-		s.iq = append(s.iq, event{at: t, seq: s.seq, fn: fn})
-		return
-	}
-	s.push(event{at: t, seq: s.seq, fn: fn})
+	s.enqueue(event{at: t, fn: fn})
 }
 
 // atStep schedules a resume of p at t — the allocation-free fast path used
 // by every Proc-blocking primitive in this package.
-func (s *Sim) atStep(t Time, p *Proc) {
-	s.seq++
-	if t == s.now {
-		s.iq = append(s.iq, event{at: t, seq: s.seq, proc: p})
-		return
-	}
-	s.push(event{at: t, seq: s.seq, proc: p})
-}
+func (s *Sim) atStep(t Time, p *Proc) { s.enqueue(event{at: t, proc: p}) }
 
 // atFn schedules fn at t — the internal hand-off path for task activations
 // and waiter wake thunks. These are pre-bound funcs, so this path is as
 // allocation-free as atStep; it skips At's past-check because callers always
 // schedule at or after now.
-func (s *Sim) atFn(t Time, fn func()) {
-	s.seq++
-	if t == s.now {
-		s.iq = append(s.iq, event{at: t, seq: s.seq, fn: fn})
-		return
-	}
-	s.push(event{at: t, seq: s.seq, fn: fn})
-}
+func (s *Sim) atFn(t Time, fn func()) { s.enqueue(event{at: t, fn: fn}) }
 
 // After schedules fn to run d after the current time.
 func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
-// Run executes events until the event heap is empty.
+// Run executes events until none is pending.
 func (s *Sim) Run() { s.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps <= limit, advancing the clock. It
-// returns when the heap is empty or the next event lies beyond limit; in the
-// latter case the clock is left at limit.
+// returns when no event is pending or the next one lies beyond limit; in the
+// latter case the clock is left at limit. A limit before Now() leaves the
+// clock and the pending events untouched: the clock never moves backwards.
 func (s *Sim) RunUntil(limit Time) {
+	if limit < s.now {
+		return
+	}
 	for {
-		if s.iqHead < len(s.iq) {
-			// The same-instant FIFO has work at the current timestamp. It
-			// runs next unless the heap still holds an older event — same
-			// instant, smaller seq, pushed before the clock arrived here —
-			// in which case that event must go first to preserve the global
-			// (at, seq) order.
-			if len(s.events) > 0 && eventLess(&s.events[0], &s.iq[s.iqHead]) {
-				s.runEvent(s.popMin())
-				continue
-			}
-			e := s.iq[s.iqHead]
-			s.iq[s.iqHead] = event{} // release proc/closure references
-			s.iqHead++
-			if s.iqHead == len(s.iq) {
-				s.iq = s.iq[:0]
-				s.iqHead = 0
-			}
-			s.runEvent(e)
-			continue
+		// The next event is the least of the three queue heads.
+		var next *event
+		var from *fifo // nil: the heap
+		if s.iq.n > 0 {
+			next, from = s.iq.front(), &s.iq
 		}
-		if len(s.events) == 0 {
+		if s.lane.n > 0 && (next == nil || eventLess(s.lane.front(), next)) {
+			next, from = s.lane.front(), &s.lane
+		}
+		if len(s.events) > 0 && (next == nil || eventLess(&s.events[0], next)) {
+			next, from = &s.events[0], nil
+		}
+		if next == nil {
 			break
 		}
-		if s.events[0].at > limit {
+		if next.at > limit {
 			s.now = limit
 			return
 		}
-		s.runEvent(s.popMin())
+		if from != nil {
+			s.runEvent(from.pop())
+		} else {
+			s.runEvent(s.popMin())
+		}
 	}
 	if s.now < limit && limit < Time(1<<62-1) {
 		s.now = limit
+	}
+}
+
+// RunUntilCond advances the simulation in check-sized increments until cond
+// becomes true or limit is reached. It lets tests and experiments stop as
+// soon as their workload completes instead of simulating idle polling.
+func (s *Sim) RunUntilCond(limit Time, check time.Duration, cond func() bool) {
+	for s.now < limit && !cond() {
+		next := s.now.Add(check)
+		if next > limit {
+			next = limit
+		}
+		s.RunUntil(next)
 	}
 }
 
@@ -349,7 +420,7 @@ func (s *Sim) runEvent(e event) {
 }
 
 // Pending reports the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.events) + len(s.iq) - s.iqHead }
+func (s *Sim) Pending() int { return len(s.events) + s.iq.n + s.lane.n }
 
 // ---------------------------------------------------------------------------
 // Processes
@@ -465,8 +536,7 @@ func (s *Sim) Shutdown() {
 	}
 	// Drop remaining events; their closures may reference dead procs.
 	s.events = nil
-	s.iq = nil
-	s.iqHead = 0
+	s.iq, s.lane = fifo{}, fifo{}
 	s.order = nil
 }
 
@@ -942,50 +1012,6 @@ func (r *Resource) With(p *Proc, exec time.Duration, fn func()) {
 	}
 	if fn != nil {
 		fn()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Signals
-
-// Signal is a broadcast edge-trigger: Wait blocks until the next Fire.
-type Signal struct {
-	sim     *Sim
-	waiters []*Proc
-}
-
-// NewSignal creates a signal bound to s.
-func NewSignal(s *Sim) *Signal { return &Signal{sim: s} }
-
-// Wait blocks the calling process until the next Fire.
-func (sg *Signal) Wait(p *Proc) {
-	sg.waiters = append(sg.waiters, p)
-	p.block()
-}
-
-// Fire wakes every currently blocked waiter at the current instant.
-func (sg *Signal) Fire() {
-	ws := sg.waiters
-	for i, w := range ws {
-		sg.sim.atStep(sg.sim.now, w)
-		ws[i] = nil
-	}
-	sg.waiters = ws[:0] // keep the backing array for the next round of waiters
-}
-
-// Waiting reports the number of processes blocked on the signal.
-func (sg *Signal) Waiting() int { return len(sg.waiters) }
-
-// RunUntilCond advances the simulation in check-sized increments until cond
-// becomes true or limit is reached. It lets tests and experiments stop as
-// soon as their workload completes instead of simulating idle polling.
-func (s *Sim) RunUntilCond(limit Time, check time.Duration, cond func() bool) {
-	for s.now < limit && !cond() {
-		next := s.now.Add(check)
-		if next > limit {
-			next = limit
-		}
-		s.RunUntil(next)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,6 +56,25 @@ func TestRunUntilStopsClock(t *testing.T) {
 	if !ran {
 		t.Fatal("event not run after extending limit")
 	}
+}
+
+// A limit before Now() must leave the clock and the pending events alone,
+// so nothing can be scheduled, or run, in the past.
+func TestRunUntilPastLimitKeepsClock(t *testing.T) {
+	s := New(Config{})
+	ran := false
+	s.At(Time(10*time.Microsecond), func() { ran = true })
+	s.RunUntil(Time(5 * time.Microsecond))
+	s.RunUntil(Time(time.Microsecond))
+	if s.Now() != Time(5*time.Microsecond) || s.Pending() != 1 || ran {
+		t.Fatalf("RunUntil(1µs) at 5µs: now=%v pending=%d ran=%v, want 5µs, 1, false", s.Now(), s.Pending(), ran)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("At(2µs) with the clock at 5µs did not panic")
+		}
+	}()
+	s.At(Time(2*time.Microsecond), func() {})
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
@@ -376,26 +396,6 @@ func TestResourceKilledWaiterLeavesNoUnit(t *testing.T) {
 	})
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	s := New(Config{})
-	sg := NewSignal(s)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		s.Spawn("waiter", func(p *Proc) {
-			sg.Wait(p)
-			woken++
-		})
-	}
-	s.Spawn("firer", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		sg.Fire()
-	})
-	s.Run()
-	if woken != 5 {
-		t.Fatalf("woke %d of 5", woken)
-	}
-}
-
 func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	s := New(Config{})
 	ch := NewChan[int](s, 0)
@@ -478,6 +478,95 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEventOrderDifferential checks the event queues against a stable (time,
+// scheduling order) sort on seeded schedules that events grow from inside
+// other events: same-instant bursts, short random delays, runs of one long
+// timeout (the lane's shape), and rare far outliers that push the lane's
+// tail past everything else. The driver stops RunUntil between events and
+// schedules at the new Now() after each stop. Every queue gets a large share
+// of the events, and lane heads often tie an iq head's time with a smaller
+// seq.
+func TestEventOrderDifferential(t *testing.T) {
+	const budget = 20000 // events scheduled per seed
+	type rec struct {
+		at Time
+		id int
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		s := New(Config{Seed: seed})
+		var got []rec
+		scheduled := 0
+		// A chain event is a process step: it continues its chain after a
+		// short random delay and arms zero to two wait timeouts, all with
+		// the same long duration. Any event may fire a same-instant burst.
+		var schedule func(at Time, chain bool)
+		schedule = func(at Time, chain bool) {
+			id := scheduled
+			scheduled++
+			s.At(at, func() {
+				if s.Now() != at {
+					t.Fatalf("seed %d: event %d for %v ran at %v", seed, id, at, s.Now())
+				}
+				got = append(got, rec{at, id})
+				if scheduled >= budget {
+					return
+				}
+				if rng.IntN(8) == 0 {
+					for k := 2 + rng.IntN(6); k > 0; k-- {
+						schedule(at, false)
+					}
+				}
+				if !chain {
+					return
+				}
+				schedule(at+Time(1+rng.IntN(2000)), true)
+				for k := rng.IntN(3); k > 0; k-- {
+					schedule(at+10_000, false)
+				}
+				if rng.IntN(2000) == 0 {
+					schedule(at+Time(50_000+rng.IntN(50_000)), false)
+				}
+			})
+		}
+		for i := 0; i < 16; i++ {
+			schedule(Time(rng.IntN(100)), true)
+		}
+		for s.Pending() > 0 {
+			limit := s.Now()
+			switch rng.IntN(3) {
+			case 1:
+				limit += Time(rng.IntN(5_000))
+			case 2:
+				limit += Time(rng.IntN(100_000))
+			}
+			s.RunUntil(limit)
+			if s.Now() != limit || s.TimeRegressions() != 0 || s.Pending() != scheduled-len(got) {
+				t.Fatalf("seed %d: RunUntil(%v) left now=%v regressions=%d pending=%d, want %v, 0, %d",
+					seed, limit, s.Now(), s.TimeRegressions(), s.Pending(), limit, scheduled-len(got))
+			}
+			if scheduled < budget {
+				schedule(s.Now(), false)
+			}
+		}
+		if len(got) != scheduled {
+			t.Fatalf("seed %d: ran %d of %d events", seed, len(got), scheduled)
+		}
+		want := append([]rec(nil), got...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].id < want[j].id
+		})
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d ran %v, want %v", seed, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -761,18 +850,6 @@ func TestResourceTryAcquireAndCounters(t *testing.T) {
 		}()
 		NewResource(s, 0)
 	}()
-}
-
-func TestSignalWaitingCount(t *testing.T) {
-	s := New(Config{})
-	sg := NewSignal(s)
-	s.Spawn("w", func(p *Proc) { sg.Wait(p) })
-	s.RunUntil(Time(time.Microsecond))
-	if sg.Waiting() != 1 {
-		t.Fatalf("waiting = %d", sg.Waiting())
-	}
-	sg.Fire()
-	s.Run()
 }
 
 func TestRunUntilCond(t *testing.T) {

@@ -8,7 +8,7 @@
 // the payoff is that a scheduler step costs a function call instead of two
 // goroutine switches.
 //
-// Tasks and Procs coexist on the same event heap, virtual clock, channels,
+// Tasks and Procs coexist on the same event queues, virtual clock, channels,
 // gates, and resources, and interoperate freely: a Task can park on a Chan a
 // Proc feeds and vice versa. Every Task primitive consumes scheduler
 // sequence numbers exactly like its Proc counterpart (SpawnTask and Spawn

@@ -55,7 +55,7 @@ func TestPendingCountsImmediateQueue(t *testing.T) {
 }
 
 // GetBatch blocks only for the first value and drains the rest of the run
-// without blocking; PutBatch delivers every value in order.
+// without blocking; a same-instant run of Puts wakes the consumer once.
 func TestChanBatchOps(t *testing.T) {
 	s := New(Config{Seed: 1})
 	ch := NewChan[int](s, 8)
@@ -68,10 +68,12 @@ func TestChanBatchOps(t *testing.T) {
 		}
 	})
 	s.Spawn("producer", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		ch.PutBatch(p, []int{10, 11, 12})
-		p.Sleep(time.Microsecond)
-		ch.PutBatch(p, []int{20, 21})
+		for _, run := range [][]int{{10, 11, 12}, {20, 21}} {
+			p.Sleep(time.Microsecond)
+			for _, v := range run {
+				ch.Put(p, v)
+			}
+		}
 	})
 	s.RunUntil(Time(time.Millisecond))
 	s.Shutdown()

@@ -15,8 +15,13 @@ import "iter"
 // closure handed to iter.Pull must stay the first function literal here:
 // profile attribution treats its frame, (*Sim).Spawn.func1, as the entry of
 // every process.
+//
+// Spawn also creates the process's bridge task and binds its continuations
+// (see Proc.bridge), so no blocking call allocates.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name}
+	p := &Proc{sim: s, name: name, bridge: newTask(s, name)}
+	p.bridge.proc = p
+	p.resume, p.gateK, p.doneK = p.step, p.gateDone, p.awaitDone
 	s.addRunner(runner{p: p})
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -31,6 +36,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	s.atStep(s.now, p)
+	s.atFn(s.now, p.resume)
 	return p
 }

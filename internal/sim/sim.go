@@ -18,9 +18,11 @@
 //     hot-path processes.
 //
 // Both substrates share channels, gates, resources, and the seeded random
-// source, and consume scheduler sequence numbers identically, so a process
-// ported between them leaves simulation output byte-identical. Together with
-// the seeded random source this makes every simulation bit-reproducible.
+// source. Each blocking primitive has one body, its task form: a Proc blocks
+// by running that form on its bridge Task, so a process ported between the
+// substrates consumes the same scheduler sequence numbers and leaves
+// simulation output byte-identical. Together with the seeded random source
+// this makes every simulation bit-reproducible.
 //
 // The event loop is built for throughput. Events are plain values (no
 // container/heap interface boxing, no per-event allocation) in three queues:
@@ -28,11 +30,10 @@
 // every later event scheduled no earlier than the lane's tail — the runs of
 // equal-duration sleeps and wait timeouts, most of which are stale by the
 // time they fire — and an inlined 4-ary min-heap holding only the short,
-// out-of-order remainder. Resuming a blocked Proc schedules a direct
-// proc-step event instead of a closure, waking a Task schedules its one
-// pre-bound activation thunk, and the waiter nodes of channels and gates
-// recycle through free lists. Steady-state scheduling therefore allocates
-// nothing on either substrate.
+// out-of-order remainder. Every wake schedules a thunk bound once — a
+// Proc's resume, a Task's activation, a channel waiter node's wake — and
+// the waiter nodes of channels and gates recycle through free lists.
+// Steady-state scheduling therefore allocates nothing on either substrate.
 //
 // Typical usage:
 //
@@ -84,7 +85,7 @@ type Sim struct {
 	rng    *rand.Rand
 
 	// iq is the same-instant fast path: events scheduled at exactly the
-	// current timestamp — Proc resume steps, Task activations, and plain
+	// current timestamp — Proc resumes, Task activations, and plain
 	// callbacks alike — land in this FIFO instead of the lane or the heap,
 	// so a k-event burst of immediate handoffs (channel rendezvous, gate
 	// fires, resource releases) costs O(k) pushes and pops. Entries always
@@ -187,16 +188,14 @@ func (s *Sim) TimeRegressions() uint64 { return s.timeRegressions }
 // registration order.
 func (s *Sim) OnShutdown(fn func()) { s.onShutdown = append(s.onShutdown, fn) }
 
-// event is one scheduled entry. Resuming a blocked coroutine process stores
-// the process directly; task activations, channel wake thunks and wait
-// timeouts carry a pre-bound func; only irregular callbacks (user events)
-// carry a fresh closure. Events are stored by value in the queues, never
-// allocated individually.
+// event is one scheduled entry. Proc resumes, task activations, channel
+// wake thunks and wait timeouts carry a pre-bound func; only irregular
+// callbacks (user events) carry a fresh closure. Events are stored by value
+// in the queues, never allocated individually.
 type event struct {
-	at   Time
-	seq  uint64
-	proc *Proc  // non-nil: step this process
-	fn   func() // otherwise: run this callback
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // eventLess orders events by (timestamp, sequence): the unique total order
@@ -230,7 +229,7 @@ func (s *Sim) popMin() event {
 	min := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release proc/closure references
+	h[last] = event{} // release the closure reference
 	h = h[:last]
 	i := 0
 	for {
@@ -293,7 +292,7 @@ func (q *fifo) push(e event) {
 
 func (q *fifo) pop() event {
 	e := q.buf[q.head]
-	q.buf[q.head] = event{} // release proc/closure references
+	q.buf[q.head] = event{} // release the closure reference
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
@@ -337,13 +336,9 @@ func (s *Sim) At(t Time, fn func()) {
 	s.enqueue(event{at: t, fn: fn})
 }
 
-// atStep schedules a resume of p at t — the allocation-free fast path used
-// by every Proc-blocking primitive in this package.
-func (s *Sim) atStep(t Time, p *Proc) { s.enqueue(event{at: t, proc: p}) }
-
-// atFn schedules fn at t — the internal hand-off path for task activations
-// and waiter wake thunks. These are pre-bound funcs, so this path is as
-// allocation-free as atStep; it skips At's past-check because callers always
+// atFn schedules fn at t — the internal wake path for Proc resumes, task
+// activations and waiter wake thunks. These are pre-bound funcs, so the path
+// allocates nothing; it skips At's past-check because callers always
 // schedule at or after now.
 func (s *Sim) atFn(t Time, fn func()) { s.enqueue(event{at: t, fn: fn}) }
 
@@ -412,11 +407,7 @@ func (s *Sim) runEvent(e event) {
 	}
 	s.now = e.at
 	s.executed++
-	if e.proc != nil {
-		s.step(e.proc)
-	} else {
-		e.fn()
-	}
+	e.fn()
 }
 
 // Pending reports the number of scheduled events.
@@ -438,12 +429,17 @@ type Proc struct {
 	killed bool
 	done   bool
 
-	// bridge runs the process's task-form operations (see Await), created
-	// on first use; doneK is the pre-bound completion Await hands them.
-	// awaited marks the pending operation complete, parked that the process
-	// is blocked waiting for it.
+	// bridge is the task every blocking call of the process runs its task
+	// form on: a blocked Proc is its parked bridge. Spawn creates it and
+	// binds the continuations the calls hand it: resume steps the process,
+	// gateK records whether a Gate.WaitTimeout fired and resumes, doneK
+	// completes an Await. awaited marks the pending Await complete, parked
+	// that the process is blocked waiting for it.
 	bridge  *Task
+	resume  func()
+	gateK   func(fired bool)
 	doneK   func()
+	fired   bool
 	awaited bool
 	parked  bool
 }
@@ -462,24 +458,36 @@ type killedErr struct{ name string }
 
 func (k killedErr) Error() string { return "sim: process " + k.name + " killed" }
 
-// step transfers control to p and returns once p blocks or exits.
-func (s *Sim) step(p *Proc) {
+// step transfers control to p and returns once p blocks or exits. Bound
+// once as p.resume, it is the continuation every wake of p runs.
+func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	if s.stopping {
+	if p.sim.stopping {
 		p.killed = true
 	}
 	p.next()
 }
 
-// block suspends the calling process until the scheduler resumes it. Once
-// Shutdown has begun nothing will resume it, so it unwinds at once.
-func (p *Proc) block() {
+// gateDone is p's Gate.WaitTimeout continuation, bound once as p.gateK.
+func (p *Proc) gateDone(fired bool) {
+	p.fired = fired
+	p.step()
+}
+
+// block suspends the calling process until a wake resumes it. Once Shutdown
+// has begun nothing will, so it unwinds at once. It is the one kill path of
+// every Proc-form blocking call: a killed process first withdraws its
+// bridge's pending wait from on (nil for none), then unwinds.
+func (p *Proc) block(on unparker) {
 	if !p.sim.stopping {
 		p.yield(struct{}{})
 	}
 	if p.killed {
+		if on != nil {
+			on.unparkTask(p.bridge)
+		}
 		panic(killedErr{p.name})
 	}
 }
@@ -490,9 +498,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s := p.sim
-	s.atStep(s.now.Add(d), p)
-	p.block()
+	p.sim.atFn(p.sim.now.Add(d), p.resume)
+	p.block(nil)
 }
 
 // Yield gives other events scheduled at the current instant a chance to run.
@@ -515,14 +522,13 @@ func (s *Sim) Shutdown() {
 			r.t.killed = true
 		}
 	}
-	// Unwind every blocked process in spawn order. Coroutine procs blocked
-	// on channels/resources are tracked there; ones blocked on timers will
-	// be woken by their scheduled events, but those may be far in the
-	// future, so we resume each live proc directly. Tasks have no stack to
-	// unwind: killing one deregisters its waiter and runs its OnKill hook.
+	// Unwind every blocked process in spawn order. Its wake may be far in
+	// the future, so each live proc is resumed directly and withdraws its
+	// own waiter as it unwinds. Tasks have no stack to unwind: killing one
+	// deregisters its waiter and runs its OnKill hook.
 	for _, r := range s.order {
 		if r.p != nil {
-			s.step(r.p)
+			r.p.step()
 		} else {
 			r.t.kill()
 		}
@@ -564,19 +570,21 @@ func NewChan[T any](s *Sim, capacity int) *Chan[T] {
 	return &Chan[T]{sim: s, cap: capacity}
 }
 
+// waiter is one task parked on a Chan, as a getter or a putter; a blocked
+// Proc parks as its bridge task.
 type waiter[T any] struct {
-	p   *Proc // coroutine waiter: the proc to step on rendezvous
-	t   *Task // task waiter: the task whose continuation the wake runs
+	t   *Task // the parked task, whose continuation the wake runs
 	val T     // value being delivered (getter: filled by putter; putter: value to enqueue)
-	ok  bool  // set when the rendezvous happened
-	// kv/kn/kto are the task-side continuations: kv receives the delivered
-	// value (getter), kn resumes a parked putter, kto ends a GetTimeoutT
-	// wait either way. wake is the node's reusable event thunk, bound once
-	// per node (see getTaskWaiter) and kept across the free list so
-	// steady-state parking allocates nothing.
+	ok  bool  // set when a value was delivered to a getter
+	// The wake runs one continuation: kv receives the delivered value
+	// (GetT), kto ends a GetTimeoutT wait either way, kn just continues
+	// (PutT, and every Proc form: its resume, after which the Proc reads
+	// val and timedOut from this node). wake is the node's event thunk,
+	// bound once per node and kept across the free list, so steady-state
+	// parking allocates nothing.
 	kv   func(T)
-	kn   func()
 	kto  func(v T, ok bool)
+	kn   func()
 	wake func()
 	// gen guards recycled waiters against stale timeout events: it is
 	// bumped when the waiter returns to the free list, so a pending timer
@@ -587,25 +595,49 @@ type waiter[T any] struct {
 	timedOut bool
 }
 
-// getWaiter takes a node from the free list (or allocates the first time).
-func (c *Chan[T]) getWaiter(p *Proc) *waiter[T] {
+// getWaiter takes a node for t from the free list, or allocates one and
+// binds its wake the first time.
+func (c *Chan[T]) getWaiter(t *Task) *waiter[T] {
+	var w *waiter[T]
 	if n := len(c.free); n > 0 {
-		w := c.free[n-1]
+		w = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		w.p = p
-		return w
+	} else {
+		w = &waiter[T]{}
+		w.wake = func() { c.wakeTask(w) }
 	}
-	return &waiter[T]{p: p}
+	w.t = t
+	return w
 }
 
 // putWaiter recycles a node whose wait has fully resolved. The wake and
 // expire thunks survive recycling (they are bound to the node, not the wait).
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
-	w.p, w.t, w.kv, w.kn, w.kto, w.val, w.ok, w.timedOut = nil, nil, nil, nil, nil, zero, false, false
+	w.t, w.kv, w.kto, w.kn, w.val, w.ok, w.timedOut = nil, nil, nil, nil, zero, false, false
 	w.gen++
 	c.free = append(c.free, w)
+}
+
+// wakeTask ends w's wait, as the event body of a rendezvous or inside the
+// timeout event: it runs the parked task's continuation, then recycles the
+// node. Continuation first, so a resumed Proc reads its result from the
+// node before the node can serve another wait.
+func (c *Chan[T]) wakeTask(w *waiter[T]) {
+	if t := w.t; !t.killed && !t.done {
+		t.parkedOn = nil
+		switch {
+		case w.kv != nil:
+			w.kv(w.val)
+		case w.kto != nil:
+			w.kto(w.val, !w.timedOut)
+		case w.kn != nil:
+			w.kn()
+		}
+		t.maybeFinish()
+	}
+	c.putWaiter(w)
 }
 
 // waiterQ is a FIFO of waiters that reuses its backing array: popping
@@ -676,41 +708,18 @@ func (c *Chan[T]) popBuf() T {
 	return v
 }
 
-// deliver hands v to a popped getter, waking it on its own substrate: a
-// proc-step event for coroutine waiters, the node's wake thunk for task
-// waiters. Both consume exactly one scheduler slot.
+// deliver hands v to a popped getter and schedules its wake: one scheduler
+// slot.
 func (c *Chan[T]) deliver(w *waiter[T], v T) {
 	w.val, w.ok = v, true
-	if w.p != nil {
-		c.sim.atStep(c.sim.now, w.p)
-	} else {
-		c.sim.atFn(c.sim.now, w.wake)
-	}
+	c.sim.atFn(c.sim.now, w.wake)
 }
 
 // Put enqueues v, blocking while the queue is at capacity.
 func (c *Chan[T]) Put(p *Proc, v T) {
-	if w := c.getters.pop(); w != nil {
-		// Direct hand-off to a waiting getter.
-		c.deliver(w, v)
-		return
+	if !c.PutT(p.bridge, v, p.resume) {
+		p.block(c)
 	}
-	if c.cap == 0 || c.Len() < c.cap {
-		c.buf = append(c.buf, v)
-		return
-	}
-	w := c.getWaiter(p)
-	w.val = v
-	c.putters.push(w)
-	defer func() {
-		if !w.ok {
-			// Unwound by Kill before the rendezvous: leave no dangling
-			// queue entry behind.
-			c.putters.remove(w)
-		}
-		c.putWaiter(w)
-	}()
-	p.block()
 }
 
 // TryPut enqueues v if the queue has room or a waiting getter, without
@@ -730,33 +739,19 @@ func (c *Chan[T]) TryPut(v T) bool {
 // admitPutter moves a blocked putter's value into the freed buffer slot.
 func (c *Chan[T]) admitPutter() {
 	if w := c.putters.pop(); w != nil {
-		w.ok = true
 		c.buf = append(c.buf, w.val)
-		if w.p != nil {
-			c.sim.atStep(c.sim.now, w.p)
-		} else {
-			c.sim.atFn(c.sim.now, w.wake)
-		}
+		c.sim.atFn(c.sim.now, w.wake)
 	}
 }
 
 // Get dequeues the oldest item, blocking while the queue is empty.
 func (c *Chan[T]) Get(p *Proc) T {
-	if c.Len() > 0 {
-		v := c.popBuf()
-		c.admitPutter()
-		return v
+	v, w := c.recv(p.bridge, p.resume)
+	if w != nil {
+		p.block(c)
+		v = w.val
 	}
-	w := c.getWaiter(p)
-	c.getters.push(w)
-	defer func() {
-		if !w.ok {
-			c.getters.remove(w)
-		}
-		c.putWaiter(w)
-	}()
-	p.block()
-	return w.val
+	return v
 }
 
 // GetBatch dequeues up to len(buf) items: it blocks for the first, then
@@ -769,25 +764,7 @@ func (c *Chan[T]) GetBatch(p *Proc, buf []T) int {
 		return 0
 	}
 	buf[0] = c.Get(p)
-	n := 1
-	for n < len(buf) {
-		v, ok := c.TryGet()
-		if !ok {
-			break
-		}
-		buf[n] = v
-		n++
-	}
-	return n
-}
-
-// PutBatch enqueues every value in order, blocking as capacity requires.
-// With the same-instant scheduler fast path, a batch put into a drained
-// queue wakes the consumer once and buffers the rest.
-func (c *Chan[T]) PutBatch(p *Proc, vals []T) {
-	for _, v := range vals {
-		c.Put(p, v)
-	}
+	return 1 + c.drainInto(buf[1:])
 }
 
 // TryGet dequeues without blocking, reporting whether a value was available.
@@ -804,27 +781,12 @@ func (c *Chan[T]) TryGet() (T, bool) {
 // GetTimeout dequeues with a deadline. The boolean result reports whether a
 // value was received (false means the timeout elapsed first).
 func (c *Chan[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	var zero T
-	if v, ok := c.TryGet(); ok {
-		return v, true
+	v, ok, w := c.recvTimeout(p.bridge, d, p.resume)
+	if w != nil {
+		p.block(c)
+		v, ok = w.val, !w.timedOut
 	}
-	if d <= 0 {
-		return zero, false
-	}
-	w := c.getWaiter(p)
-	c.getters.push(w)
-	c.armTimeout(w, d)
-	defer func() {
-		if !w.ok && !w.timedOut {
-			c.getters.remove(w)
-		}
-		c.putWaiter(w)
-	}()
-	p.block()
-	if w.timedOut {
-		return zero, false
-	}
-	return w.val, true
+	return v, ok
 }
 
 // armTimeout schedules the timeout of w's wait d from now.
@@ -837,24 +799,14 @@ func (c *Chan[T]) armTimeout(w *waiter[T], d time.Duration) {
 
 // expireWait is the body of a GetTimeout[T] timer armed at generation gen:
 // unless the wait already resolved, it times the wait out inside the timer
-// event — a Proc getter resumes, a Task getter runs its continuation with
-// ok=false.
+// event.
 func (c *Chan[T]) expireWait(w *waiter[T], gen uint64) {
-	if w.gen != gen || w.ok || w.timedOut {
+	if w.gen != gen || w.ok {
 		return
 	}
 	w.timedOut = true
 	c.getters.remove(w)
-	if w.p != nil {
-		c.sim.step(w.p)
-		return
-	}
-	t, k := w.t, w.kto
-	c.putWaiter(w)
-	t.parkedOn = nil
-	var zero T
-	k(zero, false)
-	t.maybeFinish()
+	c.wakeTask(w)
 }
 
 // timer is one pending wait timeout. Records recycle through the
@@ -903,15 +855,8 @@ type Resource struct {
 	sim     *Sim
 	total   int
 	inUse   int
-	waiters []resWaiter // FIFO across both substrates; wHead indexes the oldest
+	waiters []*Task // FIFO of parked acquirers, Procs as their bridges; wHead indexes the oldest
 	wHead   int
-}
-
-// resWaiter is one blocked acquirer: a coroutine proc or a task (whose
-// continuation was armed by AcquireT). Exactly one field is set.
-type resWaiter struct {
-	p *Proc
-	t *Task
 }
 
 // NewResource creates a resource pool with n units. n must be positive.
@@ -924,20 +869,9 @@ func NewResource(s *Sim, n int) *Resource {
 
 // Acquire takes one unit, blocking until available.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.total {
-		r.inUse++
-		return
+	if !r.AcquireT(p.bridge, p.resume) {
+		p.block(r)
 	}
-	w := resWaiter{p: p}
-	r.waiters = append(r.waiters, w)
-	defer func() {
-		if p.killed && !r.remove(w) {
-			// Unwound by Kill after Release handed this waiter the unit:
-			// pass it on rather than leak it.
-			r.Release()
-		}
-	}()
-	p.block()
 }
 
 // TryAcquire takes one unit if immediately available.
@@ -952,8 +886,8 @@ func (r *Resource) TryAcquire() bool {
 // Release returns one unit, waking the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.wHead < len(r.waiters) {
-		w := r.waiters[r.wHead]
-		r.waiters[r.wHead] = resWaiter{}
+		t := r.waiters[r.wHead]
+		r.waiters[r.wHead] = nil
 		r.wHead++
 		if r.wHead == len(r.waiters) {
 			r.waiters, r.wHead = r.waiters[:0], 0
@@ -961,17 +895,11 @@ func (r *Resource) Release() {
 			// Never-empty wait queue: compact (amortized O(1)) so the
 			// backing array stays bounded.
 			n := copy(r.waiters, r.waiters[r.wHead:])
-			for i := n; i < len(r.waiters); i++ {
-				r.waiters[i] = resWaiter{}
-			}
+			clear(r.waiters[n:])
 			r.waiters, r.wHead = r.waiters[:n], 0
 		}
 		// Unit passes directly to the waiter; inUse stays constant.
-		if w.p != nil {
-			r.sim.atStep(r.sim.now, w.p)
-		} else {
-			r.sim.atFn(r.sim.now, w.t.runEv)
-		}
+		r.sim.atFn(r.sim.now, t.runEv)
 		return
 	}
 	if r.inUse == 0 {
@@ -980,13 +908,13 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// remove deletes w from the wait queue (Kill path), reporting whether it was
+// remove deletes t from the wait queue (Kill path), reporting whether it was
 // still waiting there, i.e. had not been granted a unit.
-func (r *Resource) remove(w resWaiter) bool {
+func (r *Resource) remove(t *Task) bool {
 	for i := r.wHead; i < len(r.waiters); i++ {
-		if r.waiters[i] == w {
+		if r.waiters[i] == t {
 			copy(r.waiters[i:], r.waiters[i+1:])
-			r.waiters[len(r.waiters)-1] = resWaiter{}
+			r.waiters[len(r.waiters)-1] = nil
 			r.waiters = r.waiters[:len(r.waiters)-1]
 			if r.wHead == len(r.waiters) {
 				r.waiters, r.wHead = r.waiters[:0], 0
@@ -1036,15 +964,14 @@ type Gate struct {
 	free    []*gateWaiter
 }
 
+// gateWaiter is one task parked on a Gate; a blocked Proc parks as its
+// bridge task. The continuation lives in the task, not the node.
 type gateWaiter struct {
-	p     *Proc // coroutine waiter (nil for task waiters)
-	t     *Task // task waiter; its continuation was armed by WaitT
-	woken bool
-	gen   uint64 // guards recycled waiters against stale timeout events
+	t   *Task
+	gen uint64 // guards recycled waiters against stale timeout events
 	// expire is the node's timeout body (WaitTimeout/WaitTimeoutT), bound
 	// once; see timer.
-	expire   func(gen uint64)
-	timedOut bool
+	expire func(gen uint64)
 }
 
 // NewGate creates a gate bound to s.
@@ -1061,17 +988,11 @@ func (g *Gate) Fire() {
 	g.ver++
 	ws := g.waiters
 	for i, w := range ws {
-		w.woken = true
-		if w.p != nil {
-			g.sim.atStep(g.sim.now, w.p)
-		} else {
-			// The task's continuation lives in the task, not the node, so
-			// the node recycles immediately (bumping gen, which neutralizes
-			// any pending WaitTimeoutT timeout for this wait).
-			t := w.t
-			g.putWaiter(w)
-			g.sim.atFn(g.sim.now, t.runEv)
-		}
+		// The node recycles at once, bumping gen, which neutralizes any
+		// pending timeout for this wait.
+		t := w.t
+		g.putWaiter(w)
+		g.sim.atFn(g.sim.now, t.runEv)
 		ws[i] = nil
 	}
 	g.waiters = ws[:0] // keep the backing array for the next round of waiters
@@ -1086,21 +1007,25 @@ func (g *Gate) remove(w *gateWaiter) {
 	}
 }
 
-// getWaiter takes a node from the free list (or allocates the first time).
-func (g *Gate) getWaiter(p *Proc) *gateWaiter {
+// addWaiter queues a node for t, taken from the free list (or allocated the
+// first time).
+func (g *Gate) addWaiter(t *Task) *gateWaiter {
+	var w *gateWaiter
 	if n := len(g.free); n > 0 {
-		w := g.free[n-1]
+		w = g.free[n-1]
 		g.free[n-1] = nil
 		g.free = g.free[:n-1]
-		w.p = p
-		return w
+	} else {
+		w = &gateWaiter{}
 	}
-	return &gateWaiter{p: p}
+	w.t = t
+	g.waiters = append(g.waiters, w)
+	return w
 }
 
 // putWaiter recycles a node whose wait has fully resolved.
 func (g *Gate) putWaiter(w *gateWaiter) {
-	w.p, w.t, w.woken, w.timedOut = nil, nil, false, false
+	w.t = nil
 	w.gen++
 	g.free = append(g.free, w)
 }
@@ -1114,23 +1039,16 @@ func (g *Gate) armTimer(w *gateWaiter, d time.Duration) {
 }
 
 // expireWait is the body of a gate timeout armed at generation gen. Unless
-// the wait already resolved (fired, or recycled), it times out: a Proc
-// resumes inside this event, a Task runs its continuation with fired=false.
+// the wait already resolved (fired, or withdrawn by a kill, either of which
+// recycled the node), it times out: the task runs its continuation with
+// fired=false inside this event.
 func (g *Gate) expireWait(w *gateWaiter, gen uint64) {
-	if w.gen != gen || w.woken || w.timedOut {
+	if w.gen != gen {
 		return
 	}
-	w.timedOut = true
 	g.remove(w)
-	if p := w.p; p != nil {
-		g.sim.step(p)
-		return
-	}
 	t := w.t
 	g.putWaiter(w)
-	if t.killed || t.done {
-		return
-	}
 	t.k = nil
 	t.parkedOn = nil
 	k := t.gateK
@@ -1142,38 +1060,17 @@ func (g *Gate) expireWait(w *gateWaiter, gen uint64) {
 // Wait blocks until the gate fires, unless it already fired since the caller
 // observed version since (in which case it returns immediately).
 func (g *Gate) Wait(p *Proc, since uint64) {
-	if g.ver != since {
-		return
+	if !g.WaitT(p.bridge, since, p.resume) {
+		p.block(g)
 	}
-	w := g.getWaiter(p)
-	g.waiters = append(g.waiters, w)
-	defer func() {
-		if !w.woken {
-			g.remove(w)
-		}
-		g.putWaiter(w)
-	}()
-	p.block()
 }
 
 // WaitTimeout is Wait with a deadline; it reports whether the gate fired
 // (true) or the timeout elapsed first (false).
 func (g *Gate) WaitTimeout(p *Proc, since uint64, d time.Duration) bool {
-	if g.ver != since {
-		return true
+	if inline, fired := g.WaitTimeoutT(p.bridge, since, d, p.gateK); inline {
+		return fired
 	}
-	if d <= 0 {
-		return false
-	}
-	w := g.getWaiter(p)
-	g.waiters = append(g.waiters, w)
-	g.armTimer(w, d)
-	defer func() {
-		if !w.woken && !w.timedOut {
-			g.remove(w)
-		}
-		g.putWaiter(w)
-	}()
-	p.block()
-	return w.woken
+	p.block(g)
+	return p.fired
 }

@@ -10,15 +10,17 @@
 //
 // Tasks and Procs coexist on the same event queues, virtual clock, channels,
 // gates, and resources, and interoperate freely: a Task can park on a Chan a
-// Proc feeds and vice versa. Every Task primitive consumes scheduler
-// sequence numbers exactly like its Proc counterpart (SpawnTask and Spawn
-// each burn one slot for the start event; a Sleep, a channel hand-off, a
-// resource grant, and a gate fire each burn one slot on either substrate),
-// so porting a process from one substrate to the other leaves the global
-// (timestamp, sequence) event order — and therefore every simulation
-// result — byte-identical. Same-instant Task and Proc events carry no
-// substrate-specific tie-break: they interleave purely by sequence number,
-// in the order the wakes were scheduled.
+// Proc feeds and vice versa. The task forms here are the only bodies of the
+// blocking primitives: every Proc form runs its task form on the Proc's
+// bridge task and blocks until the bridge's continuation resumes it, so a
+// Proc call consumes exactly the scheduler sequence numbers of the task
+// call. With SpawnTask and Spawn each burning one slot for the start event
+// and Task.Sleep and Proc.Sleep one slot each, porting a process from one
+// substrate to the other leaves the global (timestamp, sequence) event
+// order — and therefore every simulation result — byte-identical.
+// Same-instant Task and Proc events carry no substrate-specific tie-break:
+// they interleave purely by sequence number, in the order the wakes were
+// scheduled.
 //
 // Wait-booking contract: because a Task's continuation runs inside the event
 // that woke it, Sim.Now() observed at the top of a continuation equals the
@@ -70,8 +72,8 @@ type Task struct {
 	gateK     func(fired bool)
 	gateFired func()
 
-	// proc is set on a Proc's bridge task (see Proc.Await), which lives as
-	// long as its process and is never retired on its own.
+	// proc is set on a Proc's bridge task (see Proc.bridge), which lives
+	// as long as its process and is never retired on its own.
 	proc *Proc
 }
 
@@ -84,11 +86,17 @@ type unparker interface{ unparkTask(t *Task) }
 // stays live while it has a pending continuation or parked waiter, and
 // finishes when a continuation returns with nothing armed.
 func (s *Sim) SpawnTask(name string, start func(t *Task)) *Task {
-	t := &Task{sim: s, name: name}
-	t.runEv = t.activate
+	t := newTask(s, name)
 	t.k = func() { start(t) }
 	s.addRunner(runner{t: t})
 	s.atFn(s.now, t.runEv)
+	return t
+}
+
+// newTask creates a task with its activation thunk bound.
+func newTask(s *Sim, name string) *Task {
+	t := &Task{sim: s, name: name}
+	t.runEv = t.activate
 	return t
 }
 
@@ -180,24 +188,16 @@ func (t *Task) kill() {
 // operation on p's bridge task and arranges for done to run as (or from)
 // its continuation. A continuation that runs inline returns Await without
 // yielding; otherwise p blocks and resumes inside the event that runs the
-// continuation, the way a Chan.GetTimeout expiry resumes its getter. A
-// bridged call therefore consumes exactly the scheduler slots of the task
-// form, which the seq-parity contract makes equal to a Proc-native body.
-// Like any blocking call, Await unwinds a killed p when it resumes.
+// continuation, exactly as the Proc forms of this package's primitives do.
+// A bridged call therefore consumes exactly the scheduler slots of the task
+// form. Like any blocking call, Await unwinds a killed p when it resumes.
 func (p *Proc) Await(start func(t *Task, done func())) {
-	t := p.bridge
-	if t == nil {
-		t = &Task{sim: p.sim, name: p.name, proc: p}
-		t.runEv = t.activate
-		p.bridge, p.doneK = t, p.awaitDone
-	}
 	p.awaited = false
-	start(t, p.doneK)
-	if p.awaited {
-		return
+	start(p.bridge, p.doneK)
+	if !p.awaited {
+		p.parked = true
+		p.block(nil)
 	}
-	p.parked = true
-	p.block()
 }
 
 // awaitDone completes the pending Await, resuming p inside the current event
@@ -206,62 +206,36 @@ func (p *Proc) awaitDone() {
 	p.awaited = true
 	if p.parked {
 		p.parked = false
-		p.sim.step(p)
+		p.step()
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Channel operations in continuation-passing form
 
-// getTaskWaiter takes a waiter node for a task, lazily binding its reusable
-// wake thunk the first time the node serves a task (free-listed nodes keep
-// the thunk, so steady-state parking allocates nothing).
-func (c *Chan[T]) getTaskWaiter(t *Task) *waiter[T] {
-	w := c.getWaiter(nil)
-	w.t = t
-	if w.wake == nil {
-		w.wake = func() { c.wakeTask(w) }
-	}
-	return w
-}
-
-// wakeTask is the event body for a task-side channel rendezvous: it recycles
-// the waiter node, then runs the recorded continuation with the delivered
-// value (getter) or none (putter).
-func (c *Chan[T]) wakeTask(w *waiter[T]) {
-	t, kv, kn, kto, v := w.t, w.kv, w.kn, w.kto, w.val
-	c.putWaiter(w)
-	if t.killed || t.done {
-		return
-	}
-	t.parkedOn = nil
-	switch {
-	case kv != nil:
-		kv(v)
-	case kto != nil:
-		kto(v, true)
-	case kn != nil:
-		kn()
-	}
-	t.maybeFinish()
-}
-
 // GetT dequeues for task t. If a value is buffered it is returned inline
 // with ok=true and fn never runs — the caller continues, exactly like a Proc
 // whose Get finds a buffered value and does not yield. Otherwise t parks,
 // (zero, false) returns now, and fn runs inside the putter's hand-off event.
 func (c *Chan[T]) GetT(t *Task, fn func(v T)) (T, bool) {
-	if c.Len() > 0 {
-		v := c.popBuf()
-		c.admitPutter()
-		return v, true
+	v, w := c.recv(t, nil)
+	if w != nil {
+		w.kv = fn
 	}
-	w := c.getTaskWaiter(t)
-	w.kv = fn
+	return v, w == nil
+}
+
+// recv is the body of every receive: it takes the oldest buffered value
+// (w == nil), or parks t on a getter node whose wake runs kn.
+func (c *Chan[T]) recv(t *Task, kn func()) (v T, w *waiter[T]) {
+	if v, ok := c.TryGet(); ok {
+		return v, nil
+	}
+	w = c.getWaiter(t)
+	w.kn = kn
 	c.getters.push(w)
 	t.park(c, nil)
-	var zero T
-	return zero, false
+	return v, w
 }
 
 // GetTimeoutT is GetTimeout for tasks. It returns inline (inline=true, k
@@ -270,18 +244,24 @@ func (c *Chan[T]) GetT(t *Task, fn func(v T)) (T, bool) {
 // hand-off event (ok=true) or the timeout event (ok=false), exactly where a
 // Proc's GetTimeout would resume.
 func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v T, ok, inline bool) {
-	if v, ok := c.TryGet(); ok {
-		return v, true, true
+	v, ok, w := c.recvTimeout(t, d, nil)
+	if w != nil {
+		w.kto = k
 	}
+	return v, ok, w == nil
+}
+
+// recvTimeout is recv with a deadline: inline (w == nil) when a value is
+// buffered (ok=true) or d <= 0 (ok=false).
+func (c *Chan[T]) recvTimeout(t *Task, d time.Duration, kn func()) (v T, ok bool, w *waiter[T]) {
 	if d <= 0 {
-		return v, false, true
+		v, ok = c.TryGet()
+		return v, ok, nil
 	}
-	w := c.getTaskWaiter(t)
-	w.kto = k
-	c.getters.push(w)
-	t.park(c, nil)
-	c.armTimeout(w, d)
-	return v, false, false
+	if v, w = c.recv(t, kn); w != nil {
+		c.armTimeout(w, d)
+	}
+	return v, w == nil, w
 }
 
 // GetBatchT is GetBatch for tasks: inline when a value is immediately
@@ -321,17 +301,11 @@ func (c *Chan[T]) drainInto(buf []T) int {
 // caller continues and k never runs. When the queue is at capacity t parks,
 // false returns now, and k runs once the value is admitted.
 func (c *Chan[T]) PutT(t *Task, v T, k func()) bool {
-	if w := c.getters.pop(); w != nil {
-		c.deliver(w, v)
+	if c.TryPut(v) {
 		return true
 	}
-	if c.cap == 0 || c.Len() < c.cap {
-		c.buf = append(c.buf, v)
-		return true
-	}
-	w := c.getTaskWaiter(t)
-	w.val = v
-	w.kn = k
+	w := c.getWaiter(t)
+	w.val, w.kn = v, k
 	c.putters.push(w)
 	t.park(c, nil)
 	return false
@@ -365,14 +339,13 @@ func (w *waiterQ[T]) findTask(t *Task) *waiter[T] {
 
 // AcquireT takes one unit for task t: true means the unit was granted inline
 // and the caller continues (k never runs); false means t parked and k runs
-// inside the releasing event when a unit is handed over, FIFO with Proc
-// waiters.
+// in the wake event Release schedules when it hands the unit over, FIFO
+// with Proc waiters.
 func (r *Resource) AcquireT(t *Task, k func()) bool {
-	if r.inUse < r.total {
-		r.inUse++
+	if r.TryAcquire() {
 		return true
 	}
-	r.waiters = append(r.waiters, resWaiter{t: t})
+	r.waiters = append(r.waiters, t)
 	t.park(r, k)
 	return false
 }
@@ -429,8 +402,14 @@ func (f *resFrame) done() {
 	k()
 }
 
-// unparkTask removes t's wait-queue entry (Kill path).
-func (r *Resource) unparkTask(t *Task) { r.remove(resWaiter{t: t}) }
+// unparkTask withdraws t's acquire (Kill path): t leaves the wait queue, or,
+// when Release already granted it a unit its wake has not yet delivered, the
+// unit passes on. One rule for a killed Task and an unwinding Proc.
+func (r *Resource) unparkTask(t *Task) {
+	if !r.remove(t) {
+		r.Release()
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Gate operations in continuation-passing form
@@ -442,9 +421,7 @@ func (g *Gate) WaitT(t *Task, since uint64, k func()) bool {
 	if g.ver != since {
 		return true
 	}
-	w := g.getWaiter(nil)
-	w.t = t
-	g.waiters = append(g.waiters, w)
+	g.addWaiter(t)
 	t.park(g, k)
 	return false
 }
@@ -460,9 +437,7 @@ func (g *Gate) WaitTimeoutT(t *Task, since uint64, d time.Duration, k func(fired
 	if d <= 0 {
 		return true, false
 	}
-	w := g.getWaiter(nil)
-	w.t = t
-	g.waiters = append(g.waiters, w)
+	w := g.addWaiter(t)
 	t.gateK = k
 	if t.gateFired == nil {
 		t.gateFired = func() {

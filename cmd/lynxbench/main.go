@@ -11,6 +11,8 @@
 //	lynxbench -exp all -invariants  # assert runtime invariants on every run
 //	lynxbench -exp attribution -profile-json prof.json
 //	                                # dump the tail-latency attribution report
+//	lynxbench -exp replbreakdown -trace-json t.json -metrics-json m.json
+//	                                # rack timeline and metrics, one block per node
 //	lynxbench -exp fig6 -top 10     # table of the 10 slowest requests
 //	lynxbench -exp fig6 -batch 8    # end-to-end batching (doorbell, CQ drain,
 //	                                # dispatcher quantum) of 8 on every run
@@ -65,10 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch      = fs.Int("batch", 0, "doorbell batch size for every experiment run (0 = unbatched; experiments that pin their own batching, like -exp batch, are unaffected)")
 		batchCQ    = fs.Int("batch-cq", 0, "completion/TX drain budget (0 = follow -batch)")
 		batchQuant = fs.Int("batch-quantum", 0, "dispatcher scheduling quantum in messages (0 = follow -batch)")
-		traceJSON  = fs.String("trace-json", "", "write a Chrome trace-event timeline from instrumented experiments (breakdown) to this file")
-		rackTrace  = fs.String("rack-trace-json", "", "write the rack-wide Chrome trace-event timeline (one process-track block per node) from rack experiments (replbreakdown) to this file")
-		rackMet    = fs.String("rack-metrics-json", "", "write the deterministic rack telemetry rollup (per-node stats and monitor series) from rack experiments (replbreakdown) to this file")
-		profJSON   = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder) from instrumented experiments (breakdown, attribution) to this file")
+		traceJSON  = fs.String("trace-json", "", "write the Chrome trace-event timeline (one process-track block per node) of an instrumented experiment (breakdown, attribution, replbreakdown) to this file")
+		metJSON    = fs.String("metrics-json", "", "write the deterministic metrics dump (stats and monitor series, a rack's per node) of an instrumented experiment to this file")
+		profJSON   = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) of an instrumented experiment to this file")
 		topN       = fs.Int("top", 0, "print the N slowest requests (status, per-phase wait/service) after the runs")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -106,6 +107,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *exp == "all" && (*traceJSON != "" || *metJSON != "" || *profJSON != "") {
+		// Each instrumented experiment would overwrite the last one's file.
+		fmt.Fprintln(stderr, "lynxbench: -trace-json, -metrics-json and -profile-json need a single -exp, not all")
+		return 2
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -133,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lynxbench:", err)
 		return 2
 	}
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, TraceJSON: *traceJSON, ProfileJSON: *profJSON, RackTraceJSON: *rackTrace, RackMetricsJSON: *rackMet, Batch: bc}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, TraceJSON: *traceJSON, MetricsJSON: *metJSON, ProfileJSON: *profJSON, Batch: bc}
 	if *topN > 0 {
 		cfg.Top = experiments.NewTopCollector(*topN)
 	}

@@ -150,3 +150,52 @@ func TestSentinelCompareRejectsVersionSkew(t *testing.T) {
 		t.Errorf("skew error missing: %s", errOut.String())
 	}
 }
+
+// TestExpAllRejectsArtifactFlags: every instrumented experiment writes the
+// same artifact paths, so -exp all would keep only the last one's file; the
+// combination is a usage error and writes nothing.
+func TestExpAllRejectsArtifactFlags(t *testing.T) {
+	for _, flag := range []string{"-trace-json", "-metrics-json", "-profile-json"} {
+		t.Run(flag, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.json")
+			var out, errOut bytes.Buffer
+			if code := run([]string{"-exp", "all", "-scale", "0.01", flag, path}, &out, &errOut); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if !strings.Contains(errOut.String(), "single -exp") {
+				t.Errorf("usage error missing: %s", errOut.String())
+			}
+			if _, err := os.Stat(path); err == nil {
+				t.Error("artifact written despite the usage error")
+			}
+		})
+	}
+}
+
+// TestRackExperimentArtifactFlags: the rack experiment honours the same
+// three artifact flags as the single-server ones, one block per node.
+func TestRackExperimentArtifactFlags(t *testing.T) {
+	dir := t.TempDir()
+	tr, met, prof := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json"), filepath.Join(dir, "p.json")
+	var out, errOut bytes.Buffer
+	code := run([]string{"-exp", "replbreakdown", "-scale", "0.1", "-trace-json", tr, "-metrics-json", met, "-profile-json", prof}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	for _, c := range []struct{ path, want string }{
+		{tr, `"name":"server3/snic"`},
+		{met, `"server1/repl/held"`},
+		{prof, `"replication"`},
+	} {
+		raw, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatalf("artifact not written: %v", err)
+		}
+		if !json.Valid(raw) {
+			t.Errorf("%s is not valid JSON", filepath.Base(c.path))
+		}
+		if !bytes.Contains(raw, []byte(c.want)) {
+			t.Errorf("%s lacks %s", filepath.Base(c.path), c.want)
+		}
+	}
+}

@@ -11,6 +11,8 @@
 //	lynxd -batch 8                 # batch the hot path end to end by 8
 //	lynxd -invariants              # arm runtime invariant checks
 //	lynxd -profile-json prof.json  # tail-latency attribution report on exit
+//	lynxd -trace-json t.json -metrics-json m.json
+//	                               # timeline and metrics dump (any node count)
 //	lynxd -nodes 3 -replicas 3     # replicated KV rack, writes quorum-replicated
 //	lynxd -nodes 3 -replicas 3 -stall-queue -1 -stall-at 100ms
 //	                               # ...and kill a replica mid-run (failover demo)
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"lynx"
@@ -28,6 +31,7 @@ import (
 	"lynx/internal/apps/lenet"
 	"lynx/internal/metrics"
 	"lynx/internal/model"
+	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
@@ -49,9 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retries    = fs.Int("retries", 0, "closed-loop same-seq retransmits before a request counts lost")
 		secs       = fs.Float64("secs", 1.0, "simulated seconds to run")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
-		traceN     = fs.Int("trace", 0, "dump the last N runtime trace events")
-		traceOut   = fs.String("trace-json", "", "write a Chrome trace-event timeline (spans, samples, events) to this file")
-		profOut    = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder) to this file on exit; with -invariants, the first violation also dumps <file>.postmortem")
+		traceN     = fs.Int("trace", 0, "dump the last N runtime trace events (at most the event ring's 4096; a rack's node 0)")
+		traceOut   = fs.String("trace-json", "", "write the Chrome trace-event timeline (spans, samples, events; one process-track block per rack node) to this file")
+		metricsOut = fs.String("metrics-json", "", "write the deterministic metrics dump (stats and monitor series; a rack's per node) to this file")
+		profOut    = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) to this file on exit; with -invariants, the first violation also dumps <file>.postmortem")
 		invariants = fs.Bool("invariants", false, "arm runtime invariant checks; non-zero exit on any violation")
 		batch      = fs.Int("batch", 0, "doorbell batch size (0 = unbatched per-message hot path)")
 		batchCQ    = fs.Int("batch-cq", 0, "completion/TX drain budget (0 = follow -batch)")
@@ -64,8 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stallFor   = fs.Duration("stall-for", 100*time.Millisecond, "how long the stalled queue stays dead")
 		nodes      = fs.Int("nodes", 1, "rack node count; >1 (or -replicas >1) boots the multi-node replicated KV rack instead of -app")
 		replicas   = fs.Int("replicas", 1, "rack replication factor: each write is applied on RF-1 peer accelerators before its response releases")
-		rackTrace  = fs.String("rack-trace-json", "", "rack mode: arm per-node telemetry and write the rack-wide Chrome trace-event timeline (one process-track block per node) to this file")
-		rackMet    = fs.String("rack-metrics-json", "", "rack mode: arm per-node telemetry and write the rack telemetry rollup (per-node stats and monitor series) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -89,8 +92,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fc.Stalls = []lynx.FaultStall{{Accel: accel, Queue: *stallQ, At: *stallAt, For: *stallFor}}
 	}
+	obs := observability{traceN: *traceN, files: profile.Files{Trace: *traceOut, Metrics: *metricsOut, Profile: *profOut}}
 	if rackMode {
-		return runRack(*nodes, *replicas, *seed, fc, *clients, *retries, *rate, *secs, *invariants, *rackTrace, *rackMet, stdout, stderr)
+		var single []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "app", "platform", "cores", "queues", "batch", "batch-cq", "batch-quantum":
+				single = append(single, "-"+f.Name)
+			}
+		})
+		if len(single) > 0 {
+			fmt.Fprintln(stderr, "lynxd: single-server flags not valid with a -nodes/-replicas rack:", strings.Join(single, ", "))
+			return 2
+		}
+		return runRack(*nodes, *replicas, *seed, fc, *clients, *retries, *rate, *secs, *invariants, obs, stdout, stderr)
 	}
 	opts := []lynx.Option{lynx.WithSeed(*seed), lynx.WithFaults(fc)}
 	if bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant); err != nil {
@@ -101,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *invariants {
 		opts = append(opts, lynx.WithInvariants())
 	}
-	if *profOut != "" {
+	if obs.armed() {
 		opts = append(opts, lynx.WithProfile())
 	}
 	cluster := lynx.NewCluster(opts...)
@@ -113,27 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var plat = bf.Platform(*cores)
 	if *platform == "xeon" {
 		plat = server.HostPlatform(*cores, true)
-	}
-	var tracer *trace.Tracer
-	if *traceN > 0 || *traceOut != "" {
-		n := 4 * *traceN
-		if n < 4096 {
-			n = 4096
-		}
-		tracer = trace.New(n)
-		plat.Tracer = tracer
-	}
-	var spans *trace.SpanTable
-	var reg *metrics.Registry
-	if prof := cluster.Profile(); prof != nil {
-		// The profiling plane owns the span table and registry; the trace
-		// export (if any) shares them so both views agree.
-		spans = prof.Spans()
-		reg = prof.Registry()
-	} else if *traceOut != "" {
-		spans = trace.NewSpanTable(1 << 15)
-		plat.Spans = spans
-		reg = metrics.NewRegistry()
 	}
 	srv := cluster.NewServer(plat)
 
@@ -200,12 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := srv.Start(); err != nil {
 		return fail(err)
 	}
-	if reg != nil {
-		if cluster.Profile() == nil {
-			// With WithProfile the cluster already started the monitor.
-			srv.StartMonitor(50*time.Microsecond, reg)
-		}
-		cluster.Testbed().RegisterStats(reg)
+	prof := cluster.Profile()
+	if prof != nil {
+		cluster.Testbed().RegisterStats(prof.Registry())
 	}
 	if *profOut != "" {
 		cluster.ArmProfilePostmortem(*profOut + ".postmortem")
@@ -220,7 +211,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Proto: workload.UDP, Target: target, Payload: payload, Body: body,
 		Clients: *clients, RatePerSec: *rate, Retries: *retries,
 		Duration: window, Warmup: window / 10,
-		Spans: spans,
 	}, client)
 	res := gen.Run()
 
@@ -237,29 +227,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fc.Enabled() {
 		fmt.Fprintf(stdout, "faults injected: %s\n", cluster.FaultStats())
 	}
-	if tracer != nil && *traceN > 0 {
-		fmt.Fprintf(stdout, "\ntrace summary: %s\nlast %d events:\n", tracer.Summary(), *traceN)
-		for _, ev := range tracer.Tail(*traceN) {
-			fmt.Fprintln(stdout, " ", ev)
-		}
-	}
-	if *traceOut != "" {
-		ex := trace.Export{Spans: spans, Events: tracer, Series: reg.SeriesList()}
-		if err := writeTrace(*traceOut, ex); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "trace timeline written to %s (spans begun=%d closed=%d evicted=%d)\n",
-			*traceOut, spans.Begun(), spans.Closed(), spans.Evicted())
-	}
-	if *profOut != "" {
-		if err := cluster.WriteProfile(*profOut); err != nil {
-			return fail(err)
-		}
-		rep := cluster.ProfileReport()
-		fmt.Fprintf(stdout, "profile report written to %s (spans closed=%d)\n", *profOut, rep.SpansClosed)
-		if s := rep.BottleneckSummary(); s != "" {
-			fmt.Fprintf(stdout, "bottlenecks:\n%s", s)
-		}
+	if err := obs.finish(stdout, prof, []trace.Export{prof.Export("server1")}, prof.Registry()); err != nil {
+		return fail(err)
 	}
 	cluster.Close()
 	if *invariants {
@@ -276,13 +245,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 // drives a closed- or open-loop SET workload against node 0's owned keys,
 // printing periodic runtime and replication statistics. A -stall-queue window
 // freezes node 1's accelerator — the replica-kill failover demo.
-func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, retries int, rate, secs float64, invariants bool, rackTrace, rackMet string, stdout, stderr io.Writer) int {
+func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, retries int, rate, secs float64, invariants bool, obs observability, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "lynxd:", err)
 		return 1
 	}
 	cfg := lynx.RackConfig{Nodes: nodes, Replicas: replicas, Seed: seed, Faults: fc}
-	if rackTrace != "" || rackMet != "" {
+	if obs.armed() {
 		cfg.Telemetry = &lynx.RackTelemetry{}
 	}
 	var ck *lynx.InvariantChecker
@@ -293,6 +262,10 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 	rack, err := lynx.BuildRack(cfg)
 	if err != nil {
 		return fail(err)
+	}
+	node0 := rack.Node(0).Prof
+	if p := obs.files.Profile; p != "" {
+		node0.ArmPostmortem(ck, p+".postmortem")
 	}
 	keys := rack.OwnedKeys(0)
 	if len(keys) == 0 {
@@ -313,8 +286,8 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 		Duration: window, Warmup: window / 10,
 		Timeout: 2 * time.Millisecond, Check: ck,
 		// Client-side span stamps land in the measured primary's table when
-		// the telemetry plane is armed (nil otherwise — stamps disabled).
-		Spans: rack.Node(0).Spans,
+		// the observability plane is armed (nil otherwise — stamps disabled).
+		Spans: node0.Spans(),
 	}, rack.Clients...)
 	res := gen.Run()
 
@@ -346,36 +319,8 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 	if fc.Enabled() {
 		fmt.Fprintf(stdout, "faults injected: %s\n", rack.TB.Faults.Stats())
 	}
-	if rackTrace != "" {
-		ex := rack.TraceExport()
-		f, err := os.Create(rackTrace)
-		if err != nil {
-			return fail(err)
-		}
-		if err := ex.WriteJSON(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		sp := rack.Node(0).Spans
-		fmt.Fprintf(stdout, "rack trace timeline written to %s (%d nodes, node0 spans begun=%d closed=%d)\n",
-			rackTrace, rack.Nodes(), sp.Begun(), sp.Closed())
-	}
-	if rackMet != "" {
-		f, err := os.Create(rackMet)
-		if err != nil {
-			return fail(err)
-		}
-		if err := rack.TelemetrySnapshot().Dump(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "rack metrics rollup written to %s\n", rackMet)
+	if err := obs.finish(stdout, node0, rack.TraceExport(), rack.TelemetrySnapshot()); err != nil {
+		return fail(err)
 	}
 	rack.Close()
 	if invariants {
@@ -388,15 +333,36 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 	return 0
 }
 
-// writeTrace writes the Chrome trace-event export to path.
-func writeTrace(path string, ex trace.Export) error {
-	f, err := os.Create(path)
-	if err != nil {
+// observability is the run's -trace N and artifact-file flags.
+type observability struct {
+	traceN int
+	files  profile.Files
+}
+
+// armed reports whether any flag needs the observability plane.
+func (o observability) armed() bool {
+	return o.traceN > 0 || o.files != (profile.Files{})
+}
+
+// finish prints the -trace tail of node 0's event ring and writes the
+// artifact files: the timeline of nodes, the metrics dump of reg and node
+// 0's attribution report.
+func (o observability) finish(stdout io.Writer, node0 *profile.Profile, nodes []trace.Export, reg *metrics.Registry) error {
+	if o.traceN > 0 {
+		tail := node0.Events().Tail(o.traceN)
+		fmt.Fprintf(stdout, "\ntrace summary: %s\nlast %d events:\n", node0.Events().Summary(), len(tail))
+		for _, ev := range tail {
+			fmt.Fprintln(stdout, " ", ev)
+		}
+	}
+	rep := node0.Report()
+	if err := o.files.Write(nodes, reg, rep, func(what, path string) {
+		fmt.Fprintf(stdout, "%s written to %s\n", what, path)
+	}); err != nil {
 		return err
 	}
-	if err := ex.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	if o.files.Profile != "" && len(rep.Bottlenecks) > 0 {
+		fmt.Fprintf(stdout, "bottlenecks:\n%s", rep.BottleneckSummary())
 	}
-	return f.Close()
+	return nil
 }

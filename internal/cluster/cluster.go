@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"lynx/internal/accel"
 	"lynx/internal/apps/kvstore"
@@ -30,6 +29,7 @@ import (
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
+	"lynx/internal/profile"
 	"lynx/internal/snic"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -64,15 +64,11 @@ type Config struct {
 	// Check, when enabled, is installed as the testbed-wide invariant
 	// checker before any machine is built.
 	Check *check.Checker
-	// Tracer, when non-nil, becomes node 0's event tracer (the metamorphic
-	// trace artifact of the RF=1 identity golden). It is entry 0 of the
-	// per-node tracer array; Telemetry fills the remaining entries.
-	Tracer *trace.Tracer
 	// Telemetry, when non-nil, arms the per-node observability plane: every
-	// node gets its own event tracer, span table and metrics registry (with
-	// a monitor process sampling utilization), rolled up deterministically
-	// by Rack.TelemetrySnapshot and Rack.TraceExport. Nil keeps every node
-	// uninstrumented — the zero-cost default.
+	// node gets its own profile.Profile (event ring, span table, flight
+	// recorder, and a metrics registry its monitor samples into), rolled up
+	// deterministically by Rack.TelemetrySnapshot and Rack.TraceExport. Nil
+	// keeps every node uninstrumented — the zero-cost default.
 	Telemetry *Telemetry
 	// Shards is the shard-map size (default DefaultShards).
 	Shards int
@@ -86,16 +82,10 @@ type Config struct {
 	IngestSlots int
 }
 
-// Telemetry configures the per-node observability plane of a rack build.
-// The zero value of each field selects its default.
-type Telemetry struct {
-	// TracerCap bounds each node's event ring (default 4096 events).
-	TracerCap int
-	// SpanCap bounds each node's span table (default 1<<14 spans).
-	SpanCap int
-	// Interval is each node's monitor sampling period (default 50µs).
-	Interval time.Duration
-}
+// Telemetry sizes the per-node observability plane of a rack build: the
+// same options a single server's plane takes. The zero value of each field
+// selects its default.
+type Telemetry = profile.Options
 
 // Node is one rack member and its full serving stack.
 type Node struct {
@@ -109,13 +99,10 @@ type Node struct {
 	Store   *kvstore.Store
 	// Repl drives this node's outbound replication; nil when Replicas == 1.
 	Repl *core.Replicator
-	// Tracer/Spans/Reg are the node's observability plane: the event ring,
-	// span table and metrics registry wired into its runtime. Tracer is
-	// non-nil for node 0 when Config.Tracer was set; all three are non-nil
-	// on every node when Config.Telemetry was set, nil otherwise.
-	Tracer *trace.Tracer
-	Spans  *trace.SpanTable
-	Reg    *metrics.Registry
+	// Prof is the node's observability plane, wired into its runtime; nil
+	// unless Config.Telemetry was set. Spans is Prof.Spans().
+	Prof  *profile.Profile
+	Spans *trace.SpanTable
 
 	handle      *core.AccelHandle
 	peerSlot    map[int]int // rack node index -> AddPeer bit position
@@ -194,37 +181,18 @@ func Build(cfg Config) (*Rack, error) {
 	}
 	r.Clients = []*netstack.Host{tb.AddClient("client1"), tb.AddClient("client2")}
 
-	// Per-node observability plane. The tracer array replaces the old
-	// node-0-only special case: the legacy Config.Tracer knob is entry 0
-	// (the identity-golden artifact), and Telemetry fills every empty slot
-	// with the node's own ring so a rack failover reads as one timeline.
-	tracers := make([]*trace.Tracer, cfg.Nodes)
-	tracers[0] = cfg.Tracer
-	if t := cfg.Telemetry; t != nil {
-		tcap, scap := t.TracerCap, t.SpanCap
-		if tcap <= 0 {
-			tcap = 4096
-		}
-		if scap <= 0 {
-			scap = 1 << 14
-		}
-		for i, n := range r.nodes {
-			if tracers[i] == nil {
-				tracers[i] = trace.New(tcap)
-			}
-			n.Spans = trace.NewSpanTable(scap)
-			n.Spans.RegisterInvariants(cfg.Check)
-			n.Reg = metrics.NewRegistry()
+	// Per-node observability plane: every node carries the plane a single
+	// server has, so a rack failover reads as one timeline.
+	if cfg.Telemetry != nil {
+		for _, n := range r.nodes {
+			n.Prof = profile.New(*cfg.Telemetry, cfg.Check)
+			n.Spans = n.Prof.Spans()
 		}
 	}
 
 	// Runtimes, services, preloaded stores.
-	for i, n := range r.nodes {
-		plat := n.BF.Platform(7)
-		plat.Tracer = tracers[i]
-		plat.Spans = n.Spans
-		n.Tracer = tracers[i]
-		rt := core.NewRuntime(plat)
+	for _, n := range r.nodes {
+		rt := core.NewRuntime(n.Prof.Platform(n.BF.Platform(7)))
 		h, err := rt.Register(n.GPU, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: slotBytes}, serveQueues)
 		if err != nil {
 			return nil, err
@@ -336,13 +304,7 @@ func Build(cfg Config) (*Rack, error) {
 		if err := n.RT.Start(); err != nil {
 			return nil, err
 		}
-		if t := cfg.Telemetry; t != nil {
-			iv := t.Interval
-			if iv <= 0 {
-				iv = 50 * time.Microsecond
-			}
-			n.RT.StartMonitor(iv, n.Reg)
-		}
+		n.Prof.Monitor(n.RT)
 	}
 	return r, nil
 }
@@ -425,7 +387,7 @@ func (r *Rack) Measure(wcfg workload.Config) workload.Result {
 	if wcfg.Check == nil {
 		wcfg.Check = r.cfg.Check
 	}
-	if wcfg.Spans == nil && r.cfg.Telemetry != nil {
+	if wcfg.Spans == nil {
 		wcfg.Spans = r.nodes[0].Spans
 	}
 	g := workload.New(r.TB.Sim, wcfg, r.Clients...)
@@ -433,38 +395,41 @@ func (r *Rack) Measure(wcfg workload.Config) workload.Result {
 }
 
 // TelemetrySnapshot merges every node's metrics registry into one rack
-// rollup: each component snapshot and sampled series reappears under a
-// "<node>/" prefix, in node-index order, so the dump is byte-deterministic
-// for a deterministic run. Stats are frozen at snapshot time. Nodes without
-// a registry (telemetry plane not armed) contribute nothing.
+// rollup, in node-index order, so the dump is byte-deterministic for a
+// deterministic run. With more than one node each component snapshot and
+// sampled series reappears under a "<node>/" prefix; a 1-node rollup is the
+// single server's registry. Stats are frozen at snapshot time. Nodes without
+// a plane (Telemetry not armed) contribute nothing.
 func (r *Rack) TelemetrySnapshot() *metrics.Registry {
 	out := metrics.NewRegistry()
 	for _, n := range r.nodes {
-		if n.Reg == nil {
+		reg := n.Prof.Registry()
+		if reg == nil {
 			continue
 		}
-		for _, cs := range n.Reg.StatsSnapshot() {
-			stats := cs.Stats
-			out.AddStats(n.Name+"/"+cs.Component, func() []metrics.Stat { return stats })
+		prefix := ""
+		if len(r.nodes) > 1 {
+			prefix = n.Name + "/"
 		}
-		for _, s := range n.Reg.SeriesList() {
-			out.AddSeries(s.Renamed(n.Name + "/" + s.Name()))
+		for _, cs := range reg.StatsSnapshot() {
+			stats := cs.Stats
+			out.AddStats(prefix+cs.Component, func() []metrics.Stat { return stats })
+		}
+		for _, s := range reg.SeriesList() {
+			out.AddSeries(s.Renamed(prefix + s.Name()))
 		}
 	}
 	return out
 }
 
-// TraceExport assembles the rack-wide Perfetto export: one process-track
-// block per node (server{i}'s network/snic/mqueue/accelerator tracks plus
-// its event ring and samplers), in node-index order.
-func (r *Rack) TraceExport() trace.RackExport {
-	var ex trace.RackExport
-	for _, n := range r.nodes {
-		ex.Nodes = append(ex.Nodes, trace.NodeExport{
-			Name: n.Name, Spans: n.Spans, Events: n.Tracer, Series: n.Reg.SeriesList(),
-		})
+// TraceExport returns every node's plane as one timeline node each, in
+// node-index order; render them with trace.WriteJSON.
+func (r *Rack) TraceExport() []trace.Export {
+	out := make([]trace.Export, len(r.nodes))
+	for i, n := range r.nodes {
+		out[i] = n.Prof.Export(n.Name)
 	}
-	return ex
+	return out
 }
 
 // Close shuts the rack's simulation down, unwinding all processes (and

@@ -169,7 +169,7 @@ func TestRackTelemetryDisabledNilSafe(t *testing.T) {
 	}
 	for i := 0; i < rack.Nodes(); i++ {
 		n := rack.Node(i)
-		if n.Tracer != nil || n.Spans != nil || n.Reg != nil {
+		if n.Prof != nil || n.Spans != nil {
 			t.Errorf("node %d carries telemetry state without Telemetry config", i)
 		}
 	}
@@ -186,8 +186,7 @@ func TestRackTelemetryDeterminism(t *testing.T) {
 		rack, _, _ := telemetryRun(t, 23, &Telemetry{}, fault.Config{})
 		rack.Close()
 		var tr, met bytes.Buffer
-		ex := rack.TraceExport()
-		if err := ex.WriteJSON(&tr); err != nil {
+		if err := trace.WriteJSON(&tr, rack.TraceExport()...); err != nil {
 			t.Fatal(err)
 		}
 		if err := rack.TelemetrySnapshot().Dump(&met); err != nil {
@@ -208,33 +207,46 @@ func TestRackTelemetryDeterminism(t *testing.T) {
 	}
 }
 
-// TestRackTracerArrayWiring: the legacy Config.Tracer lands on node 0 only,
-// peers stay untraced without Telemetry (the PR 9 identity-golden wiring),
-// and with Telemetry armed node 0 still uses the provided ring.
-func TestRackTracerArrayWiring(t *testing.T) {
-	tr := trace.New(256)
-	rack, err := Build(Config{Nodes: 2, Replicas: 1, Seed: 3, Tracer: tr})
+// TestRackPlaneWiring: under Telemetry every node carries its own plane,
+// Node.Spans is that plane's span table, and each runtime's events land in
+// its own node's ring only.
+func TestRackPlaneWiring(t *testing.T) {
+	rack, err := Build(Config{Nodes: 2, Replicas: 1, Seed: 3, Telemetry: &Telemetry{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rack.Node(0).Tracer != tr {
-		t.Error("node 0 does not use the configured tracer")
+	n0, n1 := rack.Node(0), rack.Node(1)
+	if n0.Prof == nil || n1.Prof == nil || n0.Prof == n1.Prof {
+		t.Fatal("nodes do not carry distinct planes")
 	}
-	if rack.Node(1).Tracer != nil {
-		t.Error("node 1 traced without Telemetry")
+	for _, n := range []*Node{n0, n1} {
+		if n.Spans == nil || n.Spans != n.Prof.Spans() {
+			t.Errorf("%s: Node.Spans is not its plane's span table", n.Name)
+		}
 	}
+	if n0.Prof.Events() == n1.Prof.Events() {
+		t.Fatal("nodes share an event ring")
+	}
+	keys := rack.OwnedKeys(1)
+	if len(keys) == 0 {
+		t.Fatal("node 1 owns no keys")
+	}
+	res := rack.Measure(workload.Config{
+		Proto: workload.UDP, Target: n1.Addr(), Payload: 64,
+		Body: func(seq uint64, buf []byte) {
+			copy(buf[workload.SeqBytes:], kvstore.EncodeGet(keys[seq%uint64(len(keys))]))
+		},
+		Clients: 2, Duration: time.Millisecond, Warmup: 100 * time.Microsecond,
+		Timeout: 2 * time.Millisecond,
+	})
 	rack.Close()
-
-	tr2 := trace.New(256)
-	rack2, err := Build(Config{Nodes: 2, Replicas: 2, Seed: 3, Tracer: tr2, Telemetry: &Telemetry{}})
-	if err != nil {
-		t.Fatal(err)
+	if res.Received == 0 {
+		t.Fatal("node 1 served nothing")
 	}
-	if rack2.Node(0).Tracer != tr2 {
-		t.Error("Telemetry displaced the configured node-0 tracer")
+	if got := n1.Prof.Events().Count(trace.Recv); got == 0 {
+		t.Error("node 1's requests left no recv events in its ring")
 	}
-	if rack2.Node(1).Tracer == nil || rack2.Node(1).Tracer == tr2 {
-		t.Error("node 1 should get its own tracer under Telemetry")
+	if got := n0.Prof.Events().Count(trace.Recv); got != 0 {
+		t.Errorf("node 0's ring recorded %d recv events for node 1's traffic", got)
 	}
-	rack2.Close()
 }

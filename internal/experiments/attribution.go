@@ -9,7 +9,6 @@ package experiments
 import (
 	"time"
 
-	"lynx/internal/metrics"
 	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -22,7 +21,6 @@ func init() {
 // attributionOutcome bundles one attribution run.
 type attributionOutcome struct {
 	res    workload.Result
-	spans  *trace.SpanTable
 	prof   *profile.Profile
 	report *profile.Report
 }
@@ -35,13 +33,10 @@ type attributionOutcome struct {
 func attributionRun(cfg Config) attributionOutcome {
 	e := newEnv(cfg)
 	var out attributionOutcome
-	out.spans = e.armSpans(1 << 15)
-	plat := e.lynxPlatform(platLynxBF)
-	addr, rt := e.echoDeployment(plat, 32, 20*time.Microsecond, 256)
-	reg := metrics.NewRegistry()
-	rt.StartMonitor(50*time.Microsecond, reg)
-	e.tb.RegisterStats(reg)
-	out.prof = profile.Assemble(out.spans, e.rec, reg)
+	out.prof = e.arm(1 << 15)
+	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), 32, 20*time.Microsecond, 256)
+	out.prof.Monitor(rt)
+	e.tb.RegisterStats(out.prof.Registry())
 	if cfg.ProfileJSON != "" {
 		out.prof.ArmPostmortem(e.check, cfg.ProfileJSON+".postmortem")
 	}
@@ -63,14 +58,15 @@ func runAttribution(cfg Config) *Report {
 		Title:   "Tail-latency attribution (Lynx BlueField at dispatcher saturation, 32 mqueues, 20us GPU echo)",
 		Columns: []string{"wait-mean", "wait-p99", "svc-mean", "svc-p99", "wait-share"},
 	}
+	spans := out.prof.Spans()
 	for p := trace.PhaseNetwork; p < trace.NumPhases; p++ {
-		w := out.spans.PhaseWaitHist(p)
-		s := out.spans.PhaseServiceHist(p)
-		ph := out.spans.PhaseHist(p)
+		w := spans.PhaseWaitHist(p)
+		s := spans.PhaseServiceHist(p)
+		ph := spans.PhaseHist(p)
 		rep.AddRow(p.String(), w.Mean(), w.P99(), s.Mean(), s.P99(),
 			fmtShare(w.Sum(), ph.Sum()))
 	}
-	e2e := out.spans.EndToEnd()
+	e2e := spans.EndToEnd()
 	rep.AddRow("end-to-end", "", e2e.P99(), "", "", "")
 	for i, b := range out.report.Bottlenecks {
 		rep.Note("bottleneck #%d %s", i+1, b)
@@ -78,13 +74,7 @@ func runAttribution(cfg Config) *Report {
 	rep.Note("workload: %s", out.res.String())
 	rep.Note("flight recorder: %d spans observed, top-%d retained",
 		out.prof.Recorder().Observed(), out.prof.Recorder().TopK())
-	if cfg.ProfileJSON != "" {
-		if err := out.prof.WriteFile(cfg.ProfileJSON); err != nil {
-			rep.Note("profile export failed: %v", err)
-		} else {
-			rep.Note("attribution profile written to %s", cfg.ProfileJSON)
-		}
-	}
+	cfg.writeArtifacts(rep, []trace.Export{out.prof.Export("server1")}, out.prof.Registry(), out.report)
 	return rep
 }
 

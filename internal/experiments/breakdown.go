@@ -8,10 +8,8 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
 
-	"lynx/internal/metrics"
 	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -23,11 +21,8 @@ func init() {
 
 // breakdownOutcome bundles everything one instrumented run produces.
 type breakdownOutcome struct {
-	res    workload.Result
-	spans  *trace.SpanTable
-	events *trace.Tracer
-	reg    *metrics.Registry
-	prof   *profile.Profile
+	res  workload.Result
+	prof *profile.Profile // nil when untraced
 }
 
 // BreakdownRun drives the breakdown deployment once — the BlueField GPU echo
@@ -43,17 +38,12 @@ func breakdownRun(cfg Config, traced bool) breakdownOutcome {
 	e := newEnv(cfg)
 	var out breakdownOutcome
 	if traced {
-		out.spans = e.armSpans(1 << 14)
-		out.events = trace.New(4096)
+		out.prof = e.arm(1 << 14)
 	}
-	plat := e.lynxPlatform(platLynxBF)
-	plat.Tracer = out.events
-	addr, rt := e.echoDeployment(plat, 8, 20*time.Microsecond, 256)
+	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), 8, 20*time.Microsecond, 256)
 	if traced {
-		out.reg = metrics.NewRegistry()
-		rt.StartMonitor(50*time.Microsecond, out.reg)
-		e.tb.RegisterStats(out.reg)
-		out.prof = profile.Assemble(out.spans, e.rec, out.reg)
+		out.prof.Monitor(rt)
+		e.tb.RegisterStats(out.prof.Registry())
 		if cfg.ProfileJSON != "" {
 			out.prof.ArmPostmortem(e.check, cfg.ProfileJSON+".postmortem")
 		}
@@ -62,7 +52,6 @@ func breakdownRun(cfg Config, traced bool) breakdownOutcome {
 	out.res = e.measure(workload.Config{
 		Proto: workload.UDP, Target: addr, Payload: 128,
 		Clients: 16, Duration: window, Warmup: window / 4,
-		Spans: out.spans,
 	})
 	e.tb.Sim.Shutdown()
 	return out
@@ -75,10 +64,11 @@ func runBreakdown(cfg Config) *Report {
 		Title:   "Request latency decomposition (Lynx BlueField, 8 mqueues, 20us GPU echo)",
 		Columns: []string{"mean", "p99", "share"},
 	}
-	e2e := out.spans.EndToEnd()
+	spans := out.prof.Spans()
+	e2e := spans.EndToEnd()
 	var sum time.Duration
 	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
-		h := out.spans.PhaseHist(ph)
+		h := spans.PhaseHist(ph)
 		sum += h.Mean()
 		rep.AddRow(ph.String(), h.Mean(), h.P99(), fmtShare(h.Mean(), e2e.Mean()))
 	}
@@ -86,22 +76,8 @@ func runBreakdown(cfg Config) *Report {
 	rep.AddRow("end-to-end", e2e.Mean(), e2e.P99(), "100.0%")
 	rep.Note("workload: %s", out.res.String())
 	rep.Note("spans: begun=%d closed=%d evicted=%d (complete spans only enter the breakdown)",
-		out.spans.Begun(), out.spans.Closed(), out.spans.Evicted())
-	if cfg.TraceJSON != "" {
-		ex := trace.Export{Spans: out.spans, Events: out.events, Series: out.reg.SeriesList()}
-		if err := WriteTrace(cfg.TraceJSON, ex); err != nil {
-			rep.Note("trace export failed: %v", err)
-		} else {
-			rep.Note("trace timeline written to %s", cfg.TraceJSON)
-		}
-	}
-	if cfg.ProfileJSON != "" {
-		if err := out.prof.WriteFile(cfg.ProfileJSON); err != nil {
-			rep.Note("profile export failed: %v", err)
-		} else {
-			rep.Note("attribution profile written to %s", cfg.ProfileJSON)
-		}
-	}
+		spans.Begun(), spans.Closed(), spans.Evicted())
+	cfg.writeArtifacts(rep, []trace.Export{out.prof.Export("server1")}, out.prof.Registry(), out.prof.Report())
 	return rep
 }
 
@@ -110,17 +86,4 @@ func fmtShare(part, whole time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
-}
-
-// WriteTrace writes a Chrome trace-event export to path.
-func WriteTrace(path string, ex trace.Export) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ex.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

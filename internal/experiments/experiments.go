@@ -20,6 +20,7 @@ import (
 	"lynx/internal/check"
 	"lynx/internal/core"
 	"lynx/internal/fault"
+	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
@@ -45,27 +46,25 @@ type Config struct {
 	// setting: results are collected by sweep index, and every point is
 	// deterministic given (Seed, Scale).
 	Workers int
-	// TraceJSON, when non-empty, makes instrumented experiments (breakdown)
-	// write a Chrome trace-event timeline to this path.
+	// TraceJSON, when non-empty, makes instrumented experiments (breakdown,
+	// attribution, replbreakdown) write a Chrome trace-event timeline — one
+	// process-track block per node — to this path.
 	TraceJSON string
 	// Invariants, when non-nil, arms a runtime invariant checker on every
 	// testbed the experiment builds; each sweep point finalizes its checker
 	// at shutdown and merges the report here. Checked runs stay
 	// bit-identical to unchecked ones.
 	Invariants *check.Aggregate
-	// ProfileJSON, when non-empty, makes profiling experiments (breakdown,
-	// attribution) write the tail-latency attribution report to this path;
-	// with Invariants also armed, an invariant violation dumps a postmortem
-	// flight-recorder report to ProfileJSON + ".postmortem".
+	// MetricsJSON, when non-empty, makes instrumented experiments write
+	// their deterministic metrics dump (stats and monitor series; a rack's
+	// under "<node>/" prefixes) to this path.
+	MetricsJSON string
+	// ProfileJSON, when non-empty, makes instrumented experiments write the
+	// tail-latency attribution report (a rack's from node 0) to this path;
+	// with Invariants also armed, an invariant violation in breakdown or
+	// attribution dumps a postmortem flight-recorder report to
+	// ProfileJSON + ".postmortem".
 	ProfileJSON string
-	// RackTraceJSON, when non-empty, makes rack experiments (replbreakdown)
-	// write the rack-wide Chrome trace-event timeline — one process-track
-	// block per node — to this path.
-	RackTraceJSON string
-	// RackMetricsJSON, when non-empty, makes rack experiments write the
-	// deterministic rack telemetry rollup (per-node stats and series under
-	// "<node>/" prefixes) to this path.
-	RackMetricsJSON string
 	// Top, when non-nil, arms span tracing plus a flight recorder on every
 	// testbed the experiment builds and collects each testbed's slowest
 	// completed requests here (cmd/lynxbench -top).
@@ -84,6 +83,18 @@ func (c Config) window(d time.Duration) time.Duration {
 		return d
 	}
 	return time.Duration(float64(d) * c.Scale)
+}
+
+// writeArtifacts writes the run's observability artifacts named by the
+// config (-trace-json, -metrics-json, -profile-json), noting each file
+// written, or the failure, on rep.
+func (c Config) writeArtifacts(rep *Report, nodes []trace.Export, reg *metrics.Registry, report *profile.Report) {
+	files := profile.Files{Trace: c.TraceJSON, Metrics: c.MetricsJSON, Profile: c.ProfileJSON}
+	if err := files.Write(nodes, reg, report, func(what, path string) {
+		rep.Note("%s written to %s", what, path)
+	}); err != nil {
+		rep.Note("artifact export failed: %v", err)
+	}
 }
 
 // Report is the outcome of one experiment, printable as a paper-style table.
@@ -281,10 +292,9 @@ type env struct {
 	gpu     *accel.GPU
 	clients []*netstack.Host
 	check   *check.Checker
-	// spans/rec are the env's profiling plane, armed lazily by armSpans
-	// (always when cfg.Top is set, otherwise by profiling experiments).
-	spans *trace.SpanTable
-	rec   *profile.Recorder
+	// prof is the env's observability plane, armed lazily by arm (always
+	// when cfg.Top is set, otherwise by profiling experiments).
+	prof *profile.Profile
 }
 
 func newEnv(cfg Config) *env {
@@ -319,32 +329,29 @@ func newEnvWith(cfg Config, p *model.Params) *env {
 		check:   ck,
 	}
 	if cfg.Top != nil {
-		e.armSpans(1 << 14)
+		e.arm(1 << 14)
 	}
 	return e
 }
 
-// armSpans arms the env's profiling plane once: a span table with its
-// invariants registered, and a flight recorder attached to it. When the
-// config carries a TopCollector, the testbed's shutdown folds this env's
-// slowest spans into it (every experiment shuts its testbeds down).
-func (e *env) armSpans(capacity int) *trace.SpanTable {
-	if e.spans != nil {
-		return e.spans
+// arm arms the env's observability plane once, with a span table of spanCap
+// entries. When the config carries a TopCollector, the testbed's shutdown
+// folds this env's slowest spans into it (every experiment shuts its
+// testbeds down).
+func (e *env) arm(spanCap int) *profile.Profile {
+	if e.prof != nil {
+		return e.prof
 	}
-	e.spans = trace.NewSpanTable(capacity)
-	e.spans.RegisterInvariants(e.check)
 	k := 16
 	if e.cfg.Top != nil && e.cfg.Top.K() > k {
 		k = e.cfg.Top.K()
 	}
-	e.rec = profile.NewRecorder(k, 64)
-	e.rec.Attach(e.spans)
+	e.prof = profile.New(profile.Options{SpanCap: spanCap, TopK: k}, e.check)
 	if top := e.cfg.Top; top != nil {
-		rec := e.rec
+		rec := e.prof.Recorder()
 		e.tb.Sim.OnShutdown(func() { top.Add(rec.Top()) })
 	}
-	return e.spans
+	return e.prof
 }
 
 // platform names used across experiments.
@@ -356,8 +363,8 @@ const (
 )
 
 // lynxPlatform builds the requested Lynx platform in this env. An armed
-// profiling plane (armSpans) is threaded into the platform so server-side
-// stamps land in the env's span table.
+// observability plane (arm) is threaded into the platform so server-side
+// events and stamps land in the env's plane.
 func (e *env) lynxPlatform(name string) core.Platform {
 	var p core.Platform
 	switch name {
@@ -370,10 +377,7 @@ func (e *env) lynxPlatform(name string) core.Platform {
 	default:
 		panic("experiments: not a Lynx platform: " + name)
 	}
-	if p.Spans == nil {
-		p.Spans = e.spans
-	}
-	return p
+	return e.prof.Platform(p)
 }
 
 // echoDeployment stands up a Lynx GPU echo/delay service: nQueues server
@@ -418,7 +422,7 @@ func (e *env) measure(wcfg workload.Config) workload.Result {
 		wcfg.Check = e.check
 	}
 	if wcfg.Spans == nil {
-		wcfg.Spans = e.spans
+		wcfg.Spans = e.prof.Spans()
 	}
 	g := workload.New(e.tb.Sim, wcfg, e.clients...)
 	return workload.RunFor(e.tb.Sim, g)

@@ -371,9 +371,12 @@ func goldenUDPClientQueue(t *testing.T) (string, string) {
 // verdict and the release of every response held on the dead peer.
 func goldenReplicationKill(t *testing.T) (string, string) {
 	p := model.Default()
-	tr := trace.New(1 << 16)
 	rack, err := cluster.Build(cluster.Config{
-		Nodes: 3, Replicas: 3, Seed: goldenCfg.Seed + 1, Params: &p, Tracer: tr,
+		Nodes: 3, Replicas: 3, Seed: goldenCfg.Seed + 1, Params: &p,
+		// Node 0's event ring is the trace artifact. An hour-long monitor
+		// period keeps the planes' samplers from adding events beyond their
+		// spawns.
+		Telemetry: &cluster.Telemetry{TracerCap: 1 << 16, Interval: time.Hour},
 		Faults: fault.Config{
 			Seed:   goldenCfg.Seed,
 			Stalls: []fault.Stall{{Accel: "gpu1", Queue: -1, At: time.Millisecond, For: time.Hour}},
@@ -397,7 +400,7 @@ func goldenReplicationKill(t *testing.T) (string, string) {
 	repl := rack.Node(0).Repl
 	return goldenReport("replication-kill", s, res,
 			[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
-		traceText(t, tr)
+		traceText(t, rack.Node(0).Prof.Events())
 }
 
 // goldenInnovaDuplex is ext-innova-duplex's FPGA echo: the AFU's receive

@@ -12,14 +12,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
 	"lynx/internal/cluster"
-	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/profile"
 	"lynx/internal/trace"
@@ -35,10 +32,9 @@ func init() {
 // replBreakdownOutcome bundles one instrumented RF=3 rack run.
 type replBreakdownOutcome struct {
 	res   workload.Result
-	spans *trace.SpanTable   // node 0 (the measured primary)
+	node0 *profile.Profile   // the measured primary's plane (repl/* series live here)
 	peers []profile.ReplPeer // straggler ranking, gating-count order
 	prof  *profile.Report    // node 0 attribution report, replication section set
-	reg   *metrics.Registry  // node 0 registry (repl/* series live here)
 	rack  *cluster.Rack      // closed by the time the outcome returns
 }
 
@@ -69,9 +65,6 @@ func replBreakdownRun(cfg Config) replBreakdownOutcome {
 		inv := cfg.Invariants
 		rack.TB.Sim.OnShutdown(func() { inv.Add(ck.Finalize()) })
 	}
-	spans := rack.Node(0).Spans
-	rec := profile.NewRecorder(16, 64)
-	rec.Attach(spans)
 	window := cfg.window(20 * time.Millisecond)
 	keys := rack.OwnedKeys(0)
 	res := rack.Measure(workload.Config{
@@ -83,7 +76,8 @@ func replBreakdownRun(cfg Config) replBreakdownOutcome {
 		Clients: 8, Duration: window, Warmup: window / 5,
 		Timeout: 2 * time.Millisecond, Retries: 3,
 	})
-	out := replBreakdownOutcome{res: res, spans: spans, reg: rack.Node(0).Reg, rack: rack}
+	node0 := rack.Node(0).Prof
+	out := replBreakdownOutcome{res: res, node0: node0, rack: rack}
 	if repl := rack.Node(0).Repl; repl != nil {
 		for i := 0; i < repl.PeerCount(); i++ {
 			st := repl.PeerStat(i)
@@ -92,7 +86,7 @@ func replBreakdownRun(cfg Config) replBreakdownOutcome {
 		}
 	}
 	rack.Close()
-	out.prof = profile.Build(spans, rec, out.reg)
+	out.prof = node0.Report()
 	out.prof.SetReplication(out.peers)
 	return out
 }
@@ -124,17 +118,18 @@ func runReplBreakdown(cfg Config) *Report {
 		Title:   "Replicated write decomposition (3 nodes, RF=3, quorum over one-sided RDMA)",
 		Columns: []string{"mean", "p99", "wait", "share"},
 	}
-	e2e := out.spans.EndToEnd()
+	spans := out.node0.Spans()
+	e2e := spans.EndToEnd()
 	var sum time.Duration
 	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
-		h := out.spans.PhaseHist(ph)
+		h := spans.PhaseHist(ph)
 		sum += h.Mean()
 		rep.AddRow(ph.String(), h.Mean(), h.P99(),
-			out.spans.PhaseWaitHist(ph).Mean(), fmtShare(h.Mean(), e2e.Mean()))
+			spans.PhaseWaitHist(ph).Mean(), fmtShare(h.Mean(), e2e.Mean()))
 	}
 	rep.AddRow("phase-sum", sum, "", "", fmtShare(sum, e2e.Mean()))
 	rep.AddRow("end-to-end", e2e.Mean(), e2e.P99(), "", "100.0%")
-	rep.AddRow("telescope-err", fmt.Sprintf("%.4f%%", 100*telescopeError(out.spans)))
+	rep.AddRow("telescope-err", fmt.Sprintf("%.4f%%", 100*telescopeError(spans)))
 	var gatedTotal uint64
 	for _, pr := range out.peers {
 		gatedTotal += pr.GatedQuorums
@@ -148,50 +143,16 @@ func runReplBreakdown(cfg Config) *Report {
 	rep.Note("peer rows rank stragglers: mean/p99 of dispatch→ack latency, wait = p99 of the gating margin (quorum-completing ack minus the previous ack), share = fraction of parked quorums this peer's ack completed")
 	rep.Note("replication phase = quorum hold carved out of the SNIC phase (drain→quorum); zero for writes whose quorum completed before the response drained")
 	rep.Note("workload: %s (all writes target node 0's owned keys)", out.res.String())
-	rep.Note("spans: begun=%d closed=%d evicted=%d", out.spans.Begun(), out.spans.Closed(), out.spans.Evicted())
-	if k := profile.PredictKnee(out.reg, out.res.Throughput()); k.Valid || k.Reason != "" {
+	rep.Note("spans: begun=%d closed=%d evicted=%d", spans.Begun(), spans.Closed(), spans.Evicted())
+	if k := profile.PredictKnee(out.node0.Registry(), out.res.Throughput()); k.Valid || k.Reason != "" {
 		rep.Note("primary knee: %s", k.String())
 	}
-	if cfg.ProfileJSON != "" {
-		if err := writeJSONTo(cfg.ProfileJSON, out.prof.WriteJSON); err != nil {
-			rep.Note("profile export failed: %v", err)
-		} else {
-			rep.Note("attribution profile (with replication section) written to %s", cfg.ProfileJSON)
-		}
-	}
-	if cfg.RackTraceJSON != "" {
-		ex := out.rack.TraceExport()
-		if err := writeJSONTo(cfg.RackTraceJSON, ex.WriteJSON); err != nil {
-			rep.Note("rack trace export failed: %v", err)
-		} else {
-			rep.Note("rack trace timeline written to %s", cfg.RackTraceJSON)
-		}
-	}
-	if cfg.RackMetricsJSON != "" {
-		if err := writeJSONTo(cfg.RackMetricsJSON, out.rack.TelemetrySnapshot().Dump); err != nil {
-			rep.Note("rack metrics export failed: %v", err)
-		} else {
-			rep.Note("rack metrics rollup written to %s", cfg.RackMetricsJSON)
-		}
-	}
+	cfg.writeArtifacts(rep, out.rack.TraceExport(), out.rack.TelemetrySnapshot(), out.prof)
 	return rep
 }
 
 // replicationTelescope recomputes the telescope error for the scorecard.
 func replicationTelescope(cfg Config) float64 {
 	out := replBreakdownRun(cfg)
-	return telescopeError(out.spans)
-}
-
-// writeJSONTo creates path and streams one JSON document into it.
-func writeJSONTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return telescopeError(out.node0.Spans())
 }

@@ -13,13 +13,14 @@ import (
 func TestReplBreakdownTelescope(t *testing.T) {
 	inv := check.NewAggregate()
 	out := replBreakdownRun(Config{Seed: 1, Scale: 0.25, Invariants: inv})
-	if out.spans.Closed() == 0 {
+	spans := out.node0.Spans()
+	if spans.Closed() == 0 {
 		t.Fatal("no closed spans")
 	}
-	if err := telescopeError(out.spans); err > 0.05 {
+	if err := telescopeError(spans); err > 0.05 {
 		t.Errorf("telescope error %.4f exceeds 0.05", err)
 	}
-	if out.spans.PhaseHist(trace.PhaseReplication).Mean() <= 0 {
+	if spans.PhaseHist(trace.PhaseReplication).Mean() <= 0 {
 		t.Error("replication phase mean is zero on an RF=3 rack")
 	}
 	if len(out.peers) != 2 {

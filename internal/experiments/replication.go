@@ -18,8 +18,10 @@ import (
 	"lynx/internal/cluster"
 	"lynx/internal/core"
 	"lynx/internal/fault"
+	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
+	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
@@ -157,15 +159,27 @@ func replicationFailover(cfg Config) (lagMs, goodput float64) {
 	return float64(pt.lag) / float64(time.Millisecond), pt.res.GoodputFraction()
 }
 
+// identityOutcome is one side of the RF=1 identity: the measured report and
+// the node's observability plane with the timeline nodes and metrics
+// registry its artifacts are rendered from.
+type identityOutcome struct {
+	rep   *Report
+	prof  *profile.Profile
+	nodes []trace.Export
+	reg   *metrics.Registry
+}
+
 // replicationIdentity drives the identical write workload against either the
 // 1-node RF=1 rack (viaRack) or the hand-built single-server KV deployment
-// the rack claims operation-for-operation parity with, and returns the
-// measured report plus the runtime's event trace. The metamorphic golden test
-// pins both artifacts byte-for-byte: rack == single-server, and both == the
-// committed golden.
-func replicationIdentity(cfg Config, viaRack bool) (*Report, []string) {
+// the rack claims operation-for-operation parity with, each carrying the
+// full observability plane, and returns the measured report and the plane.
+// The metamorphic golden test pins the report, the plane's event trace and
+// its artifacts byte-for-byte: rack == single-server, and report and trace
+// == the committed golden.
+func replicationIdentity(cfg Config, viaRack bool) identityOutcome {
 	window := cfg.window(20 * time.Millisecond)
-	tr := trace.New(1 << 20)
+	opts := profile.Options{TracerCap: 1 << 20}
+	var out identityOutcome
 	wcfg := workload.Config{
 		Proto: workload.UDP, Payload: 64,
 		Body: func(seq uint64, buf []byte) {
@@ -179,19 +193,19 @@ func replicationIdentity(cfg Config, viaRack bool) (*Report, []string) {
 	if viaRack {
 		p := model.Default()
 		rack, err := cluster.Build(cluster.Config{
-			Nodes: 1, Replicas: 1, Seed: cfg.Seed + 1, Params: &p, Tracer: tr,
+			Nodes: 1, Replicas: 1, Seed: cfg.Seed + 1, Params: &p, Telemetry: &opts,
 		})
 		if err != nil {
 			panic(err)
 		}
 		wcfg.Target = rack.Node(0).Addr()
-		res = workload.RunFor(rack.TB.Sim, workload.New(rack.TB.Sim, wcfg, rack.Clients...))
-		rack.TB.Sim.Shutdown()
+		res = rack.Measure(wcfg)
+		rack.Close()
+		out.prof, out.nodes, out.reg = rack.Node(0).Prof, rack.TraceExport(), rack.TelemetrySnapshot()
 	} else {
 		e := newEnv(cfg)
-		plat := e.bf.Platform(7)
-		plat.Tracer = tr
-		rt := core.NewRuntime(plat)
+		prof := profile.New(opts, e.check)
+		rt := core.NewRuntime(prof.Platform(e.bf.Platform(7)))
 		h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 4)
 		if err != nil {
 			panic(err)
@@ -228,21 +242,20 @@ func replicationIdentity(cfg Config, viaRack bool) (*Report, []string) {
 		if err := rt.Start(); err != nil {
 			panic(err)
 		}
+		prof.Monitor(rt)
 		wcfg.Target = svc.Addr()
+		wcfg.Spans = prof.Spans()
 		res = workload.RunFor(e.tb.Sim, workload.New(e.tb.Sim, wcfg, e.clients...))
 		e.tb.Sim.Shutdown()
+		out.prof, out.nodes, out.reg = prof, []trace.Export{prof.Export("server1")}, prof.Registry()
 	}
-	r := &Report{
+	out.rep = &Report{
 		ID:      "replication-identity",
 		Title:   "RF=1 single-node rack vs single-server deployment (metamorphic identity)",
 		Columns: []string{"goodput", "req/s", "p99", "retries"},
 	}
-	r.AddRow("RF=1",
+	out.rep.AddRow("RF=1",
 		fmt.Sprintf("%.3f", res.GoodputFraction()),
 		res.Throughput(), res.Hist.P99(), fmt.Sprint(res.Retries))
-	var events []string
-	for _, ev := range tr.Events() {
-		events = append(events, ev.String())
-	}
-	return r, events
+	return out
 }

@@ -1,18 +1,24 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
+
+	"lynx/internal/trace"
 )
 
 // TestReplicationIdentity pins ROADMAP item 1's RF-1 byte-identity claim from
 // both directions. Metamorphic: the 1-node RF=1 rack built by
 // internal/cluster must produce the exact measured result and runtime event
 // trace of the hand-built single-server KV deployment (same seed, same
-// workload) — the replication hooks must be invisible when dormant. Golden:
-// both must match the committed artifacts, so any cross-release drift in the
-// single-server event sequence shows up as a byte diff here too.
+// workload) — the replication hooks must be invisible when dormant — and,
+// with the observability plane armed on both sides, the rack's timeline and
+// metrics rollup must be the single server's files byte for byte. Golden:
+// the report and trace must match the committed artifacts, so any
+// cross-release drift in the single-server event sequence shows up as a byte
+// diff here too.
 //
 // To regenerate after an intentional semantic change (and say so in the
 // commit message):
@@ -20,10 +26,12 @@ import (
 //	LYNX_UPDATE_GOLDENS=1 go test ./internal/experiments/ -run TestReplicationIdentity
 func TestReplicationIdentity(t *testing.T) {
 	cfg := Config{Seed: 7, Scale: 0.25, Workers: 1}
-	rackRep, rackTrace := replicationIdentity(cfg, true)
-	singleRep, singleTrace := replicationIdentity(cfg, false)
+	rack, single := replicationIdentity(cfg, true), replicationIdentity(cfg, false)
+	rackTrace, singleTrace := identityEvents(rack), identityEvents(single)
+	rackTimeline, rackMetrics := identityArtifacts(t, rack)
+	singleTimeline, singleMetrics := identityArtifacts(t, single)
 
-	rackCSV, singleCSV := rackRep.CSV(), singleRep.CSV()
+	rackCSV, singleCSV := rack.rep.CSV(), single.rep.CSV()
 	if rackCSV != singleCSV {
 		t.Errorf("RF=1 rack CSV diverges from the single-server deployment:\n%s",
 			firstDiff(rackCSV, singleCSV))
@@ -33,6 +41,14 @@ func TestReplicationIdentity(t *testing.T) {
 	if rackEvents != singleEvents {
 		t.Errorf("RF=1 rack event trace diverges from the single-server deployment (%d vs %d events):\n%s",
 			len(rackTrace), len(singleTrace), firstDiff(rackEvents, singleEvents))
+	}
+	if rackTimeline != singleTimeline {
+		t.Errorf("RF=1 rack timeline diverges from the single server's (%d vs %d bytes):\n%s",
+			len(rackTimeline), len(singleTimeline), firstDiff(rackTimeline, singleTimeline))
+	}
+	if rackMetrics != singleMetrics {
+		t.Errorf("RF=1 rack metrics rollup diverges from the single server's registry dump (%d vs %d bytes):\n%s",
+			len(rackMetrics), len(singleMetrics), firstDiff(rackMetrics, singleMetrics))
 	}
 
 	csvPath := "testdata/pr9_replication_identity_scale025_seed7.csv"
@@ -63,4 +79,30 @@ func TestReplicationIdentity(t *testing.T) {
 		t.Errorf("replication identity trace drifted from the PR 9 golden (%d bytes, want %d):\n%s",
 			len(rackEvents), len(wantTrace), firstDiff(rackEvents, string(wantTrace)))
 	}
+}
+
+// identityEvents renders one side's runtime event ring, one event a line.
+func identityEvents(o identityOutcome) []string {
+	var out []string
+	for _, ev := range o.prof.Events().Events() {
+		out = append(out, ev.String())
+	}
+	return out
+}
+
+// identityArtifacts renders one side's plane as the timeline and metrics
+// files lynxd and lynxbench write.
+func identityArtifacts(t *testing.T, o identityOutcome) (timeline, metrics string) {
+	t.Helper()
+	var tl, md bytes.Buffer
+	if err := trace.WriteJSON(&tl, o.nodes...); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.reg.Dump(&md); err != nil {
+		t.Fatal(err)
+	}
+	if tl.Len() == 0 || md.Len() == 0 {
+		t.Fatal("plane rendered an empty timeline or metrics dump")
+	}
+	return tl.String(), md.String()
 }

@@ -190,28 +190,23 @@ func rackSections(out replBreakdownOutcome) []sentinel.RackNode {
 	rows := make([]sentinel.RackNode, 0, out.rack.Nodes())
 	for i := 0; i < out.rack.Nodes(); i++ {
 		n := out.rack.Node(i)
-		row := sentinel.RackNode{Node: n.Name}
-		if n.Spans != nil {
-			row.SpansBegun, row.SpansClosed = n.Spans.Begun(), n.Spans.Closed()
+		row := sentinel.RackNode{
+			Node: n.Name, SpansBegun: n.Spans.Begun(), SpansClosed: n.Spans.Closed(),
+			Events: len(n.Prof.Events().Events()),
 		}
-		if n.Tracer != nil {
-			row.Events = len(n.Tracer.Events())
-		}
-		if n.Reg != nil {
-			for _, s := range n.Reg.SeriesList() {
-				pts := s.Points()
-				if len(pts) == 0 {
-					continue
-				}
-				var sum float64
-				for _, p := range pts {
-					sum += p.V
-				}
-				if row.SeriesMean == nil {
-					row.SeriesMean = make(map[string]float64)
-				}
-				row.SeriesMean[s.Name()] = sum / float64(len(pts))
+		for _, s := range n.Prof.Registry().SeriesList() {
+			pts := s.Points()
+			if len(pts) == 0 {
+				continue
 			}
+			var sum float64
+			for _, p := range pts {
+				sum += p.V
+			}
+			if row.SeriesMean == nil {
+				row.SeriesMean = make(map[string]float64)
+			}
+			row.SeriesMean[s.Name()] = sum / float64(len(pts))
 		}
 		rows = append(rows, row)
 	}

@@ -1,54 +1,115 @@
 package profile
 
 import (
+	"io"
 	"os"
 	"sync"
+	"time"
 
 	"lynx/internal/check"
+	"lynx/internal/core"
 	"lynx/internal/metrics"
 	"lynx/internal/trace"
 )
 
 // Options sizes a Profile. Zero values pick defaults.
 type Options struct {
-	// SpanCapacity bounds the span table ring (default 1<<14).
-	SpanCapacity int
+	// TracerCap bounds the runtime event ring (default 4096 events).
+	TracerCap int
+	// SpanCap bounds the span table ring (default 1<<14 spans).
+	SpanCap int
 	// TopK bounds the flight recorder's slowest-span heap (default 16).
 	TopK int
 	// RingCap bounds the flight recorder's recency ring (default 64).
 	RingCap int
+	// Interval is the monitor's sampling period (default 50µs).
+	Interval time.Duration
 }
 
-// Profile bundles the three attribution inputs — span table, flight
-// recorder, metrics registry — for one simulated cluster, so callers arm
-// profiling with one object and pull one report out.
+// Profile is one node's observability plane: the runtime event ring, the
+// span table, the flight recorder attached to it, and the metrics registry
+// its monitor samples into. A single server and every rack member carry one
+// each, created by New, so both export through the same timeline and report.
 type Profile struct {
-	spans *trace.SpanTable
-	rec   *Recorder
-	reg   *metrics.Registry
+	events   *trace.Tracer
+	spans    *trace.SpanTable
+	rec      *Recorder
+	reg      *metrics.Registry
+	interval time.Duration
 
 	mu      sync.Mutex
 	trigger string
 }
 
-// New creates a profile with a fresh span table, recorder and registry, with
-// the recorder already attached to the table.
-func New(opts Options) *Profile {
-	cap := opts.SpanCapacity
-	if cap <= 0 {
-		cap = 1 << 14
+// New creates a profile with a fresh event ring, span table (its invariants
+// registered on ck, which may be nil), flight recorder attached to the
+// table, and metrics registry.
+func New(opts Options, ck *check.Checker) *Profile {
+	tcap, scap, iv := opts.TracerCap, opts.SpanCap, opts.Interval
+	if tcap <= 0 {
+		tcap = 4096
 	}
-	return Assemble(trace.NewSpanTable(cap), NewRecorder(opts.TopK, opts.RingCap), metrics.NewRegistry())
+	if scap <= 0 {
+		scap = 1 << 14
+	}
+	if iv <= 0 {
+		iv = 50 * time.Microsecond
+	}
+	p := &Profile{
+		events:   trace.New(tcap),
+		spans:    trace.NewSpanTable(scap),
+		rec:      NewRecorder(opts.TopK, opts.RingCap),
+		reg:      metrics.NewRegistry(),
+		interval: iv,
+	}
+	p.spans.RegisterInvariants(ck)
+	p.rec.Attach(p.spans)
+	return p
 }
 
-// Assemble bundles existing pieces (any may be nil) and attaches the
-// recorder to the span table.
-func Assemble(spans *trace.SpanTable, rec *Recorder, reg *metrics.Registry) *Profile {
-	rec.Attach(spans)
-	return &Profile{spans: spans, rec: rec, reg: reg}
+// Platform wires the plane into plat: the event ring and span table fill in
+// whichever of Tracer/Spans plat does not already carry. Nil-safe: a nil
+// profile returns plat unchanged.
+func (p *Profile) Platform(plat core.Platform) core.Platform {
+	if p == nil {
+		return plat
+	}
+	if plat.Tracer == nil {
+		plat.Tracer = p.events
+	}
+	if plat.Spans == nil {
+		plat.Spans = p.spans
+	}
+	return plat
 }
 
-// Spans returns the span table (give this to the platform/workload configs).
+// Monitor starts rt's utilization monitor, sampling every Interval into the
+// profile's registry. Call it after rt.Start. Nil-safe.
+func (p *Profile) Monitor(rt *core.Runtime) {
+	if p == nil {
+		return
+	}
+	rt.StartMonitor(p.interval, p.reg)
+}
+
+// Export renders the plane as one named node of a Chrome trace timeline.
+// Nil-safe: a nil profile exports a node with no spans, events or series.
+func (p *Profile) Export(name string) trace.Export {
+	if p == nil {
+		return trace.Export{Name: name}
+	}
+	return trace.Export{Name: name, Spans: p.spans, Events: p.events, Series: p.reg.SeriesList()}
+}
+
+// Events returns the runtime event ring.
+func (p *Profile) Events() *trace.Tracer {
+	if p == nil {
+		return nil
+	}
+	return p.events
+}
+
+// Spans returns the span table (give this to the workload config).
 func (p *Profile) Spans() *trace.SpanTable {
 	if p == nil {
 		return nil
@@ -64,7 +125,7 @@ func (p *Profile) Recorder() *Recorder {
 	return p.rec
 }
 
-// Registry returns the metrics registry (give this to StartMonitor).
+// Registry returns the metrics registry.
 func (p *Profile) Registry() *metrics.Registry {
 	if p == nil {
 		return nil
@@ -91,15 +152,7 @@ func (p *Profile) WriteFile(path string) error {
 	if p == nil {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.Report().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, p.Report().WriteJSON)
 }
 
 // ArmPostmortem hooks the checker so the first invariant violation dumps a
@@ -117,4 +170,51 @@ func (p *Profile) ArmPostmortem(ck *check.Checker, path string) {
 		// Best-effort: a postmortem dump failing must not take down the run.
 		_ = p.WriteFile(path)
 	})
+}
+
+// Files names the artifacts of one observability run. Every deployment, one
+// node or a rack, writes them through Write; an empty path skips its file.
+type Files struct {
+	// Trace receives the Chrome trace-event timeline of every node.
+	Trace string
+	// Metrics receives the metrics registry dump.
+	Metrics string
+	// Profile receives the attribution report.
+	Profile string
+}
+
+// Write writes each named artifact in order — the timeline of nodes, reg's
+// dump, report's JSON — and calls done with a description and the path of
+// each file written. It stops at the first error.
+func (f Files) Write(nodes []trace.Export, reg *metrics.Registry, report *Report, done func(what, path string)) error {
+	for _, a := range []struct {
+		what, path string
+		write      func(io.Writer) error
+	}{
+		{"trace timeline", f.Trace, func(w io.Writer) error { return trace.WriteJSON(w, nodes...) }},
+		{"metrics", f.Metrics, reg.Dump},
+		{"profile report", f.Profile, report.WriteJSON},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeFile(a.path, a.write); err != nil {
+			return err
+		}
+		done(a.what, a.path)
+	}
+	return nil
+}
+
+// writeFile creates path and streams one document into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

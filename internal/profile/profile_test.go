@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lynx/internal/check"
+	"lynx/internal/core"
 	"lynx/internal/metrics"
 	"lynx/internal/sim"
 	"lynx/internal/trace"
@@ -218,10 +219,40 @@ func TestReportJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestProfileBundle: the Profile convenience owns all three pieces and its
-// accessors are nil-safe.
+// TestProfileBundle: New sizes every piece of the plane from Options,
+// registers the span invariants on the checker, and every accessor is
+// nil-safe.
 func TestProfileBundle(t *testing.T) {
-	p := New(Options{SpanCapacity: 32, TopK: 2, RingCap: 4})
+	ck := check.New()
+	p := New(Options{TracerCap: 8, SpanCap: 32, TopK: 2, RingCap: 4}, ck)
+	if p.Spans().Cap() != 32 || p.Recorder().TopK() != 2 {
+		t.Fatalf("span cap %d, top-k %d; want 32, 2", p.Spans().Cap(), p.Recorder().TopK())
+	}
+	if p.Events() == nil || p.Registry() == nil {
+		t.Fatal("plane missing its event ring or registry")
+	}
+	for i := 0; i < 10; i++ {
+		p.Events().Emit(sim.Time(i), trace.Recv, 0, 0)
+	}
+	if n := len(p.Events().Events()); n != 8 {
+		t.Errorf("event ring holds %d events, want TracerCap 8", n)
+	}
+	want := check.New()
+	trace.NewSpanTable(1).RegisterInvariants(want)
+	if got, w := ck.Snapshot().Finishers, want.Snapshot().Finishers; w == 0 || got != w {
+		t.Errorf("New registered %d finishers on the checker, want the span table's %d", got, w)
+	}
+	plat := p.Platform(core.Platform{})
+	if plat.Tracer != p.Events() || plat.Spans != p.Spans() {
+		t.Error("Platform did not wire the plane into an empty platform")
+	}
+	own := trace.New(4)
+	if plat := p.Platform(core.Platform{Tracer: own}); plat.Tracer != own || plat.Spans != p.Spans() {
+		t.Error("Platform replaced a platform's own tracer")
+	}
+	if ex := p.Export("server1"); ex.Name != "server1" || ex.Spans != p.Spans() || ex.Events != p.Events() {
+		t.Errorf("Export = %+v", ex)
+	}
 	closeSpan(p.Spans(), 1, 2000)
 	rep := p.Report()
 	if rep.SpansClosed != 1 {
@@ -232,9 +263,16 @@ func TestProfileBundle(t *testing.T) {
 	}
 
 	var nilProf *Profile
-	if nilProf.Spans() != nil || nilProf.Recorder() != nil || nilProf.Registry() != nil {
+	if nilProf.Spans() != nil || nilProf.Recorder() != nil || nilProf.Registry() != nil || nilProf.Events() != nil {
 		t.Fatal("nil profile accessors must return nil")
 	}
+	if plat := nilProf.Platform(core.Platform{}); plat.Tracer != nil || plat.Spans != nil {
+		t.Fatal("nil profile must leave the platform alone")
+	}
+	if ex := nilProf.Export("n"); ex.Name != "n" || ex.Spans != nil || ex.Events != nil || ex.Series != nil {
+		t.Fatalf("nil profile export = %+v", ex)
+	}
+	nilProf.Monitor(nil)
 	if rep := nilProf.Report(); rep == nil || rep.SpansClosed != 0 {
 		t.Fatal("nil profile must report empty")
 	}
@@ -248,7 +286,7 @@ func TestProfileBundle(t *testing.T) {
 func TestArmPostmortem(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "post.json")
-	p := New(Options{SpanCapacity: 32})
+	p := New(Options{SpanCap: 32}, nil)
 	closeSpan(p.Spans(), 1, 2000)
 
 	ck := check.New()
@@ -281,4 +319,38 @@ func TestArmPostmortem(t *testing.T) {
 	nilProf.ArmPostmortem(ck, path)
 	p.ArmPostmortem(nil, path)
 	p.ArmPostmortem(ck, "")
+}
+
+// TestFilesWrite: each named artifact is written as valid JSON and announced
+// once; an empty path skips its file.
+func TestFilesWrite(t *testing.T) {
+	dir := t.TempDir()
+	p := New(Options{SpanCap: 32}, nil)
+	closeSpan(p.Spans(), 1, 2000)
+	files := Files{Trace: filepath.Join(dir, "t.json"), Profile: filepath.Join(dir, "p.json")}
+	var done []string
+	err := files.Write([]trace.Export{p.Export("server1")}, p.Registry(), p.Report(), func(what, path string) {
+		done = append(done, what+" "+filepath.Base(path))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(done, ", "); got != "trace timeline t.json, profile report p.json" {
+		t.Errorf("announced %q", got)
+	}
+	for _, name := range []string{"t.json", "p.json"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(raw) {
+			t.Errorf("%s is not valid JSON", name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "m.json")); err == nil {
+		t.Error("metrics file written without a path")
+	}
+	if err := (Files{Metrics: filepath.Join(dir, "no", "m.json")}).Write(nil, p.Registry(), nil, func(string, string) {}); err == nil {
+		t.Error("unwritable path reported no error")
+	}
 }

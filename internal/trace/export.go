@@ -14,9 +14,12 @@ import (
 	"lynx/internal/sim"
 )
 
-// Export bundles the data rendered into one Chrome trace. Any field may be
+// Export is one node's data rendered into a Chrome trace. Any field may be
 // nil; an all-nil export still writes a valid (metadata-only) trace.
 type Export struct {
+	// Name prefixes the node's tracks ("server1/snic", ...) in a timeline of
+	// more than one node.
+	Name string
 	// Spans supplies per-request stage slices.
 	Spans *SpanTable
 	// Events supplies instant markers from the runtime event ring.
@@ -36,8 +39,8 @@ const (
 	pidRuntime  = 6
 	pidSamples  = 7
 
-	// pidStride spaces the pid blocks of a rack export so node i's tracks
-	// are i*pidStride + the component pid above.
+	// pidStride spaces the pid blocks of a multi-node timeline so node i's
+	// tracks are i*pidStride + the component pid above.
 	pidStride = 8
 )
 
@@ -83,11 +86,23 @@ var replSlices = []slice{
 	{"repl:ack-wait", StageReplPushed, StageReplAcked, pidQueue},
 }
 
-// WriteJSON writes the export as {"traceEvents": [...]} JSON. Output is
-// byte-identical across runs for deterministic inputs: spans are walked in
-// ID order, series and events in their recorded order.
-func (e Export) WriteJSON(w io.Writer) error {
-	return writeChrome(w, e.appendTo(make([]chromeEvent, 0, 256), 0, ""))
+// WriteJSON writes one Chrome trace of the given nodes as
+// {"traceEvents": [...]} JSON, so a rack failover reads as one timeline.
+// Node i's tracks live at pids i*8+1 .. i*8+7; with more than one node their
+// names carry a "<Name>/" prefix, so a one-node timeline is the single-server
+// layout. Output is byte-identical across runs for deterministic inputs:
+// nodes are rendered in order, spans in ID order, series and events in their
+// recorded order.
+func WriteJSON(w io.Writer, nodes ...Export) error {
+	evs := make([]chromeEvent, 0, 256)
+	for i, n := range nodes {
+		prefix := ""
+		if len(nodes) > 1 {
+			prefix = n.Name + "/"
+		}
+		evs = n.appendTo(evs, i*pidStride, prefix)
+	}
+	return writeChrome(w, evs)
 }
 
 // appendTo renders the export's events into evs with all pids offset by base
@@ -154,34 +169,6 @@ func (e Export) appendTo(evs []chromeEvent, base int, prefix string) []chromeEve
 		}
 	}
 	return evs
-}
-
-// NodeExport is one node's telemetry in a rack export.
-type NodeExport struct {
-	// Name prefixes the node's tracks ("server1/snic", ...).
-	Name string
-	// Spans, Events, Series mirror Export; any may be nil.
-	Spans  *SpanTable
-	Events *Tracer
-	Series []*metrics.Series
-}
-
-// RackExport renders one Chrome trace with a process-track block per node,
-// so a rack failover reads as one timeline. Node i's tracks live at pids
-// i*8+1 .. i*8+7 and are name-prefixed with the node name; output is
-// byte-deterministic in node order.
-type RackExport struct {
-	Nodes []NodeExport
-}
-
-// WriteJSON writes the rack export as {"traceEvents": [...]} JSON.
-func (e RackExport) WriteJSON(w io.Writer) error {
-	evs := make([]chromeEvent, 0, 256)
-	for i, n := range e.Nodes {
-		ex := Export{Spans: n.Spans, Events: n.Events, Series: n.Series}
-		evs = ex.appendTo(evs, i*pidStride, n.Name+"/")
-	}
-	return writeChrome(w, evs)
 }
 
 func writeChrome(w io.Writer, evs []chromeEvent) error {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -130,7 +131,7 @@ func TestExportQuorumHoldSlice(t *testing.T) {
 	tab := NewSpanTable(64)
 	stampRepl(tab, 9, 100, 40)
 	var buf bytes.Buffer
-	if err := (Export{Spans: tab}).WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, Export{Spans: tab}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"snic:quorum-hold", "repl:push", "repl:ack-wait", "snic:forward"} {
@@ -142,7 +143,7 @@ func TestExportQuorumHoldSlice(t *testing.T) {
 	plain := NewSpanTable(64)
 	stampAll(plain, 4, 100)
 	buf.Reset()
-	if err := (Export{Spans: plain}).WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, Export{Spans: plain}); err != nil {
 		t.Fatal(err)
 	}
 	for _, reject := range []string{"quorum-hold", "repl:"} {
@@ -154,23 +155,24 @@ func TestExportQuorumHoldSlice(t *testing.T) {
 
 // TestRackExportPrefixesAndStride: each node's tracks land in its own pid
 // block (i*8+1 ...) under "<node>/" prefixed names, and the export is
-// deterministic.
+// deterministic. A one-node timeline is the single-server layout: no
+// prefix, pids 1-7.
 func TestRackExportPrefixesAndStride(t *testing.T) {
-	mk := func() RackExport {
+	mk := func() []Export {
 		t1 := NewSpanTable(16)
 		stampRepl(t1, 9, 100, 40)
 		t2 := NewSpanTable(16)
 		stampAll(t2, 4, 100)
-		return RackExport{Nodes: []NodeExport{
+		return []Export{
 			{Name: "server1", Spans: t1},
 			{Name: "server2", Spans: t2},
-		}}
+		}
 	}
 	var a, b bytes.Buffer
-	if err := mk().WriteJSON(&a); err != nil {
+	if err := WriteJSON(&a, mk()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk().WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, mk()...); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -189,4 +191,44 @@ func TestRackExportPrefixesAndStride(t *testing.T) {
 	if strings.Contains(out, `"name":"server2/snic:quorum-hold"`) {
 		t.Error("unreplicated node grew a quorum-hold slice")
 	}
+
+	t.Run("one node", func(t *testing.T) {
+		one := mk()[:1]
+		var got, single bytes.Buffer
+		if err := WriteJSON(&got, one...); err != nil {
+			t.Fatal(err)
+		}
+		one[0].Name = ""
+		if err := WriteJSON(&single, one...); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != single.String() {
+			t.Error("a one-node timeline depends on the node name")
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Pid  int    `json:"pid"`
+				Args struct {
+					Name string `json:"name"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(got.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		pids := map[int]bool{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Pid < 1 || ev.Pid > 7 {
+				t.Errorf("%s on pid %d, want 1-7", ev.Name, ev.Pid)
+			}
+			if strings.HasPrefix(ev.Name, "server1/") || strings.HasPrefix(ev.Args.Name, "server1/") {
+				t.Errorf("one-node track prefixed: %q %q", ev.Name, ev.Args.Name)
+			}
+			pids[ev.Pid] = true
+		}
+		if len(pids) != 7 {
+			t.Errorf("one-node timeline uses %d pids, want 7", len(pids))
+		}
+	})
 }

@@ -184,10 +184,10 @@ func TestExportJSONValidAndDeterministic(t *testing.T) {
 	ex := Export{Spans: tab, Events: tr, Series: []*metrics.Series{s}}
 
 	var a, b bytes.Buffer
-	if err := ex.WriteJSON(&a); err != nil {
+	if err := WriteJSON(&a, ex); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, ex); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -226,7 +226,7 @@ func TestExportJSONValidAndDeterministic(t *testing.T) {
 
 func TestExportEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (Export{}).WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, Export{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

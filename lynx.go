@@ -110,9 +110,10 @@ type (
 	// per-phase wait/service decomposition, ranked bottlenecks, and the
 	// flight recorder's slowest/most-recent spans.
 	ProfileReport = profile.Report
-	// ClusterProfile is the attribution plane a WithProfile cluster carries
-	// (span table, flight recorder, metrics registry); obtain it with
-	// (*Cluster).Profile for advanced wiring.
+	// ClusterProfile is the observability plane a WithProfile cluster
+	// carries — event ring, span table, flight recorder and metrics registry,
+	// the same plane every rack node carries under RackTelemetry; obtain it
+	// with (*Cluster).Profile for advanced wiring.
 	ClusterProfile = profile.Profile
 	// BatchConfig tunes end-to-end hot-path batching (doorbell coalescing,
 	// CQ drain budget, dispatcher quantum, coalescing window); install it
@@ -130,8 +131,9 @@ type (
 	// RackNode is one rack member (machine, SmartNIC, GPU, runtime, store).
 	RackNode = cluster.Node
 	// RackTelemetry arms the per-node observability plane of a rack build:
-	// every node gets its own event tracer, span table and sampling metrics
-	// registry, rolled up by (*Rack).TelemetrySnapshot and (*Rack).TraceExport.
+	// every node gets its own ClusterProfile (event ring, span table, flight
+	// recorder, sampling metrics registry), rolled up by
+	// (*Rack).TelemetrySnapshot and (*Rack).TraceExport.
 	RackTelemetry = cluster.Telemetry
 	// ShardMap is the consistent-hash membership and key-placement map racks
 	// shard by; it is also usable standalone via NewShardMap.
@@ -226,13 +228,13 @@ func WithInvariants() Option {
 	return func(c *clusterConfig) { c.invariants = true }
 }
 
-// WithProfile arms the cluster's tail-latency attribution plane: every
-// request carries a span whose five phases (network, snic, transfer,
-// queueing, execution) are each decomposed into waiting and in-service
-// time, a monitor samples per-resource utilization, and a bounded flight
-// recorder keeps the slowest and most recent completed spans. Read the
-// outcome with ProfileReport after the run; servers must be created with
-// (*Cluster).NewServer for their stages to be stamped. Combined with
+// WithProfile arms the cluster's observability plane: every request carries
+// a span whose five phases (network, snic, transfer, queueing, execution)
+// are each decomposed into waiting and in-service time, a monitor samples
+// per-resource utilization, a bounded flight recorder keeps the slowest and
+// most recent completed spans, and an event ring records runtime events.
+// Read the outcome with ProfileReport after the run; servers must be created
+// with (*Cluster).NewServer to be wired into the plane. Combined with
 // WithInvariants, span-accounting finishers (phase telescoping,
 // wait ≤ phase) join the end-of-run checks.
 func WithProfile() Option {
@@ -301,10 +303,7 @@ func NewCluster(opts ...Option) *Cluster {
 		c.tb.EnableInvariants(c.check)
 	}
 	if cfg.profile {
-		c.prof = profile.New(profile.Options{})
-		if c.check != nil {
-			c.prof.Spans().RegisterInvariants(c.check)
-		}
+		c.prof = profile.New(profile.Options{}, c.check)
 	}
 	return c
 }
@@ -329,28 +328,24 @@ func (c *Cluster) AddClient(name string) *Host { return c.tb.AddClient(name) }
 func NewServer(plat core.Platform) *Server { return core.NewRuntime(plat) }
 
 // NewServer creates a Lynx runtime wired into the cluster's observability
-// planes: with WithProfile armed, the runtime stamps request spans into the
-// cluster's span table and a monitor samples its resource utilization into
-// the cluster's metrics registry. Without WithProfile it is equivalent to
-// the package-level NewServer.
+// plane: with WithProfile armed, the runtime records events into the
+// cluster's event ring and stamps request spans into its span table (where
+// plat carries none of its own), and a monitor samples its resource
+// utilization into the cluster's metrics registry. Without WithProfile it is
+// equivalent to the package-level NewServer.
 func (c *Cluster) NewServer(plat Platform) *Server {
-	if c.prof != nil && plat.Spans == nil {
-		plat.Spans = c.prof.Spans()
-	}
-	srv := core.NewRuntime(plat)
+	srv := core.NewRuntime(c.prof.Platform(plat))
 	if c.prof != nil {
 		// Start the monitor at the first event-loop instant so it samples
 		// the runtime after services and accelerators are registered.
-		c.tb.Sim.After(0, func() {
-			srv.StartMonitor(50*time.Microsecond, c.prof.Registry())
-		})
+		c.tb.Sim.After(0, func() { c.prof.Monitor(srv) })
 	}
 	return srv
 }
 
-// Profile returns the cluster's attribution plane, or nil without
-// WithProfile. Its span table and metrics registry can be fed into other
-// exports (e.g. a Chrome trace timeline).
+// Profile returns the cluster's observability plane, or nil without
+// WithProfile. Its Export renders the Chrome trace timeline, and its
+// registry and report feed the metrics and profile artifacts.
 func (c *Cluster) Profile() *ClusterProfile { return c.prof }
 
 // ProfileReport builds the tail-latency attribution report from everything

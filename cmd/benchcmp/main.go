@@ -7,71 +7,47 @@
 //
 // Usage:
 //
-//	benchcmp old.txt new.txt [-json out.json]
+//	benchcmp old.txt new.txt
 //
-// The optional -json file records the full comparison (per-metric samples,
-// medians, delta, p-value) for archival and for embedding into regression
-// sentinel artifacts (lynxbench -baseline -bench-json out.json). The
-// statistics and the row schema live in internal/bench, shared with the
-// sentinel's diff machinery.
+// It is the repository's one comparator of go-benchmark samples (`make
+// bench-compare`); the statistics live in internal/bench. Compare only a
+// recording with one made right after it on the same machine.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"lynx/internal/bench"
 )
 
 func main() {
-	jsonOut := flag.String("json", "", "also write the full comparison as JSON to this file")
-	flag.CommandLine.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchcmp old.txt new.txt [-json out.json]\n")
-		flag.PrintDefaults()
-	}
-	// Accept flags after the two positional file arguments too.
-	args := os.Args[1:]
-	var files []string
-	var flags []string
-	for i := 0; i < len(args); i++ {
-		if strings.HasPrefix(args[i], "-") {
-			flags = append(flags, args[i])
-			if args[i] == "-json" && i+1 < len(args) {
-				flags = append(flags, args[i+1])
-				i++
-			}
-			continue
-		}
-		files = append(files, args[i])
-	}
-	if err := flag.CommandLine.Parse(flags); err != nil {
-		os.Exit(2)
-	}
-	if len(files) != 2 {
-		flag.CommandLine.Usage()
-		os.Exit(2)
-	}
-	oldS, oldOrder, err := bench.ParseFile(files[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
-	}
-	newS, newOrder, err := bench.ParseFile(files[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cmp := bench.Compare(oldS, newS, oldOrder, newOrder)
-	cmp.OldFile, cmp.NewFile = files[0], files[1]
-	fmt.Print(cmp.Table())
-
-	if *jsonOut != "" {
-		if err := cmp.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcmp:", err)
-			os.Exit(1)
-		}
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: benchcmp old.txt new.txt") }
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	oldS, oldOrder, err := bench.ParseFile(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(stderr, "benchcmp:", err)
+		return 1
+	}
+	newS, newOrder, err := bench.ParseFile(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintln(stderr, "benchcmp:", err)
+		return 1
+	}
+	fmt.Fprint(stdout, bench.Compare(oldS, newS, oldOrder, newOrder).Table())
+	return 0
 }

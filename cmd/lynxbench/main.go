@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseline   = fs.String("baseline", "", "measure a regression-sentinel baseline (attribution report, scorecard, knee predictions) and write the artifact to this file")
 		compare    = fs.String("compare", "", "diff the current build against this baseline artifact: re-measure (or use -compare-to) and report attribution-level moves outside their noise bands")
 		compareTo  = fs.String("compare-to", "", "with -compare, diff against this recorded artifact instead of re-measuring")
-		benchJSON  = fs.String("bench-json", "", "embed this cmd/benchcmp -json recording into the baseline artifact (make bench-compare writes bench/benchcmp.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, Batch: bc}
-		return sentinelMode(cfg, *baseline, *compare, *compareTo, *benchJSON, stdout, stderr)
+		return sentinelMode(cfg, *baseline, *compare, *compareTo, stdout, stderr)
 	}
 
 	if *list || *exp == "" {
@@ -209,17 +208,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // sentinelMode handles -baseline and -compare: the regression-sentinel CLI.
-func sentinelMode(cfg experiments.Config, baseline, compare, compareTo, benchJSON string, stdout, stderr io.Writer) int {
+func sentinelMode(cfg experiments.Config, baseline, compare, compareTo string, stdout, stderr io.Writer) int {
 	if baseline != "" && compare != "" {
 		fmt.Fprintln(stderr, "lynxbench: -baseline and -compare are mutually exclusive")
 		return 2
 	}
 	if baseline != "" {
-		a, err := experiments.BuildSentinelArtifact(cfg, benchJSON)
-		if err != nil {
-			fmt.Fprintln(stderr, "lynxbench:", err)
-			return 1
-		}
+		a := experiments.BuildSentinelArtifact(cfg)
 		if err := a.WriteFile(baseline); err != nil {
 			fmt.Fprintln(stderr, "lynxbench:", err)
 			return 1
@@ -234,12 +229,9 @@ func sentinelMode(cfg experiments.Config, baseline, compare, compareTo, benchJSO
 		return 1
 	}
 	cur := (*sentinel.Artifact)(nil)
-	if compareTo != "" {
-		cur, err = sentinel.Read(compareTo)
-	} else {
-		cur, err = experiments.BuildSentinelArtifact(cfg, benchJSON)
-	}
-	if err != nil {
+	if compareTo == "" {
+		cur = experiments.BuildSentinelArtifact(cfg)
+	} else if cur, err = sentinel.Read(compareTo); err != nil {
 		fmt.Fprintln(stderr, "lynxbench:", err)
 		return 1
 	}

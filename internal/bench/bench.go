@@ -1,14 +1,10 @@
-// Package bench is the single source of truth for benchmark-comparison
-// statistics: the go-test output parser, the median and Mann-Whitney U
-// machinery, and the row schema shared by cmd/benchcmp's -json output and the
-// regression sentinel's artifact (internal/sentinel). Keeping one schema here
-// means a recorded comparison can be embedded into a sentinel baseline and
-// re-tested for significance later without re-parsing anything.
+// Package bench holds cmd/benchcmp's statistics: the go-test output parser,
+// the median and Mann-Whitney U machinery, and the comparison table. It is
+// the repository's one comparator of go-benchmark samples.
 package bench
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -161,27 +157,20 @@ func stdNormalCDF(x float64) float64 {
 // reported as real rather than "~" noise.
 const Alpha = 0.05
 
-// Row is one (benchmark, metric) comparison. Pointer fields are nil when the
-// side is absent (a new or removed benchmark) — nil marshals away, keeping
-// NaN out of the JSON.
+// Row is one (benchmark, metric) line of the comparison table. A median is
+// nil when its side is absent (a new or removed benchmark); DeltaPct, PValue
+// and Significant are set only when both sides are present.
 type Row struct {
-	Benchmark   string    `json:"benchmark"`
-	Metric      string    `json:"metric"`
-	OldSamples  []float64 `json:"old_samples,omitempty"`
-	NewSamples  []float64 `json:"new_samples,omitempty"`
-	OldMedian   *float64  `json:"old_median,omitempty"`
-	NewMedian   *float64  `json:"new_median,omitempty"`
-	DeltaPct    *float64  `json:"delta_pct,omitempty"`
-	PValue      *float64  `json:"p_value,omitempty"`
-	Significant bool      `json:"significant"`
+	Benchmark            string
+	Metric               string
+	OldMedian, NewMedian *float64
+	DeltaPct, PValue     float64
+	Significant          bool
 }
 
-// Comparison is a full two-file comparison: the -json document cmd/benchcmp
-// writes and the sentinel artifact embeds.
+// Comparison is a full two-file comparison, rendered by Table.
 type Comparison struct {
-	OldFile string `json:"old_file"`
-	NewFile string `json:"new_file"`
-	Rows    []Row  `json:"rows"`
+	Rows []Row
 }
 
 // Compare builds the row set for two parsed sample maps. Row order is stable:
@@ -215,21 +204,13 @@ func Compare(oldS, newS map[Key][]float64, oldOrder, newOrder []string) *Compari
 				}
 				c.Rows = append(c.Rows, Row{
 					Benchmark: b, Metric: m,
-					OldSamples: o, NewSamples: n,
 					OldMedian: ptr(om), NewMedian: ptr(nm),
-					DeltaPct: ptr(delta), PValue: ptr(p),
-					Significant: p < Alpha,
+					DeltaPct: delta, PValue: p, Significant: p < Alpha,
 				})
 			case haveNew:
-				c.Rows = append(c.Rows, Row{
-					Benchmark: b, Metric: m,
-					NewSamples: n, NewMedian: ptr(Median(n)),
-				})
+				c.Rows = append(c.Rows, Row{Benchmark: b, Metric: m, NewMedian: ptr(Median(n))})
 			case haveOld:
-				c.Rows = append(c.Rows, Row{
-					Benchmark: b, Metric: m,
-					OldSamples: o, OldMedian: ptr(Median(o)),
-				})
+				c.Rows = append(c.Rows, Row{Benchmark: b, Metric: m, OldMedian: ptr(Median(o))})
 			}
 		}
 	}
@@ -247,15 +228,11 @@ func (c *Comparison) Table() string {
 		switch {
 		case r.OldMedian != nil && r.NewMedian != nil:
 			ds := "~"
-			if r.Significant && r.DeltaPct != nil {
-				ds = fmt.Sprintf("%+.1f%%", *r.DeltaPct)
-			}
-			p := math.NaN()
-			if r.PValue != nil {
-				p = *r.PValue
+			if r.Significant {
+				ds = fmt.Sprintf("%+.1f%%", r.DeltaPct)
 			}
 			fmt.Fprintf(&b, "%-44s %-11s %14.1f %14.1f %9s %8.3f\n",
-				r.Benchmark, r.Metric, *r.OldMedian, *r.NewMedian, ds, p)
+				r.Benchmark, r.Metric, *r.OldMedian, *r.NewMedian, ds, r.PValue)
 		case r.NewMedian != nil:
 			fmt.Fprintf(&b, "%-44s %-11s %14s %14.1f %9s %8s\n",
 				r.Benchmark, r.Metric, "(new)", *r.NewMedian, "", "")
@@ -265,42 +242,4 @@ func (c *Comparison) Table() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteJSON writes the comparison as indented JSON (byte-deterministic for a
-// given comparison: fixed field order, no NaN, trailing newline).
-func (c *Comparison) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
-// WriteFile dumps the comparison as JSON to path.
-func (c *Comparison) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadComparison loads a comparison document written by WriteFile (or
-// cmd/benchcmp -json).
-func ReadComparison(path string) (*Comparison, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c Comparison
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &c, nil
 }

@@ -396,8 +396,8 @@ type mqManager struct {
 	health        []qhealth
 	gate          *sim.Gate
 	wd            time.Duration
-	txBuf         []mqueue.TxMsg // batched drain buffer; nil when unbatched
-	one           [1]mqueue.TxMsg
+	txBuf         []mqueue.TxMsg // drain buffer: the CQ-drain budget of slots
+	batched       bool           // service runs are answered as a batch
 
 	v       uint64         // activity-gate version the pass started from
 	drained bool           // the pass forwarded something
@@ -410,8 +410,7 @@ type mqManager struct {
 
 	sweepK, refreshedK, committedK, pollK          func()
 	wokeK                                          func(fired bool)
-	poppedK                                        func(mqueue.TxMsg, bool)
-	poppedManyK                                    func(n int)
+	poppedK                                        func(n int)
 	respServedK, respSentK, batchServedK           func(time.Duration)
 	batchSentK, outServedK, outSentK, relayServedK func(time.Duration)
 	lastServedK, lastSentK                         func(time.Duration)
@@ -427,14 +426,14 @@ func (rt *Runtime) newMQManager(t *sim.Task, h *AccelHandle, sinks []sink, first
 	for i := range m.health {
 		m.health[i].last = t.Now()
 	}
-	// TX batch drain: with batching configured, each ring visit pulls up to
-	// the CQ-drain budget of responses in one spanning READ and forwards
-	// service responses as a batch.
-	if batch := rt.plat.Params.Batch; !batch.Unit() {
-		m.txBuf = make([]mqueue.TxMsg, batch.EffCQDrain())
-	}
+	// TX drain: each ring visit pulls up to the CQ-drain budget of responses
+	// in one spanning READ (one slot when unbatched); with batching
+	// configured, service responses are forwarded as a batch.
+	batch := rt.plat.Params.Batch
+	m.txBuf = make([]mqueue.TxMsg, batch.EffCQDrain())
+	m.batched = !batch.Unit()
 	m.sweepK, m.refreshedK, m.committedK, m.pollK = m.sweep, m.refreshed, m.committed, m.poll
-	m.wokeK, m.poppedK, m.poppedManyK = m.woke, m.popped, m.poppedMany
+	m.wokeK, m.poppedK = m.woke, m.popped
 	m.respServedK, m.respSentK, m.batchServedK = m.respServed, m.respSent, m.batchServed
 	m.batchSentK, m.outServedK, m.outSentK, m.relayServedK = m.batchSent, m.outServed, m.outSent, m.relayServed
 	m.lastServedK, m.lastSentK = m.lastServed, m.lastSent
@@ -463,31 +462,13 @@ func (m *mqManager) visit(i int) {
 	m.drain()
 }
 
-// drain pops the visited queue's next TX message(s), or commits once its
-// ring is empty.
+// drain pops the visited queue's next run of TX messages; popped commits
+// once the ring is empty (the pop then continues inline with 0).
 func (m *mqManager) drain() {
-	q := m.h.group.Queue(m.i)
-	if !q.Ready() {
-		m.commit()
-		return
-	}
-	if m.txBuf != nil {
-		q.PopTxManyT(m.t, len(m.txBuf), m.txBuf, m.poppedManyK)
-		return
-	}
-	q.PopTxT(m.t, m.poppedK)
+	m.h.group.Queue(m.i).PopTxManyT(m.t, len(m.txBuf), m.txBuf, m.poppedK)
 }
 
-func (m *mqManager) popped(msg mqueue.TxMsg, ok bool) {
-	if !ok {
-		m.commit()
-		return
-	}
-	m.one[0] = msg
-	m.forwardRun(m.one[:])
-}
-
-func (m *mqManager) poppedMany(n int) {
+func (m *mqManager) popped(n int) {
 	if n == 0 {
 		m.commit()
 		return
@@ -500,7 +481,7 @@ func (m *mqManager) poppedMany(n int) {
 func (m *mqManager) forwardRun(msgs []mqueue.TxMsg) {
 	m.drained = true
 	m.msgs, m.j = msgs, 0
-	if sk := &m.sinks[m.i]; sk.svc != nil && m.txBuf != nil {
+	if sk := &m.sinks[m.i]; sk.svc != nil && m.batched {
 		m.respondBatch(sk)
 		return
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"lynx/internal/bench"
 	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/profile"
@@ -119,11 +118,10 @@ func batchDesc(b model.BatchConfig) string {
 
 // BuildSentinelArtifact measures one full sentinel baseline: the attribution
 // report at the Fig. 9 saturation point, every scorecard claim, and both knee
-// predictions, stamped with the run's fingerprint. benchJSON, when non-empty,
-// names a cmd/benchcmp -json recording to embed (make bench-compare writes
-// bench/benchcmp.json). This is `lynxbench -baseline` and the measuring side
-// of `lynxbench -compare`.
-func BuildSentinelArtifact(cfg Config, benchJSON string) (*sentinel.Artifact, error) {
+// predictions and the rack telemetry sections, stamped with the run's
+// fingerprint. This is `lynxbench -baseline` and the measuring side of
+// `lynxbench -compare`.
+func BuildSentinelArtifact(cfg Config) *sentinel.Artifact {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
@@ -170,14 +168,7 @@ func BuildSentinelArtifact(cfg Config, benchJSON string) (*sentinel.Artifact, er
 		})
 	}
 	a.Rack = rackSections(rbo)
-	if benchJSON != "" {
-		cmp, err := bench.ReadComparison(benchJSON)
-		if err != nil {
-			return nil, err
-		}
-		a.Bench = cmp
-	}
-	return a, nil
+	return a
 }
 
 // rackSections freezes each node of the replication rack's telemetry plane

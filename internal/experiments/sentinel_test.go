@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"lynx/internal/bench"
 	"lynx/internal/sentinel"
 )
 
@@ -53,10 +52,7 @@ func TestSentinelKneeRatiosWithinClaimBands(t *testing.T) {
 
 func TestBuildSentinelArtifactShapeAndDeterminism(t *testing.T) {
 	cfg := sentinelCfg()
-	a, err := BuildSentinelArtifact(cfg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := BuildSentinelArtifact(cfg)
 	if a.Version != sentinel.Version || a.Report == nil {
 		t.Fatalf("artifact incomplete: %+v", a)
 	}
@@ -72,18 +68,12 @@ func TestBuildSentinelArtifactShapeAndDeterminism(t *testing.T) {
 	if a.Fingerprint.Scorecard == "" {
 		t.Error("scorecard fingerprint empty")
 	}
-	if a.Bench != nil {
-		t.Error("bench plane present without -bench-json")
-	}
 
 	// Byte-determinism across worker counts: the artifact is the contract the
 	// CI baseline job diffs, so -parallel must not leak into it.
 	par := cfg
 	par.Workers = 4
-	b, err := BuildSentinelArtifact(par, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := BuildSentinelArtifact(par)
 	var ba, bb bytes.Buffer
 	if err := a.WriteJSON(&ba); err != nil {
 		t.Fatal(err)
@@ -99,24 +89,5 @@ func TestBuildSentinelArtifactShapeAndDeterminism(t *testing.T) {
 	d := sentinel.Diff(a, b, sentinel.Options{})
 	if !d.Clean() {
 		t.Fatalf("same-config artifacts diff dirty:\n%s", d)
-	}
-}
-
-func TestBuildSentinelArtifactEmbedsBenchRecording(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/cmp.json"
-	c := &bench.Comparison{OldFile: "old.txt", NewFile: "new.txt"}
-	if err := c.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	a, err := BuildSentinelArtifact(sentinelCfg(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Bench == nil || a.Bench.OldFile != "old.txt" {
-		t.Fatalf("bench recording not embedded: %+v", a.Bench)
-	}
-	if _, err := BuildSentinelArtifact(sentinelCfg(), dir+"/missing.json"); err == nil {
-		t.Fatal("missing bench recording not reported")
 	}
 }

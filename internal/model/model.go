@@ -146,8 +146,6 @@ type Params struct {
 	// GdrcopySetup is the CPU-side setup of a gdrcopy mapped write; the
 	// copy itself blocks the caller at memory speed.
 	GdrcopySetup time.Duration
-	// GdrcopyBandwidth is the CPU-driven BAR write bandwidth (WC mapped).
-	GdrcopyBandwidth float64 // bits per second
 	// KernelLaunch is the driver+hardware cost of launching a GPU kernel.
 	KernelLaunch time.Duration
 	// StreamSync is the cost of detecting completion and synchronizing a
@@ -248,9 +246,6 @@ type Params struct {
 	// MQPollInterval is the Remote MQ Manager's polling period over the TX
 	// rings of registered mqueues.
 	MQPollInterval time.Duration
-	// MetadataBytes is the per-message coalesced control metadata (§5.1:
-	// "the metadata occupies 4 bytes").
-	MetadataBytes int
 
 	// --- Robustness ------------------------------------------------------
 
@@ -299,7 +294,6 @@ func Default() Params {
 
 		CudaMemcpyAsyncSetup: 7500 * time.Nanosecond,
 		GdrcopySetup:         400 * time.Nanosecond,
-		GdrcopyBandwidth:     6e9, // CPU-driven WC writes are slow
 		KernelLaunch:         10 * time.Microsecond,
 		StreamSync:           5 * time.Microsecond,
 		DriverSerialization:  26 * time.Microsecond,
@@ -330,7 +324,6 @@ func Default() Params {
 		DispatchCost:   1300 * time.Nanosecond,
 		ForwardCost:    1200 * time.Nanosecond,
 		MQPollInterval: 1 * time.Microsecond,
-		MetadataBytes:  4,
 
 		MQWatchdogTimeout:  5 * time.Millisecond,
 		ClientRetryTimeout: 2 * time.Millisecond,

@@ -54,7 +54,7 @@ func TestGroupEndToEnd(t *testing.T) {
 			for qi := 0; qi < nq; qi++ {
 				q := g.Queue(qi)
 				for {
-					msg, ok := q.PopTx(p)
+					msg, ok := popOne(p, q)
 					if !ok {
 						break
 					}
@@ -119,7 +119,7 @@ func TestGroupDrainOpCount(t *testing.T) {
 		for i := 0; i < nq; i++ {
 			q := g.Queue(i)
 			for {
-				if _, ok := q.PopTx(p); !ok {
+				if _, ok := popOne(p, q); !ok {
 					break
 				}
 			}
@@ -156,7 +156,7 @@ func TestGroupTxBackpressure(t *testing.T) {
 		q := g.Queue(0)
 		q.Refresh(p)
 		for {
-			if _, ok := q.PopTx(p); !ok {
+			if _, ok := popOne(p, q); !ok {
 				break
 			}
 		}

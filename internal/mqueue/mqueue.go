@@ -97,9 +97,10 @@ type Config struct {
 	// violations observed on the SNIC side of the queue. Nil costs one
 	// pointer test per operation.
 	Check *check.Checker
-	// Spans, when non-nil, receives SNIC-side queue-wait attribution: PopTx
-	// books the TX-ring residency (drain start minus StageAccelSent) against
-	// the span's queueing phase. Nil costs one pointer test per drain.
+	// Spans, when non-nil, receives SNIC-side queue-wait attribution: a TX
+	// drain books the TX-ring residency (drain start minus StageAccelSent)
+	// against the span's queueing phase. Nil costs one pointer test per
+	// drain.
 	Spans *trace.SpanTable
 	// ReplSpans, when non-nil, marks the queue as a replication ingest ring:
 	// each record-bearing write stamps StageReplPushed for the record's span
@@ -402,30 +403,6 @@ type TxMsg struct {
 	Slot    int
 }
 
-// PopTx drains the next TX message (one full-slot RDMA READ). The caller
-// must have observed Ready(); it must eventually call CommitTx so the
-// accelerator sees the slots freed.
-func (q *Queue) PopTx(p *sim.Proc) (msg TxMsg, ok bool) {
-	p.Await(func(t *sim.Task, done func()) {
-		q.PopTxT(t, func(m TxMsg, o bool) { msg, ok = m, o; done() })
-	})
-	return msg, ok
-}
-
-// PopTxT is PopTx for tasks: k runs with the drained message. k runs inline
-// (with ok=false) only when the cached counters show nothing ready.
-func (q *Queue) PopTxT(t *sim.Task, k func(TxMsg, bool)) {
-	if !q.Ready() {
-		k(TxMsg{}, false)
-		return
-	}
-	o := q.ops.get(q)
-	o.t, o.kPop, o.stage = t, k, stPop
-	o.drainStart = t.Now()
-	o.slot = int(q.txTail % uint64(q.cfg.Slots))
-	q.qp.ReadCQET(t, q.region, q.lay.txSlot(q.cfg, o.slot), q.cfg.SlotSize, o.step)
-}
-
 // takeTx consumes the TX message in raw, the image of the next TX slot
 // (index slot) read by a drain that started at drainStart: it copies the
 // payload out, advances the drain counters and books the TX-ring wait. ok is
@@ -492,9 +469,9 @@ func (q *Queue) txRun(budget, room int) (first, n int) {
 // the contiguous run of ready slots, storing them into out and returning the
 // count. The run stops at the ring wrap (the next call picks up the
 // remainder), so one sweep visit costs at most two read round trips instead
-// of one per message. Per-slot parsing, the doorbell-miss guard and the
-// TX-drain wait booking are identical to PopTx; like PopTx, the caller must
-// eventually CommitTx.
+// of one per message. It is the one TX drain: an unbatched drainer passes a
+// one-slot out, which reads exactly that slot. The caller must eventually
+// CommitTx so the accelerator sees the slots freed.
 func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) (n int) {
 	p.Await(func(t *sim.Task, done func()) {
 		q.PopTxManyT(t, budget, out, func(k int) { n = k; done() })
@@ -536,20 +513,6 @@ func (q *Queue) CommitTxT(t *sim.Task, k func()) {
 	o.t, o.k, o.stage = t, k, stCommit
 	putLeUint64(o.cnt[:], q.txTail)
 	q.qp.WriteT(t, q.region, q.lay.hdr+hdrTxConsumed, o.cnt[:], o.step)
-}
-
-// Poll is the standalone-queue convenience: refresh if idle, drain one
-// message, commit. Grouped deployments use Refresh/PopTx/CommitTx directly
-// for batching.
-func (q *Queue) Poll(p *sim.Proc) (TxMsg, bool) {
-	if !q.Ready() {
-		q.Refresh(p)
-	}
-	msg, ok := q.PopTx(p)
-	if ok {
-		q.CommitTx(p)
-	}
-	return msg, ok
 }
 
 // InFlight reports RX messages pushed but not yet known consumed.

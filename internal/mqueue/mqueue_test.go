@@ -118,7 +118,7 @@ func TestEndToEndEcho(t *testing.T) {
 					continue
 				}
 			}
-			if msg, ok := snicQ.Poll(p); ok {
+			if msg, ok := poll(p, snicQ); ok {
 				got = append(got, msg.Payload)
 			} else {
 				p.Sleep(r.params.MQPollInterval)
@@ -357,7 +357,7 @@ func TestIntegrityProperty(t *testing.T) {
 						continue
 					}
 				}
-				if msg, polled := snicQ.Poll(p); polled {
+				if msg, polled := poll(p, snicQ); polled {
 					if !bytes.Equal(msg.Payload, mkPayload(rcvd)) {
 						ok = false
 					}
@@ -529,10 +529,32 @@ func TestGroupActivityGate(t *testing.T) {
 	}
 }
 
+// popOne drains the next TX message through a one-slot PopTxMany run, the
+// unbatched drain.
+func popOne(p *sim.Proc, q *Queue) (TxMsg, bool) {
+	var buf [1]TxMsg
+	if q.PopTxMany(p, 1, buf[:]) == 0 {
+		return TxMsg{}, false
+	}
+	return buf[0], true
+}
+
+// poll is the standalone-queue drain: refresh if idle, pop one message,
+// commit.
+func poll(p *sim.Proc, q *Queue) (TxMsg, bool) {
+	if !q.Ready() {
+		q.Refresh(p)
+	}
+	msg, ok := popOne(p, q)
+	if ok {
+		q.CommitTx(p)
+	}
+	return msg, ok
+}
+
 // drainAll runs an echo flow over a 4-slot ring and returns every response in
-// drain order. With budget 0 it drains one message at a time via PopTx; with
-// budget > 0 it drains runs via PopTxMany. The ring wraps several times, so
-// the run-stops-at-wrap behavior of PopTxMany is exercised.
+// drain order, draining runs of up to budget messages via PopTxMany. The ring
+// wraps several times, so the run-stops-at-wrap behavior is exercised.
 func drainAll(t *testing.T, total, budget int) []TxMsg {
 	t.Helper()
 	r := newRig(t, false, 1<<16)
@@ -569,24 +591,13 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 				snicQ.Refresh(p)
 			}
 			drained := false
-			if budget > 0 {
-				for snicQ.Ready() {
-					k := snicQ.PopTxMany(p, budget, buf)
-					if k == 0 {
-						break
-					}
-					got = append(got, buf[:k]...)
-					drained = true
+			for snicQ.Ready() {
+				k := snicQ.PopTxMany(p, budget, buf)
+				if k == 0 {
+					break
 				}
-			} else {
-				for {
-					m, ok := snicQ.PopTx(p)
-					if !ok {
-						break
-					}
-					got = append(got, m)
-					drained = true
-				}
+				got = append(got, buf[:k]...)
+				drained = true
 			}
 			snicQ.CommitTx(p)
 			if !drained {
@@ -599,12 +610,13 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 	return got
 }
 
-// PopTxMany must produce exactly the message sequence PopTx produces —
-// payloads, error bytes, correlators and slots — across ring wraparounds.
+// Multi-slot runs must produce exactly the message sequence the unbatched
+// one-slot drain (budget 1) produces — payloads, error bytes, correlators and
+// slots — across ring wraparounds.
 func TestPopTxManyMatchesPopTx(t *testing.T) {
 	const total = 11
-	single := drainAll(t, total, 0)
-	for _, budget := range []int{1, 3, 8} {
+	single := drainAll(t, total, 1)
+	for _, budget := range []int{3, 8} {
 		batched := drainAll(t, total, budget)
 		if len(single) != total || len(batched) != total {
 			t.Fatalf("budget %d: drained %d single vs %d batched, want %d", budget, len(single), len(batched), total)

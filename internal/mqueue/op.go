@@ -12,7 +12,6 @@ type opStage uint8
 const (
 	stRefresh      opStage = iota // queue header read: absorb, continue
 	stGroupRefresh                // header-block read: absorb every queue, continue
-	stPop                         // TX slot read: take the message
 	stPopMany                     // TX run read: take the messages
 	stCommit                      // drained-counter write: clear the dirty mark
 	stPushRefresh                 // full-ring header read: absorb, then push or fail
@@ -55,7 +54,6 @@ type op struct {
 	// The caller's continuation: exactly one is set.
 	k     func()
 	kPush func(slot int, err error)
-	kPop  func(TxMsg, bool)
 	kMany func(n int)
 
 	step    func(rdma.CQE) // pre-bound o.advance
@@ -154,11 +152,6 @@ func (o *op) advance(cqe rdma.CQE) {
 	case stCommit:
 		q.txDirty = false
 		o.resume()
-	case stPop:
-		msg, ok := q.takeTx(cqe.Data, o.slot, o.drainStart)
-		k := o.kPop
-		o.release()
-		k(msg, ok)
 	case stPopMany:
 		n := q.takeRun(cqe.Data, o.slot, o.drainStart, o.out)
 		k := o.kMany

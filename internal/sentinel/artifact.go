@@ -17,10 +17,10 @@
 //     next to their measured counterparts;
 //   - the rack telemetry sections: each node of the RF=3 replication rack
 //     summarized from its own telemetry plane (span counts, event volume,
-//     per-series monitor means), so a cross-node regression names the node;
-//   - optionally, a benchmark comparison recorded by cmd/benchcmp -json
-//     (internal/bench — the same row schema, so medians and significance
-//     have one source of truth).
+//     per-series monitor means), so a cross-node regression names the node.
+//
+// Go-benchmark samples are not a plane: they are compared only by
+// cmd/benchcmp, between recordings made back to back on one machine.
 package sentinel
 
 import (
@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 
-	"lynx/internal/bench"
 	"lynx/internal/profile"
 )
 
@@ -103,9 +102,6 @@ type Artifact struct {
 	Knees       []Knee          `json:"knees,omitempty"`
 	// Rack is the per-node telemetry summary of the RF=3 replication rack.
 	Rack []RackNode `json:"rack,omitempty"`
-	// Bench, when present, is the benchmark comparison recorded at baseline
-	// time (cmd/benchcmp -json / make bench-compare).
-	Bench *bench.Comparison `json:"bench,omitempty"`
 }
 
 // WriteJSON writes the artifact as indented JSON. Field order is fixed and

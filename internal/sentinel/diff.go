@@ -3,20 +3,17 @@ package sentinel
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
-	"lynx/internal/bench"
 	"lynx/internal/profile"
 )
 
 // Options are the noise bands of a diff: a move is reported only when it
-// leaves its band, so run-to-run jitter does not read as regression. The
-// benchmark plane needs no declared band — it carries raw samples, so
-// significance comes from the same Mann-Whitney U test cmd/benchcmp applies
-// (bench.MannWhitneyP at bench.Alpha). The attribution plane is one
-// deterministic measurement per artifact, no sample distribution to test, so
-// its bands are declared here instead, sized from the observed seed-to-seed
-// spread of the attribution run.
+// leaves its band, so run-to-run jitter does not read as regression. Every
+// plane is one deterministic measurement per artifact, no sample
+// distribution to test, so the bands are declared here, sized from the
+// observed seed-to-seed spread of the attribution run.
 type Options struct {
 	// LatencyFrac is the relative band on latency stats (phase wait/service
 	// p99, end-to-end p99). Default 0.10.
@@ -25,13 +22,15 @@ type Options struct {
 	// keeps near-zero stats (a zero-wait phase picking up 300ns) quiet.
 	// Default 2000.
 	LatencyFloorNs int64
-	// UtilAbs is the absolute band on resource utilization. Default 0.05.
+	// UtilAbs is the absolute band on resource utilization, including the
+	// rack plane's "-util" series means. Default 0.05.
 	UtilAbs float64
 	// SlopeAbs is the absolute band on queue-growth slopes (items/sec).
 	// Default 2.
 	SlopeAbs float64
-	// ValueFrac is the relative band on scorecard metric values. A
-	// pass→fail flip is always reported regardless of it. Default 0.10.
+	// ValueFrac is the relative band on scorecard metric values and on the
+	// rack plane's counts and non-utilization series means. A pass→fail
+	// flip is always reported regardless of it. Default 0.10.
 	ValueFrac float64
 	// KneeFrac is the relative band on predicted knee throughput. Default
 	// 0.15.
@@ -64,13 +63,13 @@ func (o Options) withDefaults() Options {
 type Finding struct {
 	// Kind classifies the plane: "fingerprint", "phase-wait",
 	// "phase-service", "end-to-end", "bottleneck-util", "bottleneck-slope",
-	// "bottleneck-rank", "scorecard", "knee", "bench".
+	// "bottleneck-rank", "scorecard", "knee", "rack".
 	Kind string `json:"kind"`
-	// Subject names what moved: a phase, a resource, a claim ID, a
-	// benchmark.
+	// Subject names what moved: a phase, a resource, a claim ID, a rack
+	// node.
 	Subject string `json:"subject"`
 	// Metric is the stat within the subject ("wait_p99_ns", "utilization",
-	// "ns/op", ...).
+	// "events", ...).
 	Metric string  `json:"metric,omitempty"`
 	Old    float64 `json:"old"`
 	New    float64 `json:"new"`
@@ -161,7 +160,8 @@ func pct(old, new float64) float64 {
 
 // Diff compares two artifacts plane by plane. Order of findings is fixed:
 // fingerprint, phases (path order), end-to-end, bottlenecks (old rank order),
-// scorecard (old claim order), knees (old order), bench (old row order).
+// scorecard (old claim order), knees (old order), rack (old node order, then
+// nodes only the new artifact has).
 func Diff(old, new *Artifact, opts Options) *DiffReport {
 	o := opts.withDefaults()
 	d := &DiffReport{
@@ -178,7 +178,7 @@ func Diff(old, new *Artifact, opts Options) *DiffReport {
 	d.diffReports(old.Report, new.Report, o)
 	d.diffScorecards(old.Scorecard, new.Scorecard, o)
 	d.diffKnees(old.Knees, new.Knees, o)
-	d.diffBench(old.Bench, new.Bench)
+	d.diffRack(old.Rack, new.Rack, o)
 	return d
 }
 
@@ -349,58 +349,64 @@ func (d *DiffReport) diffKnees(old, new []Knee, o Options) {
 	}
 }
 
-// regressionDirection says whether a raised value of the metric is bad.
-var regressionDirection = map[string]bool{
-	"ns/op":      true,
-	"B/op":       true,
-	"allocs/op":  true,
-	"events/sec": false,
+// diffRack compares the rack telemetry sections node by node, old node
+// order. Each node's span counts, event volume and series means (name order)
+// are checked against UtilAbs ("-util" series) or the relative ValueFrac
+// band (the rest, so any move off zero counts); a series missing on one side
+// reads as zero. A node on one side only is a finding. A rise is a
+// regression: more load, backlog or event volume on the node.
+func (d *DiffReport) diffRack(old, new []RackNode, o Options) {
+	newNode := make(map[string]RackNode, len(new))
+	for _, n := range new {
+		newNode[n.Node] = n
+	}
+	for _, on := range old {
+		nn, ok := newNode[on.Node]
+		delete(newNode, on.Node)
+		if !ok {
+			d.Findings = append(d.Findings, Finding{Kind: "rack", Subject: on.Node, Metric: "node",
+				Regression: true, Detail: "node absent from new artifact"})
+			continue
+		}
+		ov, nv := rackStats(on), rackStats(nn)
+		names := make([]string, 0, len(ov)+len(nv))
+		for s := range ov {
+			names = append(names, s)
+		}
+		for s := range nv {
+			if _, ok := ov[s]; !ok {
+				names = append(names, s)
+			}
+		}
+		sort.Strings(names)
+		for _, s := range names {
+			d.Checked++
+			band := o.ValueFrac * abs(ov[s])
+			if strings.HasSuffix(s, "-util") {
+				band = o.UtilAbs
+			}
+			if abs(nv[s]-ov[s]) > band {
+				d.Findings = append(d.Findings, Finding{Kind: "rack", Subject: on.Node, Metric: s,
+					Old: ov[s], New: nv[s], DeltaPct: pct(ov[s], nv[s]), Regression: nv[s] > ov[s]})
+			}
+		}
+	}
+	for _, nn := range new {
+		if _, ok := newNode[nn.Node]; ok {
+			d.Findings = append(d.Findings, Finding{Kind: "rack", Subject: nn.Node, Metric: "node",
+				Detail: "node absent from old artifact"})
+		}
+	}
 }
 
-// diffBench compares the benchmark samples the two artifacts recorded for
-// *their own* builds (each embedded Comparison's new side), using the same
-// Mann-Whitney U machinery cmd/benchcmp applies — the one plane where real
-// noise bands, not declared ones, are available.
-func (d *DiffReport) diffBench(old, new *bench.Comparison) {
-	if old == nil || new == nil {
-		return
+// rackStats flattens a rack node into named stats for the diff: its counts
+// under their JSON names and its series means.
+func rackStats(n RackNode) map[string]float64 {
+	m := map[string]float64{
+		"spans_begun": float64(n.SpansBegun), "spans_closed": float64(n.SpansClosed), "events": float64(n.Events),
 	}
-	type side struct {
-		samples []float64
-		median  float64
+	for s, v := range n.SeriesMean {
+		m[s] = v
 	}
-	pick := func(r bench.Row) (side, bool) {
-		if len(r.NewSamples) > 0 && r.NewMedian != nil {
-			return side{r.NewSamples, *r.NewMedian}, true
-		}
-		return side{}, false
-	}
-	newRows := make(map[bench.Key]side, len(new.Rows))
-	for _, r := range new.Rows {
-		if s, ok := pick(r); ok {
-			newRows[bench.Key{Bench: r.Benchmark, Metric: r.Metric}] = s
-		}
-	}
-	for _, r := range old.Rows {
-		os_, ok := pick(r)
-		if !ok {
-			continue
-		}
-		ns, ok := newRows[bench.Key{Bench: r.Benchmark, Metric: r.Metric}]
-		if !ok {
-			continue
-		}
-		d.Checked++
-		p := bench.MannWhitneyP(os_.samples, ns.samples)
-		if p >= bench.Alpha {
-			continue
-		}
-		up := ns.median > os_.median
-		d.Findings = append(d.Findings, Finding{
-			Kind: "bench", Subject: r.Benchmark, Metric: r.Metric,
-			Old: os_.median, New: ns.median, DeltaPct: pct(os_.median, ns.median),
-			Regression: up == regressionDirection[r.Metric],
-			Detail:     fmt.Sprintf("p=%.3f", p),
-		})
-	}
+	return m
 }

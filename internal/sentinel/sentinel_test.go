@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"lynx/internal/bench"
 	"lynx/internal/profile"
 )
 
@@ -39,6 +38,11 @@ func testArtifact() *Artifact {
 		},
 		Knees: []Knee{
 			{Name: "fig6", Estimate: profile.KneeEstimate{Valid: true, Resource: "dispatcher", Utilization: 0.28, ProbePerSec: 100e3, PredictedPerSec: 300e3}, MeasuredPerSec: 270e3, Ratio: 1.11},
+		},
+		Rack: []RackNode{
+			{Node: "server1", SpansBegun: 288, SpansClosed: 280, Events: 1740,
+				SeriesMean: map[string]float64{"snic/dispatch-util": 0.20, "repl/ingest-occupancy": 0.02}},
+			{Node: "server2", SeriesMean: map[string]float64{"snic/dispatch-util": 0, "repl/ingest-occupancy": 0.02}},
 		},
 	}
 }
@@ -215,51 +219,47 @@ func TestDiffFingerprintMismatchNotComparable(t *testing.T) {
 	}
 }
 
-func TestDiffBenchUsesMannWhitney(t *testing.T) {
-	mkBench := func(samples ...float64) *bench.Comparison {
-		med := bench.Median(samples)
-		return &bench.Comparison{Rows: []bench.Row{{
-			Benchmark: "BenchmarkSimEngine/echo", Metric: "ns/op",
-			NewSamples: samples, NewMedian: &med,
-		}}}
-	}
+func TestDiffNamesTheDriftedRackNode(t *testing.T) {
 	old := testArtifact()
-	old.Bench = mkBench(100, 101, 102, 99, 100, 101, 100, 99, 101, 100)
-	// Clearly slower, disjoint samples: significant, regression (ns/op up).
+	// A non-utilization series mean moving past ValueFrac on one node.
 	new_ := clone(t, old)
-	new_.Bench = mkBench(130, 131, 132, 129, 130, 131, 130, 129, 131, 130)
+	new_.Rack[1].SeriesMean["repl/ingest-occupancy"] = 0.5
 	d := Diff(old, new_, Options{})
-	regs := d.Regressions()
-	if len(regs) != 1 || regs[0].Kind != "bench" || !strings.Contains(regs[0].Detail, "p=") {
-		t.Fatalf("bench regression not flagged via Mann-Whitney: %+v", d.Findings)
+	if len(d.Findings) != 1 {
+		t.Fatalf("want one rack finding, got %s", d)
 	}
-	// Identical samples: p = 1, no finding.
-	same := clone(t, old)
-	same.Bench = mkBench(100, 101, 102, 99, 100, 101, 100, 99, 101, 100)
-	if d := Diff(old, same, Options{}); !d.Clean() {
-		t.Fatalf("identical bench samples reported: %s", d)
+	if f := d.Findings[0]; f.Kind != "rack" || f.Subject != "server2" || f.Metric != "repl/ingest-occupancy" || !f.Regression {
+		t.Fatalf("rack drift misattributed: %+v", f)
 	}
-	// events/sec moving UP is an improvement, not a regression.
-	up := clone(t, old)
-	med := 2.0e6
-	old.Bench.Rows = append(old.Bench.Rows, bench.Row{
-		Benchmark: "BenchmarkSimEngine/echo", Metric: "events/sec",
-		NewSamples: []float64{1e6, 1e6, 1e6, 1e6, 1e6}, NewMedian: &[]float64{1e6}[0],
-	})
-	up.Bench.Rows = append(up.Bench.Rows, bench.Row{
-		Benchmark: "BenchmarkSimEngine/echo", Metric: "events/sec",
-		NewSamples: []float64{2e6, 2e6, 2e6, 2e6, 2e6}, NewMedian: &med,
-	})
-	d = Diff(old, up, Options{})
-	for _, f := range d.Regressions() {
-		if f.Metric == "events/sec" {
-			t.Fatalf("events/sec improvement flagged as regression: %+v", f)
+	// A utilization series inside UtilAbs is noise; past it, a finding.
+	util := clone(t, old)
+	util.Rack[0].SeriesMean["snic/dispatch-util"] = 0.24
+	if d := Diff(old, util, Options{}); !d.Clean() {
+		t.Fatalf("in-band utilization move reported: %s", d)
+	}
+	util.Rack[0].SeriesMean["snic/dispatch-util"] = 0.30
+	if d := Diff(old, util, Options{}); d.Clean() || d.Findings[0].Subject != "server1" {
+		t.Fatalf("utilization drift missed: %s", d)
+	}
+	// Counts use the relative band: a node that starts seeing events moved.
+	events := clone(t, old)
+	events.Rack[1].Events = 10
+	if d := Diff(old, events, Options{}); d.Clean() || d.Findings[0].Metric != "events" {
+		t.Fatalf("event-volume drift missed: %s", d)
+	}
+	// A series missing on one side reads as zero.
+	missing := clone(t, old)
+	delete(missing.Rack[0].SeriesMean, "repl/ingest-occupancy")
+	if d := Diff(old, missing, Options{}); d.Clean() || d.Findings[0].Metric != "repl/ingest-occupancy" || d.Findings[0].New != 0 {
+		t.Fatalf("missing series not reported: %s", d)
+	}
+	// A node on one side only is a finding, in either direction.
+	gone := clone(t, old)
+	gone.Rack = gone.Rack[:1]
+	for _, pair := range [][2]*Artifact{{old, gone}, {gone, old}} {
+		d := Diff(pair[0], pair[1], Options{})
+		if len(d.Findings) != 1 || d.Findings[0].Subject != "server2" || d.Findings[0].Metric != "node" {
+			t.Fatalf("one-sided node not reported: %s", d)
 		}
-	}
-	// One side missing the bench plane entirely: silently skipped.
-	noBench := clone(t, old)
-	noBench.Bench = nil
-	if d := Diff(old, noBench, Options{}); !d.Clean() {
-		t.Fatalf("absent bench plane produced findings: %s", d)
 	}
 }

@@ -418,15 +418,11 @@ func (in *Innova) serve(port uint16, acc accel.Accelerator, cfg mqueue.Config, n
 		// reads) and emit responses at pipeline rate.
 		tb.Sim.Spawn("innova/afu-tx", func(p *sim.Proc) {
 			gate := group.ActivityGate()
-			// With batching configured, the egress AFU drains each ring in
-			// spanning reads of up to the CQ-drain budget per visit; the
+			// The egress AFU drains each ring in spanning reads of up to the
+			// CQ-drain budget per visit (one slot when unbatched); the
 			// per-response pipeline charge is unchanged (the FPGA pipeline
 			// is per-packet — only the ring-poll round trips amortize).
-			batch := tb.Params.Batch
-			var txBuf []mqueue.TxMsg
-			if !batch.Unit() {
-				txBuf = make([]mqueue.TxMsg, batch.EffCQDrain())
-			}
+			txBuf := make([]mqueue.TxMsg, tb.Params.Batch.EffCQDrain())
 			emit := func(p *sim.Proc, qi int, msg mqueue.TxMsg) {
 				in.pipeline.With(p, tb.Params.InnovaPipeline, nil)
 				fifo := pending[qi].fifo[msg.Corr]
@@ -446,25 +442,14 @@ func (in *Innova) serve(port uint16, acc accel.Accelerator, cfg mqueue.Config, n
 				drained := false
 				for qi := 0; qi < n; qi++ {
 					q := group.Queue(qi)
-					if txBuf != nil {
-						for q.Ready() {
-							k := q.PopTxMany(p, len(txBuf), txBuf)
-							if k == 0 {
-								break
-							}
-							drained = true
-							for j := 0; j < k; j++ {
-								emit(p, qi, txBuf[j])
-							}
+					for q.Ready() {
+						k := q.PopTxMany(p, len(txBuf), txBuf)
+						if k == 0 {
+							break
 						}
-					} else {
-						for q.Ready() {
-							msg, ok := q.PopTx(p)
-							if !ok {
-								break
-							}
-							drained = true
-							emit(p, qi, msg)
+						drained = true
+						for j := 0; j < k; j++ {
+							emit(p, qi, txBuf[j])
 						}
 					}
 					q.CommitTx(p)

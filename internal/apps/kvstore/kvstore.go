@@ -12,6 +12,7 @@ import (
 	"container/list"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Store is a sharded, LRU-bounded key-value store. It is not safe for OS
@@ -162,6 +163,50 @@ func EncodeDelete(key string) []byte {
 	return []byte("delete " + key + "\r\n")
 }
 
+// Request operations. Parse sets Op to one of these constants for every
+// known operation, so a parsed request carries no per-call op string.
+const (
+	opGet    = "get"
+	opSet    = "set"
+	opDelete = "delete"
+)
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the separators
+// of bytes.Fields.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits line around runs of white space exactly like
+// bytes.Fields, storing the first len(dst) fields in dst and returning the
+// total count. An all-ASCII line, every well-formed request or reply line,
+// splits without allocating; anything else goes through bytes.Fields, whose
+// separators include multi-byte runes such as U+0085 and U+00A0.
+func splitFields(line []byte, dst [][]byte) int {
+	for _, c := range line {
+		if c >= utf8.RuneSelf {
+			f := bytes.Fields(line)
+			copy(dst, f)
+			return len(f)
+		}
+	}
+	n := 0
+	for i := 0; i < len(line); {
+		if asciiSpace[line[i]] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(line) && !asciiSpace[line[j]] {
+			j++
+		}
+		if n < len(dst) {
+			dst[n] = line[i:j]
+		}
+		n++
+		i = j
+	}
+	return n
+}
+
 // Parse decodes one request from a message (one request per message, the
 // framing every transport in this repository provides).
 func Parse(msg []byte) (Request, error) {
@@ -172,59 +217,63 @@ func Parse(msg []byte) (Request, error) {
 	} else {
 		return r, fmt.Errorf("kvstore: missing CRLF")
 	}
-	fields := bytes.Fields(head)
-	if len(fields) == 0 {
+	var fields [5][]byte // set, the longest request line, has 5
+	nf := splitFields(head, fields[:])
+	if nf == 0 {
 		return r, fmt.Errorf("kvstore: empty request")
 	}
-	r.Op = string(fields[0])
-	switch r.Op {
-	case "get", "delete":
-		if len(fields) != 2 {
+	switch string(fields[0]) {
+	case opGet:
+		r.Op = opGet
+	case opSet:
+		r.Op = opSet
+	case opDelete:
+		r.Op = opDelete
+	default:
+		r.Op = string(fields[0])
+		return r, fmt.Errorf("kvstore: unknown op %q", r.Op)
+	}
+	if r.Op != opSet {
+		if nf != 2 {
 			return r, fmt.Errorf("kvstore: %s wants 1 key", r.Op)
 		}
 		r.Key = string(fields[1])
-	case "set":
-		if len(fields) != 5 {
-			return r, fmt.Errorf("kvstore: malformed set")
-		}
-		r.Key = string(fields[1])
-		flags, err := strconv.ParseUint(string(fields[2]), 10, 32)
-		if err != nil {
-			return r, fmt.Errorf("kvstore: bad flags: %v", err)
-		}
-		r.Flags = uint32(flags)
-		n, err := strconv.Atoi(string(fields[4]))
-		if err != nil || n < 0 {
-			return r, fmt.Errorf("kvstore: bad length")
-		}
-		body := msg[len(head)+2:]
-		if len(body) < n+2 || !bytes.HasSuffix(body[:n+2], []byte("\r\n")) {
-			return r, fmt.Errorf("kvstore: short body")
-		}
-		r.Value = body[:n]
-	default:
-		return r, fmt.Errorf("kvstore: unknown op %q", r.Op)
+		return r, nil
 	}
+	if nf != 5 {
+		return r, fmt.Errorf("kvstore: malformed set")
+	}
+	r.Key = string(fields[1])
+	flags, err := strconv.ParseUint(string(fields[2]), 10, 32)
+	if err != nil {
+		return r, fmt.Errorf("kvstore: bad flags: %v", err)
+	}
+	r.Flags = uint32(flags)
+	n, err := strconv.Atoi(string(fields[4]))
+	if err != nil || n < 0 {
+		return r, fmt.Errorf("kvstore: bad length")
+	}
+	body := msg[len(head)+2:]
+	if n > len(body)-2 || !bytes.HasSuffix(body[:n+2], []byte("\r\n")) {
+		return r, fmt.Errorf("kvstore: short body")
+	}
+	r.Value = body[:n]
 	return r, nil
 }
 
 // Serve applies a parsed request to the store and renders the reply.
 func (s *Store) Serve(r Request) []byte {
 	switch r.Op {
-	case "get":
+	case opGet:
 		v, flags, ok := s.Get(r.Key)
 		if !ok {
 			return []byte("END\r\n")
 		}
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "VALUE %s %d %d\r\n", r.Key, flags, len(v))
-		b.Write(v)
-		b.WriteString("\r\nEND\r\n")
-		return b.Bytes()
-	case "set":
+		return valueReply(r.Key, flags, v)
+	case opSet:
 		s.Set(r.Key, r.Flags, r.Value)
 		return []byte("STORED\r\n")
-	case "delete":
+	case opDelete:
 		if s.Delete(r.Key) {
 			return []byte("DELETED\r\n")
 		}
@@ -232,6 +281,25 @@ func (s *Store) Serve(r Request) []byte {
 	default:
 		return []byte("ERROR\r\n")
 	}
+}
+
+// valueReply renders a VALUE reply, "VALUE <key> <flags> <len>\r\n<v>\r\n
+// END\r\n", into one freshly allocated slice of exactly its size.
+func valueReply(key string, flags uint32, v []byte) []byte {
+	var fb, lb [20]byte
+	f := strconv.AppendUint(fb[:0], uint64(flags), 10)
+	l := strconv.AppendInt(lb[:0], int64(len(v)), 10)
+	const value, end = "VALUE ", "\r\nEND\r\n"
+	b := make([]byte, 0, len(value)+len(key)+1+len(f)+1+len(l)+2+len(v)+len(end))
+	b = append(b, value...)
+	b = append(b, key...)
+	b = append(b, ' ')
+	b = append(b, f...)
+	b = append(b, ' ')
+	b = append(b, l...)
+	b = append(b, "\r\n"...)
+	b = append(b, v...)
+	return append(b, end...)
 }
 
 // ServeRaw parses and serves a wire request.
@@ -256,8 +324,8 @@ func DecodeValue(reply []byte) (value []byte, ok bool, err error) {
 	if i < 0 {
 		return nil, false, fmt.Errorf("kvstore: truncated reply")
 	}
-	fields := bytes.Fields(reply[:i])
-	if len(fields) != 4 {
+	var fields [4][]byte
+	if splitFields(reply[:i], fields[:]) != 4 {
 		return nil, false, fmt.Errorf("kvstore: malformed VALUE line")
 	}
 	n, err := strconv.Atoi(string(fields[3]))

@@ -162,3 +162,27 @@ func TestProtocolProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProtocolAllocCeilings pins the allocation-lean protocol path: a GET
+// hit allocates only the key and the reply, a SET overwrite the key, the
+// stored copy and the reply, and decoding a VALUE reply nothing.
+func TestProtocolAllocCeilings(t *testing.T) {
+	s := NewStore(4, 0)
+	value := []byte("value-0123456789")
+	s.Set("key-042", 0, value)
+	get, set := EncodeGet("key-042"), EncodeSet("key-042", 0, value)
+	reply := s.ServeRaw(get)
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		op      func()
+	}{
+		{"GET", 2, func() { s.ServeRaw(get) }},
+		{"SET", 3, func() { s.ServeRaw(set) }},
+		{"DecodeValue", 0, func() { DecodeValue(reply) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.op); n > c.ceiling {
+			t.Errorf("%s: %v allocs per call, want at most %v", c.name, n, c.ceiling)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -150,17 +151,23 @@ func BenchmarkSimEngine(b *testing.B) {
 	// as a stale no-op. stale-timeouts is the shape of a loaded deployment's
 	// receive timeouts: each consumer waits with a 1 ms deadline on a channel
 	// one producer feeds every 1 µs, so every wait receives and leaves a dead
-	// timer behind, ~64 k of them pending at once. Runs settle for two
-	// deadlines, so the event queues have reached their full size before
-	// timing starts. The -task variants run the consumers on the Task
-	// substrate (the TCP receive contexts of the runtime).
+	// timer behind, ~64 k of them pending at once. mixed-timeouts is the
+	// deadline mix of a Lynx rack: consumer i waits with the i%3-th of a
+	// 100 ms client timeout, a 5 ms watchdog and a 100 µs receive poll on a
+	// channel one producer feeds every 10 µs, so nearly every wait receives
+	// and the three classes' dead timers interleave in time. Runs settle for
+	// twice the longest deadline, so the event queues have reached their
+	// full size before timing starts. The -task variants run the consumers
+	// on the Task substrate (the TCP receive contexts of the runtime).
 	for _, c := range []struct {
-		name             string
-		deadline, period time.Duration
-		oneProducer      bool
+		name        string
+		deadlines   []time.Duration // consumer i waits with deadlines[i%len]
+		period      time.Duration
+		oneProducer bool
 	}{
-		{"get-timeout", 2 * time.Microsecond, 3 * time.Microsecond, false},
-		{"stale-timeouts", time.Millisecond, time.Microsecond, true},
+		{"get-timeout", []time.Duration{2 * time.Microsecond}, 3 * time.Microsecond, false},
+		{"stale-timeouts", []time.Duration{time.Millisecond}, time.Microsecond, true},
+		{"mixed-timeouts", []time.Duration{100 * time.Millisecond, 5 * time.Millisecond, 100 * time.Microsecond}, 10 * time.Microsecond, true},
 	} {
 		for _, task := range []bool{false, true} {
 			name := c.name
@@ -174,6 +181,7 @@ func BenchmarkSimEngine(b *testing.B) {
 				for i := range chans {
 					ch := NewChan[int](s, 0)
 					chans[i] = ch
+					deadline := c.deadlines[i%len(c.deadlines)]
 					if !c.oneProducer {
 						s.Spawn("producer", func(p *Proc) {
 							for {
@@ -187,7 +195,7 @@ func BenchmarkSimEngine(b *testing.B) {
 							var wait func(int, bool)
 							wait = func(int, bool) {
 								for {
-									if _, _, inline := ch.GetTimeoutT(t, c.deadline, wait); !inline {
+									if _, _, inline := ch.GetTimeoutT(t, deadline, wait); !inline {
 										return
 									}
 								}
@@ -198,7 +206,7 @@ func BenchmarkSimEngine(b *testing.B) {
 					}
 					s.Spawn("consumer", func(p *Proc) {
 						for {
-							ch.GetTimeout(p, c.deadline)
+							ch.GetTimeout(p, deadline)
 						}
 					})
 				}
@@ -212,7 +220,7 @@ func BenchmarkSimEngine(b *testing.B) {
 						}
 					})
 				}
-				s.RunUntil(s.Now().Add(max(10*time.Microsecond, 2*c.deadline)))
+				s.RunUntil(s.Now().Add(max(10*time.Microsecond, 2*slices.Max(c.deadlines))))
 				b.ReportAllocs()
 				b.ResetTimer()
 				start := s.Executed()

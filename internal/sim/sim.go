@@ -29,11 +29,15 @@
 // a FIFO of events at the current instant, an in-order FIFO lane that takes
 // every later event scheduled no earlier than the lane's tail — the runs of
 // equal-duration sleeps and wait timeouts, most of which are stale by the
-// time they fire — and an inlined 4-ary min-heap holding only the short,
-// out-of-order remainder. Every wake schedules a thunk bound once — a
-// Proc's resume, a Task's activation, a channel waiter node's wake — and
-// the waiter nodes of channels and gates recycle through free lists.
-// Steady-state scheduling therefore allocates nothing on either substrate.
+// time they fire — and an inlined 4-ary min-heap holding the out-of-order
+// remainder. A wait timeout the lane cannot take goes to one of a few timer
+// lanes, in-order FIFOs of timeouts only, each of which keeps a single proxy
+// event for its head in the heap; so the heap holds the live events plus one
+// entry per timer lane, not every stale timer of every deadline class.
+// Every wake schedules a thunk bound once — a Proc's resume, a Task's
+// activation, a channel waiter node's wake — and the waiter nodes of
+// channels and gates recycle through free lists. Steady-state scheduling
+// therefore allocates nothing on either substrate.
 //
 // Typical usage:
 //
@@ -79,8 +83,10 @@ type Config struct {
 // be shared across OS concurrency: all interaction happens either before Run,
 // from inside event callbacks, or from processes spawned on this Sim.
 type Sim struct {
-	now    Time
-	events []event // 4-ary min-heap ordered by (at, seq)
+	now Time
+	// events is a 4-ary min-heap ordered by (at, seq): the events neither
+	// FIFO below can take, plus one proxy per non-empty timer lane.
+	events []event
 	seq    uint64
 	rng    *rand.Rand
 
@@ -104,6 +110,14 @@ type Sim struct {
 	// the three heads, which is exactly the (at, seq) order of one heap:
 	// results are byte-identical.
 	lane fifo
+
+	// tlanes are the timer lanes, created on demand up to maxTimerLanes.
+	// They take the wait timeouts the lane cannot (timeout): each is an
+	// in-order FIFO like the lane, and instead of being a fourth head for
+	// RunUntil it keeps one proxy event in the heap carrying its head's
+	// (at, seq). Firing the proxy runs the head and re-proxies the next
+	// one, so the heap pops in exactly the (at, seq) order of one heap.
+	tlanes []*timerLane
 
 	executed uint64
 
@@ -390,7 +404,11 @@ func (s *Sim) RunUntil(limit Time) {
 // RunUntilCond advances the simulation in check-sized increments until cond
 // becomes true or limit is reached. It lets tests and experiments stop as
 // soon as their workload completes instead of simulating idle polling.
+// check must be positive.
 func (s *Sim) RunUntilCond(limit Time, check time.Duration, cond func() bool) {
+	if check <= 0 {
+		panic(fmt.Sprintf("sim: RunUntilCond check interval %v is not positive", check))
+	}
 	for s.now < limit && !cond() {
 		next := s.now.Add(check)
 		if next > limit {
@@ -410,8 +428,17 @@ func (s *Sim) runEvent(e event) {
 	e.fn()
 }
 
-// Pending reports the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.events) + s.iq.n + s.lane.n }
+// Pending reports the number of scheduled events. A timer lane counts its
+// entries, not the proxy it keeps in the heap.
+func (s *Sim) Pending() int {
+	n := len(s.events) + s.iq.n + s.lane.n
+	for _, l := range s.tlanes {
+		if l.q.n > 0 {
+			n += l.q.n - 1
+		}
+	}
+	return n
+}
 
 // ---------------------------------------------------------------------------
 // Processes
@@ -542,7 +569,7 @@ func (s *Sim) Shutdown() {
 	}
 	// Drop remaining events; their closures may reference dead procs.
 	s.events = nil
-	s.iq, s.lane = fifo{}, fifo{}
+	s.iq, s.lane, s.tlanes = fifo{}, fifo{}, nil
 	s.order = nil
 }
 
@@ -823,7 +850,10 @@ type timer struct {
 }
 
 // timeout schedules expire(gen) d from now. It consumes one scheduler slot,
-// like the At call it replaces.
+// like the At call it replaces. A timeout the lane takes (see enqueue) goes
+// there; otherwise it goes to the first timer lane that is empty or whose
+// tail is due no later, and to the heap only once maxTimerLanes lanes are
+// all due later than it.
 func (s *Sim) timeout(d time.Duration, gen uint64, expire func(gen uint64)) {
 	var r *timer
 	if n := len(s.timers); n > 0 {
@@ -835,7 +865,63 @@ func (s *Sim) timeout(d time.Duration, gen uint64, expire func(gen uint64)) {
 		r.fire = r.run
 	}
 	r.gen, r.expire = gen, expire
-	s.At(s.now.Add(d), r.fire)
+	at := s.now.Add(d)
+	if at <= s.now || s.lane.n == 0 || at >= s.lane.back().at {
+		s.At(at, r.fire)
+		return
+	}
+	s.seq++
+	e := event{at: at, seq: s.seq, fn: r.fire}
+	for _, l := range s.tlanes {
+		if l.q.n == 0 || l.q.back().at <= at {
+			l.add(e)
+			return
+		}
+	}
+	if len(s.tlanes) < maxTimerLanes {
+		l := &timerLane{s: s}
+		l.fire = l.run
+		s.tlanes = append(s.tlanes, l)
+		l.add(e)
+		return
+	}
+	s.push(e)
+}
+
+// maxTimerLanes bounds the timer lanes of one Sim. A deployment arms wait
+// timeouts from a handful of deadline classes (client retries, watchdogs,
+// replication deadlines, receive polls), each of which arrives in time
+// order; past the bound, out-of-order timeouts fall back to the heap.
+const maxTimerLanes = 8
+
+// timerLane is an in-order FIFO of wait timeouts that stands in the heap as
+// one proxy event: while the lane is non-empty the heap holds exactly one
+// event with fn == fire and its head's (at, seq).
+type timerLane struct {
+	s    *Sim
+	q    fifo
+	fire func() // pre-bound l.run, the proxy's thunk
+}
+
+// add appends e, which must be due no earlier than the tail, proxying it
+// when it becomes the head.
+func (l *timerLane) add(e event) {
+	if l.q.n == 0 {
+		l.s.push(event{at: e.at, seq: e.seq, fn: l.fire})
+	}
+	l.q.push(e)
+}
+
+// run is the proxy's event body: it pops the head, proxies the next head
+// with that head's own seq, and runs the popped one inline — one executed
+// event, and no new sequence number.
+func (l *timerLane) run() {
+	e := l.q.pop()
+	if l.q.n > 0 {
+		h := l.q.front()
+		l.s.push(event{at: h.at, seq: h.seq, fn: l.fire})
+	}
+	e.fn()
 }
 
 func (r *timer) run() {

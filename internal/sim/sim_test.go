@@ -867,3 +867,27 @@ func TestRunUntilCond(t *testing.T) {
 	}
 	s.Shutdown()
 }
+
+// RunUntilCond with a zero or negative interval could never advance the
+// clock; it must panic rather than spin. The call runs in a goroutine with a
+// deadline so that a spinning implementation fails the test instead of
+// hanging the suite.
+func TestRunUntilCondRejectsNonPositiveCheck(t *testing.T) {
+	for _, check := range []time.Duration{0, -time.Millisecond} {
+		s := New(Config{})
+		s.After(time.Millisecond, func() {})
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			s.RunUntilCond(Time(time.Second), check, func() bool { return false })
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Fatalf("check=%v: RunUntilCond returned instead of panicking", check)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("check=%v: RunUntilCond did not return within 2s", check)
+		}
+	}
+}

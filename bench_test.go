@@ -31,7 +31,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 // BenchmarkFullEval regenerates a scaled-down copy of every experiment per
-// iteration — the end-to-end number that the sweep worker pool and the DES
+// iteration through one experiments.Run, as `lynxbench -exp all` does, so a
+// point several experiments read is simulated once per iteration — the
+// end-to-end number that the sweep worker pool, the point memo and the DES
 // hot-path work target. The sequential/parallel pair quantifies the sweep
 // scheduler's speedup on this machine (they are identical by construction on
 // a single-core runner).
@@ -39,12 +41,9 @@ func BenchmarkFullEval(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			for _, id := range experiments.List() {
-				if _, err := experiments.Run(id, experiments.Config{
-					Seed: uint64(i + 1), Scale: 0.1, Workers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
+			cfg := experiments.Config{Seed: uint64(i + 1), Scale: 0.1, Workers: workers}
+			if _, err := experiments.Run(cfg, experiments.List()...); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -28,8 +28,10 @@
 // Output is a text table per experiment, with the paper's numbers alongside
 // the measured ones. Runs are bit-reproducible for a given seed and scale:
 // independent sweep points fan out across workers (one simulation per
-// worker), but results are collected by index, so the report does not depend
-// on -parallel.
+// worker), but results are collected by point, so the report does not depend
+// on -parallel. The experiments of one invocation share a memo of
+// measurement points, so a point several of them read is simulated once; the
+// output does not depend on it either. The point counts go to stderr.
 package main
 
 import (
@@ -81,16 +83,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	workers := *parallel
+	if workers <= 0 {
+		workers = experiments.AutoWorkers
+	}
+	bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant)
+	if err != nil {
+		fmt.Fprintln(stderr, "lynxbench:", err)
+		return 2
+	}
 	if *baseline != "" || *compare != "" {
-		workers := *parallel
-		if workers <= 0 {
-			workers = experiments.AutoWorkers
-		}
-		bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant)
-		if err != nil {
-			fmt.Fprintln(stderr, "lynxbench:", err)
-			return 2
-		}
 		cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, Batch: bc}
 		return sentinelMode(cfg, *baseline, *compare, *compareTo, stdout, stderr)
 	}
@@ -130,15 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp == "all" {
 		ids = experiments.List()
 	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = experiments.AutoWorkers
-	}
-	bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant)
-	if err != nil {
-		fmt.Fprintln(stderr, "lynxbench:", err)
-		return 2
-	}
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, TraceJSON: *traceJSON, MetricsJSON: *metJSON, ProfileJSON: *profJSON, Batch: bc}
 	if *topN > 0 {
 		cfg.Top = experiments.NewTopCollector(*topN)
@@ -149,22 +142,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *invariants {
 		cfg.Invariants = check.NewAggregate()
 	}
+	start := time.Now()
+	out, err := experiments.Run(cfg, ids...)
+	if err != nil {
+		fmt.Fprintln(stderr, "lynxbench:", err)
+		return 1
+	}
 	failed := false
-	for _, id := range ids {
-		start := time.Now()
-		report, err := experiments.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, "lynxbench:", err)
-			return 1
-		}
+	for _, report := range out.Reports {
 		failed = failed || report.Failed
 		if *csv {
 			fmt.Fprint(stdout, report.CSV())
 			continue
 		}
 		fmt.Fprintln(stdout, report)
-		fmt.Fprintf(stdout, "  (%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
 	}
+	if !*csv {
+		fmt.Fprintf(stdout, "(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
+	}
+	fmt.Fprintf(stderr, "points: %d simulated, %d from memo\n", out.Simulated, out.FromMemo)
 
 	if cfg.Top != nil {
 		if *csv {

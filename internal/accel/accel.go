@@ -223,8 +223,10 @@ func (g *GPU) BusyTime() time.Duration { return g.busyTime }
 
 // Driver models the host-side CUDA driver shared by all streams (and all
 // GPUs) in one machine. Its lock is the serialization point that makes
-// "more threads result in a slowdown" (§6.2) and caps host-centric
-// throughput at roughly 1/DriverSerialization.
+// "more threads result in a slowdown" (§6.2): every cudaMemcpyAsync holds it
+// for CudaMemcpyAsyncSetup, every kernel launch for KernelLaunch and every
+// stream synchronization for StreamSync, so host-centric throughput is capped
+// at roughly one request per sum of the calls a request makes.
 type Driver struct {
 	sim    *sim.Sim
 	params *model.Params

@@ -78,10 +78,16 @@ func runAttribution(cfg Config) *Report {
 	return rep
 }
 
-// attributionDispatcherRank is the scorecard probe: the 1-based rank of the
-// dispatcher in the bottleneck report at the Fig. 9 saturation point (0 when
-// absent entirely).
-func attributionDispatcherRank(cfg Config) float64 {
+// attributionPoint is the Fig. 9 saturation point reduced to the scalars the
+// scorecard and the sentinel read; it never writes artifacts.
+type attributionPoint struct{}
+
+// attributionScalars are the dispatcher's 1-based rank in the bottleneck
+// report (0 when absent) and the measured throughput.
+type attributionScalars struct{ rank, throughput float64 }
+
+func (attributionPoint) run(cfg Config) attributionScalars {
+	cfg.ProfileJSON = ""
 	out := attributionRun(cfg)
-	return float64(out.report.Rank("dispatcher"))
+	return attributionScalars{float64(out.report.Rank("dispatcher")), out.res.Throughput()}
 }

@@ -19,13 +19,10 @@ import (
 // section — first, ahead of the GPU and the wire.
 func TestAttributionNamesDispatcher(t *testing.T) {
 	cfg := Config{Seed: 1, Scale: 0.25}
-	if rank := attributionDispatcherRank(cfg); rank != 1 {
+	if rank := (attributionPoint{}).run(cfg).rank; rank != 1 {
 		t.Fatalf("dispatcher ranked #%v, want #1", rank)
 	}
-	rep, err := Run("attribution", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, cfg, "attribution")
 	for _, row := range []string{"network", "snic", "transfer", "queueing", "execution", "end-to-end"} {
 		if _, ok := rep.Cell(row, "wait-p99"); !ok {
 			t.Errorf("report missing %q wait-p99 cell", row)
@@ -48,9 +45,7 @@ func TestAttributionProfileJSON(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string) []byte {
 		path := filepath.Join(dir, name)
-		if _, err := Run("attribution", Config{Seed: 1, Scale: 0.1, ProfileJSON: path}); err != nil {
-			t.Fatal(err)
-		}
+		runReport(t, Config{Seed: 1, Scale: 0.1, ProfileJSON: path}, "attribution")
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -126,9 +121,7 @@ func TestTopCollectorTable(t *testing.T) {
 // yields a full table of completed spans with rendered wait/service splits.
 func TestTopCollectorThroughExperiment(t *testing.T) {
 	top := NewTopCollector(5)
-	if _, err := Run("breakdown", Config{Seed: 1, Scale: 0.1, Top: top}); err != nil {
-		t.Fatal(err)
-	}
+	runReport(t, Config{Seed: 1, Scale: 0.1, Top: top}, "breakdown")
 	rep := top.Table()
 	if len(rep.Rows) != 5 {
 		t.Fatalf("table has %d rows, want 5", len(rep.Rows))

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lynx/internal/model"
-	"lynx/internal/workload"
 )
 
 func init() {
@@ -39,36 +38,16 @@ var batchConfigs = []struct {
 // dominate the service time.
 const batchReqTime = 20 * time.Microsecond
 
-// batchThroughput measures one (configuration, mqueues) cell: the Fig. 6
-// BlueField echo deployment at 64B UDP, with the testbed's Params carrying
-// the given batching configuration.
-func batchThroughput(cfg Config, bc model.BatchConfig, nMQ int) float64 {
-	p := model.Default()
-	p.Batch = bc
-	e := newEnvWith(cfg, &p)
-	clients := nMQ * 2
-	if clients > 480 {
-		clients = 480
-	}
-	window := cfg.window(30 * time.Millisecond)
-	target, _ := e.echoDeployment(e.lynxPlatform(platLynxBF), nMQ, batchReqTime, 128)
-	res := e.measure(workload.Config{
-		Proto: workload.UDP, Target: target, Payload: 64,
-		Clients: clients, Duration: window, Warmup: window / 4,
-		Timeout: 500 * time.Millisecond,
-	})
-	e.tb.Sim.Shutdown()
-	return res.Throughput()
+// batchCell is one (configuration, mqueues) cell: the Fig. 6 BlueField echo
+// cell at the sweep's request time, with the testbed's Params carrying the
+// given batching configuration. run measures its throughput in req/s.
+type batchCell struct {
+	bc  model.BatchConfig
+	nMQ int
 }
 
-// batchKneeGain is scorecard claim #19: how far DefaultBatchConfig lifts
-// BlueField echo throughput over the unit configuration at 240 mqueues —
-// past the per-message serialization knee, where doorbell, completion and
-// dequeue amortization all engage.
-func batchKneeGain(cfg Config) float64 {
-	unit := batchThroughput(cfg, model.BatchConfig{Doorbell: 1, CQDrain: 1, Quantum: 1}, 240)
-	batched := batchThroughput(cfg, model.DefaultBatchConfig(), 240)
-	return speedup(batched, unit)
+func (c batchCell) run(cfg Config) float64 {
+	return fig6Cell{platLynxBF, batchReqTime, c.nMQ}.throughput(cfg, c.bc)
 }
 
 func batchExp(cfg Config) *Report {
@@ -79,27 +58,18 @@ func batchExp(cfg Config) *Report {
 	for _, n := range batchMQCounts {
 		r.Columns = append(r.Columns, fmt.Sprintf("%dmq", n))
 	}
-	type point struct{ ci, ni int }
-	var points []point
-	for ci := range batchConfigs {
-		for ni := range batchMQCounts {
-			points = append(points, point{ci, ni})
+	var pts []batchCell
+	for _, bcfg := range batchConfigs {
+		for _, n := range batchMQCounts {
+			pts = append(pts, batchCell{bcfg.bc, n})
 		}
 	}
-	vals := make([]float64, len(points))
-	cfg.sweep(len(points), func(i int) {
-		pt := points[i]
-		vals[i] = batchThroughput(cfg, batchConfigs[pt.ci].bc, batchMQCounts[pt.ni])
-	})
-	val := make(map[point]float64, len(points))
-	for i, pt := range points {
-		val[pt] = vals[i]
-	}
-	for ci, bcfg := range batchConfigs {
+	val := measureAll(cfg, pts)
+	for _, bcfg := range batchConfigs {
 		cells := make([]any, len(batchMQCounts))
-		for ni := range batchMQCounts {
-			v := val[point{ci, ni}]
-			base := val[point{0, ni}]
+		for ni, n := range batchMQCounts {
+			v := val[batchCell{bcfg.bc, n}]
+			base := val[batchCell{batchConfigs[0].bc, n}]
 			cells[ni] = fmt.Sprintf("%s (%sx)", fmtFloat(v), fmtFloat(speedup(v, base)))
 		}
 		r.AddRow(bcfg.name, cells...)

@@ -12,8 +12,8 @@ import (
 // same virtual-time throughput to the last bit.
 func TestBatchUnitEquivalentToUnbatched(t *testing.T) {
 	cfg := Config{Seed: 1, Scale: 0.1, Workers: 1}
-	unit := batchThroughput(cfg, model.BatchConfig{Doorbell: 1, CQDrain: 1, Quantum: 1}, 32)
-	zero := batchThroughput(cfg, model.BatchConfig{}, 32)
+	unit := batchCell{model.BatchConfig{Doorbell: 1, CQDrain: 1, Quantum: 1}, 32}.run(cfg)
+	zero := batchCell{model.BatchConfig{}, 32}.run(cfg)
 	if unit != zero {
 		t.Fatalf("unit config throughput %v != zero-value config %v (must be byte-identical)", unit, zero)
 	}
@@ -24,7 +24,7 @@ func TestBatchUnitEquivalentToUnbatched(t *testing.T) {
 // detection at any swept configuration.
 func TestBatchExperimentInvariantsClean(t *testing.T) {
 	agg := check.NewAggregate()
-	cfg := Config{Seed: 1, Scale: 0.1, Workers: AutoWorkers, Invariants: agg}
+	cfg := Config{Seed: 1, Scale: 0.1, Workers: AutoWorkers, Invariants: agg}.newRun()
 	r := batchExp(cfg)
 	if r == nil || len(r.Rows) != len(batchConfigs) {
 		t.Fatalf("batch report malformed: %+v", r)
@@ -38,7 +38,12 @@ func TestBatchExperimentInvariantsClean(t *testing.T) {
 	// Batching must help where it matters: the default row's high-mq cell
 	// should beat the unit row's (the scorecard pins the exact band; this
 	// guards the ordering at the test scale).
-	gain := batchKneeGain(cfg)
+	var gain float64
+	for _, x := range scorecardExprs {
+		if x.metric == "batch.knee_gain" {
+			gain = x.eval(cfg) // from the sweep's points, through the memo
+		}
+	}
 	if gain <= 1.0 {
 		t.Fatalf("default batching did not improve high-mq throughput: gain %.3f", gain)
 	}

@@ -14,10 +14,7 @@ import (
 // the per-stage latency decomposition must account for the whole end-to-end
 // latency (within the report's 100ns cell rounding, far inside 5%).
 func TestBreakdownPhasesSumToEndToEnd(t *testing.T) {
-	rep, err := Run("breakdown", Config{Seed: 1, Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, Config{Seed: 1, Scale: 0.25}, "breakdown")
 	cell := func(row string) time.Duration {
 		s, ok := rep.Cell(row, "mean")
 		if !ok {
@@ -52,9 +49,7 @@ func TestBreakdownTraceJSON(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string) []byte {
 		path := filepath.Join(dir, name)
-		if _, err := Run("breakdown", Config{Seed: 1, Scale: 0.1, TraceJSON: path}); err != nil {
-			t.Fatal(err)
-		}
+		runReport(t, Config{Seed: 1, Scale: 0.1, TraceJSON: path}, "breakdown")
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

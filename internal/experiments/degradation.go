@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"lynx/internal/accel"
 	"lynx/internal/apps/kvstore"
-	"lynx/internal/core"
 	"lynx/internal/fault"
-	"lynx/internal/mqueue"
 	"lynx/internal/workload"
 )
 
@@ -18,7 +15,7 @@ func init() {
 		degradation)
 }
 
-// degradationPoint runs the kvstore service on one platform under the given
+// degradationCell runs the kvstore service on one platform under the given
 // datagram loss rate, with loss-aware clients (bounded same-sequence
 // retransmit), and reports the measured result.
 //
@@ -27,8 +24,14 @@ func init() {
 // deployment on the Xeon cores. Both see the same client behavior and the
 // same fault plan shape, so the sweep isolates how each architecture's
 // request path degrades as the network loses datagrams.
-func degradationPoint(cfg Config, lynxSide bool, loss float64, window time.Duration) workload.Result {
-	cfg.Faults = fault.Config{Seed: cfg.Seed, DropRate: loss}
+type degradationCell struct {
+	lynx bool
+	loss float64
+}
+
+func (c degradationCell) run(cfg Config) workload.Result {
+	window := cfg.window(20 * time.Millisecond)
+	cfg.Faults = fault.Config{Seed: cfg.Seed, DropRate: c.loss}
 	e := newEnv(cfg)
 	wcfg := workload.Config{
 		Proto: workload.UDP, Payload: 64,
@@ -40,46 +43,8 @@ func degradationPoint(cfg Config, lynxSide bool, loss float64, window time.Durat
 		// with exponential backoff before declaring it lost.
 		Timeout: time.Millisecond, Retries: 3,
 	}
-	if lynxSide {
-		const nq = 4
-		rt := core.NewRuntime(e.bf.Platform(7))
-		h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, nq)
-		if err != nil {
-			panic(err)
-		}
-		svc, err := rt.AddService(core.UDP, 7000, nil, nq, h)
-		if err != nil {
-			panic(err)
-		}
-		store := kvstore.NewStore(16, 0)
-		for i := 0; i < 512; i++ {
-			store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-		}
-		qs := h.AccelQueues()
-		opCost := e.params.MemcachedOpXeon
-		if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
-			aq := qs[tb.Index()]
-			for {
-				m := aq.Recv(tb.Proc())
-				if len(m.Payload) < workload.SeqBytes {
-					continue
-				}
-				tb.Compute(opCost)
-				reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-				out := make([]byte, workload.SeqBytes+len(reply))
-				copy(out, m.Payload[:workload.SeqBytes])
-				copy(out[workload.SeqBytes:], reply)
-				if aq.Send(tb.Proc(), uint16(m.Slot), out) != nil {
-					return
-				}
-			}
-		}); err != nil {
-			panic(err)
-		}
-		if err := rt.Start(); err != nil {
-			panic(err)
-		}
-		wcfg.Target = svc.Addr()
+	if c.lynx {
+		wcfg.Target, _ = e.kvDeployment(e.bf.Platform(7))
 	} else {
 		store := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, 6, false, 0, nil)
 		for i := 0; i < 512; i++ {
@@ -93,33 +58,25 @@ func degradationPoint(cfg Config, lynxSide bool, loss float64, window time.Durat
 }
 
 func degradation(cfg Config) *Report {
-	window := cfg.window(20 * time.Millisecond)
 	losses := []float64{0, 0.001, 0.01, 0.05}
 	r := &Report{
 		ID:      "degradation",
 		Title:   "goodput & tail latency vs datagram loss (retransmitting clients)",
 		Columns: []string{"goodput", "req/s", "p99", "retries"},
 	}
-	type point struct {
-		lynxSide bool
-		loss     float64
-	}
-	var points []point
-	for _, lynxSide := range []bool{true, false} {
+	var pts []degradationCell
+	for _, lynx := range []bool{true, false} {
 		for _, loss := range losses {
-			points = append(points, point{lynxSide, loss})
+			pts = append(pts, degradationCell{lynx, loss})
 		}
 	}
-	results := make([]workload.Result, len(points))
-	cfg.sweep(len(points), func(i int) {
-		results[i] = degradationPoint(cfg, points[i].lynxSide, points[i].loss, window)
-	})
-	for i, pt := range points {
+	results := measureAll(cfg, pts)
+	for _, pt := range pts {
 		name := platHostCentric
-		if pt.lynxSide {
+		if pt.lynx {
 			name = platLynxBF
 		}
-		res := results[i]
+		res := results[pt]
 		r.AddRow(fmt.Sprintf("%s @ %.1f%% loss", name, pt.loss*100),
 			fmt.Sprintf("%.3f", res.GoodputFraction()),
 			res.Throughput(), res.Hist.P99(), fmt.Sprint(res.Retries))

@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"testing"
-	"time"
 )
 
 // Acceptance: the kvstore service under 1% datagram loss keeps goodput at
 // ≥90% of the zero-loss run thanks to client retransmits.
 func TestDegradationGoodput(t *testing.T) {
-	cfg := Config{Seed: 1, Scale: 1}
-	window := 10 * time.Millisecond
-	clean := degradationPoint(cfg, true, 0, window)
-	lossy := degradationPoint(cfg, true, 0.01, window)
+	cfg := Config{Seed: 1, Scale: 0.5} // 10ms windows
+	clean := degradationCell{true, 0}.run(cfg)
+	lossy := degradationCell{true, 0.01}.run(cfg)
 	if clean.GoodputFraction() < 0.99 {
 		t.Fatalf("zero-loss goodput %.3f — the clean run already drops", clean.GoodputFraction())
 	}
@@ -26,9 +24,9 @@ func TestDegradationGoodput(t *testing.T) {
 // The degradation experiment itself must be deterministic: same seed and
 // loss rate, identical result.
 func TestDegradationDeterminism(t *testing.T) {
-	cfg := Config{Seed: 7, Scale: 1}
-	a := degradationPoint(cfg, true, 0.01, 5*time.Millisecond)
-	b := degradationPoint(cfg, true, 0.01, 5*time.Millisecond)
+	cfg := Config{Seed: 7, Scale: 0.25} // 5ms windows
+	a := degradationCell{true, 0.01}.run(cfg)
+	b := degradationCell{true, 0.01}.run(cfg)
 	if a.String() != b.String() {
 		t.Fatalf("nondeterministic degradation point:\n  %s\n  %s", a, b)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lynx/internal/accel"
+	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
 	"lynx/internal/core"
 	"lynx/internal/fault"
@@ -76,6 +77,10 @@ type Config struct {
 	// batches nothing and leaves every result byte-identical to earlier
 	// releases.
 	Batch model.BatchConfig
+
+	// memo is the run's measurement-point memo, installed by Run and
+	// BuildSentinelArtifact (newRun); nil simulates every point.
+	memo *memo
 }
 
 func (c Config) window(d time.Duration) time.Duration {
@@ -253,16 +258,32 @@ func register(id, desc string, fn Func) {
 	registry[id] = entry{fn: fn, desc: desc}
 }
 
-// Run executes the named experiment.
-func Run(id string, cfg Config) (*Report, error) {
-	e, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (see List)", id)
+// Outcome is the result of one Run: the reports in the order their ids were
+// given, and how many measurement points the run simulated and how many
+// requests for a point its memo served without simulating.
+type Outcome struct {
+	Reports   []*Report
+	Simulated int
+	FromMemo  int
+}
+
+// Run executes the named experiments in order. They share one run-scoped
+// memo, so a measurement point several of them need (a Fig. 6 cell the
+// scorecard and the sentinel also read, say) is simulated once; reports are
+// byte-identical to running each experiment on its own.
+func Run(cfg Config, ids ...string) (Outcome, error) {
+	for _, id := range ids {
+		if _, ok := registry[id]; !ok {
+			return Outcome{}, fmt.Errorf("experiments: unknown experiment %q (see List)", id)
+		}
 	}
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
+	cfg = cfg.newRun()
+	out := Outcome{Reports: make([]*Report, len(ids))}
+	for i, id := range ids {
+		out.Reports[i] = registry[id].fn(cfg)
 	}
-	return e.fn(cfg), nil
+	out.Simulated, out.FromMemo = cfg.memo.simulated, cfg.memo.fromMemo
+	return out, nil
 }
 
 // List returns all experiment IDs with descriptions, sorted.
@@ -416,6 +437,51 @@ func (e *env) echoDeployment(plat core.Platform, nQueues int, compute time.Durat
 	return svc.Addr(), rt
 }
 
+// kvDeployment stands up the single-server Lynx KV service on plat: four
+// server mqueues, each drained by a persistent GPU threadblock serving a
+// kvstore preloaded with key-000..key-511. Returns the service address.
+func (e *env) kvDeployment(plat core.Platform) (netstack.Addr, *core.Runtime) {
+	const nq = 4
+	rt := core.NewRuntime(plat)
+	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, nq)
+	if err != nil {
+		panic(err)
+	}
+	svc, err := rt.AddService(core.UDP, 7000, nil, nq, h)
+	if err != nil {
+		panic(err)
+	}
+	store := kvstore.NewStore(16, 0)
+	for i := 0; i < 512; i++ {
+		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
+	}
+	qs := h.AccelQueues()
+	opCost := e.params.MemcachedOpXeon
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
+		aq := qs[tb.Index()]
+		for {
+			m := aq.Recv(tb.Proc())
+			if len(m.Payload) < workload.SeqBytes {
+				continue
+			}
+			tb.Compute(opCost)
+			reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
+			out := make([]byte, workload.SeqBytes+len(reply))
+			copy(out, m.Payload[:workload.SeqBytes])
+			copy(out[workload.SeqBytes:], reply)
+			if aq.Send(tb.Proc(), uint16(m.Slot), out) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		panic(err)
+	}
+	if err := rt.Start(); err != nil {
+		panic(err)
+	}
+	return svc.Addr(), rt
+}
+
 // measure drives a workload and returns the result.
 func (e *env) measure(wcfg workload.Config) workload.Result {
 	if wcfg.Check == nil {
@@ -438,6 +504,11 @@ func (e *env) saturate(target netstack.Addr, payload, clients int, window time.D
 }
 
 func defaultParams() model.Params { return model.Default() }
+
+// p99Ratio is a's p99 latency over b's.
+func p99Ratio(a, b workload.Result) float64 {
+	return speedup(float64(a.Hist.P99()), float64(b.Hist.P99()))
+}
 
 func speedup(a, b float64) float64 {
 	if b == 0 {

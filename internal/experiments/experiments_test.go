@@ -40,15 +40,21 @@ func cellValue(t *testing.T, r *Report, row, col string) float64 {
 
 func runExp(t *testing.T, id string, scale float64) *Report {
 	t.Helper()
-	r, err := Run(id, Config{Seed: 1, Scale: scale})
+	return runReport(t, Config{Seed: 1, Scale: scale}, id)
+}
+
+// runReport runs one experiment through Run and returns its report.
+func runReport(t *testing.T, cfg Config, id string) *Report {
+	t.Helper()
+	out, err := Run(cfg, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return out.Reports[0]
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("no-such-experiment", Config{}); err == nil {
+	if _, err := Run(Config{}, "fig6", "no-such-experiment"); err == nil {
 		t.Fatal("unknown id must error")
 	}
 	if len(List()) < 16 {
@@ -206,10 +212,10 @@ func TestFig6CellShape(t *testing.T) {
 		t.Skip("heavyweight sweep cell")
 	}
 	cfg := Config{Seed: 1, Scale: 0.25}
-	hc := fig6Throughput(cfg, platHostCentric, 200*time.Microsecond, 120)
-	one := fig6Throughput(cfg, platLynx1Xeon, 200*time.Microsecond, 120)
-	six := fig6Throughput(cfg, platLynx6Xeon, 200*time.Microsecond, 120)
-	bf := fig6Throughput(cfg, platLynxBF, 200*time.Microsecond, 120)
+	hc := fig6Cell{platHostCentric, 200 * time.Microsecond, 120}.run(cfg)
+	one := fig6Cell{platLynx1Xeon, 200 * time.Microsecond, 120}.run(cfg)
+	six := fig6Cell{platLynx6Xeon, 200 * time.Microsecond, 120}.run(cfg)
+	bf := fig6Cell{platLynxBF, 200 * time.Microsecond, 120}.run(cfg)
 	if !(hc < one && one < bf && bf < six) {
 		t.Fatalf("ordering violated: hc=%.0f one=%.0f bf=%.0f six=%.0f", hc, one, bf, six)
 	}

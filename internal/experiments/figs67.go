@@ -27,21 +27,32 @@ var (
 		800 * time.Microsecond, 1600 * time.Microsecond}
 )
 
-// fig6Throughput measures one (platform, request time, mqueues) cell in
-// req/s using 64-byte UDP messages (§6.2: "We use 64B UDP messages to
-// stress the system").
-func fig6Throughput(cfg Config, platform string, reqTime time.Duration, nMQ int) float64 {
-	e := newEnv(cfg)
+// fig6Cell is one Figure 6 (platform, request time, mqueues) cell.
+type fig6Cell struct {
+	plat    string
+	reqTime time.Duration
+	nMQ     int
+}
+
+func (c fig6Cell) run(cfg Config) float64 { return c.throughput(cfg, model.BatchConfig{}) }
+
+// throughput measures the cell's throughput in req/s using 64-byte UDP
+// messages (§6.2: "We use 64B UDP messages to stress the system") on a
+// testbed whose Params carry batching bc (zero: the run's cfg.Batch).
+func (c fig6Cell) throughput(cfg Config, bc model.BatchConfig) float64 {
+	p := model.Default()
+	p.Batch = bc
+	e := newEnvWith(cfg, &p)
 	// Two closed-loop clients per mqueue saturate the pipeline without
 	// building queueing that outlasts the measurement window.
-	clients := nMQ * 2
+	clients := c.nMQ * 2
 	if clients > 480 {
 		clients = 480
 	}
 	window := cfg.window(30 * time.Millisecond)
-	if platform == platHostCentric {
+	if c.plat == platHostCentric {
 		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: nMQ, Cores: 1, Bypass: true, KernelTime: reqTime,
+			Port: 7000, Streams: c.nMQ, Cores: 1, Bypass: true, KernelTime: c.reqTime,
 		})
 		if err := sv.Start(); err != nil {
 			panic(err)
@@ -50,7 +61,7 @@ func fig6Throughput(cfg Config, platform string, reqTime time.Duration, nMQ int)
 		// closed-loop clients only builds queueing that outlasts the
 		// measurement window. A small multiple of the stream pool
 		// saturates it.
-		hcClients := 2 * nMQ
+		hcClients := 2 * c.nMQ
 		if hcClients > 32 {
 			hcClients = 32
 		}
@@ -62,7 +73,7 @@ func fig6Throughput(cfg Config, platform string, reqTime time.Duration, nMQ int)
 		e.tb.Sim.Shutdown()
 		return res.Throughput()
 	}
-	target, _ := e.echoDeployment(e.lynxPlatform(platform), nMQ, reqTime, 128)
+	target, _ := e.echoDeployment(e.lynxPlatform(c.plat), c.nMQ, c.reqTime, 128)
 	res := e.measure(workload.Config{
 		Proto: workload.UDP, Target: target, Payload: 64,
 		Clients: clients, Duration: window, Warmup: window / 4,
@@ -81,37 +92,21 @@ func fig6(cfg Config) *Report {
 	for _, n := range fig6MQCounts {
 		r.Columns = append(r.Columns, fmt.Sprintf("%dmq", n))
 	}
-	// Every (request time, platform, mqueue count) cell is an independent
-	// testbed: enumerate them, fan out, and assemble rows by index so the
-	// table is byte-identical to a sequential run.
-	type point struct {
-		rt   time.Duration
-		plat string
-		n    int
-	}
-	var points []point
+	var pts []fig6Cell
 	for _, rt := range fig6ReqTimes {
 		for _, plat := range platforms {
 			for _, n := range fig6MQCounts {
-				points = append(points, point{rt, plat, n})
+				pts = append(pts, fig6Cell{plat, rt, n})
 			}
 		}
 	}
-	vals := make([]float64, len(points))
-	cfg.sweep(len(points), func(i int) {
-		p := points[i]
-		vals[i] = fig6Throughput(cfg, p.plat, p.rt, p.n)
-	})
-	val := make(map[point]float64, len(points))
-	for i, p := range points {
-		val[p] = vals[i]
-	}
+	val := measureAll(cfg, pts)
 	for _, rt := range fig6ReqTimes {
 		for _, plat := range platforms {
 			cells := make([]any, len(fig6MQCounts))
 			for i, n := range fig6MQCounts {
-				v := val[point{rt, plat, n}]
-				base := val[point{rt, platHostCentric, n}]
+				v := val[fig6Cell{plat, rt, n}]
+				base := val[fig6Cell{platHostCentric, rt, n}]
 				cells[i] = fmt.Sprintf("%s (%sx)", fmtFloat(v), fmtFloat(speedup(v, base)))
 			}
 			r.AddRow(fmt.Sprintf("%v %s", rt, plat), cells...)
@@ -122,20 +117,26 @@ func fig6(cfg Config) *Report {
 	return r
 }
 
-// fig7Latency measures one Figure 7 cell: unloaded median request latency of
-// a Lynx echo deployment on the given platform. Shared by fig7 and the
-// scorecard.
-func fig7Latency(cfg Config, platform string, reqTime time.Duration, nMQ int) time.Duration {
+// fig7Cell is one Figure 7 (platform, request time, mqueues) cell.
+type fig7Cell struct {
+	plat    string
+	reqTime time.Duration
+	nMQ     int
+}
+
+// run measures the unloaded median request latency of a Lynx echo
+// deployment on the cell's platform.
+func (c fig7Cell) run(cfg Config) time.Duration {
 	e := newEnv(cfg)
-	target, _ := e.echoDeployment(e.lynxPlatform(platform), nMQ, reqTime, 128)
+	target, _ := e.echoDeployment(e.lynxPlatform(c.plat), c.nMQ, c.reqTime, 128)
 	reqs := 60
 	if cfg.Scale < 1 {
 		reqs = 20
 	}
 	res := e.measure(workload.Config{
 		Proto: workload.UDP, Target: target, Payload: 20,
-		Clients: 1, Duration: time.Duration(reqs) * (reqTime + 100*time.Microsecond),
-		Warmup: 2 * (reqTime + 100*time.Microsecond),
+		Clients: 1, Duration: time.Duration(reqs) * (c.reqTime + 100*time.Microsecond),
+		Warmup: 2 * (c.reqTime + 100*time.Microsecond),
 	})
 	e.tb.Sim.Shutdown()
 	return res.Hist.Median()
@@ -154,33 +155,20 @@ func fig7(cfg Config) *Report {
 	}
 	mqCounts := []int{1, 120, 240}
 	plats := []string{platLynxBF, platLynx6Xeon}
-	type point struct {
-		rt   time.Duration
-		n    int
-		plat string
-	}
-	var points []point
+	var pts []fig7Cell
 	for _, rt := range reqTimes {
 		for _, n := range mqCounts {
 			for _, plat := range plats {
-				points = append(points, point{rt, n, plat})
+				pts = append(pts, fig7Cell{plat, rt, n})
 			}
 		}
 	}
-	meds := make([]time.Duration, len(points))
-	cfg.sweep(len(points), func(i int) {
-		p := points[i]
-		meds[i] = fig7Latency(cfg, p.plat, p.rt, p.n)
-	})
-	med := make(map[point]time.Duration, len(points))
-	for i, p := range points {
-		med[p] = meds[i]
-	}
+	med := measureAll(cfg, pts)
 	for _, rt := range reqTimes {
 		cells := make([]any, 0, len(mqCounts))
 		for _, n := range mqCounts {
-			bf := med[point{rt, n, platLynxBF}]
-			xeon := med[point{rt, n, platLynx6Xeon}]
+			bf := med[fig7Cell{platLynxBF, rt, n}]
+			xeon := med[fig7Cell{platLynx6Xeon, rt, n}]
 			cells = append(cells, fmt.Sprintf("%sx (%v vs %v)", fmtFloat(float64(bf)/float64(xeon)), bf, xeon))
 		}
 		r.AddRow(rt.String(), cells...)
@@ -204,8 +192,22 @@ func launchRxSinks(e *env, qs []*mqueue.AccelQueue) {
 	})
 }
 
+// rxPath is one §6.2 receive path into GPU mqueues; run measures its
+// receive rate in pkt/s.
+type rxPath int
+
+const (
+	rxInnova rxPath = iota
+	rxBlueField
+	rxHost
+)
+
+func (p rxPath) run(cfg Config) float64 {
+	return [...]func(Config) float64{innovaRxRate, bluefieldRxRate, hostRxRate}[p](cfg)
+}
+
 // innovaRxRate measures the Innova AFU's receive-path steering rate into GPU
-// mqueues (§6.2). Shared by sec62-innova and the scorecard.
+// mqueues (§6.2).
 func innovaRxRate(cfg Config) float64 {
 	window := cfg.window(8 * time.Millisecond)
 	e := newEnv(cfg)
@@ -229,7 +231,7 @@ func innovaRxRate(cfg Config) float64 {
 }
 
 // bluefieldRxRate measures the same receive-only accelerator behind the Lynx
-// runtime on BlueField (§6.2). Shared by sec62-innova and the scorecard.
+// runtime on BlueField (§6.2).
 func bluefieldRxRate(cfg Config) float64 {
 	window := cfg.window(8 * time.Millisecond)
 	e := newEnv(cfg)
@@ -258,8 +260,7 @@ func bluefieldRxRate(cfg Config) float64 {
 
 // hostRxRate measures the host-centric RX-only baseline: the CPU receives
 // each packet and delivers it to the GPU with one cudaMemcpyAsync (no kernel
-// per packet); the driver setup cost dominates. Shared by sec62-innova and
-// the scorecard.
+// per packet); the driver setup cost dominates.
 func hostRxRate(cfg Config) float64 {
 	window := cfg.window(8 * time.Millisecond)
 	e := newEnv(cfg)
@@ -292,10 +293,8 @@ func hostRxRate(cfg Config) float64 {
 // 7.4M pkt/s into mqueues, BlueField manages 0.5M, and the CPU-centric
 // design is ~80x slower than Innova.
 func sec62Innova(cfg Config) *Report {
-	runs := []func(Config) float64{innovaRxRate, bluefieldRxRate, hostRxRate}
-	rates := make([]float64, len(runs))
-	cfg.sweep(len(runs), func(i int) { rates[i] = runs[i](cfg) })
-	innovaRate, bfRate, hcRate := rates[0], rates[1], rates[2]
+	rates := measureAll(cfg, []rxPath{rxInnova, rxBlueField, rxHost})
+	innovaRate, bfRate, hcRate := rates[rxInnova], rates[rxBlueField], rates[rxHost]
 
 	r := &Report{
 		ID:      "sec62-innova",
@@ -310,17 +309,16 @@ func sec62Innova(cfg Config) *Report {
 	return r
 }
 
-// sec62Isolation re-runs the §3.2 noisy-neighbor experiment with Lynx on
-// BlueField: the SNIC does not share the host LLC, so the server's tail is
-// unaffected.
-// isolationRun measures one noisy-neighbor point (§6.2 / §3.2): the Lynx
+// isolationCell is one noisy-neighbor point (§6.2 / §3.2): the Lynx
 // BlueField deployment or the host-centric baseline, with or without a noisy
-// co-tenant on the host CPU. Shared by sec62-isolation and the scorecard.
-func isolationRun(cfg Config, useLynxBF, noisy bool) workload.Result {
+// co-tenant on the host CPU.
+type isolationCell struct{ lynx, noisy bool }
+
+func (c isolationCell) run(cfg Config) workload.Result {
 	e := newEnv(cfg)
-	e.server.CPU.SetNoisy(noisy)
+	e.server.CPU.SetNoisy(c.noisy)
 	window := cfg.window(60 * time.Millisecond)
-	if useLynxBF {
+	if c.lynx {
 		target, _ := e.echoDeployment(e.bf.Platform(7), 4, 50*time.Microsecond, 1100)
 		res := e.measure(workload.Config{
 			Proto: workload.UDP, Target: target, Payload: 4 * 256,
@@ -343,21 +341,22 @@ func isolationRun(cfg Config, useLynxBF, noisy bool) workload.Result {
 	return res
 }
 
+// sec62Isolation re-runs the §3.2 noisy-neighbor experiment with Lynx on
+// BlueField: the SNIC does not share the host LLC, so the server's tail is
+// unaffected.
 func sec62Isolation(cfg Config) *Report {
-	type point struct{ lynx, noisy bool }
-	points := []point{{true, false}, {true, true}, {false, false}, {false, true}}
-	results := make([]workload.Result, len(points))
-	cfg.sweep(len(points), func(i int) { results[i] = isolationRun(cfg, points[i].lynx, points[i].noisy) })
-	bfQuiet, bfNoisy, hcQuiet, hcNoisy := results[0], results[1], results[2], results[3]
+	bfQuiet, bfNoisy, hcQuiet, hcNoisy := isolationCell{true, false}, isolationCell{true, true},
+		isolationCell{false, false}, isolationCell{false, true}
+	res := measureAll(cfg, []isolationCell{bfQuiet, bfNoisy, hcQuiet, hcNoisy})
 	r := &Report{
 		ID:      "sec62-isolation",
 		Title:   "Performance isolation under a noisy neighbor (§6.2 / §3.2)",
 		Columns: []string{"p99 quiet", "p99 noisy", "inflation"},
 	}
-	r.AddRow("host-centric (host CPU)", hcQuiet.Hist.P99(), hcNoisy.Hist.P99(),
-		fmtFloat(speedup(float64(hcNoisy.Hist.P99()), float64(hcQuiet.Hist.P99())))+"x")
-	r.AddRow("Lynx on BlueField", bfQuiet.Hist.P99(), bfNoisy.Hist.P99(),
-		fmtFloat(speedup(float64(bfNoisy.Hist.P99()), float64(bfQuiet.Hist.P99())))+"x")
+	r.AddRow("host-centric (host CPU)", res[hcQuiet].Hist.P99(), res[hcNoisy].Hist.P99(),
+		fmtFloat(p99Ratio(res[hcNoisy], res[hcQuiet]))+"x")
+	r.AddRow("Lynx on BlueField", res[bfQuiet].Hist.P99(), res[bfNoisy].Hist.P99(),
+		fmtFloat(p99Ratio(res[bfNoisy], res[bfQuiet]))+"x")
 	r.Note("paper: no interference on BlueField; ~13x p99 inflation for the CPU-resident server")
 	return r
 }

@@ -99,10 +99,7 @@ func checkGolden(t *testing.T, name, got string) {
 
 func goldenBreakdown(t *testing.T) (string, string) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	rep, err := Run("breakdown", Config{Seed: 7, Scale: 0.25, Workers: 1, TraceJSON: tracePath})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, Config{Seed: 7, Scale: 0.25, Workers: 1, TraceJSON: tracePath}, "breakdown")
 	tr, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +108,7 @@ func goldenBreakdown(t *testing.T) (string, string) {
 }
 
 func goldenBatch(t *testing.T) (string, string) {
-	rep, err := Run("batch", Config{Seed: 7, Scale: 0.25, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, Config{Seed: 7, Scale: 0.25, Workers: 1}, "batch")
 	return rep.CSV(), ""
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"lynx/internal/accel"
@@ -83,41 +84,61 @@ func deployLynxLeNet(e *env, rt *core.Runtime, gpu *accel.GPU, net *lenet.Networ
 	return svc.Addr()
 }
 
-// fig8a measures the LeNet server three ways and reports throughput plus the
-// latency distribution at maximum throughput, like Figure 8a.
-func fig8a(cfg Config) *Report {
-	net := lenet.New(42)
+// sharedLeNet is the network every lenetCell serves; its classification memo
+// is safe across sweep workers.
+var sharedLeNet = sync.OnceValue(func() *lenet.Network { return lenet.New(42) })
+
+// lenetCell is one Fig. 8a / §6.3 LeNet service run: the serving platform,
+// the transport (host-centric serves UDP only) and the closed-loop client
+// count. run measures the workload.
+type lenetCell struct {
+	plat    string
+	proto   core.Proto
+	clients int
+}
+
+func (c lenetCell) run(cfg Config) workload.Result {
 	window := cfg.window(60 * time.Millisecond)
-	run := func(platform string, clients int) workload.Result {
-		e := newEnv(cfg)
-		if platform == platHostCentric {
-			sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-				Port: 7000, Streams: 8, Cores: 1, Bypass: true,
-				KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
-				Handler: lenetHandler(net),
-			})
-			if err := sv.Start(); err != nil {
-				panic(err)
-			}
-			res := e.measure(workload.Config{
-				Proto: workload.UDP, Target: e.server.NetHost.Addr(7000), Payload: lenetPayload,
-				Body: lenetBody, Clients: clients, Duration: window, Warmup: window / 6,
-			})
-			e.tb.Sim.Shutdown()
-			return res
+	e := newEnv(cfg)
+	wcfg := workload.Config{
+		Proto: protoToWorkload(c.proto), Payload: lenetPayload,
+		Body: lenetBody, Clients: c.clients, Duration: window, Warmup: window / 6,
+	}
+	if c.plat == platHostCentric {
+		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
+			Port: 7000, Streams: 8, Cores: 1, Bypass: true,
+			KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
+			Handler: lenetHandler(sharedLeNet()),
+		})
+		if err := sv.Start(); err != nil {
+			panic(err)
 		}
-		rt := core.NewRuntime(e.lynxPlatform(platform))
-		target := deployLynxLeNet(e, rt, e.gpu, net, 7000, core.UDP)
+		wcfg.Target = e.server.NetHost.Addr(7000)
+	} else {
+		rt := core.NewRuntime(e.lynxPlatform(c.plat))
+		wcfg.Target = deployLynxLeNet(e, rt, e.gpu, sharedLeNet(), 7000, c.proto)
 		if err := rt.Start(); err != nil {
 			panic(err)
 		}
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: target, Payload: lenetPayload,
-			Body: lenetBody, Clients: clients, Duration: window, Warmup: window / 6,
-		})
-		e.tb.Sim.Shutdown()
-		return res
 	}
+	res := e.measure(wcfg)
+	e.tb.Sim.Shutdown()
+	return res
+}
+
+// lenetRuns measures each platform over proto twice: saturated by 3
+// closed-loop clients and at low load with one.
+func lenetRuns(cfg Config, proto core.Proto, plats ...string) map[lenetCell]workload.Result {
+	var pts []lenetCell
+	for _, plat := range plats {
+		pts = append(pts, lenetCell{plat, proto, 3}, lenetCell{plat, proto, 1})
+	}
+	return measureAll(cfg, pts)
+}
+
+// fig8a measures the LeNet server three ways and reports throughput plus the
+// latency distribution at maximum throughput, like Figure 8a.
+func fig8a(cfg Config) *Report {
 	r := &Report{
 		ID:      "fig8a",
 		Title:   "LeNet digit recognition service, UDP (Fig. 8a)",
@@ -128,18 +149,9 @@ func fig8a(cfg Config) *Report {
 		{platLynxBF, "3.5K", "300µs"},
 		{platLynx1Xeon, "3.5K", "295µs"},
 	}
-	// Per platform: a saturation run (3 clients) and a low-load latency run
-	// (1 client) — all independent testbeds.
-	results := make([]workload.Result, 2*len(rows))
-	cfg.sweep(len(results), func(i int) {
-		clients := 3
-		if i%2 == 1 {
-			clients = 1
-		}
-		results[i] = run(rows[i/2].plat, clients)
-	})
-	for i, row := range rows {
-		sat, lowLoad := results[2*i], results[2*i+1]
+	res := lenetRuns(cfg, core.UDP, platHostCentric, platLynxBF, platLynx1Xeon)
+	for _, row := range rows {
+		sat, lowLoad := res[lenetCell{row.plat, core.UDP, 3}], res[lenetCell{row.plat, core.UDP, 1}]
 		r.AddRow(row.plat, sat.Throughput(), lowLoad.Hist.P90(), lowLoad.Hist.P99(),
 			row.paperTput, row.paperP90)
 	}
@@ -151,37 +163,16 @@ func fig8a(cfg Config) *Report {
 
 // fig8aTCP is the §6.3 TCP variant.
 func fig8aTCP(cfg Config) *Report {
-	net := lenet.New(42)
-	window := cfg.window(60 * time.Millisecond)
-	run := func(platform string, clients int) workload.Result {
-		e := newEnv(cfg)
-		rt := core.NewRuntime(e.lynxPlatform(platform))
-		target := deployLynxLeNet(e, rt, e.gpu, net, 7000, core.TCP)
-		if err := rt.Start(); err != nil {
-			panic(err)
-		}
-		res := e.measure(workload.Config{
-			Proto: workload.TCP, Target: target, Payload: lenetPayload,
-			Body: lenetBody, Clients: clients, Duration: window, Warmup: window / 6,
-		})
-		e.tb.Sim.Shutdown()
-		return res
-	}
 	r := &Report{
 		ID:      "fig8a-tcp",
 		Title:   "LeNet service over TCP (§6.3)",
 		Columns: []string{"req/s", "p90 low-load", "paper req/s", "paper latency"},
 	}
-	type point struct {
-		plat    string
-		clients int
-	}
-	points := []point{{platLynxBF, 3}, {platLynxBF, 1}, {platLynx1Xeon, 3}, {platLynx1Xeon, 1}}
-	results := make([]workload.Result, len(points))
-	cfg.sweep(len(points), func(i int) { results[i] = run(points[i].plat, points[i].clients) })
-	bf, bfLat, xeon, xeonLat := results[0], results[1], results[2], results[3]
-	r.AddRow(platLynxBF, bf.Throughput(), bfLat.Hist.P90(), "3.1K", "346µs")
-	r.AddRow(platLynx1Xeon, xeon.Throughput(), xeonLat.Hist.P90(), "3.3K", "322µs")
+	res := lenetRuns(cfg, core.TCP, platLynxBF, platLynx1Xeon)
+	r.AddRow(platLynxBF, res[lenetCell{platLynxBF, core.TCP, 3}].Throughput(),
+		res[lenetCell{platLynxBF, core.TCP, 1}].Hist.P90(), "3.1K", "346µs")
+	r.AddRow(platLynx1Xeon, res[lenetCell{platLynx1Xeon, core.TCP, 3}].Throughput(),
+		res[lenetCell{platLynx1Xeon, core.TCP, 1}].Hist.P90(), "3.3K", "322µs")
 	r.Note("paper: TCP costs ~10%% throughput on BlueField and ~5%% on Xeon vs UDP; in this model the")
 	r.Note("penalty appears as added per-request latency while single-GPU throughput stays GPU-bound")
 	return r

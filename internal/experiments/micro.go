@@ -29,11 +29,14 @@ func init() {
 // invocationKernel is the §3.2 echo kernel duration.
 const invocationKernel = 100 * time.Microsecond
 
-// invocationOverhead runs the §3.2 echo measurement once and returns the
-// median end-to-end latency and the pure GPU management overhead (end-to-end
-// minus kernel time minus wire RTT). Shared by sec3-invocation and the
-// scorecard.
-func invocationOverhead(cfg Config) (e2e, overhead time.Duration) {
+// invocationPoint is the §3.2 echo measurement.
+type invocationPoint struct{}
+
+// invocation is the median end-to-end latency of the §3.2 echo and its pure
+// GPU management overhead (end-to-end minus kernel time minus wire RTT).
+type invocation struct{ e2e, overhead time.Duration }
+
+func (invocationPoint) run(cfg Config) invocation {
 	e := newEnv(cfg)
 	sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
 		Port: 7000, Streams: 1, Cores: 1, Bypass: true, KernelTime: invocationKernel,
@@ -47,7 +50,7 @@ func invocationOverhead(cfg Config) (e2e, overhead time.Duration) {
 	})
 	wire := e.tb.Net.RTT(8)
 	e.tb.Sim.Shutdown()
-	return res.Hist.Median(), res.Hist.Median() - invocationKernel - wire
+	return invocation{res.Hist.Median(), res.Hist.Median() - invocationKernel - wire}
 }
 
 // sec3Invocation reproduces the §3.2 echo measurement: a 100 µs GPU kernel
@@ -55,25 +58,26 @@ func invocationOverhead(cfg Config) (e2e, overhead time.Duration) {
 // pure GPU management overhead per request.
 func sec3Invocation(cfg Config) *Report {
 	const kernel = invocationKernel
-	e2e, overhead := invocationOverhead(cfg)
+	inv := measure(cfg, invocationPoint{})
 	r := &Report{
 		ID:      "sec3-invocation",
 		Title:   "Host-centric GPU invocation overhead (100µs echo kernel)",
 		Columns: []string{"measured", "paper"},
 	}
-	r.AddRow("end-to-end latency", e2e, "130µs")
+	r.AddRow("end-to-end latency", inv.e2e, "130µs")
 	r.AddRow("kernel time", kernel, "100µs")
-	r.AddRow("management overhead", overhead, "30µs")
+	r.AddRow("management overhead", inv.overhead, "30µs")
 	r.Note("overhead = 2x cudaMemcpyAsync setup + kernel launch + stream sync, all under the driver lock")
 	return r
 }
 
-// noisyHostRun drives the §3.2 vector-multiply host-centric server once,
-// with or without the LLC-thrashing neighbor. Shared by sec3-noisy and the
-// scorecard.
-func noisyHostRun(cfg Config, noisy bool) workload.Result {
+// noisyCell drives the §3.2 vector-multiply host-centric server once, with
+// or without the LLC-thrashing neighbor.
+type noisyCell struct{ noisy bool }
+
+func (c noisyCell) run(cfg Config) workload.Result {
 	e := newEnv(Config{Seed: cfg.Seed, Scale: cfg.Scale, Invariants: cfg.Invariants})
-	e.server.CPU.SetNoisy(noisy)
+	e.server.CPU.SetNoisy(c.noisy)
 	sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
 		Port: 7000, Streams: 4, Cores: 1, Bypass: true,
 		KernelTime: 50 * time.Microsecond,
@@ -94,9 +98,8 @@ func noisyHostRun(cfg Config, noisy bool) workload.Result {
 // GPU server co-located with an LLC-thrashing matrix product sees its p99
 // latency inflate ~13x (0.13 ms -> 1.7 ms); the matmul slows by 21%.
 func sec3Noisy(cfg Config) *Report {
-	results := make([]workload.Result, 2)
-	cfg.sweep(2, func(i int) { results[i] = noisyHostRun(cfg, i == 1) })
-	quiet, noisy := results[0], results[1]
+	res := measureAll(cfg, []noisyCell{{false}, {true}})
+	quiet, noisy := res[noisyCell{false}], res[noisyCell{true}]
 	params := newEnv(cfg).params
 	r := &Report{
 		ID:      "sec3-noisy",
@@ -105,7 +108,7 @@ func sec3Noisy(cfg Config) *Report {
 	}
 	r.AddRow("isolated", quiet.Hist.Median(), quiet.Hist.P99(), "130µs")
 	r.AddRow("with noisy neighbor", noisy.Hist.Median(), noisy.Hist.P99(), "1.7ms")
-	r.AddRow("p99 inflation", "", fmtFloat(speedup(float64(noisy.Hist.P99()), float64(quiet.Hist.P99())))+"x", "13x")
+	r.AddRow("p99 inflation", "", fmtFloat(p99Ratio(noisy, quiet))+"x", "13x")
 	r.AddRow("matmul slowdown", "", fmtFloat(params.NeighborSlowdown*100)+"%", "21%")
 	return r
 }
@@ -134,10 +137,14 @@ var fig5Mechanisms = []fig5Mech{
 	{name: "data:RDMA control:RDMA", dataRDMA: true, controlRDMA: true},
 }
 
-// fig5Rate measures one Figure 5 cell: delivered echoes per second through a
-// single mqueue with the given transfer mechanism and payload. Shared by
-// fig5 and the scorecard.
-func fig5Rate(cfg Config, m fig5Mech, payload int) float64 {
+// fig5Cell is one Figure 5 (mechanism, payload) cell; run measures its
+// delivered echoes per second through a single mqueue.
+type fig5Cell struct {
+	fig5Mech
+	payload int
+}
+
+func (c fig5Cell) run(cfg Config) float64 {
 	e := newEnv(cfg)
 	p := &e.params
 	region := e.gpu.Device().Mem.MustAlloc("fig5", 1<<20)
@@ -156,18 +163,18 @@ func fig5Rate(cfg Config, m fig5Mech, payload int) float64 {
 	gdrOp := func(pr *sim.Proc) { pr.Sleep(p.GdrcopySetup + p.PCIeLatency) }
 	done := 0
 	e.tb.Sim.Spawn("manager", func(pr *sim.Proc) {
-		buf := make([]byte, payload)
+		buf := make([]byte, c.payload)
 		for {
 			// Deliver payload + notification.
 			switch {
-			case m.dataRDMA && m.controlRDMA:
+			case c.dataRDMA && c.controlRDMA:
 				qp.Write(pr, region, 0, buf) // coalesced single write
-			case m.dataRDMA:
+			case c.dataRDMA:
 				qp.Write(pr, region, 0, buf)
 				gdrOp(pr) // doorbell via mapped BAR store
 			default:
-				st.MemcpyH2D(pr, payload)
-				if m.controlGdr {
+				st.MemcpyH2D(pr, c.payload)
+				if c.controlGdr {
 					gdrOp(pr)
 				} else {
 					st.MemcpyH2D(pr, 4)
@@ -178,13 +185,13 @@ func fig5Rate(cfg Config, m fig5Mech, payload int) float64 {
 			// Collect the response with the real poll protocol:
 			// header-counter read, payload read, consumed-counter
 			// write-back.
-			if m.dataRDMA {
+			if c.dataRDMA {
 				qp.Read(pr, region, 0, 8)
 				qp.Read(pr, region, 0, len(resp))
 				qp.Write(pr, region, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0})
 			} else {
 				st.MemcpyD2H(pr, len(resp))
-				if m.controlGdr {
+				if c.controlGdr {
 					gdrOp(pr)
 				} else {
 					st.MemcpyD2H(pr, 4)
@@ -207,19 +214,17 @@ func fig5(cfg Config) *Report {
 		Title:   "mqueue transfer mechanisms, speedup vs cudaMemcpyAsync (Fig. 5)",
 		Columns: []string{"20B", "116B", "516B", "1016B", "1416B"},
 	}
-	// All (mechanism, payload) cells are independent testbeds; fan out and
-	// assemble rows by index (the baseline mechanism doubles as the base for
-	// the speedup column).
-	nCells := len(mechanisms) * len(payloads)
-	vals := make([]float64, nCells)
-	cfg.sweep(nCells, func(i int) {
-		vals[i] = fig5Rate(cfg, mechanisms[i/len(payloads)], payloads[i%len(payloads)])
-	})
-	base := vals[:len(payloads)]
-	for mi, m := range mechanisms {
+	var pts []fig5Cell
+	for _, m := range mechanisms {
+		for _, payload := range payloads {
+			pts = append(pts, fig5Cell{m, payload})
+		}
+	}
+	val := measureAll(cfg, pts)
+	for _, m := range mechanisms {
 		cells := make([]any, len(payloads))
-		for i := range payloads {
-			cells[i] = fmtFloat(speedup(vals[mi*len(payloads)+i], base[i])) + "x"
+		for i, payload := range payloads {
+			cells[i] = fmtFloat(speedup(val[fig5Cell{m, payload}], val[fig5Cell{mechanisms[0], payload}])) + "x"
 		}
 		r.AddRow(m.name, cells...)
 	}
@@ -233,31 +238,32 @@ func vmaStackRatio(pm *model.Params, kind model.CPUKind) float64 {
 	return float64(pm.UDPCost(kind, false)) / float64(pm.UDPCost(kind, true))
 }
 
+// vmaCell is one §5.1.1 echo deployment, on BlueField or the host, over the
+// kernel stack or VMA (bypass); run measures its median latency.
+type vmaCell struct{ bf, bypass bool }
+
+func (c vmaCell) run(cfg Config) time.Duration {
+	e := newEnv(cfg)
+	var plat core.Platform
+	if c.bf {
+		plat = e.bf.Platform(7)
+	} else {
+		plat = e.server.HostPlatform(6, c.bypass)
+	}
+	plat.Bypass = c.bypass
+	target, _ := e.echoDeployment(plat, 1, 0, 128)
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: target, Payload: 20,
+		Clients: 1, Duration: cfg.window(10 * time.Millisecond), Warmup: time.Millisecond,
+	})
+	e.tb.Sim.Shutdown()
+	return res.Hist.Median()
+}
+
 // sec511VMA compares kernel vs VMA (user-level) network stacks: §5.1.1
 // reports 4x lower UDP processing latency on BlueField and 2x on the host.
 func sec511VMA(cfg Config) *Report {
-	run := func(useBF, bypass bool) time.Duration {
-		e := newEnv(cfg)
-		var plat core.Platform
-		if useBF {
-			plat = e.bf.Platform(7)
-		} else {
-			plat = e.server.HostPlatform(6, bypass)
-		}
-		plat.Bypass = bypass
-		target, _ := e.echoDeployment(plat, 1, 0, 128)
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: target, Payload: 20,
-			Clients: 1, Duration: cfg.window(10 * time.Millisecond), Warmup: time.Millisecond,
-		})
-		e.tb.Sim.Shutdown()
-		return res.Hist.Median()
-	}
-	type point struct{ bf, bypass bool }
-	points := []point{{true, false}, {true, true}, {false, false}, {false, true}}
-	meds := make([]time.Duration, len(points))
-	cfg.sweep(len(points), func(i int) { meds[i] = run(points[i].bf, points[i].bypass) })
-	bfKernel, bfVMA, hostKernel, hostVMA := meds[0], meds[1], meds[2], meds[3]
+	med := measureAll(cfg, []vmaCell{{true, false}, {true, true}, {false, false}, {false, true}})
 	// Isolate the stack processing component (strip mqueue + wire parts
 	// common to both) using per-message stack costs from the model.
 	e := newEnv(cfg)
@@ -269,20 +275,27 @@ func sec511VMA(cfg Config) *Report {
 	pm := e.params
 	bfRatio := vmaStackRatio(&pm, model.ARMCore)
 	hostRatio := vmaStackRatio(&pm, model.XeonCore)
-	r.AddRow("BlueField E2E", bfKernel, bfVMA, fmtFloat(bfRatio)+"x", "4x")
-	r.AddRow("Host E2E", hostKernel, hostVMA, fmtFloat(hostRatio)+"x", "2x")
+	r.AddRow("BlueField E2E", med[vmaCell{true, false}], med[vmaCell{true, true}], fmtFloat(bfRatio)+"x", "4x")
+	r.AddRow("Host E2E", med[vmaCell{false, false}], med[vmaCell{false, true}], fmtFloat(hostRatio)+"x", "2x")
 	r.Note("E2E latency includes mqueue and wire time; the ratio column isolates per-packet stack processing")
 	return r
 }
 
-// barrierRun measures per-message delivery latency and rate through one
-// mqueue, with or without the §5.1 RDMA-read write barrier. Shared by
-// sec51-barrier and the scorecard.
-func barrierRun(cfg Config, barrier bool) (time.Duration, float64) {
+// barrierCell pushes messages through one mqueue, with or without the §5.1
+// RDMA-read write barrier.
+type barrierCell struct{ barrier bool }
+
+// delivery is barrierCell's per-message delivery latency and rate.
+type delivery struct {
+	latency time.Duration
+	rate    float64
+}
+
+func (c barrierCell) run(cfg Config) delivery {
 	e := newEnv(cfg)
 	region := e.gpu.Device().Mem.MustAlloc("bar", 1<<20)
 	qp := e.server.RDMA.CreateQP(e.gpu.Device(), rdma.QPConfig{Kind: rdma.RC})
-	mqCfg := mqueue.Config{Slots: 64, SlotSize: 128, Barrier: barrier, NoCoalesce: barrier}
+	mqCfg := mqueue.Config{Slots: 64, SlotSize: 128, Barrier: c.barrier, NoCoalesce: c.barrier}
 	q, _ := mqueue.New(region, 0, mqCfg, qp)
 	aq, _ := mqueue.Attach(region, 0, mqCfg, e.gpu.Profile())
 	e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
@@ -304,32 +317,23 @@ func barrierRun(cfg Config, barrier bool) (time.Duration, float64) {
 	window := cfg.window(5 * time.Millisecond)
 	e.tb.Sim.RunUntil(sim.Time(window))
 	e.tb.Sim.Shutdown()
-	return hist.Median(), float64(hist.Count()) / window.Seconds()
+	return delivery{hist.Median(), float64(hist.Count()) / window.Seconds()}
 }
 
 // sec51Barrier measures the cost of the §5.1 consistency workaround: with
 // the RDMA-read write barrier each message needs three transactions instead
 // of one coalesced write, ~5 µs extra.
 func sec51Barrier(cfg Config) *Report {
-	var (
-		off, on         time.Duration
-		offRate, onRate float64
-	)
-	cfg.sweep(2, func(i int) {
-		if i == 0 {
-			off, offRate = barrierRun(cfg, false)
-		} else {
-			on, onRate = barrierRun(cfg, true)
-		}
-	})
+	res := measureAll(cfg, []barrierCell{{false}, {true}})
+	off, on := res[barrierCell{false}], res[barrierCell{true}]
 	r := &Report{
 		ID:      "sec51-barrier",
 		Title:   "GPU write-barrier workaround cost (§5.1)",
 		Columns: []string{"per-message delivery", "deliveries/s"},
 	}
-	r.AddRow("coalesced (barrier off)", off, offRate)
-	r.AddRow("barrier on (3 transactions)", on, onRate)
-	r.AddRow("extra per message", on-off, "")
+	r.AddRow("coalesced (barrier off)", off.latency, off.rate)
+	r.AddRow("barrier on (3 transactions)", on.latency, on.rate)
+	r.AddRow("extra per message", on.latency-off.latency, "")
 	r.Note("paper measures ~5µs extra per message; the evaluation (like ours) runs with the barrier disabled")
 	return r
 }

@@ -4,36 +4,38 @@ import (
 	"testing"
 )
 
-// TestParallelSweepDeterminism is the parallelism guard: one sweep experiment
-// run sequentially and with a worker pool must render byte-identical reports
-// and CSV. Every sweep point builds its own Sim, so the only way the outputs
-// can differ is a point result leaking across workers or rows being
-// assembled in completion order — exactly the bugs this test pins down.
-// fig8a's points share one *lenet.Network, so under -race it also checks
-// that the network's classification memo is safe across workers.
+// TestParallelSweepDeterminism is the parallelism and memo guard: every
+// experiment of a Run, sequential or on a worker pool, alone or sharing the
+// run's memo with experiments that read the same points, must render
+// byte-identical reports and CSV to a fresh sequential Run of that experiment
+// alone. Every sweep point builds its own Sim, so the only way the outputs
+// can differ is a point result leaking across workers or experiments, or rows
+// being assembled in completion order — exactly the bugs this test pins
+// down. fig8a's points share one *lenet.Network, so under -race it also
+// checks that the network's classification memo is safe across workers.
 func TestParallelSweepDeterminism(t *testing.T) {
 	base := Config{Seed: 7, Scale: 0.05}
-	for _, id := range []string{"fig6", "degradation", "fig8a"} {
-		seqCfg := base
-		seqCfg.Workers = 1
-		parCfg := base
-		parCfg.Workers = 4
-
-		seq, err := Run(id, seqCfg)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", id, err)
-		}
-		par, err := Run(id, parCfg)
-		if err != nil {
-			t.Fatalf("parallel %s: %v", id, err)
-		}
-		if seq.String() != par.String() {
-			t.Errorf("%s: parallel report differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				id, seq, par)
-		}
-		if seq.CSV() != par.CSV() {
-			t.Errorf("%s: parallel CSV differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				id, seq.CSV(), par.CSV())
+	fresh := map[string]*Report{}
+	for _, ids := range [][]string{{"fig6"}, {"degradation"}, {"fig8a"}, {"fig6", "scorecard", "sentinel"}} {
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Workers = workers
+			out, err := Run(cfg, ids...)
+			if err != nil {
+				t.Fatalf("%v: %v", ids, err)
+			}
+			for i, id := range ids {
+				want, ok := fresh[id]
+				if !ok {
+					want = runReport(t, Config{Seed: base.Seed, Scale: base.Scale, Workers: 1}, id)
+					fresh[id] = want
+				}
+				got := out.Reports[i]
+				if got.String() != want.String() || got.CSV() != want.CSV() {
+					t.Errorf("%s in Run%q at %d workers differs from a fresh sequential run\n--- fresh ---\n%s\n--- got ---\n%s",
+						id, ids, workers, want, got)
+				}
+			}
 		}
 	}
 }
@@ -46,9 +48,7 @@ func TestAutoWorkersResolves(t *testing.T) {
 	if got := cfg.workers(); got < 1 {
 		t.Fatalf("AutoWorkers resolved to %d", got)
 	}
-	if _, err := Run("sec51-barrier", cfg); err != nil {
-		t.Fatalf("run with AutoWorkers: %v", err)
-	}
+	runReport(t, cfg, "sec51-barrier")
 }
 
 // TestSweepPanicPropagates ensures a panicking sweep point surfaces on the

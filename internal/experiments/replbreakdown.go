@@ -151,8 +151,9 @@ func runReplBreakdown(cfg Config) *Report {
 	return rep
 }
 
-// replicationTelescope recomputes the telescope error for the scorecard.
-func replicationTelescope(cfg Config) float64 {
-	out := replBreakdownRun(cfg)
-	return telescopeError(out.node0.Spans())
+// replTelescope is the RF=3 breakdown rack reduced to its telescope error.
+type replTelescope struct{}
+
+func (replTelescope) run(cfg Config) float64 {
+	return telescopeError(replBreakdownRun(cfg).node0.Spans())
 }

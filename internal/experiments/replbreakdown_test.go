@@ -45,14 +45,8 @@ func TestReplBreakdownTelescope(t *testing.T) {
 // TestReplBreakdownDeterminism: same seed, same report bytes.
 func TestReplBreakdownDeterminism(t *testing.T) {
 	cfg := Config{Seed: 7, Scale: 0.25}
-	r1, err := Run("replbreakdown", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run("replbreakdown", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runReport(t, cfg, "replbreakdown")
+	r2 := runReport(t, cfg, "replbreakdown")
 	if r1.CSV() != r2.CSV() {
 		t.Errorf("replbreakdown reports diverged:\n%s\nvs\n%s", r1.CSV(), r2.CSV())
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"lynx/internal/accel"
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
 	"lynx/internal/cluster"
@@ -20,7 +19,6 @@ import (
 	"lynx/internal/fault"
 	"lynx/internal/metrics"
 	"lynx/internal/model"
-	"lynx/internal/mqueue"
 	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -42,28 +40,40 @@ const (
 	replWindow = 22 * time.Millisecond
 )
 
-// replPoint is one sweep point's outcome.
-type replPoint struct {
+// replResult is one replication point's outcome.
+type replResult struct {
 	res   workload.Result
 	lag   time.Duration  // failover latency (kill points only)
 	stats core.ReplStats // node 0's replication counters (RF > 1 only)
+}
+
+// Clone returns a copy of r with its own histogram.
+func (r replResult) Clone() replResult {
+	r.res = r.res.Clone()
+	return r
 }
 
 // replicationPoint stands up a rack of the given shape, drives a closed-loop
 // SET workload against node 0's owned keys (so every write exercises the
 // primary's replication path), and optionally kills node 1's accelerator
 // mid-run through the fault plane.
-func replicationPoint(cfg Config, nodes, rf int, kill bool, window time.Duration) replPoint {
+type replicationPoint struct {
+	nodes, rf int
+	kill      bool
+}
+
+func (pt replicationPoint) run(cfg Config) replResult {
 	p := model.Default()
 	ccfg := cluster.Config{
-		Nodes:    nodes,
-		Replicas: rf,
+		Nodes:    pt.nodes,
+		Replicas: pt.rf,
 		Seed:     cfg.Seed + 1, // the experiment-harness testbed convention
 		Params:   &p,
 		Faults:   cfg.Faults,
 	}
+	window := cfg.window(20 * time.Millisecond)
 	warmup := window / 5
-	if kill {
+	if pt.kill {
 		window, warmup = replWindow, replWarmup
 		ccfg.Faults = fault.Config{
 			Seed:   cfg.Seed,
@@ -96,10 +106,10 @@ func replicationPoint(cfg Config, nodes, rf int, kill bool, window time.Duration
 		// releases it (2+4+8ms of patience spans the watchdog period).
 		Timeout: 2 * time.Millisecond, Retries: 3,
 	}, rack.Clients...))
-	out := replPoint{res: res}
+	out := replResult{res: res}
 	if repl := rack.Node(0).Repl; repl != nil {
 		out.stats = repl.Stats()
-		if kill {
+		if pt.kill {
 			if slot, ok := rack.PeerSlot(0, 1); ok {
 				out.lag = repl.ReplicationLag(slot, replKillAt)
 			}
@@ -110,29 +120,21 @@ func replicationPoint(cfg Config, nodes, rf int, kill bool, window time.Duration
 }
 
 func replication(cfg Config) *Report {
-	window := cfg.window(20 * time.Millisecond)
 	r := &Report{
 		ID:      "replication",
 		Title:   "replicated KV rack: write goodput, tail latency, failover under replica kill",
 		Columns: []string{"goodput", "req/s", "p99", "retries", "records", "failover"},
 	}
-	type shape struct {
-		nodes, rf int
-		kill      bool
-	}
-	shapes := []shape{
+	shapes := []replicationPoint{
 		{1, 1, false},
 		{3, 1, false},
 		{3, 2, false},
 		{3, 3, false},
 		{3, 3, true},
 	}
-	points := make([]replPoint, len(shapes))
-	cfg.sweep(len(shapes), func(i int) {
-		points[i] = replicationPoint(cfg, shapes[i].nodes, shapes[i].rf, shapes[i].kill, window)
-	})
-	for i, s := range shapes {
-		pt := points[i]
+	points := measureAll(cfg, shapes)
+	for _, s := range shapes {
+		pt := points[s]
 		name := fmt.Sprintf("%d nodes RF=%d", s.nodes, s.rf)
 		failover := "-"
 		if s.kill {
@@ -148,15 +150,6 @@ func replication(cfg Config) *Report {
 	r.Note("kill row: gpu1 frozen at t=%v via the fault plane; failover = verdict latency relative to the kill", replKillAt)
 	r.Note("not in the paper: the ROADMAP item 1 cluster extension (internal/cluster)")
 	return r
-}
-
-// replicationFailover recomputes the kill point for the scorecard: failover
-// latency in milliseconds and the acknowledged-write goodput sustained
-// through the outage. Fixed windows (see replKillAt) keep the metric
-// scale-independent.
-func replicationFailover(cfg Config) (lagMs, goodput float64) {
-	pt := replicationPoint(cfg, 3, 3, true, 0)
-	return float64(pt.lag) / float64(time.Millisecond), pt.res.GoodputFraction()
 }
 
 // identityOutcome is one side of the RF=1 identity: the measured report and
@@ -205,45 +198,9 @@ func replicationIdentity(cfg Config, viaRack bool) identityOutcome {
 	} else {
 		e := newEnv(cfg)
 		prof := profile.New(opts, e.check)
-		rt := core.NewRuntime(prof.Platform(e.bf.Platform(7)))
-		h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 4)
-		if err != nil {
-			panic(err)
-		}
-		svc, err := rt.AddService(core.UDP, 7000, nil, 4, h)
-		if err != nil {
-			panic(err)
-		}
-		store := kvstore.NewStore(16, 0)
-		for i := 0; i < 512; i++ {
-			store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-		}
-		qs := h.AccelQueues()
-		opCost := e.params.MemcachedOpXeon
-		if err := e.gpu.LaunchPersistent(e.tb.Sim, 4, func(tb *accel.TB) {
-			aq := qs[tb.Index()]
-			for {
-				m := aq.Recv(tb.Proc())
-				if len(m.Payload) < workload.SeqBytes {
-					continue
-				}
-				tb.Compute(opCost)
-				reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-				out := make([]byte, workload.SeqBytes+len(reply))
-				copy(out, m.Payload[:workload.SeqBytes])
-				copy(out[workload.SeqBytes:], reply)
-				if aq.Send(tb.Proc(), uint16(m.Slot), out) != nil {
-					return
-				}
-			}
-		}); err != nil {
-			panic(err)
-		}
-		if err := rt.Start(); err != nil {
-			panic(err)
-		}
+		addr, rt := e.kvDeployment(prof.Platform(e.bf.Platform(7)))
 		prof.Monitor(rt)
-		wcfg.Target = svc.Addr()
+		wcfg.Target = addr
 		wcfg.Spans = prof.Spans()
 		res = workload.RunFor(e.tb.Sim, workload.New(e.tb.Sim, wcfg, e.clients...))
 		e.tb.Sim.Shutdown()

@@ -30,7 +30,7 @@ func TestScorecardDocument(t *testing.T) {
 // band fails here rather than waiting for a human to re-read the tables.
 func TestScorecard(t *testing.T) {
 	agg := check.NewAggregate()
-	cfg := Config{Seed: 1, Scale: 0.25, Workers: AutoWorkers, Invariants: agg}
+	cfg := Config{Seed: 1, Scale: 0.25, Workers: AutoWorkers, Invariants: agg}.newRun()
 	metrics := scorecardMetrics(cfg)
 	sc := loadScorecard()
 	results := sc.Evaluate(metrics)

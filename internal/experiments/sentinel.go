@@ -46,19 +46,26 @@ func (k kneeOutcome) ratio() float64 {
 // and extrapolates its saturation point from the monitor's utilization
 // series. One simulation, a fraction of the knee's load — the whole point is
 // predicting the knee without sweeping up to it.
-func kneeProbe(cfg Config, nQueues int, compute time.Duration, slotSize, payload int, rate float64) profile.KneeEstimate {
+type kneeProbe struct {
+	nQueues           int
+	compute           time.Duration
+	slotSize, payload int
+	rate              float64
+}
+
+func (k kneeProbe) run(cfg Config) profile.KneeEstimate {
 	e := newEnv(cfg)
-	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), nQueues, compute, slotSize)
+	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), k.nQueues, k.compute, k.slotSize)
 	reg := metrics.NewRegistry()
 	rt.StartMonitor(50*time.Microsecond, reg)
 	window := e.cfg.window(20 * time.Millisecond)
 	e.measure(workload.Config{
-		Proto: workload.UDP, Target: addr, Payload: payload,
-		Clients: 16, RatePerSec: rate, Duration: window, Warmup: window / 4,
+		Proto: workload.UDP, Target: addr, Payload: k.payload,
+		Clients: 16, RatePerSec: k.rate, Duration: window, Warmup: window / 4,
 		Timeout: 500 * time.Millisecond,
 	})
 	e.tb.Sim.Shutdown()
-	return profile.PredictKnee(reg, rate)
+	return profile.PredictKnee(reg, k.rate)
 }
 
 // fig6Knee predicts and measures the Fig. 6 BlueField knee: 240 mqueues,
@@ -67,8 +74,8 @@ func kneeProbe(cfg Config, nQueues int, compute time.Duration, slotSize, payload
 func fig6Knee(cfg Config) kneeOutcome {
 	const reqTime = 20 * time.Microsecond
 	return kneeOutcome{
-		est:      kneeProbe(cfg, 240, reqTime, 128, 64, kneeProbeRate),
-		measured: fig6Throughput(cfg, platLynxBF, reqTime, 240),
+		est:      measure(cfg, kneeProbe{240, reqTime, 128, 64, kneeProbeRate}),
+		measured: measure(cfg, fig6Cell{platLynxBF, reqTime, 240}),
 	}
 }
 
@@ -77,16 +84,23 @@ func fig6Knee(cfg Config) kneeOutcome {
 // saturated by 256 closed-loop clients.
 func fig9Knee(cfg Config) kneeOutcome {
 	return kneeOutcome{
-		est:      kneeProbe(cfg, 32, 20*time.Microsecond, 256, 128, kneeProbeRate),
-		measured: attributionRun(cfg).res.Throughput(),
+		est:      measure(cfg, kneeProbe{32, 20 * time.Microsecond, 256, 128, kneeProbeRate}),
+		measured: measure(cfg, attributionPoint{}).throughput,
 	}
 }
 
+// sentinelKnees are the knees the sentinel predicts, in report order.
+var sentinelKnees = []struct {
+	name, row string
+	knee      func(Config) kneeOutcome
+}{
+	{"fig6", "fig6 (BF, 240mq, 20µs)", fig6Knee},
+	{"fig9", "fig9 (BF, 32mq, 20µs)", fig9Knee},
+}
+
 func runSentinel(cfg Config) *Report {
-	outs := make([]kneeOutcome, 2)
-	names := []string{"fig6 (BF, 240mq, 20µs)", "fig9 (BF, 32mq, 20µs)"}
-	runs := []func(Config) kneeOutcome{fig6Knee, fig9Knee}
-	cfg.sweep(len(runs), func(i int) { outs[i] = runs[i](cfg) })
+	outs := make([]kneeOutcome, len(sentinelKnees))
+	cfg.sweep(len(outs), func(i int) { outs[i] = sentinelKnees[i].knee(cfg) })
 
 	r := &Report{
 		ID:      "sentinel",
@@ -94,12 +108,13 @@ func runSentinel(cfg Config) *Report {
 		Columns: []string{"probe req/s", "pivot", "util", "predicted req/s", "measured req/s", "ratio"},
 	}
 	for i, out := range outs {
+		name := sentinelKnees[i].row
 		if !out.est.Valid {
-			r.AddRow(names[i], fmtFloat(out.est.ProbePerSec), out.est.Reason, "", "", fmtFloat(out.measured), "")
+			r.AddRow(name, fmtFloat(out.est.ProbePerSec), out.est.Reason, "", "", fmtFloat(out.measured), "")
 			r.Failed = true
 			continue
 		}
-		r.AddRow(names[i], fmtFloat(out.est.ProbePerSec), out.est.Resource,
+		r.AddRow(name, fmtFloat(out.est.ProbePerSec), out.est.Resource,
 			fmt.Sprintf("%.2f", out.est.Utilization), fmtFloat(out.est.PredictedPerSec),
 			fmtFloat(out.measured), fmt.Sprintf("%.2f", out.ratio()))
 	}
@@ -122,27 +137,12 @@ func batchDesc(b model.BatchConfig) string {
 // fingerprint. This is `lynxbench -baseline` and the measuring side of
 // `lynxbench -compare`.
 func BuildSentinelArtifact(cfg Config) *sentinel.Artifact {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
+	cfg = cfg.newRun()
 	sc := loadScorecard()
-	var (
-		att    attributionOutcome
-		met    map[string]float64
-		k6, k9 kneeOutcome
-		rbo    replBreakdownOutcome
-	)
-	// The measurement groups are independent simulations; scorecardMetrics
-	// fans its own out through cfg.sweep internally, and nested pools are
-	// harmless (every point owns its Sim, results collect by index).
-	tasks := []func(){
-		func() { att = attributionRun(cfg) },
-		func() { k6 = fig6Knee(cfg) },
-		func() { k9 = fig9Knee(cfg) },
-		func() { met = scorecardMetrics(cfg) },
-		func() { rbo = replBreakdownRun(cfg) },
-	}
-	cfg.sweep(len(tasks), func(i int) { tasks[i]() })
+	met := scorecardMetrics(cfg)
+	// The attribution report and the rack telemetry come from instrumented
+	// runs, which the memo does not hold.
+	att, rbo := attributionRun(cfg), replBreakdownRun(cfg)
 
 	a := &sentinel.Artifact{
 		Version: sentinel.Version,
@@ -158,13 +158,11 @@ func BuildSentinelArtifact(cfg Config) *sentinel.Artifact {
 			Value: res.Value, Band: res.Claim.Band(), Pass: res.Pass,
 		})
 	}
-	for _, k := range []struct {
-		name string
-		out  kneeOutcome
-	}{{"fig6", k6}, {"fig9", k9}} {
+	for _, k := range sentinelKnees {
+		out := k.knee(cfg)
 		a.Knees = append(a.Knees, sentinel.Knee{
-			Name: k.name, Estimate: k.out.est,
-			MeasuredPerSec: k.out.measured, Ratio: k.out.ratio(),
+			Name: k.name, Estimate: out.est,
+			MeasuredPerSec: out.measured, Ratio: out.ratio(),
 		})
 	}
 	a.Rack = rackSections(rbo)

@@ -14,10 +14,7 @@ func sentinelCfg() Config {
 }
 
 func TestSentinelExperimentPredictsBothKnees(t *testing.T) {
-	rep, err := Run("sentinel", sentinelCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sentinelCfg(), "sentinel")
 	if rep.Failed {
 		t.Fatalf("a knee estimate came back invalid:\n%s", rep)
 	}
@@ -37,12 +34,10 @@ func TestSentinelKneeRatiosWithinClaimBands(t *testing.T) {
 	// that the closed-loop measured side is depressed by the ramp-up
 	// transient and the ratio drifts high.
 	cfg := Config{Seed: 1, Scale: 0.25, Workers: 1}
-	outs := make([]kneeOutcome, 2)
-	cfg.sweep(2, func(i int) {
-		outs[i] = []func(Config) kneeOutcome{fig6Knee, fig9Knee}[i](cfg)
-	})
-	for i, name := range []string{"fig6", "fig9"} {
-		r := outs[i].ratio()
+	outs := make([]kneeOutcome, len(sentinelKnees))
+	cfg.sweep(len(outs), func(i int) { outs[i] = sentinelKnees[i].knee(cfg) })
+	for i, k := range sentinelKnees {
+		name, r := k.name, outs[i].ratio()
 		if r < 0.7 || r > 1.35 {
 			t.Errorf("%s predicted/measured = %.2f, want within [0.7, 1.35] (est %+v, measured %.0f)",
 				name, r, outs[i].est, outs[i].measured)

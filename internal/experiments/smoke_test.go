@@ -15,10 +15,7 @@ func TestSmokeAll(t *testing.T) {
 		if id == "fig6" || id == "fig8c" {
 			continue // heavyweight sweeps, exercised by bench/lynxbench
 		}
-		r, err := Run(id, Config{Seed: 1, Scale: 0.25})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		r := runReport(t, Config{Seed: 1, Scale: 0.25}, id)
 		if len(r.Rows) == 0 {
 			t.Fatalf("%s: empty report", id)
 		}

@@ -152,11 +152,6 @@ type Params struct {
 	// CUDA stream. KernelLaunch+StreamSync+2*CudaMemcpyAsyncSetup ≈ 30 µs,
 	// the §3.2 echo measurement (130 µs end-to-end for a 100 µs kernel).
 	StreamSync time.Duration
-	// DriverSerialization is the critical-section length each request
-	// holds the (global) driver lock in the host-centric design; this is
-	// what caps host-centric throughput and why "more threads result in a
-	// slowdown due to an NVIDIA driver bottleneck" (§6.2).
-	DriverSerialization time.Duration
 
 	// --- GPU device -------------------------------------------------------
 
@@ -296,7 +291,6 @@ func Default() Params {
 		GdrcopySetup:         400 * time.Nanosecond,
 		KernelLaunch:         10 * time.Microsecond,
 		StreamSync:           5 * time.Microsecond,
-		DriverSerialization:  26 * time.Microsecond,
 
 		GPUMaxThreadblocks:       240,
 		GPUPollInterval:          600 * time.Nanosecond,

@@ -100,6 +100,16 @@ type Result struct {
 	Window  time.Duration
 }
 
+// Clone returns a copy of r with its own histogram, so recording into the
+// copy leaves r unchanged.
+func (r Result) Clone() Result {
+	if r.Hist != nil {
+		h := *r.Hist
+		r.Hist = &h
+	}
+	return r
+}
+
 // Throughput reports measured responses per second (the goodput: only
 // requests that produced a response count).
 func (r Result) Throughput() float64 {

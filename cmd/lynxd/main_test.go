@@ -184,8 +184,8 @@ func TestTraceAndMetricsJSONFlags(t *testing.T) {
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatalf("metrics JSON invalid: %v", err)
 	}
-	if len(dump.Series["snic/core-util"]) == 0 || dump.Stats["fabric"] == nil {
+	if len(dump.Series["snic/core-util"]) == 0 || dump.Stats["faults"] == nil {
 		t.Errorf("metrics dump lacks the monitor series or testbed stats: %d series, stats %v",
-			len(dump.Series), dump.Stats["fabric"])
+			len(dump.Series), dump.Stats["faults"])
 	}
 }

@@ -19,7 +19,7 @@ type rig struct {
 func newRig() *rig {
 	s := sim.New(sim.Config{Seed: 2})
 	p := model.Default()
-	return &rig{s: s, params: p, fab: fabric.New(s), driver: NewDriver(s, &p)}
+	return &rig{s: s, params: p, fab: fabric.New(), driver: NewDriver(s, &p)}
 }
 
 func (r *rig) gpu(name string, cfg GPUConfig) *GPU {

@@ -34,7 +34,7 @@ const maxViolations = 64
 // Violation is one failed invariant.
 type Violation struct {
 	// Kind names the invariant, dotted by layer: "mqueue.ring-bound",
-	// "core.request-conservation", "fabric.byte-conservation", ...
+	// "core.request-conservation", "netstack.datagram-conservation", ...
 	Kind string
 	// Detail is the formatted failure message.
 	Detail string

@@ -1,18 +1,16 @@
 // Monitor: the virtual-time probe process of the observability plane. At a
 // fixed virtual interval it snapshots mqueue ring occupancy, SNIC core
-// utilization, accelerator (GPU SM) utilization, PCIe link utilization on
-// each NIC->accelerator path, and the dispatcher backlog, into bounded
-// series registered in a metrics.Registry. Sampling only reads counters the
-// simulation already maintains — it never touches a resource, channel or
-// random stream — so enabling it cannot change any other component's
-// virtual-time behaviour.
+// utilization, accelerator (GPU SM) utilization, NIC wire utilization and
+// the dispatcher backlog, into bounded series registered in a
+// metrics.Registry. Sampling only reads counters the simulation already
+// maintains — it never touches a resource, channel or random stream — so
+// enabling it cannot change any other component's virtual-time behaviour.
 package core
 
 import (
 	"fmt"
 	"time"
 
-	"lynx/internal/fabric"
 	"lynx/internal/metrics"
 	"lynx/internal/sim"
 )
@@ -60,9 +58,6 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 		smUtil   *metrics.Series
 		busy     busyTimer
 		lastBusy time.Duration
-		links    []*fabric.Link
-		pcieUtil *metrics.Series
-		lastLink []time.Duration
 	}
 	probes := make([]*handleProbe, 0, len(rt.handles))
 	for _, h := range rt.handles {
@@ -75,16 +70,6 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 			hp.busy = bt
 			hp.smUtil = reg.NewSeries(fmt.Sprintf("accel/%s/sm-util", h.acc.Name()), monitorSeriesCap)
 			hp.lastBusy = bt.BusyTime()
-		}
-		if fab := rt.plat.RDMA.Fabric(); fab != nil {
-			hp.links = fab.PathLinks(rt.plat.RDMA.NIC(), h.acc.Device())
-			if len(hp.links) > 0 {
-				hp.pcieUtil = reg.NewSeries(fmt.Sprintf("pcie/%s/link-util", h.acc.Name()), monitorSeriesCap)
-				hp.lastLink = make([]time.Duration, len(hp.links))
-				for i, l := range hp.links {
-					hp.lastLink[i] = l.BusyTime()
-				}
-			}
 		}
 		probes = append(probes, hp)
 	}
@@ -164,15 +149,6 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 					} else {
 						hp.smUtil.Add(at, 0)
 					}
-				}
-				if hp.pcieUtil != nil {
-					var d time.Duration
-					for i, l := range hp.links {
-						b := l.BusyTime()
-						d += b - hp.lastLink[i]
-						hp.lastLink[i] = b
-					}
-					hp.pcieUtil.Add(at, clamp01(float64(d)/(float64(interval)*float64(len(hp.links)))))
 				}
 			}
 		}

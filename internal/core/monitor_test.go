@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +28,8 @@ func monitorBed(t *testing.T, interval time.Duration) (*bed, *core.Runtime, *met
 	if _, err := rt.AddService(core.UDP, 7000, nil, 2, h); err != nil {
 		t.Fatal(err)
 	}
-	startEchoTBs(t, b, h, 0)
+	// A non-zero kernel gives the GPU SMs busy time for the monitor to see.
+	startEchoTBs(t, b, h, 5*time.Microsecond)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +136,16 @@ func TestMonitorSamplesUtilizationUnderLoad(t *testing.T) {
 	if rt.SerialBusy() <= 0 {
 		t.Fatal("runtime accumulated no serialized stack time under load")
 	}
-	for _, name := range []string{"snic/core-util", "snic/dispatch-util", "net/wire-util"} {
-		s := findSeries(reg, name)
-		if s == nil || s.Len() == 0 {
+	// Every utilization series the monitor publishes must move under load: a
+	// series pinned at zero reports a resource nothing accounts for.
+	var utils int
+	for _, s := range reg.SeriesList() {
+		name := s.Name()
+		if !strings.HasSuffix(name, "-util") {
+			continue
+		}
+		utils++
+		if s.Len() == 0 {
 			t.Fatalf("series %s empty under load", name)
 		}
 		var nonzero bool
@@ -151,6 +160,9 @@ func TestMonitorSamplesUtilizationUnderLoad(t *testing.T) {
 		if !nonzero {
 			t.Errorf("series %s never left zero under load", name)
 		}
+	}
+	if utils < 4 {
+		t.Fatalf("monitor registered %d -util series, want at least 4 (SNIC cores, dispatcher, NIC wire, GPU SMs)", utils)
 	}
 }
 

@@ -77,18 +77,6 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 	return store
 }
 
-// memcachedLoad drives get-heavy traffic and reports the result.
-func memcachedLoad(e *env, target netstack.Addr, clients int, window time.Duration) workload.Result {
-	return e.measure(workload.Config{
-		Proto: workload.UDP, Target: target, Payload: 64,
-		Body: func(seq uint64, buf []byte) {
-			req := kvstore.EncodeGet(fmt.Sprintf("key-%03d", seq%512))
-			copy(buf[workload.SeqBytes:], req)
-		},
-		Clients: clients, Duration: window, Warmup: window / 5,
-	})
-}
-
 func fig9(cfg Config) *Report {
 	window := cfg.window(20 * time.Millisecond)
 	lenetNet := lenet.New(42)

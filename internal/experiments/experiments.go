@@ -494,15 +494,6 @@ func (e *env) measure(wcfg workload.Config) workload.Result {
 	return workload.RunFor(e.tb.Sim, g)
 }
 
-// saturate runs a closed-loop workload sized to saturate the target and
-// reports throughput.
-func (e *env) saturate(target netstack.Addr, payload, clients int, window time.Duration) workload.Result {
-	return e.measure(workload.Config{
-		Proto: workload.UDP, Target: target, Payload: payload,
-		Clients: clients, Duration: window, Warmup: window / 4,
-	})
-}
-
 func defaultParams() model.Params { return model.Default() }
 
 // p99Ratio is a's p99 latency over b's.

@@ -3,20 +3,16 @@ package fabric
 import (
 	"testing"
 	"time"
-
-	"lynx/internal/memdev"
-	"lynx/internal/sim"
 )
 
 // buildBluefieldTopo builds the Figure 2b topology: NIC ASIC and ARM CPU
 // behind an internal PCIe switch, host root complex and GPU on the host
 // fabric.
-func buildBluefieldTopo(s *sim.Sim) (*Fabric, *Device, *Device, *Device) {
-	f := New(s)
-	gpuMem := memdev.NewMemory(s, "gpu0", 1<<20, true, memdev.Config{})
+func buildBluefieldTopo() (*Fabric, *Device, *Device, *Device) {
+	f := New()
 	nic := f.AddDevice("nic-asic", nil)
 	arm := f.AddDevice("arm", nil)
-	gpu := f.AddDevice("gpu0", gpuMem)
+	gpu := f.AddDevice("gpu0", nil)
 	host := f.AddDevice("host-rc", nil)
 	bfSwitch := f.AddSwitch("bf-pcie-switch")
 	hostSwitch := f.AddSwitch("host-pcie-switch")
@@ -30,8 +26,7 @@ func buildBluefieldTopo(s *sim.Sim) (*Fabric, *Device, *Device, *Device) {
 }
 
 func TestRouting(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f, nic, gpu, arm := buildBluefieldTopo(s)
+	f, nic, gpu, arm := buildBluefieldTopo()
 	if d := f.Distance(nic, gpu); d != 3 {
 		t.Fatalf("nic->gpu hops = %d, want 3 (nic->bfSwitch->hostSwitch->gpu)", d)
 	}
@@ -43,9 +38,20 @@ func TestRouting(t *testing.T) {
 	}
 }
 
+func TestTransferTimeSumsHopLatencyAndSerialization(t *testing.T) {
+	f, nic, gpu, _ := buildBluefieldTopo()
+	// Path nic->bfSwitch->hostSwitch->gpu: latencies 150ns+900ns+150ns, and
+	// 1 KiB serializes in 132ns (truncated) on each 62 Gb/s hop.
+	if got, want := f.TransferTime(nic, gpu, 1024), 1200*time.Nanosecond+3*132*time.Nanosecond; got != want {
+		t.Fatalf("TransferTime(1 KiB) = %v, want %v", got, want)
+	}
+	if got, back := f.TransferTime(nic, gpu, 1024), f.TransferTime(gpu, nic, 1024); got != back {
+		t.Fatalf("transit is not symmetric: %v there, %v back", got, back)
+	}
+}
+
 func TestNoPathPanics(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f := New(s)
+	f := New()
 	a := f.AddDevice("a", nil)
 	b := f.AddDevice("b", nil)
 	defer func() {
@@ -57,8 +63,7 @@ func TestNoPathPanics(t *testing.T) {
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f := New(s)
+	f := New()
 	f.AddDevice("x", nil)
 	defer func() {
 		if recover() == nil {
@@ -66,122 +71,4 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	f.AddSwitch("x")
-}
-
-func TestDMAWriteMovesBytesAndTime(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f, nic, gpu, _ := buildBluefieldTopo(s)
-	rx := gpu.Mem.MustAlloc("rx", 4096)
-	var elapsed time.Duration
-	s.Spawn("nic", func(p *sim.Proc) {
-		start := p.Now()
-		f.WriteDMA(p, nic, gpu, rx, 128, []byte("ping"))
-		elapsed = p.Now().Sub(start)
-	})
-	s.Run()
-	if got := rx.ReadLocal(128, 4); string(got) != "ping" {
-		t.Fatalf("payload = %q", got)
-	}
-	// Path nic->bfSwitch->hostSwitch->gpu: latencies 150ns+900ns+150ns plus
-	// tiny serialization.
-	want := f.TransferTime(nic, gpu, 4)
-	if elapsed != want {
-		t.Fatalf("elapsed %v, TransferTime %v", elapsed, want)
-	}
-	if elapsed < 1200*time.Nanosecond || elapsed > 2*time.Microsecond {
-		t.Fatalf("elapsed %v outside plausible PCIe window", elapsed)
-	}
-}
-
-func TestDMAReadRoundTrip(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f, nic, gpu, _ := buildBluefieldTopo(s)
-	tx := gpu.Mem.MustAlloc("tx", 4096)
-	tx.WriteLocal(0, []byte("response"))
-	var got []byte
-	var oneWay, roundTrip time.Duration
-	s.Spawn("nic", func(p *sim.Proc) {
-		start := p.Now()
-		f.WriteDMA(p, nic, gpu, tx, 100, []byte{1})
-		oneWay = p.Now().Sub(start)
-		start = p.Now()
-		got = f.ReadDMA(p, nic, gpu, tx, 0, 8)
-		roundTrip = p.Now().Sub(start)
-	})
-	s.Run()
-	if string(got) != "response" {
-		t.Fatalf("read %q", got)
-	}
-	if roundTrip <= oneWay {
-		t.Fatalf("read RTT %v must exceed one-way %v", roundTrip, oneWay)
-	}
-}
-
-func TestLinkContention(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f := New(s)
-	mem := memdev.NewMemory(s, "dst", 1<<20, true, memdev.Config{})
-	src := f.AddDevice("src", nil)
-	dst := f.AddDevice("dst", mem)
-	// Slow link: 1 KB takes 8 µs at 1 Gb/s.
-	f.Connect(src, dst, 0, 1e9)
-	region := mem.MustAlloc("buf", 1<<16)
-	var finish []sim.Time
-	for i := 0; i < 4; i++ {
-		s.Spawn("dma", func(p *sim.Proc) {
-			f.WriteDMA(p, src, dst, region, 0, make([]byte, 1024))
-			finish = append(finish, p.Now())
-		})
-	}
-	s.Run()
-	if len(finish) != 4 {
-		t.Fatal("not all DMAs completed")
-	}
-	last := finish[len(finish)-1]
-	// Serialized: 4 x 8.192 µs.
-	if last < sim.Time(32*time.Microsecond) || last > sim.Time(34*time.Microsecond) {
-		t.Fatalf("last DMA at %v, want ~32.8µs (serialized)", last)
-	}
-}
-
-func TestFlushBarrierForcesVisibility(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f := New(s)
-	mem := memdev.NewMemory(s, "gpu", 1<<20, true, memdev.Config{Relaxed: true, MaxSkew: time.Second})
-	nic := f.AddDevice("nic", nil)
-	gpu := f.AddDevice("gpu", mem)
-	f.Connect(nic, gpu, time.Microsecond, 62e9)
-	r := mem.MustAlloc("rx", 128)
-	s.Spawn("nic", func(p *sim.Proc) {
-		f.WriteDMA(p, nic, gpu, r, 0, []byte{42})
-		if r.PendingWrites() != 1 {
-			t.Error("relaxed write should be pending")
-		}
-		f.FlushBarrier(p, nic, gpu, r)
-		if r.Byte(0) != 42 {
-			t.Error("barrier did not force visibility")
-		}
-	})
-	s.Run()
-}
-
-func TestTransferStats(t *testing.T) {
-	s := sim.New(sim.Config{})
-	f := New(s)
-	mem := memdev.NewMemory(s, "b", 1<<20, true, memdev.Config{})
-	a := f.AddDevice("a", nil)
-	b := f.AddDevice("b", mem)
-	l := f.Connect(a, b, 0, 62e9)
-	r := mem.MustAlloc("r", 1024)
-	s.Spawn("x", func(p *sim.Proc) {
-		f.WriteDMA(p, a, b, r, 0, make([]byte, 100))
-		f.WriteDMA(p, a, b, r, 0, make([]byte, 200))
-	})
-	s.Run()
-	if f.Transfers() != 2 {
-		t.Fatalf("transfers = %d", f.Transfers())
-	}
-	if l.LinkBytes() != 300 {
-		t.Fatalf("link bytes = %d", l.LinkBytes())
-	}
 }

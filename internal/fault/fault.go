@@ -8,7 +8,6 @@
 //   - the RDMA engine asks RDMAPerturb whether a work request suffers a
 //     completion error (retried transparently by the RC transport, surfaced
 //     as latency plus a counter) or a latency spike;
-//   - the PCIe fabric asks PCIePerturb for per-transfer latency spikes;
 //   - the accelerator-side mqueue library asks StallRemaining whether its
 //     GPU threadblock or VCA node is inside a configured stall window.
 //
@@ -65,7 +64,7 @@ type Config struct {
 	// retransmission timeout; default 1ms).
 	TCPRetransmit time.Duration
 
-	// --- RDMA / PCIe ------------------------------------------------------
+	// --- RDMA -------------------------------------------------------------
 
 	// RDMAErrRate is the probability a work request completes in error and
 	// is retried by the RC transport (go-back-N), costing RDMARetryLatency.
@@ -76,11 +75,6 @@ type Config struct {
 	RDMASpikeRate float64
 	// RDMASpike is the spike magnitude (default 20µs).
 	RDMASpike time.Duration
-	// PCIeSpikeRate is the probability of a per-link-transfer PCIe latency
-	// spike of PCIeSpike (default 5µs).
-	PCIeSpikeRate float64
-	// PCIeSpike is the spike magnitude.
-	PCIeSpike time.Duration
 
 	// --- Accelerators -----------------------------------------------------
 
@@ -91,7 +85,7 @@ type Config struct {
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.DupRate > 0 || c.DelayRate > 0 ||
-		c.RDMAErrRate > 0 || c.RDMASpikeRate > 0 || c.PCIeSpikeRate > 0 ||
+		c.RDMAErrRate > 0 || c.RDMASpikeRate > 0 ||
 		len(c.Stalls) > 0
 }
 
@@ -103,16 +97,15 @@ type Stats struct {
 	TCPDelays           uint64
 	RDMAErrors          uint64
 	RDMASpikes          uint64
-	PCIeSpikes          uint64
 	StallHits           uint64
 }
 
 // String formats the counters on one line (stable field order, so it is safe
 // to compare across runs in determinism tests).
 func (s Stats) String() string {
-	return fmt.Sprintf("drop=%d dup=%d delay=%d tcpdelay=%d rdmaerr=%d rdmaspike=%d pciespike=%d stallhits=%d",
+	return fmt.Sprintf("drop=%d dup=%d delay=%d tcpdelay=%d rdmaerr=%d rdmaspike=%d stallhits=%d",
 		s.DatagramsDropped, s.DatagramsDuplicated, s.DatagramsDelayed, s.TCPDelays,
-		s.RDMAErrors, s.RDMASpikes, s.PCIeSpikes, s.StallHits)
+		s.RDMAErrors, s.RDMASpikes, s.StallHits)
 }
 
 // Fate is the outcome drawn for one datagram.
@@ -149,9 +142,6 @@ func NewPlan(cfg Config) *Plan {
 	}
 	if cfg.RDMASpike <= 0 {
 		cfg.RDMASpike = 20 * time.Microsecond
-	}
-	if cfg.PCIeSpike <= 0 {
-		cfg.PCIeSpike = 5 * time.Microsecond
 	}
 	return &Plan{
 		cfg: cfg,
@@ -239,19 +229,6 @@ func (pl *Plan) RDMAPerturb() (extra time.Duration, errored bool) {
 		extra += c.RDMASpike
 	}
 	return extra, errored
-}
-
-// PCIePerturb draws the extra latency of one PCIe link transfer.
-func (pl *Plan) PCIePerturb() time.Duration {
-	if pl == nil {
-		return 0
-	}
-	c := &pl.cfg
-	if c.PCIeSpikeRate > 0 && pl.rng.Float64() < c.PCIeSpikeRate {
-		pl.stats.PCIeSpikes++
-		return c.PCIeSpike
-	}
-	return 0
 }
 
 // StallRemaining reports how long the given accelerator queue must freeze

@@ -22,9 +22,6 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 	if extra, errored := pl.RDMAPerturb(); extra != 0 || errored {
 		t.Fatal("nil RDMAPerturb non-zero")
 	}
-	if pl.PCIePerturb() != 0 {
-		t.Fatal("nil PCIePerturb non-zero")
-	}
 	if pl.StallRemaining("gpu0", 0, 0) != 0 {
 		t.Fatal("nil StallRemaining non-zero")
 	}
@@ -113,7 +110,7 @@ func TestStallWindows(t *testing.T) {
 func TestDefaultsFilled(t *testing.T) {
 	cfg := NewPlan(Config{}).Config()
 	if cfg.DelayMax <= 0 || cfg.TCPRetransmit <= 0 || cfg.RDMARetryLatency <= 0 ||
-		cfg.RDMASpike <= 0 || cfg.PCIeSpike <= 0 {
+		cfg.RDMASpike <= 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 }

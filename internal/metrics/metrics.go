@@ -232,51 +232,6 @@ func (h *Histogram) String() string {
 
 // ---------------------------------------------------------------------------
 
-// Counter counts events over a virtual-time window to derive rates.
-type Counter struct {
-	n     uint64
-	bytes uint64
-}
-
-// Inc adds one event of the given payload size.
-func (c *Counter) Inc(bytes int) {
-	c.n++
-	c.bytes += uint64(bytes)
-}
-
-// Add adds n events totalling the given bytes.
-func (c *Counter) Add(n, bytes uint64) {
-	c.n += n
-	c.bytes += bytes
-}
-
-// Count reports the number of events.
-func (c *Counter) Count() uint64 { return c.n }
-
-// Bytes reports the accumulated payload bytes.
-func (c *Counter) Bytes() uint64 { return c.bytes }
-
-// Rate returns events/second over elapsed.
-func (c *Counter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed.Seconds()
-}
-
-// BitRate returns payload bits/second over elapsed.
-func (c *Counter) BitRate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.bytes) * 8 / elapsed.Seconds()
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { *c = Counter{} }
-
-// ---------------------------------------------------------------------------
-
 // Exact keeps every sample for tests that need exact quantiles to validate
 // Histogram accuracy. Not for high-volume use.
 type Exact struct {

@@ -147,32 +147,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestCounterRates(t *testing.T) {
-	var c Counter
-	for i := 0; i < 1000; i++ {
-		c.Inc(64)
-	}
-	if c.Count() != 1000 || c.Bytes() != 64000 {
-		t.Fatalf("count=%d bytes=%d", c.Count(), c.Bytes())
-	}
-	if r := c.Rate(time.Second); r != 1000 {
-		t.Fatalf("rate %v", r)
-	}
-	if r := c.Rate(100 * time.Millisecond); r != 10000 {
-		t.Fatalf("rate %v", r)
-	}
-	if br := c.BitRate(time.Second); br != 512000 {
-		t.Fatalf("bitrate %v", br)
-	}
-	if c.Rate(0) != 0 {
-		t.Fatal("zero elapsed should give 0 rate")
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestExactQuantile(t *testing.T) {
 	e := &Exact{}
 	for i := 100; i >= 1; i-- { // reverse order: exercises the sort
@@ -226,16 +200,5 @@ func TestPercentileShorthandsAndString(t *testing.T) {
 	}
 	if NewHistogram().Min() != 0 {
 		t.Fatal("empty min")
-	}
-}
-
-func TestCounterAddAndDegenerateBitRate(t *testing.T) {
-	var c Counter
-	c.Add(5, 320)
-	if c.Count() != 5 || c.Bytes() != 320 {
-		t.Fatal("Add wrong")
-	}
-	if c.BitRate(0) != 0 {
-		t.Fatal("zero-elapsed bitrate")
 	}
 }

@@ -181,11 +181,15 @@ type jsonPoint struct {
 }
 
 // Dump writes the registry as JSON: {"stats": {component: {name: value}},
-// "series": {name: [{t_us, v}]}}. Map keys are sorted by encoding/json, so
-// the output is deterministic for deterministic inputs.
+// "series": {name: [{t_us, v}]}, "dropped": {name: evicted}}. A series keeps
+// only its most recent samples, so "dropped" names every series whose dump
+// is missing older ones and how many; it is {} when nothing was evicted. Map
+// keys are sorted by encoding/json, so the output is deterministic for
+// deterministic inputs.
 func (r *Registry) Dump(w io.Writer) error {
 	stats := map[string]map[string]float64{}
 	series := map[string][]jsonPoint{}
+	dropped := map[string]uint64{}
 	if r != nil {
 		for _, src := range r.stats {
 			m := stats[src.component]
@@ -203,12 +207,16 @@ func (r *Registry) Dump(w io.Writer) error {
 				pts = append(pts, jsonPoint{TUs: float64(p.At) / 1e3, V: p.V})
 			}
 			series[s.Name()] = pts
+			if n := s.Dropped(); n > 0 {
+				dropped[s.Name()] = n
+			}
 		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(struct {
-		Stats  map[string]map[string]float64 `json:"stats"`
-		Series map[string][]jsonPoint        `json:"series"`
-	}{Stats: stats, Series: series})
+		Stats   map[string]map[string]float64 `json:"stats"`
+		Series  map[string][]jsonPoint        `json:"series"`
+		Dropped map[string]uint64             `json:"dropped"`
+	}{Stats: stats, Series: series, Dropped: dropped})
 }

@@ -80,6 +80,45 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 	}
 }
 
+// TestRegistryDumpReportsEvictions: a series that evicted samples says so in
+// the dump, under its own name and under the name a rack rollup gives it.
+func TestRegistryDumpReportsEvictions(t *testing.T) {
+	dropped := func(r *Registry) map[string]uint64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.Dump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Dropped map[string]uint64 `json:"dropped"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("dump is not valid JSON: %v", err)
+		}
+		if doc.Dropped == nil {
+			t.Fatalf("dump has no \"dropped\" object:\n%s", buf.String())
+		}
+		return doc.Dropped
+	}
+	r := NewRegistry()
+	if d := dropped(r); len(d) != 0 {
+		t.Fatalf("empty registry dropped = %v, want {}", d)
+	}
+	s := r.NewSeries("snic/core-util", 2)
+	r.NewSeries("snic/backlog", 8).Add(0, 1)
+	for i := 0; i < 5; i++ {
+		s.Add(time.Duration(i)*time.Microsecond, float64(i))
+	}
+	if d := dropped(r); len(d) != 1 || d["snic/core-util"] != 3 {
+		t.Fatalf("dropped = %v, want {snic/core-util: 3}", d)
+	}
+	rack := NewRegistry()
+	rack.AddSeries(s.Renamed("server1/" + s.Name()))
+	if d := dropped(rack); len(d) != 1 || d["server1/snic/core-util"] != 3 {
+		t.Fatalf("rollup dropped = %v, want {server1/snic/core-util: 3}", d)
+	}
+}
+
 func TestHistogramSumAndBuckets(t *testing.T) {
 	h := NewHistogram()
 	h.Record(10 * time.Microsecond)

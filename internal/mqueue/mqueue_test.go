@@ -27,7 +27,7 @@ func newRig(t *testing.T, relaxed bool, regionSize int) *rig {
 	t.Helper()
 	s := sim.New(sim.Config{Seed: 11})
 	p := model.Default()
-	f := fabric.New(s)
+	f := fabric.New()
 	cfg := memdev.Config{}
 	if relaxed {
 		cfg = memdev.Config{Relaxed: true, MaxSkew: 10 * time.Microsecond}

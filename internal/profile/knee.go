@@ -65,8 +65,8 @@ const kneeSlopeEps = 1.0
 // monitor series. probePerSec is the offered load of that run. The registry
 // is scanned with the same resource taxonomy as the bottleneck ranking
 // (dispatcher, SNIC core pool, NIC wire, replication ingest occupancy,
-// per-accelerator SMs, per-device PCIe links); the estimate pivots on the
-// highest mean utilization found.
+// per-accelerator SMs); the estimate pivots on the highest mean utilization
+// found.
 func PredictKnee(reg *metrics.Registry, probePerSec float64) KneeEstimate {
 	if probePerSec <= 0 {
 		return KneeEstimate{Reason: "probe rate not positive"}

@@ -122,7 +122,6 @@ func monitorFixture(reg *metrics.Registry) {
 	add("net/wire-util", 0.05, 0.05, 0.05)
 	add("accel/gpu0/sm-util", 0.2, 0.2, 0.2)
 	add("mq/gpu0/inflight", 4, 4, 4)
-	add("pcie/gpu0/link-util", 0.02, 0.02, 0.02)
 }
 
 func TestBuildBottleneckRanking(t *testing.T) {
@@ -139,8 +138,8 @@ func TestBuildBottleneckRanking(t *testing.T) {
 	if rep.SpansClosed != 20 || rep.EndToEnd.Count != 20 {
 		t.Fatalf("spans closed %d / e2e count %d, want 20", rep.SpansClosed, rep.EndToEnd.Count)
 	}
-	if len(rep.Bottlenecks) != 5 {
-		t.Fatalf("bottlenecks = %d, want 5 (dispatcher, snic-cores, nic-wire, accel, pcie)", len(rep.Bottlenecks))
+	if len(rep.Bottlenecks) != 4 {
+		t.Fatalf("bottlenecks = %d, want 4 (dispatcher, snic-cores, nic-wire, accel)", len(rep.Bottlenecks))
 	}
 	if rep.Bottlenecks[0].Resource != "dispatcher" {
 		t.Fatalf("top bottleneck = %q, want dispatcher\n%s", rep.Bottlenecks[0].Resource, rep.BottleneckSummary())

@@ -7,9 +7,9 @@
 //     queueing points: netstack rx queue, dispatcher inbox, mqueue rings,
 //     MQ-manager drain), aggregated into per-stage histograms.
 //   - bottleneck ranking: per run, each resource's utilization (SNIC cores,
-//     GPU SMs, PCIe links, NIC wire) is paired with the growth slope of the
-//     queue feeding it and the p99 wait booked against it, producing a
-//     ranked report of what is actually limiting the run.
+//     GPU SMs, NIC wire) is paired with the growth slope of the queue
+//     feeding it and the p99 wait booked against it, producing a ranked
+//     report of what is actually limiting the run.
 //   - flight recorder: a bounded top-k heap of the slowest completed
 //     requests plus a recency ring, with their full stamp vectors, dumped as
 //     JSON on demand or automatically when a runtime invariant fires.

@@ -48,8 +48,8 @@ type PhaseStats struct {
 
 // Bottleneck is one ranked resource in the critical-path report.
 type Bottleneck struct {
-	// Resource names the ranked resource: "dispatcher", "nic-wire",
-	// "accel/<name>", "pcie/<name>".
+	// Resource names the ranked resource: "dispatcher", "snic-cores",
+	// "nic-wire", "replication", "accel/<name>".
 	Resource string `json:"resource"`
 	// Utilization is the mean of the resource's monitor utilization series.
 	Utilization float64 `json:"utilization"`
@@ -258,8 +258,6 @@ func buildBottlenecks(spans *trace.SpanTable, reg *metrics.Registry) []Bottlenec
 			// RX-ring residency (PhaseQueueing) is what grows when the
 			// accelerator cannot keep up, so that is the wait booked here.
 			add("accel/"+n, s.Name(), "mq/"+n+"/inflight", trace.PhaseQueueing)
-		} else if n, ok := seriesResource(s.Name(), "pcie/", "/link-util"); ok {
-			add("pcie/"+n, s.Name(), "", trace.PhaseTransfer)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {

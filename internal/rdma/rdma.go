@@ -112,13 +112,6 @@ func NewEngine(s *sim.Sim, p *model.Params, fab *fabric.Fabric, nic *fabric.Devi
 // (the default) injects nothing.
 func (e *Engine) SetFaults(pl *fault.Plan) { e.faults = pl }
 
-// NIC returns the device the engine is embedded in.
-func (e *Engine) NIC() *fabric.Device { return e.nic }
-
-// Fabric returns the PCIe fabric the engine issues DMA on (for topology and
-// utilization probes).
-func (e *Engine) Fabric() *fabric.Fabric { return e.fab }
-
 // Ops reports the number of work requests executed.
 func (e *Engine) Ops() uint64 { return e.ops }
 

@@ -24,7 +24,7 @@ type rig struct {
 func newRig(relaxed bool) *rig {
 	s := sim.New(sim.Config{Seed: 3})
 	p := model.Default()
-	f := fabric.New(s)
+	f := fabric.New()
 	cfg := memdev.Config{}
 	if relaxed {
 		cfg = memdev.Config{Relaxed: true, MaxSkew: 10 * time.Microsecond}
@@ -57,7 +57,7 @@ func TestWriteRead(t *testing.T) {
 func TestQPRequiresBARCapableTarget(t *testing.T) {
 	s := sim.New(sim.Config{})
 	p := model.Default()
-	f := fabric.New(s)
+	f := fabric.New()
 	noBar := memdev.NewMemory(s, "acc", 1<<20, false, memdev.Config{})
 	nic := f.AddDevice("nic", nil)
 	acc := f.AddDevice("acc", noBar)

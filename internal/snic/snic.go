@@ -38,8 +38,8 @@ type Testbed struct {
 	// client traffic and RDMA use different stacks).
 	IB *fabric.Switch
 	// Faults is the deployment-wide fault plan, consulted by the netstack,
-	// the PCIe fabric, every RDMA engine and every accelerator. Nil (the
-	// default) injects nothing.
+	// every RDMA engine and every accelerator. Nil (the default) injects
+	// nothing.
 	Faults *fault.Plan
 	// Check is the deployment-wide invariant checker installed by
 	// EnableInvariants. Nil (the default) checks nothing; Platform
@@ -58,7 +58,7 @@ func NewTestbed(seed uint64, p *model.Params) *Testbed {
 // faults perturbs nothing else and identical (seed, fc) pairs replay exactly.
 func NewTestbedWith(seed uint64, p *model.Params, fc fault.Config) *Testbed {
 	s := sim.New(sim.Config{Seed: seed})
-	f := fabric.New(s)
+	f := fabric.New()
 	tb := &Testbed{
 		Sim:    s,
 		Params: p,
@@ -69,15 +69,14 @@ func NewTestbedWith(seed uint64, p *model.Params, fc fault.Config) *Testbed {
 	if fc.Enabled() {
 		tb.Faults = fault.NewPlan(fc)
 		tb.Net.SetFaults(tb.Faults)
-		tb.Fab.SetFaults(tb.Faults)
 	}
 	return tb
 }
 
 // EnableInvariants installs ck as the testbed-wide invariant checker: the
-// netstack and PCIe fabric register their conservation finishers, the
-// simulator's virtual-time sanity check is added, and ck.Finalize runs
-// automatically when the simulation shuts down. Platforms and Innova servers
+// netstack registers its conservation finishers, the simulator's virtual-time
+// sanity check is added, and ck.Finalize runs automatically when the
+// simulation shuts down. Platforms and Innova servers
 // created after this call thread ck through to the runtime and mqueues.
 // A nil/disabled ck is a no-op.
 func (tb *Testbed) EnableInvariants(ck *check.Checker) {
@@ -86,7 +85,6 @@ func (tb *Testbed) EnableInvariants(ck *check.Checker) {
 	}
 	tb.Check = ck
 	tb.Net.RegisterInvariants(ck)
-	tb.Fab.RegisterInvariants(ck)
 	ck.AddFinisher("sim.time-monotonic", func(fail func(string, ...any)) {
 		if n := tb.Sim.TimeRegressions(); n > 0 {
 			fail("%d events dispatched before the clock they were scheduled at", n)
@@ -124,15 +122,15 @@ func (tb *Testbed) NewMachine(name string, cores int) *Machine {
 // AddToR adds a named top-of-rack switch uplinked to the wire backbone.
 // Machines placed at the ToR with NewMachineAt reach each other in one
 // rack-local hop; traffic to machines outside the rack crosses the uplink.
-func (tb *Testbed) AddToR(name string) *fabric.ToR {
+func (tb *Testbed) AddToR(name string) *fabric.Switch {
 	p := tb.Params
 	return tb.Fab.AddToR(name, tb.IB, p.WirePropagation, p.WireBandwidth)
 }
 
 // NewMachineAt is NewMachine with the machine's NICs cabled into a rack
 // switch instead of directly into the backbone.
-func (tb *Testbed) NewMachineAt(name string, cores int, tor *fabric.ToR) *Machine {
-	return tb.newMachine(name, cores, tor.Switch())
+func (tb *Testbed) NewMachineAt(name string, cores int, tor *fabric.Switch) *Machine {
+	return tb.newMachine(name, cores, tor)
 }
 
 func (tb *Testbed) newMachine(name string, cores int, wire *fabric.Switch) *Machine {
@@ -185,12 +183,9 @@ func (tb *Testbed) AddClient(name string) *netstack.Host {
 	return tb.Net.AddHost(name)
 }
 
-// RegisterStats publishes the deployment-wide counters (fault injection,
-// PCIe fabric) into reg as component snapshots.
+// RegisterStats publishes the deployment-wide fault-injection counters into
+// reg as a component snapshot.
 func (tb *Testbed) RegisterStats(reg *metrics.Registry) {
-	reg.AddStats("fabric", func() []metrics.Stat {
-		return []metrics.Stat{{Name: "transfers", Value: float64(tb.Fab.Transfers())}}
-	})
 	reg.AddStats("faults", func() []metrics.Stat {
 		st := tb.Faults.Stats()
 		return []metrics.Stat{
@@ -200,7 +195,6 @@ func (tb *Testbed) RegisterStats(reg *metrics.Registry) {
 			{Name: "tcp_delays", Value: float64(st.TCPDelays)},
 			{Name: "rdma_errors", Value: float64(st.RDMAErrors)},
 			{Name: "rdma_spikes", Value: float64(st.RDMASpikes)},
-			{Name: "pcie_spikes", Value: float64(st.PCIeSpikes)},
 			{Name: "stall_hits", Value: float64(st.StallHits)},
 		}
 	})

@@ -76,7 +76,7 @@ func TestWithBatchingDeterministicAndLive(t *testing.T) {
 func TestWithBatchingInvariantsClean(t *testing.T) {
 	cluster := lynx.NewCluster(
 		lynx.WithSeed(5),
-		lynx.WithBatching(lynx.BatchConfig{Doorbell: 4, CQDrain: 8, Quantum: 4, CoalesceWindow: 2 * time.Microsecond}),
+		lynx.WithBatching(lynx.BatchConfig{Doorbell: 4, CQDrain: 8, Quantum: 4}),
 		lynx.WithInvariants(),
 		lynx.WithProfile(),
 	)

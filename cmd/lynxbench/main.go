@@ -67,8 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel   = fs.Int("parallel", 0, "sweep workers: 0 = one per CPU, 1 = sequential, n = n workers")
 		invariants = fs.Bool("invariants", false, "arm runtime invariant checks on every simulation; non-zero exit on any violation")
 		batch      = fs.Int("batch", 0, "doorbell batch size for every experiment run (0 = unbatched; experiments that pin their own batching, like -exp batch, are unaffected)")
-		batchCQ    = fs.Int("batch-cq", 0, "completion/TX drain budget (0 = follow -batch)")
-		batchQuant = fs.Int("batch-quantum", 0, "dispatcher scheduling quantum in messages (0 = follow -batch)")
 		traceJSON  = fs.String("trace-json", "", "write the Chrome trace-event timeline (one process-track block per node) of an instrumented experiment (breakdown, attribution, replbreakdown) to this file")
 		metJSON    = fs.String("metrics-json", "", "write the deterministic metrics dump (stats and monitor series, a rack's per node) of an instrumented experiment to this file")
 		profJSON   = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) of an instrumented experiment to this file")
@@ -87,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if workers <= 0 {
 		workers = experiments.AutoWorkers
 	}
-	bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant)
+	bc, err := model.BatchConfigFromFlags(*batch)
 	if err != nil {
 		fmt.Fprintln(stderr, "lynxbench:", err)
 		return 2

@@ -59,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profOut    = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) to this file on exit; with -invariants, the first violation also dumps <file>.postmortem")
 		invariants = fs.Bool("invariants", false, "arm runtime invariant checks; non-zero exit on any violation")
 		batch      = fs.Int("batch", 0, "doorbell batch size (0 = unbatched per-message hot path)")
-		batchCQ    = fs.Int("batch-cq", 0, "completion/TX drain budget (0 = follow -batch)")
-		batchQuant = fs.Int("batch-quantum", 0, "dispatcher scheduling quantum in messages (0 = follow -batch)")
 		loss       = fs.Float64("loss", 0, "inject datagram drop probability (0..1)")
 		dup        = fs.Float64("dup", 0, "inject datagram duplication probability (0..1)")
 		rdmaErr    = fs.Float64("rdma-err", 0, "inject RDMA completion error probability (0..1)")
@@ -97,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var single []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "app", "platform", "cores", "queues", "batch", "batch-cq", "batch-quantum":
+			case "app", "platform", "cores", "queues", "batch":
 				single = append(single, "-"+f.Name)
 			}
 		})
@@ -108,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRack(*nodes, *replicas, *seed, fc, *clients, *retries, *rate, *secs, *invariants, obs, stdout, stderr)
 	}
 	opts := []lynx.Option{lynx.WithSeed(*seed), lynx.WithFaults(fc)}
-	if bc, err := model.BatchConfigFromFlags(*batch, *batchCQ, *batchQuant); err != nil {
+	if bc, err := model.BatchConfigFromFlags(*batch); err != nil {
 		return fail(err)
 	} else if bc != (lynx.BatchConfig{}) {
 		opts = append(opts, lynx.WithBatching(bc))

@@ -137,7 +137,7 @@ func TestRackArtifactFlags(t *testing.T) {
 func TestRackRejectsSingleServerFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-app", "lenet"}, {"-platform", "xeon"}, {"-cores", "2"}, {"-queues", "4"},
-		{"-batch", "8"}, {"-batch-cq", "4"}, {"-batch-quantum", "4"},
+		{"-batch", "8"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			var out, errOut bytes.Buffer

@@ -11,6 +11,7 @@ import (
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
 	"lynx/internal/fault"
+	"lynx/internal/model"
 	"lynx/internal/netstack"
 	"lynx/internal/sim"
 	"lynx/internal/workload"
@@ -135,6 +136,40 @@ func TestRackReplicatesWrites(t *testing.T) {
 	rack.TB.Sim.Shutdown()
 	if rep := ck.Snapshot(); !rep.OK() {
 		t.Errorf("%s", rep)
+	}
+}
+
+// TestRackBatchedParkedRepliesChargeStackOnce: a response the replicator
+// parks is charged the TX stack once, by the pump on release, so a batched
+// RF=2 SET costs the primary's frontend as many exec charges per response
+// as an unbatched one.
+func TestRackBatchedParkedRepliesChargeStackOnce(t *testing.T) {
+	perResponse := func(bc model.BatchConfig) float64 {
+		p := model.Default()
+		p.Batch = bc
+		rack, err := Build(Config{Nodes: 2, Replicas: 2, Seed: 9, Params: &p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rack.Close()
+		writes := uniqueWrites(rack.OwnedKeys(0), 40)
+		var acked []ackedWrite
+		done := driveWrites(rack.TB.Sim, rack.Clients[0], rack.Node(0).Addr(), 43000,
+			writes, 100*time.Microsecond, &acked)
+		rack.TB.Sim.RunUntil(rack.TB.Sim.Now().Add(100 * time.Millisecond))
+		if !*done || len(acked) != len(writes) {
+			t.Fatalf("batch %+v: %d/%d writes acknowledged", bc, len(acked), len(writes))
+		}
+		if held := rack.Node(0).Repl.Stats().Held; held == 0 {
+			t.Fatalf("batch %+v: no response was parked for peer acks", bc)
+		}
+		rt := rack.Node(0).RT
+		return float64(rt.ExecCalls()) / float64(rt.Stats().Responded)
+	}
+	unit := perResponse(model.BatchConfig{})
+	batched := perResponse(model.BatchConfig{Doorbell: 1, CQDrain: 2, Quantum: 1})
+	if batched != unit {
+		t.Fatalf("exec calls per response: batched %.3f, unbatched %.3f", batched, unit)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 
 	"lynx/internal/accel"
 	"lynx/internal/core"
+	"lynx/internal/fault"
 	"lynx/internal/metrics"
+	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
 	"lynx/internal/sim"
+	"lynx/internal/snic"
 	"lynx/internal/workload"
 )
 
@@ -160,6 +163,115 @@ func TestPipelineHopCheaperThanNetworkBounce(t *testing.T) {
 	}()
 	if pipelined >= bounced {
 		t.Fatalf("pipeline hop (%v) should beat a client bounce (%v)", pipelined, bounced)
+	}
+}
+
+// countingEcho launches one persistent echo threadblock per queue of h and
+// returns its per-queue receipt counts.
+func countingEcho(t *testing.T, b *bed, gpu *accel.GPU, h *core.AccelHandle) []int {
+	t.Helper()
+	qs := h.AccelQueues()
+	got := make([]int, len(qs))
+	if err := gpu.LaunchPersistent(b.tb.Sim, len(qs), func(tb *accel.TB) {
+		i := tb.Index()
+		for {
+			m := qs[i].Recv(tb.Proc())
+			got[i]++
+			tb.Compute(10 * time.Microsecond)
+			if qs[i].Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// twoByTwo deploys a two-stage pipeline (gpu0 -> gpu1, two queues a stage)
+// on b and returns it with each stage's per-queue receipt counts.
+func twoByTwo(t *testing.T, b *bed, policy core.Policy) (*core.Service, *core.Runtime, [2][]int) {
+	t.Helper()
+	gpu2 := b.server.AddGPU("gpu1", accel.K40m, false, "server1")
+	rt := core.NewRuntime(b.bf.Platform(7))
+	cfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+	h1, _ := rt.Register(b.gpu, cfg, 2)
+	h2, _ := rt.Register(gpu2, cfg, 2)
+	pl, err := rt.AddPipeline(core.UDP, 7000, policy, 2, h1, h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [2][]int{countingEcho(t, b, b.gpu, h1), countingEcho(t, b, gpu2, h2)}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return pl, rt, got
+}
+
+// StickyHash keys every stage on the client's address: two clients the
+// policy puts on different queues reach different queues at stage 0 (the
+// client's datagram source) and at stage 1 (the relay's reply destination).
+func TestPipelineStickyHashKeysOnClient(t *testing.T) {
+	b := newBed(t, 25)
+	pl, _, got := twoByTwo(t, b, core.StickyHash{})
+	var ports [2]uint16
+	for port, found := uint16(9000), 0; found < 3; port++ {
+		qi := core.StickyHash{}.Pick(netstack.Addr{Host: "client1", Port: port}, 2)
+		if found&(1<<qi) == 0 {
+			ports[qi] = port
+			found |= 1 << qi
+		}
+	}
+	const n = 20
+	done := 0
+	for _, port := range ports {
+		cli := b.client.MustUDPBind(port)
+		b.tb.Sim.Spawn("client", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				cli.SendTo(pl.Addr(), make([]byte, 32))
+				cli.Recv(p)
+			}
+			done++
+		})
+	}
+	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return done == 2 })
+	b.tb.Sim.Shutdown()
+	for stage, counts := range got {
+		if counts[0] != n || counts[1] != n {
+			t.Errorf("stage %d receipts %v, want [%d %d]: one client per queue", stage, counts, n, n)
+		}
+	}
+}
+
+// A stalled queue of a later stage fails over like a service queue: the
+// watchdog marks it failed and relays steer around it to the healthy one.
+func TestPipelineRelayFailover(t *testing.T) {
+	p := model.Default()
+	const stallAt = 2 * time.Millisecond
+	tb := snic.NewTestbedWith(26, &p, fault.Config{
+		Stalls: []fault.Stall{{Accel: "gpu1", Queue: 0, At: stallAt, For: time.Hour}},
+	})
+	server := tb.NewMachine("server1", 6)
+	b := &bed{tb: tb, params: p, server: server, bf: server.AttachBlueField("bf1"),
+		gpu: server.AddGPU("gpu0", accel.K40m, false, "server1"), client: tb.AddClient("client1")}
+	pl, rt, got := twoByTwo(t, b, nil)
+	var atStall [2]int
+	tb.Sim.Spawn("probe", func(p *sim.Proc) {
+		p.Sleep(stallAt)
+		copy(atStall[:], got[1])
+	})
+	res := workloadRun(b, workloadNew(b, workloadCfg(pl.Addr(), 4, 20*time.Millisecond)))
+	if st := rt.Stats(); st.Failovers < 1 {
+		t.Fatalf("no failover after stalling gpu1 queue 0: %v", st)
+	}
+	// Round-robin relays split evenly while both queues live; after the
+	// failover the healthy queue takes every relay.
+	dead, live := got[1][0]-atStall[0], got[1][1]-atStall[1]
+	if dead != 0 || uint64(live) < pl.Relayed()/2 {
+		t.Errorf("after the stall: dead queue served %d, live queue %d of %d relays", dead, live, pl.Relayed())
+	}
+	if res.Received == 0 || res.Lost > res.Received/50 {
+		t.Errorf("received %d, lost %d", res.Received, res.Lost)
 	}
 }
 

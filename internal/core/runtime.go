@@ -142,7 +142,6 @@ type Runtime struct {
 	handles     []*AccelHandle
 	services    []*Service
 	clients     []*ClientBinding
-	pipelines   []*Pipeline
 	replicators []*Replicator
 
 	started bool
@@ -161,7 +160,7 @@ type Runtime struct {
 	execFrames []*execFrame
 
 	// inTransit counts requests popped from a reply FIFO but not yet
-	// answered (or relayed into the next pipeline stage): a shutdown can
+	// answered (or relayed into the next stage): a shutdown can
 	// kill the forwarding process inside that window, leaving the request
 	// in neither the pending FIFOs nor the Responded counter. The
 	// conservation finisher counts them as in-flight.
@@ -224,16 +223,9 @@ func NewRuntime(plat Platform) *Runtime {
 		ck.AddFinisher("core.request-conservation", func(fail func(string, ...any)) {
 			var inflight uint64
 			for _, svc := range rt.services {
-				for _, bq := range svc.queues {
-					for _, fifo := range bq.pending {
-						inflight += uint64(len(fifo))
-					}
-				}
-			}
-			for _, pl := range rt.pipelines {
-				for _, stage := range pl.stages {
-					for _, pq := range stage {
-						for _, fifo := range pq.pending {
+				for _, stage := range svc.stages {
+					for _, bq := range stage {
+						for _, fifo := range bq.pending {
 							inflight += uint64(len(fifo))
 						}
 					}
@@ -469,7 +461,15 @@ func (to replyTo) send(sock *netstack.UDPSocket, payload []byte) {
 	sock.SendTo(to.udpFrom, payload)
 }
 
-// boundQueue is one server mqueue attached to a service.
+// addr is the client's address: the dispatch policy's key at every stage.
+func (to replyTo) addr() netstack.Addr {
+	if to.conn != nil {
+		return to.conn.RemoteAddr()
+	}
+	return to.udpFrom
+}
+
+// boundQueue is one server mqueue attached to a service stage.
 type boundQueue struct {
 	q *mqueue.Queue
 	h *AccelHandle
@@ -486,10 +486,16 @@ type Service struct {
 	proto  Proto
 	port   uint16
 	policy Policy
-	queues []*boundQueue
+	// stages[i] holds the parallel queues of stage i: requests enter stage
+	// 0, each earlier stage's output is relayed into the next, and the last
+	// stage's output answers the client. AddService builds one stage,
+	// AddPipeline one per accelerator handle (see pipeline.go).
+	stages [][]*boundQueue
 
 	udpSock *netstack.UDPSocket
 	tcpList *netstack.TCPListener
+
+	relayed uint64 // stage-to-stage messages moved by the SNIC
 
 	// repl, when non-nil, replicates the service's writes to peer
 	// accelerators before their responses are released (see replicate.go).
@@ -501,6 +507,12 @@ type Service struct {
 // AddService exposes `count` mqueues of each given accelerator handle as one
 // network service on port. Queues from all handles form the dispatch set.
 func (rt *Runtime) AddService(proto Proto, port uint16, policy Policy, count int, handles ...*AccelHandle) (*Service, error) {
+	return rt.addService(proto, port, policy, count, handles, false)
+}
+
+// addService claims `count` mqueues of each handle for a frontend on port:
+// all of them one stage, or with perHandle one stage per handle.
+func (rt *Runtime) addService(proto Proto, port uint16, policy Policy, count int, handles []*AccelHandle, perHandle bool) (*Service, error) {
 	if rt.started {
 		return nil, fmt.Errorf("core: cannot add services after Start")
 	}
@@ -521,13 +533,17 @@ func (rt *Runtime) AddService(proto Proto, port uint16, policy Policy, count int
 			return nil, err
 		}
 		claimed = append(claimed, h)
+		if perHandle || len(svc.stages) == 0 {
+			svc.stages = append(svc.stages, nil)
+		}
+		last := len(svc.stages) - 1
 		for _, q := range qs {
-			svc.queues = append(svc.queues, &boundQueue{
+			svc.stages[last] = append(svc.stages[last], &boundQueue{
 				q: q, h: h, pending: make([][]replyTo, q.Config().Slots),
 			})
 		}
 	}
-	if len(svc.queues) == 0 {
+	if len(svc.stages) == 0 || len(svc.stages[0]) == 0 {
 		return nil, fmt.Errorf("core: service on port %d has no mqueues", port)
 	}
 	var err error
@@ -551,16 +567,23 @@ func (s *Service) Port() uint16 { return s.port }
 // Addr returns the service's network address.
 func (s *Service) Addr() netstack.Addr { return s.rt.plat.NetHost.Addr(s.port) }
 
-// pick applies the dispatch policy for a message from the client. Queues the
-// watchdog marked failed are skipped (graceful degradation): the pick rotates
-// forward to the next healthy queue. When every queue is failed the original
-// pick is kept — shedding everything on a (possibly false) watchdog verdict
-// would be worse than trying the ring.
-func (s *Service) pick(from netstack.Addr) int {
-	qi := s.policy.Pick(from, len(s.queues))
-	if s.queues[qi].failed {
-		for off := 1; off < len(s.queues); off++ {
-			if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
+// Relayed reports stage-to-stage messages moved by the SNIC.
+func (s *Service) Relayed() uint64 { return s.relayed }
+
+// Stages reports the number of stages.
+func (s *Service) Stages() int { return len(s.stages) }
+
+// pick applies the dispatch policy to one stage's queues for a message from
+// the client. Queues the watchdog marked failed are skipped (graceful
+// degradation): the pick rotates forward to the next healthy queue. When
+// every queue is failed the original pick is kept — shedding everything on a
+// (possibly false) watchdog verdict would be worse than trying the ring.
+func (s *Service) pick(stage int, from netstack.Addr) int {
+	queues := s.stages[stage]
+	qi := s.policy.Pick(from, len(queues))
+	if queues[qi].failed {
+		for off := 1; off < len(queues); off++ {
+			if alt := (qi + off) % len(queues); !queues[alt].failed {
 				return alt
 			}
 		}
@@ -685,16 +708,14 @@ func (rt *Runtime) Start() error {
 		case UDP:
 			if batch := rt.plat.Params.Batch; !batch.Unit() {
 				// Batched dequeue: each context drains a quantum of ready
-				// datagrams per wakeup, optionally lingering one coalescing
-				// window for stragglers, then dispatches the run through the
+				// datagrams per wakeup, then dispatches the run through the
 				// serialized section once.
 				quantum := batch.EffQuantum()
 				for w := 0; w < rt.plat.Workers; w++ {
 					s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
 						dgs := make([]netstack.Datagram, quantum)
 						var loop func()
-						var gotBatch func(n int)
-						process := func(n int) {
+						gotBatch := func(n int) {
 							now := t.Now()
 							for i := 0; i < n; i++ {
 								id := trace.SpanID(dgs[i].Payload)
@@ -710,23 +731,6 @@ func (rt *Runtime) Start() error {
 								svc.dispatchBatchT(t, dgs[:n], loop)
 							})
 						}
-						gotBatch = func(n int) {
-							if win := batch.CoalesceWindow; win > 0 && n < quantum {
-								t.Sleep(win, func() {
-									for n < quantum {
-										dg, ok := svc.udpSock.TryRecv()
-										if !ok {
-											break
-										}
-										dgs[n] = dg
-										n++
-									}
-									process(n)
-								})
-								return
-							}
-							process(n)
-						}
 						loop = func() {
 							if n, ok := svc.udpSock.RecvBatchT(t, dgs, gotBatch); ok {
 								gotBatch(n)
@@ -738,25 +742,11 @@ func (rt *Runtime) Start() error {
 				continue
 			}
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), rt.newRx(svc, nil, nil).run)
+				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), rt.newRx(svc, nil).run)
 			}
 		case TCP:
 			s.SpawnTask(fmt.Sprintf("lynx/tcp-accept:%d", svc.port),
-				rt.acceptor(svc.tcpList, fmt.Sprintf("lynx/tcp-rx:%d", svc.port), svc, nil))
-		}
-	}
-
-	// Pipeline frontends: the same receive contexts, entering stage 0.
-	for _, pl := range rt.pipelines {
-		pl := pl
-		switch pl.proto {
-		case UDP:
-			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/pipe-rx:%d/%d", pl.port, w), rt.newRx(nil, pl, nil).run)
-			}
-		case TCP:
-			s.SpawnTask(fmt.Sprintf("lynx/pipe-accept:%d", pl.port),
-				rt.acceptor(pl.tcpList, fmt.Sprintf("lynx/pipe-tcp-rx:%d", pl.port), nil, pl))
+				rt.acceptor(svc.tcpList, fmt.Sprintf("lynx/tcp-rx:%d", svc.port), svc))
 		}
 	}
 
@@ -801,27 +791,28 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// sink is what one queue of an accelerator's group feeds: a service, a
-// client binding, a pipeline stage, or a replication peer's ingest ring.
+// sink is what one queue of an accelerator's group feeds: a service stage,
+// a client binding, or a replication peer's ingest ring.
 type sink struct {
-	svc     *Service
-	cb      *ClientBinding
-	bq      *boundQueue
-	pl      *Pipeline
-	plStage int
-	pq      *pipeQueue
-	rp      *replPeer
+	svc   *Service
+	stage int
+	cb    *ClientBinding
+	bq    *boundQueue
+	rp    *replPeer
 }
 
 // sinks maps every queue of h's group to what it feeds.
 func (rt *Runtime) sinks(h *AccelHandle) []sink {
 	sinks := make([]sink, h.group.Len())
 	for _, svc := range rt.services {
-		for _, bq := range svc.queues {
-			if bq.h == h {
+		for si, stage := range svc.stages {
+			for _, bq := range stage {
+				if bq.h != h {
+					continue
+				}
 				for i := 0; i < h.group.Len(); i++ {
 					if h.group.Queue(i) == bq.q {
-						sinks[i] = sink{svc: svc, bq: bq}
+						sinks[i] = sink{svc: svc, stage: si, bq: bq}
 					}
 				}
 			}
@@ -830,20 +821,6 @@ func (rt *Runtime) sinks(h *AccelHandle) []sink {
 	for _, cb := range rt.clients {
 		if cb.bq.h == h {
 			sinks[cb.qi] = sink{cb: cb, bq: cb.bq}
-		}
-	}
-	for _, pl := range rt.pipelines {
-		for si, stage := range pl.stages {
-			for _, pq := range stage {
-				if pq.h != h {
-					continue
-				}
-				for i := 0; i < h.group.Len(); i++ {
-					if h.group.Queue(i) == pq.q {
-						sinks[i] = sink{pl: pl, plStage: si, pq: pq}
-					}
-				}
-			}
 		}
 	}
 	for _, r := range rt.replicators {

@@ -1,6 +1,6 @@
 // The runtime's stages. Start() hosts every process the runtime spawns,
 // except the monitor, on run-to-completion Tasks: the receive contexts of
-// services and pipeline frontends, the TCP accept contexts, the client-mqueue
+// services (pipelines included), the TCP accept contexts, the client-mqueue
 // pumps and retry timers, the replicator pump (replicate.go) and the Remote
 // MQ Manager sweep. Their operation sequence — the order of exec charges,
 // span stamps, tracer emissions, counter updates, and blocking-primitive
@@ -175,19 +175,19 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 		}
 		finish := func(i, qi int, wr rdma.WR, slot int, err error) {
 			if s.admit(t.Now(), qi, slot, err, replyTo{udpFrom: dgs[i].From}, dgs[i].Payload) {
-				preps = append(preps, preparedWR{wr: wr, qp: s.queues[qi].q.QP()})
+				preps = append(preps, preparedWR{wr: wr, qp: s.stages[0][qi].q.QP()})
 			}
 		}
 		prep = func(i int) {
 			for ; i < n; i++ {
 				payload := dgs[i].Payload
-				qi := s.pick(dgs[i].From)
+				qi := s.pick(0, dgs[i].From)
 				id := trace.SpanID(payload)
 				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
 				rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
 				rt.plat.Spans.SetQueue(id, qi)
 				i, qi := i, qi
-				wr, slot, err, inline := s.queues[qi].q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
+				wr, slot, err, inline := s.stages[0][qi].q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
 					finish(i, qi, wr, slot, err)
 					prep(i + 1)
 				})
@@ -202,15 +202,13 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 	})
 }
 
-// rx is one receive context of a service or a pipeline frontend: it takes
-// one message at a time — the next datagram of the shared UDP socket, or
-// the next message of its TCP connection — charges the protocol stack and
-// the dispatcher, and pushes the message into the mqueue its policy picks
-// (a pipeline's stage 0). Only a service's context books spans and events.
+// rx is one receive context of a service: it takes one message at a time —
+// the next datagram of the shared UDP socket, or the next message of its TCP
+// connection — charges the protocol stack and the dispatcher, and pushes the
+// message into the stage-0 mqueue its policy picks.
 type rx struct {
 	rt   *Runtime
-	s    *Service  // the receiving service, or nil
-	pl   *Pipeline // the receiving pipeline, or nil
+	s    *Service
 	t    *sim.Task
 	sock *netstack.UDPSocket
 	conn *netstack.TCPConn // TCP: the context's connection
@@ -219,9 +217,8 @@ type rx struct {
 	msg  []byte // the message being dispatched
 	to   replyTo
 	from netstack.Addr
-	id   uint64     // its span id
-	qi   int        // service: the queue it was steered to
-	pq   *pipeQueue // pipeline: the queue it was steered to
+	id   uint64 // its span id
+	qi   int    // the queue it was steered to
 
 	dgK       func(netstack.Datagram)
 	msgK      func([]byte, sim.Time, error)
@@ -230,15 +227,10 @@ type rx struct {
 	enqueuedK func(slot int, err error)
 }
 
-// newRx binds a receive context for service s or pipeline pl; conn is the
-// TCP connection it serves, nil for UDP.
-func (rt *Runtime) newRx(s *Service, pl *Pipeline, conn *netstack.TCPConn) *rx {
-	r := &rx{rt: rt, s: s, pl: pl, conn: conn}
-	if s != nil {
-		r.sock, r.cost = s.udpSock, rt.stackCost(s.proto)
-	} else {
-		r.sock, r.cost = pl.udpSock, rt.stackCost(pl.proto)
-	}
+// newRx binds a receive context for service s; conn is the TCP connection it
+// serves, nil for UDP.
+func (rt *Runtime) newRx(s *Service, conn *netstack.TCPConn) *rx {
+	r := &rx{rt: rt, s: s, conn: conn, sock: s.udpSock, cost: rt.stackCost(s.proto)}
 	r.dgK, r.msgK, r.chargedK, r.steerK, r.enqueuedK = r.gotDatagram, r.gotMsg, r.charged, r.steer, r.enqueued
 	return r
 }
@@ -251,12 +243,12 @@ func (r *rx) run(t *sim.Task) {
 
 // acceptor returns the body of a TCP frontend's accept task: every
 // connection gets a receive context of its own, a task named name.
-func (rt *Runtime) acceptor(l *netstack.TCPListener, name string, s *Service, pl *Pipeline) func(*sim.Task) {
+func (rt *Runtime) acceptor(l *netstack.TCPListener, name string, s *Service) func(*sim.Task) {
 	return func(t *sim.Task) {
 		var accepted func(*netstack.TCPConn)
 		accepted = func(conn *netstack.TCPConn) {
 			for ok := true; ok; conn, ok = l.AcceptT(t, accepted) {
-				rt.plat.Sim.SpawnTask(name, rt.newRx(s, pl, conn).run)
+				rt.plat.Sim.SpawnTask(name, rt.newRx(s, conn).run)
 			}
 		}
 		if conn, ok := l.AcceptT(t, accepted); ok {
@@ -293,13 +285,11 @@ func (r *rx) gotMsg(msg []byte, enq sim.Time, err error) {
 // arrived stamps the message's arrival and charges the protocol stack.
 func (r *rx) arrived(enq sim.Time) {
 	rt := r.rt
-	if r.s != nil {
-		r.id = trace.SpanID(r.msg)
-		now := r.t.Now()
-		rt.plat.Spans.Stamp(r.id, trace.StageSnicRecv, now)
-		if enq > 0 {
-			rt.plat.Spans.AddWait(r.id, trace.PhaseNetwork, now.Sub(enq))
-		}
+	r.id = trace.SpanID(r.msg)
+	now := r.t.Now()
+	rt.plat.Spans.Stamp(r.id, trace.StageSnicRecv, now)
+	if enq > 0 {
+		rt.plat.Spans.AddWait(r.id, trace.PhaseNetwork, now.Sub(enq))
 	}
 	rt.execT(r.t, r.cost, r.chargedK)
 }
@@ -307,60 +297,51 @@ func (r *rx) arrived(enq sim.Time) {
 // charged starts the dispatch: the dispatcher's own cost.
 func (r *rx) charged(qw time.Duration) {
 	rt := r.rt
-	if r.s != nil {
-		rt.plat.Spans.AddWait(r.id, trace.PhaseSNIC, qw)
-		rt.plat.Tracer.Emit(r.t.Now(), trace.Recv, uint64(len(r.msg)), uint64(r.s.port))
-	}
+	rt.plat.Spans.AddWait(r.id, trace.PhaseSNIC, qw)
+	rt.plat.Tracer.Emit(r.t.Now(), trace.Recv, uint64(len(r.msg)), uint64(r.s.port))
 	rt.execT(r.t, rt.plat.Params.DispatchCost, r.steerK)
 }
 
 // steer picks the queue and pushes the message into it.
 func (r *rx) steer(qw time.Duration) {
-	if r.pl != nil {
-		r.pq = r.pl.pick(0)
-		r.pq.q.PushT(r.t, r.msg, 0, r.enqueuedK)
-		return
-	}
 	s, sp := r.s, r.rt.plat.Spans
-	r.qi = s.pick(r.from)
+	r.qi = s.pick(0, r.from)
 	sp.AddWait(r.id, trace.PhaseSNIC, qw)
 	sp.Stamp(r.id, trace.StageDispatch, r.t.Now())
 	sp.SetQueue(r.id, r.qi)
-	s.queues[r.qi].q.PushT(r.t, r.msg, 0, r.enqueuedK)
+	s.stages[0][r.qi].q.PushT(r.t, r.msg, 0, r.enqueuedK)
 }
 
 // enqueued records the push's outcome, then takes the next message.
 func (r *rx) enqueued(slot int, err error) {
 	now := r.t.Now()
-	switch {
-	case r.pl != nil && err != nil:
-		r.rt.drop(now, DropOverflow, 0)
-	case r.pl != nil:
-		r.pq.pending[slot] = append(r.pq.pending[slot], r.to)
-		r.rt.stats.Received++
-	default:
-		if err == nil {
-			// Fallback for queues without their own span table (first write
-			// wins: a queue armed with cfg.Spans stamped at write delivery).
-			r.rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
-		}
-		r.s.admit(now, r.qi, slot, err, r.to, r.msg)
+	if err == nil {
+		// Fallback for queues without their own span table (first write
+		// wins: a queue armed with cfg.Spans stamped at write delivery).
+		r.rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
 	}
+	r.s.admit(now, r.qi, slot, err, r.to, r.msg)
 	r.loop()
 }
 
-// admit books the outcome of pushing a client message into queue qi: its
-// reply destination and the dispatch, or the drop. It reports whether the
-// message was accepted.
+// refused books a message the push into queue qi of a stage refused: the
+// drop, stalled when the watchdog had failed the queue, and its span.
+func (s *Service) refused(now sim.Time, stage, qi int, payload []byte) {
+	cause := DropOverflow
+	if s.stages[stage][qi].failed {
+		cause = DropStalled
+	}
+	s.rt.drop(now, cause, uint64(qi))
+	s.rt.plat.Spans.Close(trace.SpanID(payload), trace.SpanDropped, now)
+}
+
+// admit books the outcome of pushing a client message into stage-0 queue qi:
+// its reply destination and the dispatch, or the drop. It reports whether
+// the message was accepted.
 func (s *Service) admit(now sim.Time, qi, slot int, err error, to replyTo, payload []byte) bool {
-	rt, bq := s.rt, s.queues[qi]
+	rt, bq := s.rt, s.stages[0][qi]
 	if err != nil {
-		cause := DropOverflow
-		if bq.failed {
-			cause = DropStalled
-		}
-		rt.drop(now, cause, uint64(qi))
-		rt.plat.Spans.Close(trace.SpanID(payload), trace.SpanDropped, now)
+		s.refused(now, 0, qi, payload)
 		return false
 	}
 	bq.pending[slot] = append(bq.pending[slot], to)
@@ -383,10 +364,10 @@ type qhealth struct {
 // header of the accelerator's group with one RDMA READ, then visits the
 // context's partition of the queues: drain the TX ring, forward each
 // response to the queue's sink, commit, run the watchdog. A pass that
-// forwarded nothing parks on the group's activity gate. A drained response
-// goes where its queue's sink says: back to the client (respond, or
-// respondBatch under batching), to a backend (forwardOut), into the next
-// pipeline stage (advance), or to the replicator as a peer ack.
+// forwarded nothing parks on the group's activity gate. A drained run goes
+// where its queue's sink says: a last stage's back to the clients (respond),
+// an earlier stage's into the next stage (relay), a client queue's to its
+// backend (forwardOut), or a peer ingest ring's to the replicator as acks.
 type mqManager struct {
 	rt            *Runtime
 	h             *AccelHandle
@@ -397,7 +378,7 @@ type mqManager struct {
 	gate          *sim.Gate
 	wd            time.Duration
 	txBuf         []mqueue.TxMsg // drain buffer: the CQ-drain budget of slots
-	batched       bool           // service runs are answered as a batch
+	tos           []replyTo      // respond: the run's reply destinations
 
 	v       uint64         // activity-gate version the pass started from
 	drained bool           // the pass forwarded something
@@ -405,15 +386,13 @@ type mqManager struct {
 	msgs    []mqueue.TxMsg // messages drained from it
 	j       int            // the one being forwarded
 	to      replyTo        // its reply destination
-	qw      time.Duration  // its queueing wait so far
-	relayTo *pipeQueue     // its pipeline relay target
+	qw      time.Duration  // the run's queueing wait so far
+	relayQi int            // relay: the next stage's queue it picked
 
 	sweepK, refreshedK, committedK, pollK          func()
 	wokeK                                          func(fired bool)
 	poppedK                                        func(n int)
-	respServedK, respSentK, batchServedK           func(time.Duration)
-	batchSentK, outServedK, outSentK, relayServedK func(time.Duration)
-	lastServedK, lastSentK                         func(time.Duration)
+	servedK, sentK, outServedK, outSentK, relayedK func(time.Duration)
 	outReportedK, relayPushedK                     func(slot int, err error)
 }
 
@@ -427,16 +406,13 @@ func (rt *Runtime) newMQManager(t *sim.Task, h *AccelHandle, sinks []sink, first
 		m.health[i].last = t.Now()
 	}
 	// TX drain: each ring visit pulls up to the CQ-drain budget of responses
-	// in one spanning READ (one slot when unbatched); with batching
-	// configured, service responses are forwarded as a batch.
-	batch := rt.plat.Params.Batch
-	m.txBuf = make([]mqueue.TxMsg, batch.EffCQDrain())
-	m.batched = !batch.Unit()
+	// in one spanning READ (one slot when unbatched), and a last stage
+	// answers the run as one batch.
+	n := rt.plat.Params.Batch.EffCQDrain()
+	m.txBuf, m.tos = make([]mqueue.TxMsg, n), make([]replyTo, 0, n)
 	m.sweepK, m.refreshedK, m.committedK, m.pollK = m.sweep, m.refreshed, m.committed, m.poll
 	m.wokeK, m.poppedK = m.woke, m.popped
-	m.respServedK, m.respSentK, m.batchServedK = m.respServed, m.respSent, m.batchServed
-	m.batchSentK, m.outServedK, m.outSentK, m.relayServedK = m.batchSent, m.outServed, m.outSent, m.relayServed
-	m.lastServedK, m.lastSentK = m.lastServed, m.lastSent
+	m.servedK, m.sentK, m.outServedK, m.outSentK, m.relayedK = m.served, m.sent, m.outServed, m.outSent, m.relayed
 	m.outReportedK, m.relayPushedK = m.outReported, m.relayPushed
 	return m
 }
@@ -481,8 +457,8 @@ func (m *mqManager) popped(n int) {
 func (m *mqManager) forwardRun(msgs []mqueue.TxMsg) {
 	m.drained = true
 	m.msgs, m.j = msgs, 0
-	if sk := &m.sinks[m.i]; sk.svc != nil && m.batched {
-		m.respondBatch(sk)
+	if sk := &m.sinks[m.i]; sk.svc != nil && sk.stage == len(sk.svc.stages)-1 {
+		m.respond()
 		return
 	}
 	m.forward()
@@ -493,11 +469,9 @@ func (m *mqManager) forward() {
 	sk, msg := &m.sinks[m.i], &m.msgs[m.j]
 	switch {
 	case sk.svc != nil:
-		m.respond(msg)
+		m.relay(sk, msg)
 	case sk.cb != nil:
 		m.forwardOut(sk.cb, msg)
-	case sk.pl != nil:
-		m.advance(sk, msg)
 	case sk.rp != nil:
 		sk.rp.r.onAck(sk.rp, msg.Payload)
 		m.next()
@@ -516,24 +490,37 @@ func (m *mqManager) next() {
 	m.drain()
 }
 
-// respond routes one TX message of a server queue back to its client.
-func (m *mqManager) respond(msg *mqueue.TxMsg) {
+// respond answers a last stage's run: one ForwardCost charge over the run,
+// then one protocol-stack charge over the responses sent now. Unbatched, a
+// run is one message and both charges are execT's.
+func (m *mqManager) respond() {
 	rt, now := m.rt, m.t.Now()
-	rt.plat.Tracer.Emit(now, trace.Drain, uint64(msg.Slot), uint64(msg.Corr))
-	rt.plat.Spans.Stamp(trace.SpanID(msg.Payload), trace.StageDrain, now)
-	rt.execT(m.t, rt.plat.Params.ForwardCost, m.respServedK)
+	for i := range m.msgs {
+		rt.plat.Tracer.Emit(now, trace.Drain, uint64(m.msgs[i].Slot), uint64(m.msgs[i].Corr))
+		rt.plat.Spans.Stamp(trace.SpanID(m.msgs[i].Payload), trace.StageDrain, now)
+	}
+	rt.execBatchT(m.t, rt.plat.Params.ForwardCost, len(m.msgs), m.servedK)
 }
 
-func (m *mqManager) respServed(qw time.Duration) {
-	sk := &m.sinks[m.i]
-	to, ok := m.replyFor(sk, &m.msgs[m.j])
-	if !ok {
-		m.next()
+// served takes the run's reply destinations, keeping the responses to send
+// now at the front of the run.
+func (m *mqManager) served(qw time.Duration) {
+	sk, k := &m.sinks[m.i], 0
+	m.tos = m.tos[:0]
+	for i := range m.msgs {
+		if to, ok := m.replyFor(sk, &m.msgs[i]); ok {
+			m.msgs[k] = m.msgs[i]
+			m.tos = append(m.tos, to)
+			k++
+		}
+	}
+	if k == 0 {
+		m.drain()
 		return
 	}
-	m.rt.inTransit++
-	m.to, m.qw = to, qw
-	m.rt.execT(m.t, m.rt.stackCost(sk.svc.proto), m.respSentK)
+	m.msgs, m.qw = m.msgs[:k], qw
+	m.rt.inTransit += uint64(k)
+	m.rt.execBatchT(m.t, m.rt.stackCost(sk.svc.proto), k, m.sentK)
 }
 
 // replyFor takes the reply destination of a server queue's response; false
@@ -541,49 +528,28 @@ func (m *mqManager) respServed(qw time.Duration) {
 // reported and dropped), or the replicator parked it for peer acks and its
 // pump finishes the forward.
 func (m *mqManager) replyFor(sk *sink, msg *mqueue.TxMsg) (replyTo, bool) {
+	to, ok := m.takeReply(sk, msg)
+	return to, ok && (sk.svc.repl == nil || !sk.svc.repl.onResponse(to, msg.Payload))
+}
+
+// takeReply takes the reply destination of a stage's output; an output that
+// answers no request is an app bug, reported and dropped.
+func (m *mqManager) takeReply(sk *sink, msg *mqueue.TxMsg) (replyTo, bool) {
 	to, ok := popReply(sk.bq.pending, msg.Corr)
 	if !ok {
 		m.rt.plat.Check.Failf("core.orphan-response",
-			"service port %d: TX message for slot %d has no pending request", sk.svc.port, msg.Corr)
-		return to, false
+			"service port %d stage %d: TX message for slot %d has no pending request", sk.svc.port, sk.stage, msg.Corr)
 	}
-	return to, sk.svc.repl == nil || !sk.svc.repl.onResponse(to, msg.Payload)
+	return to, ok
 }
 
-func (m *mqManager) respSent(qw time.Duration) {
-	msg := &m.msgs[m.j]
-	m.to.send(m.sinks[m.i].svc.udpSock, msg.Payload)
-	m.rt.inTransit--
-	m.rt.responded(m.t.Now(), msg.Payload, m.qw+qw)
-	m.next()
-}
-
-// respondBatch routes the run's responses through the serialized section
-// once for the whole run (per-message sequencing — FIFO pop, send, stamps —
-// is unchanged).
-func (m *mqManager) respondBatch(sk *sink) {
-	rt, now := m.rt, m.t.Now()
-	for i := range m.msgs {
-		rt.plat.Tracer.Emit(now, trace.Drain, uint64(m.msgs[i].Slot), uint64(m.msgs[i].Corr))
-		rt.plat.Spans.Stamp(trace.SpanID(m.msgs[i].Payload), trace.StageDrain, now)
-	}
-	rt.execBatchT(m.t, rt.plat.Params.ForwardCost, len(m.msgs), m.batchServedK)
-}
-
-func (m *mqManager) batchServed(qw time.Duration) {
-	m.qw = qw
-	m.rt.execBatchT(m.t, m.rt.stackCost(m.sinks[m.i].svc.proto), len(m.msgs), m.batchSentK)
-}
-
-func (m *mqManager) batchSent(qw time.Duration) {
-	sk, now := &m.sinks[m.i], m.t.Now()
+func (m *mqManager) sent(qw time.Duration) {
+	sock, now, k := m.sinks[m.i].svc.udpSock, m.t.Now(), len(m.msgs)
 	qw += m.qw
 	for i := range m.msgs {
-		msg := &m.msgs[i]
-		if to, ok := m.replyFor(sk, msg); ok {
-			to.send(sk.svc.udpSock, msg.Payload)
-			m.rt.responded(now, msg.Payload, shareWait(qw, len(m.msgs), i))
-		}
+		m.tos[i].send(sock, m.msgs[i].Payload)
+		m.rt.inTransit--
+		m.rt.responded(now, m.msgs[i].Payload, shareWait(qw, k, i))
 	}
 	m.drain()
 }
@@ -628,54 +594,35 @@ func (m *mqManager) outSent(time.Duration) {
 
 func (m *mqManager) outReported(int, error) { m.next() }
 
-// advance handles a pipeline stage's output: relay it into the next stage
-// or, after the last stage, answer the client.
-func (m *mqManager) advance(sk *sink, msg *mqueue.TxMsg) {
-	rt := m.rt
-	to, ok := popReply(sk.pq.pending, msg.Corr)
+// relay moves an earlier stage's output into the next stage: one dispatch
+// cost, no network stack.
+func (m *mqManager) relay(sk *sink, msg *mqueue.TxMsg) {
+	to, ok := m.takeReply(sk, msg)
 	if !ok {
-		// Output without a matching input; drop.
-		rt.plat.Check.Failf("core.orphan-response",
-			"pipeline port %d stage %d: TX message for slot %d has no pending request",
-			sk.pl.port, sk.plStage, msg.Corr)
 		m.next()
 		return
 	}
 	m.to = to
-	rt.inTransit++
-	if sk.plStage+1 < len(sk.pl.stages) {
-		// Stage-to-stage relay: one dispatch cost, no network stack.
-		rt.execT(m.t, rt.plat.Params.DispatchCost, m.relayServedK)
-		return
-	}
-	rt.execT(m.t, rt.plat.Params.ForwardCost, m.lastServedK)
+	m.rt.inTransit++
+	m.rt.execT(m.t, m.rt.plat.Params.DispatchCost, m.relayedK)
 }
 
-func (m *mqManager) relayServed(time.Duration) {
-	pl, stage := m.sinks[m.i].pl, m.sinks[m.i].plStage+1
-	pl.relayed++
+func (m *mqManager) relayed(time.Duration) {
+	svc, stage := m.sinks[m.i].svc, m.sinks[m.i].stage+1
+	svc.relayed++
 	m.rt.plat.Tracer.Emit(m.t.Now(), trace.Relay, uint64(stage), 0)
-	m.relayTo = pl.pick(stage)
-	m.relayTo.q.PushT(m.t, m.msgs[m.j].Payload, 0, m.relayPushedK)
+	m.relayQi = svc.pick(stage, m.to.addr())
+	svc.stages[stage][m.relayQi].q.PushT(m.t, m.msgs[m.j].Payload, 0, m.relayPushedK)
 }
 
 func (m *mqManager) relayPushed(slot int, err error) {
+	svc, stage := m.sinks[m.i].svc, m.sinks[m.i].stage+1
 	if err != nil {
-		m.rt.drop(m.t.Now(), DropOverflow, uint64(m.sinks[m.i].plStage+1))
+		svc.refused(m.t.Now(), stage, m.relayQi, m.msgs[m.j].Payload)
 	} else {
-		m.relayTo.pending[slot] = append(m.relayTo.pending[slot], m.to)
+		bq := svc.stages[stage][m.relayQi]
+		bq.pending[slot] = append(bq.pending[slot], m.to)
 	}
-	m.rt.inTransit--
-	m.next()
-}
-
-func (m *mqManager) lastServed(time.Duration) {
-	m.rt.execT(m.t, m.rt.stackCost(m.sinks[m.i].pl.proto), m.lastSentK)
-}
-
-func (m *mqManager) lastSent(time.Duration) {
-	m.to.send(m.sinks[m.i].pl.udpSock, m.msgs[m.j].Payload)
-	m.rt.stats.Responded++
 	m.rt.inTransit--
 	m.next()
 }

@@ -128,7 +128,7 @@ func batchDesc(b model.BatchConfig) string {
 	if b.Unit() {
 		return "unit"
 	}
-	return fmt.Sprintf("db%d-cq%d-q%d-cw%s", b.EffDoorbell(), b.EffCQDrain(), b.EffQuantum(), b.CoalesceWindow)
+	return fmt.Sprintf("db%d-cq%d-q%d", b.EffDoorbell(), b.EffCQDrain(), b.EffQuantum())
 }
 
 // BuildSentinelArtifact measures one full sentinel baseline: the attribution

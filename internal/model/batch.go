@@ -1,17 +1,13 @@
 package model
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // BatchConfig tunes end-to-end hot-path batching: how many RDMA work
 // requests share one doorbell, how many completions (and TX-ring messages)
 // one wakeup may drain, how many ready messages the dispatcher processes per
-// scheduling quantum, and how long an under-filled quantum may wait for
-// stragglers. It is the one knob set threaded through every layer — the
-// public lynx.WithBatching option, experiments.Config and the lynxbench/
-// lynxd -batch* flags all carry this struct.
+// scheduling quantum. It is the one knob set threaded through every layer —
+// the public lynx.WithBatching option, experiments.Config and the lynxbench/
+// lynxd -batch flag all carry this struct.
 //
 // The zero value means batch size 1 everywhere: exactly the per-message
 // behavior of an unconfigured runtime, so existing callers are untouched.
@@ -32,48 +28,27 @@ type BatchConfig struct {
 	// messages one dispatcher context processes per pass through the
 	// serialized stack section. 0 means 1 (one dequeue per pass).
 	Quantum int
-	// CoalesceWindow is how long an under-filled dispatcher quantum may wait
-	// for further arrivals before dispatching what it has. 0 (the default)
-	// never waits — batching then only coalesces bursts that are already
-	// queued, which is latency-neutral.
-	CoalesceWindow time.Duration
 }
 
 // DefaultBatchConfig returns the tuned batching configuration used by the
 // -exp batch sweep's "batched" rows: 8 WQEs per doorbell, a 16-message
-// CQ/TX drain budget, a dispatcher quantum of 8, and no coalescing delay.
+// CQ/TX drain budget and a dispatcher quantum of 8.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{Doorbell: 8, CQDrain: 16, Quantum: 8}
 }
 
-// BatchConfigFromFlags assembles a BatchConfig from the unified CLI knobs
-// shared by lynxbench and lynxd: -batch (doorbell group size, the master
-// knob), -batch-cq (completion/TX drain budget) and -batch-quantum
-// (dispatcher quantum). All-zero flags mean "unbatched" (the zero value);
-// otherwise unset knobs follow -batch so `-batch 8` alone batches every
-// layer by 8. Invalid (negative) knobs return the Validate error.
-func BatchConfigFromFlags(doorbell, cqDrain, quantum int) (BatchConfig, error) {
-	if doorbell == 0 && cqDrain == 0 && quantum == 0 {
-		return BatchConfig{}, nil
-	}
-	master := doorbell
-	if master == 0 {
-		master = 1
-	}
-	bc := BatchConfig{Doorbell: master, CQDrain: cqDrain, Quantum: quantum}
-	if bc.CQDrain == 0 {
-		bc.CQDrain = master
-	}
-	if bc.Quantum == 0 {
-		bc.Quantum = master
-	}
+// BatchConfigFromFlags assembles a BatchConfig from the -batch flag shared
+// by lynxbench and lynxd: 0 means "unbatched" (the zero value), and N
+// batches every layer by N. A negative N returns the Validate error.
+func BatchConfigFromFlags(n int) (BatchConfig, error) {
+	bc := BatchConfig{Doorbell: n, CQDrain: n, Quantum: n}
 	return bc, bc.Validate()
 }
 
 // Validate checks the configuration. The zero value is valid (unit
 // batching); any other configuration must set all three batch sizes to at
-// least 1 and a non-negative coalescing window — zero or negative budgets in
-// a non-zero config are configuration bugs, not requests for "no batching".
+// least 1 — zero or negative budgets in a non-zero config are configuration
+// bugs, not requests for "no batching".
 func (b BatchConfig) Validate() error {
 	if b == (BatchConfig{}) {
 		return nil
@@ -87,19 +62,15 @@ func (b BatchConfig) Validate() error {
 	if b.Quantum < 1 {
 		return fmt.Errorf("model: batch dispatcher quantum %d: must be at least 1", b.Quantum)
 	}
-	if b.CoalesceWindow < 0 {
-		return fmt.Errorf("model: batch coalesce window %v: must not be negative", b.CoalesceWindow)
-	}
 	return nil
 }
 
 // Unit reports whether the configuration batches nothing: every effective
-// batch size is 1 and no coalescing window is set. The runtime takes the
-// exact legacy per-message code paths for unit configurations, which is what
-// makes "batch size 1 ≡ unbatched" hold byte-for-byte.
+// batch size is 1. The runtime takes the exact legacy per-message receive
+// path for unit configurations, which is what makes "batch size 1 ≡
+// unbatched" hold byte-for-byte.
 func (b BatchConfig) Unit() bool {
-	return b.EffDoorbell() == 1 && b.EffCQDrain() == 1 && b.EffQuantum() == 1 &&
-		b.CoalesceWindow <= 0
+	return b.EffDoorbell() == 1 && b.EffCQDrain() == 1 && b.EffQuantum() == 1
 }
 
 // EffDoorbell returns the effective doorbell group size (>= 1).

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestBatchConfigZeroValue(t *testing.T) {
 	var bc BatchConfig
@@ -31,8 +28,6 @@ func TestBatchConfigValidation(t *testing.T) {
 		{"negative doorbell", BatchConfig{Doorbell: -1, CQDrain: 1, Quantum: 1}, false},
 		{"zero cq drain", BatchConfig{Doorbell: 8, Quantum: 8}, false},
 		{"zero quantum", BatchConfig{Doorbell: 8, CQDrain: 16}, false},
-		{"negative window", BatchConfig{Doorbell: 1, CQDrain: 1, Quantum: 1, CoalesceWindow: -time.Microsecond}, false},
-		{"window only", BatchConfig{CoalesceWindow: time.Microsecond}, false},
 	}
 	for _, c := range cases {
 		if err := c.bc.Validate(); (err == nil) != c.ok {
@@ -42,55 +37,49 @@ func TestBatchConfigValidation(t *testing.T) {
 }
 
 func TestBatchConfigFromFlags(t *testing.T) {
-	if bc, err := BatchConfigFromFlags(0, 0, 0); err != nil || bc != (BatchConfig{}) {
-		t.Fatalf("all-zero flags = %+v, %v; want zero value", bc, err)
+	if bc, err := BatchConfigFromFlags(0); err != nil || bc != (BatchConfig{}) {
+		t.Fatalf("-batch 0 = %+v, %v; want zero value", bc, err)
 	}
-	if bc, err := BatchConfigFromFlags(8, 0, 0); err != nil || bc != (BatchConfig{Doorbell: 8, CQDrain: 8, Quantum: 8}) {
+	if bc, err := BatchConfigFromFlags(8); err != nil || bc != (BatchConfig{Doorbell: 8, CQDrain: 8, Quantum: 8}) {
 		t.Fatalf("-batch 8 = %+v, %v; want 8/8/8", bc, err)
 	}
-	if bc, err := BatchConfigFromFlags(4, 16, 2); err != nil || bc != (BatchConfig{Doorbell: 4, CQDrain: 16, Quantum: 2}) {
-		t.Fatalf("explicit knobs = %+v, %v", bc, err)
+	if bc, err := BatchConfigFromFlags(1); err != nil || !bc.Unit() {
+		t.Fatalf("-batch 1 = %+v, %v; want a unit config", bc, err)
 	}
-	if bc, err := BatchConfigFromFlags(0, 16, 0); err != nil || bc != (BatchConfig{Doorbell: 1, CQDrain: 16, Quantum: 1}) {
-		t.Fatalf("-batch-cq alone = %+v, %v; want 1/16/1", bc, err)
-	}
-	if _, err := BatchConfigFromFlags(-3, 0, 0); err == nil {
+	if _, err := BatchConfigFromFlags(-3); err == nil {
 		t.Fatal("negative -batch must error")
-	}
-	if _, err := BatchConfigFromFlags(8, -1, 0); err == nil {
-		t.Fatal("negative -batch-cq must error")
 	}
 }
 
 // FuzzBatchConfig checks the configuration invariants over arbitrary knob
 // values: Validate accepts exactly the zero value and all-positive configs;
 // whenever Validate accepts, the effective sizes are at least 1; and Unit()
-// agrees with "every effective size is 1 and no window".
+// agrees with "every effective size is 1".
 func FuzzBatchConfig(f *testing.F) {
-	f.Add(0, 0, 0, int64(0))
-	f.Add(1, 1, 1, int64(0))
-	f.Add(8, 16, 8, int64(0))
-	f.Add(-1, 4, 4, int64(-5))
-	f.Add(1, 1, 1, int64(time.Microsecond))
-	f.Fuzz(func(t *testing.T, db, cq, quantum int, window int64) {
-		bc := BatchConfig{Doorbell: db, CQDrain: cq, Quantum: quantum, CoalesceWindow: time.Duration(window)}
+	f.Add(0, 0, 0)
+	f.Add(1, 1, 1)
+	f.Add(8, 16, 8)
+	f.Add(-1, 4, 4)
+	f.Add(0, 16, 8)
+	f.Fuzz(func(t *testing.T, db, cq, quantum int) {
+		bc := BatchConfig{Doorbell: db, CQDrain: cq, Quantum: quantum}
 		err := bc.Validate()
-		wantOK := bc == (BatchConfig{}) || (db >= 1 && cq >= 1 && quantum >= 1 && window >= 0)
+		wantOK := bc == (BatchConfig{}) || (db >= 1 && cq >= 1 && quantum >= 1)
 		if (err == nil) != wantOK {
 			t.Fatalf("Validate(%+v) = %v, want ok=%v", bc, err, wantOK)
 		}
 		if bc.EffDoorbell() < 1 || bc.EffCQDrain() < 1 || bc.EffQuantum() < 1 {
 			t.Fatalf("effective sizes below 1: %d/%d/%d", bc.EffDoorbell(), bc.EffCQDrain(), bc.EffQuantum())
 		}
-		unit := bc.EffDoorbell() == 1 && bc.EffCQDrain() == 1 && bc.EffQuantum() == 1 && bc.CoalesceWindow <= 0
+		unit := bc.EffDoorbell() == 1 && bc.EffCQDrain() == 1 && bc.EffQuantum() == 1
 		if bc.Unit() != unit {
 			t.Fatalf("Unit(%+v) = %v, want %v", bc, bc.Unit(), unit)
 		}
 		// Flag assembly must never produce a config Validate rejects, except
-		// when the raw knobs were themselves invalid.
-		if fbc, ferr := BatchConfigFromFlags(db, cq, quantum); ferr == nil {
+		// when the raw knob was itself invalid.
+		if fbc, ferr := BatchConfigFromFlags(db); ferr == nil {
 			if verr := fbc.Validate(); verr != nil {
-				t.Fatalf("BatchConfigFromFlags(%d,%d,%d) built invalid config %+v: %v", db, cq, quantum, fbc, verr)
+				t.Fatalf("BatchConfigFromFlags(%d) built invalid config %+v: %v", db, fbc, verr)
 			}
 		}
 	})

@@ -63,9 +63,6 @@ type (
 	Service = core.Service
 	// ClientBinding is a client mqueue bound to a backend.
 	ClientBinding = core.ClientBinding
-	// Pipeline is a multi-accelerator composition: requests traverse a
-	// chain of accelerator stages with the SNIC relaying between them.
-	Pipeline = core.Pipeline
 	// Queue is the accelerator-side mqueue handle (the lightweight I/O
 	// library accelerator code uses).
 	Queue = mqueue.AccelQueue
@@ -116,7 +113,7 @@ type (
 	// with (*Cluster).Profile for advanced wiring.
 	ClusterProfile = profile.Profile
 	// BatchConfig tunes end-to-end hot-path batching (doorbell coalescing,
-	// CQ drain budget, dispatcher quantum, coalescing window); install it
+	// CQ drain budget, dispatcher quantum); install it
 	// with WithBatching. The zero value batches nothing: batch size 1
 	// everywhere, byte-identical to a cluster built without the option.
 	BatchConfig = model.BatchConfig
@@ -242,7 +239,7 @@ func WithProfile() Option {
 }
 
 // DefaultBatchConfig returns the tuned batching configuration (8 WQEs per
-// doorbell, CQ drain budget 16, dispatcher quantum 8, no coalescing delay) —
+// doorbell, CQ drain budget 16, dispatcher quantum 8) —
 // the configuration the -exp batch knee sweep reports as "batched".
 func DefaultBatchConfig() BatchConfig { return model.DefaultBatchConfig() }
 
@@ -256,7 +253,7 @@ func DefaultBatchConfig() BatchConfig { return model.DefaultBatchConfig() }
 // {Doorbell: 1, CQDrain: 1, Quantum: 1} — leaves the runtime on its exact
 // per-message code paths, byte-identical to a cluster built without this
 // option. Invalid configurations (zero or negative budgets alongside set
-// fields, negative coalescing window) make NewCluster panic; validate ahead
+// fields) make NewCluster panic; validate ahead
 // of time with BatchConfig.Validate when the values come from user input.
 func WithBatching(bc BatchConfig) Option {
 	return func(c *clusterConfig) { c.batch = bc }

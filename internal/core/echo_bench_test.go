@@ -99,14 +99,15 @@ func (r *echoRig) request(tb testing.TB) {
 // echoCeilings bounds the objects one warm echo request may allocate, per
 // client protocol. UDP allocates only the copies their receivers keep: the
 // client's and the runtime's datagram payloads, the accelerator's received
-// message and the drained response. TCP keeps the same two payload copies,
-// and each direction's send also allocates its delivery callback.
+// message and the drained response. TCP allocates the same four: its
+// segments ride pooled wire records, as datagrams do, so a send allocates
+// only the payload copy its receiver keeps.
 var echoCeilings = []struct {
 	proto   core.Proto
 	ceiling float64
 }{
 	{core.UDP, 6},
-	{core.TCP, 6},
+	{core.TCP, 4},
 }
 
 // BenchmarkEchoRequest is the core layer's benchmark: one warm echo request,

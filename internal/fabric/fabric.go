@@ -64,14 +64,16 @@ func (l *Link) other(n Node) Node {
 // Fabric is a PCIe topology.
 type Fabric struct {
 	nodes map[string]Node
-	paths map[[2]string][]*Link // route cache
+	// paths caches routes by source, then destination device. Keying by
+	// pointer keeps the lookup, a few per RDMA operation, off string hashing.
+	paths map[*Device]map[*Device][]*Link
 }
 
 // New creates an empty fabric.
 func New() *Fabric {
 	return &Fabric{
 		nodes: make(map[string]Node),
-		paths: make(map[[2]string][]*Link),
+		paths: make(map[*Device]map[*Device][]*Link),
 	}
 }
 
@@ -113,13 +115,17 @@ func (f *Fabric) Connect(a, b Node, latency time.Duration, bandwidth float64) {
 	l := &Link{a: a, b: b, latency: latency, bandwidth: bandwidth}
 	a.addEdge(l)
 	b.addEdge(l)
-	f.paths = make(map[[2]string][]*Link) // invalidate route cache
+	clear(f.paths) // invalidate route cache
 }
 
-// route finds the link path between two nodes with BFS, cached.
-func (f *Fabric) route(from, to Node) []*Link {
-	key := [2]string{from.nodeName(), to.nodeName()}
-	if p, ok := f.paths[key]; ok {
+// route finds the link path between two devices with BFS, cached.
+func (f *Fabric) route(from, to *Device) []*Link {
+	byDst, ok := f.paths[from]
+	if !ok {
+		byDst = make(map[*Device][]*Link)
+		f.paths[from] = byDst
+	}
+	if p, ok := byDst[to]; ok {
 		return p
 	}
 	type hop struct {
@@ -154,7 +160,7 @@ func (f *Fabric) route(from, to Node) []*Link {
 	for h := found; h.via != nil; h = h.prev {
 		path = append([]*Link{h.via}, path...)
 	}
-	f.paths[key] = path
+	byDst[to] = path
 	return path
 }
 

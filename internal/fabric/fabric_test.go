@@ -72,3 +72,16 @@ func TestDuplicateNodePanics(t *testing.T) {
 	}()
 	f.AddSwitch("x")
 }
+
+// Connect invalidates cached routes: a shortcut added after a lookup is
+// taken by the next one.
+func TestConnectInvalidatesRoutes(t *testing.T) {
+	f, nic, gpu, _ := buildBluefieldTopo()
+	if d := f.Distance(nic, gpu); d != 3 {
+		t.Fatalf("nic->gpu hops = %d, want 3", d)
+	}
+	f.Connect(nic, gpu, 100*time.Nanosecond, 62e9)
+	if d := f.Distance(nic, gpu); d != 1 {
+		t.Fatalf("nic->gpu hops after a direct link = %d, want 1", d)
+	}
+}

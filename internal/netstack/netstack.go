@@ -85,7 +85,8 @@ type Network struct {
 	udpRxqDropped  uint64
 	udpUnreachable uint64
 
-	flights []*flight // free list of UDP wire records
+	flights []*flight  // free list of UDP wire records
+	segs    []*segment // free list of TCP wire records
 }
 
 // New creates an empty network using the wire constants in params.
@@ -202,7 +203,9 @@ func (n *Network) RTT(size int) time.Duration {
 // transmit schedules delivery of one message of the given payload size from
 // src to dst, contending on src's uplink and dst's downlink. Payloads beyond
 // the MTU fragment: every fragment pays headers and switch processing, and
-// the message arrives when its last fragment does.
+// the message arrives when its last fragment does. A nil deliver only books
+// the links: the message occupies the wire, and its arrival schedules no
+// event (a TCP ACK, which nothing waits for).
 func (n *Network) transmit(src, dst *Host, payload, overhead int, deliver func()) {
 	n.transmitDelayed(src, dst, payload, overhead, 0, deliver)
 }
@@ -216,8 +219,9 @@ func (n *Network) transmitDelayed(src, dst *Host, payload, overhead int, extra t
 	upDone := src.up.reserve(now, bytes)
 	atSwitch := upDone.Add(n.params.WirePropagation + time.Duration(frags)*n.params.SwitchLatency)
 	downDone := dst.down.reserve(atSwitch, bytes)
-	arrival := downDone.Add(n.params.WirePropagation + extra)
-	n.sim.At(arrival, deliver)
+	if deliver != nil {
+		n.sim.At(downDone.Add(n.params.WirePropagation+extra), deliver)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +392,8 @@ type TCPListener struct {
 
 // TCPConn is one side of an established connection carrying framed messages
 // in order (the simulation does not re-segment: each Send is one app-level
-// message, the unit every experiment in the paper operates on).
+// message, the unit every experiment in the paper operates on). A
+// connection serves one blocked reader at a time.
 type TCPConn struct {
 	net        *Network
 	local      Addr
@@ -400,18 +405,23 @@ type TCPConn struct {
 	closed     bool
 	reset      bool
 
-	// The pending RecvQueuedT of the connection's task reader: the task, its
-	// continuation, and the pre-bound poll continuation (c.polled).
-	rt    *sim.Task
-	rk    func(msg []byte, enq sim.Time, err error)
-	pollK func(tcpMsg, bool)
+	// parked is set while an untimed reader (Recv, RecvQueued, RecvQueuedT)
+	// waits on rxq, so a close or reset knows to wake it with an eof notice.
+	parked bool
+	// rk is the pending RecvQueuedT continuation; gotK, bound once, hands
+	// it the dequeued message.
+	rk   func(msg []byte, enq sim.Time, err error)
+	gotK func(tcpMsg)
 }
 
 // tcpMsg is one framed message with its receive-queue entry time, so TCP
 // receivers can attribute queue residency like UDP's Datagram.EnqueuedAt.
+// An eof entry carries no data: it is the in-band notice of a FIN or RST
+// that wakes a parked reader, queued behind every message that came first.
 type tcpMsg struct {
 	b   []byte
 	enq sim.Time
+	eof bool
 }
 
 // ErrConnClosed is returned by Recv after the peer closes.
@@ -527,17 +537,51 @@ func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
 	}
 	buf := make([]byte, len(msg))
 	copy(buf, msg)
-	peer := c.peer
-	c.net.transmitDelayed(c.localHost, c.remoteHost, len(msg), tcpOverhead, c.net.faults.TCPDelay(), func() {
-		if peer.closed || peer.reset {
-			return
-		}
-		// unbounded: flow control not modelled
-		peer.rxq.TryPut(tcpMsg{b: buf, enq: c.net.sim.Now()})
-		// Delayed ACK traffic back (fire and forget).
-		c.net.transmit(c.remoteHost, c.localHost, 0, tcpOverhead, func() {})
-	})
+	c.net.transmitDelayed(c.localHost, c.remoteHost, len(msg), tcpOverhead, c.net.faults.TCPDelay(), c.net.segment(c, buf))
 	return nil
+}
+
+// segment is one TCP message on the wire. Records recycle through
+// Network.segs and arrive is bound once, like UDP's flight, so a send
+// allocates only its payload copy, which the receiver keeps.
+type segment struct {
+	n      *Network
+	from   *TCPConn
+	b      []byte
+	arrive func() // pre-bound g.land
+}
+
+// segment takes a wire record carrying b from c to its peer and returns its
+// arrival thunk.
+func (n *Network) segment(c *TCPConn, b []byte) func() {
+	var g *segment
+	if k := len(n.segs); k > 0 {
+		g = n.segs[k-1]
+		n.segs[k-1] = nil
+		n.segs = n.segs[:k-1]
+	} else {
+		g = &segment{n: n}
+		g.arrive = g.land
+	}
+	g.from, g.b = c, b
+	return g.arrive
+}
+
+// land queues the message at the receiving end unless that end has shut,
+// sends the ACK back, and recycles the record.
+func (g *segment) land() {
+	n, c, b := g.n, g.from, g.b
+	g.from, g.b = nil, nil
+	n.segs = append(n.segs, g)
+	peer := c.peer
+	if peer.closed || peer.reset {
+		return
+	}
+	// unbounded: flow control not modelled
+	peer.rxq.TryPut(tcpMsg{b: b, enq: n.sim.Now()})
+	// Delayed ACK traffic back: it occupies the links, and nothing waits
+	// for it.
+	n.transmit(c.remoteHost, c.localHost, 0, tcpOverhead, nil)
 }
 
 // Recv blocks for the next message from the peer.
@@ -546,62 +590,75 @@ func (c *TCPConn) Recv(p *sim.Proc) ([]byte, error) {
 	return msg, err
 }
 
-// recvPoll bounds each receive wait, so a blocked receiver notices a close
-// or reset (which deliver no message) within one poll.
-const recvPoll = 100 * time.Microsecond
-
 // RecvQueued is Recv returning also the virtual time the message entered the
-// receive queue, for queue-wait attribution.
+// receive queue, for queue-wait attribution. A reader blocked on an empty
+// queue parks with no timer: the next message wakes it, and so does a close
+// or reset, which it sees once every message queued before it is read.
 func (c *TCPConn) RecvQueued(p *sim.Proc) ([]byte, sim.Time, error) {
-	for {
-		if msg, enq, err, done := c.recvNow(); done {
-			return msg, enq, err
-		}
-		if msg, ok := c.rxq.GetTimeout(p, recvPoll); ok {
-			return msg.b, msg.enq, nil
-		}
+	if msg, enq, err, done := c.recvNow(); done {
+		return msg, enq, err
 	}
+	c.parked = true
+	m := c.rxq.Get(p)
+	c.parked = false
+	return c.take(m)
 }
 
 // RecvQueuedT is RecvQueued for tasks: k runs with the result, inline when
-// a message is queued or the connection has failed; otherwise t parks,
-// polling exactly like RecvQueued. A connection serves one task reader at a
-// time.
+// a message is queued or the connection has failed; otherwise t parks, and
+// k runs with the next message, close or reset.
 func (c *TCPConn) RecvQueuedT(t *sim.Task, k func(msg []byte, enq sim.Time, err error)) {
-	if c.pollK == nil {
-		c.pollK = c.polled
+	if msg, enq, err, done := c.recvNow(); done {
+		k(msg, enq, err)
+		return
 	}
-	c.rt, c.rk = t, k
-	c.polled(tcpMsg{}, false)
+	if c.gotK == nil {
+		c.gotK = c.got
+	}
+	c.rk, c.parked = k, true
+	// The queue was just found empty, so the wait cannot complete inline.
+	c.rxq.GetT(t, c.gotK)
 }
 
-// polled continues a RecvQueuedT wait after a message or one poll interval.
-func (c *TCPConn) polled(m tcpMsg, ok bool) {
-	if ok {
-		c.rk(m.b, m.enq, nil)
-		return
-	}
-	if msg, enq, err, done := c.recvNow(); done {
-		c.rk(msg, enq, err)
-		return
-	}
-	// The queue was just found empty, so the wait cannot complete inline.
-	c.rxq.GetTimeoutT(c.rt, recvPoll, c.pollK)
+// got ends a RecvQueuedT wait with the dequeued message.
+func (c *TCPConn) got(m tcpMsg) {
+	k := c.rk
+	c.rk, c.parked = nil, false
+	k(c.take(m))
 }
 
 // recvNow takes a queued message or reports the connection's error without
 // waiting; done is false when the receiver has to wait.
 func (c *TCPConn) recvNow() (msg []byte, enq sim.Time, err error, done bool) {
 	if m, ok := c.rxq.TryGet(); ok {
-		return m.b, m.enq, nil, true
+		msg, enq, err = c.take(m)
+		return msg, enq, err, true
 	}
-	if c.reset {
-		return nil, 0, ErrConnReset, true
-	}
-	if c.closed {
-		return nil, 0, ErrConnClosed, true
+	if err := c.err(); err != nil {
+		return nil, 0, err, true
 	}
 	return nil, 0, nil, false
+}
+
+// take unpacks a dequeued entry: a message, or the connection's error for an
+// eof notice.
+func (c *TCPConn) take(m tcpMsg) ([]byte, sim.Time, error) {
+	if m.eof {
+		return nil, 0, c.err()
+	}
+	return m.b, m.enq, nil
+}
+
+// err reports why the connection no longer delivers (a reset outranks a
+// close), or nil while it is open.
+func (c *TCPConn) err() error {
+	if c.reset {
+		return ErrConnReset
+	}
+	if c.closed {
+		return ErrConnClosed
+	}
+	return nil
 }
 
 // RecvTimeout blocks up to d for the next message.
@@ -611,37 +668,53 @@ func (c *TCPConn) RecvTimeout(p *sim.Proc, d time.Duration) ([]byte, bool, error
 }
 
 // RecvQueuedTimeout is RecvTimeout returning also the receive-queue entry
-// time of the message.
+// time of the message. It reports a close or reset that is already known
+// when it is called; one that arrives during the wait does not end it
+// early, so the wait runs its full d and reports a timeout.
 func (c *TCPConn) RecvQueuedTimeout(p *sim.Proc, d time.Duration) ([]byte, sim.Time, bool, error) {
 	if msg, enq, err, done := c.recvNow(); done {
 		return msg, enq, err == nil, err
 	}
-	msg, ok := c.rxq.GetTimeout(p, d)
+	m, ok := c.rxq.GetTimeout(p, d)
 	if !ok {
 		return nil, 0, false, nil
 	}
-	return msg.b, msg.enq, true, nil
+	msg, enq, err := c.take(m)
+	return msg, enq, err == nil, err
+}
+
+// shut ends delivery on this end, by a reset or a close. On the end's first
+// such transition it wakes a parked untimed reader with an eof notice.
+func (c *TCPConn) shut(reset bool) {
+	open := c.err() == nil
+	if reset {
+		c.reset = true
+	} else {
+		c.closed = true
+	}
+	if open && c.parked {
+		c.rxq.TryPut(tcpMsg{eof: true})
+	}
 }
 
 // Close shuts the connection down gracefully on both ends (FIN exchange is
-// abstracted to a one-way notification delay).
+// abstracted to a one-way notification delay). A reader blocked on this end
+// wakes now; one blocked on the peer wakes when the FIN lands.
 func (c *TCPConn) Close() {
 	if c.closed {
 		return
 	}
-	c.closed = true
+	c.shut(false)
 	peer := c.peer
-	c.net.transmit(c.localHost, c.remoteHost, 0, tcpOverhead, func() {
-		peer.closed = true
-	})
+	c.net.transmit(c.localHost, c.remoteHost, 0, tcpOverhead, func() { peer.shut(false) })
 }
 
 // Abort resets the connection immediately on both ends (failure injection:
 // the SNIC reports such errors to accelerators through the mqueue metadata
-// error status, §5.1).
+// error status, §5.1). A reader blocked on either end wakes now.
 func (c *TCPConn) Abort() {
-	c.reset = true
-	c.peer.reset = true
+	c.shut(true)
+	c.peer.shut(true)
 }
 
 // Reset reports whether the connection was aborted.

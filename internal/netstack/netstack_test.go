@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lynx/internal/fault"
 	"lynx/internal/model"
 	"lynx/internal/sim"
 )
@@ -209,7 +210,7 @@ func TestTCPCloseDelivery(t *testing.T) {
 
 // The task forms of dial, accept and receive see what the coroutine forms
 // see, at the same instants and for the same number of scheduler events:
-// each message with its queue-entry time, then the close within one poll.
+// each message with its queue-entry time, then the close when its FIN lands.
 func TestTCPTaskFormsMatchProcForms(t *testing.T) {
 	run := func(task bool) ([]string, uint64) {
 		s, n, _ := newNet()
@@ -287,6 +288,188 @@ func TestTCPTaskFormsMatchProcForms(t *testing.T) {
 	if len(procLog) != 4 || !strings.Contains(procLog[3], ErrConnClosed.Error()) {
 		t.Fatalf("want three messages then the close, got %q", procLog)
 	}
+}
+
+// dialPair connects a client host to a server host's port 80 and runs the
+// simulation until both ends of the connection exist.
+func dialPair(t *testing.T, s *sim.Sim, n *Network) (cli, srv *TCPConn) {
+	t.Helper()
+	server, client := n.AddHost("server"), n.AddHost("client")
+	l := server.MustTCPListen(80)
+	s.Spawn("accept", func(p *sim.Proc) { srv = l.Accept(p) })
+	s.Spawn("dial", func(p *sim.Proc) {
+		var err error
+		if cli, err = client.TCPDial(p, server.Addr(80)); err != nil {
+			t.Error(err)
+		}
+	})
+	s.RunUntil(s.Now().Add(100 * time.Microsecond))
+	if cli == nil || srv == nil {
+		t.Fatal("connection not established")
+	}
+	return cli, srv
+}
+
+// read is one receive result and the instant the reader saw it.
+type read struct {
+	at  sim.Time
+	msg string
+	err error
+}
+
+func (r read) String() string { return fmt.Sprintf("%v %q %v", r.at, r.msg, r.err) }
+
+// readAll starts a reader of conn, in the task form or the Proc form, that
+// logs every result until the first error.
+func readAll(s *sim.Sim, conn *TCPConn, task bool, log *[]read) {
+	if task {
+		s.SpawnTask("reader", func(tk *sim.Task) {
+			var k func([]byte, sim.Time, error)
+			k = func(msg []byte, _ sim.Time, err error) {
+				*log = append(*log, read{tk.Now(), string(msg), err})
+				if err == nil {
+					conn.RecvQueuedT(tk, k)
+				}
+			}
+			conn.RecvQueuedT(tk, k)
+		})
+		return
+	}
+	s.Spawn("reader", func(p *sim.Proc) {
+		for {
+			msg, err := conn.Recv(p)
+			*log = append(*log, read{p.Now(), string(msg), err})
+			if err != nil {
+				return
+			}
+		}
+	})
+}
+
+// oneWay is the uncontended wire time of one TCP message of the given
+// payload size.
+func oneWay(p model.Params, payload int) time.Duration {
+	bytes, frags := wireSize(payload, tcpOverhead)
+	return 2*model.TransferTime(bytes, p.WireBandwidth) + 2*p.WirePropagation + time.Duration(frags)*p.SwitchLatency
+}
+
+// forms runs f with Proc-form readers, then with task-form readers.
+func forms(t *testing.T, f func(t *testing.T, task bool)) {
+	t.Run("proc", func(t *testing.T) { f(t, false) })
+	t.Run("task", func(t *testing.T) { f(t, true) })
+}
+
+// A blocked reader parks with no timer: idle readers of both forms cost the
+// simulation no events at all.
+func TestTCPIdleReaderSchedulesNothing(t *testing.T) {
+	s, n, _ := newNet()
+	cli, srv := dialPair(t, s, n)
+	var log []read
+	readAll(s, srv, true, &log)
+	readAll(s, cli, false, &log)
+	s.RunUntil(s.Now().Add(time.Millisecond))
+	before := s.Executed()
+	s.RunUntil(s.Now().Add(10 * time.Millisecond))
+	if d := s.Executed() - before; d != 0 {
+		t.Fatalf("two idle readers executed %d events in 10ms, want 0", d)
+	}
+	if len(log) != 0 {
+		t.Fatalf("idle readers saw %v", log)
+	}
+	s.Shutdown()
+}
+
+// A close wakes the parked reader at its own end at once and the peer's when
+// the FIN lands; a reset wakes both ends' readers at the Abort.
+func TestTCPShutWakesParkedReader(t *testing.T) {
+	forms(t, func(t *testing.T, task bool) {
+		for _, reset := range []bool{false, true} {
+			s, n, p := newNet()
+			cli, srv := dialPair(t, s, n)
+			var cliLog, srvLog []read
+			readAll(s, cli, task, &cliLog)
+			readAll(s, srv, task, &srvLog)
+			s.RunUntil(s.Now().Add(time.Millisecond))
+			at := s.Now()
+			want, wantErr := at.Add(oneWay(p, 0)), ErrConnClosed
+			if reset {
+				cli.Abort()
+				want, wantErr = at, ErrConnReset
+			} else {
+				cli.Close()
+			}
+			s.RunUntil(s.Now().Add(time.Millisecond))
+			if got := fmt.Sprint(cliLog); got != fmt.Sprint([]read{{at, "", wantErr}}) {
+				t.Errorf("reset=%v: closing end's reader saw %s, want %v at %v", reset, got, wantErr, at)
+			}
+			if got := fmt.Sprint(srvLog); got != fmt.Sprint([]read{{want, "", wantErr}}) {
+				t.Errorf("reset=%v: peer's reader saw %s, want %v at %v", reset, got, wantErr, want)
+			}
+			s.Shutdown()
+		}
+	})
+}
+
+// A segment and the FIN behind it that land in the same instant give the
+// reader the segment, then the close in that instant, and nothing else.
+func TestTCPSegmentAndFINInOneInstant(t *testing.T) {
+	forms(t, func(t *testing.T, task bool) {
+		s, n, p := newNet()
+		cli, srv := dialPair(t, s, n)
+		var log []read
+		readAll(s, srv, task, &log)
+		// Every segment pays one retransmission timeout; the FIN does not,
+		// so a FIN sent that much later lands with the segment.
+		const rto = 10 * time.Microsecond
+		n.SetFaults(fault.NewPlan(fault.Config{DropRate: 1, TCPRetransmit: rto}))
+		var lands sim.Time
+		s.Spawn("sender", func(pr *sim.Proc) {
+			lands = pr.Now().Add(rto + oneWay(p, 1))
+			if err := cli.Send(pr, []byte("x")); err != nil {
+				t.Error(err)
+			}
+			pr.Sleep(rto + oneWay(p, 1) - oneWay(p, 0))
+			cli.Close()
+		})
+		s.RunUntil(s.Now().Add(time.Millisecond))
+		s.Shutdown()
+		want := []read{{lands, "x", nil}, {lands, "", ErrConnClosed}}
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Fatalf("reader saw %v, want %v", log, want)
+		}
+	})
+}
+
+// Messages queued before a close or reset are read before its error.
+func TestTCPQueuedMessagesPrecedeShutError(t *testing.T) {
+	forms(t, func(t *testing.T, task bool) {
+		for _, reset := range []bool{false, true} {
+			s, n, _ := newNet()
+			cli, srv := dialPair(t, s, n)
+			s.Spawn("sender", func(p *sim.Proc) {
+				cli.Send(p, []byte("a"))
+				cli.Send(p, []byte("b"))
+				p.Sleep(100 * time.Microsecond)
+				if reset {
+					cli.Abort()
+				} else {
+					cli.Close()
+				}
+			})
+			s.RunUntil(s.Now().Add(time.Millisecond))
+			var log []read
+			readAll(s, srv, task, &log)
+			s.RunUntil(s.Now().Add(time.Millisecond))
+			s.Shutdown()
+			wantErr := ErrConnClosed
+			if reset {
+				wantErr = ErrConnReset
+			}
+			if len(log) != 3 || log[0].msg != "a" || log[1].msg != "b" || log[0].err != nil || log[1].err != nil || log[2].err != wantErr {
+				t.Errorf("reset=%v: reader saw %v, want a, b, then %v", reset, log, wantErr)
+			}
+		}
+	})
 }
 
 func TestTCPAbortReset(t *testing.T) {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf sentinel-baseline sentinel-check eval examples vet clean
+.PHONY: all test bench bench-compare bench-perf goldens eval examples vet clean
 
 all: vet test
 
@@ -37,16 +37,12 @@ PERF_ARGS ?= --seed 1 --seconds 10 --trace 0
 bench-perf:
 	for w in echo-udp echo-tcp lenet kv-rack; do bash bench/perf/run.sh --workload $$w $(PERF_ARGS) || exit 1; done
 
-# Regression sentinel: record a full attribution baseline artifact (profile
-# report, scorecard claims, knee predictions, rack telemetry sections), and
-# diff the current build against the committed seed baseline. SENTINEL_SCALE matches the committed artifact; a schema or model
-# change needs `make sentinel-baseline` to refresh bench/sentinel_baseline.json.
-SENTINEL_SCALE ?= 0.25
-sentinel-baseline:
-	$(GO) run ./cmd/lynxbench -baseline bench/sentinel_baseline.json -scale $(SENTINEL_SCALE)
-
-sentinel-check:
-	$(GO) run ./cmd/lynxbench -compare bench/sentinel_baseline.json -scale $(SENTINEL_SCALE)
+# Re-record the goldens TestGoldens checks (internal/experiments/testdata:
+# the pinned -exp all CSVs, the attribution and rack JSON artifacts, the path
+# reports and traces) after an intentional change to simulated behaviour;
+# `git diff` then shows which lines moved. DESIGN.md §4.13 lists them.
+goldens:
+	LYNX_UPDATE_GOLDENS=1 $(GO) test ./internal/experiments/ -run TestGoldens -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 eval:

@@ -16,14 +16,6 @@
 //	lynxbench -exp fig6 -top 10     # table of the 10 slowest requests
 //	lynxbench -exp fig6 -batch 8    # end-to-end batching (doorbell, CQ drain,
 //	                                # dispatcher quantum) of 8 on every run
-//	lynxbench -baseline out.json    # measure and persist a regression-sentinel
-//	                                # baseline artifact (attribution report,
-//	                                # scorecard, knee predictions)
-//	lynxbench -compare old.json     # re-measure and diff against a baseline;
-//	                                # non-zero exit when anything moved out of
-//	                                # its noise band
-//	lynxbench -compare a.json -compare-to b.json
-//	                                # diff two recorded artifacts, no measuring
 //
 // Output is a text table per experiment, with the paper's numbers alongside
 // the measured ones. Runs are bit-reproducible for a given seed and scale:
@@ -47,7 +39,6 @@ import (
 	"lynx/internal/experiments"
 	"lynx/internal/fault"
 	"lynx/internal/model"
-	"lynx/internal/sentinel"
 )
 
 func main() {
@@ -73,9 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topN       = fs.Int("top", 0, "print the N slowest requests (status, per-phase wait/service) after the runs")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		baseline   = fs.String("baseline", "", "measure a regression-sentinel baseline (attribution report, scorecard, knee predictions) and write the artifact to this file")
-		compare    = fs.String("compare", "", "diff the current build against this baseline artifact: re-measure (or use -compare-to) and report attribution-level moves outside their noise bands")
-		compareTo  = fs.String("compare-to", "", "with -compare, diff against this recorded artifact instead of re-measuring")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,9 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lynxbench:", err)
 		return 2
 	}
-	if *baseline != "" || *compare != "" {
-		cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, Batch: bc}
-		return sentinelMode(cfg, *baseline, *compare, *compareTo, stdout, stderr)
+	faults := fault.Config{Seed: *seed, DropRate: *loss}
+	if err := faults.Validate(); err != nil {
+		fmt.Fprintln(stderr, "lynxbench:", err)
+		return 2
 	}
 
 	if *list || *exp == "" {
@@ -135,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Top = experiments.NewTopCollector(*topN)
 	}
 	if *loss > 0 {
-		cfg.Faults = fault.Config{Seed: *seed, DropRate: *loss}
+		cfg.Faults = faults
 	}
 	if *invariants {
 		cfg.Invariants = check.NewAggregate()
@@ -196,42 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if failed {
 		fmt.Fprintln(stderr, "lynxbench: scorecard claims FAILED")
-		return 1
-	}
-	return 0
-}
-
-// sentinelMode handles -baseline and -compare: the regression-sentinel CLI.
-func sentinelMode(cfg experiments.Config, baseline, compare, compareTo string, stdout, stderr io.Writer) int {
-	if baseline != "" && compare != "" {
-		fmt.Fprintln(stderr, "lynxbench: -baseline and -compare are mutually exclusive")
-		return 2
-	}
-	if baseline != "" {
-		a := experiments.BuildSentinelArtifact(cfg)
-		if err := a.WriteFile(baseline); err != nil {
-			fmt.Fprintln(stderr, "lynxbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "sentinel baseline written to %s (%d claims, %d knees, fingerprint %s)\n",
-			baseline, len(a.Scorecard), len(a.Knees), a.Fingerprint.Config)
-		return 0
-	}
-	old, err := sentinel.Read(compare)
-	if err != nil {
-		fmt.Fprintln(stderr, "lynxbench:", err)
-		return 1
-	}
-	cur := (*sentinel.Artifact)(nil)
-	if compareTo == "" {
-		cur = experiments.BuildSentinelArtifact(cfg)
-	} else if cur, err = sentinel.Read(compareTo); err != nil {
-		fmt.Fprintln(stderr, "lynxbench:", err)
-		return 1
-	}
-	d := sentinel.Diff(old, cur, sentinel.Options{})
-	fmt.Fprint(stdout, d.String())
-	if !d.Clean() {
 		return 1
 	}
 	return 0

@@ -91,63 +91,19 @@ func TestTopAndProfileJSONFlags(t *testing.T) {
 	}
 }
 
-func TestSentinelBaselineAndCompareFlags(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"-baseline", path, "-scale", "0.1"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("-baseline exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "sentinel baseline written") {
-		t.Errorf("baseline confirmation missing:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("-baseline wrote nothing: %v", err)
-	}
-	var art map[string]any
-	if err := json.Unmarshal(raw, &art); err != nil {
-		t.Fatalf("artifact JSON invalid: %v", err)
-	}
-	for _, key := range []string{"version", "fingerprint", "report", "scorecard", "knees"} {
-		if _, ok := art[key]; !ok {
-			t.Errorf("artifact missing %q", key)
-		}
-	}
-	// Diffing the artifact against its own bytes must report no change.
-	out.Reset()
-	errOut.Reset()
-	code = run([]string{"-compare", path, "-compare-to", path}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("self-compare exit %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "no change") {
-		t.Errorf("self-compare did not report no change:\n%s", out.String())
-	}
-}
-
-func TestSentinelFlagsMutuallyExclusive(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-baseline", "a.json", "-compare", "b.json"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "mutually exclusive") {
-		t.Errorf("usage error missing: %s", errOut.String())
-	}
-}
-
-func TestSentinelCompareRejectsVersionSkew(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.json")
-	if err := os.WriteFile(path, []byte(`{"version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-compare", path, "-compare-to", path}, &out, &errOut); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errOut.String(), "version") {
-		t.Errorf("skew error missing: %s", errOut.String())
+// TestLossOutOfRange: a drop probability outside [0, 1] is a usage error,
+// like a negative -batch, not a drop-everything or lossless run.
+func TestLossOutOfRange(t *testing.T) {
+	for _, loss := range []string{"2", "-0.5", "NaN"} {
+		t.Run(loss, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run([]string{"-exp", "fig7", "-scale", "0.01", "-loss", loss}, &out, &errOut); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if !strings.Contains(errOut.String(), "within [0, 1]") {
+				t.Errorf("usage error missing: %s", errOut.String())
+			}
+		})
 	}
 }
 

@@ -80,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fc := lynx.FaultConfig{
 		Seed: *seed, DropRate: *loss, DupRate: *dup, RDMAErrRate: *rdmaErr,
 	}
+	if err := fc.Validate(); err != nil {
+		fmt.Fprintln(stderr, "lynxd:", err)
+		return 2
+	}
 	rackMode := *nodes > 1 || *replicas > 1
 	if *stallQ >= -1 {
 		// Single-server stalls hit the serving GPU; in rack mode the stall

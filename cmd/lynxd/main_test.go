@@ -63,6 +63,22 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestFaultProbabilityOutOfRange: a fault probability outside [0, 1] is a
+// usage error, not a drop-everything or no-fault run.
+func TestFaultProbabilityOutOfRange(t *testing.T) {
+	for _, args := range [][]string{{"-loss", "2"}, {"-loss", "-0.5"}, {"-dup", "1.5"}, {"-rdma-err", "-1"}} {
+		t.Run(strings.Join(args, "="), func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run(append([]string{"-secs", "0.01"}, args...), &out, &errOut); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if !strings.Contains(errOut.String(), "within [0, 1]") {
+				t.Errorf("usage error missing: %s", errOut.String())
+			}
+		})
+	}
+}
+
 func TestProfileJSONFlag(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prof.json")

@@ -6,8 +6,6 @@
 package check
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 )
@@ -44,20 +42,6 @@ func (c Claim) Band() string {
 // Scorecard is a set of claims.
 type Scorecard struct {
 	Claims []Claim `json:"claims"`
-}
-
-// Fingerprint returns a short stable digest of the claim set (IDs, metrics,
-// bands). Two runs evaluated against scorecards with different fingerprints
-// are not comparable claim-for-claim; the regression sentinel records it in
-// every artifact so -compare can refuse apples-to-oranges diffs.
-func (sc Scorecard) Fingerprint() string {
-	data, err := json.Marshal(sc.Claims)
-	if err != nil {
-		// Claims are plain data; Marshal cannot fail on them.
-		panic(err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
 }
 
 // ParseScorecard decodes a scorecard JSON document and validates that every

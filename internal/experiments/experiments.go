@@ -78,8 +78,8 @@ type Config struct {
 	// releases.
 	Batch model.BatchConfig
 
-	// memo is the run's measurement-point memo, installed by Run and
-	// BuildSentinelArtifact (newRun); nil simulates every point.
+	// memo is the run's measurement-point memo, installed by Run (newRun);
+	// nil simulates every point.
 	memo *memo
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"lynx/internal/accel"
 	"lynx/internal/apps/kvstore"
+	"lynx/internal/check"
 	"lynx/internal/cluster"
 	"lynx/internal/core"
 	"lynx/internal/fault"
@@ -21,55 +22,89 @@ import (
 	"lynx/internal/workload"
 )
 
-// goldenPath is one committed golden: a published path's exact report CSV
-// and, where the path has a runtime tracer, its event sequence with
-// virtual-time stamps. Paths without a tracer pin the simulator's executed
-// event count and their counters in the CSV instead.
+// goldenPath is one set of committed goldens: run renders one output per
+// testdata file in files, in order.
 type goldenPath struct {
-	name       string
-	csv, trace string // testdata file names; trace is empty for CSV-only goldens
-	run        func(t *testing.T) (csv, trace string)
+	name  string
+	files []string
+	run   func(t *testing.T) []string
 }
 
-// TestGoldens pins every published path byte for byte: any drift in
-// virtual-time behaviour shows up as a diff in a report or an event trace.
-// The breakdown and batch cases were recorded before the run-to-completion
-// Task substrate took over the hot path; the others pin each runtime stage
-// that runs on it — TCP accept/rx, pipeline
-// frontends, client-mqueue pumps and retries, the replicator pump under a
-// replica kill — and the Innova AFU, which reaches the SNIC queue
-// operations through their coroutine adapters. After an intentional
-// semantic change, regenerate with
+// TestGoldens pins the simulator's outputs byte for byte, so any drift in
+// virtual-time behaviour shows up as a diff in a committed file.
+//
+// The pinned outputs are what lynxbench prints or writes for five commands:
+// `-exp all -scale 0.25 -seed 7 -csv`, the same with `-batch 8`, the same at
+// `-seed 3 -loss 0.01` with invariants armed, the `-profile-json` report of
+// `-exp attribution -scale 0.25 -seed 7` and the `-metrics-json` dump of
+// `-exp replbreakdown -scale 0.25 -seed 7`. Every simulated number the
+// evaluation reports, the scorecard and knee tables included, is a line of
+// one of them.
+//
+// The path goldens pin what those reports aggregate away: the breakdown
+// experiment's event timeline, and each runtime stage that runs on the
+// Task substrate — TCP accept/rx, pipeline frontends, client-mqueue pumps
+// and retries, the replicator pump under a replica kill — and the Innova
+// AFU, which reaches the SNIC queue operations through their coroutine
+// adapters, each as its exact report and, where it has a runtime tracer,
+// its event sequence with virtual-time stamps.
+//
+// After an intentional semantic change, regenerate with `make goldens`
 //
 //	LYNX_UPDATE_GOLDENS=1 go test ./internal/experiments/ -run TestGoldens
 //
-// and say so in the commit message.
+// and say which lines moved, and why, in the commit message.
 func TestGoldens(t *testing.T) {
+	pinned := Config{Seed: 7, Scale: 0.25, Workers: AutoWorkers}
+	batched, lossy := pinned, pinned
+	batched.Batch = model.BatchConfig{Doorbell: 8, CQDrain: 8, Quantum: 8}
+	lossy.Seed = 3
+	lossy.Faults = fault.Config{Seed: 3, DropRate: 0.01}
 	for _, g := range []goldenPath{
-		{"breakdown", "pr6_breakdown_scale025_seed7.csv", "pr6_breakdown_scale025_seed7_trace.json", goldenBreakdown},
-		{"batch", "pr6_batch_scale025_seed7.csv", "", goldenBatch},
-		{"tcp-service", "path_tcp_service.csv", "path_tcp_service_trace.txt", goldenTCPService},
-		{"udp-pipeline", "path_udp_pipeline.csv", "path_udp_pipeline_trace.txt", func(t *testing.T) (string, string) {
+		{"all", []string{"all_scale025_seed7.csv"}, func(t *testing.T) []string {
+			return []string{goldenAll(t, pinned)}
+		}},
+		{"all-batch8", []string{"all_scale025_seed7_batch8.csv"}, func(t *testing.T) []string {
+			return []string{goldenAll(t, batched)}
+		}},
+		{"all-loss", []string{"all_scale025_seed3_loss001.csv"}, func(t *testing.T) []string {
+			cfg := lossy
+			cfg.Invariants = check.NewAggregate()
+			out := goldenAll(t, cfg)
+			if rep := cfg.Invariants.Report(); !rep.OK() {
+				t.Errorf("invariants violated under loss:\n%s", rep)
+			}
+			return []string{out}
+		}},
+		{"attribution-profile", []string{"attribution_scale025_seed7_profile.json"}, func(t *testing.T) []string {
+			return []string{goldenArtifact(t, pinned, "attribution", func(c *Config, path string) { c.ProfileJSON = path })}
+		}},
+		{"replbreakdown-metrics", []string{"replbreakdown_scale025_seed7_metrics.json"}, func(t *testing.T) []string {
+			return []string{goldenArtifact(t, pinned, "replbreakdown", func(c *Config, path string) { c.MetricsJSON = path })}
+		}},
+		{"breakdown", []string{"pr6_breakdown_scale025_seed7_trace.json"}, func(t *testing.T) []string {
+			return []string{goldenArtifact(t, pinned, "breakdown", func(c *Config, path string) { c.TraceJSON = path })}
+		}},
+		{"tcp-service", []string{"path_tcp_service.csv", "path_tcp_service_trace.txt"}, goldenTCPService},
+		{"udp-pipeline", []string{"path_udp_pipeline.csv", "path_udp_pipeline_trace.txt"}, func(t *testing.T) []string {
 			return goldenPipeline(t, core.UDP)
 		}},
-		{"tcp-pipeline", "path_tcp_pipeline.csv", "path_tcp_pipeline_trace.txt", func(t *testing.T) (string, string) {
+		{"tcp-pipeline", []string{"path_tcp_pipeline.csv", "path_tcp_pipeline_trace.txt"}, func(t *testing.T) []string {
 			return goldenPipeline(t, core.TCP)
 		}},
-		{"tcp-client-mqueue", "path_tcp_client_mqueue.csv", "path_tcp_client_mqueue_trace.txt", goldenTCPClientQueue},
-		{"udp-client-mqueue", "path_udp_client_mqueue.csv", "path_udp_client_mqueue_trace.txt", goldenUDPClientQueue},
-		{"replication-kill", "path_replication_kill.csv", "path_replication_kill_trace.txt", goldenReplicationKill},
-		{"innova-duplex", "path_innova_duplex.csv", "", func(t *testing.T) (string, string) {
-			return goldenInnovaDuplex(model.BatchConfig{}), ""
+		{"tcp-client-mqueue", []string{"path_tcp_client_mqueue.csv", "path_tcp_client_mqueue_trace.txt"}, goldenTCPClientQueue},
+		{"udp-client-mqueue", []string{"path_udp_client_mqueue.csv", "path_udp_client_mqueue_trace.txt"}, goldenUDPClientQueue},
+		{"replication-kill", []string{"path_replication_kill.csv", "path_replication_kill_trace.txt"}, goldenReplicationKill},
+		{"innova-duplex", []string{"path_innova_duplex.csv"}, func(t *testing.T) []string {
+			return []string{goldenInnovaDuplex(model.BatchConfig{})}
 		}},
-		{"innova-duplex-batched", "path_innova_duplex_batched.csv", "", func(t *testing.T) (string, string) {
-			return goldenInnovaDuplex(model.DefaultBatchConfig()), ""
+		{"innova-duplex-batched", []string{"path_innova_duplex_batched.csv"}, func(t *testing.T) []string {
+			return []string{goldenInnovaDuplex(model.DefaultBatchConfig())}
 		}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			gotCSV, gotTrace := g.run(t)
-			checkGolden(t, g.csv, gotCSV)
-			if g.trace != "" {
-				checkGolden(t, g.trace, gotTrace)
+			for i, got := range g.run(t) {
+				checkGolden(t, g.files[i], got)
 			}
 		})
 	}
@@ -97,19 +132,31 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-func goldenBreakdown(t *testing.T) (string, string) {
-	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	rep := runReport(t, Config{Seed: 7, Scale: 0.25, Workers: 1, TraceJSON: tracePath}, "breakdown")
-	tr, err := os.ReadFile(tracePath)
+// goldenAll renders `lynxbench -exp all -csv` under cfg: every report's CSV,
+// in List order.
+func goldenAll(t *testing.T, cfg Config) string {
+	out, err := Run(cfg, List()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep.CSV(), string(tr)
+	var b strings.Builder
+	for _, r := range out.Reports {
+		b.WriteString(r.CSV())
+	}
+	return b.String()
 }
 
-func goldenBatch(t *testing.T) (string, string) {
-	rep := runReport(t, Config{Seed: 7, Scale: 0.25, Workers: 1}, "batch")
-	return rep.CSV(), ""
+// goldenArtifact runs one instrumented experiment with the artifact file that
+// set names and returns the file's bytes.
+func goldenArtifact(t *testing.T, cfg Config, id string, set func(c *Config, path string)) string {
+	path := filepath.Join(t.TempDir(), id+".json")
+	set(&cfg, path)
+	runReport(t, cfg, id)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // goldenCfg is the configuration every path golden runs under; windows are
@@ -160,7 +207,7 @@ func traceText(t *testing.T, tr *trace.Tracer) string {
 
 // goldenTCPService is the fig8a-tcp deployment: the LeNet service on
 // BlueField behind TCP, three closed-loop connections.
-func goldenTCPService(t *testing.T) (string, string) {
+func goldenTCPService(t *testing.T) []string {
 	e := newEnv(goldenCfg)
 	plat := e.lynxPlatform(platLynxBF)
 	plat.Tracer = trace.New(1 << 16)
@@ -174,13 +221,13 @@ func goldenTCPService(t *testing.T) (string, string) {
 		Body: lenetBody, Clients: 3, Duration: 8 * time.Millisecond, Warmup: time.Millisecond,
 	})
 	e.tb.Sim.Shutdown()
-	return goldenReport("tcp-service", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)
+	return []string{goldenReport("tcp-service", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)}
 }
 
 // goldenPipeline is ext-pipeline's composed deployment (GPU0 -> GPU1 behind
 // one frontend) over proto.
-func goldenPipeline(t *testing.T, proto core.Proto) (string, string) {
+func goldenPipeline(t *testing.T, proto core.Proto) []string {
 	const nq = 4
 	e := newEnv(goldenCfg)
 	gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
@@ -209,9 +256,9 @@ func goldenPipeline(t *testing.T, proto core.Proto) (string, string) {
 		Clients: 2 * nq, Duration: 2 * time.Millisecond, Warmup: 500 * time.Microsecond,
 	})
 	e.tb.Sim.Shutdown()
-	return goldenReport(proto.String()+"-pipeline", e.tb.Sim, res,
-			[2]string{"runtime", rt.Stats().String()}, [2]string{"relayed", fmt.Sprint(pl.Relayed())}),
-		traceText(t, plat.Tracer)
+	return []string{goldenReport(proto.String()+"-pipeline", e.tb.Sim, res,
+		[2]string{"runtime", rt.Stats().String()}, [2]string{"relayed", fmt.Sprint(pl.Relayed())}),
+		traceText(t, plat.Tracer)}
 }
 
 // startEcho launches one persistent echo threadblock per queue of h.
@@ -234,7 +281,7 @@ func startEcho(t *testing.T, e *env, gpu *accel.GPU, h *core.AccelHandle, n int,
 // goldenTCPClientQueue is sec64-faceverify's Lynx deployment: server
 // mqueues for the clients, one TCP client mqueue per threadblock to the
 // memcached backend.
-func goldenTCPClientQueue(t *testing.T) (string, string) {
+func goldenTCPClientQueue(t *testing.T) []string {
 	const nTB = 8
 	e := newEnv(goldenCfg)
 	memcachedBackend(e)
@@ -287,13 +334,13 @@ func goldenTCPClientQueue(t *testing.T) (string, string) {
 		Body: fvBody, Clients: 2 * nTB, Duration: 2 * time.Millisecond, Warmup: 500 * time.Microsecond,
 	})
 	e.tb.Sim.Shutdown()
-	return goldenReport("tcp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)
+	return []string{goldenReport("tcp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)}
 }
 
 // goldenUDPClientQueue drives UDP client mqueues to a memcached backend over
 // a lossy network, so the per-binding retry loop retransmits and gives up.
-func goldenUDPClientQueue(t *testing.T) (string, string) {
+func goldenUDPClientQueue(t *testing.T) []string {
 	const nTB = 4
 	cfg := goldenCfg
 	cfg.Faults = fault.Config{Seed: 3, DropRate: 0.25}
@@ -355,15 +402,15 @@ func goldenUDPClientQueue(t *testing.T) (string, string) {
 		Timeout: 5 * time.Millisecond, Retries: 2,
 	})
 	e.tb.Sim.Shutdown()
-	return goldenReport("udp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)
+	return []string{goldenReport("udp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
+		traceText(t, plat.Tracer)}
 }
 
 // goldenReplicationKill is the replication sweep's kill point on a short
 // timeline: a 3-node RF=3 rack whose node 1 accelerator freezes at 1 ms, so
 // node 0's replicator pump runs through the ack deadline, the peer-kill
 // verdict and the release of every response held on the dead peer.
-func goldenReplicationKill(t *testing.T) (string, string) {
+func goldenReplicationKill(t *testing.T) []string {
 	p := model.Default()
 	rack, err := cluster.Build(cluster.Config{
 		Nodes: 3, Replicas: 3, Seed: goldenCfg.Seed + 1, Params: &p,
@@ -392,9 +439,9 @@ func goldenReplicationKill(t *testing.T) (string, string) {
 	}, rack.Clients...))
 	s.Shutdown()
 	repl := rack.Node(0).Repl
-	return goldenReport("replication-kill", s, res,
-			[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
-		traceText(t, rack.Node(0).Prof.Events())
+	return []string{goldenReport("replication-kill", s, res,
+		[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
+		traceText(t, rack.Node(0).Prof.Events())}
 }
 
 // goldenInnovaDuplex is ext-innova-duplex's FPGA echo: the AFU's receive

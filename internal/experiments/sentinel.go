@@ -1,9 +1,7 @@
-// The sentinel experiment and baseline builder: predict each deployment's
-// saturation knee from a single low-load probe (utilization slope +
-// queue-growth model, internal/profile), validate the prediction against the
-// measured closed-loop knee, and freeze a full attribution artifact
-// (internal/sentinel) that later releases diff against with `lynxbench
-// -compare`.
+// The sentinel experiment: predict each deployment's saturation knee from a
+// single low-load probe (utilization slope + queue-growth model,
+// internal/profile) and validate the prediction against the measured
+// closed-loop knee. The scorecard gates both ratios.
 package experiments
 
 import (
@@ -11,14 +9,12 @@ import (
 	"time"
 
 	"lynx/internal/metrics"
-	"lynx/internal/model"
 	"lynx/internal/profile"
-	"lynx/internal/sentinel"
 	"lynx/internal/workload"
 )
 
 func init() {
-	register("sentinel", "regression sentinel: saturation knees predicted from low-load probes vs measured", runSentinel)
+	register("sentinel", "knee sentinel: saturation knees predicted from low-load probes vs measured", runSentinel)
 }
 
 // kneeProbeRate is the offered load of every knee probe: roughly a third of
@@ -91,11 +87,11 @@ func fig9Knee(cfg Config) kneeOutcome {
 
 // sentinelKnees are the knees the sentinel predicts, in report order.
 var sentinelKnees = []struct {
-	name, row string
-	knee      func(Config) kneeOutcome
+	row  string
+	knee func(Config) kneeOutcome
 }{
-	{"fig6", "fig6 (BF, 240mq, 20µs)", fig6Knee},
-	{"fig9", "fig9 (BF, 32mq, 20µs)", fig9Knee},
+	{"fig6 (BF, 240mq, 20µs)", fig6Knee},
+	{"fig9 (BF, 32mq, 20µs)", fig9Knee},
 }
 
 func runSentinel(cfg Config) *Report {
@@ -104,7 +100,7 @@ func runSentinel(cfg Config) *Report {
 
 	r := &Report{
 		ID:      "sentinel",
-		Title:   "Regression sentinel: knee predicted from one low-load probe vs measured saturation",
+		Title:   "Knee sentinel: knee predicted from one low-load probe vs measured saturation",
 		Columns: []string{"probe req/s", "pivot", "util", "predicted req/s", "measured req/s", "ratio"},
 	}
 	for i, out := range outs {
@@ -121,83 +117,4 @@ func runSentinel(cfg Config) *Report {
 	r.Note("model: knee ≈ 0.85 · probe_rate / bottleneck_utilization (queueing blows up past ~85%% busy); a growing probe-time queue caps the estimate at the probe rate")
 	r.Note("the scorecard gates sentinel.fig6_knee_ratio and sentinel.fig9_knee_ratio on these ratios")
 	return r
-}
-
-// batchDesc renders a batch configuration for the artifact fingerprint.
-func batchDesc(b model.BatchConfig) string {
-	if b.Unit() {
-		return "unit"
-	}
-	return fmt.Sprintf("db%d-cq%d-q%d", b.EffDoorbell(), b.EffCQDrain(), b.EffQuantum())
-}
-
-// BuildSentinelArtifact measures one full sentinel baseline: the attribution
-// report at the Fig. 9 saturation point, every scorecard claim, and both knee
-// predictions and the rack telemetry sections, stamped with the run's
-// fingerprint. This is `lynxbench -baseline` and the measuring side of
-// `lynxbench -compare`.
-func BuildSentinelArtifact(cfg Config) *sentinel.Artifact {
-	cfg = cfg.newRun()
-	sc := loadScorecard()
-	met := scorecardMetrics(cfg)
-	// The attribution report and the rack telemetry come from instrumented
-	// runs, which the memo does not hold.
-	att, rbo := attributionRun(cfg), replBreakdownRun(cfg)
-
-	a := &sentinel.Artifact{
-		Version: sentinel.Version,
-		Fingerprint: sentinel.Fingerprint{
-			Config:    fmt.Sprintf("seed=%d scale=%g batch=%s", cfg.Seed, cfg.Scale, batchDesc(cfg.Batch)),
-			Scorecard: sc.Fingerprint(),
-		},
-		Report: att.report,
-	}
-	for _, res := range sc.Evaluate(met) {
-		a.Scorecard = append(a.Scorecard, sentinel.ClaimRow{
-			ID: res.Claim.ID, Metric: res.Claim.Metric,
-			Value: res.Value, Band: res.Claim.Band(), Pass: res.Pass,
-		})
-	}
-	for _, k := range sentinelKnees {
-		out := k.knee(cfg)
-		a.Knees = append(a.Knees, sentinel.Knee{
-			Name: k.name, Estimate: out.est,
-			MeasuredPerSec: out.measured, Ratio: out.ratio(),
-		})
-	}
-	a.Rack = rackSections(rbo)
-	return a
-}
-
-// rackSections freezes each node of the replication rack's telemetry plane
-// into artifact rows, node-index order. Means are computed over the retained
-// samples of each monitor series; everything is deterministic per seed.
-func rackSections(out replBreakdownOutcome) []sentinel.RackNode {
-	if out.rack == nil {
-		return nil
-	}
-	rows := make([]sentinel.RackNode, 0, out.rack.Nodes())
-	for i := 0; i < out.rack.Nodes(); i++ {
-		n := out.rack.Node(i)
-		row := sentinel.RackNode{
-			Node: n.Name, SpansBegun: n.Spans.Begun(), SpansClosed: n.Spans.Closed(),
-			Events: len(n.Prof.Events().Events()),
-		}
-		for _, s := range n.Prof.Registry().SeriesList() {
-			pts := s.Points()
-			if len(pts) == 0 {
-				continue
-			}
-			var sum float64
-			for _, p := range pts {
-				sum += p.V
-			}
-			if row.SeriesMean == nil {
-				row.SeriesMean = make(map[string]float64)
-			}
-			row.SeriesMean[s.Name()] = sum / float64(len(pts))
-		}
-		rows = append(rows, row)
-	}
-	return rows
 }

@@ -89,11 +89,10 @@ type point[T any] interface {
 	run(cfg Config) T
 }
 
-// measure returns p's result under cfg. Within one Run (or
-// BuildSentinelArtifact) the run's memo simulates each distinct point once,
-// however many experiments, scorecard metrics and sweep workers ask for it.
-// Every caller gets its own copy of results that carry mutable state (see
-// workload.Result.Clone).
+// measure returns p's result under cfg. Within one Run the run's memo
+// simulates each distinct point once, however many experiments, scorecard
+// metrics and sweep workers ask for it. Every caller gets its own copy of
+// results that carry mutable state (see workload.Result.Clone).
 func measure[P point[T], T any](cfg Config, p P) T {
 	if cfg.memo == nil {
 		return p.run(cfg)

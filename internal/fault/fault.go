@@ -89,6 +89,23 @@ func (c Config) Enabled() bool {
 		len(c.Stalls) > 0
 }
 
+// Validate rejects a probability outside [0, 1] (NaN included): a rate of 2
+// would drop everything and one of -0.5 nothing, silently.
+func (c Config) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"drop", c.DropRate}, {"duplication", c.DupRate}, {"delay", c.DelayRate},
+		{"RDMA error", c.RDMAErrRate}, {"RDMA spike", c.RDMASpikeRate},
+	} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("fault: %s probability %g: must be within [0, 1]", p.name, p.v)
+		}
+	}
+	return nil
+}
+
 // Stats counts injected faults, for observability and tests.
 type Stats struct {
 	DatagramsDropped    uint64

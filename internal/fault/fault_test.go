@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -39,6 +40,19 @@ func TestZeroConfigDisabled(t *testing.T) {
 	}
 	if !(Config{Stalls: []Stall{{Accel: "gpu0"}}}).Enabled() {
 		t.Fatal("stall config disabled")
+	}
+}
+
+func TestValidateProbabilities(t *testing.T) {
+	for _, ok := range []Config{{}, {DropRate: 1}, {DupRate: 0.5, RDMAErrRate: 0.01}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	for _, bad := range []Config{{DropRate: 2}, {DropRate: -0.5}, {DupRate: math.NaN()}, {RDMAErrRate: 1.5}, {DelayRate: -1}, {RDMASpikeRate: 3}} {
+		if bad.Validate() == nil {
+			t.Errorf("%+v accepted", bad)
+		}
 	}
 }
 

@@ -284,6 +284,7 @@ func Build(cfg Config) (*Rack, error) {
 		store := n.Store
 		if err := n.GPU.LaunchPersistent(tb.Sim, serveQueues, func(t *accel.TB) {
 			aq := qs[t.Index()]
+			var out []byte // the response, reused: Send copies it into the TX ring
 			for {
 				m := aq.Recv(t.Proc())
 				if len(m.Payload) < workload.SeqBytes {
@@ -291,9 +292,7 @@ func Build(cfg Config) (*Rack, error) {
 				}
 				t.Compute(opCost)
 				reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-				out := make([]byte, workload.SeqBytes+len(reply))
-				copy(out, m.Payload[:workload.SeqBytes])
-				copy(out[workload.SeqBytes:], reply)
+				out = append(append(out[:0], m.Payload[:workload.SeqBytes]...), reply...)
 				if aq.Send(t.Proc(), uint16(m.Slot), out) != nil {
 					return
 				}

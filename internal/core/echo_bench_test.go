@@ -97,17 +97,19 @@ func (r *echoRig) request(tb testing.TB) {
 }
 
 // echoCeilings bounds the objects one warm echo request may allocate, per
-// client protocol. UDP allocates only the copies their receivers keep: the
-// client's and the runtime's datagram payloads, the accelerator's received
-// message and the drained response. TCP allocates the same four: its
-// segments ride pooled wire records, as datagrams do, so a send allocates
-// only the payload copy its receiver keeps.
+// client protocol. Every runtime hand-off lends its buffer: the GPU receives
+// into its queue's receive buffer, the SNIC drains into the queue's drain
+// buffer, and the runtime hands the request back to the network once it is
+// pushed, so the response's wire copy reuses it. What is left, over UDP and
+// TCP alike, is the one buffer the rig's client keeps: the request's wire
+// copy, which goes on to carry the response back to a client that never
+// releases it.
 var echoCeilings = []struct {
 	proto   core.Proto
 	ceiling float64
 }{
-	{core.UDP, 6},
-	{core.TCP, 4},
+	{core.UDP, 1},
+	{core.TCP, 1},
 }
 
 // BenchmarkEchoRequest is the core layer's benchmark: one warm echo request,

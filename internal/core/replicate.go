@@ -22,6 +22,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"time"
@@ -314,7 +315,8 @@ func (r *Replicator) onResponse(to replyTo, payload []byte) bool {
 		delete(r.pend, pw.id)
 		return false
 	}
-	pw.resps = append(pw.resps, heldResp{to: to, payload: payload, parkedAt: r.rt.plat.Sim.Now()})
+	// The parked response outlives the drained payload: keep a copy.
+	pw.resps = append(pw.resps, heldResp{to: to, payload: bytes.Clone(payload), parkedAt: r.rt.plat.Sim.Now()})
 	r.held++
 	r.stats.Held++
 	return true
@@ -552,13 +554,12 @@ func sortUint64s(xs []uint64) {
 	}
 }
 
-// ReplicaAck builds a peer apply kernel's acknowledgement for a record: the
-// 8-byte id header. (A body is unnecessary — the primary matches acks to
-// writes by id.)
+// ReplicaAck returns a peer apply kernel's acknowledgement for a record: its
+// 8-byte id header, as a view of the record, which must be at least that
+// long. (A body is unnecessary — the primary matches acks to writes by id.)
+// It allocates nothing: Send copies the ack into the TX ring.
 func ReplicaAck(record []byte) []byte {
-	ack := make([]byte, 8)
-	copy(ack, record)
-	return ack
+	return record[:8:8]
 }
 
 // ---------------------------------------------------------------------------

@@ -715,7 +715,17 @@ func (rt *Runtime) Start() error {
 					s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
 						dgs := make([]netstack.Datagram, quantum)
 						var loop func()
-						gotBatch := func(n int) {
+						var n int // datagrams in the quantum being dispatched
+						// The quantum's pushes copied every datagram into a
+						// ring: hand them back to the network.
+						dispatched := func() {
+							for i := range dgs[:n] {
+								svc.udpSock.Release(dgs[i].Payload)
+							}
+							loop()
+						}
+						gotBatch := func(got int) {
+							n = got
 							now := t.Now()
 							for i := 0; i < n; i++ {
 								id := trace.SpanID(dgs[i].Payload)
@@ -728,7 +738,7 @@ func (rt *Runtime) Start() error {
 								for i := 0; i < n; i++ {
 									rt.plat.Spans.AddWait(trace.SpanID(dgs[i].Payload), trace.PhaseSNIC, shareWait(qw, n, i))
 								}
-								svc.dispatchBatchT(t, dgs[:n], loop)
+								svc.dispatchBatchT(t, dgs[:n], dispatched)
 							})
 						}
 						loop = func() {

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"lynx/internal/mqueue"
@@ -312,7 +313,8 @@ func (r *rx) steer(qw time.Duration) {
 	s.stages[0][r.qi].q.PushT(r.t, r.msg, 0, r.enqueuedK)
 }
 
-// enqueued records the push's outcome, then takes the next message.
+// enqueued records the push's outcome, hands the message back to the
+// network — the push copied it into the ring — then takes the next message.
 func (r *rx) enqueued(slot int, err error) {
 	now := r.t.Now()
 	if err == nil {
@@ -321,6 +323,11 @@ func (r *rx) enqueued(slot int, err error) {
 		r.rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
 	}
 	r.s.admit(now, r.qi, slot, err, r.to, r.msg)
+	if r.conn != nil {
+		r.conn.Release(r.msg)
+	} else {
+		r.sock.Release(r.msg)
+	}
 	r.loop()
 }
 
@@ -574,8 +581,9 @@ func (m *mqManager) outSent(time.Duration) {
 	case UDP:
 		cb.sock.SendTo(cb.dst, payload)
 		if rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
+			// The retry list outlives the drained payload: keep a copy.
 			cb.outstanding = append(cb.outstanding, pendingSend{
-				payload:  payload,
+				payload:  bytes.Clone(payload),
 				deadline: m.t.Now().Add(rt.plat.Params.ClientRetryTimeout),
 			})
 		}
@@ -772,9 +780,16 @@ func (cb *ClientBinding) charged(time.Duration) {
 	cb.bq.q.PushT(cb.t, cb.msg, 0, cb.pushedK)
 }
 
+// pushed hands the backend message back to the network — the push copied
+// it into the ring — then takes the next one.
 func (cb *ClientBinding) pushed(_ int, err error) {
 	if err != nil {
 		cb.rt.drop(cb.t.Now(), DropBackend, uint64(cb.qi))
+	}
+	if cb.conn != nil {
+		cb.conn.Release(cb.msg)
+	} else {
+		cb.sock.Release(cb.msg)
 	}
 	cb.recv()
 }

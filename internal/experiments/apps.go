@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -46,6 +47,7 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 	}
 	for i := 0; i < n; i++ {
 		tb.Sim.Spawn(fmt.Sprintf("memcached/%s/%d", host.Name(), i), func(p *sim.Proc) {
+			var out []byte // the reply, reused: SendTo copies it
 			for {
 				dg := sock.Recv(p)
 				machine.Exec(p, stackCost)
@@ -55,9 +57,7 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 				}
 				machine.Exec(p, params.MemcachedOpXeon)
 				reply := store.ServeRaw(dg.Payload[workload.SeqBytes:])
-				out := make([]byte, workload.SeqBytes+len(reply))
-				copy(out, dg.Payload[:workload.SeqBytes])
-				copy(out[workload.SeqBytes:], reply)
+				out = append(append(out[:0], dg.Payload[:workload.SeqBytes]...), reply...)
 				machine.Exec(p, stackCost)
 				if served != nil {
 					*served++
@@ -66,8 +66,10 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 					// Throughput-optimized batching: replies leave in batch
 					// windows. Throughput is unaffected; latency pays the
 					// window (Fig. 9: 160 µs p99 on BlueField at 400 Ktps).
-					from := dg.From
-					tb.Sim.After(batchLatency, func() { sock.SendTo(from, out) })
+					// The reply leaves after the next one is built: it
+					// needs a copy of its own.
+					from, batched := dg.From, bytes.Clone(out)
+					tb.Sim.After(batchLatency, func() { sock.SendTo(from, batched) })
 					continue
 				}
 				sock.SendTo(dg.From, out)

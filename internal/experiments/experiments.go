@@ -459,6 +459,7 @@ func (e *env) kvDeployment(plat core.Platform) (netstack.Addr, *core.Runtime) {
 	opCost := e.params.MemcachedOpXeon
 	if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
 		aq := qs[tb.Index()]
+		var out []byte // the response, reused: Send copies it into the TX ring
 		for {
 			m := aq.Recv(tb.Proc())
 			if len(m.Payload) < workload.SeqBytes {
@@ -466,9 +467,7 @@ func (e *env) kvDeployment(plat core.Platform) (netstack.Addr, *core.Runtime) {
 			}
 			tb.Compute(opCost)
 			reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-			out := make([]byte, workload.SeqBytes+len(reply))
-			copy(out, m.Payload[:workload.SeqBytes])
-			copy(out[workload.SeqBytes:], reply)
+			out = append(append(out[:0], m.Payload[:workload.SeqBytes]...), reply...)
 			if aq.Send(tb.Proc(), uint16(m.Slot), out) != nil {
 				return
 			}

@@ -163,7 +163,7 @@ func (r *Region) WriteLocal(off int, data []byte) {
 }
 
 // WriteDMA stores data as an incoming DMA write. On a relaxed region the
-// write commits now but becomes visible to ReadLocal only after a bounded
+// write commits now but becomes visible to ReadLocalInto only after a bounded
 // pseudo-random skew; Flush forces visibility.
 func (r *Region) WriteDMA(off int, data []byte) {
 	r.check(off, len(data))
@@ -218,16 +218,10 @@ func (r *Region) Flush() {
 	}
 }
 
-// ReadLocal copies n bytes at off into a fresh slice, observing only writes
-// that have become visible.
-func (r *Region) ReadLocal(off, n int) []byte {
-	out := make([]byte, n)
-	r.ReadLocalInto(off, out)
-	return out
-}
-
-// ReadLocalInto is ReadLocal into a caller buffer: it fills dst from off, so
-// header and counter reads can land in a stack array.
+// ReadLocalInto is an accelerator-side load: it fills dst with the bytes at
+// off, observing only writes that have become visible. The caller owns dst,
+// so header and counter reads land in stack arrays and message reads in a
+// reused receive buffer.
 func (r *Region) ReadLocalInto(off int, dst []byte) {
 	r.check(off, len(dst))
 	r.applyPending()

@@ -11,14 +11,21 @@ import (
 
 func newSim() *sim.Sim { return sim.New(sim.Config{Seed: 1}) }
 
+// readLocal returns a copy of the n visible bytes at off.
+func readLocal(r *Region, off, n int) []byte {
+	out := make([]byte, n)
+	r.ReadLocalInto(off, out)
+	return out
+}
+
 func TestRegionReadWrite(t *testing.T) {
 	s := newSim()
 	r := NewRegion(s, "r", 64, Config{})
 	r.WriteLocal(8, []byte("hello"))
-	if got := r.ReadLocal(8, 5); string(got) != "hello" {
+	if got := readLocal(r, 8, 5); string(got) != "hello" {
 		t.Fatalf("got %q", got)
 	}
-	if got := r.ReadLocal(0, 4); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+	if got := readLocal(r, 0, 4); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
 		t.Fatalf("fresh region not zeroed: %v", got)
 	}
 }
@@ -28,8 +35,8 @@ func TestRegionBounds(t *testing.T) {
 	r := NewRegion(s, "r", 16, Config{})
 	for _, f := range []func(){
 		func() { r.WriteLocal(10, make([]byte, 10)) },
-		func() { r.ReadLocal(-1, 4) },
-		func() { r.ReadLocal(0, 17) },
+		func() { r.ReadLocalInto(-1, make([]byte, 4)) },
+		func() { r.ReadLocalInto(0, make([]byte, 17)) },
 	} {
 		func() {
 			defer func() {
@@ -69,7 +76,7 @@ func TestRelaxedOrderingCanReorder(t *testing.T) {
 			for r.Byte(63) == 0 {
 				p.Sleep(500 * time.Nanosecond)
 			}
-			if string(r.ReadLocal(0, 8)) != "payload!" {
+			if string(readLocal(r, 0, 8)) != "payload!" {
 				reordered = true
 			}
 			p.Sleep(20 * time.Microsecond) // let stragglers land
@@ -95,7 +102,7 @@ func TestFlushBarrierPreventsReordering(t *testing.T) {
 			for r.Byte(63) == 0 {
 				p.Sleep(500 * time.Nanosecond)
 			}
-			if string(r.ReadLocal(0, 8)) != "payload!" {
+			if string(readLocal(r, 0, 8)) != "payload!" {
 				t.Errorf("iteration %d: corruption despite barrier", i)
 				return
 			}
@@ -188,7 +195,7 @@ func TestOrderedRegionLastWriterWins(t *testing.T) {
 			}
 			shadow[op.Off] = op.Val
 		}
-		return bytes.Equal(r.ReadLocal(0, 256), shadow)
+		return bytes.Equal(readLocal(r, 0, 256), shadow)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

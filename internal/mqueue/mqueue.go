@@ -168,6 +168,9 @@ type Queue struct {
 	// ops is the frame pool of the queue's task-form operations, shared by
 	// every queue of a group (see op).
 	ops *opPool
+	// drained holds the payloads of the last drained run; TxMsg.Payload
+	// views it until the next drain of this queue overwrites it.
+	drained []byte
 
 	pushed, polled, full uint64
 }
@@ -395,7 +398,10 @@ func (q *Queue) absorbHeader(raw []byte, at sim.Time) {
 // Ready reports whether, per the cached counters, the TX ring has messages.
 func (q *Queue) Ready() bool { return q.txSeen > q.txTail }
 
-// TxMsg is one message drained from the accelerator's TX ring.
+// TxMsg is one message drained from the accelerator's TX ring. Payload is
+// lent from the queue's drain buffer: it stays valid until the next
+// PopTxMany or PopTxManyT on the same queue, so a consumer that keeps a
+// message longer must copy it.
 type TxMsg struct {
 	Payload []byte
 	Err     byte
@@ -404,11 +410,11 @@ type TxMsg struct {
 }
 
 // takeTx consumes the TX message in raw, the image of the next TX slot
-// (index slot) read by a drain that started at drainStart: it copies the
-// payload out, advances the drain counters and books the TX-ring wait. ok is
-// false when the doorbell is clear — counters said ready but the slot write
-// is not visible, which cannot happen with local accelerator stores (strong
-// ordering); kept as a guard.
+// (index slot) read by a drain that started at drainStart: it appends the
+// payload to the drain buffer, advances the drain counters and books the
+// TX-ring wait. ok is false when the doorbell is clear — counters said ready
+// but the slot write is not visible, which cannot happen with local
+// accelerator stores (strong ordering); kept as a guard.
 func (q *Queue) takeTx(raw []byte, slot int, drainStart sim.Time) (TxMsg, bool) {
 	if raw[offDoorbell] == 0 {
 		q.cfg.Check.Failf("mqueue.doorbell-miss",
@@ -420,8 +426,9 @@ func (q *Queue) takeTx(raw []byte, slot int, drainStart sim.Time) (TxMsg, bool) 
 	if size > q.cfg.MaxPayload() {
 		size = q.cfg.MaxPayload()
 	}
-	payload := make([]byte, size)
-	copy(payload, raw[HeaderBytes:HeaderBytes+size])
+	start := len(q.drained)
+	q.drained = append(q.drained, raw[HeaderBytes:HeaderBytes+size]...)
+	payload := q.drained[start:len(q.drained):len(q.drained)]
 	q.txTail++
 	q.txDirty = true
 	q.polled++
@@ -438,7 +445,13 @@ func (q *Queue) takeTx(raw []byte, slot int, drainStart sim.Time) (TxMsg, bool) 
 
 // takeRun consumes len(out) consecutive TX slots from raw, starting at slot
 // first, stopping at the first clear doorbell; it returns the count taken.
+// The run's payloads overwrite the previous run's in the drain buffer, which
+// is sized for a full run up front so that no append moves it mid-run.
 func (q *Queue) takeRun(raw []byte, first int, drainStart sim.Time, out []TxMsg) int {
+	if need := len(out) * q.cfg.MaxPayload(); cap(q.drained) < need {
+		q.drained = make([]byte, 0, need)
+	}
+	q.drained = q.drained[:0]
 	for i := range out {
 		msg, ok := q.takeTx(raw[i*q.cfg.SlotSize:], first+i, drainStart)
 		if !ok {
@@ -471,7 +484,8 @@ func (q *Queue) txRun(budget, room int) (first, n int) {
 // remainder), so one sweep visit costs at most two read round trips instead
 // of one per message. It is the one TX drain: an unbatched drainer passes a
 // one-slot out, which reads exactly that slot. The caller must eventually
-// CommitTx so the accelerator sees the slots freed.
+// CommitTx so the accelerator sees the slots freed. The payloads stored in
+// out are valid until the queue's next drain (see TxMsg).
 func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) (n int) {
 	p.Await(func(t *sim.Task, done func()) {
 		q.PopTxManyT(t, budget, out, func(k int) { n = k; done() })
@@ -677,6 +691,7 @@ type AccelQueue struct {
 	txFreeGate *sim.Gate
 
 	img []byte // TX slot image scratch (WriteLocal copies it)
+	rx  []byte // receive buffer: the last received payload (see Msg)
 
 	received, sent, errs uint64
 }
@@ -719,7 +734,10 @@ func AttachGroup(region *memdev.Region, base int, cfg Config, n int, prof Access
 	return out, nil
 }
 
-// Msg is one received message.
+// Msg is one received message. Payload is lent from the queue's receive
+// buffer: it stays valid until the next receive on the same AccelQueue, so a
+// consumer that keeps a message longer must copy it. Send copies its payload
+// into the TX ring, so echoing Payload back is safe.
 type Msg struct {
 	Payload []byte
 	Err     byte // non-zero: SNIC-reported connection error (§5.1 metadata)
@@ -741,7 +759,8 @@ func (aq *AccelQueue) maybeStall(p *sim.Proc) {
 
 // TryRecv performs one poll of the next RX slot. It charges one local
 // access; if a message is present it consumes it (two further accesses:
-// payload read and doorbell clear + consumed-counter update).
+// payload read and doorbell clear + consumed-counter update). The payload
+// lands in the queue's receive buffer (see Msg).
 func (aq *AccelQueue) TryRecv(p *sim.Proc) (Msg, bool) {
 	aq.maybeStall(p)
 	slot := int(aq.rxTail % uint64(aq.cfg.Slots))
@@ -759,7 +778,11 @@ func (aq *AccelQueue) TryRecv(p *sim.Proc) (Msg, bool) {
 		ck.Failf("mqueue.slot-corrupt", "RX slot %d size %d exceeds capacity %d",
 			slot, size, aq.cfg.MaxPayload())
 	}
-	payload := aq.region.ReadLocal(off+HeaderBytes, size)
+	if cap(aq.rx) < size {
+		aq.rx = make([]byte, max(size, aq.cfg.MaxPayload()))
+	}
+	payload := aq.rx[:size:size]
+	aq.region.ReadLocalInto(off+HeaderBytes, payload)
 	// Clear doorbell and publish consumption.
 	p.Sleep(aq.prof.LocalAccess)
 	aq.region.WriteLocal(off+offDoorbell, []byte{0})

@@ -119,7 +119,8 @@ func TestEndToEndEcho(t *testing.T) {
 				}
 			}
 			if msg, ok := poll(p, snicQ); ok {
-				got = append(got, msg.Payload)
+				// The next drain reuses the payload's buffer: keep a copy.
+				got = append(got, bytes.Clone(msg.Payload))
 			} else {
 				p.Sleep(r.params.MQPollInterval)
 			}
@@ -596,7 +597,11 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 				if k == 0 {
 					break
 				}
-				got = append(got, buf[:k]...)
+				// The next drain reuses the payloads' buffer: keep copies.
+				for _, m := range buf[:k] {
+					m.Payload = bytes.Clone(m.Payload)
+					got = append(got, m)
+				}
 				drained = true
 			}
 			snicQ.CommitTx(p)

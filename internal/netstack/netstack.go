@@ -13,6 +13,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"lynx/internal/check"
@@ -30,7 +31,8 @@ type Addr struct {
 // String formats the address host:port.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
 
-// Datagram is one received UDP message.
+// Datagram is one received UDP message. Payload is the network's copy of the
+// sent bytes; the receiver owns it until it hands it back with Release.
 type Datagram struct {
 	From    Addr
 	To      Addr
@@ -87,6 +89,52 @@ type Network struct {
 
 	flights []*flight  // free list of UDP wire records
 	segs    []*segment // free list of TCP wire records
+	// bufs is the free list of payload copies, one stack per power-of-two
+	// size class: class c holds buffers of capacity at least 1<<c. Sends take
+	// their copy from it, and Release and undeliverable messages refill it,
+	// so it is bounded by the messages in flight.
+	bufs [][][]byte
+}
+
+// poison fills a released buffer while checks are armed, so a use after
+// Release reads bytes no sender wrote.
+const poison = 0xDB
+
+// copyOf returns a copy of payload in a buffer from the free list of its
+// size class, allocating only when that list is empty.
+func (n *Network) copyOf(payload []byte) []byte {
+	if len(payload) == 0 {
+		return []byte{}
+	}
+	c := bits.Len(uint(len(payload) - 1))
+	if c < len(n.bufs) {
+		if free := n.bufs[c]; len(free) > 0 {
+			b := free[len(free)-1]
+			free[len(free)-1] = nil
+			n.bufs[c] = free[:len(free)-1]
+			return append(b, payload...)
+		}
+	}
+	return append(make([]byte, 0, 1<<c), payload...)
+}
+
+// release returns a message buffer to the free list of the largest size
+// class its capacity covers.
+func (n *Network) release(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	if n.check.Enabled() {
+		for i := range b {
+			b[i] = poison
+		}
+	}
+	c := bits.Len(uint(cap(b))) - 1
+	for len(n.bufs) <= c {
+		n.bufs = append(n.bufs, nil)
+	}
+	n.bufs[c] = append(n.bufs[c], b[:0])
 }
 
 // New creates an empty network using the wire constants in params.
@@ -104,7 +152,8 @@ func (n *Network) Faults() *fault.Plan { return n.faults }
 // RegisterInvariants installs ck and registers the network's end-of-run
 // check: every datagram launched since installation is accounted for as
 // delivered, dropped (wire or receive queue), unreachable, or still in
-// flight at shutdown (a non-negative remainder).
+// flight at shutdown (a non-negative remainder). While ck is installed, every
+// released buffer is poisoned, so a use after Release reads garbage.
 func (n *Network) RegisterInvariants(ck *check.Checker) {
 	if !ck.Enabled() {
 		return
@@ -260,8 +309,10 @@ func (h *Host) MustUDPBind(port uint16) *UDPSocket {
 func (s *UDPSocket) Addr() Addr { return s.host.Addr(s.port) }
 
 // SendTo transmits payload to the destination address. Unknown destinations
-// are silently dropped (as on a real network). The payload is copied. The
-// network's fault plan, if any, may drop, duplicate or delay the datagram.
+// are silently dropped (as on a real network). The payload is copied into a
+// buffer the receiver owns (see Release); the caller keeps payload. The
+// network's fault plan, if any, may drop, duplicate or delay the datagram; a
+// duplicate carries a copy of its own.
 func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 	n := s.host.net
 	checked := n.check.Enabled()
@@ -279,22 +330,22 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 		}
 		return // lost on the wire
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	dg := Datagram{From: s.Addr(), To: to, Payload: buf}
+	dg := Datagram{From: s.Addr(), To: to, Payload: n.copyOf(payload)}
 	n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
 	if fate == fault.Duplicate {
 		if checked {
 			n.udpDuplicated++
 		}
-		// The copy serializes behind the original on the same links.
+		// The copy serializes behind the original on the same links, in a
+		// buffer of its own: each delivery is released on its own.
+		dg.Payload = n.copyOf(payload)
 		n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
 	}
 }
 
 // flight is one datagram on the wire. Records recycle through
-// Network.flights and arrive is bound once, so a send allocates only its
-// payload copy, which the receiver keeps.
+// Network.flights and arrive is bound once, so a send allocates at most its
+// payload copy, and none once receivers release what they are done with.
 type flight struct {
 	n       *Network
 	dst     *Host
@@ -320,7 +371,8 @@ func (n *Network) flight(dst *Host, dg Datagram, checked bool) func() {
 }
 
 // land delivers the datagram into its destination socket's receive queue,
-// stamping the arrival, and recycles the record.
+// stamping the arrival, and recycles the record. A datagram nobody receives
+// returns its payload to the free list.
 func (f *flight) land() {
 	n, dst, dg, checked := f.n, f.dst, f.dg, f.checked
 	f.dst, f.dg = nil, Datagram{}
@@ -330,10 +382,12 @@ func (f *flight) land() {
 		if checked {
 			n.udpUnreachable++
 		}
+		n.release(dg.Payload)
 		return // port unreachable
 	}
 	dg.EnqueuedAt = n.sim.Now()
 	if !sock.rxq.TryPut(dg) {
+		n.release(dg.Payload)
 		dst.dropped++
 		if checked {
 			n.udpRxqDropped++
@@ -373,6 +427,11 @@ func (s *UDPSocket) RecvBatchT(t *sim.Task, buf []Datagram, fn func(int)) (int, 
 
 // TryRecv polls for a datagram without blocking.
 func (s *UDPSocket) TryRecv() (Datagram, bool) { return s.rxq.TryGet() }
+
+// Release hands a received payload back to the network once the receiver is
+// done with it: a later send reuses the buffer. A receiver that keeps the
+// payload simply does not release it. Nothing may touch b after Release.
+func (s *UDPSocket) Release(b []byte) { s.host.net.release(b) }
 
 // Pending reports queued datagrams.
 func (s *UDPSocket) Pending() int { return s.rxq.Len() }
@@ -527,7 +586,7 @@ func (c *TCPConn) RemoteAddr() Addr { return c.remote }
 // ACK in the reverse direction, which is what makes TCP dearer on the wire
 // as well as on the CPU. Under a fault plan, a "lost" segment manifests as
 // retransmission delay — the reliable transport masks the loss, as real TCP
-// does.
+// does. The message is copied into a buffer the receiver owns (see Release).
 func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
 	if c.closed {
 		return ErrConnClosed
@@ -535,15 +594,17 @@ func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
 	if c.reset {
 		return ErrConnReset
 	}
-	buf := make([]byte, len(msg))
-	copy(buf, msg)
-	c.net.transmitDelayed(c.localHost, c.remoteHost, len(msg), tcpOverhead, c.net.faults.TCPDelay(), c.net.segment(c, buf))
+	c.net.transmitDelayed(c.localHost, c.remoteHost, len(msg), tcpOverhead, c.net.faults.TCPDelay(), c.net.segment(c, c.net.copyOf(msg)))
 	return nil
 }
 
+// Release hands a received message back to the network once the receiver is
+// done with it, as UDPSocket.Release does.
+func (c *TCPConn) Release(b []byte) { c.net.release(b) }
+
 // segment is one TCP message on the wire. Records recycle through
-// Network.segs and arrive is bound once, like UDP's flight, so a send
-// allocates only its payload copy, which the receiver keeps.
+// Network.segs and arrive is bound once, like UDP's flight, and the payload
+// copy comes from the network's free list.
 type segment struct {
 	n      *Network
 	from   *TCPConn
@@ -575,6 +636,7 @@ func (g *segment) land() {
 	n.segs = append(n.segs, g)
 	peer := c.peer
 	if peer.closed || peer.reset {
+		n.release(b)
 		return
 	}
 	// unbounded: flow control not modelled

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lynx/internal/check"
 	"lynx/internal/fault"
 	"lynx/internal/model"
 	"lynx/internal/sim"
@@ -85,6 +86,40 @@ func TestUDPQueueOverflowDrops(t *testing.T) {
 	if b.Dropped() != 100 {
 		t.Fatalf("dropped %d, want 100", b.Dropped())
 	}
+}
+
+// A duplicated datagram travels in a buffer of its own: releasing the first
+// delivery, whose buffer the next send then reuses, leaves the duplicate
+// carrying the bytes that were sent.
+func TestDuplicateSurvivesRelease(t *testing.T) {
+	s, n, _ := newNet()
+	n.SetFaults(fault.NewPlan(fault.Config{DupRate: 1}))
+	n.RegisterInvariants(check.New()) // armed checks poison released buffers
+	src := n.AddHost("a").MustUDPBind(1)
+	dst := n.AddHost("b").MustUDPBind(2)
+	deliver := func(payload string) {
+		src.SendTo(dst.Addr(), []byte(payload))
+		s.RunUntil(s.Now().Add(time.Millisecond))
+	}
+
+	deliver("original")
+	first, ok := dst.TryRecv()
+	if !ok || dst.Pending() != 1 {
+		t.Fatalf("got delivery %v with %d pending, want the original and its duplicate", ok, dst.Pending())
+	}
+	firstBuf := &first.Payload[0]
+	dst.Release(first.Payload)
+	deliver("replaced") // same size class: its copy takes the released buffer
+	dup, _ := dst.TryRecv()
+	third, _ := dst.TryRecv()
+	if &third.Payload[0] != firstBuf {
+		t.Fatal("the third datagram did not reuse the released buffer")
+	}
+	if string(dup.Payload) != "original" || string(third.Payload) != "replaced" {
+		t.Fatalf("duplicate carries %q and third datagram %q, want %q and %q",
+			dup.Payload, third.Payload, "original", "replaced")
+	}
+	s.Shutdown()
 }
 
 func TestBindConflicts(t *testing.T) {

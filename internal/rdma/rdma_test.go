@@ -145,7 +145,8 @@ func TestUCCreditsAndDrops(t *testing.T) {
 	}
 	// After a refill (the NICA helper thread), writes land again.
 	qp.AddCredits(1)
-	r2 := region.ReadLocal(0, 1)
+	var r2 [1]byte
+	region.ReadLocalInto(0, r2[:])
 	if r2[0] != 1 {
 		t.Fatalf("first write payload lost: %v", r2)
 	}
@@ -173,7 +174,8 @@ func TestBarrierFlushesRelaxedWrites(t *testing.T) {
 		start := p.Now()
 		qp.Barrier(p, region)
 		barLat = p.Now().Sub(start)
-		if got := region.ReadLocal(0, 8); string(got) != "payload!" {
+		var got [8]byte
+		if region.ReadLocalInto(0, got[:]); string(got[:]) != "payload!" {
 			t.Errorf("payload invisible after barrier: %q", got)
 		}
 	})
@@ -335,7 +337,8 @@ func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 			last = c
 			// All data must be visible once the final checkpoint completes.
 			for i := 0; i < n; i++ {
-				if got := region.ReadLocal(i*8, 1); got[0] != byte(i) {
+				var got [1]byte
+				if region.ReadLocalInto(i*8, got[:]); got[0] != byte(i) {
 					t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
 				}
 			}

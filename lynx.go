@@ -66,7 +66,8 @@ type (
 	// Queue is the accelerator-side mqueue handle (the lightweight I/O
 	// library accelerator code uses).
 	Queue = mqueue.AccelQueue
-	// Msg is one message received on a Queue.
+	// Msg is one message received on a Queue. Its Payload is valid until
+	// the next receive on the same Queue; copy it to keep it longer.
 	Msg = mqueue.Msg
 	// QueueConfig shapes mqueue geometry.
 	QueueConfig = mqueue.Config

@@ -174,10 +174,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			copy(buf[workload.SeqBytes:], lenet.RenderDigit(int(seq%10), 0, 0))
 		}
 		if err := gpu.LaunchPersistent(cluster.Testbed().Sim, 1, func(tb *lynx.TB) {
+			resp := make([]byte, workload.SeqBytes+1) // reused: Send copies it into the TX ring
 			for {
 				m := aq.Recv(tb.Proc())
-				resp := make([]byte, workload.SeqBytes+1)
 				copy(resp, m.Payload[:workload.SeqBytes])
+				resp[workload.SeqBytes] = 0
 				if cls, err := net.Classify(m.Payload[workload.SeqBytes:]); err == nil {
 					resp[workload.SeqBytes] = byte(cls)
 				}

@@ -17,7 +17,7 @@ func Example() {
 	gpu := server.AddGPU("gpu0", lynx.K40m, false, "server1")
 	client := cluster.AddClient("client1")
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, _ := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, 1)
 	svc, _ := srv.AddService(lynx.UDP, 7000, nil, 1, h)
 	q := h.AccelQueues()[0]

@@ -57,7 +57,7 @@ func main() {
 	})
 
 	// --- Frontend tier: Lynx on BlueField + GPU persistent kernel. ---
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, err := srv.Register(gpu, lynx.QueueConfig{
 		Kind: lynx.ServerQueue, Slots: 8, SlotSize: reqBytes + 96,
 	}, 2*nTB)

@@ -39,7 +39,7 @@ func runLynx(net *lenet.Network) workload.Result {
 	gpu := server.AddGPU("gpu0", lynx.K40m, false, "server1")
 	client := cluster.AddClient("client1")
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: payload + 16}, 1)
 	must(err)
 	svc, err := srv.AddService(lynx.UDP, 7000, nil, 1, h)

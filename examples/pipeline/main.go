@@ -26,7 +26,7 @@ func main() {
 	gpuInfer := server.AddGPU("gpu-infer", lynx.K40m, false, "server1")
 	client := cluster.AddClient("client1")
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	cfg := lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: payload + 16}
 	h1, err := srv.Register(gpuPre, cfg, 2)
 	must(err)

@@ -25,7 +25,7 @@ func main() {
 
 	// 2. Create the Lynx runtime on the SmartNIC's ARM cores and register
 	//    the GPU with four server mqueues.
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	handle, err := srv.Register(gpu, lynx.QueueConfig{
 		Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128,
 	}, 4)

@@ -33,7 +33,7 @@ func run(nLocal, nRemote int) workload.Result {
 		gpus = append(gpus, remotes[i/4].AddGPU(fmt.Sprintf("gpu-r%d", i), lynx.K80, false, "server1"))
 	}
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	service := cluster.Params().LeNetServiceK80
 	var handles []*lynx.AccelHandle
 	for _, g := range gpus {

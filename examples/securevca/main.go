@@ -32,7 +32,7 @@ func main() {
 	clientKey, err := secure.NewCipher(key)
 	must(err)
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, err := srv.Register(vca, lynx.QueueConfig{
 		Kind: lynx.ServerQueue, Slots: 16, SlotSize: payload + 16,
 	}, 1)

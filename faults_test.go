@@ -18,7 +18,7 @@ func gpuEcho(t *testing.T, opts ...lynx.Option) (*lynx.Cluster, *lynx.Server, ly
 	bf := server.AttachBlueField("bf1")
 	gpu := server.AddGPU("gpu0", lynx.K40m, false, "server1")
 	client := cluster.AddClient("client1")
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,17 @@
-// Rack assembles the multi-node Lynx deployment of ROADMAP item 1: N server
-// machines — each a host with a BlueField SNIC and a GPU — cabled into
-// per-node top-of-rack switches that uplink to the wire backbone, running a
-// sharded, replicated key-value store. The shard map (consistent hashing,
-// shardmap.go) assigns every shard a primary and RF-1 replica nodes; each
-// primary's SNIC dispatcher drives the quorum protocol (core.AddReplication)
-// over one-sided RDMA into ingest mqueues that live in the peer accelerators'
-// memory, where persistent apply kernels replay the writes into the peer
-// stores and acknowledge through the same rings.
+// Package cluster builds the Lynx KV service, from one server to a rack (an
+// extension beyond the paper): N server machines — each a host with a
+// BlueField SNIC and a GPU — cabled into per-node top-of-rack switches that
+// uplink to the wire backbone, running a sharded, replicated key-value
+// store. The shard map (consistent hashing, shardmap.go) assigns every shard
+// a primary and RF-1 replica nodes; each primary's SNIC dispatcher drives the
+// quorum protocol (core.AddReplication) over one-sided RDMA into ingest
+// mqueues that live in the peer accelerators' memory, where persistent apply
+// kernels replay the writes into the peer stores and acknowledge through the
+// same rings.
 //
-// A 1-node rack with Replicas=1 deliberately performs, operation for
-// operation, the same build sequence as the single-server deployments in
-// internal/experiments (no ToR, no replication layer, identical mqueue
-// geometry), so its output is byte-identical to the single-server harness —
-// the metamorphic golden test pins this.
+// A 1-node rack with Replicas=1 is the single-server Lynx KV service: its
+// server cables straight into the backbone and has no replication layer.
+// There is no other build of that service.
 package cluster
 
 import (
@@ -38,8 +37,7 @@ import (
 const (
 	// ServicePort is the UDP port every node's KV service listens on.
 	ServicePort = 7000
-	// serveQueues is the per-node mqueue count (the single-server KV
-	// deployments use the same geometry).
+	// serveQueues is the per-node serving mqueue count.
 	serveQueues = 4
 	// slotBytes is the mqueue slot size shared by serving and ingest rings.
 	slotBytes = 128
@@ -53,8 +51,7 @@ type Config struct {
 	// Replicas-1 peer replicas (default 1 = no replication; must not exceed
 	// Nodes).
 	Replicas int
-	// Seed is the simulation seed, used verbatim (callers matching the
-	// experiment harness convention pass their config seed +1 themselves).
+	// Seed is the simulation seed, used verbatim.
 	Seed uint64
 	// Params are the model constants; nil uses a fresh model.Default copy.
 	Params *model.Params
@@ -72,8 +69,7 @@ type Config struct {
 	Telemetry *Telemetry
 	// Shards is the shard-map size (default DefaultShards).
 	Shards int
-	// Keys preloads every node's store with key-%03d entries (default 512,
-	// the single-server convention).
+	// Keys preloads every node's store with key-%03d entries (default 512).
 	Keys int
 	// Quorum is the peer-ack count a write needs before its response is
 	// released; 0 waits for every live peer in the shard's replica set.
@@ -157,8 +153,8 @@ func Build(cfg Config) (*Rack, error) {
 	r := &Rack{TB: tb, Map: NewShardMap(cfg.Shards), cfg: cfg, nameIdx: make(map[string]int)}
 
 	// Hardware: one rack switch per node when the deployment spans several
-	// machines; the 1-node build cables straight into the backbone, exactly
-	// like the single-server testbeds.
+	// machines; the 1-node build cables straight into the backbone, like
+	// every single-server testbed.
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("server%d", i+1)
 		var m *snic.Machine
@@ -277,8 +273,7 @@ func Build(cfg Config) (*Rack, error) {
 		}
 	}
 
-	// Serving kernels and runtime start, one node at a time. The body is the
-	// single-server KV deployment's, verbatim.
+	// Serving kernels and runtime start, one node at a time.
 	for _, n := range r.nodes {
 		qs := n.handle.AccelQueues()
 		store := n.Store

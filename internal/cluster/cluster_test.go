@@ -279,8 +279,9 @@ func TestRackChaosDeterminism(t *testing.T) {
 }
 
 // TestRackRF1HasNoReplicationLayer: replication factor 1 must leave every
-// node's replicator nil — the hooks stay dormant and the single-server event
-// sequence is untouched (the metamorphic golden pins the byte identity).
+// node's replicator nil — the hooks stay dormant and each node serves as a
+// plain Lynx KV server (the rf1-rack path golden pins one such node's exact
+// event sequence).
 func TestRackRF1HasNoReplicationLayer(t *testing.T) {
 	rack, err := Build(Config{Nodes: 2, Replicas: 1, Seed: 3})
 	if err != nil {

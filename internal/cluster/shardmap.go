@@ -1,8 +1,5 @@
-// Package cluster scales the Lynx architecture from one server to a rack
-// (ROADMAP item 1): a consistent-hash shard map for membership and key
-// placement, and a Rack builder that wires N SNIC-driven nodes through a
-// top-of-rack switch with SNIC-dispatcher-driven replication to peer
-// accelerators.
+// The shard map: consistent-hash membership and key placement for a rack.
+
 package cluster
 
 import (

@@ -1,24 +1,22 @@
-// SNIC-driven replication (ROADMAP item 1, after "Reliable Replication
-// Protocols on SmartNICs"): the dispatcher classifies each accepted request,
+// SNIC-driven replication (an extension beyond the paper, after "Reliable
+// Replication Protocols on SmartNICs"): the dispatcher classifies each accepted request,
 // and for writes it drives a quorum protocol entirely from the SNIC — the
 // replication records travel over one-sided RDMA into ingest mqueues that
 // live in *peer* accelerator memory, peer apply kernels acknowledge through
 // the same rings, and the client response is held on the primary until the
 // quorum is met. No host CPU on either side touches the path.
 //
-// Failure handling rides the PR 1 fault plane and the existing MQ-manager
+// Failure handling rides the fault plane (internal/fault) and the MQ-manager
 // watchdog: a peer whose ingest ring stops making progress while holding
 // in-flight records past MQWatchdogTimeout is declared dead, its pending
 // acknowledgements are waived, and every response blocked only on it is
-// released. Peers declared dead stay dead (no resync protocol yet — that is
-// the next ROADMAP step); writes accepted after the verdict simply replicate
-// to the surviving peers.
+// released. Peers declared dead stay dead (there is no resync protocol);
+// writes accepted after the verdict simply replicate to the surviving peers.
 //
 // The hooks into the dispatch/forward hot paths are synchronous bookkeeping
-// gated on `svc.repl != nil`, so a runtime without replication executes the
-// exact event sequence it executed before this layer existed — replication
-// factor 1 stays byte-identical to the single-server build (the metamorphic
-// golden test in internal/experiments pins this).
+// gated on `svc.repl != nil`, so a runtime without replication — any single
+// server, and every node of a rack at replication factor 1 — pays nothing
+// for this layer and schedules no event of it.
 package core
 
 import (

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"lynx/internal/apps/kvstore"
+	"lynx/internal/cluster"
 	"lynx/internal/fault"
+	"lynx/internal/model"
 	"lynx/internal/workload"
 )
 
@@ -19,8 +21,9 @@ func init() {
 // datagram loss rate, with loss-aware clients (bounded same-sequence
 // retransmit), and reports the measured result.
 //
-// The Lynx deployment serves GETs from persistent GPU threadblocks through
-// SNIC-managed mqueues; the host-centric baseline is the memcached-style
+// The Lynx deployment is the single-server KV service — the 1-node, RF=1
+// rack — serving GETs from persistent GPU threadblocks through SNIC-managed
+// mqueues; the host-centric baseline is the memcached-style
 // deployment on the Xeon cores. Both see the same client behavior and the
 // same fault plan shape, so the sweep isolates how each architecture's
 // request path degrades as the network loses datagrams.
@@ -32,7 +35,6 @@ type degradationCell struct {
 func (c degradationCell) run(cfg Config) workload.Result {
 	window := cfg.window(20 * time.Millisecond)
 	cfg.Faults = fault.Config{Seed: cfg.Seed, DropRate: c.loss}
-	e := newEnv(cfg)
 	wcfg := workload.Config{
 		Proto: workload.UDP, Payload: 64,
 		Body: func(seq uint64, buf []byte) {
@@ -44,14 +46,18 @@ func (c degradationCell) run(cfg Config) workload.Result {
 		Timeout: time.Millisecond, Retries: 3,
 	}
 	if c.lynx {
-		wcfg.Target, _ = e.kvDeployment(e.bf.Platform(7))
-	} else {
-		store := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, 6, false, 0, nil)
-		for i := 0; i < 512; i++ {
-			store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-		}
-		wcfg.Target = e.server.NetHost.Addr(11211)
+		p := model.Default()
+		rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Params: cfg.withBatch(&p)})
+		defer rack.Close()
+		wcfg.Target = rack.Node(0).Addr()
+		return rack.Measure(wcfg)
 	}
+	e := newEnv(cfg)
+	store := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, 6, false, 0, nil)
+	for i := 0; i < 512; i++ {
+		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
+	}
+	wcfg.Target = e.server.NetHost.Addr(11211)
 	res := e.measure(wcfg)
 	e.tb.Sim.Shutdown()
 	return res

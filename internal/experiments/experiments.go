@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"lynx/internal/accel"
-	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
+	"lynx/internal/cluster"
 	"lynx/internal/core"
 	"lynx/internal/fault"
 	"lynx/internal/metrics"
@@ -324,14 +324,7 @@ func newEnv(cfg Config) *env {
 }
 
 func newEnvWith(cfg Config, p *model.Params) *env {
-	// A run-wide batching configuration (lynxbench -batch*) applies to every
-	// testbed that does not pin its own; experiments sweeping batching set
-	// p.Batch explicitly and win. Callers pass per-point Params copies, so
-	// the write never leaks across sweep points.
-	if !cfg.Batch.Unit() && p.Batch == (model.BatchConfig{}) {
-		p.Batch = cfg.Batch
-	}
-	tb := snic.NewTestbedWith(cfg.Seed+1, p, cfg.Faults)
+	tb := snic.NewTestbedWith(cfg.Seed+1, cfg.withBatch(p), cfg.Faults)
 	var ck *check.Checker
 	if cfg.Invariants.Enabled() {
 		ck = check.New()
@@ -353,6 +346,37 @@ func newEnvWith(cfg Config, p *model.Params) *env {
 		e.arm(1 << 14)
 	}
 	return e
+}
+
+// withBatch applies the run-wide batching configuration (lynxbench -batch)
+// to p unless p pins its own; experiments sweeping batching set p.Batch
+// explicitly and win. Callers pass per-point Params copies, so the write
+// never leaks across sweep points.
+func (c Config) withBatch(p *model.Params) *model.Params {
+	if !c.Batch.Unit() && p.Batch == (model.BatchConfig{}) {
+		p.Batch = c.Batch
+	}
+	return p
+}
+
+// rack builds a KV rack of the shape rc gives on the conventions every
+// experiment testbed follows: the seed is Seed+1, the run's fault plan
+// applies, nil Params are an unbatched model.Default copy, and with
+// invariants armed the rack's checker folds into the run's aggregate at
+// shutdown. A 1-node, RF=1 rack is the single-server Lynx KV service.
+func (c Config) rack(rc cluster.Config) *cluster.Rack {
+	rc.Seed, rc.Faults = c.Seed+1, c.Faults
+	if c.Invariants.Enabled() {
+		rc.Check = check.New()
+	}
+	r, err := cluster.Build(rc)
+	if err != nil {
+		panic(err)
+	}
+	if ck := rc.Check; ck != nil {
+		r.TB.Sim.OnShutdown(func() { c.Invariants.Add(ck.Finalize()) })
+	}
+	return r
 }
 
 // arm arms the env's observability plane once, with a span table of spanCap
@@ -425,50 +449,6 @@ func (e *env) echoDeployment(plat core.Platform, nQueues int, compute time.Durat
 				tb.Compute(compute)
 			}
 			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-				return
-			}
-		}
-	}); err != nil {
-		panic(err)
-	}
-	if err := rt.Start(); err != nil {
-		panic(err)
-	}
-	return svc.Addr(), rt
-}
-
-// kvDeployment stands up the single-server Lynx KV service on plat: four
-// server mqueues, each drained by a persistent GPU threadblock serving a
-// kvstore preloaded with key-000..key-511. Returns the service address.
-func (e *env) kvDeployment(plat core.Platform) (netstack.Addr, *core.Runtime) {
-	const nq = 4
-	rt := core.NewRuntime(plat)
-	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, nq)
-	if err != nil {
-		panic(err)
-	}
-	svc, err := rt.AddService(core.UDP, 7000, nil, nq, h)
-	if err != nil {
-		panic(err)
-	}
-	store := kvstore.NewStore(16, 0)
-	for i := 0; i < 512; i++ {
-		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-	}
-	qs := h.AccelQueues()
-	opCost := e.params.MemcachedOpXeon
-	if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
-		aq := qs[tb.Index()]
-		var out []byte // the response, reused: Send copies it into the TX ring
-		for {
-			m := aq.Recv(tb.Proc())
-			if len(m.Payload) < workload.SeqBytes {
-				continue
-			}
-			tb.Compute(opCost)
-			reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-			out = append(append(out[:0], m.Payload[:workload.SeqBytes]...), reply...)
-			if aq.Send(tb.Proc(), uint16(m.Slot), out) != nil {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,7 +43,8 @@ type goldenPath struct {
 // one of them.
 //
 // The path goldens pin what those reports aggregate away: the breakdown
-// experiment's event timeline, and each runtime stage that runs on the
+// experiment's event timeline, the single-server KV service (the 1-node
+// RF=1 rack) with its plane armed, and each runtime stage that runs on the
 // Task substrate — TCP accept/rx, pipeline frontends, client-mqueue pumps
 // and retries, the replicator pump under a replica kill — and the Innova
 // AFU, which reaches the SNIC queue operations through their coroutine
@@ -95,6 +97,7 @@ func TestGoldens(t *testing.T) {
 		{"tcp-client-mqueue", []string{"path_tcp_client_mqueue.csv", "path_tcp_client_mqueue_trace.txt"}, goldenTCPClientQueue},
 		{"udp-client-mqueue", []string{"path_udp_client_mqueue.csv", "path_udp_client_mqueue_trace.txt"}, goldenUDPClientQueue},
 		{"replication-kill", []string{"path_replication_kill.csv", "path_replication_kill_trace.txt"}, goldenReplicationKill},
+		{"rf1-rack", []string{"pr9_replication_identity_scale025_seed7.csv", "pr9_replication_identity_scale025_seed7_trace.txt"}, goldenRF1Rack},
 		{"innova-duplex", []string{"path_innova_duplex.csv"}, func(t *testing.T) []string {
 			return []string{goldenInnovaDuplex(model.BatchConfig{})}
 		}},
@@ -442,6 +445,48 @@ func goldenReplicationKill(t *testing.T) []string {
 	return []string{goldenReport("replication-kill", s, res,
 		[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
 		traceText(t, rack.Node(0).Prof.Events())}
+}
+
+// goldenRF1Rack is the single-server KV service — a 1-node, RF=1 rack built
+// by Config.rack — under a write workload, with its observability plane
+// armed. Beside the report and the node's event trace it checks that the
+// rack's timeline and metrics rollup render the node's own plane byte for
+// byte: a 1-node rack exports as the one server it is.
+func goldenRF1Rack(t *testing.T) []string {
+	cfg := Config{Seed: 7, Scale: 0.25}
+	window := cfg.window(20 * time.Millisecond)
+	rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Telemetry: &cluster.Telemetry{TracerCap: 1 << 20}})
+	res := rack.Measure(workload.Config{
+		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
+		Body: func(seq uint64, buf []byte) {
+			copy(buf[workload.SeqBytes:],
+				kvstore.EncodeSet(fmt.Sprintf("key-%03d", seq%512), 0, []byte("value-0123456789")))
+		},
+		Clients: 8, Duration: window, Warmup: window / 5,
+		Timeout: 2 * time.Millisecond, Retries: 3,
+	})
+	rack.Close()
+	prof := rack.Node(0).Prof
+	var rackTL, nodeTL, rackMD, nodeMD bytes.Buffer
+	for _, err := range []error{
+		trace.WriteJSON(&rackTL, rack.TraceExport()...), trace.WriteJSON(&nodeTL, prof.Export("server1")),
+		rack.TelemetrySnapshot().Dump(&rackMD), prof.Registry().Dump(&nodeMD),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rackTL.Len() == 0 || rackTL.String() != nodeTL.String() {
+		t.Errorf("1-node rack timeline (%d bytes) is not its node's (%d bytes):\n%s",
+			rackTL.Len(), nodeTL.Len(), firstDiff(rackTL.String(), nodeTL.String()))
+	}
+	if rackMD.Len() == 0 || rackMD.String() != nodeMD.String() {
+		t.Errorf("1-node rack metrics rollup (%d bytes) is not its node's registry (%d bytes):\n%s",
+			rackMD.Len(), nodeMD.Len(), firstDiff(rackMD.String(), nodeMD.String()))
+	}
+	r := &Report{ID: "replication-identity", Columns: []string{"goodput", "req/s", "p99", "retries"}}
+	r.AddRow("RF=1", fmt.Sprintf("%.3f", res.GoodputFraction()), res.Throughput(), res.Hist.P99(), fmt.Sprint(res.Retries))
+	return []string{r.CSV(), traceText(t, prof.Events())}
 }
 
 // goldenInnovaDuplex is ext-innova-duplex's FPGA echo: the AFU's receive

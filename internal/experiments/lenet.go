@@ -51,14 +51,8 @@ func lenetHandler(net *lenet.Network) func(req []byte) []byte {
 }
 
 // deployLynxLeNet stands up the §6.3 Lynx LeNet server on one GPU: a single
-// server mqueue whose persistent threadblock polls, then runs the inference
-// through dynamic parallelism (whole-GPU child kernels). Real LeNet code
-// computes the answer; the calibrated service time charges the GPU.
+// server mqueue served by launchLeNet's kernel.
 func deployLynxLeNet(e *env, rt *core.Runtime, gpu *accel.GPU, net *lenet.Network, port uint16, proto core.Proto) netstack.Addr {
-	service := e.params.LeNetServiceK40
-	if gpu.Model() == accel.K80Half {
-		service = e.params.LeNetServiceK80
-	}
 	h, err := rt.Register(gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: lenetPayload + 16}, 1)
 	if err != nil {
 		panic(err)
@@ -67,8 +61,20 @@ func deployLynxLeNet(e *env, rt *core.Runtime, gpu *accel.GPU, net *lenet.Networ
 	if err != nil {
 		panic(err)
 	}
+	launchLeNet(e, gpu, h.AccelQueues()[0], net)
+	return svc.Addr()
+}
+
+// launchLeNet launches the Lynx LeNet kernel on gpu: one persistent
+// threadblock polls aq, then runs the inference through dynamic parallelism
+// (whole-GPU child kernels). Real LeNet code computes the answer; the
+// calibrated service time of the GPU's model charges the GPU.
+func launchLeNet(e *env, gpu *accel.GPU, aq *mqueue.AccelQueue, net *lenet.Network) {
+	service := e.params.LeNetServiceK40
+	if gpu.Model() == accel.K80Half {
+		service = e.params.LeNetServiceK80
+	}
 	handler := lenetHandler(net)
-	aq := h.AccelQueues()[0]
 	if err := gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
 		for {
 			m := aq.Recv(tb.Proc())
@@ -81,7 +87,6 @@ func deployLynxLeNet(e *env, rt *core.Runtime, gpu *accel.GPU, net *lenet.Networ
 	}); err != nil {
 		panic(err)
 	}
-	return svc.Addr()
 }
 
 // sharedLeNet is the network every lenetCell serves; its classification memo
@@ -211,22 +216,8 @@ func fig8b(cfg Config) *Report {
 		if err != nil {
 			panic(err)
 		}
-		handler := lenetHandler(net)
 		for gi, g := range gpus {
-			aq := handles[gi].AccelQueues()[0]
-			g := g
-			if err := g.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
-				for {
-					m := aq.Recv(tb.Proc())
-					resp := handler(m.Payload)
-					tb.SpawnChild(e.params.LeNetServiceK80)
-					if aq.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
-						return
-					}
-				}
-			}); err != nil {
-				panic(err)
-			}
+			launchLeNet(e, g, handles[gi].AccelQueues()[0], net)
 		}
 		rt.Start()
 		res := e.measure(workload.Config{

@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"lynx/internal/apps/kvstore"
-	"lynx/internal/check"
 	"lynx/internal/cluster"
-	"lynx/internal/model"
 	"lynx/internal/profile"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -43,28 +41,7 @@ type replBreakdownOutcome struct {
 // complete spans (client stamps default into it via Rack.Measure) and node
 // 0's replicator drives every quorum.
 func replBreakdownRun(cfg Config) replBreakdownOutcome {
-	p := model.Default()
-	ccfg := cluster.Config{
-		Nodes:     3,
-		Replicas:  3,
-		Seed:      cfg.Seed + 1, // the experiment-harness testbed convention
-		Params:    &p,
-		Faults:    cfg.Faults,
-		Telemetry: &cluster.Telemetry{},
-	}
-	var ck *check.Checker
-	if cfg.Invariants.Enabled() {
-		ck = check.New()
-		ccfg.Check = ck
-	}
-	rack, err := cluster.Build(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	if ck != nil {
-		inv := cfg.Invariants
-		rack.TB.Sim.OnShutdown(func() { inv.Add(ck.Finalize()) })
-	}
+	rack := cfg.rack(cluster.Config{Nodes: 3, Replicas: 3, Telemetry: &cluster.Telemetry{}})
 	window := cfg.window(20 * time.Millisecond)
 	keys := rack.OwnedKeys(0)
 	res := rack.Measure(workload.Config{

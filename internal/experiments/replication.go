@@ -1,11 +1,12 @@
-// Replication sweep (ROADMAP item 1): the sharded, replicated KV rack from
-// internal/cluster under a write-heavy workload, across node counts and
-// replication factors, plus the paper-style fault experiment — a replica
-// killed mid-run via the PR 1 fault plane, measuring failover latency and the
-// goodput the rack sustains through the outage. Two scorecard claims gate the
-// shape: the failover verdict lands within a small number of watchdog
-// periods, and acknowledged-write goodput stays above a floor despite the
-// kill.
+// Replication sweep: the sharded, replicated KV rack from internal/cluster
+// (an extension beyond the paper) under a write-heavy workload, across node
+// counts and replication factors, plus the paper-style fault experiment — a
+// replica killed mid-run via the fault plane, measuring failover latency and
+// the goodput the rack sustains through the outage. Every point is built by
+// Config.rack and measured by Rack.Measure, so under -invariants its client
+// ledger joins the rack's checks. Two scorecard claims gate the shape: the
+// failover verdict lands within a small number of watchdog periods, and
+// acknowledged-write goodput stays above a floor despite the kill.
 package experiments
 
 import (
@@ -13,14 +14,9 @@ import (
 	"time"
 
 	"lynx/internal/apps/kvstore"
-	"lynx/internal/check"
 	"lynx/internal/cluster"
 	"lynx/internal/core"
 	"lynx/internal/fault"
-	"lynx/internal/metrics"
-	"lynx/internal/model"
-	"lynx/internal/profile"
-	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
 
@@ -63,38 +59,18 @@ type replicationPoint struct {
 }
 
 func (pt replicationPoint) run(cfg Config) replResult {
-	p := model.Default()
-	ccfg := cluster.Config{
-		Nodes:    pt.nodes,
-		Replicas: pt.rf,
-		Seed:     cfg.Seed + 1, // the experiment-harness testbed convention
-		Params:   &p,
-		Faults:   cfg.Faults,
-	}
 	window := cfg.window(20 * time.Millisecond)
 	warmup := window / 5
 	if pt.kill {
 		window, warmup = replWindow, replWarmup
-		ccfg.Faults = fault.Config{
+		cfg.Faults = fault.Config{
 			Seed:   cfg.Seed,
 			Stalls: []fault.Stall{{Accel: "gpu1", Queue: -1, At: replKillAt, For: time.Hour}},
 		}
 	}
-	var ck *check.Checker
-	if cfg.Invariants.Enabled() {
-		ck = check.New()
-		ccfg.Check = ck
-	}
-	rack, err := cluster.Build(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	if ck != nil {
-		inv := cfg.Invariants
-		rack.TB.Sim.OnShutdown(func() { inv.Add(ck.Finalize()) })
-	}
+	rack := cfg.rack(cluster.Config{Nodes: pt.nodes, Replicas: pt.rf})
 	keys := rack.OwnedKeys(0)
-	res := workload.RunFor(rack.TB.Sim, workload.New(rack.TB.Sim, workload.Config{
+	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
 			copy(buf[workload.SeqBytes:],
@@ -105,7 +81,7 @@ func (pt replicationPoint) run(cfg Config) replResult {
 		// retransmitted with exponential backoff until the failover verdict
 		// releases it (2+4+8ms of patience spans the watchdog period).
 		Timeout: 2 * time.Millisecond, Retries: 3,
-	}, rack.Clients...))
+	})
 	out := replResult{res: res}
 	if repl := rack.Node(0).Repl; repl != nil {
 		out.stats = repl.Stats()
@@ -115,7 +91,7 @@ func (pt replicationPoint) run(cfg Config) replResult {
 			}
 		}
 	}
-	rack.TB.Sim.Shutdown()
+	rack.Close()
 	return out
 }
 
@@ -148,71 +124,6 @@ func replication(cfg Config) *Report {
 	}
 	r.Note("writes target node 0's owned keys; RF>1 rows replicate each write to RF-1 peer accelerators over one-sided RDMA before the response releases")
 	r.Note("kill row: gpu1 frozen at t=%v via the fault plane; failover = verdict latency relative to the kill", replKillAt)
-	r.Note("not in the paper: the ROADMAP item 1 cluster extension (internal/cluster)")
+	r.Note("not in the paper: the replicated-rack extension (internal/cluster)")
 	return r
-}
-
-// identityOutcome is one side of the RF=1 identity: the measured report and
-// the node's observability plane with the timeline nodes and metrics
-// registry its artifacts are rendered from.
-type identityOutcome struct {
-	rep   *Report
-	prof  *profile.Profile
-	nodes []trace.Export
-	reg   *metrics.Registry
-}
-
-// replicationIdentity drives the identical write workload against either the
-// 1-node RF=1 rack (viaRack) or the hand-built single-server KV deployment
-// the rack claims operation-for-operation parity with, each carrying the
-// full observability plane, and returns the measured report and the plane.
-// The metamorphic golden test pins the report, the plane's event trace and
-// its artifacts byte-for-byte: rack == single-server, and report and trace
-// == the committed golden.
-func replicationIdentity(cfg Config, viaRack bool) identityOutcome {
-	window := cfg.window(20 * time.Millisecond)
-	opts := profile.Options{TracerCap: 1 << 20}
-	var out identityOutcome
-	wcfg := workload.Config{
-		Proto: workload.UDP, Payload: 64,
-		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(fmt.Sprintf("key-%03d", seq%512), 0, []byte("value-0123456789")))
-		},
-		Clients: 8, Duration: window, Warmup: window / 5,
-		Timeout: 2 * time.Millisecond, Retries: 3,
-	}
-	var res workload.Result
-	if viaRack {
-		p := model.Default()
-		rack, err := cluster.Build(cluster.Config{
-			Nodes: 1, Replicas: 1, Seed: cfg.Seed + 1, Params: &p, Telemetry: &opts,
-		})
-		if err != nil {
-			panic(err)
-		}
-		wcfg.Target = rack.Node(0).Addr()
-		res = rack.Measure(wcfg)
-		rack.Close()
-		out.prof, out.nodes, out.reg = rack.Node(0).Prof, rack.TraceExport(), rack.TelemetrySnapshot()
-	} else {
-		e := newEnv(cfg)
-		prof := profile.New(opts, e.check)
-		addr, rt := e.kvDeployment(prof.Platform(e.bf.Platform(7)))
-		prof.Monitor(rt)
-		wcfg.Target = addr
-		wcfg.Spans = prof.Spans()
-		res = workload.RunFor(e.tb.Sim, workload.New(e.tb.Sim, wcfg, e.clients...))
-		e.tb.Sim.Shutdown()
-		out.prof, out.nodes, out.reg = prof, []trace.Export{prof.Export("server1")}, prof.Registry()
-	}
-	out.rep = &Report{
-		ID:      "replication-identity",
-		Title:   "RF=1 single-node rack vs single-server deployment (metamorphic identity)",
-		Columns: []string{"goodput", "req/s", "p99", "retries"},
-	}
-	out.rep.AddRow("RF=1",
-		fmt.Sprintf("%.3f", res.GoodputFraction()),
-		res.Throughput(), res.Hist.P99(), fmt.Sprint(res.Retries))
-	return out
 }

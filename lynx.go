@@ -168,7 +168,7 @@ func DefaultParams() Params { return model.Default() }
 // BuildRack constructs a multi-node, sharded, replicated KV rack on its own
 // simulated testbed: hardware, shard map, runtimes, stores, replication
 // wiring and apply kernels, started and ready for traffic. A 1-node RF=1
-// rack is byte-identical to the equivalent single-server deployment.
+// rack is one Lynx KV server: no ToR switch and no replication layer.
 //
 //	rack, err := lynx.BuildRack(lynx.RackConfig{Nodes: 3, Replicas: 3, Seed: 42})
 func BuildRack(cfg RackConfig) (*Rack, error) { return cluster.Build(cfg) }
@@ -322,15 +322,11 @@ func (c *Cluster) NewMachine(name string, cores int) *Machine {
 func (c *Cluster) AddClient(name string) *Host { return c.tb.AddClient(name) }
 
 // NewServer creates a Lynx runtime on a platform obtained from
-// (*BlueField).Platform or (*Machine).HostPlatform.
-func NewServer(plat core.Platform) *Server { return core.NewRuntime(plat) }
-
-// NewServer creates a Lynx runtime wired into the cluster's observability
-// plane: with WithProfile armed, the runtime records events into the
-// cluster's event ring and stamps request spans into its span table (where
-// plat carries none of its own), and a monitor samples its resource
-// utilization into the cluster's metrics registry. Without WithProfile it is
-// equivalent to the package-level NewServer.
+// (*BlueField).Platform or (*Machine).HostPlatform. With WithProfile armed,
+// the runtime records events into the cluster's event ring and stamps
+// request spans into its span table (where plat carries none of its own),
+// and a monitor samples its resource utilization into the cluster's metrics
+// registry.
 func (c *Cluster) NewServer(plat Platform) *Server {
 	srv := core.NewRuntime(c.prof.Platform(plat))
 	if c.prof != nil {

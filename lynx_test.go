@@ -19,7 +19,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	gpu := server.AddGPU("gpu0", lynx.K40m, false, "server1")
 	client := cluster.AddClient("client1")
 
-	srv := lynx.NewServer(bf.Platform(7))
+	srv := cluster.NewServer(bf.Platform(7))
 	h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestDeterminism(t *testing.T) {
 		bf := server.AttachBlueField("bf1")
 		gpu := server.AddGPU("gpu0", lynx.K40m, false, "server1")
 		client := cluster.AddClient("client1")
-		srv := lynx.NewServer(bf.Platform(7))
+		srv := cluster.NewServer(bf.Platform(7))
 		h, _ := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, 4)
 		svc, _ := srv.AddService(lynx.UDP, 7000, nil, 4, h)
 		qs := h.AccelQueues()

@@ -75,7 +75,7 @@ func runQuick(t *testing.T, qc quickConfig, extra ...lynx.Option) (lynx.LoadResu
 	if qc.OnBF {
 		plat = bf.Platform(qc.Cores)
 	}
-	srv := lynx.NewServer(plat)
+	srv := cluster.NewServer(plat)
 	h, err := srv.Register(gpu, lynx.QueueConfig{
 		Kind: lynx.ServerQueue, Slots: qc.Slots, SlotSize: qc.SlotSize,
 	}, qc.NQueues)

@@ -37,8 +37,7 @@ func TestRackReplicaKillPublicAPI(t *testing.T) {
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("public-api-value")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("public-api-value"))
 		},
 		Clients: 4, Duration: 20 * time.Millisecond, Warmup: 2 * time.Millisecond,
 		Timeout: 2 * time.Millisecond, Retries: 3,
@@ -114,8 +113,7 @@ func TestRackDeterminismPublicAPI(t *testing.T) {
 		res := rack.Measure(workload.Config{
 			Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 			Body: func(seq uint64, buf []byte) {
-				copy(buf[workload.SeqBytes:],
-					kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("determinism-value")))
+				kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("determinism-value"))
 			},
 			Clients: 4, Duration: 5 * time.Millisecond, Warmup: time.Millisecond,
 		})
@@ -138,10 +136,7 @@ func TestRackDeterminismPublicAPI(t *testing.T) {
 // set/delete, whose key bytes shard identically to the string form.
 func TestRackWriteClassifier(t *testing.T) {
 	m := lynx.NewShardMap(64)
-	req := kvstore.EncodeSet("key-042", 0, []byte("v"))
-	payload := make([]byte, workload.SeqBytes+len(req))
-	binary.LittleEndian.PutUint64(payload, 7)
-	copy(payload[workload.SeqBytes:], req)
+	payload := kvstore.AppendSet(binary.LittleEndian.AppendUint64(nil, 7), "key-042", 0, []byte("v"))
 	body := payload[workload.SeqBytes:]
 	if !bytes.HasPrefix(body, []byte("set key-042 ")) {
 		t.Fatalf("unexpected set encoding: %q", body)

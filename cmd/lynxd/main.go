@@ -279,11 +279,12 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 		nodes, replicas, target, len(keys))
 
 	window := time.Duration(secs * float64(time.Second))
+	var value []byte // the next write's value, reused: AppendSet copies it
 	gen := workload.New(rack.TB.Sim, workload.Config{
 		Proto: workload.UDP, Target: target, Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte(fmt.Sprintf("value-%010d", seq))))
+			value = fmt.Appendf(value[:0], "value-%010d", seq)
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, value)
 		},
 		Clients: clients, RatePerSec: rate, Retries: retries,
 		Duration: window, Warmup: window / 10,

@@ -42,13 +42,15 @@ func main() {
 		for {
 			conn := listener.Accept(p)
 			cluster.Spawn("memcached-conn", func(p *lynx.Proc) {
+				var reply []byte // reused: Send copies it
 				for {
 					msg, err := conn.Recv(p)
 					if err != nil {
 						return
 					}
 					backend.CPU.ExecOn(p, 2*time.Microsecond)
-					if conn.Send(p, store.ServeRaw(msg)) != nil {
+					reply = store.AppendServe(reply[:0], msg)
+					if conn.Send(p, reply) != nil {
 						return
 					}
 				}
@@ -76,6 +78,7 @@ func main() {
 	must(gpu.LaunchPersistent(cluster.Testbed().Sim, nTB, func(tb *lynx.TB) {
 		serverQ := queues[tb.Index()]
 		dbQ := queues[clientIdx[tb.Index()]]
+		var get []byte // the database request, reused: Send copies it
 		for {
 			m := serverQ.Recv(tb.Proc())
 			if len(m.Payload) < reqBytes {
@@ -84,7 +87,8 @@ func main() {
 			label := string(m.Payload[workload.SeqBytes : workload.SeqBytes+labelBytes])
 			// Fetch the reference image from memcached via the client
 			// mqueue — straight from the GPU, through the SNIC.
-			if dbQ.Send(tb.Proc(), 0, kvstore.EncodeGet(label)) != nil {
+			get = kvstore.AppendGet(get[:0], label)
+			if dbQ.Send(tb.Proc(), 0, get) != nil {
 				return
 			}
 			reply := dbQ.Recv(tb.Proc())

@@ -22,12 +22,11 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		reply := store.Serve(req)
-		if len(reply) == 0 {
+		if len(store.AppendServe(nil, data)) == 0 {
 			t.Fatal("accepted request produced empty reply")
 		}
 		if req.Op == "set" {
-			got, _, ok := store.Get(req.Key)
+			got, _, ok := store.Get(string(req.Key))
 			if !ok || !bytes.Equal(got, req.Value) {
 				t.Fatalf("set %q not readable back", req.Key)
 			}
@@ -53,10 +52,11 @@ func FuzzDecodeValue(f *testing.F) {
 // FuzzProtocolMatchesReference checks the allocation-lean protocol path
 // against the fmt/bytes.Fields implementation it replaced, kept below as
 // refParse, refServe and refDecodeValue: for every input Parse returns the
-// same request and error text, Serve and ServeRaw the same reply bytes, and
-// DecodeValue the same value, verdict and error text. The reference panics
-// on a set whose length overflows n+2; the lean path rejects it as a short
-// body. A GET reply must be a fresh slice, not a view of the stored value.
+// same request and error text, AppendServe appends the same reply bytes
+// after an untouched dst prefix, and DecodeValue returns the same value,
+// verdict and error text. The reference panics on a set whose length
+// overflows n+2; the lean path rejects it as a short body. A GET reply must
+// be a copy, not a view of the stored value.
 func FuzzProtocolMatchesReference(f *testing.F) {
 	for _, seed := range []string{
 		"get key\r\n", "delete key\r\n", "set key 7 0 5\r\nhello\r\n",
@@ -65,8 +65,9 @@ func FuzzProtocolMatchesReference(f *testing.F) {
 		"get\u0085key\r\n", "get\u00a0key\r\n", "\u0085get key\r\n",
 		"set k 1 0 3\r\nab", "set k 1 0 3\r\nabc", "set k 1 0 3\r\nabc\r", "set k 1 0 0\r\n\r\n",
 		"set k 1 0 9223372036854775807\r\nabc\r\n", "set k -1 0 3\r\nabc\r\n", "set k 1 0 -3\r\nabc\r\n",
+		"set key 7 0 9\r\nlongvalue\r\n", "set key 7 0 1\r\nv\r\n",
 		"get a\rb\r\n", "get a\nb\r\n", "GET key\r\n", "get \xff\r\n", "get k\xc2\r\n",
-		"VALUE key 7 5\r\nhello\r\nEND\r\n", "VALUE\tk\t0\t3\r\nabc", "VALUE k 0 3 \r\nabc",
+		"VALUE key 7 5\r\nhello\r\nEND\r\n", "VALUE\tk\t0\t3\r\nabc", "VALUE k 0 3 \r\nabc",
 		"VALUE k 0 3\r\nab", "END\r\n", "END", "",
 	} {
 		f.Add([]byte(seed))
@@ -78,6 +79,7 @@ func FuzzProtocolMatchesReference(f *testing.F) {
 		return s
 	}
 	lean, ref := seeded(), seeded()
+	prefix := []byte("prefix:")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Parse(data)
 		wr, werr, panicked := refParseRecover(data)
@@ -86,19 +88,19 @@ func FuzzProtocolMatchesReference(f *testing.F) {
 				t.Fatalf("Parse(%q) = %v where the reference panics, want a short body error", data, err)
 			}
 		} else {
-			if errText(err) != errText(werr) || r.Op != wr.Op || r.Key != wr.Key || r.Flags != wr.Flags ||
+			if errText(err) != errText(werr) || r.Op != wr.Op || string(r.Key) != wr.Key || r.Flags != wr.Flags ||
 				!bytes.Equal(r.Value, wr.Value) || (r.Value == nil) != (wr.Value == nil) {
 				t.Fatalf("Parse(%q) = %+v, %v; reference %+v, %v", data, r, err, wr, werr)
 			}
-			if got, want := lean.ServeRaw(data), refServeRaw(ref, data); !bytes.Equal(got, want) {
-				t.Fatalf("ServeRaw(%q) = %q, reference %q", data, got, want)
+			got := lean.AppendServe(bytes.Clone(prefix), data)
+			want := refServeRaw(ref, data)
+			if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("AppendServe(%q, %q) = %q, reference reply %q", prefix, data, got, want)
 			}
-			if err == nil && r.Op == "get" {
-				if reply := lean.Serve(r); len(reply) > 0 {
-					reply[len(reply)-1] ^= 0xff
-					if again := lean.Serve(r); !bytes.Equal(again, refServe(ref, wr)) {
-						t.Fatalf("writing a GET reply changed the next one: %q", again)
-					}
+			if err == nil && r.Op == "get" && len(got) > len(prefix) {
+				got[len(got)-1] ^= 0xff
+				if again := lean.AppendServe(nil, data); !bytes.Equal(again, refServe(ref, wr)) {
+					t.Fatalf("writing a GET reply changed the next one: %q", again)
 				}
 			}
 		}
@@ -117,7 +119,7 @@ func errText(err error) string {
 	return err.Error()
 }
 
-func refParseRecover(msg []byte) (r Request, err error, panicked bool) {
+func refParseRecover(msg []byte) (r refRequest, err error, panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
@@ -127,10 +129,18 @@ func refParseRecover(msg []byte) (r Request, err error, panicked bool) {
 	return r, err, false
 }
 
-// refParse, refServe, refServeRaw and refDecodeValue are the protocol
-// functions as they were before the allocation-lean rewrite.
-func refParse(msg []byte) (Request, error) {
-	var r Request
+// refRequest, refParse, refServe, refServeRaw and refDecodeValue are the
+// protocol types and functions as they were before the allocation-lean
+// rewrite.
+type refRequest struct {
+	Op    string
+	Key   string
+	Flags uint32
+	Value []byte
+}
+
+func refParse(msg []byte) (refRequest, error) {
+	var r refRequest
 	head := msg
 	if i := bytes.Index(msg, []byte("\r\n")); i >= 0 {
 		head = msg[:i]
@@ -173,7 +183,7 @@ func refParse(msg []byte) (Request, error) {
 	return r, nil
 }
 
-func refServe(s *Store, r Request) []byte {
+func refServe(s *Store, r refRequest) []byte {
 	switch r.Op {
 	case "get":
 		v, flags, ok := s.Get(r.Key)

@@ -52,34 +52,36 @@ func NewStore(shards, perShardCapacity int) *Store {
 	return s
 }
 
-func fnv32(key string) uint32 {
-	h := uint32(2166136261)
+// find hashes key to its shard and looks it up there. A []byte key is
+// looked up in place: indexing the map with string(key) does not allocate.
+func find[K ~string | ~[]byte](s *Store, key K) (*shard, *list.Element) {
+	h := uint32(2166136261) // FNV-1a
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return h
+	sh := s.shards[int(h)%len(s.shards)]
+	return sh, sh.items[string(key)]
 }
 
-func (s *Store) shard(key string) *shard {
-	return s.shards[int(fnv32(key))%len(s.shards)]
-}
+// Set stores a copy of value under key.
+func (s *Store) Set(key string, flags uint32, value []byte) { set(s, key, flags, value) }
 
-// Set stores value under key.
-func (s *Store) Set(key string, flags uint32, value []byte) {
-	sh := s.shard(key)
-	v := make([]byte, len(value))
-	copy(v, value)
-	if el, ok := sh.items[key]; ok {
+// set overwrites an existing key's value in place when its capacity allows;
+// only a new key, which the store keeps, allocates for its name.
+func set[K ~string | ~[]byte](s *Store, key K, flags uint32, value []byte) {
+	sh, el := find(s, key)
+	if el != nil {
 		e := el.Value.(*entry)
-		sh.bytes += len(v) - len(e.value)
-		e.value, e.flags = v, flags
+		sh.bytes += len(value) - len(e.value)
+		e.value, e.flags = append(e.value[:0], value...), flags
 		sh.order.MoveToFront(el)
 		return
 	}
-	el := sh.order.PushFront(&entry{key: key, flags: flags, value: v})
-	sh.items[key] = el
-	sh.bytes += len(v)
+	k := string(key)
+	el = sh.order.PushFront(&entry{key: k, flags: flags, value: append(make([]byte, 0, len(value)), value...)})
+	sh.items[k] = el
+	sh.bytes += len(value)
 	if sh.capacity > 0 && sh.order.Len() > sh.capacity {
 		oldest := sh.order.Back()
 		e := oldest.Value.(*entry)
@@ -89,11 +91,14 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 	}
 }
 
-// Get fetches the value for key.
-func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
-	sh := s.shard(key)
-	el, found := sh.items[key]
-	if !found {
+// Get fetches the value for key. The value is lent: it stays valid until
+// the key's next Set or Delete, which may overwrite it in place, so a caller
+// that keeps it longer must copy it.
+func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) { return get(s, key) }
+
+func get[K ~string | ~[]byte](s *Store, key K) (value []byte, flags uint32, ok bool) {
+	sh, el := find(s, key)
+	if el == nil {
 		return nil, 0, false
 	}
 	sh.order.MoveToFront(el)
@@ -102,10 +107,11 @@ func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
 }
 
 // Delete removes key, reporting whether it existed.
-func (s *Store) Delete(key string) bool {
-	sh := s.shard(key)
-	el, found := sh.items[key]
-	if !found {
+func (s *Store) Delete(key string) bool { return del(s, key) }
+
+func del[K ~string | ~[]byte](s *Store, key K) bool {
+	sh, el := find(s, key)
+	if el == nil {
 		return false
 	}
 	e := el.Value.(*entry)
@@ -136,31 +142,40 @@ func (s *Store) Bytes() int {
 // ---------------------------------------------------------------------------
 // memcached ASCII protocol
 
-// Request is a parsed protocol request.
+// Request is a parsed protocol request. Key and Value are views of the
+// parsed message, valid as long as it is.
 type Request struct {
 	Op    string // "get", "set", "delete"
-	Key   string
+	Key   []byte
 	Flags uint32
 	Value []byte
 }
 
-// EncodeGet renders a get request.
-func EncodeGet(key string) []byte {
-	return []byte("get " + key + "\r\n")
+// AppendGet appends a get request for key to dst.
+func AppendGet(dst []byte, key string) []byte {
+	dst = append(dst, "get "...)
+	dst = append(dst, key...)
+	return append(dst, "\r\n"...)
 }
 
-// EncodeSet renders a set request (exptime always 0).
-func EncodeSet(key string, flags uint32, value []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "set %s %d 0 %d\r\n", key, flags, len(value))
-	b.Write(value)
-	b.WriteString("\r\n")
-	return b.Bytes()
+// AppendSet appends a set request (exptime always 0) to dst.
+func AppendSet(dst []byte, key string, flags uint32, value []byte) []byte {
+	dst = append(dst, "set "...)
+	dst = append(dst, key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(flags), 10)
+	dst = append(dst, " 0 "...)
+	dst = strconv.AppendInt(dst, int64(len(value)), 10)
+	dst = append(dst, "\r\n"...)
+	dst = append(dst, value...)
+	return append(dst, "\r\n"...)
 }
 
-// EncodeDelete renders a delete request.
-func EncodeDelete(key string) []byte {
-	return []byte("delete " + key + "\r\n")
+// AppendDelete appends a delete request for key to dst.
+func AppendDelete(dst []byte, key string) []byte {
+	dst = append(dst, "delete "...)
+	dst = append(dst, key...)
+	return append(dst, "\r\n"...)
 }
 
 // Request operations. Parse sets Op to one of these constants for every
@@ -237,13 +252,13 @@ func Parse(msg []byte) (Request, error) {
 		if nf != 2 {
 			return r, fmt.Errorf("kvstore: %s wants 1 key", r.Op)
 		}
-		r.Key = string(fields[1])
+		r.Key = fields[1]
 		return r, nil
 	}
 	if nf != 5 {
 		return r, fmt.Errorf("kvstore: malformed set")
 	}
-	r.Key = string(fields[1])
+	r.Key = fields[1]
 	flags, err := strconv.ParseUint(string(fields[2]), 10, 32)
 	if err != nil {
 		return r, fmt.Errorf("kvstore: bad flags: %v", err)
@@ -261,54 +276,40 @@ func Parse(msg []byte) (Request, error) {
 	return r, nil
 }
 
-// Serve applies a parsed request to the store and renders the reply.
-func (s *Store) Serve(r Request) []byte {
-	switch r.Op {
-	case opGet:
-		v, flags, ok := s.Get(r.Key)
-		if !ok {
-			return []byte("END\r\n")
-		}
-		return valueReply(r.Key, flags, v)
-	case opSet:
-		s.Set(r.Key, r.Flags, r.Value)
-		return []byte("STORED\r\n")
-	case opDelete:
-		if s.Delete(r.Key) {
-			return []byte("DELETED\r\n")
-		}
-		return []byte("NOT_FOUND\r\n")
-	default:
-		return []byte("ERROR\r\n")
-	}
-}
-
-// valueReply renders a VALUE reply, "VALUE <key> <flags> <len>\r\n<v>\r\n
-// END\r\n", into one freshly allocated slice of exactly its size.
-func valueReply(key string, flags uint32, v []byte) []byte {
-	var fb, lb [20]byte
-	f := strconv.AppendUint(fb[:0], uint64(flags), 10)
-	l := strconv.AppendInt(lb[:0], int64(len(v)), 10)
-	const value, end = "VALUE ", "\r\nEND\r\n"
-	b := make([]byte, 0, len(value)+len(key)+1+len(f)+1+len(l)+2+len(v)+len(end))
-	b = append(b, value...)
-	b = append(b, key...)
-	b = append(b, ' ')
-	b = append(b, f...)
-	b = append(b, ' ')
-	b = append(b, l...)
-	b = append(b, "\r\n"...)
-	b = append(b, v...)
-	return append(b, end...)
-}
-
-// ServeRaw parses and serves a wire request.
-func (s *Store) ServeRaw(msg []byte) []byte {
+// AppendServe parses one wire request, applies it to the store and appends
+// the reply to dst. Only a SET of a new key (whose name the store keeps), a
+// SET that grows a value past its capacity and an error reply allocate.
+func (s *Store) AppendServe(dst, msg []byte) []byte {
 	r, err := Parse(msg)
 	if err != nil {
-		return []byte("CLIENT_ERROR " + err.Error() + "\r\n")
+		dst = append(dst, "CLIENT_ERROR "...)
+		dst = append(dst, err.Error()...)
+		return append(dst, "\r\n"...)
 	}
-	return s.Serve(r)
+	switch r.Op {
+	case opGet:
+		v, flags, ok := get(s, r.Key)
+		if !ok {
+			return append(dst, "END\r\n"...)
+		}
+		dst = append(dst, "VALUE "...)
+		dst = append(dst, r.Key...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, uint64(flags), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, "\r\n"...)
+		dst = append(dst, v...)
+		return append(dst, "\r\nEND\r\n"...)
+	case opSet:
+		set(s, r.Key, r.Flags, r.Value)
+		return append(dst, "STORED\r\n"...)
+	default: // opDelete, the one op left: Parse rejects every other
+		if del(s, r.Key) {
+			return append(dst, "DELETED\r\n"...)
+		}
+		return append(dst, "NOT_FOUND\r\n"...)
+	}
 }
 
 // DecodeValue extracts the value from a VALUE reply; ok=false on END-only

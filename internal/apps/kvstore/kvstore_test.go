@@ -78,26 +78,49 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
+// serve runs one wire request through AppendServe into a fresh reply.
+func serve(s *Store, msg []byte) []byte { return s.AppendServe(nil, msg) }
+
 func TestProtocolRoundTrip(t *testing.T) {
 	s := NewStore(4, 0)
-	reply := s.ServeRaw(EncodeSet("img:42", 3, []byte("FACEDATA")))
+	reply := serve(s, AppendSet(nil, "img:42", 3, []byte("FACEDATA")))
 	if string(reply) != "STORED\r\n" {
 		t.Fatalf("set reply %q", reply)
 	}
-	reply = s.ServeRaw(EncodeGet("img:42"))
+	reply = serve(s, AppendGet(nil, "img:42"))
 	v, ok, err := DecodeValue(reply)
 	if err != nil || !ok || string(v) != "FACEDATA" {
 		t.Fatalf("get reply %q -> %q ok=%v err=%v", reply, v, ok, err)
 	}
-	reply = s.ServeRaw(EncodeGet("nope"))
+	reply = serve(s, AppendGet(nil, "nope"))
 	if _, ok, _ := DecodeValue(reply); ok {
 		t.Fatal("miss must decode as !ok")
 	}
-	if string(s.ServeRaw(EncodeDelete("img:42"))) != "DELETED\r\n" {
+	if string(serve(s, AppendDelete(nil, "img:42"))) != "DELETED\r\n" {
 		t.Fatal("delete reply wrong")
 	}
-	if string(s.ServeRaw(EncodeDelete("img:42"))) != "NOT_FOUND\r\n" {
+	if string(serve(s, AppendDelete(nil, "img:42"))) != "NOT_FOUND\r\n" {
 		t.Fatal("re-delete reply wrong")
+	}
+}
+
+// TestSetOverwritesInPlace: a GET after a SET of an existing key returns the
+// new value, whether the SET fits the stored value's capacity (and reuses
+// it) or grows past it.
+func TestSetOverwritesInPlace(t *testing.T) {
+	s := NewStore(1, 0)
+	s.Set("k", 0, []byte("0123456789"))
+	for _, v := range []string{"short", "", "0123456789", "longer than the first value"} {
+		if reply := serve(s, AppendSet(nil, "k", 5, []byte(v))); string(reply) != "STORED\r\n" {
+			t.Fatalf("set %q: reply %q", v, reply)
+		}
+		got, ok, err := DecodeValue(serve(s, AppendGet(nil, "k")))
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("after set %q: GET = %q ok=%v err=%v", v, got, ok, err)
+		}
+		if s.Bytes() != len(v) {
+			t.Fatalf("after set %q: bytes = %d", v, s.Bytes())
+		}
 	}
 }
 
@@ -111,7 +134,7 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
-	reply := NewStore(1, 0).ServeRaw([]byte("nonsense\r\n"))
+	reply := serve(NewStore(1, 0), []byte("nonsense\r\n"))
 	if !bytes.HasPrefix(reply, []byte("CLIENT_ERROR")) {
 		t.Fatalf("reply %q", reply)
 	}
@@ -145,13 +168,13 @@ func TestProtocolProperty(t *testing.T) {
 				// values is legal — keep it and exercise that path.
 				_ = val
 			}
-			if string(s.ServeRaw(EncodeSet(key, 0, val))) != "STORED\r\n" {
+			if string(serve(s, AppendSet(nil, key, 0, val))) != "STORED\r\n" {
 				return false
 			}
 			shadow[key] = val
 		}
 		for key, want := range shadow {
-			v, ok, err := DecodeValue(s.ServeRaw(EncodeGet(key)))
+			v, ok, err := DecodeValue(serve(s, AppendGet(nil, key)))
 			if err != nil || !ok || !bytes.Equal(v, want) {
 				return false
 			}
@@ -163,26 +186,30 @@ func TestProtocolProperty(t *testing.T) {
 	}
 }
 
-// TestProtocolAllocCeilings pins the allocation-lean protocol path: a GET
-// hit allocates only the key and the reply, a SET overwrite the key, the
-// stored copy and the reply, and decoding a VALUE reply nothing.
+// TestProtocolAllocCeilings pins the allocation-free protocol path: serving a
+// GET hit, a GET miss, a SET of an existing key or a DELETE miss into a
+// reply buffer with room allocates nothing, and neither does decoding a
+// VALUE reply.
 func TestProtocolAllocCeilings(t *testing.T) {
 	s := NewStore(4, 0)
 	value := []byte("value-0123456789")
 	s.Set("key-042", 0, value)
-	get, set := EncodeGet("key-042"), EncodeSet("key-042", 0, value)
-	reply := s.ServeRaw(get)
+	dst := make([]byte, 0, 256)
+	hit, miss := AppendGet(nil, "key-042"), AppendGet(nil, "key-999")
+	set, del := AppendSet(nil, "key-042", 0, []byte("value-9876543210")), AppendDelete(nil, "key-999")
+	reply := s.AppendServe(nil, hit)
 	for _, c := range []struct {
-		name    string
-		ceiling float64
-		op      func()
+		name string
+		op   func()
 	}{
-		{"GET", 2, func() { s.ServeRaw(get) }},
-		{"SET", 3, func() { s.ServeRaw(set) }},
-		{"DecodeValue", 0, func() { DecodeValue(reply) }},
+		{"GET hit", func() { s.AppendServe(dst, hit) }},
+		{"GET miss", func() { s.AppendServe(dst, miss) }},
+		{"SET existing", func() { s.AppendServe(dst, set) }},
+		{"DELETE miss", func() { s.AppendServe(dst, del) }},
+		{"DecodeValue", func() { DecodeValue(reply) }},
 	} {
-		if n := testing.AllocsPerRun(100, c.op); n > c.ceiling {
-			t.Errorf("%s: %v allocs per call, want at most %v", c.name, n, c.ceiling)
+		if n := testing.AllocsPerRun(100, c.op); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, n)
 		}
 	}
 }

@@ -257,13 +257,14 @@ func Build(cfg Config) (*Rack, error) {
 		aq := w.h.AccelQueues()[0]
 		store := w.target.Store
 		if err := w.target.GPU.LaunchPersistent(tb.Sim, 1, func(t *accel.TB) {
+			var discard []byte // the reply no one reads, into one reused buffer
 			for {
 				m := aq.Recv(t.Proc())
 				if len(m.Payload) < workload.SeqBytes {
 					continue
 				}
 				t.Compute(opCost)
-				store.ServeRaw(m.Payload[workload.SeqBytes:])
+				discard = store.AppendServe(discard[:0], m.Payload[workload.SeqBytes:])
 				if aq.Send(t.Proc(), uint16(m.Slot), core.ReplicaAck(m.Payload)) != nil {
 					return
 				}
@@ -286,8 +287,7 @@ func Build(cfg Config) (*Rack, error) {
 					continue
 				}
 				t.Compute(opCost)
-				reply := store.ServeRaw(m.Payload[workload.SeqBytes:])
-				out = append(append(out[:0], m.Payload[:workload.SeqBytes]...), reply...)
+				out = store.AppendServe(append(out[:0], m.Payload[:workload.SeqBytes]...), m.Payload[workload.SeqBytes:])
 				if aq.Send(t.Proc(), uint16(m.Slot), out) != nil {
 					return
 				}

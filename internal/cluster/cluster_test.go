@@ -32,10 +32,7 @@ func driveWrites(s *sim.Sim, client *netstack.Host, target netstack.Addr, port u
 	s.Spawn(fmt.Sprintf("chaos-client:%d", port), func(p *sim.Proc) {
 		for i, w := range writes {
 			id := uint64(port)<<32 | uint64(i+1)
-			req := kvstore.EncodeSet(w.key, 0, []byte(w.value))
-			payload := make([]byte, workload.SeqBytes+len(req))
-			binary.LittleEndian.PutUint64(payload, id)
-			copy(payload[workload.SeqBytes:], req)
+			payload := kvstore.AppendSet(binary.LittleEndian.AppendUint64(nil, id), w.key, 0, []byte(w.value))
 			ok := false
 			timeout := 2 * time.Millisecond
 			for attempt := 0; attempt < 4 && !ok; attempt++ {

@@ -32,8 +32,7 @@ func telemetryRun(t *testing.T, seed uint64, tel *Telemetry, fc fault.Config) (*
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("value-0123456789"))
 		},
 		Clients: 8, Duration: 5 * time.Millisecond, Warmup: time.Millisecond,
 		Timeout: 2 * time.Millisecond, Retries: 3,
@@ -234,7 +233,7 @@ func TestRackPlaneWiring(t *testing.T) {
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: n1.Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:], kvstore.EncodeGet(keys[seq%uint64(len(keys))]))
+			kvstore.AppendGet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))])
 		},
 		Clients: 2, Duration: time.Millisecond, Warmup: 100 * time.Microsecond,
 		Timeout: 2 * time.Millisecond,

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"time"
@@ -81,8 +80,9 @@ type replPeer struct {
 	q    *mqueue.Queue
 	// outbox holds replication records accepted by the dispatcher but not
 	// yet delivered (the ingest ring was full, or the delivery pump has not
-	// reached them). FIFO per peer.
-	outbox [][]byte
+	// reached them). FIFO per peer; each record is a pooled buffer of its
+	// own.
+	outbox queue[[]byte]
 	dead   bool
 	deadAt sim.Time
 	// outstanding counts records delivered into the ingest ring but not yet
@@ -108,7 +108,8 @@ type heldResp struct {
 	parkedAt sim.Time
 }
 
-// pendingWrite tracks one replicated write from dispatch to release.
+// pendingWrite tracks one replicated write from dispatch to release. Records
+// recycle through the replicator's free list once they leave pend.
 type pendingWrite struct {
 	id       uint64
 	waitMask uint32 // peers whose ack is still outstanding
@@ -131,8 +132,15 @@ type Replicator struct {
 	liveMask uint32
 
 	pend       map[uint64]*pendingWrite
-	releasable []heldResp
+	releasable queue[heldResp]
 	held       uint64 // parked responses, for the conservation finisher
+
+	// Free lists. A pendingWrite returns when it leaves pend. A buffer
+	// holds a replication record until its push into a peer ring completes
+	// (or the peer is declared dead), or a parked response until the pump
+	// has sent and booked it.
+	freeWrites []*pendingWrite
+	bufs       [][]byte
 
 	// gate wakes the delivery pump (outbox flush + response release).
 	gate *sim.Gate
@@ -289,16 +297,51 @@ func (r *Replicator) onDispatch(payload []byte) {
 		needed = q
 	}
 	now := r.rt.plat.Sim.Now()
-	r.pend[id] = &pendingWrite{id: id, waitMask: mask, needed: needed, dispatchAt: now, lastAck: now}
-	// Copy the payload: the record outlives the caller's buffer.
-	rec := append([]byte(nil), payload...)
+	pw := r.newWrite()
+	pw.id, pw.waitMask, pw.needed, pw.dispatchAt, pw.lastAck = id, mask, needed, now, now
+	r.pend[id] = pw
+	// Copy the payload, once per peer: each record outlives the caller's
+	// buffer and returns to the pool when its own push completes.
 	for _, rp := range r.peers {
 		if mask&(1<<uint(rp.idx)) != 0 {
-			rp.outbox = append(rp.outbox, rec)
+			rp.outbox.push(r.copyBuf(payload))
 		}
 	}
 	r.gate.Fire()
 }
+
+// newWrite takes a pendingWrite from the free list, or makes one.
+func (r *Replicator) newWrite() *pendingWrite {
+	n := len(r.freeWrites)
+	if n == 0 {
+		return &pendingWrite{}
+	}
+	pw := r.freeWrites[n-1]
+	r.freeWrites = r.freeWrites[:n-1]
+	return pw
+}
+
+// freeWrite returns a pendingWrite that left pend to the free list, keeping
+// its (empty) resps array.
+func (r *Replicator) freeWrite(pw *pendingWrite) {
+	clear(pw.resps)
+	*pw = pendingWrite{resps: pw.resps[:0]}
+	r.freeWrites = append(r.freeWrites, pw)
+}
+
+// copyBuf returns a pooled copy of b.
+func (r *Replicator) copyBuf(b []byte) []byte {
+	var buf []byte
+	if n := len(r.bufs); n > 0 {
+		buf = r.bufs[n-1]
+		r.bufs[n-1] = nil
+		r.bufs = r.bufs[:n-1]
+	}
+	return append(buf, b...)
+}
+
+// freeBuf returns a buffer from copyBuf to the pool.
+func (r *Replicator) freeBuf(b []byte) { r.bufs = append(r.bufs, b[:0]) }
 
 // onResponse runs when the accelerator's response for a request is about to
 // be forwarded, after its reply FIFO pop. It returns true when the response
@@ -311,10 +354,11 @@ func (r *Replicator) onResponse(to replyTo, payload []byte) bool {
 	}
 	if pw.needed <= 0 {
 		delete(r.pend, pw.id)
+		r.freeWrite(pw)
 		return false
 	}
 	// The parked response outlives the drained payload: keep a copy.
-	pw.resps = append(pw.resps, heldResp{to: to, payload: bytes.Clone(payload), parkedAt: r.rt.plat.Sim.Now()})
+	pw.resps = append(pw.resps, heldResp{to: to, payload: r.copyBuf(payload), parkedAt: r.rt.plat.Sim.Now()})
 	r.held++
 	r.stats.Held++
 	return true
@@ -337,15 +381,17 @@ func (r *Replicator) onAck(rp *replPeer, payload []byte) {
 		r.rt.plat.Spans.Stamp(id, trace.StageReplAcked, now)
 		pw.waitMask &^= bit
 		pw.needed--
+		// The margin is how far this ack trailed the previous one (or
+		// dispatch, for the first).
+		margin := now.Sub(pw.lastAck)
+		pw.lastAck = now
 		if pw.needed <= 0 {
 			// This peer's ack completed the quorum: it is the straggler
-			// every held response was waiting on. The margin is how far it
-			// trailed the previous ack (or dispatch, for a quorum of one).
+			// every held response was waiting on.
 			rp.gated++
-			rp.gatingMargin.RecordN(now.Sub(pw.lastAck), 1)
-			r.settle(now, pw)
+			rp.gatingMargin.RecordN(margin, 1)
+			r.settle(now, pw) // may recycle pw
 		}
-		pw.lastAck = now
 	}
 	// Every ack frees an ingest slot: wake the pump for backlogged records
 	// (and any response the ack just released).
@@ -354,10 +400,11 @@ func (r *Replicator) onAck(rp *replPeer, payload []byte) {
 
 // settle moves a quorum-met write's parked responses to the release queue,
 // stamping the quorum stage and booking the park-to-release interval as the
-// span's replication-phase queue wait. With no response parked yet, the pend
-// entry stays: onResponse observes needed <= 0 and forwards inline — the
-// write's replication overlapped its service and never gated the response,
-// so it carries no quorum stamp and a zero replication phase.
+// span's replication-phase queue wait, and recycles the write. With no
+// response parked yet, the pend entry stays: onResponse observes needed <= 0
+// and forwards inline — the write's replication overlapped its service and
+// never gated the response, so it carries no quorum stamp and a zero
+// replication phase.
 func (r *Replicator) settle(now sim.Time, pw *pendingWrite) {
 	if len(pw.resps) == 0 {
 		return
@@ -369,9 +416,11 @@ func (r *Replicator) settle(now sim.Time, pw *pendingWrite) {
 	}
 	r.rt.plat.Tracer.Emit(now, trace.ReplRelease,
 		uint64(len(pw.resps)), uint64(bits.OnesCount32(pw.waitMask)))
-	r.releasable = append(r.releasable, pw.resps...)
-	pw.resps = nil
+	for _, hr := range pw.resps {
+		r.releasable.push(hr)
+	}
 	delete(r.pend, pw.id)
+	r.freeWrite(pw)
 }
 
 // killPeer executes the watchdog's failover verdict: the peer is dead, its
@@ -384,7 +433,16 @@ func (r *Replicator) killPeer(now sim.Time, rp *replPeer) {
 	}
 	rp.dead = true
 	rp.deadAt = now
-	rp.outbox = nil // undeliverable
+	// The outbox is undeliverable: its records go back to the pool, except
+	// the oldest while the pump has it in flight, which pushed recycles.
+	recs := rp.outbox.items()
+	if r.rec != nil && r.peers[r.pi] == rp {
+		recs = recs[1:]
+	}
+	for _, rec := range recs {
+		r.freeBuf(rec)
+	}
+	rp.outbox.reset()
 	rp.outstanding = 0
 	r.liveMask &^= 1 << uint(rp.idx)
 	r.stats.PeerFailovers++
@@ -439,8 +497,8 @@ func (r *Replicator) pass() {
 // pass releases responses.
 func (r *Replicator) flush() {
 	for ; r.pi < len(r.peers); r.pi++ {
-		if rp := r.peers[r.pi]; len(rp.outbox) > 0 && !rp.dead {
-			r.rec = rp.outbox[0]
+		if rp := r.peers[r.pi]; rp.outbox.len() > 0 && !rp.dead {
+			r.rec = rp.outbox.front()
 			r.rt.execParallelT(r.t, r.rt.plat.Params.ForwardCost, r.chargedK)
 			return
 		}
@@ -453,7 +511,13 @@ func (r *Replicator) charged(time.Duration) {
 }
 
 func (r *Replicator) pushed(_ int, err error) {
-	rp := r.peers[r.pi]
+	rp, rec := r.peers[r.pi], r.rec
+	r.rec = nil
+	if rp.dead {
+		// Declared dead while the record was in flight: the verdict
+		// emptied the outbox and left this record to recycle here.
+		r.freeBuf(rec)
+	}
 	if err != nil {
 		// Ingest ring full: the peer is backlogged (or stalling). Keep the
 		// record queued; the next ack frees a slot and re-fires the gate,
@@ -463,7 +527,11 @@ func (r *Replicator) pushed(_ int, err error) {
 		r.flush()
 		return
 	}
-	rp.outbox = rp.outbox[1:]
+	if !rp.dead {
+		// The push copied the record into the ring: its buffer is free.
+		rp.outbox.pop()
+		r.freeBuf(rec)
+	}
 	if rp.outstanding == 0 {
 		rp.since = r.t.Now()
 	}
@@ -475,11 +543,11 @@ func (r *Replicator) pushed(_ int, err error) {
 
 // release forwards the oldest released response, or ends the pass.
 func (r *Replicator) release() {
-	if len(r.releasable) == 0 {
+	if r.releasable.len() == 0 {
 		r.passed()
 		return
 	}
-	r.hr = r.releasable[0]
+	r.hr = r.releasable.front()
 	r.rt.execT(r.t, r.rt.plat.Params.ForwardCost, r.servedK)
 }
 
@@ -491,10 +559,12 @@ func (r *Replicator) served(qw time.Duration) {
 func (r *Replicator) sent(qw time.Duration) {
 	hr := r.hr
 	hr.to.send(r.svc.udpSock, hr.payload)
-	r.releasable = r.releasable[1:]
+	r.releasable.pop()
 	r.held--
 	r.stats.Released++
 	r.rt.responded(r.t.Now(), hr.payload, r.qw+qw)
+	r.freeBuf(hr.payload)
+	r.hr = heldResp{}
 	r.progressed = true
 	r.release()
 }
@@ -540,6 +610,39 @@ func (r *Replicator) passed() {
 	if r.gate.WaitT(r.t, r.v, r.passK) {
 		r.pass()
 	}
+}
+
+// queue is a FIFO that reuses its backing array: popping advances a head
+// index instead of re-slicing from the front, and the array rewinds whenever
+// the queue drains (or compacts once mostly popped), so steady-state churn
+// never reallocates.
+type queue[T any] struct {
+	q    []T
+	head int
+}
+
+func (x *queue[T]) len() int   { return len(x.q) - x.head }
+func (x *queue[T]) front() T   { return x.q[x.head] }
+func (x *queue[T]) items() []T { return x.q[x.head:] }
+func (x *queue[T]) push(v T)   { x.q = append(x.q, v) }
+
+func (x *queue[T]) pop() {
+	var zero T
+	x.q[x.head] = zero
+	x.head++
+	if x.head == len(x.q) {
+		x.reset()
+	} else if x.head > 32 && x.head*2 >= len(x.q) {
+		n := copy(x.q, x.q[x.head:])
+		clear(x.q[n:])
+		x.q, x.head = x.q[:n], 0
+	}
+}
+
+// reset empties the queue, keeping its array.
+func (x *queue[T]) reset() {
+	clear(x.q)
+	x.q, x.head = x.q[:0], 0
 }
 
 // sortUint64s is an insertion sort: the pending-write set at a failover

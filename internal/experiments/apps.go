@@ -56,8 +56,7 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 					continue
 				}
 				machine.Exec(p, params.MemcachedOpXeon)
-				reply := store.ServeRaw(dg.Payload[workload.SeqBytes:])
-				out = append(append(out[:0], dg.Payload[:workload.SeqBytes]...), reply...)
+				out = store.AppendServe(append(out[:0], dg.Payload[:workload.SeqBytes]...), dg.Payload[workload.SeqBytes:])
 				machine.Exec(p, stackCost)
 				if served != nil {
 					*served++
@@ -79,6 +78,28 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 	return store
 }
 
+// kvKeys is the key universe every KV deployment preloads, cluster.Build's
+// key-%03d names, which the KV request bodies cycle through.
+var kvKeys = func() []string {
+	keys := make([]string, 512)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%03d", i)
+	}
+	return keys
+}()
+
+// preloadKV stores the preloaded value under every key of kvKeys.
+func preloadKV(store *kvstore.Store) {
+	for _, k := range kvKeys {
+		store.Set(k, 0, []byte("value-0123456789"))
+	}
+}
+
+// kvGetBody writes a GET of the seq-th preloaded key after the header.
+func kvGetBody(seq uint64, buf []byte) {
+	kvstore.AppendGet(buf[:workload.SeqBytes], kvKeys[seq%uint64(len(kvKeys))])
+}
+
 func fig9(cfg Config) *Report {
 	window := cfg.window(20 * time.Millisecond)
 	lenetNet := lenet.New(42)
@@ -96,9 +117,7 @@ func fig9(cfg Config) *Report {
 		// Populate a store per instance set through the loader below.
 		var hostServed, bfServed uint64
 		st := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, hostCores, false, 0, &hostServed)
-		for i := 0; i < 512; i++ {
-			st.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-		}
+		preloadKV(st)
 		var bfStore *kvstore.Store
 		if bfMemcached {
 			batch := time.Duration(0)
@@ -106,9 +125,7 @@ func fig9(cfg Config) *Report {
 				batch = e.params.MemcachedBatchLatencyBF
 			}
 			bfStore = memcachedInstances(e.tb, e.bf.NetHost, e.bf.ARM, &e.params, 11211, 7, true, batch, &bfServed)
-			for i := 0; i < 512; i++ {
-				bfStore.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-			}
+			preloadKV(bfStore)
 		}
 		// The LeNet service rides on whatever platform is left.
 		var lynxPlat core.Platform
@@ -123,9 +140,7 @@ func fig9(cfg Config) *Report {
 
 		hostGen := workload.New(e.tb.Sim, workload.Config{
 			Proto: workload.UDP, Target: e.server.NetHost.Addr(11211), Payload: 64,
-			Body: func(seq uint64, buf []byte) {
-				copy(buf[workload.SeqBytes:], kvstore.EncodeGet(fmt.Sprintf("key-%03d", seq%512)))
-			},
+			Body:    kvGetBody,
 			Clients: 4 * hostCores, Duration: window, Warmup: window / 5,
 			BasePort: 21000,
 		}, e.clients[0])
@@ -134,9 +149,7 @@ func fig9(cfg Config) *Report {
 		if bfMemcached {
 			bfGen := workload.New(e.tb.Sim, workload.Config{
 				Proto: workload.UDP, Target: e.bf.NetHost.Addr(11211), Payload: 64,
-				Body: func(seq uint64, buf []byte) {
-					copy(buf[workload.SeqBytes:], kvstore.EncodeGet(fmt.Sprintf("key-%03d", seq%512)))
-				},
+				Body: kvGetBody,
 				// Throughput-optimized: enough concurrency to saturate.
 				// Latency-optimized: light load, chasing the host's 15µs
 				// p99 target (which BlueField cannot reach, §6.3).
@@ -245,13 +258,15 @@ func memcachedBackend(e *env) (*snic.Machine, *kvstore.Store) {
 		for {
 			conn := l.Accept(p)
 			e.tb.Sim.Spawn("memcached-conn", func(p *sim.Proc) {
+				var reply []byte // reused: Send copies it
 				for {
 					msg, err := conn.Recv(p)
 					if err != nil {
 						return
 					}
 					backend.CPU.ExecOn(p, e.params.MemcachedOpXeon)
-					if conn.Send(p, store.ServeRaw(msg)) != nil {
+					reply = store.AppendServe(reply[:0], msg)
+					if conn.Send(p, reply) != nil {
 						return
 					}
 				}
@@ -295,13 +310,15 @@ func sec64FaceVerify(cfg Config) *Report {
 		if err := e.gpu.LaunchPersistent(e.tb.Sim, nTB, func(tb *accel.TB) {
 			serverQ := qs[tb.Index()]
 			clientQ := qs[clientIdx[tb.Index()]]
+			var get []byte // the database request, reused: Send copies it
 			for {
 				m := serverQ.Recv(tb.Proc())
 				if len(m.Payload) < fvReqBytes {
 					continue
 				}
 				label := m.Payload[workload.SeqBytes : workload.SeqBytes+fvLabelBytes]
-				if clientQ.Send(tb.Proc(), 0, kvstore.EncodeGet(string(label))) != nil {
+				get = kvstore.AppendGet(get[:0], string(label))
+				if clientQ.Send(tb.Proc(), 0, get) != nil {
 					return
 				}
 				dbReply := clientQ.Recv(tb.Proc())
@@ -353,7 +370,7 @@ func sec64FaceVerify(cfg Config) *Report {
 				conn := conns.Get(p)
 				defer conns.Put(p, conn)
 				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
-				if conn.Send(p, kvstore.EncodeGet(string(label))) != nil {
+				if conn.Send(p, kvstore.AppendGet(nil, string(label))) != nil {
 					return req
 				}
 				reply, err := conn.Recv(p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lynx/internal/apps/kvstore"
 	"lynx/internal/cluster"
 	"lynx/internal/fault"
 	"lynx/internal/model"
@@ -37,9 +36,7 @@ func (c degradationCell) run(cfg Config) workload.Result {
 	cfg.Faults = fault.Config{Seed: cfg.Seed, DropRate: c.loss}
 	wcfg := workload.Config{
 		Proto: workload.UDP, Payload: 64,
-		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:], kvstore.EncodeGet(fmt.Sprintf("key-%03d", seq%512)))
-		},
+		Body:    kvGetBody,
 		Clients: 8, Duration: window, Warmup: window / 5,
 		// Loss-aware clients: retransmit the same sequence up to 3 times
 		// with exponential backoff before declaring it lost.
@@ -54,9 +51,7 @@ func (c degradationCell) run(cfg Config) workload.Result {
 	}
 	e := newEnv(cfg)
 	store := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, 6, false, 0, nil)
-	for i := 0; i < 512; i++ {
-		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-	}
+	preloadKV(store)
 	wcfg.Target = e.server.NetHost.Addr(11211)
 	res := e.measure(wcfg)
 	e.tb.Sim.Shutdown()

@@ -313,7 +313,7 @@ func goldenTCPClientQueue(t *testing.T) []string {
 		for {
 			m := serverQ.Recv(tb.Proc())
 			label := m.Payload[workload.SeqBytes : workload.SeqBytes+fvLabelBytes]
-			if clientQ.Send(tb.Proc(), 0, kvstore.EncodeGet(string(label))) != nil {
+			if clientQ.Send(tb.Proc(), 0, kvstore.AppendGet(nil, string(label))) != nil {
 				return
 			}
 			dbReply := clientQ.Recv(tb.Proc())
@@ -379,7 +379,7 @@ func goldenUDPClientQueue(t *testing.T) []string {
 			m := serverQ.Recv(tb.Proc())
 			get := make([]byte, workload.SeqBytes, 64)
 			copy(get, m.Payload[:workload.SeqBytes])
-			get = append(get, kvstore.EncodeGet(fmt.Sprintf("key-%03d", m.Slot%64))...)
+			get = kvstore.AppendGet(get, kvKeys[m.Slot%64])
 			if clientQ.Send(tb.Proc(), 0, get) != nil {
 				return
 			}
@@ -434,8 +434,7 @@ func goldenReplicationKill(t *testing.T) []string {
 	res := workload.RunFor(s, workload.New(s, workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("value-0123456789"))
 		},
 		Clients: 2, Duration: 8 * time.Millisecond, Warmup: 500 * time.Microsecond,
 		Timeout: 2 * time.Millisecond, Retries: 3,
@@ -459,8 +458,7 @@ func goldenRF1Rack(t *testing.T) []string {
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(fmt.Sprintf("key-%03d", seq%512), 0, []byte("value-0123456789")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], kvKeys[seq%512], 0, []byte("value-0123456789"))
 		},
 		Clients: 8, Duration: window, Warmup: window / 5,
 		Timeout: 2 * time.Millisecond, Retries: 3,

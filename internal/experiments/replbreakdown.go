@@ -47,8 +47,7 @@ func replBreakdownRun(cfg Config) replBreakdownOutcome {
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("value-0123456789"))
 		},
 		Clients: 8, Duration: window, Warmup: window / 5,
 		Timeout: 2 * time.Millisecond, Retries: 3,

@@ -73,8 +73,7 @@ func (pt replicationPoint) run(cfg Config) replResult {
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:],
-				kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+			kvstore.AppendSet(buf[:workload.SeqBytes], keys[seq%uint64(len(keys))], 0, []byte("value-0123456789"))
 		},
 		Clients: 8, Duration: window, Warmup: warmup,
 		// Outage-aware clients: a write parked behind a dying replica is

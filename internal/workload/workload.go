@@ -54,6 +54,8 @@ type Config struct {
 	// Payload is the request size including the sequence header.
 	Payload int
 	// Body customizes request bytes after the sequence header (optional).
+	// buf is the client's one request buffer, zero past the header at each
+	// call; Body must not keep it.
 	Body func(seq uint64, buf []byte)
 	// Clients is the closed-loop concurrency (one in-flight request per
 	// client), or the number of sending sockets for open-loop.
@@ -198,11 +200,13 @@ func New(s *sim.Sim, cfg Config, hosts ...*netstack.Host) *Generator {
 	return g
 }
 
-// request builds the next request buffer.
-func (g *Generator) request() ([]byte, uint64) {
+// request writes the next request into buf, the client's one request
+// buffer: every send copies it onto the wire, so a client reuses it, and a
+// retransmit resends the same bytes.
+func (g *Generator) request(buf []byte) uint64 {
 	g.seq++
 	g.issued++
-	buf := make([]byte, g.cfg.Payload)
+	clear(buf)
 	PutSeq(buf, g.seq)
 	if g.cfg.Body != nil {
 		g.cfg.Body(g.seq, buf)
@@ -210,7 +214,7 @@ func (g *Generator) request() ([]byte, uint64) {
 	if g.measuring {
 		g.result.Sent++
 	}
-	return buf, g.seq
+	return g.seq
 }
 
 // begin opens a span for a measured request. Warmup requests are not traced,
@@ -314,8 +318,9 @@ func (g *Generator) runUDP() {
 		sock := g.host(c).MustUDPBind(g.cfg.BasePort + uint16(c))
 		g.sim.Spawn(fmt.Sprintf("wl/udp-closed%d", c), func(p *sim.Proc) {
 			defer func() { g.done++ }()
+			buf := make([]byte, g.cfg.Payload)
 			for p.Now() < end {
-				buf, seq := g.request()
+				seq := g.request(buf)
 				g.inflight[seq] = p.Now()
 				g.begin(seq, p.Now())
 				sock.SendTo(g.cfg.Target, buf)
@@ -326,7 +331,9 @@ func (g *Generator) runUDP() {
 					if ok {
 						g.noteRxWait(dg.Payload, dg.EnqueuedAt, p.Now())
 						g.record(dg.Payload, p.Now())
-						if rseq, rok := Seq(dg.Payload); rok && rseq == seq {
+						rseq, rok := Seq(dg.Payload)
+						sock.Release(dg.Payload)
+						if rok && rseq == seq {
 							break
 						}
 						// A stale response to an earlier retransmitted
@@ -370,8 +377,9 @@ func (g *Generator) runUDPOpenLoop() {
 			// Stagger the senders so the aggregate is a smooth stream, not
 			// periodic bursts of len(clients).
 			p.Sleep(time.Duration(c) * interval)
+			buf := make([]byte, g.cfg.Payload)
 			for p.Now() < end {
-				buf, seq := g.request()
+				seq := g.request(buf)
 				g.inflight[seq] = p.Now()
 				g.begin(seq, p.Now())
 				sock.SendTo(g.cfg.Target, buf)
@@ -383,6 +391,7 @@ func (g *Generator) runUDPOpenLoop() {
 				dg := sock.Recv(p)
 				g.noteRxWait(dg.Payload, dg.EnqueuedAt, p.Now())
 				g.record(dg.Payload, p.Now())
+				sock.Release(dg.Payload)
 			}
 		})
 	}
@@ -412,11 +421,13 @@ func (g *Generator) runTCP() {
 						}
 						g.noteRxWait(msg, enq, rp.Now())
 						g.record(msg, rp.Now())
+						conn.Release(msg)
 					}
 				})
 				p.Sleep(time.Duration(c) * time.Duration(float64(time.Second)/g.cfg.RatePerSec))
+				buf := make([]byte, g.cfg.Payload)
 				for p.Now() < end {
-					buf, seq := g.request()
+					seq := g.request(buf)
 					g.inflight[seq] = p.Now()
 					g.begin(seq, p.Now())
 					if conn.Send(p, buf) != nil {
@@ -426,8 +437,9 @@ func (g *Generator) runTCP() {
 				}
 				return
 			}
+			buf := make([]byte, g.cfg.Payload)
 			for p.Now() < end {
-				buf, seq := g.request()
+				seq := g.request(buf)
 				g.inflight[seq] = p.Now()
 				g.begin(seq, p.Now())
 				if conn.Send(p, buf) != nil {
@@ -448,6 +460,7 @@ func (g *Generator) runTCP() {
 				}
 				g.noteRxWait(msg, enq, p.Now())
 				g.record(msg, p.Now())
+				conn.Release(msg)
 			}
 		})
 	}

@@ -266,3 +266,44 @@ func TestPoissonOpenLoopRate(t *testing.T) {
 		t.Fatal("no latency dispersion under Poisson arrivals")
 	}
 }
+
+// TestBodySeesAZeroedRequestBuffer: each client reuses one request buffer,
+// so Body must find it zero past the header whatever the previous request
+// wrote, on every client kind.
+func TestBodySeesAZeroedRequestBuffer(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"udp-closed", Config{Proto: UDP, Clients: 2}},
+		{"udp-open", Config{Proto: UDP, Clients: 2, RatePerSec: 20000}},
+		{"tcp-closed", Config{Proto: TCP, Clients: 2}},
+		{"tcp-open", Config{Proto: TCP, Clients: 2, RatePerSec: 20000}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, n := newNet(1)
+			srv := n.AddHost("server")
+			echoService(s, srv, 10*time.Microsecond)
+			calls := 0
+			cfg := c.cfg
+			cfg.Target, cfg.Payload = srv.Addr(7000), 64
+			cfg.Duration, cfg.Warmup = 2*time.Millisecond, 200*time.Microsecond
+			cfg.Body = func(seq uint64, buf []byte) {
+				calls++
+				for i, b := range buf[SeqBytes:] {
+					if b != 0 {
+						t.Fatalf("request %d: byte %d past the header is %#x", seq, SeqBytes+i, b)
+					}
+				}
+				for i := SeqBytes; i < SeqBytes+int(seq%32); i++ {
+					buf[i] = 0xAB
+				}
+			}
+			res := RunFor(s, New(s, cfg, n.AddHost("client")))
+			s.Shutdown()
+			if calls < 10 || res.Received == 0 {
+				t.Fatalf("%d requests built, %d responses", calls, res.Received)
+			}
+		})
+	}
+}

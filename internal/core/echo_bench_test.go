@@ -74,8 +74,8 @@ func newEchoRig(tb testing.TB, proto core.Proto) *echoRig {
 			return true
 		}
 	}
-	// Warm every pool on the path: frames, waiter nodes, timer records (the
-	// MQ manager's watchdog-bounded parks leave 5 ms timers pending).
+	// Warm every pool on the path: frames, waiter nodes and the event
+	// queues.
 	for i := 0; i < 500; i++ {
 		r.request(tb)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -36,6 +37,9 @@ type killCase struct {
 	wake    func()
 	waiting func() int // waiter nodes still queued on the primitive
 	inUse   func() int // resource units still held
+	// state, if set, checks the victim's state when the kill lands: ""
+	// when it is the one the case is about.
+	state func() string
 }
 
 // TestKillPathMatrix kills a victim blocked in each primitive three ways —
@@ -79,6 +83,39 @@ func TestKillPathMatrix(t *testing.T) {
 					c.GetTimeoutT(tk, time.Millisecond, func(int, bool) { t.Error("killed getter resumed") })
 				},
 				waiting: chanWaiting(c), inUse: none,
+			}
+		}},
+		// The victim's first wait receives at 500 ns, before its 1 ms
+		// deadline. Its second wait parks on a fresh node (the first is
+		// recycled only after the wake's continuation) and receives at
+		// 600 ns, and its third takes the first node back, arming a later
+		// deadline that the node's event due at 1 ms still carries when the
+		// kill lands. Killed, it must neither resume nor re-queue.
+		{"chan-get-timeout-carried", func(s *Sim) killCase {
+			c := NewChan[int](s, 0)
+			s.At(Time(500), func() { c.TryPut(1) })
+			s.At(Time(600), func() { c.TryPut(2) })
+			return killCase{
+				block: func(p *Proc) {
+					for range 3 {
+						c.GetTimeout(p, time.Millisecond)
+					}
+				},
+				park: func(tk *Task) {
+					c.GetTimeoutT(tk, time.Millisecond, func(int, bool) {
+						c.GetTimeoutT(tk, time.Millisecond, func(int, bool) {
+							c.GetTimeoutT(tk, time.Millisecond, func(int, bool) { t.Error("killed getter resumed") })
+						})
+					})
+				},
+				waiting: chanWaiting(c), inUse: none,
+				state: func() string {
+					w := c.getters.q[c.getters.head]
+					if w.dl.seq == 0 || w.dl.qseq == 0 || w.dl.qat != Time(time.Millisecond) || w.dl.at <= w.dl.qat {
+						return fmt.Sprintf("deadline %+v, want one armed after the event queued at 1ms", w.dl)
+					}
+					return ""
+				},
 			}
 		}},
 		{"resource-queued", func(s *Sim) killCase {
@@ -138,6 +175,11 @@ func TestKillPathMatrix(t *testing.T) {
 				s.RunUntil(Time(time.Microsecond))
 				if kc.waiting() != 1 {
 					t.Fatalf("waiting = %d before the kill, want 1", kc.waiting())
+				}
+				if kc.state != nil {
+					if msg := kc.state(); msg != "" {
+						t.Fatal(msg)
+					}
 				}
 				if kc.grant != nil {
 					kc.grant()

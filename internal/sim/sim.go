@@ -28,16 +28,15 @@
 // container/heap interface boxing, no per-event allocation) in three queues:
 // a FIFO of events at the current instant, an in-order FIFO lane that takes
 // every later event scheduled no earlier than the lane's tail — the runs of
-// equal-duration sleeps and wait timeouts, most of which are stale by the
-// time they fire — and an inlined 4-ary min-heap holding the out-of-order
-// remainder. A wait timeout the lane cannot take goes to one of a few timer
-// lanes, in-order FIFOs of timeouts only, each of which keeps a single proxy
-// event for its head in the heap; so the heap holds the live events plus one
-// entry per timer lane, not every stale timer of every deadline class.
-// Every wake schedules a thunk bound once — a Proc's resume, a Task's
-// activation, a channel waiter node's wake — and the waiter nodes of
-// channels and gates recycle through free lists. Steady-state scheduling
-// therefore allocates nothing on either substrate.
+// equal-duration sleeps — and an inlined 4-ary min-heap holding the
+// out-of-order remainder. Wait timeouts are lazy: a channel or gate waiter
+// node keeps at most one queued event however many waits it serves, and a
+// wait that resolves before its deadline leaves nothing new behind (see
+// deadline), so the queues hold the live events, not every stale timer of
+// every deadline class. Every wake schedules a thunk bound once — a Proc's
+// resume, a Task's activation, a waiter node's wake or deadline — and the
+// waiter nodes of channels and gates recycle through free lists.
+// Steady-state scheduling therefore allocates nothing on either substrate.
 //
 // Typical usage:
 //
@@ -85,10 +84,13 @@ type Config struct {
 type Sim struct {
 	now Time
 	// events is a 4-ary min-heap ordered by (at, seq): the events neither
-	// FIFO below can take, plus one proxy per non-empty timer lane.
+	// FIFO below can take, and the deadlines a waiter node carries forward.
 	events []event
 	seq    uint64
-	rng    *rand.Rand
+	// cur is the seq of the executing event, by which a deadline event
+	// tells whether it is its node's armed deadline (see deadline).
+	cur uint64
+	rng *rand.Rand
 
 	// iq is the same-instant fast path: events scheduled at exactly the
 	// current timestamp — Proc resumes, Task activations, and plain
@@ -104,20 +106,11 @@ type Sim struct {
 
 	// lane takes every later event whose time is no earlier than the
 	// lane's tail; the rest go to the heap. seq only grows, so the lane is
-	// (at, seq)-sorted too, and every wait timeout armed with one duration
-	// rides it in time order, keeping the thousands of stale timers a busy
-	// deployment leaves pending out of the heap. The loop runs the least of
-	// the three heads, which is exactly the (at, seq) order of one heap:
-	// results are byte-identical.
+	// (at, seq)-sorted too, and sleeps and waits armed with one duration
+	// ride it in time order. The loop runs the least of the three heads,
+	// which is exactly the (at, seq) order of one heap: results are
+	// byte-identical.
 	lane fifo
-
-	// tlanes are the timer lanes, created on demand up to maxTimerLanes.
-	// They take the wait timeouts the lane cannot (timeout): each is an
-	// in-order FIFO like the lane, and instead of being a fourth head for
-	// RunUntil it keeps one proxy event in the heap carrying its head's
-	// (at, seq). Firing the proxy runs the head and re-proxies the next
-	// one, so the heap pops in exactly the (at, seq) order of one heap.
-	tlanes []*timerLane
 
 	executed uint64
 
@@ -140,8 +133,6 @@ type Sim struct {
 	order    []runner
 	nprocs   int
 	stopping bool
-
-	timers []*timer // free list of wait-timeout records
 }
 
 // runner is one spawn-order entry: a coroutine Proc or a run-to-completion
@@ -190,7 +181,8 @@ func (s *Sim) Now() Time { return s.now }
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Executed reports the total number of events executed so far.
+// Executed reports the total number of events executed so far. A wait
+// deadline's event counts only when it expires its wait (see Sim.due).
 func (s *Sim) Executed() uint64 { return s.executed }
 
 // TimeRegressions reports how many events ran with a timestamp before the
@@ -325,12 +317,17 @@ func (q *fifo) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// enqueue gives e the next sequence number and queues it: on iq at the
-// current instant, on the lane at or after the lane's tail, and on the heap
-// otherwise.
+// enqueue gives e the next sequence number and queues it.
 func (s *Sim) enqueue(e event) {
 	s.seq++
 	e.seq = s.seq
+	s.place(e)
+}
+
+// place queues e, which carries the newest sequence number: on iq at the
+// current instant, on the lane at or after the lane's tail, and on the heap
+// otherwise.
+func (s *Sim) place(e event) {
 	switch {
 	case e.at == s.now:
 		s.iq.push(e)
@@ -423,22 +420,14 @@ func (s *Sim) runEvent(e event) {
 	if e.at < s.now {
 		s.timeRegressions++
 	}
-	s.now = e.at
+	s.now, s.cur = e.at, e.seq
 	s.executed++
 	e.fn()
 }
 
-// Pending reports the number of scheduled events. A timer lane counts its
-// entries, not the proxy it keeps in the heap.
-func (s *Sim) Pending() int {
-	n := len(s.events) + s.iq.n + s.lane.n
-	for _, l := range s.tlanes {
-		if l.q.n > 0 {
-			n += l.q.n - 1
-		}
-	}
-	return n
-}
+// Pending reports the number of queued events, stale deadline events
+// included.
+func (s *Sim) Pending() int { return len(s.events) + s.iq.n + s.lane.n }
 
 // ---------------------------------------------------------------------------
 // Processes
@@ -569,7 +558,7 @@ func (s *Sim) Shutdown() {
 	}
 	// Drop remaining events; their closures may reference dead procs.
 	s.events = nil
-	s.iq, s.lane, s.tlanes = fifo{}, fifo{}, nil
+	s.iq, s.lane = fifo{}, fifo{}
 	s.order = nil
 }
 
@@ -602,23 +591,17 @@ func NewChan[T any](s *Sim, capacity int) *Chan[T] {
 type waiter[T any] struct {
 	t   *Task // the parked task, whose continuation the wake runs
 	val T     // value being delivered (getter: filled by putter; putter: value to enqueue)
-	ok  bool  // set when a value was delivered to a getter
 	// The wake runs one continuation: kv receives the delivered value
 	// (GetT), kto ends a GetTimeoutT wait either way, kn just continues
 	// (PutT, and every Proc form: its resume, after which the Proc reads
 	// val and timedOut from this node). wake is the node's event thunk,
 	// bound once per node and kept across the free list, so steady-state
 	// parking allocates nothing.
-	kv   func(T)
-	kto  func(v T, ok bool)
-	kn   func()
-	wake func()
-	// gen guards recycled waiters against stale timeout events: it is
-	// bumped when the waiter returns to the free list, so a pending timer
-	// that recorded the old generation becomes a no-op.
-	gen uint64
-	// expire is the node's GetTimeout timeout body, bound once like wake.
-	expire   func(gen uint64)
+	kv       func(T)
+	kto      func(v T, ok bool)
+	kn       func()
+	wake     func()
+	dl       deadline // the GetTimeout deadline; its fire is bound once like wake
 	timedOut bool
 }
 
@@ -638,12 +621,13 @@ func (c *Chan[T]) getWaiter(t *Task) *waiter[T] {
 	return w
 }
 
-// putWaiter recycles a node whose wait has fully resolved. The wake and
-// expire thunks survive recycling (they are bound to the node, not the wait).
+// putWaiter recycles a node whose wait has fully resolved, disarming its
+// deadline. The wake and deadline thunks survive recycling (they are bound
+// to the node, not the wait), and so does the node's queued deadline event.
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
-	w.t, w.kv, w.kto, w.kn, w.val, w.ok, w.timedOut = nil, nil, nil, nil, zero, false, false
-	w.gen++
+	w.t, w.kv, w.kto, w.kn, w.val, w.timedOut = nil, nil, nil, nil, zero, false
+	w.dl.seq = 0
 	c.free = append(c.free, w)
 }
 
@@ -736,9 +720,10 @@ func (c *Chan[T]) popBuf() T {
 }
 
 // deliver hands v to a popped getter and schedules its wake: one scheduler
-// slot.
+// slot. The wait has resolved, so its deadline disarms now, before the wake
+// runs.
 func (c *Chan[T]) deliver(w *waiter[T], v T) {
-	w.val, w.ok = v, true
+	w.val, w.dl.seq = v, 0
 	c.sim.atFn(c.sim.now, w.wake)
 }
 
@@ -816,119 +801,76 @@ func (c *Chan[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 	return v, ok
 }
 
-// armTimeout schedules the timeout of w's wait d from now.
+// armTimeout arms the deadline of w's wait d from now.
 func (c *Chan[T]) armTimeout(w *waiter[T], d time.Duration) {
-	if w.expire == nil {
-		w.expire = func(gen uint64) { c.expireWait(w, gen) }
+	if w.dl.fire == nil {
+		w.dl.fire = func() {
+			if c.sim.due(&w.dl) {
+				c.expireWait(w)
+			}
+		}
 	}
-	c.sim.timeout(d, w.gen, w.expire)
+	c.sim.arm(&w.dl, d)
 }
 
-// expireWait is the body of a GetTimeout[T] timer armed at generation gen:
-// unless the wait already resolved, it times the wait out inside the timer
-// event.
-func (c *Chan[T]) expireWait(w *waiter[T], gen uint64) {
-	if w.gen != gen || w.ok {
-		return
-	}
+// expireWait times w's wait out inside its deadline event.
+func (c *Chan[T]) expireWait(w *waiter[T]) {
 	w.timedOut = true
 	c.getters.remove(w)
 	c.wakeTask(w)
 }
 
-// timer is one pending wait timeout. Records recycle through the
-// simulation's free list and fire is bound once per record, so arming a
-// timeout allocates nothing once warm. A record names the waiter
-// generation it was armed at, and the waiter's expire body ignores a
-// generation that is no longer current: a timer that outlives its wait
-// fires as a no-op, even when the waiter node already serves another wait.
-type timer struct {
-	s      *Sim
-	gen    uint64
-	expire func(gen uint64)
-	fire   func() // pre-bound r.run
+// deadline is the wait timeout of one waiter node. Arming one takes the next
+// scheduler slot, as scheduling any event does, but queues an event only
+// when the node has none queued or the new deadline is earlier than the
+// queued one; a wait that resolves first just disarms. So the node's queued
+// event runs no later than the armed deadline, and when it runs it either
+// is that deadline, which expires the wait, or carries it forward with
+// exactly its (at, seq). Every wait that times out does so at the (at, seq)
+// an eager timer would have fired at, and a node serving a stream of waits
+// that receive keeps one queued event instead of one dead timer per wait.
+type deadline struct {
+	at  Time   // the armed deadline
+	seq uint64 // its scheduler slot; 0 while no wait timeout is armed
+	// qat and qseq are the time and slot of the node's queued event (qseq
+	// 0: none). An event a shortened deadline replaced stays queued, but
+	// its slot is no longer qseq.
+	qat  Time
+	qseq uint64
+	fire func() // the queued event's body, bound once per node
 }
 
-// timeout schedules expire(gen) d from now. It consumes one scheduler slot,
-// like the At call it replaces. A timeout the lane takes (see enqueue) goes
-// there; otherwise it goes to the first timer lane that is empty or whose
-// tail is due no later, and to the heap only once maxTimerLanes lanes are
-// all due later than it.
-func (s *Sim) timeout(d time.Duration, gen uint64, expire func(gen uint64)) {
-	var r *timer
-	if n := len(s.timers); n > 0 {
-		r = s.timers[n-1]
-		s.timers[n-1] = nil
-		s.timers = s.timers[:n-1]
-	} else {
-		r = &timer{s: s}
-		r.fire = r.run
-	}
-	r.gen, r.expire = gen, expire
-	at := s.now.Add(d)
-	if at <= s.now || s.lane.n == 0 || at >= s.lane.back().at {
-		s.At(at, r.fire)
-		return
-	}
+// arm sets dl to expire d (> 0) from now.
+func (s *Sim) arm(dl *deadline, d time.Duration) {
 	s.seq++
-	e := event{at: at, seq: s.seq, fn: r.fire}
-	for _, l := range s.tlanes {
-		if l.q.n == 0 || l.q.back().at <= at {
-			l.add(e)
-			return
+	dl.at, dl.seq = s.now.Add(d), s.seq
+	if dl.qseq == 0 || dl.at < dl.qat {
+		dl.qat, dl.qseq = dl.at, dl.seq
+		s.place(event{at: dl.at, seq: dl.seq, fn: dl.fire})
+	}
+}
+
+// due is the start of dl's event body: it reports whether the executing
+// event is dl's armed deadline, which the caller then expires. Any other
+// deadline event is the engine's bookkeeping, not a model event, and is not
+// counted in Executed: the node's queued event re-queues the later deadline
+// armed since (if any), and a replaced one does nothing. A re-queued
+// deadline goes to the heap: its slot is older than events the FIFOs may
+// already hold at its time.
+func (s *Sim) due(dl *deadline) bool {
+	if s.cur == dl.seq {
+		dl.seq, dl.qseq = 0, 0
+		return true
+	}
+	s.executed--
+	if s.cur == dl.qseq {
+		dl.qseq = 0
+		if dl.seq != 0 {
+			dl.qat, dl.qseq = dl.at, dl.seq
+			s.push(event{at: dl.at, seq: dl.seq, fn: dl.fire})
 		}
 	}
-	if len(s.tlanes) < maxTimerLanes {
-		l := &timerLane{s: s}
-		l.fire = l.run
-		s.tlanes = append(s.tlanes, l)
-		l.add(e)
-		return
-	}
-	s.push(e)
-}
-
-// maxTimerLanes bounds the timer lanes of one Sim. A deployment arms wait
-// timeouts from a handful of deadline classes (client retries, watchdogs,
-// replication deadlines, receive polls), each of which arrives in time
-// order; past the bound, out-of-order timeouts fall back to the heap.
-const maxTimerLanes = 8
-
-// timerLane is an in-order FIFO of wait timeouts that stands in the heap as
-// one proxy event: while the lane is non-empty the heap holds exactly one
-// event with fn == fire and its head's (at, seq).
-type timerLane struct {
-	s    *Sim
-	q    fifo
-	fire func() // pre-bound l.run, the proxy's thunk
-}
-
-// add appends e, which must be due no earlier than the tail, proxying it
-// when it becomes the head.
-func (l *timerLane) add(e event) {
-	if l.q.n == 0 {
-		l.s.push(event{at: e.at, seq: e.seq, fn: l.fire})
-	}
-	l.q.push(e)
-}
-
-// run is the proxy's event body: it pops the head, proxies the next head
-// with that head's own seq, and runs the popped one inline — one executed
-// event, and no new sequence number.
-func (l *timerLane) run() {
-	e := l.q.pop()
-	if l.q.n > 0 {
-		h := l.q.front()
-		l.s.push(event{at: h.at, seq: h.seq, fn: l.fire})
-	}
-	e.fn()
-}
-
-func (r *timer) run() {
-	gen, expire := r.gen, r.expire
-	r.expire = nil
-	r.s.timers = append(r.s.timers, r)
-	expire(gen)
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,11 +995,8 @@ type Gate struct {
 // gateWaiter is one task parked on a Gate; a blocked Proc parks as its
 // bridge task. The continuation lives in the task, not the node.
 type gateWaiter struct {
-	t   *Task
-	gen uint64 // guards recycled waiters against stale timeout events
-	// expire is the node's timeout body (WaitTimeout/WaitTimeoutT), bound
-	// once; see timer.
-	expire func(gen uint64)
+	t  *Task
+	dl deadline // the WaitTimeout deadline
 }
 
 // NewGate creates a gate bound to s.
@@ -1074,8 +1013,7 @@ func (g *Gate) Fire() {
 	g.ver++
 	ws := g.waiters
 	for i, w := range ws {
-		// The node recycles at once, bumping gen, which neutralizes any
-		// pending timeout for this wait.
+		// The node recycles at once, disarming this wait's deadline.
 		t := w.t
 		g.putWaiter(w)
 		g.sim.atFn(g.sim.now, t.runEv)
@@ -1109,29 +1047,29 @@ func (g *Gate) addWaiter(t *Task) *gateWaiter {
 	return w
 }
 
-// putWaiter recycles a node whose wait has fully resolved.
+// putWaiter recycles a node whose wait has fully resolved, disarming its
+// deadline.
 func (g *Gate) putWaiter(w *gateWaiter) {
 	w.t = nil
-	w.gen++
+	w.dl.seq = 0
 	g.free = append(g.free, w)
 }
 
-// armTimer schedules w's timeout d from now.
+// armTimer arms the deadline of w's wait d from now.
 func (g *Gate) armTimer(w *gateWaiter, d time.Duration) {
-	if w.expire == nil {
-		w.expire = func(gen uint64) { g.expireWait(w, gen) }
+	if w.dl.fire == nil {
+		w.dl.fire = func() {
+			if g.sim.due(&w.dl) {
+				g.expireWait(w)
+			}
+		}
 	}
-	g.sim.timeout(d, w.gen, w.expire)
+	g.sim.arm(&w.dl, d)
 }
 
-// expireWait is the body of a gate timeout armed at generation gen. Unless
-// the wait already resolved (fired, or withdrawn by a kill, either of which
-// recycled the node), it times out: the task runs its continuation with
-// fired=false inside this event.
-func (g *Gate) expireWait(w *gateWaiter, gen uint64) {
-	if w.gen != gen {
-		return
-	}
+// expireWait times w's wait out inside its deadline event: the task runs
+// its continuation with fired=false.
+func (g *Gate) expireWait(w *gateWaiter) {
 	g.remove(w)
 	t := w.t
 	g.putWaiter(w)

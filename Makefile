@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf goldens eval examples vet clean
+.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc clean
 
 all: vet test
 
@@ -11,6 +11,12 @@ test:
 
 vet:
 	gofmt -l . && $(GO) vet ./...
+
+# The size every simplicity change reports: non-test Go lines outside
+# bench/perf (the benchmark's own module), blank and //-comment lines
+# excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/perf/*' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
 
 # Benchmark with -count=5 so runs can be compared statistically:
 #   make bench | tee old.txt ; <hack> ; make bench | tee new.txt
@@ -39,10 +45,11 @@ bench-perf:
 
 # Re-record the goldens TestGoldens checks (internal/experiments/testdata:
 # the pinned -exp all CSVs, the attribution and rack JSON artifacts, the path
-# reports and traces) after an intentional change to simulated behaviour;
-# `git diff` then shows which lines moved. DESIGN.md §4.13 lists them.
+# reports and traces; cmd/lynxd/testdata: lynxd's stdout) after an
+# intentional change to simulated behaviour; `git diff` then shows which
+# lines moved. DESIGN.md §4.13 lists them.
 goldens:
-	LYNX_UPDATE_GOLDENS=1 $(GO) test ./internal/experiments/ -run TestGoldens -count=1
+	LYNX_UPDATE_GOLDENS=1 $(GO) test ./internal/experiments/ ./cmd/lynxd/ -run TestGoldens -count=1
 
 # Regenerate every table and figure of the paper's evaluation.
 eval:

@@ -133,11 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	srv := cluster.NewServer(plat)
 
-	var payload int
+	var payload, served int // request bytes, mqueues served
 	var body func(seq uint64, buf []byte)
 	switch *app {
 	case "echo":
-		payload = 64
+		payload, served = 64, *queues
 		h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, *queues)
 		if err != nil {
 			return fail(err)
@@ -145,21 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if _, err := srv.AddService(lynx.UDP, 7000, nil, *queues, h); err != nil {
 			return fail(err)
 		}
-		qs := h.AccelQueues()
-		if err := gpu.LaunchPersistent(cluster.Testbed().Sim, *queues, func(tb *lynx.TB) {
-			aq := qs[tb.Index()]
-			for {
-				m := aq.Recv(tb.Proc())
-				tb.Compute(20 * time.Microsecond)
-				if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-					return
-				}
-			}
-		}); err != nil {
+		if err := gpu.Serve(cluster.Testbed().Sim, h.AccelQueues(), 0, 20*time.Microsecond, nil); err != nil {
 			return fail(err)
 		}
 	case "lenet":
-		payload = workload.SeqBytes + lenet.InputBytes
+		payload, served = workload.SeqBytes+lenet.InputBytes, 1
 		net := lenet.New(42)
 		h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: payload + 16}, 1)
 		if err != nil {
@@ -207,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	target := plat.NetHost.Addr(7000)
 	fmt.Fprintf(stdout, "lynxd: %s service on %s (%s, %d cores), %d mqueues\n",
-		*app, target, *platform, *cores, *queues)
+		*app, target, *platform, *cores, served)
 
 	window := time.Duration(*secs * float64(time.Second))
 	gen := cluster.NewLoad(lynx.LoadConfig{

@@ -205,3 +205,40 @@ func TestTraceAndMetricsJSONFlags(t *testing.T) {
 			len(dump.Series), dump.Stats["faults"])
 	}
 }
+
+// TestGoldens pins lynxd's stdout byte for byte for one echo server, one
+// LeNet server and one rack: the banner, the live stats lines and the
+// result are all deterministic given the flags. After an intentional change,
+// regenerate with LYNX_UPDATE_GOLDENS=1 (make goldens) and say which lines
+// moved.
+func TestGoldens(t *testing.T) {
+	for _, g := range []struct {
+		file string
+		args []string
+	}{
+		{"echo.txt", []string{"-app", "echo", "-secs", "0.05", "-clients", "4", "-queues", "2"}},
+		{"lenet.txt", []string{"-app", "lenet", "-secs", "0.02", "-clients", "2"}},
+		{"rack.txt", []string{"-nodes", "3", "-secs", "0.02"}},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run(g.args, &out, &errOut); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+			}
+			path := filepath.Join("testdata", g.file)
+			if os.Getenv("LYNX_UPDATE_GOLDENS") != "" {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("lynxd %s stdout differs from %s:\ngot:\n%s\nwant:\n%s", strings.Join(g.args, " "), path, out.String(), want)
+			}
+		})
+	}
+}

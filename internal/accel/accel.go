@@ -210,6 +210,42 @@ func (g *GPU) LaunchPersistent(s *sim.Sim, n int, body func(tb *TB)) error {
 	return nil
 }
 
+// Serve launches the standard serving kernel: one persistent threadblock
+// per queue, each looping receive → compute → respond (the paper's
+// microbenchmark and application servers, §6). A request shorter than
+// minLen is dropped uncharged. Each served request charges service of
+// threadblock-local compute; a zero service charges nothing and costs no
+// simulator event. handle then builds the response by appending to out, a
+// buffer the threadblock reuses for every response (Send copies it into the
+// TX ring), so a handler's side effects land at the instant the compute
+// ends; a nil handle echoes the request. The response must not alias the
+// request, whose RX payload is lent only until the queue's next receive
+// (DESIGN.md §4.7). A threadblock ends when its queue refuses a send. Serve
+// fails if the queues exceed the device's residency limit.
+func (g *GPU) Serve(s *sim.Sim, qs []*mqueue.AccelQueue, minLen int, service time.Duration, handle func(req, out []byte) []byte) error {
+	return g.LaunchPersistent(s, len(qs), func(tb *TB) {
+		aq := qs[tb.index]
+		var out []byte
+		for {
+			m := aq.Recv(tb.proc)
+			if len(m.Payload) < minLen {
+				continue
+			}
+			if service > 0 {
+				tb.Compute(service)
+			}
+			resp := m.Payload
+			if handle != nil {
+				out = handle(m.Payload, out[:0])
+				resp = out
+			}
+			if aq.Send(tb.proc, uint16(m.Slot), resp) != nil {
+				return
+			}
+		}
+	})
+}
+
 // Resident reports currently resident persistent threadblocks.
 func (g *GPU) Resident() int { return g.resident }
 

@@ -251,24 +251,15 @@ func Build(cfg Config) (*Rack, error) {
 
 	// Apply kernels: one persistent threadblock per ingest ring, on the
 	// target node's GPU, replaying records into the target's store and
-	// acknowledging with the record's id header.
+	// acknowledging with the record's 8-byte id header (the primary matches
+	// acks to writes by id).
 	opCost := p.MemcachedOpXeon
 	for _, w := range wirings {
-		aq := w.h.AccelQueues()[0]
 		store := w.target.Store
-		if err := w.target.GPU.LaunchPersistent(tb.Sim, 1, func(t *accel.TB) {
-			var discard []byte // the reply no one reads, into one reused buffer
-			for {
-				m := aq.Recv(t.Proc())
-				if len(m.Payload) < workload.SeqBytes {
-					continue
-				}
-				t.Compute(opCost)
-				discard = store.AppendServe(discard[:0], m.Payload[workload.SeqBytes:])
-				if aq.Send(t.Proc(), uint16(m.Slot), core.ReplicaAck(m.Payload)) != nil {
-					return
-				}
-			}
+		if err := w.target.GPU.Serve(tb.Sim, w.h.AccelQueues(), workload.SeqBytes, opCost, func(rec, out []byte) []byte {
+			// The store's reply goes into out as scratch: no one reads it.
+			out = store.AppendServe(out, rec[workload.SeqBytes:])
+			return append(out[:0], rec[:workload.SeqBytes]...)
 		}); err != nil {
 			return nil, err
 		}
@@ -276,22 +267,9 @@ func Build(cfg Config) (*Rack, error) {
 
 	// Serving kernels and runtime start, one node at a time.
 	for _, n := range r.nodes {
-		qs := n.handle.AccelQueues()
 		store := n.Store
-		if err := n.GPU.LaunchPersistent(tb.Sim, serveQueues, func(t *accel.TB) {
-			aq := qs[t.Index()]
-			var out []byte // the response, reused: Send copies it into the TX ring
-			for {
-				m := aq.Recv(t.Proc())
-				if len(m.Payload) < workload.SeqBytes {
-					continue
-				}
-				t.Compute(opCost)
-				out = store.AppendServe(append(out[:0], m.Payload[:workload.SeqBytes]...), m.Payload[workload.SeqBytes:])
-				if aq.Send(t.Proc(), uint16(m.Slot), out) != nil {
-					return
-				}
-			}
+		if err := n.GPU.Serve(tb.Sim, n.handle.AccelQueues(), workload.SeqBytes, opCost, func(req, out []byte) []byte {
+			return store.AppendServe(append(out, req[:workload.SeqBytes]...), req[workload.SeqBytes:])
 		}); err != nil {
 			return nil, err
 		}

@@ -655,14 +655,6 @@ func sortUint64s(xs []uint64) {
 	}
 }
 
-// ReplicaAck returns a peer apply kernel's acknowledgement for a record: its
-// 8-byte id header, as a view of the record, which must be at least that
-// long. (A body is unnecessary — the primary matches acks to writes by id.)
-// It allocates nothing: Send copies the ack into the TX ring.
-func ReplicaAck(record []byte) []byte {
-	return record[:8:8]
-}
-
 // ---------------------------------------------------------------------------
 // Time-sliced helpers used by the cluster experiments
 

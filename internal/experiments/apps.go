@@ -8,7 +8,6 @@ import (
 	"lynx/internal/accel"
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/apps/lbp"
-	"lynx/internal/apps/lenet"
 	"lynx/internal/apps/secure"
 	"lynx/internal/core"
 	"lynx/internal/hostcentric"
@@ -100,113 +99,107 @@ func kvGetBody(seq uint64, buf []byte) {
 	kvstore.AppendGet(buf[:workload.SeqBytes], kvKeys[seq%uint64(len(kvKeys))])
 }
 
-func fig9(cfg Config) *Report {
+// colocationCell is one Fig. 9 placement: memcached on hostCores host
+// cores, optionally 7 more instances on the BlueField (throughput- or
+// latency-optimized), and the Lynx LeNet service on one host core or the
+// BlueField, whichever memcached leaves free.
+type colocationCell struct {
+	hostCores                              int
+	bfMemcached, bfBatched, lynxOnHostCore bool
+}
+
+// colocation is a Fig. 9 row's measurements.
+type colocation struct {
+	hostTput, bfTput, lenetTput float64
+	hostP99, bfP99              time.Duration
+}
+
+func (c colocationCell) run(cfg Config) colocation {
 	window := cfg.window(20 * time.Millisecond)
-	lenetNet := lenet.New(42)
-
-	type outcome struct {
-		name      string
-		hostTput  float64
-		hostP99   time.Duration
-		bfTput    float64
-		bfP99     time.Duration
-		lenetTput float64
+	e := newEnv(cfg)
+	var hostServed, bfServed uint64
+	preloadKV(memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, c.hostCores, false, 0, &hostServed))
+	if c.bfMemcached {
+		batch := time.Duration(0)
+		if c.bfBatched {
+			batch = e.params.MemcachedBatchLatencyBF
+		}
+		preloadKV(memcachedInstances(e.tb, e.bf.NetHost, e.bf.ARM, &e.params, 11211, 7, true, batch, &bfServed))
 	}
-	run := func(name string, hostCores int, bfMemcached bool, bfBatched bool, lynxOnHostCore bool) outcome {
-		e := newEnv(cfg)
-		// Populate a store per instance set through the loader below.
-		var hostServed, bfServed uint64
-		st := memcachedInstances(e.tb, e.server.NetHost, e.server.CPU, &e.params, 11211, hostCores, false, 0, &hostServed)
-		preloadKV(st)
-		var bfStore *kvstore.Store
-		if bfMemcached {
-			batch := time.Duration(0)
-			if bfBatched {
-				batch = e.params.MemcachedBatchLatencyBF
-			}
-			bfStore = memcachedInstances(e.tb, e.bf.NetHost, e.bf.ARM, &e.params, 11211, 7, true, batch, &bfServed)
-			preloadKV(bfStore)
-		}
-		// The LeNet service rides on whatever platform is left.
-		var lynxPlat core.Platform
-		if lynxOnHostCore {
-			lynxPlat = e.server.HostPlatform(1, true)
-		} else {
-			lynxPlat = e.bf.Platform(7)
-		}
-		rt := core.NewRuntime(lynxPlat)
-		lenetTarget := deployLynxLeNet(e, rt, e.gpu, lenetNet, 7000, core.UDP)
-		rt.Start()
-
-		hostGen := workload.New(e.tb.Sim, workload.Config{
-			Proto: workload.UDP, Target: e.server.NetHost.Addr(11211), Payload: 64,
-			Body:    kvGetBody,
-			Clients: 4 * hostCores, Duration: window, Warmup: window / 5,
-			BasePort: 21000,
-		}, e.clients[0])
-		hostRes := hostGen.Run()
-		var bfRes *workload.Result
-		if bfMemcached {
-			bfGen := workload.New(e.tb.Sim, workload.Config{
-				Proto: workload.UDP, Target: e.bf.NetHost.Addr(11211), Payload: 64,
-				Body: kvGetBody,
-				// Throughput-optimized: enough concurrency to saturate.
-				// Latency-optimized: light load, chasing the host's 15µs
-				// p99 target (which BlueField cannot reach, §6.3).
-				Clients:  map[bool]int{true: 96, false: 8}[bfBatched],
-				Duration: window, Warmup: window / 5,
-				BasePort: 22000,
-			}, e.clients[1])
-			bfRes = bfGen.Run()
-		}
-		lenetGen := workload.New(e.tb.Sim, workload.Config{
-			Proto: workload.UDP, Target: lenetTarget, Payload: lenetPayload,
-			Body: lenetBody, Clients: 3, Duration: window, Warmup: window / 5,
-			BasePort: 23000,
-		}, e.clients[0])
-		lenetRes := lenetGen.Run()
-
-		e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/3))
-		e.tb.Sim.Shutdown()
-		out := outcome{name: name,
-			hostTput: hostRes.Throughput(), hostP99: hostRes.Hist.P99(),
-			lenetTput: lenetRes.Throughput()}
-		if bfRes != nil {
-			// Throughput from server-side completions (closed-loop client
-			// receipts understate batched configurations); latency from
-			// the clients.
-			out.bfTput = float64(bfServed) / (window + window/5).Seconds()
-			out.bfP99 = bfRes.Hist.P99()
-		}
-		return out
+	// The LeNet service rides on whatever platform is left.
+	lynxPlat := e.bf.Platform(7)
+	if c.lynxOnHostCore {
+		lynxPlat = e.server.HostPlatform(1, true)
 	}
+	rt := core.NewRuntime(lynxPlat)
+	lenetTarget := deployLynxLeNet(e, rt, e.gpu, sharedLeNet(), 7000, core.UDP)
+	rt.Start()
 
-	specs := []struct {
-		name                                   string
-		hostCores                              int
-		bfMemcached, bfBatched, lynxOnHostCore bool
+	hostRes := workload.New(e.tb.Sim, workload.Config{
+		Proto: workload.UDP, Target: e.server.NetHost.Addr(11211), Payload: 64,
+		Body:    kvGetBody,
+		Clients: 4 * c.hostCores, Duration: window, Warmup: window / 5,
+		BasePort: 21000,
+	}, e.clients[0]).Run()
+	var bfRes *workload.Result
+	if c.bfMemcached {
+		bfRes = workload.New(e.tb.Sim, workload.Config{
+			Proto: workload.UDP, Target: e.bf.NetHost.Addr(11211), Payload: 64,
+			Body: kvGetBody,
+			// Throughput-optimized: enough concurrency to saturate.
+			// Latency-optimized: light load, chasing the host's 15µs p99
+			// target (which BlueField cannot reach, §6.3).
+			Clients:  map[bool]int{true: 96, false: 8}[c.bfBatched],
+			Duration: window, Warmup: window / 5,
+			BasePort: 22000,
+		}, e.clients[1]).Run()
+	}
+	lenetRes := workload.New(e.tb.Sim, workload.Config{
+		Proto: workload.UDP, Target: lenetTarget, Payload: lenetPayload,
+		Body: lenetBody, Clients: 3, Duration: window, Warmup: window / 5,
+		BasePort: 23000,
+	}, e.clients[0]).Run()
+
+	e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/3))
+	e.tb.Sim.Shutdown()
+	out := colocation{hostTput: hostRes.Throughput(), hostP99: hostRes.Hist.P99(), lenetTput: lenetRes.Throughput()}
+	if bfRes != nil {
+		// Throughput from server-side completions (closed-loop client
+		// receipts understate batched configurations); latency from the
+		// clients.
+		out.bfTput = float64(bfServed) / (window + window/5).Seconds()
+		out.bfP99 = bfRes.Hist.P99()
+	}
+	return out
+}
+
+func fig9(cfg Config) *Report {
+	rows := []struct {
+		name string
+		colocationCell
 	}{
-		{"5 cores", 5, false, false, false},
-		{"5 cores + BF (tput opt)", 5, true, true, true},
-		{"5 cores + BF (latency opt)", 5, true, false, true},
-		{"6 cores", 6, false, false, false},
+		{"5 cores", colocationCell{5, false, false, false}},
+		{"5 cores + BF (tput opt)", colocationCell{5, true, true, true}},
+		{"5 cores + BF (latency opt)", colocationCell{5, true, false, true}},
+		{"6 cores", colocationCell{6, false, false, false}},
 	}
-	rows := make([]outcome, len(specs))
-	cfg.sweep(len(specs), func(i int) {
-		s := specs[i]
-		rows[i] = run(s.name, s.hostCores, s.bfMemcached, s.bfBatched, s.lynxOnHostCore)
-	})
+	var pts []colocationCell
+	for _, row := range rows {
+		pts = append(pts, row.colocationCell)
+	}
+	res := measureAll(cfg, pts)
 	r := &Report{
 		ID:      "fig9",
 		Title:   "memcached throughput/latency across placements (Fig. 9)",
 		Columns: []string{"memcached tput", "host p99", "BF tput", "BF p99", "LeNet req/s"},
 	}
-	for _, o := range rows {
+	for _, row := range rows {
+		o := res[row.colocationCell]
 		bfT, bfL := "-", "-"
 		if o.bfTput > 0 {
 			bfT, bfL = fmtFloat(o.bfTput), o.bfP99.Round(time.Microsecond).String()
 		}
-		r.AddRow(o.name, o.hostTput, o.hostP99, bfT, bfL, o.lenetTput)
+		r.AddRow(row.name, o.hostTput, o.hostP99, bfT, bfL, o.lenetTput)
 	}
 	r.Note("paper: ~250 Ktps/Xeon core at 15µs p99; BlueField adds 400 Ktps at 160µs p99 (tput-optimized)")
 	r.Note("paper: the 15µs latency target is unreachable on BlueField (latency-optimized row)")
@@ -249,7 +242,7 @@ func fvVerify(req, dbImage []byte) []byte {
 }
 
 // memcachedBackend hosts the image database on its own machine (TCP).
-func memcachedBackend(e *env) (*snic.Machine, *kvstore.Store) {
+func memcachedBackend(e *env) {
 	backend := e.tb.NewMachine("dbserver", 6)
 	store := kvstore.NewStore(16, 0)
 	fvPopulate(store)
@@ -273,18 +266,70 @@ func memcachedBackend(e *env) (*snic.Machine, *kvstore.Store) {
 			})
 		}
 	})
-	return backend, store
 }
 
-func sec64FaceVerify(cfg Config) *Report {
+// faceVerifyCell is the §6.4 face verification server on one platform: the
+// host-centric baseline, or Lynx with 28 server mqueues, one LBP
+// threadblock each, whose client mqueues reach the memcached backend over
+// TCP. Both fetch the reference image from the same backend machine.
+type faceVerifyCell struct{ plat string }
+
+func (c faceVerifyCell) run(cfg Config) workload.Result {
 	window := cfg.window(40 * time.Millisecond)
 	const nTB = 28 // 28 server mqueues / threadblocks (§6.4)
-
-	lynxRun := func(platform string) workload.Result {
-		e := newEnv(cfg)
-		_, _ = memcachedBackend(e)
-		plat := e.lynxPlatform(platform)
-		rt := core.NewRuntime(plat)
+	e := newEnv(cfg)
+	memcachedBackend(e)
+	target := e.server.NetHost.Addr(7000)
+	if c.plat == platHostCentric {
+		// Pool of memcached connections shared by the stream workers.
+		conns := sim.NewChan[*netstack.TCPConn](e.tb.Sim, 0)
+		e.tb.Sim.Spawn("conn-pool", func(p *sim.Proc) {
+			for i := 0; i < nTB; i++ {
+				conn, err := e.server.NetHost.TCPDial(p, netstack.Addr{Host: "dbserver", Port: 11211})
+				if err != nil {
+					return
+				}
+				conns.Put(p, conn)
+			}
+		})
+		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
+			Port: 7000, Streams: nTB, Cores: 2, Bypass: true,
+			KernelTime: e.params.FaceVerifyService,
+			H2DBytes:   2 * lbp.ImageBytes, D2HBytes: 16,
+			PreKernel: func(p *sim.Proc, req []byte) []byte {
+				if len(req) < fvReqBytes {
+					return req
+				}
+				label := req[workload.SeqBytes : workload.SeqBytes+fvLabelBytes]
+				conn := conns.Get(p)
+				defer conns.Put(p, conn)
+				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
+				if conn.Send(p, kvstore.AppendGet(nil, string(label))) != nil {
+					return req
+				}
+				reply, err := conn.Recv(p)
+				if err != nil {
+					return req
+				}
+				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
+				img, ok, derr := kvstore.DecodeValue(reply)
+				if derr != nil || !ok {
+					return req
+				}
+				return append(append([]byte{}, req...), img...)
+			},
+			Handler: func(req []byte) []byte {
+				if len(req) < fvReqBytes+lbp.ImageBytes {
+					return req[:workload.SeqBytes+1]
+				}
+				return fvVerify(req[:fvReqBytes], req[fvReqBytes:fvReqBytes+lbp.ImageBytes])
+			},
+		})
+		if err := sv.Start(); err != nil {
+			panic(err)
+		}
+	} else {
+		rt := core.NewRuntime(e.lynxPlatform(c.plat))
 		// Slots fit both the 1044-byte requests and the memcached VALUE
 		// replies (header line + 1024-byte image + trailer).
 		mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: fvReqBytes + 96}
@@ -336,90 +381,29 @@ func sec64FaceVerify(cfg Config) *Report {
 			panic(err)
 		}
 		rt.Start()
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: svc.Addr(), Payload: fvReqBytes,
-			Body: fvBody, Clients: 2 * nTB, Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res
+		target = svc.Addr()
 	}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: target, Payload: fvReqBytes,
+		Body: fvBody, Clients: 2 * nTB, Duration: window, Warmup: window / 5,
+	})
+	e.tb.Sim.Shutdown()
+	return res
+}
 
-	hostRun := func() workload.Result {
-		e := newEnv(cfg)
-		_, _ = memcachedBackend(e)
-		// Pool of memcached connections shared by the stream workers.
-		conns := sim.NewChan[*netstack.TCPConn](e.tb.Sim, 0)
-		e.tb.Sim.Spawn("conn-pool", func(p *sim.Proc) {
-			for i := 0; i < nTB; i++ {
-				conn, err := e.server.NetHost.TCPDial(p, netstack.Addr{Host: "dbserver", Port: 11211})
-				if err != nil {
-					return
-				}
-				conns.Put(p, conn)
-			}
-		})
-		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: nTB, Cores: 2, Bypass: true,
-			KernelTime: e.params.FaceVerifyService,
-			H2DBytes:   2 * lbp.ImageBytes, D2HBytes: 16,
-			PreKernel: func(p *sim.Proc, req []byte) []byte {
-				if len(req) < fvReqBytes {
-					return req
-				}
-				label := req[workload.SeqBytes : workload.SeqBytes+fvLabelBytes]
-				conn := conns.Get(p)
-				defer conns.Put(p, conn)
-				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
-				if conn.Send(p, kvstore.AppendGet(nil, string(label))) != nil {
-					return req
-				}
-				reply, err := conn.Recv(p)
-				if err != nil {
-					return req
-				}
-				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
-				img, ok, derr := kvstore.DecodeValue(reply)
-				if derr != nil || !ok {
-					return req
-				}
-				return append(append([]byte{}, req...), img...)
-			},
-			Handler: func(req []byte) []byte {
-				if len(req) < fvReqBytes+lbp.ImageBytes {
-					return req[:workload.SeqBytes+1]
-				}
-				return fvVerify(req[:fvReqBytes], req[fvReqBytes:fvReqBytes+lbp.ImageBytes])
-			},
-		})
-		if err := sv.Start(); err != nil {
-			panic(err)
-		}
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: e.server.NetHost.Addr(7000), Payload: fvReqBytes,
-			Body: fvBody, Clients: 2 * nTB, Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res
-	}
-
-	runs := []func() workload.Result{
-		hostRun,
-		func() workload.Result { return lynxRun(platLynxBF) },
-		func() workload.Result { return lynxRun(platLynx6Xeon) },
-	}
-	results := make([]workload.Result, len(runs))
-	cfg.sweep(len(runs), func(i int) { results[i] = runs[i]() })
-	hc, bf, xeon := results[0], results[1], results[2]
+func sec64FaceVerify(cfg Config) *Report {
+	res := measureAll(cfg, []faceVerifyCell{{platHostCentric}, {platLynxBF}, {platLynx6Xeon}})
+	hc := res[faceVerifyCell{platHostCentric}]
 	r := &Report{
 		ID:      "sec64-faceverify",
 		Title:   "Face Verification server: GPU frontend + memcached backend (§6.4)",
 		Columns: []string{"req/s", "p99", "speedup", "paper speedup"},
 	}
 	r.AddRow(platHostCentric, hc.Throughput(), hc.Hist.P99(), "1.0x", "1.0x")
-	r.AddRow(platLynxBF, bf.Throughput(), bf.Hist.P99(),
-		fmtFloat(speedup(bf.Throughput(), hc.Throughput()))+"x", "4.4x")
-	r.AddRow(platLynx6Xeon, xeon.Throughput(), xeon.Hist.P99(),
-		fmtFloat(speedup(xeon.Throughput(), hc.Throughput()))+"x", "4.6x")
+	for _, row := range []struct{ plat, paper string }{{platLynxBF, "4.4x"}, {platLynx6Xeon, "4.6x"}} {
+		lx := res[faceVerifyCell{row.plat}]
+		r.AddRow(row.plat, lx.Throughput(), lx.Hist.P99(), fmtFloat(speedup(lx.Throughput(), hc.Throughput()))+"x", row.paper)
+	}
 	r.Note("28 server mqueues, one LBP threadblock each; client mqueues reach memcached over TCP")
 	r.Note("paper: BlueField ~5%% below Xeon due to its slower TCP stack")
 	return r
@@ -428,22 +412,31 @@ func sec64FaceVerify(cfg Config) *Report {
 // ---------------------------------------------------------------------------
 // §6.2: VCA / SGX secure computing
 
-func sec62VCA(cfg Config) *Report {
-	window := cfg.window(250 * time.Millisecond)
-	key := []byte("0123456789abcdef")
-	mkBody := func(c *secure.Cipher) func(seq uint64, buf []byte) {
-		return func(seq uint64, buf []byte) {
-			copy(buf[workload.SeqBytes:], c.Seal(uint32(seq)))
-		}
-	}
-	const vcaPayload = workload.SeqBytes + secure.CipherSize
+// vcaPayload is a §6.2 request: the sequence header and one sealed operand.
+const vcaPayload = workload.SeqBytes + secure.CipherSize
 
-	// enclaveServe decrypts, multiplies, encrypts inside the enclave.
-	enclaveServe := func(enc *accel.Enclave, cipher *secure.Cipher, p *sim.Proc, req []byte) []byte {
+// vcaCell is the §6.2 secure multiply service on the VCA, at 1K req/s: the
+// VCA node polls an mqueue in host-mapped memory fed by Lynx on BlueField,
+// or, with bridge set, the Intel-preferred host network bridge carries each
+// request into the VCA nodes' native Linux stack (§6.2: "a host-based
+// network bridge"). Either way the enclave decrypts, multiplies and
+// encrypts.
+type vcaCell struct{ bridge bool }
+
+func (c vcaCell) run(cfg Config) workload.Result {
+	window := cfg.window(250 * time.Millisecond)
+	e := newEnv(cfg)
+	cipher, err := secure.NewCipher([]byte("0123456789abcdef"))
+	if err != nil {
+		panic(err)
+	}
+	vca := e.server.AddVCA("vca0")
+	enc := vca.NewEnclave()
+	serve := func(p *sim.Proc, req []byte) []byte {
 		resp := make([]byte, vcaPayload)
 		copy(resp, req[:workload.SeqBytes])
 		var out []byte
-		enc.ECall(p, defaultParams().SecureComputeService, func() {
+		enc.ECall(p, e.params.SecureComputeService, func() {
 			if o, err := secure.EnclaveCompute(cipher, req[workload.SeqBytes:vcaPayload]); err == nil {
 				out = o
 			}
@@ -451,16 +444,27 @@ func sec62VCA(cfg Config) *Report {
 		copy(resp[workload.SeqBytes:], out)
 		return resp
 	}
-
-	// Lynx path: mqueue in host-mapped memory, polled by the VCA node.
-	lynxRun := func() workload.Result {
-		e := newEnv(cfg)
-		cipher, err := secure.NewCipher(key)
-		if err != nil {
-			panic(err)
+	target := e.server.NetHost.Addr(7000)
+	if c.bridge {
+		sock := e.server.NetHost.MustUDPBind(7000)
+		// One server context per VCA node (three E3 processors, §5.4).
+		for node := 0; node < vca.Nodes(); node++ {
+			e.tb.Sim.Spawn(fmt.Sprintf("vca-bridge-server/%d", node), func(p *sim.Proc) {
+				for {
+					dg := sock.Recv(p)
+					// Host bridge + IP-over-PCIe tunnel + VCA kernel
+					// stack, each way.
+					p.Sleep(e.params.VCABridgeKernelPath)
+					if len(dg.Payload) < vcaPayload {
+						continue
+					}
+					resp := serve(p, dg.Payload)
+					p.Sleep(e.params.VCABridgeKernelPath)
+					sock.SendTo(dg.From, resp)
+				}
+			})
 		}
-		vca := e.server.AddVCA("vca0")
-		enc := vca.NewEnclave()
+	} else {
 		rt := core.NewRuntime(e.bf.Platform(7))
 		h, err := rt.Register(vca, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: vcaPayload + 16}, 1)
 		if err != nil {
@@ -477,68 +481,29 @@ func sec62VCA(cfg Config) *Report {
 				if len(m.Payload) < vcaPayload {
 					continue
 				}
-				resp := enclaveServe(enc, cipher, p, m.Payload)
-				if aq.Send(p, uint16(m.Slot), resp) != nil {
+				if aq.Send(p, uint16(m.Slot), serve(p, m.Payload)) != nil {
 					return
 				}
 			}
 		})
 		rt.Start()
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: svc.Addr(), Payload: vcaPayload,
-			Body: mkBody(cipher), Clients: 1, RatePerSec: 1000, Poisson: true,
-			Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res
+		target = svc.Addr()
 	}
-
-	// Baseline: the Intel-preferred host network bridge into the VCA node's
-	// native Linux stack (§6.2: "a host-based network bridge").
-	baselineRun := func() workload.Result {
-		e := newEnv(cfg)
-		cipher, err := secure.NewCipher(key)
-		if err != nil {
-			panic(err)
-		}
-		vca := e.server.AddVCA("vca0")
-		enc := vca.NewEnclave()
-		sock := e.server.NetHost.MustUDPBind(7000)
-		// One server context per VCA node (three E3 processors, §5.4).
-		for node := 0; node < vca.Nodes(); node++ {
-			e.tb.Sim.Spawn(fmt.Sprintf("vca-bridge-server/%d", node), func(p *sim.Proc) {
-				for {
-					dg := sock.Recv(p)
-					// Host bridge + IP-over-PCIe tunnel + VCA kernel
-					// stack, each way.
-					p.Sleep(e.params.VCABridgeKernelPath)
-					if len(dg.Payload) < vcaPayload {
-						continue
-					}
-					resp := enclaveServe(enc, cipher, p, dg.Payload)
-					p.Sleep(e.params.VCABridgeKernelPath)
-					sock.SendTo(dg.From, resp)
-				}
-			})
-		}
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: e.server.NetHost.Addr(7000), Payload: vcaPayload,
-			Body: mkBody(cipher), Clients: 1, RatePerSec: 1000, Poisson: true,
-			Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res
-	}
-
-	results := make([]workload.Result, 2)
-	cfg.sweep(2, func(i int) {
-		if i == 0 {
-			results[i] = lynxRun()
-		} else {
-			results[i] = baselineRun()
-		}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: target, Payload: vcaPayload,
+		Body: func(seq uint64, buf []byte) {
+			copy(buf[workload.SeqBytes:], cipher.Seal(uint32(seq)))
+		},
+		Clients: 1, RatePerSec: 1000, Poisson: true,
+		Duration: window, Warmup: window / 5,
 	})
-	lynx, base := results[0], results[1]
+	e.tb.Sim.Shutdown()
+	return res
+}
+
+func sec62VCA(cfg Config) *Report {
+	res := measureAll(cfg, []vcaCell{{false}, {true}})
+	lynx, base := res[vcaCell{false}], res[vcaCell{true}]
 	r := &Report{
 		ID:      "sec62-vca",
 		Title:   "SGX secure multiply on Intel VCA at 1K req/s (§6.2)",
@@ -547,6 +512,6 @@ func sec62VCA(cfg Config) *Report {
 	r.AddRow("Lynx (mqueue into mapped memory)", lynx.Hist.P90(), lynx.Hist.P99(), lynx.Throughput(), "56µs")
 	r.AddRow("native bridge baseline", base.Hist.P90(), base.Hist.P99(), base.Throughput(), "~240µs (4.3x)")
 	r.AddRow("baseline/Lynx p90", fmtFloat(speedup(float64(base.Hist.P90()), float64(lynx.Hist.P90())))+"x", "", "", "4.3x")
-	r.Note("AES-GCM runs for real inside the simulated enclave; SGX transitions cost %v each", defaultParams().SGXTransition)
+	r.Note("AES-GCM runs for real inside the simulated enclave; SGX transitions cost %v each", model.Default().SGXTransition)
 	return r
 }

@@ -440,19 +440,7 @@ func (e *env) echoDeployment(plat core.Platform, nQueues int, compute time.Durat
 	if err != nil {
 		panic(err)
 	}
-	qs := h.AccelQueues()
-	if err := e.gpu.LaunchPersistent(e.tb.Sim, nQueues, func(tb *accel.TB) {
-		aq := qs[tb.Index()]
-		for {
-			m := aq.Recv(tb.Proc())
-			if compute > 0 {
-				tb.Compute(compute)
-			}
-			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-				return
-			}
-		}
-	}); err != nil {
+	if err := e.gpu.Serve(e.tb.Sim, h.AccelQueues(), 0, compute, nil); err != nil {
 		panic(err)
 	}
 	if err := rt.Start(); err != nil {
@@ -473,7 +461,21 @@ func (e *env) measure(wcfg workload.Config) workload.Result {
 	return workload.RunFor(e.tb.Sim, g)
 }
 
-func defaultParams() model.Params { return model.Default() }
+// openLoopRate offers rate req/s of 64-byte UDP to target from 8 open-loop
+// clients for window, after a quarter-window warmup, and returns how fast
+// count advanced over the window. It shuts the testbed down.
+func (e *env) openLoopRate(target netstack.Addr, rate float64, window time.Duration, count func() uint64) float64 {
+	workload.New(e.tb.Sim, workload.Config{
+		Proto: workload.UDP, Target: target, Payload: 64,
+		Clients: 8, RatePerSec: rate, Duration: window, Warmup: window / 4,
+	}, e.clients...).Run()
+	var atWarmup uint64
+	e.tb.Sim.After(window/4, func() { atWarmup = count() })
+	e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/4))
+	total := count()
+	e.tb.Sim.Shutdown()
+	return float64(total-atWarmup) / window.Seconds()
+}
 
 // p99Ratio is a's p99 latency over b's.
 func p99Ratio(a, b workload.Result) float64 {

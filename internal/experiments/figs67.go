@@ -184,12 +184,14 @@ const sec62MQCount = 240
 // launchRxSinks starts receive-only GPU threadblocks: consume without
 // responding.
 func launchRxSinks(e *env, qs []*mqueue.AccelQueue) {
-	e.gpu.LaunchPersistent(e.tb.Sim, len(qs), func(tb *accel.TB) {
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, len(qs), func(tb *accel.TB) {
 		aq := qs[tb.Index()]
 		for {
 			aq.Recv(tb.Proc())
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 }
 
 // rxPath is one §6.2 receive path into GPU mqueues; run measures its
@@ -217,17 +219,7 @@ func innovaRxRate(cfg Config) float64 {
 		panic(err)
 	}
 	launchRxSinks(e, qs)
-	g := workload.New(e.tb.Sim, workload.Config{
-		Proto: workload.UDP, Target: in.NetHost.Addr(7000), Payload: 64,
-		Clients: 8, RatePerSec: 9e6, Duration: window, Warmup: window / 4,
-	}, e.clients...)
-	g.Run()
-	var atWarmup uint64
-	e.tb.Sim.After(window/4, func() { atWarmup, _ = in.Stats() })
-	e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/4))
-	total, _ := in.Stats()
-	e.tb.Sim.Shutdown()
-	return float64(total-atWarmup) / window.Seconds()
+	return e.openLoopRate(in.NetHost.Addr(7000), 9e6, window, func() uint64 { received, _ := in.Stats(); return received })
 }
 
 // bluefieldRxRate measures the same receive-only accelerator behind the Lynx
@@ -245,17 +237,7 @@ func bluefieldRxRate(cfg Config) float64 {
 	}
 	launchRxSinks(e, h.AccelQueues())
 	rt.Start()
-	g := workload.New(e.tb.Sim, workload.Config{
-		Proto: workload.UDP, Target: e.bf.NetHost.Addr(7000), Payload: 64,
-		Clients: 8, RatePerSec: 2e6, Duration: window, Warmup: window / 4,
-	}, e.clients...)
-	g.Run()
-	var atWarmup uint64
-	e.tb.Sim.After(window/4, func() { atWarmup = rt.Stats().Received })
-	e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/4))
-	received := rt.Stats().Received
-	e.tb.Sim.Shutdown()
-	return float64(received-atWarmup) / window.Seconds()
+	return e.openLoopRate(e.bf.NetHost.Addr(7000), 2e6, window, func() uint64 { return rt.Stats().Received })
 }
 
 // hostRxRate measures the host-centric RX-only baseline: the CPU receives
@@ -265,7 +247,7 @@ func hostRxRate(cfg Config) float64 {
 	window := cfg.window(8 * time.Millisecond)
 	e := newEnv(cfg)
 	sock := e.server.NetHost.MustUDPBind(7000)
-	delivered := 0
+	var delivered uint64
 	for w := 0; w < 6; w++ {
 		st := e.gpu.NewStream()
 		e.tb.Sim.Spawn("hc-rx", func(p *sim.Proc) {
@@ -277,16 +259,7 @@ func hostRxRate(cfg Config) float64 {
 			}
 		})
 	}
-	g := workload.New(e.tb.Sim, workload.Config{
-		Proto: workload.UDP, Target: e.server.NetHost.Addr(7000), Payload: 64,
-		Clients: 8, RatePerSec: 4e5, Duration: window, Warmup: window / 4,
-	}, e.clients...)
-	g.Run()
-	atWarmup := 0
-	e.tb.Sim.After(window/4, func() { atWarmup = delivered })
-	e.tb.Sim.RunUntil(e.tb.Sim.Now().Add(window + window/4))
-	e.tb.Sim.Shutdown()
-	return float64(delivered-atWarmup) / window.Seconds()
+	return e.openLoopRate(e.server.NetHost.Addr(7000), 4e5, window, func() uint64 { return delivered })
 }
 
 // sec62Innova reproduces the receive-path comparison: Innova's AFU steers

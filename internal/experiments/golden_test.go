@@ -215,7 +215,7 @@ func goldenTCPService(t *testing.T) []string {
 	plat := e.lynxPlatform(platLynxBF)
 	plat.Tracer = trace.New(1 << 16)
 	rt := core.NewRuntime(plat)
-	target := deployLynxLeNet(e, rt, e.gpu, lenetNew(), 7000, core.TCP)
+	target := deployLynxLeNet(e, rt, e.gpu, sharedLeNet(), 7000, core.TCP)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,9 @@ func goldenPipeline(t *testing.T, proto core.Proto) []string {
 			t.Fatal(err)
 		}
 		hs = append(hs, h)
-		startEcho(t, e, g, h, nq, 10*time.Microsecond)
+		if err := g.Serve(e.tb.Sim, h.AccelQueues(), 0, 10*time.Microsecond, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pl, err := rt.AddPipeline(proto, 7000, nil, nq, hs...)
 	if err != nil {
@@ -262,23 +264,6 @@ func goldenPipeline(t *testing.T, proto core.Proto) []string {
 	return []string{goldenReport(proto.String()+"-pipeline", e.tb.Sim, res,
 		[2]string{"runtime", rt.Stats().String()}, [2]string{"relayed", fmt.Sprint(pl.Relayed())}),
 		traceText(t, plat.Tracer)}
-}
-
-// startEcho launches one persistent echo threadblock per queue of h.
-func startEcho(t *testing.T, e *env, gpu *accel.GPU, h *core.AccelHandle, n int, work time.Duration) {
-	qs := h.AccelQueues()
-	if err := gpu.LaunchPersistent(e.tb.Sim, n, func(tb *accel.TB) {
-		aq := qs[tb.Index()]
-		for {
-			m := aq.Recv(tb.Proc())
-			tb.Compute(work)
-			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-				return
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // goldenTCPClientQueue is sec64-faceverify's Lynx deployment: server
@@ -501,15 +486,7 @@ func goldenInnovaDuplex(batch model.BatchConfig) string {
 	if err != nil {
 		panic(err)
 	}
-	if err := e.gpu.LaunchPersistent(e.tb.Sim, nq, func(tb *accel.TB) {
-		aq := qs[tb.Index()]
-		for {
-			m := aq.Recv(tb.Proc())
-			if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-				return
-			}
-		}
-	}); err != nil {
+	if err := e.gpu.Serve(e.tb.Sim, qs, 0, 0, nil); err != nil {
 		panic(err)
 	}
 	res := e.measure(workload.Config{

@@ -9,6 +9,7 @@ import (
 	"lynx/internal/apps/lenet"
 	"lynx/internal/core"
 	"lynx/internal/hostcentric"
+	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
 	"lynx/internal/snic"
@@ -160,7 +161,8 @@ func fig8a(cfg Config) *Report {
 		r.AddRow(row.plat, sat.Throughput(), lowLoad.Hist.P90(), lowLoad.Hist.P99(),
 			row.paperTput, row.paperP90)
 	}
-	maxRate := float64(time.Second) / float64(defaultParams().LeNetServiceK40+defaultParams().DynamicParallelismLaunch)
+	pm := model.Default()
+	maxRate := float64(time.Second) / float64(pm.LeNetServiceK40+pm.DynamicParallelismLaunch)
 	r.AddRow("theoretical max (1 GPU)", maxRate, "", "", "3.6K", "")
 	r.Note("throughput from 3 closed-loop clients (saturation); latency percentiles from a single-client run")
 	return r
@@ -183,120 +185,116 @@ func fig8aTCP(cfg Config) *Report {
 	return r
 }
 
-// fig8b scales the LeNet service across 12 K80 GPUs in three machines: 4
-// local to the BlueField, then 4 and 8 more behind remote hosts' RDMA NICs.
-func fig8b(cfg Config) *Report {
-	net := lenet.New(42)
+// scaleoutCell is one Fig. 8b deployment: the LeNet service on 4 K80 GPUs
+// local to the BlueField plus remote more behind remote hosts' RDMA NICs,
+// 4 per host, one mqueue per GPU in one round-robin service.
+type scaleoutCell struct{ remote int }
+
+func (c scaleoutCell) run(cfg Config) workload.Result {
+	const local = 4
 	window := cfg.window(50 * time.Millisecond)
-	run := func(nLocal, nRemote int) (float64, time.Duration) {
-		e := newEnv(cfg)
-		rt := core.NewRuntime(e.bf.Platform(7))
-		var gpus []*accel.GPU
-		for i := 0; i < nLocal; i++ {
-			gpus = append(gpus, e.server.AddGPU(fmt.Sprintf("gpu-l%d", i), accel.K80Half, false, "server1"))
-		}
-		var remotes []*snic.Machine
-		for m := 0; m*4 < nRemote; m++ {
-			remotes = append(remotes, e.tb.NewMachine(fmt.Sprintf("server%d", m+2), 6))
-		}
-		for i := 0; i < nRemote; i++ {
-			m := remotes[i/4]
-			gpus = append(gpus, m.AddGPU(fmt.Sprintf("gpu-r%d", i), accel.K80Half, false, "server1"))
-		}
-		// One mqueue per GPU, all in one service; round-robin dispatch.
-		var handles []*core.AccelHandle
-		for _, g := range gpus {
-			h, err := rt.Register(g, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: lenetPayload + 16}, 1)
-			if err != nil {
-				panic(err)
-			}
-			handles = append(handles, h)
-		}
-		svc, err := rt.AddService(core.UDP, 7000, nil, 1, handles...)
+	e := newEnv(cfg)
+	rt := core.NewRuntime(e.bf.Platform(7))
+	var gpus []*accel.GPU
+	for i := 0; i < local; i++ {
+		gpus = append(gpus, e.server.AddGPU(fmt.Sprintf("gpu-l%d", i), accel.K80Half, false, "server1"))
+	}
+	var remotes []*snic.Machine
+	for m := 0; m*4 < c.remote; m++ {
+		remotes = append(remotes, e.tb.NewMachine(fmt.Sprintf("server%d", m+2), 6))
+	}
+	for i := 0; i < c.remote; i++ {
+		gpus = append(gpus, remotes[i/4].AddGPU(fmt.Sprintf("gpu-r%d", i), accel.K80Half, false, "server1"))
+	}
+	var handles []*core.AccelHandle
+	for _, g := range gpus {
+		h, err := rt.Register(g, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: lenetPayload + 16}, 1)
 		if err != nil {
 			panic(err)
 		}
-		for gi, g := range gpus {
-			launchLeNet(e, g, handles[gi].AccelQueues()[0], net)
-		}
-		rt.Start()
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: svc.Addr(), Payload: lenetPayload,
-			Body: lenetBody, Clients: 3 * len(gpus), Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res.Throughput(), res.Hist.Median()
+		handles = append(handles, h)
 	}
+	svc, err := rt.AddService(core.UDP, 7000, nil, 1, handles...)
+	if err != nil {
+		panic(err)
+	}
+	for gi, g := range gpus {
+		launchLeNet(e, g, handles[gi].AccelQueues()[0], sharedLeNet())
+	}
+	rt.Start()
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: svc.Addr(), Payload: lenetPayload,
+		Body: lenetBody, Clients: 3 * len(gpus), Duration: window, Warmup: window / 5,
+	})
+	e.tb.Sim.Shutdown()
+	return res
+}
+
+// fig8b scales the LeNet service across 12 K80 GPUs in three machines: 4
+// local to the BlueField, then 4 and 8 more behind remote hosts' RDMA NICs.
+func fig8b(cfg Config) *Report {
 	r := &Report{
 		ID:      "fig8b",
 		Title:   "LeNet scaleout to remote K80 GPUs (Fig. 8b)",
 		Columns: []string{"req/s", "median latency", "paper req/s"},
 	}
-	remoteCounts := []int{0, 4, 8}
-	tputs := make([]float64, len(remoteCounts))
-	lats := make([]time.Duration, len(remoteCounts))
-	cfg.sweep(len(remoteCounts), func(i int) { tputs[i], lats[i] = run(4, remoteCounts[i]) })
-	t4, l4 := tputs[0], lats[0]
-	t8, l8 := tputs[1], lats[1]
-	t12, l12 := tputs[2], lats[2]
-	r.AddRow("4 local", t4, l4, "~13K")
-	r.AddRow("4 local + 4 remote", t8, l8, "~26K")
-	r.AddRow("4 local + 8 remote", t12, l12, "~40K")
-	r.AddRow("scaling 12 vs 4", speedup(t12, t4), "", "3.0")
+	res := measureAll(cfg, []scaleoutCell{{0}, {4}, {8}})
+	for _, row := range []struct {
+		name   string
+		remote int
+		paper  string
+	}{{"4 local", 0, "~13K"}, {"4 local + 4 remote", 4, "~26K"}, {"4 local + 8 remote", 8, "~40K"}} {
+		r.AddRow(row.name, res[scaleoutCell{row.remote}].Throughput(), res[scaleoutCell{row.remote}].Hist.Median(), row.paper)
+	}
+	r.AddRow("scaling 12 vs 4", speedup(res[scaleoutCell{8}].Throughput(), res[scaleoutCell{0}].Throughput()), "", "3.0")
 	r.Note("paper: linear scaling regardless of GPU location; remote GPUs add ~8µs latency")
 	return r
+}
+
+// delayCell is one Fig. 8c cell: gpus emulated GPUs — per §6.3, K80-speed
+// delay kernels on one physical GPU, one mqueue each, each registered as its
+// own accelerator context — served over proto by Lynx on plat. run
+// measures its throughput in req/s.
+type delayCell struct {
+	plat  string
+	proto core.Proto
+	gpus  int
+}
+
+func (c delayCell) run(cfg Config) float64 {
+	window := cfg.window(30 * time.Millisecond)
+	e := newEnv(cfg)
+	rt := core.NewRuntime(e.lynxPlatform(c.plat))
+	var handles []*core.AccelHandle
+	var qs []*mqueue.AccelQueue
+	for i := 0; i < c.gpus; i++ {
+		h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 96}, 1)
+		if err != nil {
+			panic(err)
+		}
+		handles, qs = append(handles, h), append(qs, h.AccelQueues()[0])
+	}
+	svc, err := rt.AddService(c.proto, 7000, nil, 1, handles...)
+	if err != nil {
+		panic(err)
+	}
+	if err := e.gpu.Serve(e.tb.Sim, qs, 0, e.params.LeNetServiceK80, nil); err != nil {
+		panic(err)
+	}
+	rt.Start()
+	res := e.measure(workload.Config{
+		Proto: protoToWorkload(c.proto), Target: svc.Addr(), Payload: 64,
+		Clients: min(3*c.gpus, 360), Duration: window, Warmup: window / 5,
+		Timeout: 500 * time.Millisecond,
+	})
+	e.tb.Sim.Shutdown()
+	return res.Throughput()
 }
 
 // fig8c reproduces the scalability projection: emulated LeNet delay kernels
 // (the paper's own methodology) on an increasing number of GPUs, for UDP and
 // TCP, with Lynx on BlueField vs one Xeon core.
 func fig8c(cfg Config) *Report {
-	service := defaultParams().LeNetServiceK80
-	window := cfg.window(30 * time.Millisecond)
-	run := func(platform string, proto core.Proto, nGPUs int) float64 {
-		e := newEnv(cfg)
-		rt := core.NewRuntime(e.lynxPlatform(platform))
-		// Emulation per §6.3: N delay kernels on one physical GPU, one
-		// mqueue each, each registered as its own accelerator context.
-		var handles []*core.AccelHandle
-		for i := 0; i < nGPUs; i++ {
-			h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 96}, 1)
-			if err != nil {
-				panic(err)
-			}
-			handles = append(handles, h)
-		}
-		svc, err := rt.AddService(proto, 7000, nil, 1, handles...)
-		if err != nil {
-			panic(err)
-		}
-		for _, h := range handles {
-			aq := h.AccelQueues()[0]
-			if err := e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
-				for {
-					m := aq.Recv(tb.Proc())
-					tb.Compute(service) // delay kernel, not exclusive
-					if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-						return
-					}
-				}
-			}); err != nil {
-				panic(err)
-			}
-		}
-		rt.Start()
-		clients := 3 * nGPUs
-		if clients > 360 {
-			clients = 360
-		}
-		res := e.measure(workload.Config{
-			Proto: protoToWorkload(proto), Target: svc.Addr(), Payload: 64,
-			Clients: clients, Duration: window, Warmup: window / 5,
-			Timeout: 500 * time.Millisecond,
-		})
-		e.tb.Sim.Shutdown()
-		return res.Throughput()
-	}
 	counts := []int{1, 15, 30, 60, 90, 120}
 	if cfg.Scale < 1 {
 		counts = []int{1, 15, 60, 120}
@@ -308,7 +306,6 @@ func fig8c(cfg Config) *Report {
 	for _, n := range counts {
 		r.Columns = append(r.Columns, fmt.Sprintf("%d GPUs", n))
 	}
-	perGPU := float64(time.Second) / float64(service)
 	series := []struct {
 		name  string
 		plat  string
@@ -320,17 +317,19 @@ func fig8c(cfg Config) *Report {
 		{"TCP " + platLynxBF, platLynxBF, core.TCP, "saturates at ~15 GPUs (paper)"},
 		{"TCP " + platLynx1Xeon, platLynx1Xeon, core.TCP, "saturates at ~7 GPUs (paper)"},
 	}
-	// Every (series, GPU count) cell is an independent testbed.
-	tputs := make([]float64, len(series)*len(counts))
-	cfg.sweep(len(tputs), func(i int) {
-		s := series[i/len(counts)]
-		tputs[i] = run(s.plat, s.proto, counts[i%len(counts)])
-	})
-	for si, s := range series {
+	var pts []delayCell
+	for _, s := range series {
+		for _, n := range counts {
+			pts = append(pts, delayCell{s.plat, s.proto, n})
+		}
+	}
+	tput := measureAll(cfg, pts)
+	perGPU := float64(time.Second) / float64(model.Default().LeNetServiceK80)
+	for _, s := range series {
 		cells := make([]any, len(counts))
 		for i, n := range counts {
-			tput := tputs[si*len(counts)+i]
-			cells[i] = fmt.Sprintf("%s (%.0f%%)", fmtFloat(tput), 100*tput/(perGPU*float64(n)))
+			v := tput[delayCell{s.plat, s.proto, n}]
+			cells[i] = fmt.Sprintf("%s (%.0f%%)", fmtFloat(v), 100*v/(perGPU*float64(n)))
 		}
 		r.AddRow(s.name, cells...)
 		r.Note("%s: %s", s.name, s.paper)

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,5 +126,35 @@ func TestMemoBypassedWithTop(t *testing.T) {
 	}
 	if a, b := shared.Table().String(), separate.Table().String(); a != b {
 		t.Fatalf("-top table differs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// Every experiment measures through points (measure, measureAll), so the
+// memo, the -invariants aggregate and the scorecard reach every number it
+// prints. Only the sweep scheduler itself, the scorecard's metric fan-out
+// and the sentinel's knee fan-out call sweep directly.
+func TestNoExperimentSweepsByIndex(t *testing.T) {
+	allowed := map[string]bool{"sweep.go": true, "scorecard.go": true, "sentinel.go": true}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || allowed[name] {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "sweep" {
+					t.Errorf("%s: sweep by index; measure points through measure or measureAll instead", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

@@ -100,7 +100,7 @@ func (c noisyCell) run(cfg Config) workload.Result {
 func sec3Noisy(cfg Config) *Report {
 	res := measureAll(cfg, []noisyCell{{false}, {true}})
 	quiet, noisy := res[noisyCell{false}], res[noisyCell{true}]
-	params := newEnv(cfg).params
+	params := model.Default()
 	r := &Report{
 		ID:      "sec3-noisy",
 		Title:   "Noisy neighbor vs host-centric GPU server (vector multiply)",
@@ -153,13 +153,15 @@ func (c fig5Cell) run(cfg Config) float64 {
 	// The echo threadblock: consume (3 local accesses), produce.
 	toGPU := sim.NewChan[[]byte](e.tb.Sim, 0)
 	fromGPU := sim.NewChan[[]byte](e.tb.Sim, 0)
-	e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
+	if err := e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
 		for {
 			msg := toGPU.Get(tb.Proc())
 			tb.Proc().Sleep(4 * p.GPULocalAccess)
 			fromGPU.Put(tb.Proc(), msg)
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 	gdrOp := func(pr *sim.Proc) { pr.Sleep(p.GdrcopySetup + p.PCIeLatency) }
 	done := 0
 	e.tb.Sim.Spawn("manager", func(pr *sim.Proc) {
@@ -232,9 +234,12 @@ func fig5(cfg Config) *Report {
 	return r
 }
 
-// vmaStackRatio is the kernel/VMA per-packet UDP stack cost ratio for the
-// given core kind (§5.1.1). Shared by sec511-vma and the scorecard.
-func vmaStackRatio(pm *model.Params, kind model.CPUKind) float64 {
+// vmaStackRatio is the model's kernel/VMA per-packet UDP stack cost ratio
+// for the given core kind (§5.1.1): the stack processing component of the
+// end-to-end latencies, mqueue and wire parts stripped. Shared by
+// sec511-vma and the scorecard.
+func vmaStackRatio(kind model.CPUKind) float64 {
+	pm := model.Default()
 	return float64(pm.UDPCost(kind, false)) / float64(pm.UDPCost(kind, true))
 }
 
@@ -264,19 +269,13 @@ func (c vmaCell) run(cfg Config) time.Duration {
 // reports 4x lower UDP processing latency on BlueField and 2x on the host.
 func sec511VMA(cfg Config) *Report {
 	med := measureAll(cfg, []vmaCell{{true, false}, {true, true}, {false, false}, {false, true}})
-	// Isolate the stack processing component (strip mqueue + wire parts
-	// common to both) using per-message stack costs from the model.
-	e := newEnv(cfg)
 	r := &Report{
 		ID:      "sec511-vma",
 		Title:   "VMA user-level stack vs kernel stack (§5.1.1)",
 		Columns: []string{"kernel", "VMA", "stack-cost ratio", "paper"},
 	}
-	pm := e.params
-	bfRatio := vmaStackRatio(&pm, model.ARMCore)
-	hostRatio := vmaStackRatio(&pm, model.XeonCore)
-	r.AddRow("BlueField E2E", med[vmaCell{true, false}], med[vmaCell{true, true}], fmtFloat(bfRatio)+"x", "4x")
-	r.AddRow("Host E2E", med[vmaCell{false, false}], med[vmaCell{false, true}], fmtFloat(hostRatio)+"x", "2x")
+	r.AddRow("BlueField E2E", med[vmaCell{true, false}], med[vmaCell{true, true}], fmtFloat(vmaStackRatio(model.ARMCore))+"x", "4x")
+	r.AddRow("Host E2E", med[vmaCell{false, false}], med[vmaCell{false, true}], fmtFloat(vmaStackRatio(model.XeonCore))+"x", "2x")
 	r.Note("E2E latency includes mqueue and wire time; the ratio column isolates per-packet stack processing")
 	return r
 }
@@ -291,18 +290,21 @@ type delivery struct {
 	rate    float64
 }
 
-func (c barrierCell) run(cfg Config) delivery {
+// pushTestbed builds one mqueue of mqCfg in a region named name, pushed
+// over RDMA from the host and drained by a receive-only threadblock (the
+// §5.1 barrier and coalescing measurements).
+func pushTestbed(cfg Config, name string, mqCfg mqueue.Config) (*env, *mqueue.Queue) {
 	e := newEnv(cfg)
-	region := e.gpu.Device().Mem.MustAlloc("bar", 1<<20)
+	region := e.gpu.Device().Mem.MustAlloc(name, 1<<20)
 	qp := e.server.RDMA.CreateQP(e.gpu.Device(), rdma.QPConfig{Kind: rdma.RC})
-	mqCfg := mqueue.Config{Slots: 64, SlotSize: 128, Barrier: c.barrier, NoCoalesce: c.barrier}
 	q, _ := mqueue.New(region, 0, mqCfg, qp)
 	aq, _ := mqueue.Attach(region, 0, mqCfg, e.gpu.Profile())
-	e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
-		for {
-			aq.Recv(tb.Proc())
-		}
-	})
+	launchRxSinks(e, []*mqueue.AccelQueue{aq})
+	return e, q
+}
+
+func (c barrierCell) run(cfg Config) delivery {
+	e, q := pushTestbed(cfg, "bar", mqueue.Config{Slots: 64, SlotSize: 128, Barrier: c.barrier, NoCoalesce: c.barrier})
 	hist := metrics.NewHistogram()
 	e.tb.Sim.Spawn("pusher", func(p *sim.Proc) {
 		for {
@@ -338,95 +340,111 @@ func sec51Barrier(cfg Config) *Report {
 	return r
 }
 
+// coalesceCell pushes messages through one mqueue with or without
+// metadata/data coalescing; run measures RDMA ops per delivered message.
+type coalesceCell struct{ coalesce bool }
+
+func (c coalesceCell) run(cfg Config) float64 {
+	e, q := pushTestbed(cfg, "co", mqueue.Config{Slots: 64, SlotSize: 128, NoCoalesce: !c.coalesce})
+	delivered := 0
+	e.tb.Sim.Spawn("pusher", func(p *sim.Proc) {
+		for {
+			if _, err := q.Push(p, make([]byte, 64), 0); err != nil {
+				p.Sleep(time.Microsecond)
+				continue
+			}
+			delivered++
+		}
+	})
+	e.tb.Sim.RunUntil(sim.Time(cfg.window(5 * time.Millisecond)))
+	ops := float64(e.server.RDMA.Ops())
+	e.tb.Sim.Shutdown()
+	return ops / float64(delivered)
+}
+
 // ablateCoalesce quantifies metadata/data coalescing: RDMA ops per delivered
 // message with and without it.
 func ablateCoalesce(cfg Config) *Report {
-	run := func(coalesce bool) float64 {
-		e := newEnv(cfg)
-		region := e.gpu.Device().Mem.MustAlloc("co", 1<<20)
-		qp := e.server.RDMA.CreateQP(e.gpu.Device(), rdma.QPConfig{Kind: rdma.RC})
-		mqCfg := mqueue.Config{Slots: 64, SlotSize: 128, NoCoalesce: !coalesce}
-		q, _ := mqueue.New(region, 0, mqCfg, qp)
-		aq, _ := mqueue.Attach(region, 0, mqCfg, e.gpu.Profile())
-		e.gpu.LaunchPersistent(e.tb.Sim, 1, func(tb *accel.TB) {
-			for {
-				aq.Recv(tb.Proc())
-			}
-		})
-		delivered := 0
-		e.tb.Sim.Spawn("pusher", func(p *sim.Proc) {
-			for {
-				if _, err := q.Push(p, make([]byte, 64), 0); err != nil {
-					p.Sleep(time.Microsecond)
-					continue
-				}
-				delivered++
-			}
-		})
-		e.tb.Sim.RunUntil(sim.Time(cfg.window(5 * time.Millisecond)))
-		ops := float64(e.server.RDMA.Ops())
-		e.tb.Sim.Shutdown()
-		return ops / float64(delivered)
-	}
+	ops := measureAll(cfg, []coalesceCell{{true}, {false}})
 	r := &Report{
 		ID:      "ablate-coalesce",
 		Title:   "Metadata/data coalescing ablation (§5.1)",
 		Columns: []string{"RDMA ops per message"},
 	}
-	vals := make([]float64, 2)
-	cfg.sweep(2, func(i int) { vals[i] = run(i == 0) })
-	r.AddRow("coalesced", vals[0])
-	r.AddRow("separate metadata", vals[1])
+	r.AddRow("coalesced", ops[coalesceCell{true}])
+	r.AddRow("separate metadata", ops[coalesceCell{false}])
 	return r
+}
+
+// dispatchPolicy is one §4.2 dispatch policy; run measures a 100µs echo
+// service on 8 queues under it, offered skewed load: 16 client flows from 2
+// hosts.
+type dispatchPolicy int
+
+const (
+	roundRobin dispatchPolicy = iota
+	stickyHash
+	leastLoaded
+)
+
+var dispatchPolicyNames = []string{"round-robin", "sticky-hash", "least-loaded"}
+
+func (d dispatchPolicy) run(cfg Config) workload.Result {
+	e := newEnv(cfg)
+	rt := core.NewRuntime(e.bf.Platform(7))
+	h, _ := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 8)
+	var policy core.Policy = &core.RoundRobin{}
+	switch d {
+	case stickyHash:
+		policy = core.StickyHash{}
+	case leastLoaded:
+		policy = core.NewLeastLoaded(h)
+	}
+	svc, _ := rt.AddService(core.UDP, 7000, policy, 8, h)
+	if err := e.gpu.Serve(e.tb.Sim, h.AccelQueues(), 0, 100*time.Microsecond, nil); err != nil {
+		panic(err)
+	}
+	rt.Start()
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: svc.Addr(), Payload: 64,
+		Clients: 16, Duration: cfg.window(20 * time.Millisecond), Warmup: time.Millisecond,
+	})
+	e.tb.Sim.Shutdown()
+	return res
 }
 
 // ablateDispatch compares round-robin vs sticky dispatch with skewed
 // clients: sticky keeps per-client order but can hotspot one queue.
 func ablateDispatch(cfg Config) *Report {
-	run := func(mk func(h *core.AccelHandle) core.Policy) workload.Result {
-		e := newEnv(cfg)
-		rt := core.NewRuntime(e.bf.Platform(7))
-		h, _ := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 8)
-		svc, _ := rt.AddService(core.UDP, 7000, mk(h), 8, h)
-		qs := h.AccelQueues()
-		e.gpu.LaunchPersistent(e.tb.Sim, 8, func(tb *accel.TB) {
-			aq := qs[tb.Index()]
-			for {
-				m := aq.Recv(tb.Proc())
-				tb.Compute(100 * time.Microsecond)
-				if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-					return
-				}
-			}
-		})
-		rt.Start()
-		// Two clients only: sticky hashing cannot use more than 2 queues.
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: svc.Addr(), Payload: 64,
-			Clients: 16, Duration: cfg.window(20 * time.Millisecond), Warmup: time.Millisecond,
-		})
-		e.tb.Sim.Shutdown()
-		return res
-	}
-	policies := []func(h *core.AccelHandle) core.Policy{
-		func(h *core.AccelHandle) core.Policy { return &core.RoundRobin{} },
-		func(h *core.AccelHandle) core.Policy { return core.StickyHash{} },
-		func(h *core.AccelHandle) core.Policy { return core.NewLeastLoaded(h) },
-	}
-	results := make([]workload.Result, len(policies))
-	cfg.sweep(len(policies), func(i int) { results[i] = run(policies[i]) })
-	rr, sticky, least := results[0], results[1], results[2]
+	res := measureAll(cfg, []dispatchPolicy{roundRobin, stickyHash, leastLoaded})
 	r := &Report{
 		ID:      "ablate-dispatch",
 		Title:   "Dispatch policy ablation: round-robin vs sticky vs least-loaded (§4.2)",
 		Columns: []string{"throughput", "p99"},
 	}
-	r.AddRow("round-robin", rr.Throughput(), rr.Hist.P99())
-	r.AddRow("sticky-hash", sticky.Throughput(), sticky.Hist.P99())
-	r.AddRow("least-loaded", least.Throughput(), least.Hist.P99())
+	for d, name := range dispatchPolicyNames {
+		r.AddRow(name, res[dispatchPolicy(d)].Throughput(), res[dispatchPolicy(d)].Hist.P99())
+	}
 	r.Note("16 client flows from 2 hosts over 8 queues: sticky hashing concentrates load; round-robin and")
 	r.Note("least-loaded balance it, least-loaded additionally absorbing service-time variance")
 	return r
+}
+
+// pollInterval is one accelerator polling interval; run measures a
+// BlueField 20µs echo service whose GPU polls at it.
+type pollInterval time.Duration
+
+func (d pollInterval) run(cfg Config) workload.Result {
+	p := model.Default()
+	p.GPUPollInterval = time.Duration(d)
+	e := newEnvWith(cfg, &p)
+	target, _ := e.echoDeployment(e.bf.Platform(7), 4, 20*time.Microsecond, 128)
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: target, Payload: 64,
+		Clients: 8, Duration: cfg.window(10 * time.Millisecond), Warmup: time.Millisecond,
+	})
+	e.tb.Sim.Shutdown()
+	return res
 }
 
 // ablatePoll sweeps the accelerator polling interval.
@@ -436,58 +454,56 @@ func ablatePoll(cfg Config) *Report {
 		Title:   "Accelerator polling interval sensitivity",
 		Columns: []string{"median latency", "throughput"},
 	}
-	intervals := []time.Duration{200 * time.Nanosecond, 600 * time.Nanosecond, 2 * time.Microsecond, 10 * time.Microsecond}
-	results := make([]workload.Result, len(intervals))
-	cfg.sweep(len(intervals), func(i int) {
-		p := model.Default()
-		p.GPUPollInterval = intervals[i]
-		e := newEnvWith(cfg, &p)
-		target, _ := e.echoDeployment(e.bf.Platform(7), 4, 20*time.Microsecond, 128)
-		results[i] = e.measure(workload.Config{
-			Proto: workload.UDP, Target: target, Payload: 64,
-			Clients: 8, Duration: cfg.window(10 * time.Millisecond), Warmup: time.Millisecond,
-		})
-		e.tb.Sim.Shutdown()
-	})
-	for i, interval := range intervals {
-		r.AddRow(interval.String(), results[i].Hist.Median(), results[i].Throughput())
+	intervals := []pollInterval{pollInterval(200 * time.Nanosecond), pollInterval(600 * time.Nanosecond),
+		pollInterval(2 * time.Microsecond), pollInterval(10 * time.Microsecond)}
+	res := measureAll(cfg, intervals)
+	for _, d := range intervals {
+		r.AddRow(time.Duration(d).String(), res[d].Hist.Median(), res[d].Throughput())
 	}
 	return r
+}
+
+// qpShare measures header polling of 64 queues behind one shared QP: run
+// returns the RDMA ops of one batched sweep and of one per-queue sweep.
+type qpShare struct{}
+
+func (qpShare) run(cfg Config) [2]uint64 {
+	const n = 64
+	e := newEnv(cfg)
+	region := e.gpu.Device().Mem.MustAlloc("qps", 1<<22)
+	sharedQP := e.server.RDMA.CreateQP(e.gpu.Device(), rdma.QPConfig{Kind: rdma.RC})
+	group, err := mqueue.NewGroup(region, 0, mqueue.Config{Slots: 8, SlotSize: 64}, n, sharedQP)
+	if err != nil {
+		panic(err)
+	}
+	var ops [2]uint64
+	e.tb.Sim.Spawn("x", func(p *sim.Proc) {
+		before := e.server.RDMA.Ops()
+		group.Refresh(p)
+		ops[0] = e.server.RDMA.Ops() - before
+		// Per-queue polling: one header read per queue.
+		before = e.server.RDMA.Ops()
+		for i := 0; i < n; i++ {
+			group.Queue(i).Refresh(p)
+		}
+		ops[1] = e.server.RDMA.Ops() - before
+	})
+	e.tb.Sim.RunUntil(sim.Time(time.Second))
+	e.tb.Sim.Shutdown()
+	return ops
 }
 
 // ablateQPShare verifies the one-RC-QP-per-accelerator design: header
 // polling of n queues costs one batched read on the shared QP, vs n reads
 // with per-queue QPs.
 func ablateQPShare(cfg Config) *Report {
-	const n = 64
-	e := newEnv(cfg)
-	region := e.gpu.Device().Mem.MustAlloc("qps", 1<<22)
-	sharedQP := e.server.RDMA.CreateQP(e.gpu.Device(), rdma.QPConfig{Kind: rdma.RC})
-	mqCfg := mqueue.Config{Slots: 8, SlotSize: 64}
-	group, err := mqueue.NewGroup(region, 0, mqCfg, n, sharedQP)
-	if err != nil {
-		panic(err)
-	}
-	var sharedOps, perQueueOps uint64
-	e.tb.Sim.Spawn("x", func(p *sim.Proc) {
-		before := e.server.RDMA.Ops()
-		group.Refresh(p)
-		sharedOps = e.server.RDMA.Ops() - before
-		// Per-queue polling: one header read per queue.
-		before = e.server.RDMA.Ops()
-		for i := 0; i < n; i++ {
-			group.Queue(i).Refresh(p)
-		}
-		perQueueOps = e.server.RDMA.Ops() - before
-	})
-	e.tb.Sim.RunUntil(sim.Time(time.Second))
-	e.tb.Sim.Shutdown()
+	ops := measure(cfg, qpShare{})
 	r := &Report{
 		ID:      "ablate-qp-share",
 		Title:   "Shared QP + batched header polling vs per-queue polling (§5.1)",
 		Columns: []string{"RDMA ops per sweep"},
 	}
-	r.AddRow("shared QP, batched headers", float64(sharedOps))
-	r.AddRow("per-queue header reads", float64(perQueueOps))
+	r.AddRow("shared QP, batched headers", float64(ops[0]))
+	r.AddRow("per-queue header reads", float64(ops[1]))
 	return r
 }

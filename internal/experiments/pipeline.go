@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"lynx/internal/accel"
-	"lynx/internal/apps/lenet"
 	"lynx/internal/core"
 	"lynx/internal/hostcentric"
 	"lynx/internal/metrics"
@@ -14,122 +13,93 @@ import (
 	"lynx/internal/workload"
 )
 
-func lenetNew() *lenet.Network { return lenet.New(42) }
-
-type netAddr = netstack.Addr
-
 func init() {
 	register("ext-pipeline", "extension: multi-accelerator composition vs client bouncing (§1 future work)", extPipeline)
 }
 
-// extPipeline evaluates the composition extension: a two-stage job
-// (preprocess on GPU0, infer on GPU1) served either as one Lynx pipeline
-// (SNIC relays between the accelerators) or as two separate services the
-// client must call back-to-back. The pipeline saves a full network round
-// trip and the client-side stack work per request.
-func extPipeline(cfg Config) *Report {
+// compositionCell is a two-stage job (preprocess on GPU0, infer on GPU1,
+// 10µs each on 4 queues per GPU) served as one Lynx pipeline, the SNIC
+// relaying between the accelerators, or, with bounced set, as two separate
+// services the client must call back to back.
+type compositionCell struct{ bounced bool }
+
+func (c compositionCell) run(cfg Config) workload.Result {
 	window := cfg.window(20 * time.Millisecond)
-	const stageWork = 10 * time.Microsecond
 	const nq = 4
-
-	launchStage := func(e *env, gpu *accel.GPU, h *core.AccelHandle, lo, n int) {
-		qs := h.AccelQueues()
-		if err := gpu.LaunchPersistent(e.tb.Sim, n, func(tb *accel.TB) {
-			aq := qs[lo+tb.Index()]
-			for {
-				m := aq.Recv(tb.Proc())
-				tb.Compute(stageWork)
-				if aq.Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
-					return
-				}
-			}
-		}); err != nil {
-			panic(err)
-		}
-	}
-
-	runPipelined := func() workload.Result {
-		e := newEnv(cfg)
-		gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
-		rt := core.NewRuntime(e.bf.Platform(7))
-		mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
-		h1, _ := rt.Register(e.gpu, mqCfg, nq)
-		h2, _ := rt.Register(gpu2, mqCfg, nq)
+	e := newEnv(cfg)
+	gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
+	rt := core.NewRuntime(e.bf.Platform(7))
+	mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+	h1, _ := rt.Register(e.gpu, mqCfg, nq)
+	h2, _ := rt.Register(gpu2, mqCfg, nq)
+	var target netstack.Addr
+	var svc1, svc2 *core.Service
+	if c.bounced {
+		svc1, _ = rt.AddService(core.UDP, 7000, nil, nq, h1)
+		svc2, _ = rt.AddService(core.UDP, 7001, nil, nq, h2)
+	} else {
 		pl, err := rt.AddPipeline(core.UDP, 7000, nil, nq, h1, h2)
 		if err != nil {
 			panic(err)
 		}
-		launchStage(e, e.gpu, h1, 0, nq)
-		launchStage(e, gpu2, h2, 0, nq)
-		rt.Start()
+		target = pl.Addr()
+	}
+	if err := e.gpu.Serve(e.tb.Sim, h1.AccelQueues(), 0, 10*time.Microsecond, nil); err != nil {
+		panic(err)
+	}
+	if err := gpu2.Serve(e.tb.Sim, h2.AccelQueues(), 0, 10*time.Microsecond, nil); err != nil {
+		panic(err)
+	}
+	rt.Start()
+	if !c.bounced {
 		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: pl.Addr(), Payload: 64,
+			Proto: workload.UDP, Target: target, Payload: 64,
 			Clients: 2 * nq, Duration: window, Warmup: window / 5,
 		})
 		e.tb.Sim.Shutdown()
 		return res
 	}
-
-	runBounced := func() workload.Result {
-		e := newEnv(cfg)
-		gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
-		rt := core.NewRuntime(e.bf.Platform(7))
-		mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
-		h1, _ := rt.Register(e.gpu, mqCfg, nq)
-		h2, _ := rt.Register(gpu2, mqCfg, nq)
-		svc1, _ := rt.AddService(core.UDP, 7000, nil, nq, h1)
-		svc2, _ := rt.AddService(core.UDP, 7001, nil, nq, h2)
-		launchStage(e, e.gpu, h1, 0, nq)
-		launchStage(e, gpu2, h2, 0, nq)
-		rt.Start()
-		// Closed-loop clients performing both calls per logical request;
-		// the second call reuses the first's response payload.
-		done := uint64(0)
-		hist := metrics.NewHistogram()
-		warmupEnd := e.tb.Sim.Now().Add(window / 5)
-		end := e.tb.Sim.Now().Add(window/5 + window)
-		const clients = 2 * nq
-		for c := 0; c < clients; c++ {
-			c := c
-			sock := e.clients[c%2].MustUDPBind(uint16(24000 + c))
-			e.tb.Sim.Spawn("bounce-client", func(p *sim.Proc) {
-				seq := uint64(c) << 32
-				for p.Now() < end {
-					start := p.Now()
-					seq++
-					buf := make([]byte, 64)
-					workload.PutSeq(buf, seq)
-					sock.SendTo(svc1.Addr(), buf)
-					dg, ok, _ := sock.RecvTimeout(p, 10*time.Millisecond)
-					if !ok {
-						continue
-					}
-					sock.SendTo(svc2.Addr(), dg.Payload)
-					if _, ok, _ := sock.RecvTimeout(p, 10*time.Millisecond); !ok {
-						continue
-					}
-					if start >= warmupEnd {
-						hist.Record(p.Now().Sub(start))
-						done++
-					}
+	// Closed-loop clients performing both calls per logical request; the
+	// second call reuses the first's response payload.
+	done := uint64(0)
+	hist := metrics.NewHistogram()
+	warmupEnd := e.tb.Sim.Now().Add(window / 5)
+	end := e.tb.Sim.Now().Add(window/5 + window)
+	for i := 0; i < 2*nq; i++ {
+		sock := e.clients[i%2].MustUDPBind(uint16(24000 + i))
+		e.tb.Sim.Spawn("bounce-client", func(p *sim.Proc) {
+			seq := uint64(i) << 32
+			for p.Now() < end {
+				start := p.Now()
+				seq++
+				buf := make([]byte, 64)
+				workload.PutSeq(buf, seq)
+				sock.SendTo(svc1.Addr(), buf)
+				dg, ok, _ := sock.RecvTimeout(p, 10*time.Millisecond)
+				if !ok {
+					continue
 				}
-			})
-		}
-		e.tb.Sim.RunUntil(end.Add(window / 10))
-		e.tb.Sim.Shutdown()
-		return workload.Result{Received: done, Hist: hist, Window: window}
+				sock.SendTo(svc2.Addr(), dg.Payload)
+				if _, ok, _ := sock.RecvTimeout(p, 10*time.Millisecond); !ok {
+					continue
+				}
+				if start >= warmupEnd {
+					hist.Record(p.Now().Sub(start))
+					done++
+				}
+			}
+		})
 	}
+	e.tb.Sim.RunUntil(end.Add(window / 10))
+	e.tb.Sim.Shutdown()
+	return workload.Result{Received: done, Hist: hist, Window: window}
+}
 
-	results := make([]workload.Result, 2)
-	cfg.sweep(2, func(i int) {
-		if i == 0 {
-			results[i] = runPipelined()
-		} else {
-			results[i] = runBounced()
-		}
-	})
-	pipelined, bounced := results[0], results[1]
-
+// extPipeline evaluates the composition extension: the pipeline saves a
+// full network round trip and the client-side stack work per request.
+func extPipeline(cfg Config) *Report {
+	res := measureAll(cfg, []compositionCell{{false}, {true}})
+	pipelined, bounced := res[compositionCell{false}], res[compositionCell{true}]
 	r := &Report{
 		ID:      "ext-pipeline",
 		Title:   "Accelerator composition: SNIC-relayed pipeline vs client bouncing (extension)",
@@ -147,53 +117,59 @@ func init() {
 	register("ext-latency-curve", "extension: latency vs offered load, Lynx vs host-centric", extLatencyCurve)
 }
 
+// loadCell is one point of the LeNet latency curve: the Lynx BlueField or
+// host-centric service under open-loop Poisson load at rate req/s.
+type loadCell struct {
+	lynx bool
+	rate float64
+}
+
+func (c loadCell) run(cfg Config) workload.Result {
+	window := cfg.window(50 * time.Millisecond)
+	e := newEnv(cfg)
+	target := e.server.NetHost.Addr(7000)
+	if c.lynx {
+		rt := core.NewRuntime(e.bf.Platform(7))
+		target = deployLynxLeNet(e, rt, e.gpu, sharedLeNet(), 7000, core.UDP)
+		rt.Start()
+	} else {
+		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
+			Port: 7000, Streams: 8, Cores: 1, Bypass: true,
+			KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
+			Handler: lenetHandler(sharedLeNet()),
+		})
+		if err := sv.Start(); err != nil {
+			panic(err)
+		}
+	}
+	res := e.measure(workload.Config{
+		Proto: workload.UDP, Target: target, Payload: lenetPayload,
+		Body: lenetBody, Clients: 4, RatePerSec: c.rate, Poisson: true,
+		Duration: window, Warmup: window / 5,
+	})
+	e.tb.Sim.Shutdown()
+	return res
+}
+
 // extLatencyCurve sweeps open-loop offered load against the LeNet service
 // and reports p50/p99 latency — the classic hockey-stick plot. It shows the
 // operational consequence of Fig. 8a: Lynx's knee sits ~25% further right
 // than the host-centric baseline's.
 func extLatencyCurve(cfg Config) *Report {
 	window := cfg.window(50 * time.Millisecond)
-	net := lenetNew()
 	rates := []float64{1000, 2000, 2500, 2800, 3200, 3400}
-	measure := func(lynxMode bool, rate float64) workload.Result {
-		e := newEnv(cfg)
-		var target netAddr
-		if lynxMode {
-			rt := core.NewRuntime(e.bf.Platform(7))
-			target = deployLynxLeNet(e, rt, e.gpu, net, 7000, core.UDP)
-			rt.Start()
-		} else {
-			sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-				Port: 7000, Streams: 8, Cores: 1, Bypass: true,
-				KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
-				Handler: lenetHandler(net),
-			})
-			if err := sv.Start(); err != nil {
-				panic(err)
-			}
-			target = e.server.NetHost.Addr(7000)
-		}
-		res := e.measure(workload.Config{
-			Proto: workload.UDP, Target: target, Payload: lenetPayload,
-			Body: lenetBody, Clients: 4, RatePerSec: rate, Poisson: true,
-			Duration: window, Warmup: window / 5,
-		})
-		e.tb.Sim.Shutdown()
-		return res
+	var pts []loadCell
+	for _, rate := range rates {
+		pts = append(pts, loadCell{true, rate}, loadCell{false, rate})
 	}
+	res := measureAll(cfg, pts)
 	r := &Report{
 		ID:      "ext-latency-curve",
 		Title:   "LeNet latency vs offered load (extension; open loop)",
 		Columns: []string{"Lynx p50", "Lynx p99", "host-centric p50", "host-centric p99"},
 	}
-	// (mode, rate) points are independent testbeds sharing only the
-	// read-only LeNet weights; fan out and assemble rows by index.
-	results := make([]workload.Result, 2*len(rates))
-	cfg.sweep(len(results), func(i int) {
-		results[i] = measure(i%2 == 0, rates[i/2])
-	})
-	for i, rate := range rates {
-		ly, hc := results[2*i], results[2*i+1]
+	for _, rate := range rates {
+		ly, hc := res[loadCell{true, rate}], res[loadCell{false, rate}]
 		hcP50, hcP99 := "saturated", "saturated"
 		if hc.Received > uint64(0.9*rate*window.Seconds()) {
 			hcP50, hcP99 = hc.Hist.Median().String(), hc.Hist.P99().String()

@@ -63,7 +63,7 @@ var scorecardExprs = []struct {
 	{"isolation.bf_inflation", func(cfg Config) float64 {
 		return p99Ratio(measure(cfg, isolationCell{true, true}), measure(cfg, isolationCell{true, false}))
 	}},
-	{"vma.bf_ratio", func(Config) float64 { pm := defaultParams(); return vmaStackRatio(&pm, model.ARMCore) }},
+	{"vma.bf_ratio", func(Config) float64 { return vmaStackRatio(model.ARMCore) }},
 	{"barrier.extra_us", func(cfg Config) float64 {
 		return us(measure(cfg, barrierCell{true}).latency - measure(cfg, barrierCell{false}).latency)
 	}},

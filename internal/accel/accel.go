@@ -195,20 +195,32 @@ func (tb *TB) SpawnChild(d time.Duration) {
 // running body forever (or until the simulation shuts down). It fails if
 // residency would exceed the device limit.
 func (g *GPU) LaunchPersistent(s *sim.Sim, n int, body func(tb *TB)) error {
+	if err := g.admit(n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		s.Spawn(tbName(g, i), func(p *sim.Proc) {
+			body(&TB{gpu: g, index: i, proc: p})
+		})
+	}
+	return nil
+}
+
+// admit makes n more persistent threadblocks resident, or fails if that
+// would exceed the device limit.
+func (g *GPU) admit(n int) error {
 	if g.resident+n > g.maxTB {
 		return fmt.Errorf("accel: %s cannot host %d more TBs (%d/%d resident)",
 			g.name, n, g.resident, g.maxTB)
 	}
 	g.resident += n
 	g.launches++
-	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("%s/tb%d", g.name, i), func(p *sim.Proc) {
-			body(&TB{gpu: g, index: i, proc: p})
-		})
-	}
 	return nil
 }
+
+// tbName names threadblock i's process.
+func tbName(g *GPU, i int) string { return fmt.Sprintf("%s/tb%d", g.name, i) }
 
 // Serve launches the standard serving kernel: one persistent threadblock
 // per queue, each looping receive → compute → respond (the paper's
@@ -216,34 +228,83 @@ func (g *GPU) LaunchPersistent(s *sim.Sim, n int, body func(tb *TB)) error {
 // minLen is dropped uncharged. Each served request charges service of
 // threadblock-local compute; a zero service charges nothing and costs no
 // simulator event. handle then builds the response by appending to out, a
-// buffer the threadblock reuses for every response (Send copies it into the
-// TX ring), so a handler's side effects land at the instant the compute
+// buffer the threadblock reuses for every response (the send copies it into
+// the TX ring), so a handler's side effects land at the instant the compute
 // ends; a nil handle echoes the request. The response must not alias the
 // request, whose RX payload is lent only until the queue's next receive
 // (DESIGN.md §4.7). A threadblock ends when its queue refuses a send. Serve
 // fails if the queues exceed the device's residency limit.
+//
+// Each threadblock is a run-to-completion Task driving the queue's task-form
+// receive and send, so a served request resumes no coroutine; it consumes
+// the scheduler slots a LaunchPersistent loop of Recv, Compute and Send
+// would.
 func (g *GPU) Serve(s *sim.Sim, qs []*mqueue.AccelQueue, minLen int, service time.Duration, handle func(req, out []byte) []byte) error {
-	return g.LaunchPersistent(s, len(qs), func(tb *TB) {
-		aq := qs[tb.index]
-		var out []byte
-		for {
-			m := aq.Recv(tb.proc)
-			if len(m.Payload) < minLen {
-				continue
-			}
-			if service > 0 {
-				tb.Compute(service)
-			}
-			resp := m.Payload
-			if handle != nil {
-				out = handle(m.Payload, out[:0])
-				resp = out
-			}
-			if aq.Send(tb.proc, uint16(m.Slot), resp) != nil {
-				return
-			}
-		}
-	})
+	if err := g.admit(len(qs)); err != nil {
+		return err
+	}
+	for i, aq := range qs {
+		tb := &servingTB{gpu: g, aq: aq, minLen: minLen, service: service, handle: handle}
+		tb.receivedK, tb.computedK, tb.sentK = tb.received, tb.computed, tb.sent
+		s.SpawnTask(tbName(g, i), tb.start)
+	}
+	return nil
+}
+
+// servingTB is one threadblock of Serve's kernel: its loop as continuations
+// bound once, and the request it is serving.
+type servingTB struct {
+	gpu     *GPU
+	aq      *mqueue.AccelQueue
+	t       *sim.Task
+	minLen  int
+	service time.Duration
+	handle  func(req, out []byte) []byte
+	req     mqueue.Msg
+	out     []byte // the response buffer, reused: the send copies it
+
+	receivedK func(mqueue.Msg)
+	computedK func()
+	sentK     func(error)
+}
+
+func (tb *servingTB) start(t *sim.Task) {
+	tb.t = t
+	tb.aq.RecvT(t, tb.receivedK)
+}
+
+// received drops a short request and receives again, or charges the
+// compute.
+func (tb *servingTB) received(m mqueue.Msg) {
+	if len(m.Payload) < tb.minLen {
+		tb.aq.RecvT(tb.t, tb.receivedK)
+		return
+	}
+	tb.req = m
+	if tb.service > 0 {
+		tb.gpu.busyTime += tb.service
+		tb.t.Sleep(tb.service, tb.computedK)
+		return
+	}
+	tb.computed()
+}
+
+// computed builds the response and sends it.
+func (tb *servingTB) computed() {
+	resp := tb.req.Payload
+	if tb.handle != nil {
+		tb.out = tb.handle(tb.req.Payload, tb.out[:0])
+		resp = tb.out
+	}
+	tb.aq.SendT(tb.t, uint16(tb.req.Slot), resp, 0, tb.sentK)
+}
+
+// sent receives the next request, or ends the threadblock (its task
+// finishes with nothing armed) when the queue refused the send.
+func (tb *servingTB) sent(err error) {
+	if err == nil {
+		tb.aq.RecvT(tb.t, tb.receivedK)
+	}
 }
 
 // Resident reports currently resident persistent threadblocks.

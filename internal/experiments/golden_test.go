@@ -368,12 +368,12 @@ func goldenUDPClientQueue(t *testing.T) []string {
 			if clientQ.Send(tb.Proc(), 0, get) != nil {
 				return
 			}
-			reply, ok, _ := clientQ.RecvTimeout(tb.Proc(), 20*time.Millisecond)
+			// A reply the backend loses for good parks this threadblock for
+			// the rest of the window.
+			reply := clientQ.Recv(tb.Proc())
 			resp := make([]byte, workload.SeqBytes+1)
 			copy(resp, m.Payload[:workload.SeqBytes])
-			if ok {
-				resp[workload.SeqBytes] = byte(len(reply.Payload))
-			}
+			resp[workload.SeqBytes] = byte(len(reply.Payload))
 			if serverQ.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
 				return
 			}

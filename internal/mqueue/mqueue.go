@@ -690,15 +690,22 @@ type AccelQueue struct {
 	rxGate     *sim.Gate
 	txFreeGate *sim.Gate
 
-	img []byte // TX slot image scratch (WriteLocal copies it)
-	rx  []byte // receive buffer: the last received payload (see Msg)
+	rx []byte // receive buffer: the last received payload (see Msg)
+
+	// rxOp and txOp carry the queue's receive and send in flight; their
+	// continuations are bound once, at attach.
+	rxOp recvOp
+	txOp sendOp
 
 	received, sent, errs uint64
 }
 
-func (aq *AccelQueue) initGates() {
+// init watches the queue's rings and binds its operation frames.
+func (aq *AccelQueue) init() {
 	aq.rxGate = aq.region.Watch(aq.lay.rxSlot(aq.cfg, 0), aq.cfg.Slots*aq.cfg.SlotSize)
 	aq.txFreeGate = aq.region.Watch(aq.lay.hdr+hdrTxConsumed, 8)
+	aq.rxOp.bind(aq)
+	aq.txOp.bind(aq)
 }
 
 // Attach creates the accelerator-side view of a standalone mqueue at base.
@@ -711,7 +718,7 @@ func Attach(region *memdev.Region, base int, cfg Config, prof AccessProfile) (*A
 	}
 	aq := &AccelQueue{cfg: cfg, region: region, prof: prof,
 		lay: layout{hdr: base, ring: base + QueueHeaderBytes}}
-	aq.initGates()
+	aq.init()
 	return aq, nil
 }
 
@@ -729,182 +736,81 @@ func AttachGroup(region *memdev.Region, base int, cfg Config, n int, prof Access
 	for i := range out {
 		out[i] = &AccelQueue{cfg: cfg, region: region, prof: prof, index: i,
 			lay: layout{hdr: base + i*QueueHeaderBytes, ring: ringBase + i*cfg.RingBytes()}}
-		out[i].initGates()
+		out[i].init()
 	}
 	return out, nil
 }
 
 // Msg is one received message. Payload is lent from the queue's receive
 // buffer: it stays valid until the next receive on the same AccelQueue, so a
-// consumer that keeps a message longer must copy it. Send copies its payload
-// into the TX ring, so echoing Payload back is safe.
+// consumer that keeps a message longer must copy it. A send copies its
+// payload into the TX ring, so echoing Payload back is safe.
 type Msg struct {
 	Payload []byte
 	Err     byte // non-zero: SNIC-reported connection error (§5.1 metadata)
 	Slot    int  // RX slot index, echoed as Corr when responding
 }
 
-// maybeStall freezes the accessing accelerator context for the remainder of
-// any fault-plan stall window covering the current time — the simulated
-// equivalent of a hung threadblock or VCA node. No-op without a plan.
-func (aq *AccelQueue) maybeStall(p *sim.Proc) {
-	for {
-		d := aq.prof.Faults.StallRemaining(aq.prof.Accel, aq.index, p.Now())
-		if d <= 0 {
-			return
-		}
-		p.Sleep(d)
-	}
+// stallFor reports how long the fault plan freezes the accessing
+// accelerator context from now: the rest of any stall window covering now,
+// the simulated equivalent of a hung threadblock or VCA node. Zero without a
+// plan.
+func (aq *AccelQueue) stallFor(t *sim.Task) time.Duration {
+	return aq.prof.Faults.StallRemaining(aq.prof.Accel, aq.index, t.Now())
 }
 
-// TryRecv performs one poll of the next RX slot. It charges one local
-// access; if a message is present it consumes it (two further accesses:
-// payload read and doorbell clear + consumed-counter update). The payload
-// lands in the queue's receive buffer (see Msg).
-func (aq *AccelQueue) TryRecv(p *sim.Proc) (Msg, bool) {
-	aq.maybeStall(p)
-	slot := int(aq.rxTail % uint64(aq.cfg.Slots))
-	off := aq.lay.rxSlot(aq.cfg, slot)
-	p.Sleep(aq.prof.LocalAccess)
-	if aq.region.Byte(off+offDoorbell) == 0 {
-		return Msg{}, false
+// RecvT receives the next message for task t: k runs with it once it is
+// consumed, never inline. Semantically the accelerator polls its doorbell at
+// PollInterval; the simulation parks on the RX ring's write gate and re-adds
+// half a polling interval of detection latency on wake-up. Each poll charges
+// one local access; a message present costs two more (payload read, then
+// doorbell clear and consumed-counter update). The payload lands in the
+// queue's receive buffer (see Msg). One receive may be in flight per queue:
+// it travels in the queue's receive frame (see recvOp), so it allocates
+// nothing.
+func (aq *AccelQueue) RecvT(t *sim.Task, k func(Msg)) {
+	o := &aq.rxOp
+	if o.k != nil {
+		panic("mqueue: two receives in flight on one AccelQueue")
 	}
-	seen := p.Now() // doorbell observed set: RX-ring residency ends here
-	p.Sleep(aq.prof.LocalAccess)
-	var hdr [HeaderBytes]byte
-	aq.region.ReadLocalInto(off, hdr[:])
-	size := int(hdr[offSize]) | int(hdr[offSize+1])<<8
-	if ck := aq.prof.Check; ck.Enabled() && size > aq.cfg.MaxPayload() {
-		ck.Failf("mqueue.slot-corrupt", "RX slot %d size %d exceeds capacity %d",
-			slot, size, aq.cfg.MaxPayload())
-	}
-	if cap(aq.rx) < size {
-		aq.rx = make([]byte, max(size, aq.cfg.MaxPayload()))
-	}
-	payload := aq.rx[:size:size]
-	aq.region.ReadLocalInto(off+HeaderBytes, payload)
-	// Clear doorbell and publish consumption.
-	p.Sleep(aq.prof.LocalAccess)
-	aq.region.WriteLocal(off+offDoorbell, []byte{0})
-	aq.rxTail++
-	var cnt [8]byte
-	putLeUint64(cnt[:], aq.rxTail)
-	aq.region.WriteLocal(aq.lay.hdr+hdrRxConsumed, cnt[:])
-	aq.received++
-	if hdr[offError] != 0 {
-		aq.errs++
-	}
-	if sp := aq.prof.Spans; sp != nil {
-		id := trace.SpanID(payload)
-		// RX-ring wait: from the SNIC's push (StagePushed) until this
-		// context observed the doorbell; the remaining accesses are service.
-		if pushedAt, ok := sp.StampAt(id, trace.StagePushed); ok {
-			sp.AddWait(id, trace.PhaseQueueing, seen.Sub(pushedAt))
-		}
-		sp.Stamp(id, trace.StageAccelRecv, p.Now())
-	}
-	return Msg{Payload: payload, Err: hdr[offError], Slot: slot}, true
+	o.t, o.k = t, k
+	o.poll()
 }
 
-// Recv blocks until a message arrives. Semantically the accelerator polls
-// its doorbell at PollInterval; the simulation blocks on the ring's write
-// gate and re-adds half a polling interval of detection latency.
+// Recv is RecvT for coroutine processes: it blocks until a message arrives.
 func (aq *AccelQueue) Recv(p *sim.Proc) Msg {
-	for {
-		v := aq.rxGate.Version()
-		if m, ok := aq.TryRecv(p); ok {
-			return m
-		}
-		aq.rxGate.Wait(p, v)
-		p.Sleep(aq.prof.PollInterval / 2)
-	}
+	p.Await(aq.rxOp.await)
+	return aq.rxOp.msg
 }
 
-// ErrRemote is the error RecvTimeout returns alongside a message whose
-// metadata carries a non-zero SNIC-reported connection error status (§5.1).
-var ErrRemote = errors.New("mqueue: SNIC-reported connection error")
-
-// RecvTimeout polls until a message arrives or the deadline passes,
-// following the (value, ok, err) timeout-receive idiom: ok is false on
-// timeout; err is ErrRemote when the received message's metadata flags a
-// SNIC-reported connection error (the message itself is still returned, with
-// Msg.Err holding the raw status byte).
-func (aq *AccelQueue) RecvTimeout(p *sim.Proc, d time.Duration) (Msg, bool, error) {
-	deadline := p.Now().Add(d)
-	for {
-		v := aq.rxGate.Version()
-		if m, ok := aq.TryRecv(p); ok {
-			if m.Err != 0 {
-				return m, true, ErrRemote
-			}
-			return m, true, nil
-		}
-		if p.Now() >= deadline {
-			return Msg{}, false, nil
-		}
-		if !aq.rxGate.WaitTimeout(p, v, deadline.Sub(p.Now())) {
-			return Msg{}, false, nil
-		}
-		p.Sleep(aq.prof.PollInterval / 2)
-	}
+// SendT writes one message into the TX ring for task t; k runs with nil once
+// it is published, never inline, or inline with an error when the payload
+// exceeds a slot. While the ring is full the accelerator polls the
+// SNIC-written consumed counter; the simulation parks on that counter's
+// write gate and re-adds half a polling interval on wake-up. corr names the
+// RX slot being answered on server queues; pass 0 on client queues.
+// errStatus is the slot's error-status byte. The payload is copied into the
+// ring only when the slot is written, so it must not change before k runs.
+// One send may be in flight per queue: it travels in the queue's send frame
+// (see sendOp), so it allocates nothing.
+func (aq *AccelQueue) SendT(t *sim.Task, corr uint16, payload []byte, errStatus byte, k func(error)) {
+	o := &aq.txOp
+	o.corr, o.payload, o.errStatus = corr, payload, errStatus
+	o.start(t, k)
 }
 
-// Send writes one message into the TX ring, blocking (by polling the
-// SNIC-written consumed counter) while the ring is full. corr names the RX
-// slot being answered on server queues; pass 0 on client queues.
+// Send is SendT for coroutine processes, with a zero error status: it
+// blocks while the ring is full.
 func (aq *AccelQueue) Send(p *sim.Proc, corr uint16, payload []byte) error {
 	return aq.SendErr(p, corr, payload, 0)
 }
 
 // SendErr is Send with an explicit error-status byte.
 func (aq *AccelQueue) SendErr(p *sim.Proc, corr uint16, payload []byte, errStatus byte) error {
-	if len(payload) > aq.cfg.MaxPayload() {
-		return fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), aq.cfg.MaxPayload())
-	}
-	aq.maybeStall(p)
-	if ck := aq.prof.Check; ck.Enabled() && aq.cfg.Kind == ServerQueue && int(corr) >= aq.cfg.Slots {
-		ck.Failf("mqueue.corr-range", "response correlates to slot %d of %d", corr, aq.cfg.Slots)
-	}
-	// Wait for the SNIC to have freed this slot (polling the SNIC-written
-	// consumed counter; blocked on its write gate in the simulator).
-	var consumed uint64
-	var cnt [8]byte
-	freeWaitStart := p.Now()
-	for {
-		v := aq.txFreeGate.Version()
-		p.Sleep(aq.prof.LocalAccess)
-		aq.region.ReadLocalInto(aq.lay.hdr+hdrTxConsumed, cnt[:])
-		consumed = leUint64(cnt[:])
-		if aq.txHead-consumed < uint64(aq.cfg.Slots) {
-			break
-		}
-		aq.txFreeGate.Wait(p, v)
-		p.Sleep(aq.prof.PollInterval / 2)
-	}
-	if sp := aq.prof.Spans; sp != nil {
-		// TX-ring backpressure: time blocked for a free slot beyond the one
-		// mandatory counter read is queue wait within the execution phase.
-		if blocked := p.Now().Sub(freeWaitStart) - aq.prof.LocalAccess; blocked > 0 {
-			sp.AddWait(trace.SpanID(payload), trace.PhaseExec, blocked)
-		}
-	}
-	slot := int(aq.txHead % uint64(aq.cfg.Slots))
-	if ck := aq.prof.Check; ck.Enabled() && aq.txHead+1-consumed > uint64(aq.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "TX overcommit: head %d consumed %d slots %d",
-			aq.txHead+1, consumed, aq.cfg.Slots)
-	}
-	off := aq.lay.txSlot(aq.cfg, slot)
-	p.Sleep(aq.prof.LocalAccess)
-	// Built right before the store, with no yield in between: the image
-	// buffer is the queue's, reused by every send.
-	aq.img = appendSlot(aq.img[:0], payload, errStatus, corr, 1)
-	aq.region.WriteLocal(off, aq.img)
-	aq.txHead++
-	putLeUint64(cnt[:], aq.txHead)
-	aq.region.WriteLocal(aq.lay.hdr+hdrTxSent, cnt[:])
-	aq.sent++
-	aq.prof.Spans.Stamp(trace.SpanID(payload), trace.StageAccelSent, p.Now())
-	return nil
+	o := &aq.txOp
+	o.corr, o.payload, o.errStatus = corr, payload, errStatus
+	p.Await(o.await)
+	return o.err
 }
 
 // Stats reports received/sent message counts and error-flagged receives.

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc clean
+.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags clean
 
 all: vet test
 
@@ -17,6 +17,13 @@ vet:
 # excluded.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/perf/*' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+
+# The option count the ROADMAP tracks: flag definitions (fs.Int("name",
+# fs.String("name", ...) in each binary's non-test Go files, then the total.
+flags:
+	@for d in cmd/lynxd cmd/lynxbench; do \
+		printf '%s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -cE 'fs\.[A-Z][A-Za-z0-9]*\("'); \
+	done | awk '{ print; n += $$2 } END { print "total", n }'
 
 # Benchmark with -count=5 so runs can be compared statistically:
 #   make bench | tee old.txt ; <hack> ; make bench | tee new.txt

@@ -9,9 +9,10 @@
 //	lynxbench -seed 7               # different deterministic seed
 //	lynxbench -exp all -parallel 1  # force sequential sweeps
 //	lynxbench -exp all -invariants  # assert runtime invariants on every run
-//	lynxbench -exp attribution -profile-json prof.json
-//	                                # dump the tail-latency attribution report
-//	lynxbench -exp replbreakdown -trace-json t.json -metrics-json m.json
+//	lynxbench -exp attribution -obs out
+//	                                # write out/trace.json, out/metrics.json and
+//	                                # out/profile.json (the attribution report)
+//	lynxbench -exp replbreakdown -obs out
 //	                                # rack timeline and metrics, one block per node
 //	lynxbench -exp fig6 -top 10     # table of the 10 slowest requests
 //	lynxbench -exp fig6 -batch 8    # end-to-end batching (doorbell, CQ drain,
@@ -58,9 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel   = fs.Int("parallel", 0, "sweep workers: 0 = one per CPU, 1 = sequential, n = n workers")
 		invariants = fs.Bool("invariants", false, "arm runtime invariant checks on every simulation; non-zero exit on any violation")
 		batch      = fs.Int("batch", 0, "doorbell batch size for every experiment run (0 = unbatched; experiments that pin their own batching, like -exp batch, are unaffected)")
-		traceJSON  = fs.String("trace-json", "", "write the Chrome trace-event timeline (one process-track block per node) of an instrumented experiment (breakdown, attribution, replbreakdown) to this file")
-		metJSON    = fs.String("metrics-json", "", "write the deterministic metrics dump (stats and monitor series, a rack's per node) of an instrumented experiment to this file")
-		profJSON   = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) of an instrumented experiment to this file")
+		obsDir     = fs.String("obs", "", "write an instrumented experiment's (breakdown, attribution, replbreakdown) artifacts into this directory: trace.json (Chrome trace-event timeline, one process-track block per node), metrics.json (metrics dump, a rack's per node) and profile.json (node 0's tail-latency attribution report)")
 		topN       = fs.Int("top", 0, "print the N slowest requests (status, per-phase wait/service) after the runs")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -95,9 +94,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *exp == "all" && (*traceJSON != "" || *metJSON != "" || *profJSON != "") {
-		// Each instrumented experiment would overwrite the last one's file.
-		fmt.Fprintln(stderr, "lynxbench: -trace-json, -metrics-json and -profile-json need a single -exp, not all")
+	if *exp == "all" && *obsDir != "" {
+		// Each instrumented experiment would overwrite the last one's files.
+		fmt.Fprintln(stderr, "lynxbench: -obs needs a single -exp, not all")
 		return 2
 	}
 
@@ -119,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp == "all" {
 		ids = experiments.List()
 	}
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, TraceJSON: *traceJSON, MetricsJSON: *metJSON, ProfileJSON: *profJSON, Batch: bc}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: workers, Obs: *obsDir, Batch: bc}
 	if *topN > 0 {
 		cfg.Top = experiments.NewTopCollector(*topN)
 	}

@@ -66,9 +66,8 @@ func TestCSVOutput(t *testing.T) {
 
 func TestTopAndProfileJSONFlags(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "prof.json")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-exp", "breakdown", "-scale", "0.1", "-top", "3", "-profile-json", path}, &out, &errOut)
+	code := run([]string{"-exp", "breakdown", "-scale", "0.1", "-top", "3", "-obs", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
@@ -76,9 +75,9 @@ func TestTopAndProfileJSONFlags(t *testing.T) {
 	if !strings.Contains(s, "slowest requests") || !strings.Contains(s, "span ") {
 		t.Errorf("-top table missing:\n%s", s)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, "profile.json"))
 	if err != nil {
-		t.Fatalf("-profile-json wrote nothing: %v", err)
+		t.Fatalf("-obs wrote no profile.json: %v", err)
 	}
 	var rep map[string]any
 	if err := json.Unmarshal(raw, &rep); err != nil {
@@ -108,17 +107,22 @@ func TestLossOutOfRange(t *testing.T) {
 }
 
 // TestExpAllRejectsArtifactFlags: every instrumented experiment writes the
-// same artifact paths, so -exp all would keep only the last one's file; the
-// combination is a usage error and writes nothing.
+// same -obs file names, so -exp all would keep only the last one's files;
+// the combination is a usage error and writes nothing. The per-file flags
+// that -obs replaced are parse errors.
 func TestExpAllRejectsArtifactFlags(t *testing.T) {
-	for _, flag := range []string{"-trace-json", "-metrics-json", "-profile-json"} {
+	for _, flag := range []string{"-obs", "-trace-json", "-metrics-json", "-profile-json"} {
 		t.Run(flag, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "out.json")
+			path := filepath.Join(t.TempDir(), "out")
 			var out, errOut bytes.Buffer
 			if code := run([]string{"-exp", "all", "-scale", "0.01", flag, path}, &out, &errOut); code != 2 {
 				t.Fatalf("exit %d, want 2", code)
 			}
-			if !strings.Contains(errOut.String(), "single -exp") {
+			want := "flag provided but not defined"
+			if flag == "-obs" {
+				want = "single -exp"
+			}
+			if !strings.Contains(errOut.String(), want) {
 				t.Errorf("usage error missing: %s", errOut.String())
 			}
 			if _, err := os.Stat(path); err == nil {
@@ -128,30 +132,29 @@ func TestExpAllRejectsArtifactFlags(t *testing.T) {
 	}
 }
 
-// TestRackExperimentArtifactFlags: the rack experiment honours the same
-// three artifact flags as the single-server ones, one block per node.
+// TestRackExperimentArtifactFlags: the rack experiment writes the same three
+// -obs files as the single-server ones, one block per node.
 func TestRackExperimentArtifactFlags(t *testing.T) {
 	dir := t.TempDir()
-	tr, met, prof := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json"), filepath.Join(dir, "p.json")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-exp", "replbreakdown", "-scale", "0.1", "-trace-json", tr, "-metrics-json", met, "-profile-json", prof}, &out, &errOut)
+	code := run([]string{"-exp", "replbreakdown", "-scale", "0.1", "-obs", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	for _, c := range []struct{ path, want string }{
-		{tr, `"name":"server3/snic"`},
-		{met, `"server1/repl/held"`},
-		{prof, `"replication"`},
+	for _, c := range []struct{ name, want string }{
+		{"trace.json", `"name":"server3/snic"`},
+		{"metrics.json", `"server1/repl/held"`},
+		{"profile.json", `"replication"`},
 	} {
-		raw, err := os.ReadFile(c.path)
+		raw, err := os.ReadFile(filepath.Join(dir, c.name))
 		if err != nil {
 			t.Fatalf("artifact not written: %v", err)
 		}
 		if !json.Valid(raw) {
-			t.Errorf("%s is not valid JSON", filepath.Base(c.path))
+			t.Errorf("%s is not valid JSON", c.name)
 		}
 		if !bytes.Contains(raw, []byte(c.want)) {
-			t.Errorf("%s lacks %s", filepath.Base(c.path), c.want)
+			t.Errorf("%s lacks %s", c.name, c.want)
 		}
 	}
 }

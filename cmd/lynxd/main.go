@@ -10,9 +10,8 @@
 //	lynxd -rate 50000 -secs 2      # open-loop load, simulated seconds
 //	lynxd -batch 8                 # batch the hot path end to end by 8
 //	lynxd -invariants              # arm runtime invariant checks
-//	lynxd -profile-json prof.json  # tail-latency attribution report on exit
-//	lynxd -trace-json t.json -metrics-json m.json
-//	                               # timeline and metrics dump (any node count)
+//	lynxd -obs out                 # write out/trace.json, out/metrics.json and
+//	                               # out/profile.json on exit (any node count)
 //	lynxd -nodes 3 -replicas 3     # replicated KV rack, writes quorum-replicated
 //	lynxd -nodes 3 -replicas 3 -stall-queue -1 -stall-at 100ms
 //	                               # ...and kill a replica mid-run (failover demo)
@@ -29,10 +28,8 @@ import (
 	"lynx"
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/apps/lenet"
-	"lynx/internal/metrics"
 	"lynx/internal/model"
-	"lynx/internal/profile"
-	"lynx/internal/trace"
+	"lynx/internal/snic"
 	"lynx/internal/workload"
 )
 
@@ -54,9 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		secs       = fs.Float64("secs", 1.0, "simulated seconds to run")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
 		traceN     = fs.Int("trace", 0, "dump the last N runtime trace events (at most the event ring's 4096; a rack's node 0)")
-		traceOut   = fs.String("trace-json", "", "write the Chrome trace-event timeline (spans, samples, events; one process-track block per rack node) to this file")
-		metricsOut = fs.String("metrics-json", "", "write the deterministic metrics dump (stats and monitor series; a rack's per node) to this file")
-		profOut    = fs.String("profile-json", "", "write the tail-latency attribution report (wait/service decomposition, bottleneck ranking, flight recorder; a rack's node 0) to this file on exit; with -invariants, the first violation also dumps <file>.postmortem")
+		obsDir     = fs.String("obs", "", "on exit, write into this directory trace.json (Chrome trace-event timeline, one process-track block per rack node), metrics.json (metrics dump, a rack's per node) and profile.json (node 0's tail-latency attribution report); with -invariants, the first violation also dumps profile.json.postmortem")
 		invariants = fs.Bool("invariants", false, "arm runtime invariant checks; non-zero exit on any violation")
 		batch      = fs.Int("batch", 0, "doorbell batch size (0 = unbatched per-message hot path)")
 		loss       = fs.Float64("loss", 0, "inject datagram drop probability (0..1)")
@@ -70,11 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "lynxd:", err)
-		return 1
 	}
 
 	fc := lynx.FaultConfig{
@@ -94,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fc.Stalls = []lynx.FaultStall{{Accel: accel, Queue: *stallQ, At: *stallAt, For: *stallFor}}
 	}
-	obs := observability{traceN: *traceN, files: profile.Files{Trace: *traceOut, Metrics: *metricsOut, Profile: *profOut}}
+	obs := observability{traceN: *traceN, dir: *obsDir}
 	if rackMode {
 		var single []string
 		fs.Visit(func(f *flag.Flag) {
@@ -111,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := []lynx.Option{lynx.WithSeed(*seed), lynx.WithFaults(fc)}
 	if bc, err := model.BatchConfigFromFlags(*batch); err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	} else if bc != (lynx.BatchConfig{}) {
 		opts = append(opts, lynx.WithBatching(bc))
 	}
@@ -140,23 +130,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		payload, served = 64, *queues
 		h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: 128}, *queues)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		if _, err := srv.AddService(lynx.UDP, 7000, nil, *queues, h); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		if err := gpu.Serve(cluster.Testbed().Sim, h.AccelQueues(), 0, 20*time.Microsecond, nil); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 	case "lenet":
 		payload, served = workload.SeqBytes+lenet.InputBytes, 1
 		net := lenet.New(42)
 		h, err := srv.Register(gpu, lynx.QueueConfig{Kind: lynx.ServerQueue, Slots: 16, SlotSize: payload + 16}, 1)
 		if err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		if _, err := srv.AddService(lynx.UDP, 7000, nil, 1, h); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 		aq := h.AccelQueues()[0]
 		svcTime := cluster.Params().LeNetServiceK40
@@ -178,21 +168,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 	default:
 		fmt.Fprintln(stderr, "lynxd: unknown app", *app)
 		return 2
 	}
 	if err := srv.Start(); err != nil {
-		return fail(err)
-	}
-	prof := cluster.Profile()
-	if prof != nil {
-		cluster.Testbed().RegisterStats(prof.Registry())
-	}
-	if *profOut != "" {
-		cluster.ArmProfilePostmortem(*profOut + ".postmortem")
+		return fail(stderr, err)
 	}
 
 	target := plat.NetHost.Addr(7000)
@@ -205,33 +188,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Clients: *clients, RatePerSec: *rate, Retries: *retries,
 		Duration: window, Warmup: window / 10,
 	}, client)
-	res := gen.Run()
-
-	// Live stats every simulated 100 ms.
-	step := 100 * time.Millisecond
-	for elapsed := time.Duration(0); elapsed < window+window/10; elapsed += step {
-		cluster.Run(step)
+	status := func() string {
 		st := srv.Stats()
-		fmt.Fprintf(stdout, "  t=%-8v %s inflight~%d\n",
-			cluster.Now().Round(time.Millisecond), st, st.Received-st.Responded)
+		return fmt.Sprintf("%s inflight~%d", st, st.Received-st.Responded)
 	}
-	cluster.Run(50 * time.Millisecond)
-	fmt.Fprintf(stdout, "\nresult: %v\n", *res)
-	if fc.Enabled() {
-		fmt.Fprintf(stdout, "faults injected: %s\n", cluster.FaultStats())
-	}
-	if err := obs.finish(stdout, prof, []trace.Export{prof.Export("server1")}, prof.Registry()); err != nil {
-		return fail(err)
-	}
-	cluster.Close()
-	if *invariants {
-		rep := cluster.InvariantReport()
-		fmt.Fprintln(stdout, rep)
-		if !rep.OK() {
-			return 1
-		}
-	}
-	return 0
+	return drive(stdout, stderr, cluster.Testbed(), gen, window, status, nil, obs)
 }
 
 // runRack boots the multi-node replicated KV rack (-nodes / -replicas) and
@@ -239,30 +200,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 // printing periodic runtime and replication statistics. A -stall-queue window
 // freezes node 1's accelerator — the replica-kill failover demo.
 func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, retries int, rate, secs float64, invariants bool, obs observability, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "lynxd:", err)
-		return 1
-	}
 	cfg := lynx.RackConfig{Nodes: nodes, Replicas: replicas, Seed: seed, Faults: fc}
 	if obs.armed() {
 		cfg.Telemetry = &lynx.RackTelemetry{}
 	}
-	var ck *lynx.InvariantChecker
 	if invariants {
-		ck = lynx.NewInvariantChecker()
-		cfg.Check = ck
+		cfg.Check = lynx.NewInvariantChecker()
 	}
 	rack, err := lynx.BuildRack(cfg)
 	if err != nil {
-		return fail(err)
-	}
-	node0 := rack.Node(0).Prof
-	if p := obs.files.Profile; p != "" {
-		node0.ArmPostmortem(ck, p+".postmortem")
+		return fail(stderr, err)
 	}
 	keys := rack.OwnedKeys(0)
 	if len(keys) == 0 {
-		return fail(fmt.Errorf("node 0 owns no keys"))
+		return fail(stderr, fmt.Errorf("node 0 owns no keys"))
 	}
 	target := rack.Node(0).Addr()
 	fmt.Fprintf(stdout, "lynxd: replicated KV rack, %d nodes RF=%d, writes to %s (%d keys owned by node 0)\n",
@@ -270,7 +221,9 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 
 	window := time.Duration(secs * float64(time.Second))
 	var value []byte // the next write's value, reused: AppendSet copies it
-	gen := workload.New(rack.TB.Sim, workload.Config{
+	// Client-side span stamps land in the measured primary's table when the
+	// observability plane is armed (nil otherwise — stamps disabled).
+	gen := rack.TB.Load(workload.Config{
 		Proto: workload.UDP, Target: target, Payload: 64,
 		Body: func(seq uint64, buf []byte) {
 			value = fmt.Appendf(value[:0], "value-%010d", seq)
@@ -278,27 +231,20 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 		},
 		Clients: clients, RatePerSec: rate, Retries: retries,
 		Duration: window, Warmup: window / 10,
-		Timeout: 2 * time.Millisecond, Check: ck,
-		// Client-side span stamps land in the measured primary's table when
-		// the observability plane is armed (nil otherwise — stamps disabled).
-		Spans: node0.Spans(),
+		Timeout: 2 * time.Millisecond,
 	}, rack.Clients...)
-	res := gen.Run()
-
-	step := 100 * time.Millisecond
-	for elapsed := time.Duration(0); elapsed < window+window/10; elapsed += step {
-		rack.TB.Sim.RunUntil(rack.TB.Sim.Now().Add(step))
-		now := time.Duration(rack.TB.Sim.Now()).Round(time.Millisecond)
+	repl := rack.Node(0).Repl
+	status := func() string {
 		st := rack.Node(0).RT.Stats()
-		if repl := rack.Node(0).Repl; repl != nil {
-			fmt.Fprintf(stdout, "  t=%-8v %s repl{%s}\n", now, st, repl.Stats())
-		} else {
-			fmt.Fprintf(stdout, "  t=%-8v %s\n", now, st)
+		if repl != nil {
+			return fmt.Sprintf("%s repl{%s}", st, repl.Stats())
 		}
+		return st.String()
 	}
-	rack.TB.Sim.RunUntil(rack.TB.Sim.Now().Add(50 * time.Millisecond))
-	fmt.Fprintf(stdout, "\nresult: %v\n", *res)
-	if repl := rack.Node(0).Repl; repl != nil {
+	deaths := func() {
+		if repl == nil {
+			return
+		}
 		for j := 1; j < nodes; j++ {
 			slot, ok := rack.PeerSlot(0, j)
 			if !ok {
@@ -310,15 +256,38 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 			}
 		}
 	}
-	if fc.Enabled() {
-		fmt.Fprintf(stdout, "faults injected: %s\n", rack.TB.Faults.Stats())
+	return drive(stdout, stderr, rack.TB, gen, window, status, deaths, obs)
+}
+
+// drive runs gen's workload on tb for its warmup and window, printing
+// status every simulated 100 ms, then the result, epilogue's lines (nil
+// prints none), the injected faults, the -trace tail and -obs artifacts
+// and, with the checker armed, the invariant report. One server and a rack
+// share it.
+func drive(stdout, stderr io.Writer, tb *snic.Testbed, gen *workload.Generator, window time.Duration, status func() string, epilogue func(), obs observability) int {
+	if obs.dir != "" {
+		tb.ArmPostmortem(obs.dir)
 	}
-	if err := obs.finish(stdout, node0, rack.TraceExport(), rack.TelemetrySnapshot()); err != nil {
-		return fail(err)
+	res := gen.Run()
+	step := 100 * time.Millisecond
+	for elapsed := time.Duration(0); elapsed < window+window/10; elapsed += step {
+		tb.Sim.RunUntil(tb.Sim.Now().Add(step))
+		fmt.Fprintf(stdout, "  t=%-8v %s\n", time.Duration(tb.Sim.Now()).Round(time.Millisecond), status())
 	}
-	rack.Close()
-	if invariants {
-		rep := ck.Snapshot()
+	tb.Sim.RunUntil(tb.Sim.Now().Add(50 * time.Millisecond))
+	fmt.Fprintf(stdout, "\nresult: %v\n", *res)
+	if epilogue != nil {
+		epilogue()
+	}
+	if tb.Faults != nil {
+		fmt.Fprintf(stdout, "faults injected: %s\n", tb.Faults.Stats())
+	}
+	if err := obs.finish(stdout, tb); err != nil {
+		return fail(stderr, err)
+	}
+	tb.Sim.Shutdown()
+	if tb.Check != nil {
+		rep := tb.Check.Snapshot()
 		fmt.Fprintln(stdout, rep)
 		if !rep.OK() {
 			return 1
@@ -327,21 +296,28 @@ func runRack(nodes, replicas int, seed uint64, fc lynx.FaultConfig, clients, ret
 	return 0
 }
 
-// observability is the run's -trace N and artifact-file flags.
+// fail reports a run error and returns its exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "lynxd:", err)
+	return 1
+}
+
+// observability is the run's -trace N and -obs flags.
 type observability struct {
 	traceN int
-	files  profile.Files
+	dir    string
 }
 
 // armed reports whether any flag needs the observability plane.
 func (o observability) armed() bool {
-	return o.traceN > 0 || o.files != (profile.Files{})
+	return o.traceN > 0 || o.dir != ""
 }
 
-// finish prints the -trace tail of node 0's event ring and writes the
-// artifact files: the timeline of nodes, the metrics dump of reg and node
-// 0's attribution report.
-func (o observability) finish(stdout io.Writer, node0 *profile.Profile, nodes []trace.Export, reg *metrics.Registry) error {
+// finish prints the -trace tail of node 0's event ring and writes the -obs
+// artifacts: the timeline of every node, the metrics rollup and node 0's
+// attribution report, whose bottlenecks it summarizes.
+func (o observability) finish(stdout io.Writer, tb *snic.Testbed) error {
+	node0 := tb.Plane(0)
 	if o.traceN > 0 {
 		tail := node0.Events().Tail(o.traceN)
 		fmt.Fprintf(stdout, "\ntrace summary: %s\nlast %d events:\n", node0.Events().Summary(), len(tail))
@@ -349,13 +325,16 @@ func (o observability) finish(stdout io.Writer, node0 *profile.Profile, nodes []
 			fmt.Fprintln(stdout, " ", ev)
 		}
 	}
+	if o.dir == "" {
+		return nil
+	}
 	rep := node0.Report()
-	if err := o.files.Write(nodes, reg, rep, func(what, path string) {
+	if err := tb.WriteObs(o.dir, rep, func(what, path string) {
 		fmt.Fprintf(stdout, "%s written to %s\n", what, path)
 	}); err != nil {
 		return err
 	}
-	if o.files.Profile != "" && len(rep.Bottlenecks) > 0 {
+	if len(rep.Bottlenecks) > 0 {
 		fmt.Fprintf(stdout, "bottlenecks:\n%s", rep.BottleneckSummary())
 	}
 	return nil

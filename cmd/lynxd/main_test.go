@@ -56,10 +56,14 @@ func TestUnknownApp(t *testing.T) {
 	}
 }
 
+// TestBadFlag: an unknown flag is a parse error, and so is each per-file
+// artifact flag that -obs replaced.
 func TestBadFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad flag: exit %d, want 2", code)
+	for _, flag := range []string{"-no-such-flag", "-trace-json", "-metrics-json", "-profile-json"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{flag, "out.json"}, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2", flag, code)
+		}
 	}
 }
 
@@ -79,18 +83,34 @@ func TestFaultProbabilityOutOfRange(t *testing.T) {
 	}
 }
 
+// obsNames fails t unless dir holds exactly the three fixed -obs names.
+func obsNames(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "metrics.json profile.json trace.json" {
+		t.Errorf("-obs wrote %q, want the three fixed names", got)
+	}
+}
+
 func TestProfileJSONFlag(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "prof.json")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-secs", "0.05", "-profile-json", path}, &out, &errOut)
+	code := run([]string{"-secs", "0.05", "-obs", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "profile report written to") {
 		t.Errorf("missing profile summary:\n%s", out.String())
 	}
-	raw, err := os.ReadFile(path)
+	obsNames(t, dir)
+	raw, err := os.ReadFile(filepath.Join(dir, "profile.json"))
 	if err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
@@ -106,15 +126,13 @@ func TestProfileJSONFlag(t *testing.T) {
 	}
 }
 
-// TestRackArtifactFlags: a rack writes the same three artifact files a
-// single server does — the timeline and metrics with a block per node, the
+// TestRackArtifactFlags: a rack writes the same three -obs files a single
+// server does — the timeline and metrics with a block per node, the
 // attribution report from node 0.
 func TestRackArtifactFlags(t *testing.T) {
 	dir := t.TempDir()
-	tr, met, prof := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json"), filepath.Join(dir, "p.json")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-nodes", "3", "-replicas", "3", "-secs", "0.02", "-clients", "4",
-		"-trace-json", tr, "-metrics-json", met, "-profile-json", prof}, &out, &errOut)
+	code := run([]string{"-nodes", "3", "-replicas", "3", "-secs", "0.02", "-clients", "4", "-obs", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
@@ -123,26 +141,27 @@ func TestRackArtifactFlags(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, out.String())
 		}
 	}
-	for _, c := range []struct{ path, want string }{
-		{tr, `"name":"server3/snic"`},
-		{met, `"server2/snic/core-util"`},
-		{prof, `"spans_closed"`},
+	obsNames(t, dir)
+	for _, c := range []struct{ name, want string }{
+		{"trace.json", `"name":"server3/snic"`},
+		{"metrics.json", `"server2/snic/core-util"`},
+		{"profile.json", `"spans_closed"`},
 	} {
-		raw, err := os.ReadFile(c.path)
+		raw, err := os.ReadFile(filepath.Join(dir, c.name))
 		if err != nil {
 			t.Fatalf("artifact not written: %v", err)
 		}
 		if !json.Valid(raw) {
-			t.Errorf("%s is not valid JSON", filepath.Base(c.path))
+			t.Errorf("%s is not valid JSON", c.name)
 		}
 		if !bytes.Contains(raw, []byte(c.want)) {
-			t.Errorf("%s lacks %s", filepath.Base(c.path), c.want)
+			t.Errorf("%s lacks %s", c.name, c.want)
 		}
 	}
 	var rep struct {
 		SpansClosed uint64 `json:"spans_closed"`
 	}
-	raw, _ := os.ReadFile(prof)
+	raw, _ := os.ReadFile(filepath.Join(dir, "profile.json"))
 	if err := json.Unmarshal(raw, &rep); err != nil || rep.SpansClosed == 0 {
 		t.Errorf("node 0 report closed no spans (err %v)", err)
 	}
@@ -173,23 +192,22 @@ func TestRackRejectsSingleServerFlags(t *testing.T) {
 // and the testbed counters.
 func TestTraceAndMetricsJSONFlags(t *testing.T) {
 	dir := t.TempDir()
-	tr, met := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-secs", "0.02", "-clients", "4", "-trace", "3", "-trace-json", tr, "-metrics-json", met}, &out, &errOut)
+	code := run([]string{"-secs", "0.02", "-clients", "4", "-trace", "3", "-obs", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "last 3 events:") {
 		t.Errorf("-trace tail missing:\n%s", out.String())
 	}
-	raw, err := os.ReadFile(tr)
+	raw, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(raw) || !bytes.Contains(raw, []byte(`"name":"snic"`)) || bytes.Contains(raw, []byte("server1/")) {
 		t.Error("single-server timeline is not the unprefixed one-node layout")
 	}
-	raw, err = os.ReadFile(met)
+	raw, err = os.ReadFile(filepath.Join(dir, "metrics.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

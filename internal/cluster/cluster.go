@@ -24,7 +24,6 @@ import (
 	"lynx/internal/check"
 	"lynx/internal/core"
 	"lynx/internal/fault"
-	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
@@ -64,8 +63,8 @@ type Config struct {
 	// Telemetry, when non-nil, arms the per-node observability plane: every
 	// node gets its own profile.Profile (event ring, span table, flight
 	// recorder, and a metrics registry its monitor samples into), rolled up
-	// deterministically by Rack.TelemetrySnapshot and Rack.TraceExport. Nil
-	// keeps every node uninstrumented — the zero-cost default.
+	// deterministically by the testbed's TelemetrySnapshot and TraceExport.
+	// Nil keeps every node uninstrumented — the zero-cost default.
 	Telemetry *Telemetry
 	// Shards is the shard-map size (default DefaultShards).
 	Shards int
@@ -95,8 +94,9 @@ type Node struct {
 	Store   *kvstore.Store
 	// Repl drives this node's outbound replication; nil when Replicas == 1.
 	Repl *core.Replicator
-	// Prof is the node's observability plane, wired into its runtime; nil
-	// unless Config.Telemetry was set. Spans is Prof.Spans().
+	// Prof is the node's observability plane (the testbed's Plane(Index)),
+	// wired into its runtime; nil unless Config.Telemetry was set. Spans is
+	// Prof.Spans().
 	Prof  *profile.Profile
 	Spans *trace.SpanTable
 
@@ -108,7 +108,8 @@ type Node struct {
 // Addr returns the node's service address.
 func (n *Node) Addr() netstack.Addr { return n.Svc.Addr() }
 
-// Rack is a built multi-node deployment.
+// Rack is a built multi-node deployment: a view over its testbed, which
+// owns the rack's planes, rollups and load path.
 type Rack struct {
 	TB  *snic.Testbed
 	Map *ShardMap
@@ -118,6 +119,20 @@ type Rack struct {
 	cfg     Config
 	nodes   []*Node
 	nameIdx map[string]int
+}
+
+// Deploy creates the empty deployment cfg describes: a testbed seeded with
+// cfg.Seed, on cfg.Params (a fresh model.Default copy when nil), under the
+// cfg.Faults plan and checked by cfg.Check. Every deployment starts from
+// one: Build fills it with the KV rack, and lynx.NewCluster and the
+// experiments' testbeds with their own machines.
+func Deploy(cfg Config) *snic.Testbed {
+	p := cfg.Params
+	if p == nil {
+		def := model.Default()
+		p = &def
+	}
+	return snic.NewTestbedWith(cfg.Seed, p, cfg.Faults, cfg.Check)
 }
 
 // Build constructs the rack: hardware, shard map, runtimes, stores,
@@ -142,21 +157,14 @@ func Build(cfg Config) (*Rack, error) {
 	if cfg.IngestSlots <= 0 {
 		cfg.IngestSlots = 64
 	}
-	p := cfg.Params
-	if p == nil {
-		def := model.Default()
-		p = &def
-	}
-
-	tb := snic.NewTestbedWith(cfg.Seed, p, cfg.Faults)
-	tb.EnableInvariants(cfg.Check)
+	tb := Deploy(cfg)
 	r := &Rack{TB: tb, Map: NewShardMap(cfg.Shards), cfg: cfg, nameIdx: make(map[string]int)}
 
 	// Hardware: one rack switch per node when the deployment spans several
 	// machines; the 1-node build cables straight into the backbone, like
 	// every single-server testbed.
 	for i := 0; i < cfg.Nodes; i++ {
-		name := fmt.Sprintf("server%d", i+1)
+		name := snic.NodeName(i)
 		var m *snic.Machine
 		if cfg.Nodes == 1 {
 			m = tb.NewMachine(name, 6)
@@ -181,14 +189,14 @@ func Build(cfg Config) (*Rack, error) {
 	// server has, so a rack failover reads as one timeline.
 	if cfg.Telemetry != nil {
 		for _, n := range r.nodes {
-			n.Prof = profile.New(*cfg.Telemetry, cfg.Check)
+			n.Prof = tb.Arm(n.Index, *cfg.Telemetry)
 			n.Spans = n.Prof.Spans()
 		}
 	}
 
 	// Runtimes, services, preloaded stores.
 	for _, n := range r.nodes {
-		rt := core.NewRuntime(n.Prof.Platform(n.BF.Platform(7)))
+		rt := core.NewRuntime(tb.Platform(n.Index, n.BF.Platform(7)))
 		h, err := rt.Register(n.GPU, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: slotBytes}, serveQueues)
 		if err != nil {
 			return nil, err
@@ -253,7 +261,7 @@ func Build(cfg Config) (*Rack, error) {
 	// target node's GPU, replaying records into the target's store and
 	// acknowledging with the record's 8-byte id header (the primary matches
 	// acks to writes by id).
-	opCost := p.MemcachedOpXeon
+	opCost := tb.Params.MemcachedOpXeon
 	for _, w := range wirings {
 		store := w.target.Store
 		if err := w.target.GPU.Serve(tb.Sim, w.h.AccelQueues(), workload.SeqBytes, opCost, func(rec, out []byte) []byte {
@@ -276,7 +284,7 @@ func Build(cfg Config) (*Rack, error) {
 		if err := n.RT.Start(); err != nil {
 			return nil, err
 		}
-		n.Prof.Monitor(n.RT)
+		tb.Monitor(n.Index, n.RT)
 	}
 	return r, nil
 }
@@ -352,56 +360,11 @@ func (r *Rack) ReplicaSet(key string) []int {
 }
 
 // Measure drives a workload from the rack's client hosts to completion on
-// the rack's virtual clock. With the telemetry plane armed, client-side
-// span stamps default into node 0's table — complete spans (and therefore
-// phase attribution) need the workload to target keys that node owns.
+// the testbed's load path: client-side span stamps default into node 0's
+// table, so complete spans (and phase attribution) need the workload to
+// target keys that node owns.
 func (r *Rack) Measure(wcfg workload.Config) workload.Result {
-	if wcfg.Check == nil {
-		wcfg.Check = r.cfg.Check
-	}
-	if wcfg.Spans == nil {
-		wcfg.Spans = r.nodes[0].Spans
-	}
-	g := workload.New(r.TB.Sim, wcfg, r.Clients...)
-	return workload.RunFor(r.TB.Sim, g)
-}
-
-// TelemetrySnapshot merges every node's metrics registry into one rack
-// rollup, in node-index order, so the dump is byte-deterministic for a
-// deterministic run. With more than one node each component snapshot and
-// sampled series reappears under a "<node>/" prefix; a 1-node rollup is the
-// single server's registry. Stats are frozen at snapshot time. Nodes without
-// a plane (Telemetry not armed) contribute nothing.
-func (r *Rack) TelemetrySnapshot() *metrics.Registry {
-	out := metrics.NewRegistry()
-	for _, n := range r.nodes {
-		reg := n.Prof.Registry()
-		if reg == nil {
-			continue
-		}
-		prefix := ""
-		if len(r.nodes) > 1 {
-			prefix = n.Name + "/"
-		}
-		for _, cs := range reg.StatsSnapshot() {
-			stats := cs.Stats
-			out.AddStats(prefix+cs.Component, func() []metrics.Stat { return stats })
-		}
-		for _, s := range reg.SeriesList() {
-			out.AddSeries(s.Renamed(prefix + s.Name()))
-		}
-	}
-	return out
-}
-
-// TraceExport returns every node's plane as one timeline node each, in
-// node-index order; render them with trace.WriteJSON.
-func (r *Rack) TraceExport() []trace.Export {
-	out := make([]trace.Export, len(r.nodes))
-	for i, n := range r.nodes {
-		out[i] = n.Prof.Export(n.Name)
-	}
-	return out
+	return r.TB.Measure(wcfg, r.Clients...)
 }
 
 // Close shuts the rack's simulation down, unwinding all processes (and

@@ -185,10 +185,10 @@ func TestRackTelemetryDeterminism(t *testing.T) {
 		rack, _, _ := telemetryRun(t, 23, &Telemetry{}, fault.Config{})
 		rack.Close()
 		var tr, met bytes.Buffer
-		if err := trace.WriteJSON(&tr, rack.TraceExport()...); err != nil {
+		if err := trace.WriteJSON(&tr, rack.TB.TraceExport()...); err != nil {
 			t.Fatal(err)
 		}
-		if err := rack.TelemetrySnapshot().Dump(&met); err != nil {
+		if err := rack.TB.TelemetrySnapshot().Dump(&met); err != nil {
 			t.Fatal(err)
 		}
 		return tr.String(), met.String()

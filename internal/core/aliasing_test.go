@@ -45,9 +45,8 @@ func TestLentBuffersNeverAlias(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			const queues, clients, perClient = 7, 48, 20
 			p := model.Default()
-			tb := snic.NewTestbedWith(3, &p, fault.Config{Seed: 3, RDMAErrRate: 0.05})
 			ck := check.New()
-			tb.EnableInvariants(ck)
+			tb := snic.NewTestbedWith(3, &p, fault.Config{Seed: 3, RDMAErrRate: 0.05}, ck)
 			server := tb.NewMachine("server1", 6)
 			bf := server.AttachBlueField("bf1")
 			gpu := server.AddGPU("gpu0", accel.K40m, m.relaxed, "server1")

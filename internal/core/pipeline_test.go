@@ -250,7 +250,7 @@ func TestPipelineRelayFailover(t *testing.T) {
 	const stallAt = 2 * time.Millisecond
 	tb := snic.NewTestbedWith(26, &p, fault.Config{
 		Stalls: []fault.Stall{{Accel: "gpu1", Queue: 0, At: stallAt, For: time.Hour}},
-	})
+	}, nil)
 	server := tb.NewMachine("server1", 6)
 	b := &bed{tb: tb, params: p, server: server, bf: server.AttachBlueField("bf1"),
 		gpu: server.AddGPU("gpu0", accel.K40m, false, "server1"), client: tb.AddClient("client1")}

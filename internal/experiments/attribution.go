@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lynx/internal/profile"
+	"lynx/internal/snic"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
@@ -21,6 +22,7 @@ func init() {
 // attributionOutcome bundles one attribution run.
 type attributionOutcome struct {
 	res    workload.Result
+	tb     *snic.Testbed // shut down
 	prof   *profile.Profile
 	report *profile.Report
 }
@@ -32,14 +34,9 @@ type attributionOutcome struct {
 // pile up in front of the dispatcher, which the ranking must surface.
 func attributionRun(cfg Config) attributionOutcome {
 	e := newEnv(cfg)
-	var out attributionOutcome
-	out.prof = e.arm(1 << 15)
+	out := attributionOutcome{tb: e.tb, prof: e.arm(1 << 15)}
 	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), 32, 20*time.Microsecond, 256)
-	out.prof.Monitor(rt)
-	e.tb.RegisterStats(out.prof.Registry())
-	if cfg.ProfileJSON != "" {
-		out.prof.ArmPostmortem(e.check, cfg.ProfileJSON+".postmortem")
-	}
+	e.observe(rt)
 	window := e.cfg.window(20 * time.Millisecond)
 	out.res = e.measure(workload.Config{
 		Proto: workload.UDP, Target: addr, Payload: 128,
@@ -74,7 +71,7 @@ func runAttribution(cfg Config) *Report {
 	rep.Note("workload: %s", out.res.String())
 	rep.Note("flight recorder: %d spans observed, top-%d retained",
 		out.prof.Recorder().Observed(), out.prof.Recorder().TopK())
-	cfg.writeArtifacts(rep, []trace.Export{out.prof.Export("server1")}, out.prof.Registry(), out.report)
+	cfg.writeArtifacts(rep, out.tb, out.report)
 	return rep
 }
 
@@ -87,7 +84,7 @@ type attributionPoint struct{}
 type attributionScalars struct{ rank, throughput float64 }
 
 func (attributionPoint) run(cfg Config) attributionScalars {
-	cfg.ProfileJSON = ""
+	cfg.Obs = ""
 	out := attributionRun(cfg)
 	return attributionScalars{float64(out.report.Rank("dispatcher")), out.res.Throughput()}
 }

@@ -39,20 +39,20 @@ func TestAttributionNamesDispatcher(t *testing.T) {
 	}
 }
 
-// TestAttributionProfileJSON: the -profile-json dump of the attribution
-// experiment is schema-complete and byte-identical across same-seed runs.
+// TestAttributionProfileJSON: the profile.json the attribution experiment
+// writes into its -obs directory is schema-complete and byte-identical
+// across same-seed runs.
 func TestAttributionProfileJSON(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string) []byte {
-		path := filepath.Join(dir, name)
-		runReport(t, Config{Seed: 1, Scale: 0.1, ProfileJSON: path}, "attribution")
-		raw, err := os.ReadFile(path)
+	write := func() []byte {
+		dir := t.TempDir()
+		runReport(t, Config{Seed: 1, Scale: 0.1, Obs: dir}, "attribution")
+		raw, err := os.ReadFile(filepath.Join(dir, profile.ProfileFile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return raw
 	}
-	a, b := write("a.json"), write("b.json")
+	a, b := write(), write()
 	if !bytes.Equal(a, b) {
 		t.Fatal("profile JSON differs across identical runs")
 	}

@@ -3,14 +3,15 @@
 // into network, SNIC, PCIe/RDMA transfer, queueing and accelerator-execution
 // phases; the phases telescope, so their means sum to the end-to-end mean
 // exactly (the experiment's own consistency check, asserted in tests). With
-// Config.TraceJSON set it also writes the full Chrome trace-event timeline.
+// Config.Obs set it also writes the full Chrome trace-event timeline, the
+// metrics dump and the attribution report.
 package experiments
 
 import (
 	"fmt"
 	"time"
 
-	"lynx/internal/profile"
+	"lynx/internal/snic"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
@@ -21,8 +22,8 @@ func init() {
 
 // breakdownOutcome bundles everything one instrumented run produces.
 type breakdownOutcome struct {
-	res  workload.Result
-	prof *profile.Profile // nil when untraced
+	res workload.Result
+	tb  *snic.Testbed // shut down; its plane is nil when untraced
 }
 
 // BreakdownRun drives the breakdown deployment once — the BlueField GPU echo
@@ -36,19 +37,15 @@ func BreakdownRun(cfg Config, traced bool) workload.Result {
 
 func breakdownRun(cfg Config, traced bool) breakdownOutcome {
 	e := newEnv(cfg)
-	var out breakdownOutcome
 	if traced {
-		out.prof = e.arm(1 << 14)
+		e.arm(1 << 14)
 	}
 	addr, rt := e.echoDeployment(e.lynxPlatform(platLynxBF), 8, 20*time.Microsecond, 256)
 	if traced {
-		out.prof.Monitor(rt)
-		e.tb.RegisterStats(out.prof.Registry())
-		if cfg.ProfileJSON != "" {
-			out.prof.ArmPostmortem(e.check, cfg.ProfileJSON+".postmortem")
-		}
+		e.observe(rt)
 	}
 	window := e.cfg.window(20 * time.Millisecond)
+	out := breakdownOutcome{tb: e.tb}
 	out.res = e.measure(workload.Config{
 		Proto: workload.UDP, Target: addr, Payload: 128,
 		Clients: 16, Duration: window, Warmup: window / 4,
@@ -64,7 +61,8 @@ func runBreakdown(cfg Config) *Report {
 		Title:   "Request latency decomposition (Lynx BlueField, 8 mqueues, 20us GPU echo)",
 		Columns: []string{"mean", "p99", "share"},
 	}
-	spans := out.prof.Spans()
+	prof := out.tb.Plane(0)
+	spans := prof.Spans()
 	e2e := spans.EndToEnd()
 	var sum time.Duration
 	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
@@ -77,7 +75,7 @@ func runBreakdown(cfg Config) *Report {
 	rep.Note("workload: %s", out.res.String())
 	rep.Note("spans: begun=%d closed=%d evicted=%d (complete spans only enter the breakdown)",
 		spans.Begun(), spans.Closed(), spans.Evicted())
-	cfg.writeArtifacts(rep, []trace.Export{out.prof.Export("server1")}, out.prof.Registry(), out.prof.Report())
+	cfg.writeArtifacts(rep, out.tb, prof.Report())
 	return rep
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"lynx/internal/profile"
 )
 
 // TestBreakdownPhasesSumToEndToEnd is the experiment's acceptance criterion:
@@ -43,21 +45,20 @@ func TestBreakdownPhasesSumToEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBreakdownTraceJSON validates the exported timeline: schema-valid
-// Chrome trace events, and byte-identical across runs with the same seed.
+// TestBreakdownTraceJSON validates the exported timeline (trace.json in the
+// -obs directory): schema-valid Chrome trace events, and byte-identical
+// across runs with the same seed.
 func TestBreakdownTraceJSON(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string) []byte {
-		path := filepath.Join(dir, name)
-		runReport(t, Config{Seed: 1, Scale: 0.1, TraceJSON: path}, "breakdown")
-		b, err := os.ReadFile(path)
+	write := func() []byte {
+		dir := t.TempDir()
+		runReport(t, Config{Seed: 1, Scale: 0.1, Obs: dir}, "breakdown")
+		b, err := os.ReadFile(filepath.Join(dir, profile.TraceFile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	a := write("a.json")
-	b := write("b.json")
+	a, b := write(), write()
 	if !bytes.Equal(a, b) {
 		t.Fatal("trace JSON differs across identical runs (non-deterministic export)")
 	}

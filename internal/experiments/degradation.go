@@ -44,7 +44,7 @@ func (c degradationCell) run(cfg Config) workload.Result {
 	}
 	if c.lynx {
 		p := model.Default()
-		rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Params: cfg.withBatch(&p)})
+		rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Params: p.WithBatch(cfg.Batch)})
 		defer rack.Close()
 		wcfg.Target = rack.Node(0).Addr()
 		return rack.Measure(wcfg)

@@ -21,13 +21,11 @@ import (
 	"lynx/internal/cluster"
 	"lynx/internal/core"
 	"lynx/internal/fault"
-	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
 	"lynx/internal/profile"
 	"lynx/internal/snic"
-	"lynx/internal/trace"
 	"lynx/internal/workload"
 )
 
@@ -47,25 +45,21 @@ type Config struct {
 	// setting: results are collected by sweep index, and every point is
 	// deterministic given (Seed, Scale).
 	Workers int
-	// TraceJSON, when non-empty, makes instrumented experiments (breakdown,
-	// attribution, replbreakdown) write a Chrome trace-event timeline — one
-	// process-track block per node — to this path.
-	TraceJSON string
+	// Obs, when non-empty, names the directory into which the
+	// instrumented experiments (breakdown, attribution, replbreakdown) write
+	// their observability artifacts under fixed names: the Chrome
+	// trace-event timeline with one process-track block per node
+	// (trace.json), the deterministic metrics dump with a rack's series
+	// under "<node>/" prefixes (metrics.json) and node 0's tail-latency
+	// attribution report (profile.json). With Invariants also armed, an
+	// invariant violation in breakdown or attribution dumps a postmortem
+	// flight-recorder report there as profile.json.postmortem.
+	Obs string
 	// Invariants, when non-nil, arms a runtime invariant checker on every
 	// testbed the experiment builds; each sweep point finalizes its checker
 	// at shutdown and merges the report here. Checked runs stay
 	// bit-identical to unchecked ones.
 	Invariants *check.Aggregate
-	// MetricsJSON, when non-empty, makes instrumented experiments write
-	// their deterministic metrics dump (stats and monitor series; a rack's
-	// under "<node>/" prefixes) to this path.
-	MetricsJSON string
-	// ProfileJSON, when non-empty, makes instrumented experiments write the
-	// tail-latency attribution report (a rack's from node 0) to this path;
-	// with Invariants also armed, an invariant violation in breakdown or
-	// attribution dumps a postmortem flight-recorder report to
-	// ProfileJSON + ".postmortem".
-	ProfileJSON string
 	// Top, when non-nil, arms span tracing plus a flight recorder on every
 	// testbed the experiment builds and collects each testbed's slowest
 	// completed requests here (cmd/lynxbench -top).
@@ -90,12 +84,14 @@ func (c Config) window(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.Scale)
 }
 
-// writeArtifacts writes the run's observability artifacts named by the
-// config (-trace-json, -metrics-json, -profile-json), noting each file
-// written, or the failure, on rep.
-func (c Config) writeArtifacts(rep *Report, nodes []trace.Export, reg *metrics.Registry, report *profile.Report) {
-	files := profile.Files{Trace: c.TraceJSON, Metrics: c.MetricsJSON, Profile: c.ProfileJSON}
-	if err := files.Write(nodes, reg, report, func(what, path string) {
+// writeArtifacts writes tb's observability artifacts, with report as the
+// profile, into the Obs directory, noting each file written, or the
+// failure, on rep. Without an Obs directory it writes nothing.
+func (c Config) writeArtifacts(rep *Report, tb *snic.Testbed, report *profile.Report) {
+	if c.Obs == "" {
+		return
+	}
+	if err := tb.WriteObs(c.Obs, report, func(what, path string) {
 		rep.Note("%s written to %s", what, path)
 	}); err != nil {
 		rep.Note("artifact export failed: %v", err)
@@ -303,7 +299,10 @@ func Describe(id string) string { return registry[id].desc }
 // Shared deployment helpers
 
 // env is the standard testbed: one GPU server with a BlueField, two client
-// hosts (the paper uses 2 client and 4 server machines).
+// hosts (the paper uses 2 client and 4 server machines). It is a view over
+// its testbed, which owns the checker, the observability plane (node 0,
+// armed lazily by arm: always when cfg.Top is set, otherwise by profiling
+// experiments) and the load path.
 type env struct {
 	cfg     Config
 	params  model.Params
@@ -312,10 +311,6 @@ type env struct {
 	bf      *snic.BlueField
 	gpu     *accel.GPU
 	clients []*netstack.Host
-	check   *check.Checker
-	// prof is the env's observability plane, armed lazily by arm (always
-	// when cfg.Top is set, otherwise by profiling experiments).
-	prof *profile.Profile
 }
 
 func newEnv(cfg Config) *env {
@@ -323,24 +318,17 @@ func newEnv(cfg Config) *env {
 	return newEnvWith(cfg, &p)
 }
 
+// newEnvWith builds the env on p, with the run-wide batching (lynxbench
+// -batch) applied unless p pins its own.
 func newEnvWith(cfg Config, p *model.Params) *env {
-	tb := snic.NewTestbedWith(cfg.Seed+1, cfg.withBatch(p), cfg.Faults)
-	var ck *check.Checker
-	if cfg.Invariants.Enabled() {
-		ck = check.New()
-		tb.EnableInvariants(ck)
-		// Each sweep point owns one env; its Shutdown finalizes the checker
-		// (the EnableInvariants hook) and this hook folds the report into
-		// the aggregate.
-		tb.Sim.OnShutdown(func() { cfg.Invariants.Add(ck.Finalize()) })
-	}
+	tb := cluster.Deploy(cfg.deployment(cluster.Config{Params: p.WithBatch(cfg.Batch)}))
+	cfg.fold(tb)
 	server := tb.NewMachine("server1", 6)
 	bf := server.AttachBlueField("bf1")
 	gpu := server.AddGPU("gpu0", accel.K40m, false, "server1")
 	e := &env{
-		cfg: cfg, params: *p, tb: tb, server: server, bf: bf, gpu: gpu,
+		cfg: cfg, params: *tb.Params, tb: tb, server: server, bf: bf, gpu: gpu,
 		clients: []*netstack.Host{tb.AddClient("client1"), tb.AddClient("client2")},
-		check:   ck,
 	}
 	if cfg.Top != nil {
 		e.arm(1 << 14)
@@ -348,34 +336,36 @@ func newEnvWith(cfg Config, p *model.Params) *env {
 	return e
 }
 
-// withBatch applies the run-wide batching configuration (lynxbench -batch)
-// to p unless p pins its own; experiments sweeping batching set p.Batch
-// explicitly and win. Callers pass per-point Params copies, so the write
-// never leaks across sweep points.
-func (c Config) withBatch(p *model.Params) *model.Params {
-	if !c.Batch.Unit() && p.Batch == (model.BatchConfig{}) {
-		p.Batch = c.Batch
-	}
-	return p
-}
-
-// rack builds a KV rack of the shape rc gives on the conventions every
-// experiment testbed follows: the seed is Seed+1, the run's fault plan
-// applies, nil Params are an unbatched model.Default copy, and with
-// invariants armed the rack's checker folds into the run's aggregate at
-// shutdown. A 1-node, RF=1 rack is the single-server Lynx KV service.
-func (c Config) rack(rc cluster.Config) *cluster.Rack {
+// deployment fills rc with the conventions every experiment testbed
+// follows: the seed is Seed+1, the run's fault plan applies, and with
+// invariants armed the testbed gets a fresh checker, which fold hands to
+// the run's aggregate.
+func (c Config) deployment(rc cluster.Config) cluster.Config {
 	rc.Seed, rc.Faults = c.Seed+1, c.Faults
 	if c.Invariants.Enabled() {
 		rc.Check = check.New()
 	}
-	r, err := cluster.Build(rc)
+	return rc
+}
+
+// fold merges tb's invariant report into the run's aggregate when tb shuts
+// down (each sweep point owns its testbed, whose own shutdown hook
+// finalizes the checker first).
+func (c Config) fold(tb *snic.Testbed) {
+	if ck := tb.Check; ck != nil {
+		tb.Sim.OnShutdown(func() { c.Invariants.Add(ck.Finalize()) })
+	}
+}
+
+// rack builds a KV rack of the shape rc gives on the experiment testbed
+// conventions (deployment); nil Params are an unbatched model.Default copy.
+// A 1-node, RF=1 rack is the single-server Lynx KV service.
+func (c Config) rack(rc cluster.Config) *cluster.Rack {
+	r, err := cluster.Build(c.deployment(rc))
 	if err != nil {
 		panic(err)
 	}
-	if ck := rc.Check; ck != nil {
-		r.TB.Sim.OnShutdown(func() { c.Invariants.Add(ck.Finalize()) })
-	}
+	c.fold(r.TB)
 	return r
 }
 
@@ -384,19 +374,28 @@ func (c Config) rack(rc cluster.Config) *cluster.Rack {
 // folds this env's slowest spans into it (every experiment shuts its
 // testbeds down).
 func (e *env) arm(spanCap int) *profile.Profile {
-	if e.prof != nil {
-		return e.prof
+	if p := e.tb.Plane(0); p != nil {
+		return p
 	}
 	k := 16
 	if e.cfg.Top != nil && e.cfg.Top.K() > k {
 		k = e.cfg.Top.K()
 	}
-	e.prof = profile.New(profile.Options{SpanCap: spanCap, TopK: k}, e.check)
+	p := e.tb.Arm(0, profile.Options{SpanCap: spanCap, TopK: k})
 	if top := e.cfg.Top; top != nil {
-		rec := e.prof.Recorder()
+		rec := p.Recorder()
 		e.tb.Sim.OnShutdown(func() { top.Add(rec.Top()) })
 	}
-	return e.prof
+	return p
+}
+
+// observe starts the plane's monitor on rt and, with an Obs directory,
+// arms the postmortem dump there.
+func (e *env) observe(rt *core.Runtime) {
+	e.tb.Monitor(0, rt)
+	if e.cfg.Obs != "" {
+		e.tb.ArmPostmortem(e.cfg.Obs)
+	}
 }
 
 // platform names used across experiments.
@@ -422,7 +421,7 @@ func (e *env) lynxPlatform(name string) core.Platform {
 	default:
 		panic("experiments: not a Lynx platform: " + name)
 	}
-	return e.prof.Platform(p)
+	return e.tb.Platform(0, p)
 }
 
 // echoDeployment stands up a Lynx GPU echo/delay service: nQueues server
@@ -449,16 +448,10 @@ func (e *env) echoDeployment(plat core.Platform, nQueues int, compute time.Durat
 	return svc.Addr(), rt
 }
 
-// measure drives a workload and returns the result.
+// measure drives a workload from the env's clients on the testbed's load
+// path and returns the result.
 func (e *env) measure(wcfg workload.Config) workload.Result {
-	if wcfg.Check == nil {
-		wcfg.Check = e.check
-	}
-	if wcfg.Spans == nil {
-		wcfg.Spans = e.prof.Spans()
-	}
-	g := workload.New(e.tb.Sim, wcfg, e.clients...)
-	return workload.RunFor(e.tb.Sim, g)
+	return e.tb.Measure(wcfg, e.clients...)
 }
 
 // openLoopRate offers rate req/s of 64-byte UDP to target from 8 open-loop

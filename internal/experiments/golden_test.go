@@ -18,6 +18,7 @@ import (
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
+	"lynx/internal/profile"
 	"lynx/internal/sim"
 	"lynx/internal/trace"
 	"lynx/internal/workload"
@@ -36,8 +37,8 @@ type goldenPath struct {
 //
 // The pinned outputs are what lynxbench prints or writes for five commands:
 // `-exp all -scale 0.25 -seed 7 -csv`, the same with `-batch 8`, the same at
-// `-seed 3 -loss 0.01` with invariants armed, the `-profile-json` report of
-// `-exp attribution -scale 0.25 -seed 7` and the `-metrics-json` dump of
+// `-seed 3 -loss 0.01` with invariants armed, the `-obs` profile.json of
+// `-exp attribution -scale 0.25 -seed 7` and the `-obs` metrics.json of
 // `-exp replbreakdown -scale 0.25 -seed 7`. Every simulated number the
 // evaluation reports, the scorecard and knee tables included, is a line of
 // one of them.
@@ -79,13 +80,13 @@ func TestGoldens(t *testing.T) {
 			return []string{out}
 		}},
 		{"attribution-profile", []string{"attribution_scale025_seed7_profile.json"}, func(t *testing.T) []string {
-			return []string{goldenArtifact(t, pinned, "attribution", func(c *Config, path string) { c.ProfileJSON = path })}
+			return []string{goldenArtifact(t, pinned, "attribution", profile.ProfileFile)}
 		}},
 		{"replbreakdown-metrics", []string{"replbreakdown_scale025_seed7_metrics.json"}, func(t *testing.T) []string {
-			return []string{goldenArtifact(t, pinned, "replbreakdown", func(c *Config, path string) { c.MetricsJSON = path })}
+			return []string{goldenArtifact(t, pinned, "replbreakdown", profile.MetricsFile)}
 		}},
 		{"breakdown", []string{"pr6_breakdown_scale025_seed7_trace.json"}, func(t *testing.T) []string {
-			return []string{goldenArtifact(t, pinned, "breakdown", func(c *Config, path string) { c.TraceJSON = path })}
+			return []string{goldenArtifact(t, pinned, "breakdown", profile.TraceFile)}
 		}},
 		{"tcp-service", []string{"path_tcp_service.csv", "path_tcp_service_trace.txt"}, goldenTCPService},
 		{"udp-pipeline", []string{"path_udp_pipeline.csv", "path_udp_pipeline_trace.txt"}, func(t *testing.T) []string {
@@ -149,13 +150,12 @@ func goldenAll(t *testing.T, cfg Config) string {
 	return b.String()
 }
 
-// goldenArtifact runs one instrumented experiment with the artifact file that
-// set names and returns the file's bytes.
-func goldenArtifact(t *testing.T, cfg Config, id string, set func(c *Config, path string)) string {
-	path := filepath.Join(t.TempDir(), id+".json")
-	set(&cfg, path)
+// goldenArtifact runs one instrumented experiment with an -obs directory and
+// returns the bytes of its artifact name.
+func goldenArtifact(t *testing.T, cfg Config, id, name string) string {
+	cfg.Obs = t.TempDir()
 	runReport(t, cfg, id)
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(cfg.Obs, name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +452,8 @@ func goldenRF1Rack(t *testing.T) []string {
 	prof := rack.Node(0).Prof
 	var rackTL, nodeTL, rackMD, nodeMD bytes.Buffer
 	for _, err := range []error{
-		trace.WriteJSON(&rackTL, rack.TraceExport()...), trace.WriteJSON(&nodeTL, prof.Export("server1")),
-		rack.TelemetrySnapshot().Dump(&rackMD), prof.Registry().Dump(&nodeMD),
+		trace.WriteJSON(&rackTL, rack.TB.TraceExport()...), trace.WriteJSON(&nodeTL, prof.Export("server1")),
+		rack.TB.TelemetrySnapshot().Dump(&rackMD), prof.Registry().Dump(&nodeMD),
 	} {
 		if err != nil {
 			t.Fatal(err)

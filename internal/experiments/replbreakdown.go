@@ -123,7 +123,7 @@ func runReplBreakdown(cfg Config) *Report {
 	if k := profile.PredictKnee(out.node0.Registry(), out.res.Throughput()); k.Valid || k.Reason != "" {
 		rep.Note("primary knee: %s", k.String())
 	}
-	cfg.writeArtifacts(rep, out.rack.TraceExport(), out.rack.TelemetrySnapshot(), out.prof)
+	cfg.writeArtifacts(rep, out.rack.TB, out.prof)
 	return rep
 }
 

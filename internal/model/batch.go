@@ -88,3 +88,16 @@ func effBatch(v int) int {
 	}
 	return v
 }
+
+// WithBatch returns p with bc installed on a copy, leaving p untouched; it
+// is the one place a deployment's batching is applied. A bc that batches
+// nothing, or a p that pins batching of its own, returns p itself: a sweep
+// that compares configurations explicitly wins over a run-wide setting.
+func (p *Params) WithBatch(bc BatchConfig) *Params {
+	if bc.Unit() || p.Batch != (BatchConfig{}) {
+		return p
+	}
+	c := *p
+	c.Batch = bc
+	return &c
+}

@@ -3,6 +3,7 @@ package profile
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -172,42 +173,46 @@ func (p *Profile) ArmPostmortem(ck *check.Checker, path string) {
 	})
 }
 
-// Files names the artifacts of one observability run. Every deployment, one
-// node or a rack, writes them through Write; an empty path skips its file.
-type Files struct {
-	// Trace receives the Chrome trace-event timeline of every node.
-	Trace string
-	// Metrics receives the metrics registry dump.
-	Metrics string
-	// Profile receives the attribution report.
-	Profile string
-}
+// The fixed artifact names of an observability directory (the -obs flag).
+const (
+	// TraceFile receives the Chrome trace-event timeline of every node.
+	TraceFile = "trace.json"
+	// MetricsFile receives the metrics rollup.
+	MetricsFile = "metrics.json"
+	// ProfileFile receives node 0's attribution report.
+	ProfileFile = "profile.json"
+	// PostmortemFile receives the report dumped when an invariant fires.
+	PostmortemFile = ProfileFile + ".postmortem"
+)
 
-// Write writes each named artifact in order — the timeline of nodes, reg's
-// dump, report's JSON — and calls done with a description and the path of
-// each file written. It stops at the first error.
-func (f Files) Write(nodes []trace.Export, reg *metrics.Registry, report *Report, done func(what, path string)) error {
+// WriteDir writes one observability run's artifacts into directory dir,
+// creating it if needed, under the fixed names — the timeline of nodes, reg's dump,
+// report's JSON — and calls done with a description and the path of each
+// file written. It stops at the first error.
+func WriteDir(dir string, nodes []trace.Export, reg *metrics.Registry, report *Report, done func(what, path string)) error {
 	for _, a := range []struct {
-		what, path string
+		what, name string
 		write      func(io.Writer) error
 	}{
-		{"trace timeline", f.Trace, func(w io.Writer) error { return trace.WriteJSON(w, nodes...) }},
-		{"metrics", f.Metrics, reg.Dump},
-		{"profile report", f.Profile, report.WriteJSON},
+		{"trace timeline", TraceFile, func(w io.Writer) error { return trace.WriteJSON(w, nodes...) }},
+		{"metrics", MetricsFile, reg.Dump},
+		{"profile report", ProfileFile, report.WriteJSON},
 	} {
-		if a.path == "" {
-			continue
-		}
-		if err := writeFile(a.path, a.write); err != nil {
+		path := filepath.Join(dir, a.name)
+		if err := writeFile(path, a.write); err != nil {
 			return err
 		}
-		done(a.what, a.path)
+		done(a.what, path)
 	}
 	return nil
 }
 
-// writeFile creates path and streams one document into it.
+// writeFile creates path, and any missing directory above it, and streams
+// one document into it.
 func writeFile(path string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -320,24 +320,30 @@ func TestArmPostmortem(t *testing.T) {
 	p.ArmPostmortem(ck, "")
 }
 
-// TestFilesWrite: each named artifact is written as valid JSON and announced
-// once; an empty path skips its file.
+// TestFilesWrite: WriteDir writes the three fixed names as valid JSON,
+// announcing each once, and reports a directory it cannot create.
 func TestFilesWrite(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Options{SpanCap: 32}, nil)
 	closeSpan(p.Spans(), 1, 2000)
-	files := Files{Trace: filepath.Join(dir, "t.json"), Profile: filepath.Join(dir, "p.json")}
 	var done []string
-	err := files.Write([]trace.Export{p.Export("server1")}, p.Registry(), p.Report(), func(what, path string) {
+	err := WriteDir(dir, []trace.Export{p.Export("server1")}, p.Registry(), p.Report(), func(what, path string) {
 		done = append(done, what+" "+filepath.Base(path))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(done, ", "); got != "trace timeline t.json, profile report p.json" {
+	if got := strings.Join(done, ", "); got != "trace timeline trace.json, metrics metrics.json, profile report profile.json" {
 		t.Errorf("announced %q", got)
 	}
-	for _, name := range []string{"t.json", "p.json"} {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Errorf("wrote %d files, want 3", len(entries))
+	}
+	for _, name := range []string{TraceFile, MetricsFile, ProfileFile} {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -346,10 +352,7 @@ func TestFilesWrite(t *testing.T) {
 			t.Errorf("%s is not valid JSON", name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "m.json")); err == nil {
-		t.Error("metrics file written without a path")
-	}
-	if err := (Files{Metrics: filepath.Join(dir, "no", "m.json")}).Write(nil, p.Registry(), nil, func(string, string) {}); err == nil {
-		t.Error("unwritable path reported no error")
+	if err := WriteDir(filepath.Join(dir, TraceFile, "no"), nil, p.Registry(), p.Report(), func(string, string) {}); err == nil {
+		t.Error("unwritable directory reported no error")
 	}
 }

@@ -18,16 +18,19 @@ import (
 	"lynx/internal/cpuarch"
 	"lynx/internal/fabric"
 	"lynx/internal/fault"
-	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
+	"lynx/internal/profile"
 	"lynx/internal/rdma"
 	"lynx/internal/sim"
 )
 
-// Testbed is one simulated deployment: a network switch, an InfiniBand/
-// Ethernet backbone on the PCIe fabric graph, and any number of machines.
+// Testbed is one simulated deployment, one node or a rack of N: a network
+// switch, an InfiniBand/Ethernet backbone on the PCIe fabric graph, any
+// number of machines, and the deployment's observability planes, rollups
+// and load path (deployment.go). lynx.Cluster, cluster.Rack and the
+// experiments' testbeds are views over one.
 type Testbed struct {
 	Sim    *sim.Sim
 	Params *model.Params
@@ -46,17 +49,22 @@ type Testbed struct {
 	// constructors and the Innova serve path thread it through to the
 	// runtime and every mqueue.
 	Check *check.Checker
+
+	// planes[i] is node i's observability plane (nil until Arm).
+	planes []*profile.Profile
 }
 
-// NewTestbed creates an empty deployment with no fault injection.
+// NewTestbed creates an empty deployment with no fault injection and no
+// invariant checker.
 func NewTestbed(seed uint64, p *model.Params) *Testbed {
-	return NewTestbedWith(seed, p, fault.Config{})
+	return NewTestbedWith(seed, p, fault.Config{}, nil)
 }
 
 // NewTestbedWith creates an empty deployment whose layers consult a fault
-// plan built from fc. The plan draws from its own seeded stream, so enabling
-// faults perturbs nothing else and identical (seed, fc) pairs replay exactly.
-func NewTestbedWith(seed uint64, p *model.Params, fc fault.Config) *Testbed {
+// plan built from fc and, when ck is enabled, check their invariants against
+// ck. The plan draws from its own seeded stream, so enabling faults perturbs
+// nothing else and identical (seed, fc) pairs replay exactly.
+func NewTestbedWith(seed uint64, p *model.Params, fc fault.Config, ck *check.Checker) *Testbed {
 	s := sim.New(sim.Config{Seed: seed})
 	f := fabric.New()
 	tb := &Testbed{
@@ -70,6 +78,7 @@ func NewTestbedWith(seed uint64, p *model.Params, fc fault.Config) *Testbed {
 		tb.Faults = fault.NewPlan(fc)
 		tb.Net.SetFaults(tb.Faults)
 	}
+	tb.EnableInvariants(ck)
 	return tb
 }
 
@@ -181,23 +190,6 @@ func (m *Machine) AddVCA(name string) *accel.VCA {
 // AddClient adds a client-only host to the network (sockperf machines).
 func (tb *Testbed) AddClient(name string) *netstack.Host {
 	return tb.Net.AddHost(name)
-}
-
-// RegisterStats publishes the deployment-wide fault-injection counters into
-// reg as a component snapshot.
-func (tb *Testbed) RegisterStats(reg *metrics.Registry) {
-	reg.AddStats("faults", func() []metrics.Stat {
-		st := tb.Faults.Stats()
-		return []metrics.Stat{
-			{Name: "datagrams_dropped", Value: float64(st.DatagramsDropped)},
-			{Name: "datagrams_duplicated", Value: float64(st.DatagramsDuplicated)},
-			{Name: "datagrams_delayed", Value: float64(st.DatagramsDelayed)},
-			{Name: "tcp_delays", Value: float64(st.TCPDelays)},
-			{Name: "rdma_errors", Value: float64(st.RDMAErrors)},
-			{Name: "rdma_spikes", Value: float64(st.RDMASpikes)},
-			{Name: "stall_hits", Value: float64(st.StallHits)},
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

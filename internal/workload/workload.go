@@ -121,16 +121,6 @@ func (r Result) Throughput() float64 {
 	return float64(r.Received) / r.Window.Seconds()
 }
 
-// Offered reports distinct requests issued per second (retransmits of the
-// same sequence are not re-counted). Goodput/Offered is the fraction of the
-// offered load the server actually absorbed.
-func (r Result) Offered() float64 {
-	if r.Window <= 0 {
-		return 0
-	}
-	return float64(r.Sent) / r.Window.Seconds()
-}
-
 // GoodputFraction reports Received/Sent, the per-request success rate.
 func (r Result) GoodputFraction() float64 {
 	if r.Sent == 0 {
@@ -290,12 +280,6 @@ func (g *Generator) Run() *Result {
 
 // Done reports whether all client processes finished their window.
 func (g *Generator) Done() bool { return g.done == g.cfg.Clients }
-
-// Ledger reports the lifetime request accounting (warmup included):
-// requests issued, matched to responses, abandoned, and still in flight.
-func (g *Generator) Ledger() (issued, matched, abandoned, inflight uint64) {
-	return g.issued, g.matched, g.abandoned, uint64(len(g.inflight))
-}
 
 func (g *Generator) host(i int) *netstack.Host { return g.hosts[i%len(g.hosts)] }
 

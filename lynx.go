@@ -36,12 +36,11 @@ import (
 // Re-exported building blocks. The internal packages carry the full API;
 // these aliases cover everything a deployment needs.
 type (
-	// Cluster is a simulated deployment (machines, network, virtual time).
+	// Cluster is a simulated deployment (machines, network, virtual time):
+	// a view over its testbed, which owns its checker, observability plane
+	// and load path.
 	Cluster struct {
-		tb     *snic.Testbed
-		params *model.Params
-		check  *check.Checker
-		prof   *profile.Profile
+		tb *snic.Testbed
 	}
 	// Machine is one physical server.
 	Machine = snic.Machine
@@ -130,8 +129,8 @@ type (
 	RackNode = cluster.Node
 	// RackTelemetry arms the per-node observability plane of a rack build:
 	// every node gets its own ClusterProfile (event ring, span table, flight
-	// recorder, sampling metrics registry), rolled up by
-	// (*Rack).TelemetrySnapshot and (*Rack).TraceExport.
+	// recorder, sampling metrics registry), rolled up by the rack testbed's
+	// TelemetrySnapshot and TraceExport.
 	RackTelemetry = cluster.Telemetry
 	// ShardMap is the consistent-hash membership and key-placement map racks
 	// shard by; it is also usable standalone via NewShardMap.
@@ -200,7 +199,8 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithParams overrides the calibrated model constants. The struct is used
-// as-is (not copied); nil restores the defaults.
+// as-is (not copied, unless WithBatching applies to it); nil restores the
+// defaults.
 func WithParams(p *Params) Option {
 	return func(c *clusterConfig) { c.params = p }
 }
@@ -253,7 +253,8 @@ func DefaultBatchConfig() BatchConfig { return model.DefaultBatchConfig() }
 // The zero BatchConfig — and the explicit unit configuration
 // {Doorbell: 1, CQDrain: 1, Quantum: 1} — leaves the runtime on its exact
 // per-message code paths, byte-identical to a cluster built without this
-// option. Invalid configurations (zero or negative budgets alongside set
+// option; so does a WithParams struct that pins batching of its own, which
+// wins. Invalid configurations (zero or negative budgets alongside set
 // fields) make NewCluster panic; validate ahead
 // of time with BatchConfig.Validate when the values come from user input.
 func WithBatching(bc BatchConfig) Option {
@@ -278,36 +279,26 @@ func NewCluster(opts ...Option) *Cluster {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if err := cfg.batch.Validate(); err != nil {
+		panic("lynx: WithBatching: " + err.Error())
+	}
 	if cfg.params == nil {
 		def := model.Default()
 		cfg.params = &def
 	}
-	if cfg.batch != (BatchConfig{}) {
-		if err := cfg.batch.Validate(); err != nil {
-			panic("lynx: WithBatching: " + err.Error())
-		}
-		// Apply onto a copy: WithParams documents the caller's struct is
-		// used as-is, so it must not be mutated behind their back.
-		pp := *cfg.params
-		pp.Batch = cfg.batch
-		cfg.params = &pp
-	}
-	c := &Cluster{
-		tb:     snic.NewTestbedWith(cfg.seed, cfg.params, cfg.faults),
-		params: cfg.params,
-	}
+	rc := cluster.Config{Seed: cfg.seed, Params: cfg.params.WithBatch(cfg.batch), Faults: cfg.faults}
 	if cfg.invariants {
-		c.check = check.New()
-		c.tb.EnableInvariants(c.check)
+		rc.Check = NewInvariantChecker()
 	}
+	c := &Cluster{tb: cluster.Deploy(rc)}
 	if cfg.profile {
-		c.prof = profile.New(profile.Options{}, c.check)
+		c.tb.Arm(0, profile.Options{})
 	}
 	return c
 }
 
 // Params returns the cluster's model constants.
-func (c *Cluster) Params() *Params { return c.params }
+func (c *Cluster) Params() *Params { return c.tb.Params }
 
 // FaultStats reports how many faults the cluster's plan has injected so
 // far (zero value when no WithFaults option was given).
@@ -328,11 +319,11 @@ func (c *Cluster) AddClient(name string) *Host { return c.tb.AddClient(name) }
 // and a monitor samples its resource utilization into the cluster's metrics
 // registry.
 func (c *Cluster) NewServer(plat Platform) *Server {
-	srv := core.NewRuntime(c.prof.Platform(plat))
-	if c.prof != nil {
+	srv := core.NewRuntime(c.tb.Platform(0, plat))
+	if c.Profile() != nil {
 		// Start the monitor at the first event-loop instant so it samples
 		// the runtime after services and accelerators are registered.
-		c.tb.Sim.After(0, func() { c.prof.Monitor(srv) })
+		c.tb.Sim.After(0, func() { c.tb.Monitor(0, srv) })
 	}
 	return srv
 }
@@ -340,23 +331,23 @@ func (c *Cluster) NewServer(plat Platform) *Server {
 // Profile returns the cluster's observability plane, or nil without
 // WithProfile. Its Export renders the Chrome trace timeline, and its
 // registry and report feed the metrics and profile artifacts.
-func (c *Cluster) Profile() *ClusterProfile { return c.prof }
+func (c *Cluster) Profile() *ClusterProfile { return c.tb.Plane(0) }
 
 // ProfileReport builds the tail-latency attribution report from everything
 // observed so far: per-phase wait/service decomposition, ranked
 // bottlenecks, and the flight recorder's slowest and most recent spans.
 // Without WithProfile it returns an empty report.
-func (c *Cluster) ProfileReport() *ProfileReport { return c.prof.Report() }
+func (c *Cluster) ProfileReport() *ProfileReport { return c.Profile().Report() }
 
 // WriteProfile writes the current ProfileReport to path as deterministic,
 // pretty-printed JSON. It is a no-op (returning nil) without WithProfile.
-func (c *Cluster) WriteProfile(path string) error { return c.prof.WriteFile(path) }
+func (c *Cluster) WriteProfile(path string) error { return c.Profile().WriteFile(path) }
 
 // ArmProfilePostmortem arranges for the profile report to be dumped to
 // path the first time a runtime invariant fires. Requires both WithProfile
 // and WithInvariants; otherwise it is a no-op.
 func (c *Cluster) ArmProfilePostmortem(path string) {
-	c.prof.ArmPostmortem(c.check, path)
+	c.Profile().ArmPostmortem(c.tb.Check, path)
 }
 
 // Spawn starts a simulated process (for clients, backends, custom logic).
@@ -387,27 +378,21 @@ func (c *Cluster) Close() { c.tb.Sim.Shutdown() }
 // includes the end-of-run conservation checks; before Close it covers only
 // the violations recorded so far. Without WithInvariants it is empty and
 // passing.
-func (c *Cluster) InvariantReport() InvariantReport { return c.check.Snapshot() }
+func (c *Cluster) InvariantReport() InvariantReport { return c.tb.Check.Snapshot() }
 
 // Testbed exposes the underlying testbed for advanced wiring (Innova,
 // custom fabrics, direct access to the simulator).
 func (c *Cluster) Testbed() *snic.Testbed { return c.tb }
 
 // NewLoad creates a workload generator targeting a service from the given
-// client hosts. With WithInvariants armed, the generator's request ledger
-// joins the cluster's conservation checks.
+// client hosts, on the testbed's load path: with WithInvariants armed, the
+// generator's request ledger joins the cluster's conservation checks, and
+// with WithProfile its spans land in the cluster's plane.
 func (c *Cluster) NewLoad(cfg LoadConfig, clients ...*Host) *workload.Generator {
-	if cfg.Check == nil {
-		cfg.Check = c.check
-	}
-	if cfg.Spans == nil && c.prof != nil {
-		cfg.Spans = c.prof.Spans()
-	}
-	return workload.New(c.tb.Sim, cfg, clients...)
+	return c.tb.Load(cfg, clients...)
 }
 
 // MeasureLoad runs a workload to completion and returns its result.
 func (c *Cluster) MeasureLoad(cfg LoadConfig, clients ...*Host) LoadResult {
-	g := c.NewLoad(cfg, clients...)
-	return workload.RunFor(c.tb.Sim, g)
+	return c.tb.Measure(cfg, clients...)
 }

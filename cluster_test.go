@@ -9,6 +9,7 @@ import (
 
 	"lynx"
 	"lynx/internal/apps/kvstore"
+	"lynx/internal/cluster"
 	"lynx/internal/workload"
 )
 
@@ -80,17 +81,17 @@ func TestRackReplicaKillPublicAPI(t *testing.T) {
 	}
 }
 
-// TestRackShardMapPublicAPI exercises the standalone shard-map facade.
+// TestRackShardMapPublicAPI: a rack built through the facade spreads shard
+// ownership over all of its members.
 func TestRackShardMapPublicAPI(t *testing.T) {
-	m := lynx.NewShardMap(0)
-	for _, n := range []string{"a", "b", "c"} {
-		if err := m.Join(n); err != nil {
-			t.Fatal(err)
-		}
+	rack, err := lynx.BuildRack(lynx.RackConfig{Nodes: 3, Replicas: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer rack.Close()
 	owned := map[string]int{}
-	for s := 0; s < m.Shards(); s++ {
-		owner, ok := m.Owner(s)
+	for s := 0; s < cluster.DefaultShards; s++ {
+		owner, ok := rack.Map.Owner(s)
 		if !ok {
 			t.Fatalf("shard %d unowned", s)
 		}
@@ -135,7 +136,7 @@ func TestRackDeterminismPublicAPI(t *testing.T) {
 // classifier relies on: the 8-byte id header followed by a memcached ASCII
 // set/delete, whose key bytes shard identically to the string form.
 func TestRackWriteClassifier(t *testing.T) {
-	m := lynx.NewShardMap(64)
+	m := cluster.NewShardMap(64)
 	payload := kvstore.AppendSet(binary.LittleEndian.AppendUint64(nil, 7), "key-042", 0, []byte("v"))
 	body := payload[workload.SeqBytes:]
 	if !bytes.HasPrefix(body, []byte("set key-042 ")) {

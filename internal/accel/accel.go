@@ -164,9 +164,6 @@ func (tb *TB) Index() int { return tb.index }
 // Proc returns the simulation process the threadblock runs on.
 func (tb *TB) Proc() *sim.Proc { return tb.proc }
 
-// GPU returns the owning device.
-func (tb *TB) GPU() *GPU { return tb.gpu }
-
 // Compute charges d of threadblock-local execution (a kernel body that
 // occupies only this TB, like the paper's microbenchmark delay kernels).
 func (tb *TB) Compute(d time.Duration) {
@@ -325,7 +322,6 @@ func (g *GPU) BusyTime() time.Duration { return g.busyTime }
 // stream synchronization for StreamSync, so host-centric throughput is capped
 // at roughly one request per sum of the calls a request makes.
 type Driver struct {
-	sim    *sim.Sim
 	params *model.Params
 	lock   *sim.Resource
 	ops    uint64
@@ -333,11 +329,8 @@ type Driver struct {
 
 // NewDriver creates a driver instance for one host.
 func NewDriver(s *sim.Sim, p *model.Params) *Driver {
-	return &Driver{sim: s, params: p, lock: sim.NewResource(s, 1)}
+	return &Driver{params: p, lock: sim.NewResource(s, 1)}
 }
-
-// Ops reports driver-lock acquisitions (API call count).
-func (d *Driver) Ops() uint64 { return d.ops }
 
 // call runs one driver API call of the given CPU cost under the global lock.
 func (d *Driver) call(p *sim.Proc, cost time.Duration) {
@@ -365,13 +358,6 @@ func (st *Stream) MemcpyH2D(p *sim.Proc, bytes int) {
 
 // MemcpyD2H issues the device-to-host copy.
 func (st *Stream) MemcpyD2H(p *sim.Proc, bytes int) { st.MemcpyH2D(p, bytes) }
-
-// Launch starts a kernel of the given duration and blocks until it has
-// executed (launch overhead under the driver lock; execution on the GPU).
-// exclusive selects whole-GPU kernels (LeNet) vs single-TB ones (echo).
-func (st *Stream) Launch(p *sim.Proc, exec time.Duration, exclusive bool) {
-	st.LaunchN(p, 1, exec, exclusive)
-}
 
 // LaunchN launches a dependent sequence of n kernels totalling exec GPU time
 // (a TVM-compiled network is a chain of per-layer kernels; each launch pays
@@ -403,9 +389,6 @@ func (st *Stream) Sync(p *sim.Proc) {
 	d := st.gpu.driver
 	d.call(p, d.params.StreamSync)
 }
-
-// Launches reports kernels launched on the GPU (persistent + streams).
-func (g *GPU) Launches() uint64 { return g.launches }
 
 // ---------------------------------------------------------------------------
 // Intel Visual Compute Accelerator

@@ -121,7 +121,7 @@ func TestHostCentricPipelineOverhead(t *testing.T) {
 	r.s.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
 		st.MemcpyH2D(p, 4)
-		st.Launch(p, 100*time.Microsecond, false)
+		st.LaunchN(p, 1, 100*time.Microsecond, false)
 		st.MemcpyD2H(p, 4)
 		st.Sync(p)
 		elapsed = p.Now().Sub(start)
@@ -144,7 +144,7 @@ func TestDriverLockSerializesStreams(t *testing.T) {
 		st := g.NewStream()
 		r.s.Spawn("worker", func(p *sim.Proc) {
 			st.MemcpyH2D(p, 64)
-			st.Launch(p, 10*time.Microsecond, false)
+			st.LaunchN(p, 1, 10*time.Microsecond, false)
 			st.MemcpyD2H(p, 64)
 			st.Sync(p)
 			done++

@@ -106,9 +106,6 @@ func get[K ~string | ~[]byte](s *Store, key K) (value []byte, flags uint32, ok b
 	return e.value, e.flags, true
 }
 
-// Delete removes key, reporting whether it existed.
-func (s *Store) Delete(key string) bool { return del(s, key) }
-
 func del[K ~string | ~[]byte](s *Store, key K) bool {
 	sh, el := find(s, key)
 	if el == nil {
@@ -119,24 +116,6 @@ func del[K ~string | ~[]byte](s *Store, key K) bool {
 	delete(sh.items, e.key)
 	sh.bytes -= len(e.value)
 	return true
-}
-
-// Len reports stored items across shards.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.order.Len()
-	}
-	return n
-}
-
-// Bytes reports stored value bytes across shards.
-func (s *Store) Bytes() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.bytes
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -168,13 +147,6 @@ func AppendSet(dst []byte, key string, flags uint32, value []byte) []byte {
 	dst = strconv.AppendInt(dst, int64(len(value)), 10)
 	dst = append(dst, "\r\n"...)
 	dst = append(dst, value...)
-	return append(dst, "\r\n"...)
-}
-
-// AppendDelete appends a delete request for key to dst.
-func AppendDelete(dst []byte, key string) []byte {
-	dst = append(dst, "delete "...)
-	dst = append(dst, key...)
 	return append(dst, "\r\n"...)
 }
 

@@ -305,94 +305,3 @@ func RenderDigit(d, dx, dy int) []byte {
 
 // ---------------------------------------------------------------------------
 // Reference implementation (for equivalence testing)
-
-// InferReference computes the forward pass with a deliberately naive,
-// index-by-index implementation (bounds-checked gathers instead of the
-// structured loops above). It exists so property tests can check the
-// optimized path against an independent formulation.
-func (n *Network) InferReference(img []byte) ([NumClasses]float32, error) {
-	var out [NumClasses]float32
-	if len(img) != InputBytes {
-		return out, fmt.Errorf("lenet: input is %d bytes, want %d", len(img), InputBytes)
-	}
-	at := func(buf []float32, w, y, x int) float32 {
-		if y < 0 || x < 0 || x >= w || y*w+x >= len(buf) {
-			return 0
-		}
-		return buf[y*w+x]
-	}
-	in := make([]float32, InputBytes)
-	for i, px := range img {
-		in[i] = float32(px)/255*2 - 1
-	}
-	// conv1 (pad 2) + ReLU.
-	c1 := make([][]float32, 6)
-	for f := 0; f < 6; f++ {
-		c1[f] = make([]float32, InputSize*InputSize)
-		for y := 0; y < InputSize; y++ {
-			for x := 0; x < InputSize; x++ {
-				sum := n.conv1B[f]
-				for ky := 0; ky < 5; ky++ {
-					for kx := 0; kx < 5; kx++ {
-						sum += n.conv1W[f][ky][kx] * at(in, InputSize, y+ky-2, x+kx-2)
-					}
-				}
-				c1[f][y*InputSize+x] = relu(sum)
-			}
-		}
-	}
-	maxPool := func(src []float32, w int) []float32 {
-		h := len(src) / w
-		out := make([]float32, (w/2)*(h/2))
-		for y := 0; y < h/2; y++ {
-			for x := 0; x < w/2; x++ {
-				m := src[(2*y)*w+2*x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := src[(2*y+dy)*w+2*x+dx]; v > m {
-							m = v
-						}
-					}
-				}
-				out[y*(w/2)+x] = m
-			}
-		}
-		return out
-	}
-	p1 := make([][]float32, 6)
-	for f := range c1 {
-		p1[f] = maxPool(c1[f], InputSize)
-	}
-	// conv2 (valid) + ReLU.
-	c2 := make([][]float32, 16)
-	for f := 0; f < 16; f++ {
-		c2[f] = make([]float32, 10*10)
-		for y := 0; y < 10; y++ {
-			for x := 0; x < 10; x++ {
-				sum := n.conv2B[f]
-				for c := 0; c < 6; c++ {
-					for ky := 0; ky < 5; ky++ {
-						for kx := 0; kx < 5; kx++ {
-							sum += n.conv2W[f][c][ky][kx] * at(p1[c], 14, y+ky, x+kx)
-						}
-					}
-				}
-				c2[f][y*10+x] = relu(sum)
-			}
-		}
-	}
-	flat := make([]float32, 0, 400)
-	for f := 0; f < 16; f++ {
-		flat = append(flat, maxPool(c2[f], 10)...)
-	}
-	fc := func(w [][]float32, b, in []float32, act bool) []float32 {
-		out := make([]float32, len(w))
-		dense(w, b, in, out, act)
-		return out
-	}
-	h1 := fc(n.fc1W, n.fc1B, flat, true)
-	h2 := fc(n.fc2W, n.fc2B, h1, true)
-	h3 := fc(n.fc3W, n.fc3B, h2, false)
-	copy(out[:], h3)
-	return out, nil
-}

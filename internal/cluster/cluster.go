@@ -324,17 +324,8 @@ func (r *Rack) classifierFor(n *Node) func([]byte) (uint64, uint32, bool) {
 	}
 }
 
-// Nodes returns the node count.
-func (r *Rack) Nodes() int { return len(r.nodes) }
-
 // Node returns rack member i.
 func (r *Rack) Node(i int) *Node { return r.nodes[i] }
-
-// Replicas returns the rack's replication factor.
-func (r *Rack) Replicas() int { return r.cfg.Replicas }
-
-// Keys returns the preloaded key-universe size.
-func (r *Rack) Keys() int { return r.cfg.Keys }
 
 // PeerSlot reports the AddPeer bit position of peer within primary's
 // replicator (for ReplicationLag and targeted assertions).
@@ -347,16 +338,6 @@ func (r *Rack) PeerSlot(primary, peer int) (int, bool) {
 func (r *Rack) PrimaryFor(key string) int {
 	name, _ := r.Map.OwnerOf(key)
 	return r.nameIdx[name]
-}
-
-// ReplicaSet returns the node indices of key's replica set, primary first.
-func (r *Rack) ReplicaSet(key string) []int {
-	reps := r.Map.Replicas(r.Map.ShardOf(key), r.cfg.Replicas)
-	out := make([]int, len(reps))
-	for i, name := range reps {
-		out[i] = r.nameIdx[name]
-	}
-	return out
 }
 
 // Measure drives a workload from the rack's client hosts to completion on

@@ -26,10 +26,10 @@ type ringPoint struct {
 
 // ShardMap assigns a fixed universe of shards onto member nodes with a
 // consistent-hash ring of virtual nodes. Transitions are minimal: a Join
-// moves shards only onto the joining member, a Leave moves shards only off
-// the leaving member. The map is deterministic — same membership history,
-// same assignment — and purely computational (no simulation state), so the
-// same code serves the simulated rack and its fuzz/chaos tests.
+// moves shards only onto the joining member. The map is deterministic —
+// same membership, same assignment, whatever the join order — and purely
+// computational (no simulation state), so the same code serves the
+// simulated rack and its fuzz/chaos tests.
 type ShardMap struct {
 	shards  int
 	members map[string]struct{}
@@ -48,9 +48,6 @@ func NewShardMap(shards int) *ShardMap {
 	m.rebuild()
 	return m
 }
-
-// Shards returns the shard-universe size.
-func (m *ShardMap) Shards() int { return m.shards }
 
 // Members returns the current membership, sorted.
 func (m *ShardMap) Members() []string {
@@ -71,28 +68,6 @@ func (m *ShardMap) Join(node string) error {
 		return fmt.Errorf("cluster: member %q already joined", node)
 	}
 	m.members[node] = struct{}{}
-	m.rebuild()
-	return nil
-}
-
-// Leave removes a member. Shards move only off the leaver.
-func (m *ShardMap) Leave(node string) error {
-	if _, ok := m.members[node]; !ok {
-		return fmt.Errorf("cluster: member %q not in the map", node)
-	}
-	delete(m.members, node)
-	m.rebuild()
-	return nil
-}
-
-// Resize changes the shard-universe size (a resharding epoch: keys rehash to
-// the new universe, so placement of individual keys may change arbitrarily,
-// but the ring — and therefore the per-member load share — is untouched).
-func (m *ShardMap) Resize(shards int) error {
-	if shards <= 0 {
-		return fmt.Errorf("cluster: shard count %d must be positive", shards)
-	}
-	m.shards = shards
 	m.rebuild()
 	return nil
 }

@@ -24,9 +24,7 @@ type busyTimer interface {
 
 // Monitor samples one runtime's occupancy and utilization.
 type Monitor struct {
-	rt       *Runtime
-	reg      *metrics.Registry
-	interval time.Duration
+	reg *metrics.Registry
 }
 
 // monitorSeriesCap bounds each sampled series (most recent samples kept).
@@ -43,7 +41,7 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	m := &Monitor{rt: rt, reg: reg, interval: interval}
+	m := &Monitor{reg: reg}
 	rt.RegisterStats(reg)
 
 	coreUtil := reg.NewSeries("snic/core-util", monitorSeriesCap)
@@ -165,12 +163,6 @@ func clamp01(v float64) float64 {
 	}
 	return v
 }
-
-// Registry returns the registry the monitor samples into.
-func (m *Monitor) Registry() *metrics.Registry { return m.reg }
-
-// Interval returns the sampling period.
-func (m *Monitor) Interval() time.Duration { return m.interval }
 
 // RegisterStats publishes the runtime's counters (and those of its platform:
 // netstack drops, RDMA retransmits) into reg as component snapshots.

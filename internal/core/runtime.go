@@ -81,7 +81,6 @@ const (
 	// response hit a full client-mqueue RX ring, or a client-mqueue request
 	// exhausted its retransmission budget.
 	DropBackend
-	numDropCauses
 )
 
 // String names the cause.
@@ -191,15 +190,6 @@ func (rt *Runtime) responded(now sim.Time, payload []byte, qw time.Duration) {
 	rt.plat.Tracer.Emit(now, trace.Forward, uint64(len(payload)), 0)
 }
 
-// CPUBusy reports accumulated runtime CPU time (for utilization probes).
-func (rt *Runtime) CPUBusy() time.Duration { return rt.cpuBusy }
-
-// SerialBusy reports accumulated time inside the serialized stack/dispatch
-// section. Its occupancy against a single core is the dispatcher utilization
-// (the section admits one worker at a time, so it saturates long before the
-// aggregate core pool does).
-func (rt *Runtime) SerialBusy() time.Duration { return rt.serialBusy }
-
 // ExecCalls reports frontend execT charges (for utilization probes).
 func (rt *Runtime) ExecCalls() uint64 { return rt.execCalls }
 
@@ -266,7 +256,6 @@ func (rt *Runtime) stackCost(p Proto) time.Duration {
 // AccelHandle binds one accelerator's mqueue group.
 type AccelHandle struct {
 	acc    accel.Accelerator
-	cfg    mqueue.Config
 	group  *mqueue.Group
 	accQs  []*mqueue.AccelQueue
 	nInUse int
@@ -314,13 +303,10 @@ func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, reg
 	if err != nil {
 		return nil, err
 	}
-	h := &AccelHandle{acc: acc, cfg: cfg, group: group, accQs: accQs}
+	h := &AccelHandle{acc: acc, group: group, accQs: accQs}
 	rt.handles = append(rt.handles, h)
 	return h, nil
 }
-
-// Accelerator returns the registered accelerator.
-func (h *AccelHandle) Accelerator() accel.Accelerator { return h.acc }
 
 // AccelQueues returns the accelerator-side queue handles, to be wired into
 // the accelerator's request-processing code (persistent kernel TBs etc.).
@@ -561,17 +547,11 @@ func (rt *Runtime) addService(proto Proto, port uint16, policy Policy, count int
 	return svc, nil
 }
 
-// Port returns the listening port.
-func (s *Service) Port() uint16 { return s.port }
-
 // Addr returns the service's network address.
 func (s *Service) Addr() netstack.Addr { return s.rt.plat.NetHost.Addr(s.port) }
 
 // Relayed reports stage-to-stage messages moved by the SNIC.
 func (s *Service) Relayed() uint64 { return s.relayed }
-
-// Stages reports the number of stages.
-func (s *Service) Stages() int { return len(s.stages) }
 
 // pick applies the dispatch policy to one stage's queues for a message from
 // the client. Queues the watchdog marked failed are skipped (graceful
@@ -850,9 +830,3 @@ func (rt *Runtime) sinks(h *AccelHandle) []sink {
 
 // Stats returns a snapshot of the runtime's counters.
 func (rt *Runtime) Stats() Stats { return rt.stats }
-
-// PolicyFunc adapts a function to the Policy interface.
-type PolicyFunc func(from netstack.Addr, n int) int
-
-// Pick implements Policy.
-func (f PolicyFunc) Pick(from netstack.Addr, n int) int { return f(from, n) }

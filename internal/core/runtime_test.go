@@ -180,7 +180,6 @@ func TestTCPServiceEcho(t *testing.T) {
 			}
 			got++
 		}
-		conn.Close()
 	})
 	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return got == 50 })
 	b.tb.Sim.Shutdown()

@@ -42,28 +42,12 @@ func New(s *sim.Sim, p *model.Params, name string, kind model.CPUKind, n int) *M
 	}
 }
 
-// Name returns the machine name.
-func (m *Machine) Name() string { return m.name }
-
 // Kind returns the core microarchitecture.
 func (m *Machine) Kind() model.CPUKind { return m.kind }
-
-// NumCores returns the core count.
-func (m *Machine) NumCores() int { return m.nCores }
-
-// Cores exposes the core pool for callers that schedule explicit core
-// occupancy (e.g. the host-centric server's worker threads).
-func (m *Machine) Cores() *sim.Resource { return m.cores }
 
 // SetNoisy toggles the cache-thrashing neighbor (§3.2: a 1140x1140 matrix
 // product that fully occupies the LLC).
 func (m *Machine) SetNoisy(on bool) { m.noisy = on }
-
-// Noisy reports whether the neighbor is active.
-func (m *Machine) Noisy() bool { return m.noisy }
-
-// Stalls reports injected LLC interference stalls.
-func (m *Machine) Stalls() uint64 { return m.stalls }
 
 // Scale converts a Xeon-calibrated cost to this machine's cores.
 func (m *Machine) Scale(cost time.Duration) time.Duration {
@@ -100,6 +84,3 @@ func (m *Machine) ExecOn(p *sim.Proc, cost time.Duration) {
 	m.Exec(p, cost)
 	m.cores.Release()
 }
-
-// Execs reports the number of Exec calls (for utilization accounting).
-func (m *Machine) Execs() uint64 { return m.execs }

@@ -191,6 +191,3 @@ func (sv *Server) Start() error {
 	}
 	return nil
 }
-
-// Served reports completed requests.
-func (sv *Server) Served() uint64 { return sv.served }

@@ -87,9 +87,6 @@ func NewRegion(s *sim.Sim, name string, size int, cfg Config) *Region {
 	}
 }
 
-// Name returns the region's name.
-func (r *Region) Name() string { return r.name }
-
 // Size returns the region's capacity in bytes.
 func (r *Region) Size() int { return len(r.buf) }
 
@@ -251,9 +248,6 @@ func (r *Region) Byte(off int) byte {
 // visible (0 on strongly ordered regions).
 func (r *Region) PendingWrites() int { return len(r.pending) }
 
-// Stats reports cumulative access counters.
-func (r *Region) Stats() (writes, reads uint64) { return r.writes, r.reads }
-
 // ---------------------------------------------------------------------------
 
 // Memory is a device's memory: a simple bump allocator of named regions,
@@ -285,9 +279,6 @@ func NewMemory(s *sim.Sim, device string, capacity int, barCapable bool, cfg Con
 // BARCapable reports whether the device can expose memory on PCIe.
 func (m *Memory) BARCapable() bool { return m.barCap }
 
-// Device returns the owning device name.
-func (m *Memory) Device() string { return m.device }
-
 // Alloc carves a new region out of the device memory.
 func (m *Memory) Alloc(name string, size int) (*Region, error) {
 	if _, dup := m.regions[name]; dup {
@@ -311,21 +302,3 @@ func (m *Memory) MustAlloc(name string, size int) *Region {
 	}
 	return r
 }
-
-// Region looks up a region by name.
-func (m *Memory) Region(name string) (*Region, bool) {
-	r, ok := m.regions[name]
-	return r, ok
-}
-
-// Free releases a region's accounting (the region itself must no longer be
-// used).
-func (m *Memory) Free(name string) {
-	if r, ok := m.regions[name]; ok {
-		m.used -= r.Size()
-		delete(m.regions, name)
-	}
-}
-
-// Used reports allocated bytes.
-func (m *Memory) Used() int { return m.used }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"time"
 )
 
@@ -95,14 +94,6 @@ func (h *Histogram) Mean() time.Duration {
 // Sum returns the total of all recorded values (exact, not re-bucketed).
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum) }
 
-// Min returns the smallest recorded value (0 if empty).
-func (h *Histogram) Min() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
-
 // Max returns the largest recorded value.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max) }
 
@@ -154,73 +145,6 @@ func (h *Histogram) P90() time.Duration { return h.Quantile(0.90) }
 // P999 is Quantile(0.999), the far-tail quantile the attribution reports use.
 func (h *Histogram) P999() time.Duration { return h.Quantile(0.999) }
 
-// Merge adds all observations from o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	*h = Histogram{min: math.MaxInt64}
-}
-
-// CDF returns (value, cumulative fraction) points for plotting latency CDFs,
-// one point per non-empty bucket.
-func (h *Histogram) CDF() []CDFPoint {
-	var pts []CDFPoint
-	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		pts = append(pts, CDFPoint{
-			Value:    time.Duration(bucketMid(i)),
-			Fraction: float64(seen) / float64(h.total),
-		})
-	}
-	return pts
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    time.Duration
-	Fraction float64
-}
-
-// Bucket is one non-empty histogram bucket.
-type Bucket struct {
-	// Value is the bucket's representative value (its upper edge).
-	Value time.Duration
-	// Count is the number of observations in the bucket.
-	Count uint64
-}
-
-// Buckets returns the non-empty buckets in ascending value order, for
-// structured dumps that would otherwise re-derive counts from CDF().
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		out = append(out, Bucket{Value: time.Duration(bucketMid(i)), Count: c})
-	}
-	return out
-}
-
 // String summarizes the histogram.
 func (h *Histogram) String() string {
 	if h.total == 0 {
@@ -229,40 +153,3 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("histogram{n=%d mean=%v p50=%v p90=%v p99=%v max=%v}",
 		h.total, h.Mean(), h.Median(), h.P90(), h.P99(), h.Max())
 }
-
-// ---------------------------------------------------------------------------
-
-// Exact keeps every sample for tests that need exact quantiles to validate
-// Histogram accuracy. Not for high-volume use.
-type Exact struct {
-	vals   []time.Duration
-	sorted bool
-}
-
-// Record appends one sample.
-func (e *Exact) Record(d time.Duration) {
-	e.vals = append(e.vals, d)
-	e.sorted = false
-}
-
-// Quantile returns the exact q-quantile (nearest-rank).
-func (e *Exact) Quantile(q float64) time.Duration {
-	if len(e.vals) == 0 {
-		return 0
-	}
-	if !e.sorted {
-		sort.Slice(e.vals, func(i, j int) bool { return e.vals[i] < e.vals[j] })
-		e.sorted = true
-	}
-	rank := int(math.Ceil(q*float64(len(e.vals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(e.vals) {
-		rank = len(e.vals) - 1
-	}
-	return e.vals[rank]
-}
-
-// Count reports the number of samples.
-func (e *Exact) Count() int { return len(e.vals) }

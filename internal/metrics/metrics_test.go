@@ -96,57 +96,6 @@ func TestHistogramQuantileLargeValues(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 50; i++ {
-		a.Record(time.Millisecond)
-		b.Record(3 * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	if a.Min() != time.Millisecond || absDiff(a.Max(), 3*time.Millisecond) > 100*time.Microsecond {
-		t.Fatalf("merged min/max %v/%v", a.Min(), a.Max())
-	}
-	if m := a.Mean(); absDiff(m, 2*time.Millisecond) > 100*time.Microsecond {
-		t.Fatalf("merged mean %v", m)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 90; i++ {
-		h.Record(100 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Record(time.Millisecond)
-	}
-	cdf := h.CDF()
-	if len(cdf) != 2 {
-		t.Fatalf("CDF has %d points, want 2", len(cdf))
-	}
-	if math.Abs(cdf[0].Fraction-0.9) > 1e-9 || math.Abs(cdf[1].Fraction-1.0) > 1e-9 {
-		t.Fatalf("fractions %v %v", cdf[0].Fraction, cdf[1].Fraction)
-	}
-	if cdf[0].Value >= cdf[1].Value {
-		t.Fatal("CDF values not increasing")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	h.Record(time.Millisecond)
-	if h.Min() != time.Millisecond {
-		t.Fatal("min not tracked after reset")
-	}
-}
-
 func TestExactQuantile(t *testing.T) {
 	e := &Exact{}
 	for i := 100; i >= 1; i-- { // reverse order: exercises the sort

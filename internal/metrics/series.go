@@ -80,23 +80,8 @@ func (s *Series) Points() []SeriesPoint {
 // Len reports retained samples.
 func (s *Series) Len() int { return len(s.ring) }
 
-// Total reports samples ever added, including evicted ones.
-func (s *Series) Total() uint64 { return s.total }
-
 // Dropped reports samples evicted by the ring bound.
 func (s *Series) Dropped() uint64 { return s.dropped }
-
-// Last returns the most recent sample (zero value when empty).
-func (s *Series) Last() SeriesPoint {
-	if len(s.ring) == 0 {
-		return SeriesPoint{}
-	}
-	i := s.next - 1
-	if i < 0 {
-		i = len(s.ring) - 1
-	}
-	return s.ring[i]
-}
 
 // ---------------------------------------------------------------------------
 

@@ -104,7 +104,7 @@ func (d *driver) drain() {
 	d.q.Refresh(d.p)
 	n := d.q.PopTxMany(d.p, len(d.out), d.out)
 	for _, m := range d.out[:n] {
-		d.note("response corr %d err %d %q", m.Corr, m.Err, m.Payload)
+		d.note("response corr %d %q", m.Corr, m.Payload)
 	}
 	d.q.CommitTx(d.p)
 	d.note("drained %d", n)

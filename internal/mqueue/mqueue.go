@@ -404,7 +404,6 @@ func (q *Queue) Ready() bool { return q.txSeen > q.txTail }
 // message longer must copy it.
 type TxMsg struct {
 	Payload []byte
-	Err     byte
 	Corr    uint16 // RX slot index this responds to (server queues)
 	Slot    int
 }
@@ -440,7 +439,7 @@ func (q *Queue) takeTx(raw []byte, slot int, drainStart sim.Time) (TxMsg, bool) 
 			sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
 		}
 	}
-	return TxMsg{Payload: payload, Err: raw[offError], Corr: corr, Slot: slot}, true
+	return TxMsg{Payload: payload, Corr: corr, Slot: slot}, true
 }
 
 // takeRun consumes len(out) consecutive TX slots from raw, starting at slot
@@ -545,9 +544,6 @@ func (q *Queue) TxBacklog() int { return int(q.txSeen - q.txTail) }
 // neither counter advancing).
 func (q *Queue) Counters() (rxConsumed, txSeen uint64) { return q.rxConsumed, q.txSeen }
 
-// Stats reports pushes, TX messages drained, and RX-full events.
-func (q *Queue) Stats() (pushed, polled, full uint64) { return q.pushed, q.polled, q.full }
-
 func leUint64(b []byte) uint64 {
 	var v uint64
 	for i := 7; i >= 0; i-- {
@@ -568,7 +564,6 @@ func putLeUint64(b []byte, v uint64) {
 // Group is the SNIC-side view of all mqueues of one accelerator: a packed
 // header block plus per-queue rings, all reached through one shared QP.
 type Group struct {
-	cfg    Config
 	region *memdev.Region
 	base   int
 	qp     *rdma.QP
@@ -591,7 +586,7 @@ func NewGroup(region *memdev.Region, base int, cfg Config, n int, qp *rdma.QP) (
 		return nil, fmt.Errorf("mqueue: group footprint %d at base %d exceeds region %d",
 			GroupFootprint(cfg, n), base, region.Size())
 	}
-	g := &Group{cfg: cfg, region: region, base: base, qp: qp, ops: &opPool{}}
+	g := &Group{region: region, base: base, qp: qp, ops: &opPool{}}
 	ringBase := base + n*QueueHeaderBytes
 	for i := 0; i < n; i++ {
 		g.queues = append(g.queues, &Queue{
@@ -630,9 +625,6 @@ func (g *Group) RefreshT(t *sim.Task, k func()) {
 	o.g, o.t, o.k, o.stage = g, t, k, stGroupRefresh
 	g.qp.ReadCQET(t, g.region, g.base, len(g.queues)*QueueHeaderBytes, o.step)
 }
-
-// Refreshes reports header-block reads performed.
-func (g *Group) Refreshes() uint64 { return g.refreshes }
 
 // ActivityGate returns a gate fired whenever the accelerator writes any
 // queue header of the group (publishing new TX messages or RX consumption).

@@ -146,9 +146,6 @@ func New(s *sim.Sim, p *model.Params) *Network {
 // (the default) injects nothing.
 func (n *Network) SetFaults(pl *fault.Plan) { n.faults = pl }
 
-// Faults returns the installed fault plan (possibly nil).
-func (n *Network) Faults() *fault.Plan { return n.faults }
-
 // RegisterInvariants installs ck and registers the network's end-of-run
 // check: every datagram launched since installation is accounted for as
 // delivered, dropped (wire or receive queue), unreachable, or still in
@@ -433,12 +430,6 @@ func (s *UDPSocket) TryRecv() (Datagram, bool) { return s.rxq.TryGet() }
 // payload simply does not release it. Nothing may touch b after Release.
 func (s *UDPSocket) Release(b []byte) { s.host.net.release(b) }
 
-// Pending reports queued datagrams.
-func (s *UDPSocket) Pending() int { return s.rxq.Len() }
-
-// Close unbinds the socket.
-func (s *UDPSocket) Close() { delete(s.host.udp, s.port) }
-
 // ---------------------------------------------------------------------------
 // TCP
 
@@ -519,9 +510,6 @@ func (l *TCPListener) AcceptT(t *sim.Task, k func(*TCPConn)) (*TCPConn, bool) {
 	return l.backlog.GetT(t, k)
 }
 
-// Close stops listening.
-func (l *TCPListener) Close() { delete(l.host.listeners, l.port) }
-
 // TCPDial establishes a connection to addr, blocking for the handshake
 // (SYN + SYN-ACK round trip).
 func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
@@ -575,9 +563,6 @@ func (h *Host) dial(to Addr) (c *TCPConn, established *sim.Chan[struct{}], err e
 	})
 	return client, established, nil
 }
-
-// LocalAddr returns this side's address.
-func (c *TCPConn) LocalAddr() Addr { return c.local }
 
 // RemoteAddr returns the peer's address.
 func (c *TCPConn) RemoteAddr() Addr { return c.remote }
@@ -723,12 +708,6 @@ func (c *TCPConn) err() error {
 	return nil
 }
 
-// RecvTimeout blocks up to d for the next message.
-func (c *TCPConn) RecvTimeout(p *sim.Proc, d time.Duration) ([]byte, bool, error) {
-	msg, _, ok, err := c.RecvQueuedTimeout(p, d)
-	return msg, ok, err
-}
-
 // RecvQueuedTimeout is RecvTimeout returning also the receive-queue entry
 // time of the message. It reports a close or reset that is already known
 // when it is called; one that arrives during the wait does not end it
@@ -759,18 +738,6 @@ func (c *TCPConn) shut(reset bool) {
 	}
 }
 
-// Close shuts the connection down gracefully on both ends (FIN exchange is
-// abstracted to a one-way notification delay). A reader blocked on this end
-// wakes now; one blocked on the peer wakes when the FIN lands.
-func (c *TCPConn) Close() {
-	if c.closed {
-		return
-	}
-	c.shut(false)
-	peer := c.peer
-	c.net.transmit(c.localHost, c.remoteHost, 0, tcpOverhead, func() { peer.shut(false) })
-}
-
 // Abort resets the connection immediately on both ends (failure injection:
 // the SNIC reports such errors to accelerators through the mqueue metadata
 // error status, §5.1). A reader blocked on either end wakes now.
@@ -778,6 +745,3 @@ func (c *TCPConn) Abort() {
 	c.shut(true)
 	c.peer.shut(true)
 }
-
-// Reset reports whether the connection was aborted.
-func (c *TCPConn) Reset() bool { return c.reset }

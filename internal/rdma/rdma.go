@@ -98,7 +98,6 @@ type Engine struct {
 	pipe   *sim.Resource
 	faults *fault.Plan
 
-	qps     uint64
 	ops     uint64
 	retried uint64
 }
@@ -182,7 +181,6 @@ func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 	if cfg.Remote {
 		qp.remote = e.params.RDMARemotePenalty
 	}
-	e.qps++
 	e.sim.SpawnTask("rdma-qp/"+target.Name(), func(t *sim.Task) { qp.run(t) })
 	return qp
 }
@@ -380,16 +378,6 @@ func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) (data []byte)
 		qp.ReadCQET(t, region, off, n, func(c CQE) { data = append(make([]byte, 0, n), c.Data...); done() })
 	})
 	return data
-}
-
-// Barrier performs the blocking RDMA-read write barrier of §5.1, forcing
-// earlier writes to the region to become visible before returning. Its cost
-// is a full read round trip (issue + engine + PCIe RTT, ~2.5 µs); together
-// with the separate doorbell write it forces (coalescing is impossible, so a
-// message needs three transactions instead of one) the total overhead comes
-// to the ~5 µs per message the paper measures.
-func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
-	p.Await(func(t *sim.Task, done func()) { qp.BarrierT(t, region, func(CQE) { done() }) })
 }
 
 // ---------------------------------------------------------------------------
@@ -591,8 +579,12 @@ func (qp *QP) ReadCQET(t *sim.Task, region *memdev.Region, off, n int, k func(CQ
 	c.start(t, WR{Op: OpRead, Region: region, Offset: off, Data: c.readBuf(n)}, k)
 }
 
-// BarrierT is Barrier for tasks: k runs once earlier writes to the region
-// are forced visible.
+// BarrierT performs the RDMA-read write barrier of §5.1 from a task: k runs
+// once earlier writes to the region are forced visible. Its cost is a full
+// read round trip (issue + engine + PCIe RTT, ~2.5 µs); together with the
+// separate doorbell write it forces (coalescing is impossible, so a message
+// needs three transactions instead of one) the total overhead comes to the
+// ~5 µs per message the paper measures.
 func (qp *QP) BarrierT(t *sim.Task, region *memdev.Region, k func(CQE)) {
 	qp.getCall().start(t, WR{Op: OpBarrier, Region: region}, k)
 }
@@ -605,18 +597,3 @@ func (qp *QP) AddCredits(n int) {
 	}
 	qp.credits += n
 }
-
-// Credits reports remaining UC receive credits.
-func (qp *QP) Credits() int { return qp.credits }
-
-// Dropped reports UC writes discarded for lack of credits.
-func (qp *QP) Dropped() uint64 { return qp.dropped }
-
-// Stats reports posted and completed WR counts.
-func (qp *QP) Stats() (posted, completed uint64) { return qp.posted, qp.complete }
-
-// Target returns the device at the remote end of the QP.
-func (qp *QP) Target() *fabric.Device { return qp.target }
-
-// Remote reports whether the QP crosses the network.
-func (qp *QP) Remote() bool { return qp.remote > 0 }

@@ -172,7 +172,7 @@ func TestBarrierFlushesRelaxedWrites(t *testing.T) {
 	r.s.Spawn("snic", func(p *sim.Proc) {
 		qp.Write(p, region, 0, []byte("payload!"))
 		start := p.Now()
-		qp.Barrier(p, region)
+		p.Await(func(tk *sim.Task, done func()) { qp.BarrierT(tk, region, func(CQE) { done() }) })
 		barLat = p.Now().Sub(start)
 		var got [8]byte
 		if region.ReadLocalInto(0, got[:]); string(got[:]) != "payload!" {

@@ -54,18 +54,27 @@ func TestPendingCountsImmediateQueue(t *testing.T) {
 	s.Shutdown()
 }
 
-// GetBatch blocks only for the first value and drains the rest of the run
-// without blocking; a same-instant run of Puts wakes the consumer once.
+// GetBatchT parks only for the first value and drains the rest of the run
+// without parking; a same-instant run of Puts wakes the consumer once.
 func TestChanBatchOps(t *testing.T) {
 	s := New(Config{Seed: 1})
 	ch := NewChan[int](s, 8)
 	var runs [][]int
-	s.Spawn("consumer", func(p *Proc) {
+	s.SpawnTask("consumer", func(tk *Task) {
 		buf := make([]int, 8)
-		for len(runs) < 2 {
-			n := ch.GetBatch(p, buf)
+		var next func()
+		got := func(n int) {
 			runs = append(runs, append([]int(nil), buf[:n]...))
+			if len(runs) < 2 {
+				next()
+			}
 		}
+		next = func() {
+			if n, inline := ch.GetBatchT(tk, buf, got); inline {
+				got(n)
+			}
+		}
+		next()
 	})
 	s.Spawn("producer", func(p *Proc) {
 		for _, run := range [][]int{{10, 11, 12}, {20, 21}} {
@@ -94,10 +103,10 @@ func TestChanBatchOps(t *testing.T) {
 	// the producer's burst is same-instant, so it is all visible by the
 	// time the consumer's handoff runs.
 	if len(runs[0]) < 2 {
-		t.Fatalf("first GetBatch drained %d values, want a multi-value run", len(runs[0]))
+		t.Fatalf("first GetBatchT drained %d values, want a multi-value run", len(runs[0]))
 	}
-	if got := ch.GetBatch(nil, nil); got != 0 {
-		t.Fatalf("GetBatch with empty buf = %d, want 0", got)
+	if n, inline := ch.GetBatchT(nil, nil, nil); n != 0 || !inline {
+		t.Fatalf("GetBatchT with empty buf = (%d, %v), want (0, true)", n, inline)
 	}
 	s2 := New(Config{Seed: 1})
 	s2.Shutdown()

@@ -411,3 +411,14 @@ func reportEventRate(b *testing.B, eventsPerOp int) {
 		b.ReportMetric(float64(eventsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	}
 }
+
+// GetBatch is the echo row's Proc-form batch receive: it blocks for the
+// first item, then drains whatever else is immediately available, and
+// returns the number of items stored (at least 1 for a non-empty buf).
+func (c *Chan[T]) GetBatch(p *Proc, buf []T) int {
+	if len(buf) == 0 {
+		return 0
+	}
+	buf[0] = c.Get(p)
+	return 1 + c.drainInto(buf[1:])
+}

@@ -21,7 +21,7 @@ import "iter"
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, bridge: newTask(s, name)}
 	p.bridge.proc = p
-	p.resume, p.gateK, p.doneK = p.step, p.gateDone, p.awaitDone
+	p.resume, p.doneK = p.step, p.awaitDone
 	s.addRunner(runner{p: p})
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield

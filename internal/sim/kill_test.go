@@ -150,7 +150,13 @@ func TestKillPathMatrix(t *testing.T) {
 		{"gate-wait-timeout", func(s *Sim) killCase {
 			g := NewGate(s)
 			return killCase{
-				block: func(p *Proc) { g.WaitTimeout(p, g.Version(), time.Millisecond) },
+				// The task form on the Proc's bridge, as a Proc-form call
+				// would park it.
+				block: func(p *Proc) {
+					if inline, _ := g.WaitTimeoutT(p.bridge, g.Version(), time.Millisecond, func(bool) { p.step() }); !inline {
+						p.block(g)
+					}
+				},
 				park: func(tk *Task) {
 					g.WaitTimeoutT(tk, g.Version(), time.Millisecond, func(bool) { t.Error("killed waiter resumed") })
 				},

@@ -32,7 +32,6 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			p.Sleep(time.Hour)
 		})
 		s.Spawn("gated", func(p *Proc) { gate.Wait(p, gate.Version()) })
-		s.Spawn("gated-timeout", func(p *Proc) { gate.WaitTimeout(p, gate.Version(), time.Hour) })
 	}
 	// Let every process reach its blocking point.
 	s.RunUntil(s.Now().Add(time.Millisecond))

@@ -425,10 +425,6 @@ func (s *Sim) runEvent(e event) {
 	e.fn()
 }
 
-// Pending reports the number of queued events, stale deadline events
-// included.
-func (s *Sim) Pending() int { return len(s.events) + s.iq.n + s.lane.n }
-
 // ---------------------------------------------------------------------------
 // Processes
 
@@ -448,23 +444,14 @@ type Proc struct {
 	// bridge is the task every blocking call of the process runs its task
 	// form on: a blocked Proc is its parked bridge. Spawn creates it and
 	// binds the continuations the calls hand it: resume steps the process,
-	// gateK records whether a Gate.WaitTimeout fired and resumes, doneK
-	// completes an Await. awaited marks the pending Await complete, parked
+	// doneK completes an Await. awaited marks the pending Await complete, parked
 	// that the process is blocked waiting for it.
 	bridge  *Task
 	resume  func()
-	gateK   func(fired bool)
 	doneK   func()
-	fired   bool
 	awaited bool
 	parked  bool
 }
-
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
 
 // Now returns the current virtual time (convenience for p.Sim().Now()).
 func (p *Proc) Now() Time { return p.sim.now }
@@ -484,12 +471,6 @@ func (p *Proc) step() {
 		p.killed = true
 	}
 	p.next()
-}
-
-// gateDone is p's Gate.WaitTimeout continuation, bound once as p.gateK.
-func (p *Proc) gateDone(fired bool) {
-	p.fired = fired
-	p.step()
 }
 
 // block suspends the calling process until a wake resumes it. Once Shutdown
@@ -517,13 +498,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.sim.atFn(p.sim.now.Add(d), p.resume)
 	p.block(nil)
 }
-
-// Yield gives other events scheduled at the current instant a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Kill marks p so that its next blocking operation unwinds the process.
-// Killing an exited process is a no-op.
-func (p *Proc) Kill() { p.killed = true }
 
 // Shutdown kills all live processes and tasks, unwinding each at its
 // blocking point in spawn order, and drains any events they schedule. Call
@@ -693,7 +667,6 @@ func (w *waiterQ[T]) remove(x *waiter[T]) {
 		}
 	}
 }
-func (w *waiterQ[T]) len() int { return len(w.q) - w.head }
 
 // Len reports the number of buffered items.
 func (c *Chan[T]) Len() int { return len(c.buf) - c.bufHead }
@@ -764,19 +737,6 @@ func (c *Chan[T]) Get(p *Proc) T {
 		v = w.val
 	}
 	return v
-}
-
-// GetBatch dequeues up to len(buf) items: it blocks for the first, then
-// drains whatever else is immediately available without blocking or letting
-// the clock advance. Returns the number of items stored — at least 1 for a
-// non-empty buf. One wakeup absorbs a whole queued burst, which is what
-// makes a k-message drain cost O(1) scheduler handoffs instead of O(k).
-func (c *Chan[T]) GetBatch(p *Proc, buf []T) int {
-	if len(buf) == 0 {
-		return 0
-	}
-	buf[0] = c.Get(p)
-	return 1 + c.drainInto(buf[1:])
 }
 
 // TryGet dequeues without blocking, reporting whether a value was available.
@@ -953,12 +913,6 @@ func (r *Resource) remove(t *Task) bool {
 	return false
 }
 
-// InUse reports the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Waiting reports the number of blocked acquirers.
-func (r *Resource) Waiting() int { return len(r.waiters) - r.wHead }
-
 // With runs fn while holding one unit, charging exec virtual time.
 func (r *Resource) With(p *Proc, exec time.Duration, fn func()) {
 	r.Acquire(p)
@@ -996,7 +950,7 @@ type Gate struct {
 // bridge task. The continuation lives in the task, not the node.
 type gateWaiter struct {
 	t  *Task
-	dl deadline // the WaitTimeout deadline
+	dl deadline // the WaitTimeoutT deadline
 }
 
 // NewGate creates a gate bound to s.
@@ -1004,9 +958,6 @@ func NewGate(s *Sim) *Gate { return &Gate{sim: s} }
 
 // Version returns the current fire count.
 func (g *Gate) Version() uint64 { return g.ver }
-
-// Waiting reports the number of blocked waiters.
-func (g *Gate) Waiting() int { return len(g.waiters) }
 
 // Fire bumps the version and wakes every current waiter.
 func (g *Gate) Fire() {
@@ -1087,14 +1038,4 @@ func (g *Gate) Wait(p *Proc, since uint64) {
 	if !g.WaitT(p.bridge, since, p.resume) {
 		p.block(g)
 	}
-}
-
-// WaitTimeout is Wait with a deadline; it reports whether the gate fired
-// (true) or the timeout elapsed first (false).
-func (g *Gate) WaitTimeout(p *Proc, since uint64, d time.Duration) bool {
-	if inline, fired := g.WaitTimeoutT(p.bridge, since, d, p.gateK); inline {
-		return fired
-	}
-	p.block(g)
-	return p.fired
 }

@@ -279,18 +279,13 @@ func TestChanGetTimeoutStaleTimer(t *testing.T) {
 	}
 }
 
-// The gate's timeout follows the same rule on both substrates: the timer of
-// a wait the gate fired first must not end the waiter's next wait.
+// The timer of a gate wait the gate fired first must not end the waiter's
+// next wait.
 func TestGateWaitTimeoutStaleTimer(t *testing.T) {
 	s := New(Config{})
 	g := NewGate(s)
-	var procAt, taskAt Time
-	var procFired, taskFired bool
-	s.Spawn("proc", func(p *Proc) {
-		g.WaitTimeout(p, g.Version(), 10*time.Microsecond)
-		procFired = g.WaitTimeout(p, g.Version(), 50*time.Microsecond)
-		procAt = p.Now()
-	})
+	var taskAt Time
+	var taskFired bool
 	s.SpawnTask("task", func(tk *Task) {
 		g.WaitTimeoutT(tk, g.Version(), 10*time.Microsecond, func(bool) {
 			g.WaitTimeoutT(tk, g.Version(), 50*time.Microsecond, func(fired bool) {
@@ -305,11 +300,8 @@ func TestGateWaitTimeoutStaleTimer(t *testing.T) {
 		g.Fire()
 	})
 	s.Run()
-	if !procFired || procAt != Time(20*time.Microsecond) {
-		t.Fatalf("proc: second wait fired=%v at %v, want fired at 20µs", procFired, procAt)
-	}
 	if !taskFired || taskAt != Time(20*time.Microsecond) {
-		t.Fatalf("task: second wait fired=%v at %v, want fired at 20µs", taskFired, taskAt)
+		t.Fatalf("second wait fired=%v at %v, want fired at 20µs", taskFired, taskAt)
 	}
 }
 
@@ -383,7 +375,7 @@ func TestResourceKilledWaiterLeavesNoUnit(t *testing.T) {
 		s := New(Config{})
 		r := NewResource(s, 1)
 		// Spawned first, so Shutdown unwinds it before the holder releases.
-		s.Spawn("victim", func(p *Proc) { p.Yield(); r.Acquire(p) })
+		s.Spawn("victim", func(p *Proc) { p.Sleep(0); r.Acquire(p) })
 		s.Spawn("holder", func(p *Proc) { r.With(p, time.Hour, nil) })
 		s.RunUntil(Time(time.Microsecond))
 		if r.Waiting() != 1 {
@@ -402,7 +394,7 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	r := NewResource(s, 1)
 	s.Spawn("chan-blocked", func(p *Proc) { ch.Get(p) })
 	s.Spawn("holder", func(p *Proc) { r.Acquire(p); p.Sleep(time.Hour) })
-	s.Spawn("res-blocked", func(p *Proc) { p.Yield(); r.Acquire(p) })
+	s.Spawn("res-blocked", func(p *Proc) { p.Sleep(0); r.Acquire(p) })
 	s.Spawn("timer-blocked", func(p *Proc) { p.Sleep(time.Hour) })
 	s.RunUntil(Time(time.Millisecond))
 	if s.Live() != 4 {
@@ -665,9 +657,11 @@ func TestGateWaitTimeout(t *testing.T) {
 	s := New(Config{})
 	g := NewGate(s)
 	var first, second bool
-	s.Spawn("waiter", func(p *Proc) {
-		first = g.WaitTimeout(p, g.Version(), 5*time.Microsecond) // no fire: timeout
-		second = g.WaitTimeout(p, g.Version(), time.Second)       // fire wins
+	s.SpawnTask("waiter", func(tk *Task) {
+		g.WaitTimeoutT(tk, g.Version(), 5*time.Microsecond, func(fired bool) { // no fire: timeout
+			first = fired
+			g.WaitTimeoutT(tk, g.Version(), time.Second, func(fired bool) { second = fired }) // fire wins
+		})
 	})
 	s.Spawn("firer", func(p *Proc) {
 		p.Sleep(20 * time.Microsecond)

@@ -100,12 +100,6 @@ func newTask(s *Sim, name string) *Task {
 	return t
 }
 
-// Name returns the task name given at SpawnTask time.
-func (t *Task) Name() string { return t.name }
-
-// Sim returns the simulation this task belongs to.
-func (t *Task) Sim() *Sim { return t.sim }
-
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.sim.now }
 
@@ -149,18 +143,6 @@ func (t *Task) Sleep(d time.Duration, k func()) {
 	t.k = k
 	t.sim.atFn(t.sim.now.Add(d), t.runEv)
 }
-
-// Yield arms k to run after other events at the current instant.
-func (t *Task) Yield(k func()) { t.Sleep(0, k) }
-
-// OnKill registers fn to run when the task is killed while parked — the
-// task-substrate analogue of a Proc's deferred cleanup unwinding on Kill.
-func (t *Task) OnKill(fn func()) { t.onKill = fn }
-
-// Kill retires the task immediately: its waiter (if parked) is removed, the
-// OnKill hook runs, and any already-scheduled wake becomes a no-op. Killing
-// a finished task is a no-op.
-func (t *Task) Kill() { t.kill() }
 
 func (t *Task) kill() {
 	if t.done {
@@ -238,19 +220,6 @@ func (c *Chan[T]) recv(t *Task, kn func()) (v T, w *waiter[T]) {
 	return v, w
 }
 
-// GetTimeoutT is GetTimeout for tasks. It returns inline (inline=true, k
-// never runs) when a value is buffered (ok=true) or d <= 0 (ok=false).
-// Otherwise t parks and k runs from whichever comes first: the putter's
-// hand-off event (ok=true) or the timeout event (ok=false), exactly where a
-// Proc's GetTimeout would resume.
-func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v T, ok, inline bool) {
-	v, ok, w := c.recvTimeout(t, d, nil)
-	if w != nil {
-		w.kto = k
-	}
-	return v, ok, w == nil
-}
-
 // recvTimeout is recv with a deadline: inline (w == nil) when a value is
 // buffered (ok=true) or d <= 0 (ok=false).
 func (c *Chan[T]) recvTimeout(t *Task, d time.Duration, kn func()) (v T, ok bool, w *waiter[T]) {
@@ -264,9 +233,12 @@ func (c *Chan[T]) recvTimeout(t *Task, d time.Duration, kn func()) (v T, ok bool
 	return v, w == nil, w
 }
 
-// GetBatchT is GetBatch for tasks: inline when a value is immediately
-// available (returns n>=1, true; fn never runs), else t parks and fn runs
-// with the batch size once the first value lands and the burst is drained.
+// GetBatchT dequeues up to len(buf) items for task t: the first value, then
+// whatever else is immediately available without blocking or letting the
+// clock advance, so one wakeup absorbs a whole queued burst. It returns
+// inline when a value is immediately available (n>=1, true; fn never runs),
+// else t parks and fn runs with the batch size once the first value lands
+// and the burst is drained.
 func (c *Chan[T]) GetBatchT(t *Task, buf []T, fn func(n int)) (int, bool) {
 	if len(buf) == 0 {
 		return 0, true

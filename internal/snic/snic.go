@@ -118,8 +118,6 @@ type Machine struct {
 	// backbone (tb.IB) for single-rack testbeds, or a ToR switch for
 	// machines placed with NewMachineAt.
 	wire *fabric.Switch
-
-	gpus int
 }
 
 // NewMachine adds a server with the given number of Xeon cores, cabled
@@ -175,7 +173,6 @@ func (m *Machine) AddGPU(name string, gmodel accel.GPUModel, relaxed bool, snicH
 	}
 	g := accel.NewGPU(m.TB.Sim, m.TB.Params, m.TB.Fab, m.Driver, name, cfg)
 	m.TB.Fab.Connect(g.Device(), m.Switch, m.TB.Params.PCIeSwitchLatency, m.TB.Params.PCIeBandwidth)
-	m.gpus++
 	return g
 }
 

@@ -242,16 +242,6 @@ func (s *Span) WaitIn(p Phase) time.Duration {
 	return time.Duration(s.waits[p])
 }
 
-// ServiceIn returns the in-service share of one phase (duration minus wait);
-// zero for incomplete spans, where phases are undefined.
-func (s *Span) ServiceIn(p Phase) time.Duration {
-	ph, ok := s.Phases()
-	if !ok || p >= NumPhases {
-		return 0
-	}
-	return ph[p] - s.WaitIn(p)
-}
-
 // complete reports whether every stage of the service path was recorded.
 func (s *Span) complete() bool {
 	for st := StageClientSend; st <= StageClientRecv; st++ {
@@ -466,18 +456,6 @@ func (t *SpanTable) SetOnDone(fn func(*Span)) {
 		return
 	}
 	t.onDone = fn
-}
-
-// Span returns a copy of the span for id, if the table still holds it.
-func (t *SpanTable) Span(id uint64) (Span, bool) {
-	if t == nil || id == 0 {
-		return Span{}, false
-	}
-	s := t.slot(id)
-	if s.ID != id {
-		return Span{}, false
-	}
-	return *s, true
 }
 
 // Spans returns copies of every retained span in ascending ID order (the

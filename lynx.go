@@ -10,7 +10,7 @@
 //  3. create a Server (the Lynx runtime) on a SmartNIC or host platform,
 //     register accelerators and services, and wire accelerator-side
 //     request-processing code to the returned mqueues;
-//  4. Start everything and Run the cluster's virtual clock.
+//  4. Start everything and run the cluster's virtual clock (RunUntil).
 //
 // See examples/quickstart for the minimal end-to-end program and DESIGN.md
 // for the architecture.
@@ -44,30 +44,14 @@ type (
 	}
 	// Machine is one physical server.
 	Machine = snic.Machine
-	// BlueField is the ARM SmartNIC platform.
-	BlueField = snic.BlueField
-	// Innova is the FPGA SmartNIC (receive path).
-	Innova = snic.Innova
 	// GPU is a simulated CUDA device.
 	GPU = accel.GPU
-	// VCA is the Intel Visual Compute Accelerator.
-	VCA = accel.VCA
 	// TB is a persistent-kernel threadblock context.
 	TB = accel.TB
 	// Server is a Lynx runtime instance.
 	Server = core.Runtime
 	// AccelHandle binds a registered accelerator's mqueues.
 	AccelHandle = core.AccelHandle
-	// Service is a client-facing UDP/TCP service.
-	Service = core.Service
-	// ClientBinding is a client mqueue bound to a backend.
-	ClientBinding = core.ClientBinding
-	// Queue is the accelerator-side mqueue handle (the lightweight I/O
-	// library accelerator code uses).
-	Queue = mqueue.AccelQueue
-	// Msg is one message received on a Queue. Its Payload is valid until
-	// the next receive on the same Queue; copy it to keep it longer.
-	Msg = mqueue.Msg
 	// QueueConfig shapes mqueue geometry.
 	QueueConfig = mqueue.Config
 	// Addr is a network address.
@@ -82,31 +66,19 @@ type (
 	LoadConfig = workload.Config
 	// LoadResult summarizes a load run.
 	LoadResult = workload.Result
-	// Stats is a Server's counter snapshot (requests by outcome, drops by
-	// cause, retries, failovers).
-	Stats = core.Stats
 	// FaultConfig declares a deterministic fault-injection plan for a
-	// cluster (datagram loss, RDMA/PCIe perturbation, accelerator stalls).
+	// cluster (datagram loss, duplication and delay, RDMA completion errors
+	// and latency spikes, accelerator stalls).
 	FaultConfig = fault.Config
 	// FaultStall pins one accelerator queue stall window inside a
 	// FaultConfig.
 	FaultStall = fault.Stall
 	// FaultStats counts the faults a cluster's plan actually injected.
 	FaultStats = fault.Stats
-	// InvariantReport is the outcome of a WithInvariants run: the recorded
-	// violations (empty on a healthy run) and how many end-of-run checks
-	// were evaluated.
-	InvariantReport = check.Report
-	// InvariantViolation is one failed runtime invariant.
-	InvariantViolation = check.Violation
 	// Platform selects where a Server's frontend runs (SmartNIC cores or
-	// host cores); obtain one from (*BlueField).Platform or
+	// host cores); obtain one from a SmartNIC's Platform method or
 	// (*Machine).HostPlatform.
 	Platform = core.Platform
-	// ProfileReport is a WithProfile run's tail-latency attribution report:
-	// per-phase wait/service decomposition, ranked bottlenecks, and the
-	// flight recorder's slowest/most-recent spans.
-	ProfileReport = profile.Report
 	// ClusterProfile is the observability plane a WithProfile cluster
 	// carries — event ring, span table, flight recorder and metrics registry,
 	// the same plane every rack node carries under RackTelemetry; obtain it
@@ -125,24 +97,11 @@ type (
 	// each primary's SNIC dispatcher replicating writes to peer accelerators
 	// over one-sided RDMA.
 	Rack = cluster.Rack
-	// RackNode is one rack member (machine, SmartNIC, GPU, runtime, store).
-	RackNode = cluster.Node
 	// RackTelemetry arms the per-node observability plane of a rack build:
 	// every node gets its own ClusterProfile (event ring, span table, flight
 	// recorder, sampling metrics registry), rolled up by the rack testbed's
 	// TelemetrySnapshot and TraceExport.
 	RackTelemetry = cluster.Telemetry
-	// ShardMap is the consistent-hash membership and key-placement map racks
-	// shard by; it is also usable standalone via NewShardMap.
-	ShardMap = cluster.ShardMap
-	// Replicator drives one service's SNIC-side replication quorum; obtain
-	// it from a RackNode (or wire one manually with (*Server).AddReplication).
-	Replicator = core.Replicator
-	// ReplConfig parameterizes a service's replication layer (write
-	// classifier and quorum size).
-	ReplConfig = core.ReplConfig
-	// ReplStats is a Replicator's counter snapshot.
-	ReplStats = core.ReplStats
 	// InvariantChecker collects runtime invariant violations; create one
 	// with NewInvariantChecker when arming a RackConfig.
 	InvariantChecker = check.Checker
@@ -154,15 +113,10 @@ const (
 	TCP = core.TCP
 
 	ServerQueue = mqueue.ServerQueue
-	ClientQueue = mqueue.ClientQueue
 
 	K40m = accel.K40m
 	K80  = accel.K80Half
 )
-
-// DefaultParams returns the calibrated model constants (a copy, free to
-// modify before NewCluster).
-func DefaultParams() Params { return model.Default() }
 
 // BuildRack constructs a multi-node, sharded, replicated KV rack on its own
 // simulated testbed: hardware, shard map, runtimes, stores, replication
@@ -171,10 +125,6 @@ func DefaultParams() Params { return model.Default() }
 //
 //	rack, err := lynx.BuildRack(lynx.RackConfig{Nodes: 3, Replicas: 3, Seed: 42})
 func BuildRack(cfg RackConfig) (*Rack, error) { return cluster.Build(cfg) }
-
-// NewShardMap creates an empty consistent-hash shard map over the given
-// shard universe (the default when shards <= 0).
-func NewShardMap(shards int) *ShardMap { return cluster.NewShardMap(shards) }
 
 // NewInvariantChecker creates a checker to install in a RackConfig; read its
 // findings with Snapshot after the rack is Closed.
@@ -185,7 +135,6 @@ type Option func(*clusterConfig)
 
 type clusterConfig struct {
 	seed       uint64
-	params     *Params
 	faults     FaultConfig
 	batch      BatchConfig
 	invariants bool
@@ -196,13 +145,6 @@ type clusterConfig struct {
 // byte-identical runs; the default is 1.
 func WithSeed(seed uint64) Option {
 	return func(c *clusterConfig) { c.seed = seed }
-}
-
-// WithParams overrides the calibrated model constants. The struct is used
-// as-is (not copied, unless WithBatching applies to it); nil restores the
-// defaults.
-func WithParams(p *Params) Option {
-	return func(c *clusterConfig) { c.params = p }
 }
 
 // WithFaults installs a deterministic fault-injection plan: every machine,
@@ -218,7 +160,7 @@ func WithFaults(fc FaultConfig) Option {
 // (simulator clock, mqueue rings, PCIe fabric, netstack, runtime, workload)
 // asserts its conservation and bounds invariants as the simulation runs, and
 // end-of-run finishers are evaluated when the cluster is Closed. Read the
-// outcome with InvariantReport. The checks are cheap (a pointer test per
+// outcome with Testbed().Check.Snapshot(). The checks are cheap (a pointer test per
 // guarded site when enabled, branch-only when not) and never change
 // simulation behaviour, so a checked run stays bit-identical to an unchecked
 // one.
@@ -231,18 +173,13 @@ func WithInvariants() Option {
 // are each decomposed into waiting and in-service time, a monitor samples
 // per-resource utilization, a bounded flight recorder keeps the slowest and
 // most recent completed spans, and an event ring records runtime events.
-// Read the outcome with ProfileReport after the run; servers must be created
+// Read the outcome with Profile().Report() after the run; servers must be created
 // with (*Cluster).NewServer to be wired into the plane. Combined with
 // WithInvariants, span-accounting finishers (phase telescoping,
 // wait ≤ phase) join the end-of-run checks.
 func WithProfile() Option {
 	return func(c *clusterConfig) { c.profile = true }
 }
-
-// DefaultBatchConfig returns the tuned batching configuration (8 WQEs per
-// doorbell, CQ drain budget 16, dispatcher quantum 8) —
-// the configuration the -exp batch knee sweep reports as "batched".
-func DefaultBatchConfig() BatchConfig { return model.DefaultBatchConfig() }
 
 // WithBatching installs a hot-path batching configuration on the cluster:
 // dispatcher contexts dequeue a quantum of ready messages per wakeup, mqueue
@@ -253,8 +190,7 @@ func DefaultBatchConfig() BatchConfig { return model.DefaultBatchConfig() }
 // The zero BatchConfig — and the explicit unit configuration
 // {Doorbell: 1, CQDrain: 1, Quantum: 1} — leaves the runtime on its exact
 // per-message code paths, byte-identical to a cluster built without this
-// option; so does a WithParams struct that pins batching of its own, which
-// wins. Invalid configurations (zero or negative budgets alongside set
+// option. Invalid configurations (zero or negative budgets alongside set
 // fields) make NewCluster panic; validate ahead
 // of time with BatchConfig.Validate when the values come from user input.
 func WithBatching(bc BatchConfig) Option {
@@ -282,11 +218,8 @@ func NewCluster(opts ...Option) *Cluster {
 	if err := cfg.batch.Validate(); err != nil {
 		panic("lynx: WithBatching: " + err.Error())
 	}
-	if cfg.params == nil {
-		def := model.Default()
-		cfg.params = &def
-	}
-	rc := cluster.Config{Seed: cfg.seed, Params: cfg.params.WithBatch(cfg.batch), Faults: cfg.faults}
+	def := model.Default()
+	rc := cluster.Config{Seed: cfg.seed, Params: def.WithBatch(cfg.batch), Faults: cfg.faults}
 	if cfg.invariants {
 		rc.Check = NewInvariantChecker()
 	}
@@ -312,9 +245,9 @@ func (c *Cluster) NewMachine(name string, cores int) *Machine {
 // AddClient adds a client host (a load-generator machine).
 func (c *Cluster) AddClient(name string) *Host { return c.tb.AddClient(name) }
 
-// NewServer creates a Lynx runtime on a platform obtained from
-// (*BlueField).Platform or (*Machine).HostPlatform. With WithProfile armed,
-// the runtime records events into the cluster's event ring and stamps
+// NewServer creates a Lynx runtime on a platform obtained from a
+// SmartNIC's Platform method or (*Machine).HostPlatform. With WithProfile
+// armed, the runtime records events into the cluster's event ring and stamps
 // request spans into its span table (where plat carries none of its own),
 // and a monitor samples its resource utilization into the cluster's metrics
 // registry.
@@ -333,36 +266,8 @@ func (c *Cluster) NewServer(plat Platform) *Server {
 // registry and report feed the metrics and profile artifacts.
 func (c *Cluster) Profile() *ClusterProfile { return c.tb.Plane(0) }
 
-// ProfileReport builds the tail-latency attribution report from everything
-// observed so far: per-phase wait/service decomposition, ranked
-// bottlenecks, and the flight recorder's slowest and most recent spans.
-// Without WithProfile it returns an empty report.
-func (c *Cluster) ProfileReport() *ProfileReport { return c.Profile().Report() }
-
-// WriteProfile writes the current ProfileReport to path as deterministic,
-// pretty-printed JSON. It is a no-op (returning nil) without WithProfile.
-func (c *Cluster) WriteProfile(path string) error { return c.Profile().WriteFile(path) }
-
-// ArmProfilePostmortem arranges for the profile report to be dumped to
-// path the first time a runtime invariant fires. Requires both WithProfile
-// and WithInvariants; otherwise it is a no-op.
-func (c *Cluster) ArmProfilePostmortem(path string) {
-	c.Profile().ArmPostmortem(c.tb.Check, path)
-}
-
 // Spawn starts a simulated process (for clients, backends, custom logic).
 func (c *Cluster) Spawn(name string, fn func(p *Proc)) { c.tb.Sim.Spawn(name, fn) }
-
-// After schedules fn at the given virtual delay.
-func (c *Cluster) After(d time.Duration, fn func()) { c.tb.Sim.After(d, fn) }
-
-// Now returns the current virtual time as a duration since boot.
-func (c *Cluster) Now() time.Duration { return time.Duration(c.tb.Sim.Now()) }
-
-// Run advances virtual time by d.
-func (c *Cluster) Run(d time.Duration) {
-	c.tb.Sim.RunUntil(c.tb.Sim.Now().Add(d))
-}
 
 // RunUntil advances virtual time in steps until cond holds or d elapses.
 func (c *Cluster) RunUntil(d time.Duration, cond func() bool) {
@@ -373,12 +278,6 @@ func (c *Cluster) RunUntil(d time.Duration, cond func() bool) {
 // Close shuts the cluster down, unwinding all simulated processes. With
 // WithInvariants armed, the end-of-run invariant finishers evaluate here.
 func (c *Cluster) Close() { c.tb.Sim.Shutdown() }
-
-// InvariantReport returns the invariant checker's findings. After Close it
-// includes the end-of-run conservation checks; before Close it covers only
-// the violations recorded so far. Without WithInvariants it is empty and
-// passing.
-func (c *Cluster) InvariantReport() InvariantReport { return c.tb.Check.Snapshot() }
 
 // Testbed exposes the underlying testbed for advanced wiring (Innova,
 // custom fabrics, direct access to the simulator).

@@ -74,6 +74,8 @@ func main() {
 	}
 	queues := h.AccelQueues()
 	kernelTime := cluster.Params().FaceVerifyService
+	// Reference histograms are computed once per identity and cached.
+	gallery := lbp.NewGallery()
 	matches, mismatches := 0, 0
 	must(gpu.LaunchPersistent(cluster.Testbed().Sim, nTB, func(tb *lynx.TB) {
 		serverQ := queues[tb.Index()]
@@ -97,7 +99,7 @@ func main() {
 				continue
 			}
 			probe := m.Payload[workload.SeqBytes+labelBytes : reqBytes]
-			same, _, err := lbp.Verify(probe, ref, lbp.DefaultThreshold) // real LBP
+			same, _, err := gallery.Verify(probe, ref, lbp.DefaultThreshold) // real LBP
 			tb.Compute(kernelTime)
 			resp := make([]byte, workload.SeqBytes+1)
 			copy(resp, m.Payload[:workload.SeqBytes])

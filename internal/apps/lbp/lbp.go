@@ -8,7 +8,12 @@
 // 32x32", §6.4).
 package lbp
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sync"
+)
 
 // Image geometry.
 const (
@@ -21,53 +26,60 @@ const (
 	histWords = cells * cells * histBins
 )
 
-// Histogram is the concatenated per-cell LBP histogram of one image.
-type Histogram [histWords]uint16
+// Histogram is the concatenated per-cell LBP histogram of one image. A
+// count fits a byte: a cell has cellSize*cellSize = 64 pixels.
+type Histogram [histWords]uint8
 
-// Compute extracts the LBP histogram of a 32x32 image.
-func Compute(img []byte) (Histogram, error) {
-	var h Histogram
+// Compute fills h with the LBP histogram of a 32x32 image. Each pixel's code
+// sets bit i when its i-th neighbour, clockwise from the top-left, is at
+// least the pixel; neighbours outside the image read as 0.
+func Compute(img []byte, h *Histogram) error {
 	if len(img) != ImageBytes {
-		return h, fmt.Errorf("lbp: image is %d bytes, want %d", len(img), ImageBytes)
+		return fmt.Errorf("lbp: image is %d bytes, want %d", len(img), ImageBytes)
 	}
-	at := func(y, x int) byte {
-		if y < 0 || y >= Size || x < 0 || x >= Size {
-			return 0
-		}
-		return img[y*Size+x]
+	*h = Histogram{}
+	var pad [Size + 2][Size + 2]byte // img with a border of zeros
+	for y := range Size {
+		copy(pad[y+1][1:Size+1], img[y*Size:])
 	}
-	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			c := at(y, x)
-			var code byte
-			// Clockwise from top-left.
-			neighbors := [8][2]int{
-				{y - 1, x - 1}, {y - 1, x}, {y - 1, x + 1},
-				{y, x + 1},
-				{y + 1, x + 1}, {y + 1, x}, {y + 1, x - 1},
-				{y, x - 1},
-			}
-			for bit, nb := range neighbors {
-				if at(nb[0], nb[1]) >= c {
-					code |= 1 << uint(bit)
-				}
-			}
-			cell := (y/cellSize)*cells + x/cellSize
-			h[cell*histBins+int(code)]++
+	for y := range Size {
+		up, mid, down := &pad[y], &pad[y+1], &pad[y+2]
+		cellRow := h[y/cellSize*cells*histBins:][:cells*histBins]
+		for x := range Size {
+			c := mid[x+1]
+			code := ge(up[x], c) | ge(up[x+1], c)<<1 | ge(up[x+2], c)<<2 |
+				ge(mid[x+2], c)<<3 |
+				ge(down[x+2], c)<<4 | ge(down[x+1], c)<<5 | ge(down[x], c)<<6 |
+				ge(mid[x], c)<<7
+			cellRow[x/cellSize*histBins+int(code)]++
 		}
 	}
-	return h, nil
+	return nil
+}
+
+// ge is 1 if a >= c, else 0.
+func ge(a, c byte) byte {
+	if a >= c {
+		return 1
+	}
+	return 0
 }
 
 // ChiSquare computes the chi-square distance between two histograms:
-// sum((a-b)^2 / (a+b)) over non-empty bins. Zero iff identical.
+// sum((a-b)^2 / (a+b)) over non-empty bins, added in ascending bin order.
+// Zero iff identical.
 func ChiSquare(a, b *Histogram) float64 {
 	var d float64
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		if s := x + y; s > 0 {
-			diff := x - y
-			d += diff * diff / s
+	for i := 0; i < histWords; i += 8 {
+		// Most bins are empty in both: skip eight at a time.
+		if binary.LittleEndian.Uint64(a[i:])|binary.LittleEndian.Uint64(b[i:]) == 0 {
+			continue
+		}
+		for j := i; j < i+8; j++ {
+			if x, y := a[j], b[j]; x|y != 0 {
+				diff := float64(int(x) - int(y))
+				d += diff * diff / float64(int(x)+int(y))
+			}
 		}
 	}
 	return d
@@ -76,19 +88,62 @@ func ChiSquare(a, b *Histogram) float64 {
 // DefaultThreshold separates same/different faces for the synthetic corpus.
 const DefaultThreshold = 120.0
 
+// galleryCap bounds the number of reference histograms a Gallery holds. A
+// served gallery is a few hundred identities; the cap keeps a stream of
+// distinct references from growing it without limit.
+const galleryCap = 1024
+
+// Gallery verifies probes against reference images. A reference is a
+// gallery image, fixed per identity, so its histogram is cached by the
+// SHA-256 digest of the image: a repeated reference costs a hash and a
+// lookup instead of a Compute. The cache never goes stale (a histogram is a
+// function of the image), holds at most galleryCap entries, and never stores
+// an error. A Gallery is safe for concurrent use.
+type Gallery struct {
+	mu   sync.Mutex
+	hist map[[sha256.Size]byte]*Histogram
+}
+
+// NewGallery returns an empty gallery.
+func NewGallery() *Gallery {
+	return &Gallery{hist: make(map[[sha256.Size]byte]*Histogram)}
+}
+
 // Verify reports whether probe and reference depict the same face under the
-// threshold.
-func Verify(probe, reference []byte, threshold float64) (bool, float64, error) {
-	hp, err := Compute(probe)
+// threshold, and their chi-square distance.
+func (g *Gallery) Verify(probe, reference []byte, threshold float64) (bool, float64, error) {
+	var hp Histogram
+	if err := Compute(probe, &hp); err != nil {
+		return false, 0, err
+	}
+	hr, err := g.reference(reference)
 	if err != nil {
 		return false, 0, err
 	}
-	hr, err := Compute(reference)
-	if err != nil {
-		return false, 0, err
-	}
-	d := ChiSquare(&hp, &hr)
+	d := ChiSquare(&hp, hr)
 	return d <= threshold, d, nil
+}
+
+// reference returns the histogram of a reference image, from the cache when
+// the gallery has seen the image before.
+func (g *Gallery) reference(img []byte) (*Histogram, error) {
+	key := sha256.Sum256(img)
+	g.mu.Lock()
+	h, ok := g.hist[key]
+	g.mu.Unlock()
+	if ok {
+		return h, nil
+	}
+	h = new(Histogram)
+	if err := Compute(img, h); err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	if len(g.hist) < galleryCap {
+		g.hist[key] = h
+	}
+	g.mu.Unlock()
+	return h, nil
 }
 
 // ---------------------------------------------------------------------------

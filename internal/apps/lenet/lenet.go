@@ -35,12 +35,14 @@ type Network struct {
 	conv1B [6]float32
 	conv2W [16][6][5][5]float32
 	conv2B [16]float32
-	fc1W   [][]float32 // 120 x 400
-	fc1B   []float32
-	fc2W   [][]float32 // 84 x 120
-	fc2B   []float32
-	fc3W   [][]float32 // 10 x 84
-	fc3B   []float32
+	// Fully connected weights, row-major: row r of a layer with c inputs is
+	// w[r*c : (r+1)*c].
+	fc1W []float32 // 120 x 400
+	fc1B []float32
+	fc2W []float32 // 84 x 120
+	fc2B []float32
+	fc3W []float32 // 10 x 84
+	fc3B []float32
 
 	// memo maps the SHA-256 digest of an image to its class. The weights
 	// never change after New, so an entry never goes stale. Digests, not
@@ -83,13 +85,10 @@ func New(seed uint64) *Network {
 		}
 		n.conv2B[f] = next()
 	}
-	mat := func(rows, cols int) ([][]float32, []float32) {
-		w := make([][]float32, rows)
-		for r := range w {
-			w[r] = make([]float32, cols)
-			for c := range w[r] {
-				w[r][c] = next()
-			}
+	mat := func(rows, cols int) ([]float32, []float32) {
+		w := make([]float32, rows*cols)
+		for i := range w {
+			w[i] = next()
 		}
 		b := make([]float32, rows)
 		for r := range b {
@@ -110,88 +109,64 @@ func relu(x float32) float32 {
 	return x
 }
 
+// norm maps a pixel to its normalized input, float32(px)/255*2 - 1.
+var norm = func() (t [256]float32) {
+	for px := range t {
+		t[px] = float32(px)/255*2 - 1
+	}
+	return t
+}()
+
 // Infer runs the forward pass on a 28x28 image given as InputBytes bytes
 // (row-major, 0..255) and returns the 10 class scores.
+//
+// Every output element is one float32 sum that starts at its bias and adds
+// its taps in a fixed order: kernel row, then kernel column (conv1, whose
+// out-of-image taps are skipped, not added as zeros); input channel, kernel
+// row, kernel column (conv2); input index (dense layers). The loops keep
+// several such sums in flight at once, a row of conv outputs or a group of
+// dense rows, so consecutive adds do not wait on each other, but no sum's
+// own order changes: the scores are bit-identical to one sum at a time.
 func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 	var out [NumClasses]float32
 	if len(img) != InputBytes {
 		return out, fmt.Errorf("lenet: input is %d bytes, want %d", len(img), InputBytes)
 	}
-	// Normalize.
 	var in [InputSize][InputSize]float32
-	for i := 0; i < InputSize; i++ {
-		for j := 0; j < InputSize; j++ {
-			in[i][j] = float32(img[i*InputSize+j])/255*2 - 1
+	for i := range in {
+		row := (*[InputSize]byte)(img[i*InputSize:])
+		for j, px := range row {
+			in[i][j] = norm[px]
 		}
 	}
 	// conv1: 5x5, pad 2, stride 1 -> 6 x 28 x 28, ReLU.
 	var c1 [6][InputSize][InputSize]float32
-	for f := 0; f < 6; f++ {
-		for y := 0; y < InputSize; y++ {
-			for x := 0; x < InputSize; x++ {
-				sum := n.conv1B[f]
-				for ky := 0; ky < 5; ky++ {
-					for kx := 0; kx < 5; kx++ {
-						iy, ix := y+ky-2, x+kx-2
-						if iy < 0 || iy >= InputSize || ix < 0 || ix >= InputSize {
-							continue
-						}
-						sum += n.conv1W[f][ky][kx] * in[iy][ix]
-					}
-				}
-				c1[f][y][x] = relu(sum)
-			}
-		}
+	for f := range c1 {
+		n.conv1Plane(f, &in, &c1[f])
 	}
 	// pool1: 2x2 max -> 6 x 14 x 14.
 	var p1 [6][14][14]float32
-	for f := 0; f < 6; f++ {
+	for f := range p1 {
 		for y := 0; y < 14; y++ {
 			for x := 0; x < 14; x++ {
-				m := c1[f][2*y][2*x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := c1[f][2*y+dy][2*x+dx]; v > m {
-							m = v
-						}
-					}
-				}
-				p1[f][y][x] = m
+				p1[f][y][x] = max4(c1[f][2*y][2*x], c1[f][2*y][2*x+1], c1[f][2*y+1][2*x], c1[f][2*y+1][2*x+1])
 			}
 		}
 	}
 	// conv2: 5x5, valid -> 16 x 10 x 10, ReLU.
 	var c2 [16][10][10]float32
-	for f := 0; f < 16; f++ {
-		for y := 0; y < 10; y++ {
-			for x := 0; x < 10; x++ {
-				sum := n.conv2B[f]
-				for c := 0; c < 6; c++ {
-					for ky := 0; ky < 5; ky++ {
-						for kx := 0; kx < 5; kx++ {
-							sum += n.conv2W[f][c][ky][kx] * p1[c][y+ky][x+kx]
-						}
-					}
-				}
-				c2[f][y][x] = relu(sum)
-			}
+	for f := range c2 {
+		for y := range c2[f] {
+			n.conv2Row(f, y, &p1, &c2[f][y])
 		}
 	}
 	// pool2: 2x2 max -> 16 x 5 x 5 = 400, flattened channel-major.
 	var flat [400]float32
 	idx := 0
-	for f := 0; f < 16; f++ {
+	for f := range c2 {
 		for y := 0; y < 5; y++ {
 			for x := 0; x < 5; x++ {
-				m := c2[f][2*y][2*x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := c2[f][2*y+dy][2*x+dx]; v > m {
-							m = v
-						}
-					}
-				}
-				flat[idx] = m
+				flat[idx] = max4(c2[f][2*y][2*x], c2[f][2*y][2*x+1], c2[f][2*y+1][2*x], c2[f][2*y+1][2*x+1])
 				idx++
 			}
 		}
@@ -205,12 +180,126 @@ func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 	return out, nil
 }
 
+// max4 is the 2x2 max-pool of a, b, c, d, scanned in that order: the first
+// of equal maxima wins, as in a row-major scan of the window.
+func max4(a, b, c, d float32) float32 {
+	m := a
+	if b > m {
+		m = b
+	}
+	if c > m {
+		m = c
+	}
+	if d > m {
+		m = d
+	}
+	return m
+}
+
+// conv1Plane writes filter f's ReLU'd output plane. Interior columns 2..25
+// see all five kernel columns and run eight sums at a time; the four edge
+// columns run together, each clipping its kernel-column range to the taps
+// inside the image. Kernel rows are clipped the same way at the top and
+// bottom.
+func (n *Network) conv1Plane(f int, in *[InputSize][InputSize]float32, out *[InputSize][InputSize]float32) {
+	w := &n.conv1W[f]
+	b := n.conv1B[f]
+	for y := range out {
+		ky0, ky1 := max(0, 2-y), min(5, InputSize+2-y)
+		o := &out[y]
+		for x0 := 2; x0 < InputSize-2; x0 += 8 {
+			s0, s1, s2, s3, s4, s5, s6, s7 := b, b, b, b, b, b, b, b
+			for ky := ky0; ky < ky1; ky++ {
+				row := &in[y+ky-2]
+				for kx, wv := range &w[ky] {
+					r := (*[8]float32)(row[x0+kx-2:])
+					s0 += wv * r[0]
+					s1 += wv * r[1]
+					s2 += wv * r[2]
+					s3 += wv * r[3]
+					s4 += wv * r[4]
+					s5 += wv * r[5]
+					s6 += wv * r[6]
+					s7 += wv * r[7]
+				}
+			}
+			*(*[8]float32)(o[x0:]) = [8]float32{relu(s0), relu(s1), relu(s2), relu(s3), relu(s4), relu(s5), relu(s6), relu(s7)}
+		}
+		// Edge columns 0, 1, 26 and 27: a tap lands in the image for
+		// kx >= 2-x on the left and kx < 30-x on the right.
+		e0, e1, e2, e3 := b, b, b, b
+		for ky := ky0; ky < ky1; ky++ {
+			row := &in[y+ky-2]
+			for kx, wv := range &w[ky] {
+				if kx >= 2 {
+					e0 += wv * row[kx-2]
+				}
+				if kx >= 1 {
+					e1 += wv * row[kx-1]
+				}
+				if kx <= 3 {
+					e2 += wv * row[InputSize-4+kx]
+				}
+				if kx <= 2 {
+					e3 += wv * row[InputSize-3+kx]
+				}
+			}
+		}
+		o[0], o[1], o[InputSize-2], o[InputSize-1] = relu(e0), relu(e1), relu(e2), relu(e3)
+	}
+}
+
+// conv2Row writes row y of filter f's ReLU'd output, its ten sums kept in
+// flight together.
+func (n *Network) conv2Row(f, y int, p1 *[6][14][14]float32, out *[10]float32) {
+	b := n.conv2B[f]
+	s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 := b, b, b, b, b, b, b, b, b, b
+	for c := range p1 {
+		for ky := 0; ky < 5; ky++ {
+			row := &p1[c][y+ky]
+			for kx, wv := range &n.conv2W[f][c][ky] {
+				r := (*[10]float32)(row[kx:])
+				s0 += wv * r[0]
+				s1 += wv * r[1]
+				s2 += wv * r[2]
+				s3 += wv * r[3]
+				s4 += wv * r[4]
+				s5 += wv * r[5]
+				s6 += wv * r[6]
+				s7 += wv * r[7]
+				s8 += wv * r[8]
+				s9 += wv * r[9]
+			}
+		}
+	}
+	*out = [10]float32{relu(s0), relu(s1), relu(s2), relu(s3), relu(s4), relu(s5), relu(s6), relu(s7), relu(s8), relu(s9)}
+}
+
 // dense writes the fully connected layer w·in + b, optionally ReLU'd, into
-// out, which has one element per row of w.
-func dense(w [][]float32, b, in, out []float32, act bool) {
-	for r := range w {
+// out, which has one element per row of w. Four rows are summed at a time.
+func dense(w, b, in, out []float32, act bool) {
+	cols := len(in)
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		w0 := w[r*cols:][:cols]
+		w1 := w[(r+1)*cols:][:cols]
+		w2 := w[(r+2)*cols:][:cols]
+		w3 := w[(r+3)*cols:][:cols]
+		s0, s1, s2, s3 := b[r], b[r+1], b[r+2], b[r+3]
+		for c, v := range in {
+			s0 += w0[c] * v
+			s1 += w1[c] * v
+			s2 += w2[c] * v
+			s3 += w3[c] * v
+		}
+		if act {
+			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		row := w[r*cols:][:cols]
 		sum := b[r]
-		row := w[r]
 		for c, v := range in {
 			sum += row[c] * v
 		}
@@ -302,6 +391,3 @@ func RenderDigit(d, dx, dy int) []byte {
 	}
 	return img
 }
-
-// ---------------------------------------------------------------------------
-// Reference implementation (for equivalence testing)

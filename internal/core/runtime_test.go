@@ -29,7 +29,12 @@ type bed struct {
 
 func newBed(t testing.TB, seed uint64) *bed {
 	t.Helper()
-	p := model.Default()
+	return newBedWith(t, seed, model.Default())
+}
+
+// newBedWith is newBed on the given parameters.
+func newBedWith(t testing.TB, seed uint64, p model.Params) *bed {
+	t.Helper()
 	tb := snic.NewTestbed(seed, &p)
 	server := tb.NewMachine("server1", 6)
 	bf := server.AttachBlueField("bf1")

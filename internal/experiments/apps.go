@@ -230,12 +230,13 @@ func fvPopulate(store *kvstore.Store) {
 	}
 }
 
-// fvVerify runs the real LBP comparison, returning [seq][0|1].
-func fvVerify(req, dbImage []byte) []byte {
+// fvVerify runs the real LBP comparison against the deployment's gallery,
+// returning [seq][0|1].
+func fvVerify(g *lbp.Gallery, req, dbImage []byte) []byte {
 	resp := make([]byte, workload.SeqBytes+1)
 	copy(resp, req[:workload.SeqBytes])
 	probe := req[workload.SeqBytes+fvLabelBytes : fvReqBytes]
-	if ok, _, err := lbp.Verify(probe, dbImage, lbp.DefaultThreshold); err == nil && ok {
+	if ok, _, err := g.Verify(probe, dbImage, lbp.DefaultThreshold); err == nil && ok {
 		resp[workload.SeqBytes] = 1
 	}
 	return resp
@@ -279,6 +280,7 @@ func (c faceVerifyCell) run(cfg Config) workload.Result {
 	const nTB = 28 // 28 server mqueues / threadblocks (§6.4)
 	e := newEnv(cfg)
 	memcachedBackend(e)
+	gallery := lbp.NewGallery()
 	target := e.server.NetHost.Addr(7000)
 	if c.plat == platHostCentric {
 		// Pool of memcached connections shared by the stream workers.
@@ -322,7 +324,7 @@ func (c faceVerifyCell) run(cfg Config) workload.Result {
 				if len(req) < fvReqBytes+lbp.ImageBytes {
 					return req[:workload.SeqBytes+1]
 				}
-				return fvVerify(req[:fvReqBytes], req[fvReqBytes:fvReqBytes+lbp.ImageBytes])
+				return fvVerify(gallery, req[:fvReqBytes], req[fvReqBytes:fvReqBytes+lbp.ImageBytes])
 			},
 		})
 		if err := sv.Start(); err != nil {
@@ -371,7 +373,7 @@ func (c faceVerifyCell) run(cfg Config) workload.Result {
 				if err != nil || !ok {
 					continue
 				}
-				resp := fvVerify(m.Payload, img)
+				resp := fvVerify(gallery, m.Payload, img)
 				tb.Compute(e.params.FaceVerifyService) // the LBP kernel, ~50µs
 				if serverQ.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
 					return

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags clean
+.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags traffic clean
 
 all: vet test
 
@@ -24,6 +24,14 @@ flags:
 	@for d in cmd/lynxd cmd/lynxbench; do \
 		printf '%s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -cE 'fs\.[A-Z][A-Za-z0-9]*\("'); \
 	done | awk '{ print; n += $$2 } END { print "total", n }'
+
+# The traffic run (DESIGN.md §4.18): every program, built with coverage, runs
+# one fixed command list (scripts/traffic.sh); prints each library package's
+# statement coverage and fails on a library function no program executes
+# that testdata/traffic_allowlist.txt does not name, or on a listed one that
+# runs. Everything it writes lives under .bench_build/traffic.
+traffic:
+	bash scripts/traffic.sh
 
 # Benchmark with -count=5 so runs can be compared statistically:
 #   make bench | tee old.txt ; <hack> ; make bench | tee new.txt

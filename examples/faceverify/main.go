@@ -33,7 +33,7 @@ func main() {
 	client := cluster.AddClient("client1")
 
 	// --- Backend tier: memcached holding the reference images. ---
-	store := kvstore.NewStore(16, 0)
+	store := kvstore.NewStore()
 	for id := uint32(0); id < identities; id++ {
 		store.Set(fmt.Sprintf("person-%05d", id), 0, lbp.SynthFace(id, 0))
 	}

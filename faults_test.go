@@ -117,7 +117,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		cluster, srv, target, client := gpuEcho(t,
 			lynx.WithSeed(42),
 			lynx.WithFaults(lynx.FaultConfig{
-				Seed: 42, DropRate: 0.02, DupRate: 0.01, DelayRate: 0.05, RDMAErrRate: 0.005,
+				Seed: 42, DropRate: 0.02, DupRate: 0.01, RDMAErrRate: 0.005,
 				Stalls: []lynx.FaultStall{{Accel: "gpu0", Queue: 1, At: 3 * time.Millisecond, For: 10 * time.Millisecond}},
 			}),
 		)
@@ -152,7 +152,7 @@ func TestInvariantsHoldOnTaskSubstrateUnderFaults(t *testing.T) {
 		lynx.WithSeed(11),
 		lynx.WithInvariants(),
 		lynx.WithFaults(lynx.FaultConfig{
-			Seed: 11, DropRate: 0.02, DelayRate: 0.05, RDMAErrRate: 0.005,
+			Seed: 11, DropRate: 0.02, RDMAErrRate: 0.005,
 		}),
 	)
 	defer cluster.Close()

@@ -78,12 +78,13 @@ type GPU struct {
 	busyTime time.Duration
 }
 
+// gpuMemBytes is a GPU's device memory capacity (only mqueue footprints
+// are allocated from it in this simulation).
+const gpuMemBytes = 1 << 26
+
 // GPUConfig parameterizes NewGPU.
 type GPUConfig struct {
 	Model GPUModel
-	// MemBytes is the device memory capacity (only mqueue footprints are
-	// allocated from it in this simulation).
-	MemBytes int
 	// Relaxed marks the device memory as weakly ordered for incoming DMA
 	// (the real K40m behaviour that motivates §5.1's barrier).
 	Relaxed bool
@@ -101,10 +102,7 @@ type GPUConfig struct {
 // the host driver instance used for host-centric stream operations (may be
 // shared by several GPUs in one host, which is exactly the §6.2 bottleneck).
 func NewGPU(s *sim.Sim, p *model.Params, fab *fabric.Fabric, driver *Driver, name string, cfg GPUConfig) *GPU {
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 1 << 26
-	}
-	mem := memdev.NewMemory(s, name, cfg.MemBytes, true, memdev.Config{
+	mem := memdev.NewMemory(s, name, gpuMemBytes, true, memdev.Config{
 		Relaxed: cfg.Relaxed, MaxSkew: cfg.MaxSkew,
 	})
 	dev := fab.AddDevice(name, mem)

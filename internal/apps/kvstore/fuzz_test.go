@@ -16,7 +16,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("set k 4294967295 0 0\r\n\r\n"))
 	f.Add([]byte("get \r\n"))
 	f.Add([]byte{0, 1, 2, 0xFF, '\r', '\n'})
-	store := NewStore(4, 16)
+	store := NewStore()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := Parse(data)
 		if err != nil {
@@ -73,7 +73,7 @@ func FuzzProtocolMatchesReference(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	seeded := func() *Store {
-		s := NewStore(2, 8)
+		s := NewStore()
 		s.Set("key", 7, []byte("hello"))
 		s.Set("k", 1, nil)
 		return s
@@ -153,7 +153,7 @@ func refParse(msg []byte) (refRequest, error) {
 	}
 	r.Op = string(fields[0])
 	switch r.Op {
-	case "get", "delete":
+	case "get":
 		if len(fields) != 2 {
 			return r, fmt.Errorf("kvstore: %s wants 1 key", r.Op)
 		}
@@ -198,11 +198,6 @@ func refServe(s *Store, r refRequest) []byte {
 	case "set":
 		s.Set(r.Key, r.Flags, r.Value)
 		return []byte("STORED\r\n")
-	case "delete":
-		if s.Delete(r.Key) {
-			return []byte("DELETED\r\n")
-		}
-		return []byte("NOT_FOUND\r\n")
 	default:
 		return []byte("ERROR\r\n")
 	}

@@ -3,119 +3,61 @@
 // (§6.4) and as the co-located "typical server workload" of the CPU
 // efficiency experiment (Fig. 9).
 //
-// The store speaks the memcached ASCII protocol subset (get/set/delete) and
-// keeps an LRU-bounded sharded map.
+// The store speaks the memcached ASCII protocol subset get/set and keeps
+// every key it is given: no workload outgrows it, so it evicts nothing.
 package kvstore
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"strconv"
 	"unicode/utf8"
 )
 
-// Store is a sharded, LRU-bounded key-value store. It is not safe for OS
-// concurrency: in the simulation all accesses happen under the scheduler's
-// one-runnable-process invariant, matching memcached's per-shard locking.
+// Store is an unbounded key-value store. It is not safe for OS concurrency:
+// in the simulation all accesses happen under the scheduler's
+// one-runnable-process invariant.
 type Store struct {
-	shards []*shard
-}
-
-type shard struct {
-	capacity int
-	items    map[string]*list.Element
-	order    *list.List // front = most recently used
-	bytes    int
+	items map[string]*entry
+	bytes int
 }
 
 type entry struct {
-	key   string
 	flags uint32
 	value []byte
 }
 
-// NewStore creates a store with the given shard count and per-shard item
-// capacity (0 = unbounded).
-func NewStore(shards, perShardCapacity int) *Store {
-	if shards <= 0 {
-		shards = 1
-	}
-	s := &Store{shards: make([]*shard, shards)}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			capacity: perShardCapacity,
-			items:    make(map[string]*list.Element),
-			order:    list.New(),
-		}
-	}
-	return s
-}
-
-// find hashes key to its shard and looks it up there. A []byte key is
-// looked up in place: indexing the map with string(key) does not allocate.
-func find[K ~string | ~[]byte](s *Store, key K) (*shard, *list.Element) {
-	h := uint32(2166136261) // FNV-1a
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	sh := s.shards[int(h)%len(s.shards)]
-	return sh, sh.items[string(key)]
-}
+// NewStore creates an empty store.
+func NewStore() *Store { return &Store{items: make(map[string]*entry)} }
 
 // Set stores a copy of value under key.
 func (s *Store) Set(key string, flags uint32, value []byte) { set(s, key, flags, value) }
 
 // set overwrites an existing key's value in place when its capacity allows;
-// only a new key, which the store keeps, allocates for its name.
+// only a new key, which the store keeps, allocates for its name. A []byte
+// key is looked up in place: indexing the map with string(key) does not
+// allocate.
 func set[K ~string | ~[]byte](s *Store, key K, flags uint32, value []byte) {
-	sh, el := find(s, key)
-	if el != nil {
-		e := el.Value.(*entry)
-		sh.bytes += len(value) - len(e.value)
+	if e := s.items[string(key)]; e != nil {
+		s.bytes += len(value) - len(e.value)
 		e.value, e.flags = append(e.value[:0], value...), flags
-		sh.order.MoveToFront(el)
 		return
 	}
-	k := string(key)
-	el = sh.order.PushFront(&entry{key: k, flags: flags, value: append(make([]byte, 0, len(value)), value...)})
-	sh.items[k] = el
-	sh.bytes += len(value)
-	if sh.capacity > 0 && sh.order.Len() > sh.capacity {
-		oldest := sh.order.Back()
-		e := oldest.Value.(*entry)
-		sh.order.Remove(oldest)
-		delete(sh.items, e.key)
-		sh.bytes -= len(e.value)
-	}
+	s.items[string(key)] = &entry{flags: flags, value: append(make([]byte, 0, len(value)), value...)}
+	s.bytes += len(value)
 }
 
 // Get fetches the value for key. The value is lent: it stays valid until
-// the key's next Set or Delete, which may overwrite it in place, so a caller
-// that keeps it longer must copy it.
+// the key's next Set, which may overwrite it in place, so a caller that
+// keeps it longer must copy it.
 func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) { return get(s, key) }
 
 func get[K ~string | ~[]byte](s *Store, key K) (value []byte, flags uint32, ok bool) {
-	sh, el := find(s, key)
-	if el == nil {
+	e := s.items[string(key)]
+	if e == nil {
 		return nil, 0, false
 	}
-	sh.order.MoveToFront(el)
-	e := el.Value.(*entry)
 	return e.value, e.flags, true
-}
-
-func del[K ~string | ~[]byte](s *Store, key K) bool {
-	sh, el := find(s, key)
-	if el == nil {
-		return false
-	}
-	e := el.Value.(*entry)
-	sh.order.Remove(el)
-	delete(sh.items, e.key)
-	sh.bytes -= len(e.value)
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +66,7 @@ func del[K ~string | ~[]byte](s *Store, key K) bool {
 // Request is a parsed protocol request. Key and Value are views of the
 // parsed message, valid as long as it is.
 type Request struct {
-	Op    string // "get", "set", "delete"
+	Op    string // "get" or "set"
 	Key   []byte
 	Flags uint32
 	Value []byte
@@ -153,9 +95,8 @@ func AppendSet(dst []byte, key string, flags uint32, value []byte) []byte {
 // Request operations. Parse sets Op to one of these constants for every
 // known operation, so a parsed request carries no per-call op string.
 const (
-	opGet    = "get"
-	opSet    = "set"
-	opDelete = "delete"
+	opGet = "get"
+	opSet = "set"
 )
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the separators
@@ -214,8 +155,6 @@ func Parse(msg []byte) (Request, error) {
 		r.Op = opGet
 	case opSet:
 		r.Op = opSet
-	case opDelete:
-		r.Op = opDelete
 	default:
 		r.Op = string(fields[0])
 		return r, fmt.Errorf("kvstore: unknown op %q", r.Op)
@@ -258,30 +197,23 @@ func (s *Store) AppendServe(dst, msg []byte) []byte {
 		dst = append(dst, err.Error()...)
 		return append(dst, "\r\n"...)
 	}
-	switch r.Op {
-	case opGet:
-		v, flags, ok := get(s, r.Key)
-		if !ok {
-			return append(dst, "END\r\n"...)
-		}
-		dst = append(dst, "VALUE "...)
-		dst = append(dst, r.Key...)
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, uint64(flags), 10)
-		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, int64(len(v)), 10)
-		dst = append(dst, "\r\n"...)
-		dst = append(dst, v...)
-		return append(dst, "\r\nEND\r\n"...)
-	case opSet:
+	if r.Op == opSet {
 		set(s, r.Key, r.Flags, r.Value)
 		return append(dst, "STORED\r\n"...)
-	default: // opDelete, the one op left: Parse rejects every other
-		if del(s, r.Key) {
-			return append(dst, "DELETED\r\n"...)
-		}
-		return append(dst, "NOT_FOUND\r\n"...)
 	}
+	v, flags, ok := get(s, r.Key)
+	if !ok {
+		return append(dst, "END\r\n"...)
+	}
+	dst = append(dst, "VALUE "...)
+	dst = append(dst, r.Key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(flags), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(v)), 10)
+	dst = append(dst, "\r\n"...)
+	dst = append(dst, v...)
+	return append(dst, "\r\nEND\r\n"...)
 }
 
 // DecodeValue extracts the value from a VALUE reply; ok=false on END-only

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-func TestSetGetDelete(t *testing.T) {
-	s := NewStore(4, 0)
+func TestSetGet(t *testing.T) {
+	s := NewStore()
 	if _, _, ok := s.Get("missing"); ok {
 		t.Fatal("miss expected")
 	}
@@ -22,16 +22,13 @@ func TestSetGetDelete(t *testing.T) {
 	if string(v) != "v2" || flags != 9 {
 		t.Fatal("overwrite failed")
 	}
-	if !s.Delete("k") || s.Delete("k") {
-		t.Fatal("delete semantics wrong")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("len = %d", s.Len())
+	if s.Len() != 1 {
+		t.Fatalf("len = %d after overwriting one key", s.Len())
 	}
 }
 
 func TestValueIsolation(t *testing.T) {
-	s := NewStore(1, 0)
+	s := NewStore()
 	buf := []byte("mutable")
 	s.Set("k", 0, buf)
 	buf[0] = 'X'
@@ -41,28 +38,8 @@ func TestValueIsolation(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	s := NewStore(1, 3)
-	for i := 0; i < 3; i++ {
-		s.Set(fmt.Sprintf("k%d", i), 0, []byte{byte(i)})
-	}
-	s.Get("k0") // refresh k0: k1 becomes LRU
-	s.Set("k3", 0, []byte{3})
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, capacity 3", s.Len())
-	}
-	if _, _, ok := s.Get("k1"); ok {
-		t.Fatal("k1 should have been evicted (LRU)")
-	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, _, ok := s.Get(k); !ok {
-			t.Fatalf("%s missing", k)
-		}
-	}
-}
-
 func TestBytesAccounting(t *testing.T) {
-	s := NewStore(2, 0)
+	s := NewStore()
 	s.Set("a", 0, make([]byte, 100))
 	s.Set("b", 0, make([]byte, 50))
 	if s.Bytes() != 150 {
@@ -72,17 +49,13 @@ func TestBytesAccounting(t *testing.T) {
 	if s.Bytes() != 60 {
 		t.Fatalf("bytes after overwrite = %d", s.Bytes())
 	}
-	s.Delete("b")
-	if s.Bytes() != 10 {
-		t.Fatalf("bytes after delete = %d", s.Bytes())
-	}
 }
 
 // serve runs one wire request through AppendServe into a fresh reply.
 func serve(s *Store, msg []byte) []byte { return s.AppendServe(nil, msg) }
 
 func TestProtocolRoundTrip(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore()
 	reply := serve(s, AppendSet(nil, "img:42", 3, []byte("FACEDATA")))
 	if string(reply) != "STORED\r\n" {
 		t.Fatalf("set reply %q", reply)
@@ -96,19 +69,13 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if _, ok, _ := DecodeValue(reply); ok {
 		t.Fatal("miss must decode as !ok")
 	}
-	if string(serve(s, AppendDelete(nil, "img:42"))) != "DELETED\r\n" {
-		t.Fatal("delete reply wrong")
-	}
-	if string(serve(s, AppendDelete(nil, "img:42"))) != "NOT_FOUND\r\n" {
-		t.Fatal("re-delete reply wrong")
-	}
 }
 
 // TestSetOverwritesInPlace: a GET after a SET of an existing key returns the
 // new value, whether the SET fits the stored value's capacity (and reuses
 // it) or grows past it.
 func TestSetOverwritesInPlace(t *testing.T) {
-	s := NewStore(1, 0)
+	s := NewStore()
 	s.Set("k", 0, []byte("0123456789"))
 	for _, v := range []string{"short", "", "0123456789", "longer than the first value"} {
 		if reply := serve(s, AppendSet(nil, "k", 5, []byte(v))); string(reply) != "STORED\r\n" {
@@ -134,7 +101,7 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
-	reply := serve(NewStore(1, 0), []byte("nonsense\r\n"))
+	reply := serve(NewStore(), []byte("nonsense\r\n"))
 	if !bytes.HasPrefix(reply, []byte("CLIENT_ERROR")) {
 		t.Fatalf("reply %q", reply)
 	}
@@ -155,7 +122,7 @@ func TestDecodeValueErrors(t *testing.T) {
 // stored bytes (binary-safe values included).
 func TestProtocolProperty(t *testing.T) {
 	prop := func(keys []uint16, vals [][]byte) bool {
-		s := NewStore(4, 0)
+		s := NewStore()
 		shadow := map[string][]byte{}
 		for i, k := range keys {
 			key := fmt.Sprintf("key-%d", k)
@@ -187,16 +154,15 @@ func TestProtocolProperty(t *testing.T) {
 }
 
 // TestProtocolAllocCeilings pins the allocation-free protocol path: serving a
-// GET hit, a GET miss, a SET of an existing key or a DELETE miss into a
-// reply buffer with room allocates nothing, and neither does decoding a
-// VALUE reply.
+// GET hit, a GET miss or a SET of an existing key into a reply buffer with
+// room allocates nothing, and neither does decoding a VALUE reply.
 func TestProtocolAllocCeilings(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore()
 	value := []byte("value-0123456789")
 	s.Set("key-042", 0, value)
 	dst := make([]byte, 0, 256)
 	hit, miss := AppendGet(nil, "key-042"), AppendGet(nil, "key-999")
-	set, del := AppendSet(nil, "key-042", 0, []byte("value-9876543210")), AppendDelete(nil, "key-999")
+	set := AppendSet(nil, "key-042", 0, []byte("value-9876543210"))
 	reply := s.AppendServe(nil, hit)
 	for _, c := range []struct {
 		name string
@@ -205,7 +171,6 @@ func TestProtocolAllocCeilings(t *testing.T) {
 		{"GET hit", func() { s.AppendServe(dst, hit) }},
 		{"GET miss", func() { s.AppendServe(dst, miss) }},
 		{"SET existing", func() { s.AppendServe(dst, set) }},
-		{"DELETE miss", func() { s.AppendServe(dst, del) }},
 		{"DecodeValue", func() { DecodeValue(reply) }},
 	} {
 		if n := testing.AllocsPerRun(100, c.op); n != 0 {

@@ -40,6 +40,11 @@ const (
 	serveQueues = 4
 	// slotBytes is the mqueue slot size shared by serving and ingest rings.
 	slotBytes = 128
+	// ingestSlots sizes each replication ingest ring.
+	ingestSlots = 64
+	// keys is the number of key-%03d entries every node's store is
+	// preloaded with.
+	keys = 512
 )
 
 // Config parameterizes a rack build.
@@ -66,15 +71,6 @@ type Config struct {
 	// deterministically by the testbed's TelemetrySnapshot and TraceExport.
 	// Nil keeps every node uninstrumented — the zero-cost default.
 	Telemetry *Telemetry
-	// Shards is the shard-map size (default DefaultShards).
-	Shards int
-	// Keys preloads every node's store with key-%03d entries (default 512).
-	Keys int
-	// Quorum is the peer-ack count a write needs before its response is
-	// released; 0 waits for every live peer in the shard's replica set.
-	Quorum int
-	// IngestSlots sizes each replication ingest ring (default 64).
-	IngestSlots int
 }
 
 // Telemetry sizes the per-node observability plane of a rack build: the
@@ -148,17 +144,8 @@ func Build(cfg Config) (*Rack, error) {
 	if cfg.Replicas > cfg.Nodes {
 		return nil, fmt.Errorf("cluster: replication factor %d exceeds %d nodes", cfg.Replicas, cfg.Nodes)
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = 512
-	}
-	if cfg.IngestSlots <= 0 {
-		cfg.IngestSlots = 64
-	}
 	tb := Deploy(cfg)
-	r := &Rack{TB: tb, Map: NewShardMap(cfg.Shards), cfg: cfg, nameIdx: make(map[string]int)}
+	r := &Rack{TB: tb, Map: NewShardMap(DefaultShards), cfg: cfg, nameIdx: make(map[string]int)}
 
 	// Hardware: one rack switch per node when the deployment spans several
 	// machines; the 1-node build cables straight into the backbone, like
@@ -205,8 +192,8 @@ func Build(cfg Config) (*Rack, error) {
 		if err != nil {
 			return nil, err
 		}
-		store := kvstore.NewStore(16, 0)
-		for k := 0; k < cfg.Keys; k++ {
+		store := kvstore.NewStore()
+		for k := 0; k < keys; k++ {
 			store.Set(fmt.Sprintf("key-%03d", k), 0, []byte("value-0123456789"))
 		}
 		n.RT, n.Svc, n.Store, n.handle = rt, svc, store, h
@@ -222,10 +209,7 @@ func Build(cfg Config) (*Rack, error) {
 	var wirings []ingestWiring
 	if cfg.Replicas > 1 {
 		for i, n := range r.nodes {
-			repl, err := n.RT.AddReplication(n.Svc, core.ReplConfig{
-				Classify: r.classifierFor(n),
-				Quorum:   cfg.Quorum,
-			})
+			repl, err := n.RT.AddReplication(n.Svc, core.ReplConfig{Classify: r.classifierFor(n)})
 			if err != nil {
 				return nil, err
 			}
@@ -235,15 +219,15 @@ func Build(cfg Config) (*Rack, error) {
 					continue
 				}
 				h, err := repl.AddPeer(peer.Name, peer.GPU,
-					mqueue.Config{Kind: mqueue.ServerQueue, Slots: cfg.IngestSlots, SlotSize: slotBytes})
+					mqueue.Config{Kind: mqueue.ServerQueue, Slots: ingestSlots, SlotSize: slotBytes})
 				if err != nil {
 					return nil, err
 				}
 				n.peerSlot[j] = repl.PeerCount() - 1
 				wirings = append(wirings, ingestWiring{target: peer, h: h})
 			}
-			n.maskByShard = make([]uint32, cfg.Shards)
-			for s := 0; s < cfg.Shards; s++ {
+			n.maskByShard = make([]uint32, DefaultShards)
+			for s := 0; s < DefaultShards; s++ {
 				reps := r.Map.Replicas(s, cfg.Replicas)
 				if len(reps) == 0 || reps[0] != n.Name {
 					continue // not the primary: serve locally, replicate nothing
@@ -289,12 +273,9 @@ func Build(cfg Config) (*Rack, error) {
 	return r, nil
 }
 
-var (
-	setPrefix = []byte("set ")
-	delPrefix = []byte("delete ")
-)
+var setPrefix = []byte("set ")
 
-// classifierFor builds n's dispatch-path classifier: writes (set/delete) are
+// classifierFor builds n's dispatch-path classifier: writes (sets) are
 // keyed, sharded, and mapped to the precomputed peer mask of the shard this
 // node is primary for. Pure bookkeeping — no allocation, no simulation
 // operations — so the dispatch hot path stays substrate-parity clean.
@@ -304,15 +285,10 @@ func (r *Rack) classifierFor(n *Node) func([]byte) (uint64, uint32, bool) {
 			return 0, 0, false
 		}
 		body := payload[workload.SeqBytes:]
-		var key []byte
-		switch {
-		case bytes.HasPrefix(body, setPrefix):
-			key = body[len(setPrefix):]
-		case bytes.HasPrefix(body, delPrefix):
-			key = body[len(delPrefix):]
-		default:
+		if !bytes.HasPrefix(body, setPrefix) {
 			return 0, 0, false
 		}
+		key := body[len(setPrefix):]
 		if i := bytes.IndexByte(key, ' '); i >= 0 {
 			key = key[:i]
 		}
@@ -355,7 +331,7 @@ func (r *Rack) Close() { r.TB.Sim.Shutdown() }
 // OwnedKeys lists the preloaded keys whose primary is node i, in key order.
 func (r *Rack) OwnedKeys(i int) []string {
 	var out []string
-	for k := 0; k < r.cfg.Keys; k++ {
+	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("key-%03d", k)
 		if r.PrimaryFor(key) == i {
 			out = append(out, key)

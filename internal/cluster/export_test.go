@@ -10,7 +10,7 @@ func (r *Rack) Nodes() int { return len(r.nodes) }
 func (r *Rack) Replicas() int { return r.cfg.Replicas }
 
 // Keys returns the preloaded key-universe size.
-func (r *Rack) Keys() int { return r.cfg.Keys }
+func (r *Rack) Keys() int { return keys }
 
 // ReplicaSet returns the node indices of key's replica set, primary first.
 func (r *Rack) ReplicaSet(key string) []int {

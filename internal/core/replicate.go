@@ -39,9 +39,6 @@ type ReplConfig struct {
 	// and whether the request mutates state at all. Reads return write=false
 	// and bypass the protocol entirely.
 	Classify func(payload []byte) (id uint64, peers uint32, write bool)
-	// Quorum is the number of peer acknowledgements required before the
-	// client response is released. 0 means all live peers in the mask.
-	Quorum int
 }
 
 // ReplStats is the replication layer's counter snapshot.
@@ -112,8 +109,7 @@ type heldResp struct {
 // recycle through the replicator's free list once they leave pend.
 type pendingWrite struct {
 	id       uint64
-	waitMask uint32 // peers whose ack is still outstanding
-	needed   int    // acks still required before release
+	waitMask uint32 // peers whose ack is still outstanding; 0 releases
 	resps    []heldResp
 	// dispatchAt is when the write entered the protocol; lastAck advances
 	// with every matching ack — the gating margin of the quorum-completing
@@ -292,13 +288,9 @@ func (r *Replicator) onDispatch(payload []byte) {
 		// owed to the same peers and the original acks settle it.
 		return
 	}
-	needed := bits.OnesCount32(mask)
-	if q := r.cfg.Quorum; q > 0 && q < needed {
-		needed = q
-	}
 	now := r.rt.plat.Sim.Now()
 	pw := r.newWrite()
-	pw.id, pw.waitMask, pw.needed, pw.dispatchAt, pw.lastAck = id, mask, needed, now, now
+	pw.id, pw.waitMask, pw.dispatchAt, pw.lastAck = id, mask, now, now
 	r.pend[id] = pw
 	// Copy the payload, once per peer: each record outlives the caller's
 	// buffer and returns to the pool when its own push completes.
@@ -352,7 +344,7 @@ func (r *Replicator) onResponse(to replyTo, payload []byte) bool {
 	if pw == nil {
 		return false
 	}
-	if pw.needed <= 0 {
+	if pw.waitMask == 0 {
 		delete(r.pend, pw.id)
 		r.freeWrite(pw)
 		return false
@@ -380,12 +372,11 @@ func (r *Replicator) onAck(rp *replPeer, payload []byte) {
 		rp.ackLat.RecordN(now.Sub(pw.dispatchAt), 1)
 		r.rt.plat.Spans.Stamp(id, trace.StageReplAcked, now)
 		pw.waitMask &^= bit
-		pw.needed--
 		// The margin is how far this ack trailed the previous one (or
 		// dispatch, for the first).
 		margin := now.Sub(pw.lastAck)
 		pw.lastAck = now
-		if pw.needed <= 0 {
+		if pw.waitMask == 0 {
 			// This peer's ack completed the quorum: it is the straggler
 			// every held response was waiting on.
 			rp.gated++
@@ -401,10 +392,10 @@ func (r *Replicator) onAck(rp *replPeer, payload []byte) {
 // settle moves a quorum-met write's parked responses to the release queue,
 // stamping the quorum stage and booking the park-to-release interval as the
 // span's replication-phase queue wait, and recycles the write. With no
-// response parked yet, the pend entry stays: onResponse observes needed <= 0
-// and forwards inline — the write's replication overlapped its service and
-// never gated the response, so it carries no quorum stamp and a zero
-// replication phase.
+// response parked yet, the pend entry stays: onResponse observes an empty
+// wait mask and forwards inline — the write's replication overlapped its
+// service and never gated the response, so it carries no quorum stamp and
+// a zero replication phase.
 func (r *Replicator) settle(now sim.Time, pw *pendingWrite) {
 	if len(pw.resps) == 0 {
 		return
@@ -455,15 +446,11 @@ func (r *Replicator) killPeer(now sim.Time, rp *replPeer) {
 	}
 	sortUint64s(ids)
 	r.rt.plat.Tracer.Emit(now, trace.PeerKill, uint64(rp.idx), uint64(len(ids)))
-	r.rt.plat.Tracer.Emit(now, trace.QuorumShrink,
-		uint64(bits.OnesCount32(r.liveMask)), uint64(r.cfg.Quorum))
+	r.rt.plat.Tracer.Emit(now, trace.QuorumShrink, uint64(bits.OnesCount32(r.liveMask)), 0)
 	for _, id := range ids {
 		pw := r.pend[id]
 		pw.waitMask &^= bit
-		if live := bits.OnesCount32(pw.waitMask); pw.needed > live {
-			pw.needed = live
-		}
-		if pw.needed <= 0 {
+		if pw.waitMask == 0 {
 			r.settle(now, pw)
 		}
 	}

@@ -36,7 +36,7 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 	Exec(p *sim.Proc, d time.Duration)
 	Scale(d time.Duration) time.Duration
 }, params *model.Params, port uint16, n int, kernelStack bool, batchLatency time.Duration, served *uint64) *kvstore.Store {
-	store := kvstore.NewStore(16, 0)
+	store := kvstore.NewStore()
 	sock := host.MustUDPBind(port)
 	stackCost := params.UDPCost(model.XeonCore, !kernelStack)
 	if kernelStack {
@@ -245,7 +245,7 @@ func fvVerify(g *lbp.Gallery, req, dbImage []byte) []byte {
 // memcachedBackend hosts the image database on its own machine (TCP).
 func memcachedBackend(e *env) {
 	backend := e.tb.NewMachine("dbserver", 6)
-	store := kvstore.NewStore(16, 0)
+	store := kvstore.NewStore()
 	fvPopulate(store)
 	l := backend.NetHost.MustTCPListen(11211)
 	e.tb.Sim.Spawn("memcached-backend", func(p *sim.Proc) {

@@ -192,6 +192,16 @@ func goldenReport(id string, s *sim.Sim, res workload.Result, extra ...[2]string
 	return r.CSV()
 }
 
+// widenRing swaps tr's ring for one of n events, keeping the events it
+// holds, so a path golden can pin a run longer than a plane's event ring.
+func widenRing(tr *trace.Tracer, n int) {
+	wide := trace.New(n)
+	for _, ev := range tr.Events() {
+		wide.Emit(ev.At, ev.Kind, ev.Arg0, ev.Arg1)
+	}
+	*tr = *wide
+}
+
 // traceText renders a tracer's events one per line, failing if the ring
 // wrapped (a truncated trace would pin only its tail).
 func traceText(t *testing.T, tr *trace.Tracer) string {
@@ -405,7 +415,7 @@ func goldenReplicationKill(t *testing.T) []string {
 		// Node 0's event ring is the trace artifact. An hour-long monitor
 		// period keeps the planes' samplers from adding events beyond their
 		// spawns.
-		Telemetry: &cluster.Telemetry{TracerCap: 1 << 16, Interval: time.Hour},
+		Telemetry: &cluster.Telemetry{Interval: time.Hour},
 		Faults: fault.Config{
 			Seed:   goldenCfg.Seed,
 			Stalls: []fault.Stall{{Accel: "gpu1", Queue: -1, At: time.Millisecond, For: time.Hour}},
@@ -439,7 +449,8 @@ func goldenReplicationKill(t *testing.T) []string {
 func goldenRF1Rack(t *testing.T) []string {
 	cfg := Config{Seed: 7, Scale: 0.25}
 	window := cfg.window(20 * time.Millisecond)
-	rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Telemetry: &cluster.Telemetry{TracerCap: 1 << 20}})
+	rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Telemetry: &cluster.Telemetry{}})
+	widenRing(rack.Node(0).Prof.Events(), 1<<13)
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {

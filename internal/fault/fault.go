@@ -3,11 +3,11 @@
 // loss, stalls and overload, so every layer of the simulated hardware stack
 // consults one seeded Plan:
 //
-//   - the netstack asks Datagram/TCPDelay whether to drop, duplicate or
-//     delay a message on the wire;
-//   - the RDMA engine asks RDMAPerturb whether a work request suffers a
+//   - the netstack asks Datagram whether to drop or duplicate a datagram on
+//     the wire, and TCPDelay whether a TCP segment pays a retransmission;
+//   - the RDMA engine asks RDMAError whether a work request suffers a
 //     completion error (retried transparently by the RC transport, surfaced
-//     as latency plus a counter) or a latency spike;
+//     as RDMARetryLatency plus a counter);
 //   - the accelerator-side mqueue library asks StallRemaining whether its
 //     GPU threadblock or VCA node is inside a configured stall window.
 //
@@ -55,26 +55,12 @@ type Config struct {
 	DropRate float64
 	// DupRate is the probability a UDP datagram is delivered twice.
 	DupRate float64
-	// DelayRate is the probability a datagram is delayed by a uniform draw
-	// in (0, DelayMax].
-	DelayRate float64
-	// DelayMax bounds injected datagram delays (default 200µs).
-	DelayMax time.Duration
-	// TCPRetransmit is the added delay a lost TCP segment costs (one
-	// retransmission timeout; default 1ms).
-	TCPRetransmit time.Duration
 
 	// --- RDMA -------------------------------------------------------------
 
 	// RDMAErrRate is the probability a work request completes in error and
 	// is retried by the RC transport (go-back-N), costing RDMARetryLatency.
 	RDMAErrRate float64
-	// RDMARetryLatency is the added latency of one RDMA retry (default 8µs).
-	RDMARetryLatency time.Duration
-	// RDMASpikeRate is the probability of an RDMA latency spike of RDMASpike.
-	RDMASpikeRate float64
-	// RDMASpike is the spike magnitude (default 20µs).
-	RDMASpike time.Duration
 
 	// --- Accelerators -----------------------------------------------------
 
@@ -82,11 +68,17 @@ type Config struct {
 	Stalls []Stall
 }
 
+const (
+	// TCPRetransmit is the added delay a lost TCP segment costs (one
+	// retransmission timeout).
+	TCPRetransmit = time.Millisecond
+	// RDMARetryLatency is the added latency of one RDMA retry.
+	RDMARetryLatency = 8 * time.Microsecond
+)
+
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
-	return c.DropRate > 0 || c.DupRate > 0 || c.DelayRate > 0 ||
-		c.RDMAErrRate > 0 || c.RDMASpikeRate > 0 ||
-		len(c.Stalls) > 0
+	return c.DropRate > 0 || c.DupRate > 0 || c.RDMAErrRate > 0 || len(c.Stalls) > 0
 }
 
 // Validate rejects a probability outside [0, 1] (NaN included): a rate of 2
@@ -96,8 +88,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"drop", c.DropRate}, {"duplication", c.DupRate}, {"delay", c.DelayRate},
-		{"RDMA error", c.RDMAErrRate}, {"RDMA spike", c.RDMASpikeRate},
+		{"drop", c.DropRate}, {"duplication", c.DupRate}, {"RDMA error", c.RDMAErrRate},
 	} {
 		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("fault: %s probability %g: must be within [0, 1]", p.name, p.v)
@@ -110,19 +101,16 @@ func (c Config) Validate() error {
 type Stats struct {
 	DatagramsDropped    uint64
 	DatagramsDuplicated uint64
-	DatagramsDelayed    uint64
 	TCPDelays           uint64
 	RDMAErrors          uint64
-	RDMASpikes          uint64
 	StallHits           uint64
 }
 
 // String formats the counters on one line (stable field order, so it is safe
 // to compare across runs in determinism tests).
 func (s Stats) String() string {
-	return fmt.Sprintf("drop=%d dup=%d delay=%d tcpdelay=%d rdmaerr=%d rdmaspike=%d stallhits=%d",
-		s.DatagramsDropped, s.DatagramsDuplicated, s.DatagramsDelayed, s.TCPDelays,
-		s.RDMAErrors, s.RDMASpikes, s.StallHits)
+	return fmt.Sprintf("drop=%d dup=%d tcpdelay=%d rdmaerr=%d stallhits=%d",
+		s.DatagramsDropped, s.DatagramsDuplicated, s.TCPDelays, s.RDMAErrors, s.StallHits)
 }
 
 // Fate is the outcome drawn for one datagram.
@@ -145,21 +133,9 @@ type Plan struct {
 	stats Stats
 }
 
-// NewPlan builds a Plan, filling config defaults. A disabled config returns a
-// valid Plan that injects nothing (callers may also keep a nil *Plan).
+// NewPlan builds a Plan. A disabled config returns a valid Plan that
+// injects nothing (callers may also keep a nil *Plan).
 func NewPlan(cfg Config) *Plan {
-	if cfg.DelayMax <= 0 {
-		cfg.DelayMax = 200 * time.Microsecond
-	}
-	if cfg.TCPRetransmit <= 0 {
-		cfg.TCPRetransmit = time.Millisecond
-	}
-	if cfg.RDMARetryLatency <= 0 {
-		cfg.RDMARetryLatency = 8 * time.Microsecond
-	}
-	if cfg.RDMASpike <= 0 {
-		cfg.RDMASpike = 20 * time.Microsecond
-	}
 	return &Plan{
 		cfg: cfg,
 		rng: rand.New(rand.NewPCG(cfg.Seed, 0xfa17_fa17_fa17_fa17)),
@@ -174,67 +150,47 @@ func (pl *Plan) Stats() Stats {
 	return pl.stats
 }
 
-// Datagram draws the fate of one UDP datagram and, for Deliver/Duplicate, an
-// extra delivery delay (zero when no delay fault fires).
-func (pl *Plan) Datagram() (Fate, time.Duration) {
+// Datagram draws the fate of one UDP datagram.
+func (pl *Plan) Datagram() Fate {
 	if pl == nil {
-		return Deliver, 0
+		return Deliver
 	}
 	c := &pl.cfg
 	if c.DropRate > 0 && pl.rng.Float64() < c.DropRate {
 		pl.stats.DatagramsDropped++
-		return Drop, 0
+		return Drop
 	}
-	fate := Deliver
 	if c.DupRate > 0 && pl.rng.Float64() < c.DupRate {
 		pl.stats.DatagramsDuplicated++
-		fate = Duplicate
+		return Duplicate
 	}
-	var delay time.Duration
-	if c.DelayRate > 0 && pl.rng.Float64() < c.DelayRate {
-		pl.stats.DatagramsDelayed++
-		delay = time.Duration(pl.rng.Float64() * float64(c.DelayMax))
-	}
-	return fate, delay
+	return Deliver
 }
 
-// TCPDelay draws the extra delay of one TCP segment: a lost segment costs a
-// retransmission timeout (the reliable transport masks the loss).
+// TCPDelay draws the extra delay of one TCP segment: a lost segment costs
+// TCPRetransmit (the reliable transport masks the loss).
 func (pl *Plan) TCPDelay() time.Duration {
 	if pl == nil {
 		return 0
 	}
-	c := &pl.cfg
-	var d time.Duration
-	if c.DropRate > 0 && pl.rng.Float64() < c.DropRate {
+	if c := &pl.cfg; c.DropRate > 0 && pl.rng.Float64() < c.DropRate {
 		pl.stats.TCPDelays++
-		d += c.TCPRetransmit
+		return TCPRetransmit
 	}
-	if c.DelayRate > 0 && pl.rng.Float64() < c.DelayRate {
-		pl.stats.DatagramsDelayed++
-		d += time.Duration(pl.rng.Float64() * float64(c.DelayMax))
-	}
-	return d
+	return 0
 }
 
-// RDMAPerturb draws the perturbation of one RDMA work request: extra transit
-// latency, and whether the WR suffered a (transparently retried) completion
-// error.
-func (pl *Plan) RDMAPerturb() (extra time.Duration, errored bool) {
+// RDMAError draws whether one RDMA work request suffers a (transparently
+// retried) completion error, which costs it RDMARetryLatency.
+func (pl *Plan) RDMAError() bool {
 	if pl == nil {
-		return 0, false
+		return false
 	}
-	c := &pl.cfg
-	if c.RDMAErrRate > 0 && pl.rng.Float64() < c.RDMAErrRate {
+	if c := &pl.cfg; c.RDMAErrRate > 0 && pl.rng.Float64() < c.RDMAErrRate {
 		pl.stats.RDMAErrors++
-		extra += c.RDMARetryLatency
-		errored = true
+		return true
 	}
-	if c.RDMASpikeRate > 0 && pl.rng.Float64() < c.RDMASpikeRate {
-		pl.stats.RDMASpikes++
-		extra += c.RDMASpike
-	}
-	return extra, errored
+	return false
 }
 
 // StallRemaining reports how long the given accelerator queue must freeze

@@ -13,15 +13,14 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 	if pl.Enabled() {
 		t.Fatal("nil plan enabled")
 	}
-	fate, delay := pl.Datagram()
-	if fate != Deliver || delay != 0 {
-		t.Fatalf("nil Datagram = %v %v", fate, delay)
+	if fate := pl.Datagram(); fate != Deliver {
+		t.Fatalf("nil Datagram = %v", fate)
 	}
 	if pl.TCPDelay() != 0 {
 		t.Fatal("nil TCPDelay non-zero")
 	}
-	if extra, errored := pl.RDMAPerturb(); extra != 0 || errored {
-		t.Fatal("nil RDMAPerturb non-zero")
+	if pl.RDMAError() {
+		t.Fatal("nil RDMAError fired")
 	}
 	if pl.StallRemaining("gpu0", 0, 0) != 0 {
 		t.Fatal("nil StallRemaining non-zero")
@@ -49,7 +48,7 @@ func TestValidateProbabilities(t *testing.T) {
 			t.Errorf("%+v: %v", ok, err)
 		}
 	}
-	for _, bad := range []Config{{DropRate: 2}, {DropRate: -0.5}, {DupRate: math.NaN()}, {RDMAErrRate: 1.5}, {DelayRate: -1}, {RDMASpikeRate: 3}} {
+	for _, bad := range []Config{{DropRate: 2}, {DropRate: -0.5}, {DupRate: math.NaN()}, {RDMAErrRate: 1.5}, {RDMAErrRate: -1}} {
 		if bad.Validate() == nil {
 			t.Errorf("%+v accepted", bad)
 		}
@@ -58,13 +57,14 @@ func TestValidateProbabilities(t *testing.T) {
 
 // The plan's stream is its own: identical configs draw identical fates.
 func TestDeterministicDraws(t *testing.T) {
-	cfg := Config{Seed: 9, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.2}
+	cfg := Config{Seed: 9, DropRate: 0.1, DupRate: 0.05, RDMAErrRate: 0.2}
 	a, b := NewPlan(cfg), NewPlan(cfg)
 	for i := 0; i < 10000; i++ {
-		fa, da := a.Datagram()
-		fb, db := b.Datagram()
-		if fa != fb || da != db {
-			t.Fatalf("draw %d diverged: (%v,%v) vs (%v,%v)", i, fa, da, fb, db)
+		fa, fb := a.Datagram(), b.Datagram()
+		ta, tb := a.TCPDelay(), b.TCPDelay()
+		ea, eb := a.RDMAError(), b.RDMAError()
+		if fa != fb || ta != tb || ea != eb {
+			t.Fatalf("draw %d diverged: (%v,%v,%v) vs (%v,%v,%v)", i, fa, ta, ea, fb, tb, eb)
 		}
 	}
 	if a.Stats() != b.Stats() {
@@ -74,10 +74,14 @@ func TestDeterministicDraws(t *testing.T) {
 
 // Empirical rates must track the configured probabilities.
 func TestDatagramRates(t *testing.T) {
-	pl := NewPlan(Config{Seed: 3, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.2})
+	pl := NewPlan(Config{Seed: 3, DropRate: 0.1, DupRate: 0.05, RDMAErrRate: 0.2})
 	const n = 200000
 	for i := 0; i < n; i++ {
 		pl.Datagram()
+		if d := pl.TCPDelay(); d != 0 && d != TCPRetransmit {
+			t.Fatalf("TCP delay %v, want 0 or %v", d, TCPRetransmit)
+		}
+		pl.RDMAError()
 	}
 	st := pl.Stats()
 	near := func(name string, got uint64, want float64) {
@@ -87,9 +91,10 @@ func TestDatagramRates(t *testing.T) {
 		}
 	}
 	near("drop", st.DatagramsDropped, 0.1)
-	// Dup and delay are drawn only for non-dropped datagrams.
+	// Dup is drawn only for non-dropped datagrams.
 	near("dup", st.DatagramsDuplicated, 0.05*0.9)
-	near("delay", st.DatagramsDelayed, 0.2*0.9)
+	near("tcp", st.TCPDelays, 0.1)
+	near("rdma", st.RDMAErrors, 0.2)
 }
 
 func TestStallWindows(t *testing.T) {
@@ -118,13 +123,5 @@ func TestStallWindows(t *testing.T) {
 	}
 	if pl.Stats().StallHits == 0 {
 		t.Fatal("stall hits not counted")
-	}
-}
-
-func TestDefaultsFilled(t *testing.T) {
-	cfg := NewPlan(Config{}).Config()
-	if cfg.DelayMax <= 0 || cfg.TCPRetransmit <= 0 || cfg.RDMARetryLatency <= 0 ||
-		cfg.RDMASpike <= 0 {
-		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 }

@@ -26,10 +26,8 @@ type Handler func(req []byte) []byte
 
 // Config shapes a host-centric server.
 type Config struct {
-	// Port the UDP/TCP frontend listens on.
+	// Port the UDP frontend listens on.
 	Port uint16
-	// Proto is the client-facing transport.
-	Proto Proto
 	// Streams is the CUDA stream pool size (concurrent in-flight requests).
 	Streams int
 	// Cores is the number of CPU cores the frontend may use (1 in the
@@ -53,17 +51,6 @@ type Config struct {
 	// the §6.4 asynchronous memcached fetch). It may block on I/O.
 	PreKernel func(p *sim.Proc, req []byte) []byte
 }
-
-// Proto mirrors core.Proto without importing it (keeps the baseline
-// standalone).
-type Proto int
-
-const (
-	// UDP transport.
-	UDP Proto = iota
-	// TCP transport.
-	TCP
-)
 
 // Server is a host-centric accelerated network server.
 type Server struct {
@@ -134,10 +121,6 @@ func (sv *Server) udpCost() time.Duration {
 	return sv.params.UDPCost(model.XeonCore, sv.cfg.Bypass)
 }
 
-func (sv *Server) tcpCost() time.Duration {
-	return sv.params.TCPCost(model.XeonCore, sv.cfg.Bypass)
-}
-
 // Start brings up the frontend: one worker process per CUDA stream, all
 // draining the shared socket.
 func (sv *Server) Start() error {
@@ -145,47 +128,19 @@ func (sv *Server) Start() error {
 		return fmt.Errorf("hostcentric: already started")
 	}
 	sv.started = true
-	switch sv.cfg.Proto {
-	case UDP:
-		sock, err := sv.host.UDPBind(sv.cfg.Port)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < sv.cfg.Streams; i++ {
-			st := sv.gpu.NewStream()
-			sv.sim.Spawn(fmt.Sprintf("hostcentric/stream%d", i), func(p *sim.Proc) {
-				for {
-					dg := sock.Recv(p)
-					sv.exec(p, sv.udpCost())
-					resp := sv.handle(p, st, dg.Payload)
-					sv.exec(p, sv.udpCost())
-					sock.SendTo(dg.From, resp)
-				}
-			})
-		}
-	case TCP:
-		l, err := sv.host.TCPListen(sv.cfg.Port)
-		if err != nil {
-			return err
-		}
-		sv.sim.Spawn("hostcentric/accept", func(p *sim.Proc) {
+	sock, err := sv.host.UDPBind(sv.cfg.Port)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < sv.cfg.Streams; i++ {
+		st := sv.gpu.NewStream()
+		sv.sim.Spawn(fmt.Sprintf("hostcentric/stream%d", i), func(p *sim.Proc) {
 			for {
-				conn := l.Accept(p)
-				st := sv.gpu.NewStream()
-				sv.sim.Spawn("hostcentric/conn", func(p *sim.Proc) {
-					for {
-						msg, err := conn.Recv(p)
-						if err != nil {
-							return
-						}
-						sv.exec(p, sv.tcpCost())
-						resp := sv.handle(p, st, msg)
-						sv.exec(p, sv.tcpCost())
-						if conn.Send(p, resp) != nil {
-							return
-						}
-					}
-				})
+				dg := sock.Recv(p)
+				sv.exec(p, sv.udpCost())
+				resp := sv.handle(p, st, dg.Payload)
+				sv.exec(p, sv.udpCost())
+				sock.SendTo(dg.From, resp)
 			}
 		})
 	}

@@ -92,36 +92,6 @@ func TestThroughputCappedByDriverLock(t *testing.T) {
 	}
 }
 
-func TestTCPServer(t *testing.T) {
-	b := newBed(3)
-	sv := hostcentric.New(b.tb.Sim, b.tb.Params, b.server.CPU, b.server.NetHost, b.gpu, hostcentric.Config{
-		Port: 7000, Proto: hostcentric.TCP, Streams: 2, Cores: 1, Bypass: true,
-		KernelTime: 10 * time.Microsecond,
-		Handler:    func(req []byte) []byte { return append([]byte("ok:"), req...) },
-	})
-	sv.Start()
-	var got string
-	b.tb.Sim.Spawn("client", func(p *sim.Proc) {
-		conn, err := b.client.TCPDial(p, netstack.Addr{Host: "server1", Port: 7000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn.Send(p, []byte("hi"))
-		msg, err := conn.Recv(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got = string(msg)
-	})
-	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return got != "" })
-	b.tb.Sim.Shutdown()
-	if got != "ok:hi" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestPreKernelHookRuns(t *testing.T) {
 	b := newBed(4)
 	ran := 0

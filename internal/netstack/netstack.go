@@ -256,9 +256,8 @@ func (n *Network) transmit(src, dst *Host, payload, overhead int, deliver func()
 	n.transmitDelayed(src, dst, payload, overhead, 0, deliver)
 }
 
-// transmitDelayed is transmit with an injected in-network delay (fault plan):
-// the message serializes normally but arrives extra later, as if queued
-// behind cross-traffic inside the switch.
+// transmitDelayed is transmit with an injected delay (the fault plan's TCP
+// retransmission): the message serializes normally but arrives extra later.
 func (n *Network) transmitDelayed(src, dst *Host, payload, overhead int, extra time.Duration, deliver func()) {
 	bytes, frags := wireSize(payload, overhead)
 	now := n.sim.Now()
@@ -308,7 +307,7 @@ func (s *UDPSocket) Addr() Addr { return s.host.Addr(s.port) }
 // SendTo transmits payload to the destination address. Unknown destinations
 // are silently dropped (as on a real network). The payload is copied into a
 // buffer the receiver owns (see Release); the caller keeps payload. The
-// network's fault plan, if any, may drop, duplicate or delay the datagram; a
+// network's fault plan, if any, may drop or duplicate the datagram; a
 // duplicate carries a copy of its own.
 func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 	n := s.host.net
@@ -320,7 +319,7 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 	if checked {
 		n.udpSent++
 	}
-	fate, extra := n.faults.Datagram()
+	fate := n.faults.Datagram()
 	if fate == fault.Drop {
 		if checked {
 			n.udpWireDropped++
@@ -328,7 +327,7 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 		return // lost on the wire
 	}
 	dg := Datagram{From: s.Addr(), To: to, Payload: n.copyOf(payload)}
-	n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
+	n.transmit(s.host, dst, len(payload), udpOverhead, n.flight(dst, dg, checked))
 	if fate == fault.Duplicate {
 		if checked {
 			n.udpDuplicated++
@@ -336,7 +335,7 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 		// The copy serializes behind the original on the same links, in a
 		// buffer of its own: each delivery is released on its own.
 		dg.Payload = n.copyOf(payload)
-		n.transmitDelayed(s.host, dst, len(payload), udpOverhead, extra, n.flight(dst, dg, checked))
+		n.transmit(s.host, dst, len(payload), udpOverhead, n.flight(dst, dg, checked))
 	}
 }
 

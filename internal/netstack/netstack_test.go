@@ -455,8 +455,8 @@ func TestTCPSegmentAndFINInOneInstant(t *testing.T) {
 		readAll(s, srv, task, &log)
 		// Every segment pays one retransmission timeout; the FIN does not,
 		// so a FIN sent that much later lands with the segment.
-		const rto = 10 * time.Microsecond
-		n.SetFaults(fault.NewPlan(fault.Config{DropRate: 1, TCPRetransmit: rto}))
+		const rto = fault.TCPRetransmit
+		n.SetFaults(fault.NewPlan(fault.Config{DropRate: 1}))
 		var lands sim.Time
 		s.Spawn("sender", func(pr *sim.Proc) {
 			lands = pr.Now().Add(rto + oneWay(p, 1))
@@ -466,7 +466,7 @@ func TestTCPSegmentAndFINInOneInstant(t *testing.T) {
 			pr.Sleep(rto + oneWay(p, 1) - oneWay(p, 0))
 			cli.Close()
 		})
-		s.RunUntil(s.Now().Add(time.Millisecond))
+		s.RunUntil(s.Now().Add(rto + time.Millisecond))
 		s.Shutdown()
 		want := []read{{lands, "x", nil}, {lands, "", ErrConnClosed}}
 		if fmt.Sprint(log) != fmt.Sprint(want) {

@@ -13,16 +13,15 @@ import (
 	"lynx/internal/trace"
 )
 
+// eventRingCap bounds a plane's runtime event ring.
+const eventRingCap = 4096
+
 // Options sizes a Profile. Zero values pick defaults.
 type Options struct {
-	// TracerCap bounds the runtime event ring (default 4096 events).
-	TracerCap int
 	// SpanCap bounds the span table ring (default 1<<14 spans).
 	SpanCap int
 	// TopK bounds the flight recorder's slowest-span heap (default 16).
 	TopK int
-	// RingCap bounds the flight recorder's recency ring (default 64).
-	RingCap int
 	// Interval is the monitor's sampling period (default 50µs).
 	Interval time.Duration
 }
@@ -46,10 +45,7 @@ type Profile struct {
 // registered on ck, which may be nil), flight recorder attached to the
 // table, and metrics registry.
 func New(opts Options, ck *check.Checker) *Profile {
-	tcap, scap, iv := opts.TracerCap, opts.SpanCap, opts.Interval
-	if tcap <= 0 {
-		tcap = 4096
-	}
+	scap, iv := opts.SpanCap, opts.Interval
 	if scap <= 0 {
 		scap = 1 << 14
 	}
@@ -57,9 +53,9 @@ func New(opts Options, ck *check.Checker) *Profile {
 		iv = 50 * time.Microsecond
 	}
 	p := &Profile{
-		events:   trace.New(tcap),
+		events:   trace.New(eventRingCap),
 		spans:    trace.NewSpanTable(scap),
-		rec:      NewRecorder(opts.TopK, opts.RingCap),
+		rec:      NewRecorder(opts.TopK, 0),
 		reg:      metrics.NewRegistry(),
 		interval: iv,
 	}

@@ -218,23 +218,23 @@ func TestReportJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestProfileBundle: New sizes every piece of the plane from Options,
-// registers the span invariants on the checker, and every accessor is
-// nil-safe.
+// TestProfileBundle: New sizes the span table and recorder from Options and
+// the event ring to eventRingCap, registers the span invariants on the
+// checker, and every accessor is nil-safe.
 func TestProfileBundle(t *testing.T) {
 	ck := check.New()
-	p := New(Options{TracerCap: 8, SpanCap: 32, TopK: 2, RingCap: 4}, ck)
+	p := New(Options{SpanCap: 32, TopK: 2}, ck)
 	if p.Spans().Cap() != 32 || p.Recorder().TopK() != 2 {
 		t.Fatalf("span cap %d, top-k %d; want 32, 2", p.Spans().Cap(), p.Recorder().TopK())
 	}
 	if p.Events() == nil || p.Registry() == nil {
 		t.Fatal("plane missing its event ring or registry")
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < eventRingCap+2; i++ {
 		p.Events().Emit(sim.Time(i), trace.Recv, 0, 0)
 	}
-	if n := len(p.Events().Events()); n != 8 {
-		t.Errorf("event ring holds %d events, want TracerCap 8", n)
+	if n := len(p.Events().Events()); n != eventRingCap {
+		t.Errorf("event ring holds %d events, want %d", n, eventRingCap)
 	}
 	want := check.New()
 	trace.NewSpanTable(1).RegisterInvariants(want)

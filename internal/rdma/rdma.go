@@ -152,8 +152,6 @@ type QPConfig struct {
 	Kind QPKind
 	// Remote marks the target as reachable only across the network.
 	Remote bool
-	// SQDepth bounds the send queue (0 = unbounded).
-	SQDepth int
 	// HWIssue marks the QP as driven by NIC-resident hardware (the Innova
 	// AFU): posting costs no CPU time, and writes are fully pipelined
 	// (posted semantics — the engine only pays its per-WQE processing time;
@@ -176,7 +174,7 @@ func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 		kind:   cfg.Kind,
 		target: target,
 		hw:     cfg.HWIssue,
-		sq:     sim.NewChan[WR](e.sim, cfg.SQDepth),
+		sq:     sim.NewChan[WR](e.sim, 0),
 	}
 	if cfg.Remote {
 		qp.remote = e.params.RDMARemotePenalty
@@ -271,12 +269,12 @@ func (qp *QP) process(wr WR) {
 	fl := qp.getInflight(wr)
 	qp.inflight = append(qp.inflight, fl)
 	// Fault plan: a completion error is retried by the RC transport
-	// (go-back-N), surfacing as extra latency and a flagged CQE; latency
-	// spikes add transit without a retry.
-	perturb, errored := e.faults.RDMAPerturb()
-	if errored {
+	// (go-back-N), surfacing as extra latency and a flagged CQE.
+	var perturb time.Duration
+	if e.faults.RDMAError() {
 		e.retried++
 		fl.cqe.Retried = true
+		perturb = fault.RDMARetryLatency
 	}
 	switch wr.Op {
 	case OpWrite:

@@ -60,10 +60,8 @@ func (tb *Testbed) Monitor(node int, rt *core.Runtime) {
 			return []metrics.Stat{
 				{Name: "datagrams_dropped", Value: float64(st.DatagramsDropped)},
 				{Name: "datagrams_duplicated", Value: float64(st.DatagramsDuplicated)},
-				{Name: "datagrams_delayed", Value: float64(st.DatagramsDelayed)},
 				{Name: "tcp_delays", Value: float64(st.TCPDelays)},
 				{Name: "rdma_errors", Value: float64(st.RDMAErrors)},
-				{Name: "rdma_spikes", Value: float64(st.RDMASpikes)},
 				{Name: "stall_hits", Value: float64(st.StallHits)},
 			}
 		})

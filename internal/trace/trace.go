@@ -45,7 +45,8 @@ const (
 	// peer dead (arg0 = peer index, arg1 = acks waived by the kill).
 	PeerKill
 	// QuorumShrink: a peer kill shrank the effective write quorum (arg0 =
-	// live-peer count after the kill, arg1 = quorum size).
+	// live-peer count after the kill, arg1 = 0: a write waits for every
+	// live peer).
 	QuorumShrink
 	// ReplRelease: a client response held for replication was released at
 	// quorum (arg0 = responses released, arg1 = acks still outstanding).

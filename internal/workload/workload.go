@@ -1,7 +1,7 @@
 // Package workload provides sockperf-style load generators (§6: "We use
 // sockperf with VMA to evaluate the server performance"): closed-loop
-// clients for saturation throughput and open-loop (fixed-rate) clients for
-// latency-under-load, over UDP or TCP.
+// clients for saturation throughput over UDP or TCP, and open-loop
+// (fixed-rate) UDP clients for latency-under-load.
 //
 // Convention: every request carries an 8-byte little-endian sequence number
 // prefix which servers echo back in their response (an RPC id), so the
@@ -60,8 +60,9 @@ type Config struct {
 	// Clients is the closed-loop concurrency (one in-flight request per
 	// client), or the number of sending sockets for open-loop.
 	Clients int
-	// RatePerSec, when non-zero, switches to open-loop mode: requests are
-	// issued at this aggregate rate regardless of responses.
+	// RatePerSec, when non-zero, switches UDP clients to open-loop mode:
+	// requests are issued at this aggregate rate regardless of responses.
+	// TCP clients are closed loop only.
 	RatePerSec float64
 	// Poisson makes open-loop inter-arrival times exponentially
 	// distributed (memoryless arrivals) instead of periodic.
@@ -257,6 +258,9 @@ func (g *Generator) Run() *Result {
 	case UDP:
 		g.runUDP()
 	case TCP:
+		if g.cfg.RatePerSec > 0 {
+			panic("workload: TCP clients are closed loop only")
+		}
 		g.runTCP()
 	}
 	total := g.cfg.Warmup + g.cfg.Duration
@@ -383,42 +387,12 @@ func (g *Generator) runUDPOpenLoop() {
 
 func (g *Generator) runTCP() {
 	end := g.endAt
-	openLoop := g.cfg.RatePerSec > 0
-	interval := time.Duration(0)
-	if openLoop {
-		interval = time.Duration(float64(time.Second)/g.cfg.RatePerSec) * time.Duration(g.cfg.Clients)
-	}
 	for c := 0; c < g.cfg.Clients; c++ {
 		c := c
 		g.sim.Spawn(fmt.Sprintf("wl/tcp%d", c), func(p *sim.Proc) {
 			defer func() { g.done++ }()
 			conn, err := g.host(c).TCPDial(p, g.cfg.Target)
 			if err != nil {
-				return
-			}
-			if openLoop {
-				g.sim.Spawn(fmt.Sprintf("wl/tcp-rx%d", c), func(rp *sim.Proc) {
-					for {
-						msg, enq, err := conn.RecvQueued(rp)
-						if err != nil {
-							return
-						}
-						g.noteRxWait(msg, enq, rp.Now())
-						g.record(msg, rp.Now())
-						conn.Release(msg)
-					}
-				})
-				p.Sleep(time.Duration(c) * time.Duration(float64(time.Second)/g.cfg.RatePerSec))
-				buf := make([]byte, g.cfg.Payload)
-				for p.Now() < end {
-					seq := g.request(buf)
-					g.inflight[seq] = p.Now()
-					g.begin(seq, p.Now())
-					if conn.Send(p, buf) != nil {
-						return
-					}
-					p.Sleep(interval)
-				}
 				return
 			}
 			buf := make([]byte, g.cfg.Payload)

@@ -230,22 +230,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestOpenLoopTCP(t *testing.T) {
-	s, n := newNet(9)
-	srv := n.AddHost("server")
-	cli := n.AddHost("client")
-	echoService(s, srv, 20*time.Microsecond)
-	g := New(s, Config{
-		Proto: TCP, Target: srv.Addr(7000), Payload: 64,
-		Clients: 2, RatePerSec: 20000, Duration: 10 * time.Millisecond, Warmup: time.Millisecond,
-	}, cli)
-	res := RunFor(s, g)
-	s.Shutdown()
-	if tp := res.Throughput(); tp < 16000 || tp > 24000 {
-		t.Fatalf("open-loop TCP delivered %.0f, want ~20000", tp)
-	}
-}
-
 func TestPoissonOpenLoopRate(t *testing.T) {
 	s, n := newNet(10)
 	srv := n.AddHost("server")
@@ -278,7 +262,6 @@ func TestBodySeesAZeroedRequestBuffer(t *testing.T) {
 		{"udp-closed", Config{Proto: UDP, Clients: 2}},
 		{"udp-open", Config{Proto: UDP, Clients: 2, RatePerSec: 20000}},
 		{"tcp-closed", Config{Proto: TCP, Clients: 2}},
-		{"tcp-open", Config{Proto: TCP, Clients: 2, RatePerSec: 20000}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, n := newNet(1)

@@ -551,9 +551,10 @@ func readAllowlist(path string) (map[string]allowEntry, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%s:%d: want <name> <kind> <file>, got %q", path, n, line)
+		if len(fields) != 2 && len(fields) != 3 {
+			return nil, fmt.Errorf("%s:%d: want <name> <kind> [<file>], got %q", path, n, line)
 		}
+		fields = append(fields, "")
 		if _, dup := out[fields[0]]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", path, n, fields[0])
 		}

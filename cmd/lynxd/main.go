@@ -313,14 +313,18 @@ func (o observability) armed() bool {
 	return o.traceN > 0 || o.dir != ""
 }
 
-// finish prints the -trace tail of node 0's event ring and writes the -obs
+// finish prints the -trace tail of node 0's event ring, headed by what that
+// ring and the flight recorder's recency ring overwrote, and writes the -obs
 // artifacts: the timeline of every node, the metrics rollup and node 0's
 // attribution report, whose bottlenecks it summarizes.
 func (o observability) finish(stdout io.Writer, tb *snic.Testbed) error {
 	node0 := tb.Plane(0)
+	rep := node0.Report()
 	if o.traceN > 0 {
-		tail := node0.Events().Tail(o.traceN)
-		fmt.Fprintf(stdout, "\ntrace summary: %s\nlast %d events:\n", node0.Events().Summary(), len(tail))
+		events := node0.Spans().Events()
+		tail := events.Tail(o.traceN)
+		fmt.Fprintf(stdout, "\ntrace summary: %s\nevent ring: %s; recent spans: %s\nlast %d events:\n",
+			events.Summary(), rep.EventRing, rep.RecentRing, len(tail))
 		for _, ev := range tail {
 			fmt.Fprintln(stdout, " ", ev)
 		}
@@ -328,7 +332,6 @@ func (o observability) finish(stdout io.Writer, tb *snic.Testbed) error {
 	if o.dir == "" {
 		return nil
 	}
-	rep := node0.Report()
 	if err := tb.WriteObs(o.dir, rep, func(what, path string) {
 		fmt.Fprintf(stdout, "%s written to %s\n", what, path)
 	}); err != nil {

@@ -187,9 +187,10 @@ func TestRackRejectsSingleServerFlags(t *testing.T) {
 	}
 }
 
-// TestTraceAndMetricsJSONFlags: a single server's timeline is the one-node
-// layout (no node prefix) and its metrics dump carries the monitor series
-// and the testbed counters.
+// TestTraceAndMetricsJSONFlags: the -trace tail is headed by the event and
+// recency rings' capacities and losses, a single server's timeline is the
+// one-node layout (no node prefix) and its metrics dump carries the monitor
+// series and the testbed counters.
 func TestTraceAndMetricsJSONFlags(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
@@ -199,6 +200,9 @@ func TestTraceAndMetricsJSONFlags(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "last 3 events:") {
 		t.Errorf("-trace tail missing:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "event ring: cap 4096, lost ") || !strings.Contains(out.String(), "; recent spans: cap 64, lost ") {
+		t.Errorf("-trace header does not say what the bounded rings overwrote:\n%s", out.String())
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {

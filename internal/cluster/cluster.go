@@ -66,9 +66,10 @@ type Config struct {
 	// checker before any machine is built.
 	Check *check.Checker
 	// Telemetry, when non-nil, arms the per-node observability plane: every
-	// node gets its own profile.Profile (event ring, span table, flight
-	// recorder, and a metrics registry its monitor samples into), rolled up
-	// deterministically by the testbed's TelemetrySnapshot and TraceExport.
+	// node gets its own profile.Profile (span table with its event ring,
+	// flight recorder, and a metrics registry its monitor samples into),
+	// rolled up deterministically by the testbed's TelemetrySnapshot and
+	// TraceExport.
 	// Nil keeps every node uninstrumented — the zero-cost default.
 	Telemetry *Telemetry
 }

@@ -223,7 +223,7 @@ func TestRackPlaneWiring(t *testing.T) {
 			t.Errorf("%s: Node.Spans is not its plane's span table", n.Name)
 		}
 	}
-	if n0.Prof.Events() == n1.Prof.Events() {
+	if n0.Spans.Events() == n1.Spans.Events() {
 		t.Fatal("nodes share an event ring")
 	}
 	keys := rack.OwnedKeys(1)
@@ -242,10 +242,10 @@ func TestRackPlaneWiring(t *testing.T) {
 	if res.Received == 0 {
 		t.Fatal("node 1 served nothing")
 	}
-	if got := n1.Prof.Events().Count(trace.Recv); got == 0 {
+	if got := n1.Spans.Events().Count(trace.Recv); got == 0 {
 		t.Error("node 1's requests left no recv events in its ring")
 	}
-	if got := n0.Prof.Events().Count(trace.Recv); got != 0 {
+	if got := n0.Spans.Events().Count(trace.Recv); got != 0 {
 		t.Errorf("node 0's ring recorded %d recv events for node 1's traffic", got)
 	}
 }

@@ -1,28 +1,39 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"lynx/internal/core"
 	"lynx/internal/mqueue"
 	"lynx/internal/sim"
+	"lynx/internal/trace"
 )
 
 // echoRig is one warm echo deployment driven one request at a time from
 // outside any simulated process: Lynx on BlueField in front of four GPU
 // mqueues whose persistent threadblocks echo each request back. A UDP rig
 // sends datagrams from a client socket; a TCP rig kicks a client process
-// holding one connection.
+// holding one connection. A traced rig arms a span table and gives every
+// request a fresh span id, which it begins before the send and closes when
+// the echo is back.
 type echoRig struct {
-	b    *bed
-	send func()      // issues one 64 B request
-	back func() bool // reports (and consumes) its echo
+	b       *bed
+	spans   *trace.SpanTable // nil untraced
+	seq     uint64           // the last request's span id (traced rigs)
+	payload []byte
+	send    func()      // issues one 64 B request
+	back    func() bool // reports (and consumes) its echo
 }
 
-func newEchoRig(tb testing.TB, proto core.Proto) *echoRig {
+func newEchoRig(tb testing.TB, proto core.Proto, traced bool) *echoRig {
 	b := newBed(tb, 1)
-	rt := core.NewRuntime(b.bf.Platform(7))
+	plat := b.bf.Platform(7)
+	if traced {
+		plat.Spans = trace.NewSpanTable(0)
+	}
+	rt := core.NewRuntime(plat)
 	h, err := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}, 4)
 	if err != nil {
 		tb.Fatal(err)
@@ -35,8 +46,8 @@ func newEchoRig(tb testing.TB, proto core.Proto) *echoRig {
 	if err := rt.Start(); err != nil {
 		tb.Fatal(err)
 	}
-	r := &echoRig{b: b}
-	payload := make([]byte, 64)
+	r := &echoRig{b: b, spans: plat.Spans, payload: make([]byte, 64)}
+	payload := r.payload
 	switch proto {
 	case core.UDP:
 		cli := b.client.MustUDPBind(9000)
@@ -86,6 +97,11 @@ func newEchoRig(tb testing.TB, proto core.Proto) *echoRig {
 // at the client.
 func (r *echoRig) request(tb testing.TB) {
 	s := r.b.tb.Sim
+	if r.spans != nil {
+		r.seq++
+		binary.LittleEndian.PutUint64(r.payload, r.seq)
+		r.spans.Begin(r.seq, s.Now())
+	}
 	r.send()
 	deadline := s.Now().Add(time.Millisecond)
 	for !r.back() {
@@ -94,6 +110,7 @@ func (r *echoRig) request(tb testing.TB) {
 		}
 		s.RunUntil(s.Now().Add(time.Microsecond))
 	}
+	r.spans.Close(r.seq, trace.SpanDone, s.Now())
 }
 
 // echoCeilings bounds the objects one warm echo request may allocate, per
@@ -103,13 +120,19 @@ func (r *echoRig) request(tb testing.TB) {
 // pushed, so the response's wire copy reuses it. What is left, over UDP and
 // TCP alike, is the one buffer the rig's client keeps: the request's wire
 // copy, which goes on to carry the response back to a client that never
-// releases it.
+// releases it. Recording is free: a traced request, with its span
+// complete and its events in the ring, allocates and schedules exactly what
+// an untraced one does.
 var echoCeilings = []struct {
+	name    string
 	proto   core.Proto
+	traced  bool
 	ceiling float64
 }{
-	{core.UDP, 1},
-	{core.TCP, 1},
+	{"UDP", core.UDP, false, 1},
+	{"TCP", core.TCP, false, 1},
+	{"UDP-traced", core.UDP, true, 1},
+	{"TCP-traced", core.TCP, true, 1},
 }
 
 // BenchmarkEchoRequest is the core layer's benchmark: one warm echo request,
@@ -117,8 +140,8 @@ var echoCeilings = []struct {
 // sweep. events/op counts the simulator events one request costs.
 func BenchmarkEchoRequest(b *testing.B) {
 	for _, c := range echoCeilings {
-		b.Run(c.proto.String(), func(b *testing.B) {
-			r := newEchoRig(b, c.proto)
+		b.Run(c.name, func(b *testing.B) {
+			r := newEchoRig(b, c.proto, c.traced)
 			defer r.b.tb.Sim.Shutdown()
 			s := r.b.tb.Sim
 			start := s.Executed()
@@ -134,12 +157,29 @@ func BenchmarkEchoRequest(b *testing.B) {
 }
 
 func TestEchoRequestAllocs(t *testing.T) {
+	events := make(map[core.Proto]uint64) // untraced rigs' events over the run
 	for _, c := range echoCeilings {
-		t.Run(c.proto.String(), func(t *testing.T) {
-			r := newEchoRig(t, c.proto)
+		t.Run(c.name, func(t *testing.T) {
+			r := newEchoRig(t, c.proto, c.traced)
 			defer r.b.tb.Sim.Shutdown()
+			s := r.b.tb.Sim
+			start := s.Executed()
 			if n := testing.AllocsPerRun(200, func() { r.request(t) }); n > c.ceiling {
-				t.Fatalf("one %v echo request allocates %.1f objects, want at most %.0f", c.proto, n, c.ceiling)
+				t.Fatalf("one %s echo request allocates %.1f objects, want at most %.0f", c.name, n, c.ceiling)
+			}
+			ran := s.Executed() - start
+			if !c.traced {
+				events[c.proto] = ran
+				return
+			}
+			if got := r.spans.EndToEnd().Count(); got != r.seq {
+				t.Errorf("%d of %d traced requests closed complete spans", got, r.seq)
+			}
+			if got := r.spans.Events().Count(trace.Forward); got != r.seq {
+				t.Errorf("ring holds %d forward events for %d requests", got, r.seq)
+			}
+			if want, ok := events[c.proto]; ok && ran != want {
+				t.Errorf("traced %v echo executed %d events, untraced %d", c.proto, ran, want)
 			}
 		})
 	}

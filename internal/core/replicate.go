@@ -200,13 +200,13 @@ func (r *Replicator) AddPeer(name string, acc accel.Accelerator, qcfg mqueue.Con
 	}
 	region := fmt.Sprintf("lynx-repl-%s-%d", rt.plat.NetHost.Name(), len(r.peers))
 	// Ingest queues carry copies of in-flight requests, not the requests
-	// themselves: keep them out of the span table (spans=false) so the
-	// peer-side apply kernel cannot stamp the primary's serving stages.
-	// They do mark themselves as replication rings: each record delivery
-	// stamps StageReplPushed into the *origin's* table, linking the replica
-	// push to the origin span through the shared wire-seq id.
+	// themselves: marking them replication rings (ReplSpans) keeps them out
+	// of the span table, so the peer-side apply kernel cannot stamp the
+	// primary's serving stages. Instead each record delivery stamps
+	// StageReplPushed into the *origin's* table, linking the replica push to
+	// the origin span through the shared wire-seq id.
 	qcfg.ReplSpans = rt.plat.Spans
-	h, err := rt.register(acc, qcfg, 1, region, true, false)
+	h, err := rt.register(acc, qcfg, 1, region, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: registering ingest queue on %s: %w", acc.Name(), err)
 	}
@@ -405,7 +405,7 @@ func (r *Replicator) settle(now sim.Time, pw *pendingWrite) {
 	for _, hr := range pw.resps {
 		sp.AddWait(pw.id, trace.PhaseReplication, now.Sub(hr.parkedAt))
 	}
-	r.rt.plat.Tracer.Emit(now, trace.ReplRelease,
+	r.rt.plat.Spans.Emit(now, trace.ReplRelease,
 		uint64(len(pw.resps)), uint64(bits.OnesCount32(pw.waitMask)))
 	for _, hr := range pw.resps {
 		r.releasable.push(hr)
@@ -445,8 +445,8 @@ func (r *Replicator) killPeer(now sim.Time, rp *replPeer) {
 		}
 	}
 	sortUint64s(ids)
-	r.rt.plat.Tracer.Emit(now, trace.PeerKill, uint64(rp.idx), uint64(len(ids)))
-	r.rt.plat.Tracer.Emit(now, trace.QuorumShrink, uint64(bits.OnesCount32(r.liveMask)), 0)
+	r.rt.plat.Spans.Emit(now, trace.PeerKill, uint64(rp.idx), uint64(len(ids)))
+	r.rt.plat.Spans.Emit(now, trace.QuorumShrink, uint64(bits.OnesCount32(r.liveMask)), 0)
 	for _, id := range ids {
 		pw := r.pend[id]
 		pw.waitMask &^= bit

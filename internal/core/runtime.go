@@ -53,12 +53,10 @@ type Platform struct {
 	// Bypass selects VMA user-level networking (§5.1.1); the paper always
 	// enables it where available.
 	Bypass bool
-	// Tracer, when non-nil, records runtime events (see internal/trace).
-	Tracer *trace.Tracer
-	// Spans, when non-nil, records per-request stage timestamps into a
-	// fixed-memory span table (request-scoped tracing; see internal/trace).
-	// The runtime threads it through to the accelerator-side mqueue views
-	// at Register time.
+	// Spans, when non-nil, is the node's runtime record (see
+	// internal/trace): per-request stage timestamps in a fixed-memory span
+	// table and runtime events in its event ring. The runtime threads it
+	// through to every mqueue it registers.
 	Spans *trace.SpanTable
 	// Check, when enabled, receives runtime invariant violations (request
 	// conservation, ring bounds, orphan responses). The runtime threads it
@@ -177,7 +175,7 @@ func (rt *Runtime) drop(now sim.Time, cause DropCause, qi uint64) {
 	default:
 		rt.stats.DroppedOverflow++
 	}
-	rt.plat.Tracer.Emit(now, trace.Drop, qi, uint64(cause))
+	rt.plat.Spans.Emit(now, trace.Drop, qi, uint64(cause))
 }
 
 // responded books a response sent to its client: the counter, the span's
@@ -187,7 +185,7 @@ func (rt *Runtime) responded(now sim.Time, payload []byte, qw time.Duration) {
 	id := trace.SpanID(payload)
 	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
 	rt.plat.Spans.Stamp(id, trace.StageForward, now)
-	rt.plat.Tracer.Emit(now, trace.Forward, uint64(len(payload)), 0)
+	rt.plat.Spans.Emit(now, trace.Forward, uint64(len(payload)), 0)
 }
 
 // ExecCalls reports frontend execT charges (for utilization probes).
@@ -266,13 +264,14 @@ type AccelHandle struct {
 // This models the host-CPU initialization step: the host sets everything up,
 // passes the pointers around, and "remains idle from that point" (§4.3).
 func (rt *Runtime) Register(acc accel.Accelerator, cfg mqueue.Config, n int) (*AccelHandle, error) {
-	return rt.register(acc, cfg, n, fmt.Sprintf("lynx-mq%d", len(rt.handles)), acc.RemoteHost() != "", true)
+	return rt.register(acc, cfg, n, fmt.Sprintf("lynx-mq%d", len(rt.handles)), acc.RemoteHost() != "")
 }
 
 // register is Register with an explicit region name (several runtimes can
-// allocate in the same accelerator's memory — replication ingest queues do),
-// QP remoteness, and span wiring.
-func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, region string, remote, spans bool) (*AccelHandle, error) {
+// allocate in the same accelerator's memory — replication ingest queues do)
+// and QP remoteness. A queue gets the span table unless cfg marks it a
+// replication ingest ring (ReplSpans).
+func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, region string, remote bool) (*AccelHandle, error) {
 	if rt.started {
 		return nil, fmt.Errorf("core: cannot register accelerators after Start")
 	}
@@ -285,7 +284,7 @@ func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, reg
 		Remote: remote,
 	})
 	cfg.Check = rt.plat.Check
-	if spans {
+	if cfg.ReplSpans == nil {
 		cfg.Spans = rt.plat.Spans
 	}
 	group, err := mqueue.NewGroup(mem, 0, cfg, n, qp)
@@ -293,11 +292,6 @@ func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, reg
 		return nil, err
 	}
 	prof := acc.Profile()
-	if spans {
-		prof.Spans = rt.plat.Spans
-	} else {
-		prof.Spans = nil
-	}
 	prof.Check = rt.plat.Check
 	accQs, err := mqueue.AttachGroup(mem, 0, cfg, n, prof)
 	if err != nil {

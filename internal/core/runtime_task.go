@@ -139,7 +139,7 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 		return
 	}
 	for i := range dgs {
-		rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(s.port))
+		rt.plat.Spans.Emit(t.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(s.port))
 	}
 	rt.execBatchT(t, rt.plat.Params.DispatchCost, n, func(qw time.Duration) {
 		type preparedWR struct {
@@ -299,7 +299,7 @@ func (r *rx) arrived(enq sim.Time) {
 func (r *rx) charged(qw time.Duration) {
 	rt := r.rt
 	rt.plat.Spans.AddWait(r.id, trace.PhaseSNIC, qw)
-	rt.plat.Tracer.Emit(r.t.Now(), trace.Recv, uint64(len(r.msg)), uint64(r.s.port))
+	rt.plat.Spans.Emit(r.t.Now(), trace.Recv, uint64(len(r.msg)), uint64(r.s.port))
 	rt.execT(r.t, rt.plat.Params.DispatchCost, r.steerK)
 }
 
@@ -316,13 +316,7 @@ func (r *rx) steer(qw time.Duration) {
 // enqueued records the push's outcome, hands the message back to the
 // network — the push copied it into the ring — then takes the next message.
 func (r *rx) enqueued(slot int, err error) {
-	now := r.t.Now()
-	if err == nil {
-		// Fallback for queues without their own span table (first write
-		// wins: a queue armed with cfg.Spans stamped at write delivery).
-		r.rt.plat.Spans.Stamp(r.id, trace.StagePushed, now)
-	}
-	r.s.admit(now, r.qi, slot, err, r.to, r.msg)
+	r.s.admit(r.t.Now(), r.qi, slot, err, r.to, r.msg)
 	if r.conn != nil {
 		r.conn.Release(r.msg)
 	} else {
@@ -353,7 +347,7 @@ func (s *Service) admit(now sim.Time, qi, slot int, err error, to replyTo, paylo
 	}
 	bq.pending[slot] = append(bq.pending[slot], to)
 	rt.stats.Received++
-	rt.plat.Tracer.Emit(now, trace.Dispatch, uint64(qi), uint64(slot))
+	rt.plat.Spans.Emit(now, trace.Dispatch, uint64(qi), uint64(slot))
 	if s.repl != nil {
 		s.repl.onDispatch(payload)
 	}
@@ -503,7 +497,7 @@ func (m *mqManager) next() {
 func (m *mqManager) respond() {
 	rt, now := m.rt, m.t.Now()
 	for i := range m.msgs {
-		rt.plat.Tracer.Emit(now, trace.Drain, uint64(m.msgs[i].Slot), uint64(m.msgs[i].Corr))
+		rt.plat.Spans.Emit(now, trace.Drain, uint64(m.msgs[i].Slot), uint64(m.msgs[i].Corr))
 		rt.plat.Spans.Stamp(trace.SpanID(m.msgs[i].Payload), trace.StageDrain, now)
 	}
 	rt.execBatchT(m.t, rt.plat.Params.ForwardCost, len(m.msgs), m.servedK)
@@ -565,7 +559,7 @@ func (m *mqManager) sent(qw time.Duration) {
 // its backend.
 func (m *mqManager) forwardOut(cb *ClientBinding, msg *mqueue.TxMsg) {
 	rt, now := m.rt, m.t.Now()
-	rt.plat.Tracer.Emit(now, trace.BackendOut, uint64(len(msg.Payload)), uint64(cb.qi))
+	rt.plat.Spans.Emit(now, trace.BackendOut, uint64(len(msg.Payload)), uint64(cb.qi))
 	rt.plat.Spans.Stamp(trace.SpanID(msg.Payload), trace.StageBackendOut, now)
 	rt.execParallelT(m.t, rt.plat.Params.ForwardCost, m.outServedK)
 }
@@ -618,7 +612,7 @@ func (m *mqManager) relay(sk *sink, msg *mqueue.TxMsg) {
 func (m *mqManager) relayed(time.Duration) {
 	svc, stage := m.sinks[m.i].svc, m.sinks[m.i].stage+1
 	svc.relayed++
-	m.rt.plat.Tracer.Emit(m.t.Now(), trace.Relay, uint64(stage), 0)
+	m.rt.plat.Spans.Emit(m.t.Now(), trace.Relay, uint64(stage), 0)
 	m.relayQi = svc.pick(stage, m.to.addr())
 	svc.stages[stage][m.relayQi].q.PushT(m.t, m.msgs[m.j].Payload, 0, m.relayPushedK)
 }
@@ -662,13 +656,13 @@ func (m *mqManager) watchdog() {
 		if bq := m.sinks[i].bq; bq != nil && bq.failed {
 			bq.failed = false
 			rt.stats.Failbacks++
-			rt.plat.Tracer.Emit(now, trace.Failover, uint64(i), 1)
+			rt.plat.Spans.Emit(now, trace.Failover, uint64(i), 1)
 		}
 	case now.Sub(hs.last) >= m.wd:
 		if bq := m.sinks[i].bq; bq != nil && m.sinks[i].svc != nil && !bq.failed {
 			bq.failed = true
 			rt.stats.Failovers++
-			rt.plat.Tracer.Emit(now, trace.Failover, uint64(i), 0)
+			rt.plat.Spans.Emit(now, trace.Failover, uint64(i), 0)
 		}
 		// A frozen replication ingest ring is a dead peer: waive its acks
 		// and release every response blocked only on it.
@@ -775,7 +769,7 @@ func (cb *ClientBinding) charged(time.Duration) {
 		// harmless for idempotent backends).
 		cb.outstanding = cb.outstanding[1:]
 	}
-	rt.plat.Tracer.Emit(now, trace.BackendIn, uint64(len(cb.msg)), uint64(cb.qi))
+	rt.plat.Spans.Emit(now, trace.BackendIn, uint64(len(cb.msg)), uint64(cb.qi))
 	rt.plat.Spans.Stamp(trace.SpanID(cb.msg), trace.StageBackendIn, now)
 	cb.bq.q.PushT(cb.t, cb.msg, 0, cb.pushedK)
 }
@@ -832,7 +826,7 @@ func (cb *ClientBinding) resend() {
 		}
 		head.attempts++
 		rt.stats.Retries++
-		rt.plat.Tracer.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
+		rt.plat.Spans.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
 		cb.head = head
 		rt.execParallelT(cb.retryT, rt.stackCost(UDP), cb.resentK)
 		return

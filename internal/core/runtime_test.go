@@ -382,8 +382,9 @@ func TestOverloadDropsAtFullRings(t *testing.T) {
 func TestOverflowDropsAreTraced(t *testing.T) {
 	b := newBed(t, 17)
 	plat := b.bf.Platform(7)
-	tr := trace.New(32) // small: guaranteed to wrap under the flood below
-	plat.Tracer = tr
+	plat.Spans = trace.NewSpanTable(64)
+	tr := plat.Spans.Events()
+	*tr = *trace.New(32) // small: guaranteed to wrap under the flood below
 	rt := core.NewRuntime(plat)
 	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 4, SlotSize: 128}, 1)
 	svc, _ := rt.AddService(core.UDP, 7000, nil, 1, h)
@@ -605,12 +606,12 @@ func TestClientQueueConnectionErrorMetadata(t *testing.T) {
 	}
 }
 
-// The runtime tracer must record the full life of a request.
+// The span table's event ring must record the full life of a request.
 func TestRuntimeTracing(t *testing.T) {
 	b := newBed(t, 31)
 	plat := b.bf.Platform(7)
-	tr := trace.New(256)
-	plat.Tracer = tr
+	plat.Spans = trace.NewSpanTable(64)
+	tr := plat.Spans.Events()
 	rt := core.NewRuntime(plat)
 	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: 128}, 1)
 	svc, _ := rt.AddService(core.UDP, 7000, nil, 1, h)

@@ -202,6 +202,14 @@ func widenRing(tr *trace.Tracer, n int) {
 	*tr = *wide
 }
 
+// wideTable is a span table whose event ring holds 1<<16 events, so a path
+// golden pins its run's whole trace.
+func wideTable() *trace.SpanTable {
+	tab := trace.NewSpanTable(0)
+	widenRing(tab.Events(), 1<<16)
+	return tab
+}
+
 // traceText renders a tracer's events one per line, failing if the ring
 // wrapped (a truncated trace would pin only its tail).
 func traceText(t *testing.T, tr *trace.Tracer) string {
@@ -223,7 +231,7 @@ func traceText(t *testing.T, tr *trace.Tracer) string {
 func goldenTCPService(t *testing.T) []string {
 	e := newEnv(goldenCfg)
 	plat := e.lynxPlatform(platLynxBF)
-	plat.Tracer = trace.New(1 << 16)
+	plat.Spans = wideTable()
 	rt := core.NewRuntime(plat)
 	target := deployLynxLeNet(e, rt, e.gpu, sharedLeNet(), 7000, core.TCP)
 	if err := rt.Start(); err != nil {
@@ -235,7 +243,7 @@ func goldenTCPService(t *testing.T) []string {
 	})
 	e.tb.Sim.Shutdown()
 	return []string{goldenReport("tcp-service", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)}
+		traceText(t, plat.Spans.Events())}
 }
 
 // goldenPipeline is ext-pipeline's composed deployment (GPU0 -> GPU1 behind
@@ -245,7 +253,7 @@ func goldenPipeline(t *testing.T, proto core.Proto) []string {
 	e := newEnv(goldenCfg)
 	gpu2 := e.server.AddGPU("gpu1", accel.K40m, false, "server1")
 	plat := e.bf.Platform(7)
-	plat.Tracer = trace.New(1 << 16)
+	plat.Spans = wideTable()
 	rt := core.NewRuntime(plat)
 	mqCfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
 	var hs []*core.AccelHandle
@@ -273,7 +281,7 @@ func goldenPipeline(t *testing.T, proto core.Proto) []string {
 	e.tb.Sim.Shutdown()
 	return []string{goldenReport(proto.String()+"-pipeline", e.tb.Sim, res,
 		[2]string{"runtime", rt.Stats().String()}, [2]string{"relayed", fmt.Sprint(pl.Relayed())}),
-		traceText(t, plat.Tracer)}
+		traceText(t, plat.Spans.Events())}
 }
 
 // goldenTCPClientQueue is sec64-faceverify's Lynx deployment: server
@@ -284,7 +292,7 @@ func goldenTCPClientQueue(t *testing.T) []string {
 	e := newEnv(goldenCfg)
 	memcachedBackend(e)
 	plat := e.lynxPlatform(platLynxBF)
-	plat.Tracer = trace.New(1 << 16)
+	plat.Spans = wideTable()
 	rt := core.NewRuntime(plat)
 	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: fvReqBytes + 96}, 2*nTB)
 	if err != nil {
@@ -333,7 +341,7 @@ func goldenTCPClientQueue(t *testing.T) []string {
 	})
 	e.tb.Sim.Shutdown()
 	return []string{goldenReport("tcp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)}
+		traceText(t, plat.Spans.Events())}
 }
 
 // goldenUDPClientQueue drives UDP client mqueues to a memcached backend over
@@ -349,7 +357,7 @@ func goldenUDPClientQueue(t *testing.T) []string {
 		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
 	}
 	plat := e.lynxPlatform(platLynxBF)
-	plat.Tracer = trace.New(1 << 16)
+	plat.Spans = wideTable()
 	rt := core.NewRuntime(plat)
 	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: 128}, 2*nTB)
 	if err != nil {
@@ -401,7 +409,7 @@ func goldenUDPClientQueue(t *testing.T) []string {
 	})
 	e.tb.Sim.Shutdown()
 	return []string{goldenReport("udp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Tracer)}
+		traceText(t, plat.Spans.Events())}
 }
 
 // goldenReplicationKill is the replication sweep's kill point on a short
@@ -438,7 +446,7 @@ func goldenReplicationKill(t *testing.T) []string {
 	repl := rack.Node(0).Repl
 	return []string{goldenReport("replication-kill", s, res,
 		[2]string{"runtime", rack.Node(0).RT.Stats().String()}, [2]string{"replication", repl.Stats().String()}),
-		traceText(t, rack.Node(0).Prof.Events())}
+		traceText(t, rack.Node(0).Spans.Events())}
 }
 
 // goldenRF1Rack is the single-server KV service — a 1-node, RF=1 rack built
@@ -450,7 +458,7 @@ func goldenRF1Rack(t *testing.T) []string {
 	cfg := Config{Seed: 7, Scale: 0.25}
 	window := cfg.window(20 * time.Millisecond)
 	rack := cfg.rack(cluster.Config{Nodes: 1, Replicas: 1, Telemetry: &cluster.Telemetry{}})
-	widenRing(rack.Node(0).Prof.Events(), 1<<13)
+	widenRing(rack.Node(0).Spans.Events(), 1<<13)
 	res := rack.Measure(workload.Config{
 		Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
 		Body: func(seq uint64, buf []byte) {
@@ -480,7 +488,7 @@ func goldenRF1Rack(t *testing.T) []string {
 	}
 	r := &Report{ID: "replication-identity", Columns: []string{"goodput", "req/s", "p99", "retries"}}
 	r.AddRow("RF=1", fmt.Sprintf("%.3f", res.GoodputFraction()), res.Throughput(), res.Hist.P99(), fmt.Sprint(res.Retries))
-	return []string{r.CSV(), traceText(t, prof.Events())}
+	return []string{r.CSV(), traceText(t, prof.Spans().Events())}
 }
 
 // goldenInnovaDuplex is ext-innova-duplex's FPGA echo: the AFU's receive

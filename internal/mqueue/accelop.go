@@ -112,7 +112,7 @@ func (o *recvOp) consume() {
 	if o.msg.Err != 0 {
 		aq.errs++
 	}
-	if sp := aq.prof.Spans; sp != nil {
+	if sp := aq.cfg.Spans; sp != nil {
 		id := trace.SpanID(o.msg.Payload)
 		// RX-ring wait: from the SNIC's push (StagePushed) until this
 		// context observed the doorbell; the remaining accesses are service.
@@ -215,7 +215,7 @@ func (o *sendOp) free() {
 		}
 		return
 	}
-	if sp := aq.prof.Spans; sp != nil {
+	if sp := aq.cfg.Spans; sp != nil {
 		// TX-ring backpressure: time blocked for a free slot beyond the one
 		// mandatory counter read is queue wait within the execution phase.
 		if blocked := o.t.Now().Sub(o.waitStart) - aq.prof.LocalAccess; blocked > 0 {
@@ -245,7 +245,7 @@ func (o *sendOp) publish() {
 	putLeUint64(cnt[:], aq.txHead)
 	aq.region.WriteLocal(aq.lay.hdr+hdrTxSent, cnt[:])
 	aq.sent++
-	aq.prof.Spans.Stamp(trace.SpanID(o.payload), trace.StageAccelSent, o.t.Now())
+	aq.cfg.Spans.Stamp(trace.SpanID(o.payload), trace.StageAccelSent, o.t.Now())
 	k := o.k
 	o.k, o.payload = nil, nil
 	k(nil)

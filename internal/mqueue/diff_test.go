@@ -132,7 +132,7 @@ func runDiff(t *testing.T, c diffCase, f form) outcome {
 	}
 	plan := fault.NewPlan(fault.Config{Stalls: c.stalls})
 	prof := g.Profile()
-	prof.Spans, prof.Check, prof.Faults = spans, ck, plan
+	prof.Check, prof.Faults = ck, plan
 	aq, err := mqueue.Attach(region, 0, cfg, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -97,10 +97,11 @@ type Config struct {
 	// violations observed on the SNIC side of the queue. Nil costs one
 	// pointer test per operation.
 	Check *check.Checker
-	// Spans, when non-nil, receives SNIC-side queue-wait attribution: a TX
-	// drain books the TX-ring residency (drain start minus StageAccelSent)
-	// against the span's queueing phase. Nil costs one pointer test per
-	// drain.
+	// Spans, when non-nil, receives the queue's request-scoped tracing: on
+	// the SNIC side the push's delivery stamp and a TX drain's ring
+	// residency (drain start minus StageAccelSent, booked against the
+	// span's queueing phase), on the accelerator side the RX-consume and
+	// TX-publish stamps. Nil costs one pointer test per operation.
 	Spans *trace.SpanTable
 	// ReplSpans, when non-nil, marks the queue as a replication ingest ring:
 	// each record-bearing write stamps StageReplPushed for the record's span
@@ -655,9 +656,6 @@ type AccessProfile struct {
 	// stall window the accessing context freezes until the window closes.
 	// Nil injects nothing.
 	Faults *fault.Plan
-	// Spans, when non-nil, receives accelerator-side stage timestamps
-	// (RX consume, TX publish) for request-scoped tracing.
-	Spans *trace.SpanTable
 	// Check, when enabled, receives slot-corruption and correlation-range
 	// violations observed on the accelerator side.
 	Check *check.Checker

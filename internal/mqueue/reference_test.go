@@ -62,7 +62,7 @@ func (aq *AccelQueue) refTryRecv(p *sim.Proc) (Msg, bool) {
 	if hdr[offError] != 0 {
 		aq.errs++
 	}
-	if sp := aq.prof.Spans; sp != nil {
+	if sp := aq.cfg.Spans; sp != nil {
 		id := trace.SpanID(payload)
 		// RX-ring wait: from the SNIC's push (StagePushed) until this
 		// context observed the doorbell; the remaining accesses are service.
@@ -115,7 +115,7 @@ func (aq *AccelQueue) RefSendErr(p *sim.Proc, corr uint16, payload []byte, errSt
 		aq.txFreeGate.Wait(p, v)
 		p.Sleep(aq.prof.PollInterval / 2)
 	}
-	if sp := aq.prof.Spans; sp != nil {
+	if sp := aq.cfg.Spans; sp != nil {
 		// TX-ring backpressure: time blocked for a free slot beyond the one
 		// mandatory counter read is queue wait within the execution phase.
 		if blocked := p.Now().Sub(freeWaitStart) - aq.prof.LocalAccess; blocked > 0 {
@@ -134,6 +134,6 @@ func (aq *AccelQueue) RefSendErr(p *sim.Proc, corr uint16, payload []byte, errSt
 	putLeUint64(cnt[:], aq.txHead)
 	aq.region.WriteLocal(aq.lay.hdr+hdrTxSent, cnt[:])
 	aq.sent++
-	aq.prof.Spans.Stamp(trace.SpanID(payload), trace.StageAccelSent, p.Now())
+	aq.cfg.Spans.Stamp(trace.SpanID(payload), trace.StageAccelSent, p.Now())
 	return nil
 }

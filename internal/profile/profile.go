@@ -13,9 +13,6 @@ import (
 	"lynx/internal/trace"
 )
 
-// eventRingCap bounds a plane's runtime event ring.
-const eventRingCap = 4096
-
 // Options sizes a Profile. Zero values pick defaults.
 type Options struct {
 	// SpanCap bounds the span table ring (default 1<<14 spans).
@@ -26,12 +23,12 @@ type Options struct {
 	Interval time.Duration
 }
 
-// Profile is one node's observability plane: the runtime event ring, the
-// span table, the flight recorder attached to it, and the metrics registry
-// its monitor samples into. A single server and every rack member carry one
-// each, created by New, so both export through the same timeline and report.
+// Profile is one node's observability plane: the span table (which carries
+// the runtime event ring), the flight recorder attached to it, and the
+// metrics registry its monitor samples into. A single server and every rack
+// member carry one each, created by New, so both export through the same
+// timeline and report.
 type Profile struct {
-	events   *trace.Tracer
 	spans    *trace.SpanTable
 	rec      *Recorder
 	reg      *metrics.Registry
@@ -41,9 +38,9 @@ type Profile struct {
 	trigger string
 }
 
-// New creates a profile with a fresh event ring, span table (its invariants
-// registered on ck, which may be nil), flight recorder attached to the
-// table, and metrics registry.
+// New creates a profile with a fresh span table (its invariants registered
+// on ck, which may be nil), flight recorder attached to the table, and
+// metrics registry.
 func New(opts Options, ck *check.Checker) *Profile {
 	scap, iv := opts.SpanCap, opts.Interval
 	if scap <= 0 {
@@ -53,7 +50,6 @@ func New(opts Options, ck *check.Checker) *Profile {
 		iv = 50 * time.Microsecond
 	}
 	p := &Profile{
-		events:   trace.New(eventRingCap),
 		spans:    trace.NewSpanTable(scap),
 		rec:      NewRecorder(opts.TopK, 0),
 		reg:      metrics.NewRegistry(),
@@ -64,18 +60,11 @@ func New(opts Options, ck *check.Checker) *Profile {
 	return p
 }
 
-// Platform wires the plane into plat: the event ring and span table fill in
-// whichever of Tracer/Spans plat does not already carry. Nil-safe: a nil
-// profile returns plat unchanged.
+// Platform wires the plane into plat: its span table, unless plat already
+// carries one. Nil-safe: a nil profile returns plat unchanged.
 func (p *Profile) Platform(plat core.Platform) core.Platform {
-	if p == nil {
-		return plat
-	}
-	if plat.Tracer == nil {
-		plat.Tracer = p.events
-	}
 	if plat.Spans == nil {
-		plat.Spans = p.spans
+		plat.Spans = p.Spans()
 	}
 	return plat
 }
@@ -92,21 +81,11 @@ func (p *Profile) Monitor(rt *core.Runtime) {
 // Export renders the plane as one named node of a Chrome trace timeline.
 // Nil-safe: a nil profile exports a node with no spans, events or series.
 func (p *Profile) Export(name string) trace.Export {
-	if p == nil {
-		return trace.Export{Name: name}
-	}
-	return trace.Export{Name: name, Spans: p.spans, Events: p.events, Series: p.reg.SeriesList()}
+	return trace.Export{Name: name, Spans: p.Spans(), Series: p.Registry().SeriesList()}
 }
 
-// Events returns the runtime event ring.
-func (p *Profile) Events() *trace.Tracer {
-	if p == nil {
-		return nil
-	}
-	return p.events
-}
-
-// Spans returns the span table (give this to the workload config).
+// Spans returns the span table, the node's runtime record (give this to the
+// workload config).
 func (p *Profile) Spans() *trace.SpanTable {
 	if p == nil {
 		return nil

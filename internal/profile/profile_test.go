@@ -67,6 +67,16 @@ func TestRecorderTopAndRecent(t *testing.T) {
 			t.Errorf("recent[%d] = span %d, want %d", i, recent[i].Span.ID, want)
 		}
 	}
+	for i := 0; i < tb.Events().Loss().Cap+3; i++ {
+		tb.Emit(sim.Time(i), trace.Recv, 0, 0)
+	}
+	rep := Build(tb, rec, nil)
+	if want := (trace.Loss{Cap: tb.Events().Loss().Cap, Lost: 3}); rep.EventRing != want {
+		t.Errorf("event ring loss %+v, want %+v", rep.EventRing, want)
+	}
+	if want := (trace.Loss{Cap: 4, Lost: 2}); rep.RecentRing != want {
+		t.Errorf("recency ring loss %+v, want %+v", rep.RecentRing, want)
+	}
 }
 
 // TestRecorderDeterministicTies: equal latencies break on span ID, so two
@@ -211,45 +221,38 @@ func TestReportJSONDeterministic(t *testing.T) {
 	if err := json.Unmarshal(a, &m); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	for _, key := range []string{"spans_begun", "spans_closed", "end_to_end", "phases", "bottlenecks", "top", "recent"} {
+	for _, key := range []string{"spans_begun", "spans_closed", "event_ring", "recent_ring", "end_to_end", "phases", "bottlenecks", "top", "recent"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("JSON missing %q", key)
 		}
 	}
 }
 
-// TestProfileBundle: New sizes the span table and recorder from Options and
-// the event ring to eventRingCap, registers the span invariants on the
-// checker, and every accessor is nil-safe.
+// TestProfileBundle: New sizes the span table and recorder from Options,
+// registers the span invariants on the checker, and every accessor is
+// nil-safe.
 func TestProfileBundle(t *testing.T) {
 	ck := check.New()
 	p := New(Options{SpanCap: 32, TopK: 2}, ck)
 	if p.Spans().Cap() != 32 || p.Recorder().TopK() != 2 {
 		t.Fatalf("span cap %d, top-k %d; want 32, 2", p.Spans().Cap(), p.Recorder().TopK())
 	}
-	if p.Events() == nil || p.Registry() == nil {
+	if p.Spans().Events() == nil || p.Registry() == nil {
 		t.Fatal("plane missing its event ring or registry")
-	}
-	for i := 0; i < eventRingCap+2; i++ {
-		p.Events().Emit(sim.Time(i), trace.Recv, 0, 0)
-	}
-	if n := len(p.Events().Events()); n != eventRingCap {
-		t.Errorf("event ring holds %d events, want %d", n, eventRingCap)
 	}
 	want := check.New()
 	trace.NewSpanTable(1).RegisterInvariants(want)
 	if got, w := ck.Snapshot().Finishers, want.Snapshot().Finishers; w == 0 || got != w {
 		t.Errorf("New registered %d finishers on the checker, want the span table's %d", got, w)
 	}
-	plat := p.Platform(core.Platform{})
-	if plat.Tracer != p.Events() || plat.Spans != p.Spans() {
+	if plat := p.Platform(core.Platform{}); plat.Spans != p.Spans() {
 		t.Error("Platform did not wire the plane into an empty platform")
 	}
-	own := trace.New(4)
-	if plat := p.Platform(core.Platform{Tracer: own}); plat.Tracer != own || plat.Spans != p.Spans() {
-		t.Error("Platform replaced a platform's own tracer")
+	own := trace.NewSpanTable(4)
+	if plat := p.Platform(core.Platform{Spans: own}); plat.Spans != own {
+		t.Error("Platform replaced a platform's own span table")
 	}
-	if ex := p.Export("server1"); ex.Name != "server1" || ex.Spans != p.Spans() || ex.Events != p.Events() {
+	if ex := p.Export("server1"); ex.Name != "server1" || ex.Spans != p.Spans() {
 		t.Errorf("Export = %+v", ex)
 	}
 	closeSpan(p.Spans(), 1, 2000)
@@ -262,13 +265,13 @@ func TestProfileBundle(t *testing.T) {
 	}
 
 	var nilProf *Profile
-	if nilProf.Spans() != nil || nilProf.Recorder() != nil || nilProf.Registry() != nil || nilProf.Events() != nil {
+	if nilProf.Spans() != nil || nilProf.Recorder() != nil || nilProf.Registry() != nil {
 		t.Fatal("nil profile accessors must return nil")
 	}
-	if plat := nilProf.Platform(core.Platform{}); plat.Tracer != nil || plat.Spans != nil {
+	if plat := nilProf.Platform(core.Platform{}); plat.Spans != nil {
 		t.Fatal("nil profile must leave the platform alone")
 	}
-	if ex := nilProf.Export("n"); ex.Name != "n" || ex.Spans != nil || ex.Events != nil || ex.Series != nil {
+	if ex := nilProf.Export("n"); ex.Name != "n" || ex.Spans != nil || ex.Series != nil {
 		t.Fatalf("nil profile export = %+v", ex)
 	}
 	nilProf.Monitor(nil)

@@ -44,7 +44,6 @@ type Recorder struct {
 	heap     []Entry // min-heap on (Latency, ID): root is cheapest to evict
 	ring     []Entry // recency ring, chronological from next
 	next     int
-	wrapped  bool
 	observed uint64
 }
 
@@ -86,7 +85,6 @@ func (r *Recorder) Observe(s *trace.Span) {
 		r.ring = append(r.ring, e)
 	} else {
 		r.ring[r.next] = e
-		r.wrapped = true
 	}
 	r.next = (r.next + 1) % cap(r.ring)
 	if len(r.heap) < cap(r.heap) {
@@ -157,12 +155,9 @@ func (r *Recorder) Recent() []Entry {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Entry, 0, len(r.ring))
-	if r.wrapped {
-		out = append(out, r.ring[r.next:]...)
-		return append(out, r.ring[:r.next]...)
-	}
-	return append(out, r.ring...)
+	// Until the ring fills, next is its length and the first part empty.
+	out := append(make([]Entry, 0, len(r.ring)), r.ring[r.next:]...)
+	return append(out, r.ring[:r.next]...)
 }
 
 // Observed reports how many completed spans the recorder has seen.
@@ -173,6 +168,17 @@ func (r *Recorder) Observed() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.observed
+}
+
+// recentLoss reports the recency ring's capacity and the completed spans it
+// overwrote: Observed minus the entries it keeps.
+func (r *Recorder) recentLoss() trace.Loss {
+	if r == nil {
+		return trace.Loss{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return trace.Loss{Cap: cap(r.ring), Lost: r.observed - uint64(len(r.ring))}
 }
 
 // TopK reports the heap bound.

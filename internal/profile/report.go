@@ -140,6 +140,11 @@ type Report struct {
 	SpansBegun   uint64 `json:"spans_begun"`
 	SpansClosed  uint64 `json:"spans_closed"`
 	SpansEvicted uint64 `json:"spans_evicted"`
+	// EventRing and RecentRing say what the two bounded rings overwrote:
+	// the span table's runtime event ring and the flight recorder's recency
+	// ring.
+	EventRing  trace.Loss `json:"event_ring"`
+	RecentRing trace.Loss `json:"recent_ring"`
 	// EndToEnd summarizes client-observed latency over all closed spans.
 	EndToEnd HistStats `json:"end_to_end"`
 	// Phases is the per-phase wait/service decomposition, in path order.
@@ -168,6 +173,7 @@ func Build(spans *trace.SpanTable, rec *Recorder, reg *metrics.Registry) *Report
 		r.SpansBegun = spans.Begun()
 		r.SpansClosed = spans.Closed()
 		r.SpansEvicted = spans.Evicted()
+		r.EventRing = spans.Events().Loss()
 		r.EndToEnd = histStats(spans.EndToEnd())
 		for p := trace.PhaseNetwork; p < trace.NumPhases; p++ {
 			r.Phases = append(r.Phases, PhaseStats{
@@ -178,6 +184,7 @@ func Build(spans *trace.SpanTable, rec *Recorder, reg *metrics.Registry) *Report
 			})
 		}
 	}
+	r.RecentRing = rec.recentLoss()
 	r.Bottlenecks = buildBottlenecks(spans, reg)
 	for _, e := range rec.Top() {
 		r.Top = append(r.Top, makeSpanRecord(e))

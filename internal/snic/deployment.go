@@ -16,9 +16,10 @@ import (
 // server is node 0.
 func NodeName(i int) string { return fmt.Sprintf("server%d", i+1) }
 
-// Arm arms node i's observability plane — event ring, span table (its
-// invariants on the testbed's checker), flight recorder and metrics
-// registry — sized by opts, once; later calls return the armed plane.
+// Arm arms node i's observability plane — span table with its event ring
+// (the table's invariants on the testbed's checker), flight recorder and
+// metrics registry — sized by opts, once; later calls return the armed
+// plane.
 func (tb *Testbed) Arm(node int, opts profile.Options) *profile.Profile {
 	for len(tb.planes) <= node {
 		tb.planes = append(tb.planes, nil)
@@ -37,9 +38,8 @@ func (tb *Testbed) Plane(node int) *profile.Profile {
 	return tb.planes[node]
 }
 
-// Platform wires node i's plane into plat (its event ring and span table
-// fill whichever of plat's own are unset); an unarmed node leaves plat as
-// it is.
+// Platform wires node i's plane into plat (its span table, unless plat
+// carries one); an unarmed node leaves plat as it is.
 func (tb *Testbed) Platform(node int, plat core.Platform) core.Platform {
 	return tb.Plane(node).Platform(plat)
 }

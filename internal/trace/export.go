@@ -1,8 +1,9 @@
 // Chrome trace-event export: spans, utilization samples and runtime events
 // rendered as the JSON Trace Event Format, loadable in Perfetto or
 // chrome://tracing. One process track per simulated component; span stages
-// become complete ("X") slices, samples become counter ("C") tracks, tracer
-// events become instants ("i"). Timestamps are virtual microseconds.
+// become complete ("X") slices, samples become counter ("C") tracks, the
+// span table's runtime events become instants ("i"). Timestamps are virtual
+// microseconds.
 package trace
 
 import (
@@ -20,10 +21,9 @@ type Export struct {
 	// Name prefixes the node's tracks ("server1/snic", ...) in a timeline of
 	// more than one node.
 	Name string
-	// Spans supplies per-request stage slices.
+	// Spans supplies per-request stage slices and, from its event ring,
+	// instant markers.
 	Spans *SpanTable
-	// Events supplies instant markers from the runtime event ring.
-	Events *Tracer
 	// Series supplies counter tracks (one per series).
 	Series []*metrics.Series
 }
@@ -146,14 +146,12 @@ func (e Export) appendTo(evs []chromeEvent, base int, prefix string) []chromeEve
 		}
 	}
 
-	if e.Events != nil {
-		for _, ev := range e.Events.Events() {
-			evs = append(evs, chromeEvent{
-				Name: ev.Kind.String(), Ph: "i", Ts: usec(ev.At),
-				Pid: base + pidRuntime, Tid: 0,
-				Args: map[string]any{"arg0": ev.Arg0, "arg1": ev.Arg1, "s": "p"},
-			})
-		}
+	for _, ev := range e.Spans.Events().Events() {
+		evs = append(evs, chromeEvent{
+			Name: ev.Kind.String(), Ph: "i", Ts: usec(ev.At),
+			Pid: base + pidRuntime, Tid: 0,
+			Args: map[string]any{"arg0": ev.Arg0, "arg1": ev.Arg1, "s": "p"},
+		})
 	}
 
 	for _, s := range e.Series {

@@ -273,12 +273,14 @@ func (s *Span) phases() [NumPhases]sim.Time {
 	return out
 }
 
-// SpanTable is a fixed-memory table of request spans, indexed by span ID
-// modulo capacity. A nil *SpanTable is valid and records nothing, so every
-// call site is a single nil check when tracing is disabled; when enabled, no
-// method on the record path (Begin/Stamp/AddWait/SetQueue/Close) allocates.
+// SpanTable is a node's runtime record: a fixed-memory table of request
+// spans, indexed by span ID modulo capacity, and the runtime event ring
+// (Emit). A nil *SpanTable is valid and records nothing, so every call site
+// is a single nil check when tracing is disabled; when enabled, no method on
+// the record path (Begin/Stamp/AddWait/SetQueue/Close/Emit) allocates.
 type SpanTable struct {
-	slots []Span
+	slots  []Span
+	events Tracer
 
 	begun   uint64
 	closed  uint64
@@ -294,13 +296,18 @@ type SpanTable struct {
 	onDone func(*Span)
 }
 
+// eventRingCap bounds a span table's runtime event ring. Every -obs
+// trace.json carries the ring, so its bytes depend on this constant.
+const eventRingCap = 4096
+
 // NewSpanTable creates a table retaining up to capacity concurrent spans
-// (a newer span evicts the slot of an older one that maps to it).
+// (a newer span evicts the slot of an older one that maps to it) and the
+// most recent eventRingCap runtime events.
 func NewSpanTable(capacity int) *SpanTable {
 	if capacity <= 0 {
 		capacity = 1 << 12
 	}
-	t := &SpanTable{slots: make([]Span, capacity), e2e: metrics.NewHistogram()}
+	t := &SpanTable{slots: make([]Span, capacity), events: *New(eventRingCap), e2e: metrics.NewHistogram()}
 	for i := range t.slots {
 		t.reset(&t.slots[i], 0)
 	}
@@ -392,6 +399,22 @@ func (t *SpanTable) StampAt(id uint64, st Stage) (sim.Time, bool) {
 		return 0, false
 	}
 	return s.stamps[st], true
+}
+
+// Emit records one runtime event into the table's event ring.
+func (t *SpanTable) Emit(at sim.Time, kind Kind, arg0, arg1 uint64) {
+	if t == nil {
+		return
+	}
+	t.events.Emit(at, kind, arg0, arg1)
+}
+
+// Events returns the table's runtime event ring (nil on a nil table).
+func (t *SpanTable) Events() *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &t.events
 }
 
 // SetQueue records which server mqueue the dispatcher picked (first wins).

@@ -176,12 +176,11 @@ func TestExportJSONValidAndDeterministic(t *testing.T) {
 	stampAll(tab, 5, 100)
 	stampAll(tab, 6, 5000)
 	tab.SetQueue(6, 1)
-	tr := New(16)
-	tr.Emit(150, Dispatch, 0, 3)
+	tab.Emit(150, Dispatch, 0, 3)
 	s := metrics.NewSeries("mq/inflight", 8)
 	s.Add(time.Microsecond, 2)
 	s.Add(2*time.Microsecond, 1)
-	ex := Export{Spans: tab, Events: tr, Series: []*metrics.Series{s}}
+	ex := Export{Spans: tab, Series: []*metrics.Series{s}}
 
 	var a, b bytes.Buffer
 	if err := WriteJSON(&a, ex); err != nil {
@@ -232,5 +231,23 @@ func TestExportEmpty(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("empty export is not valid JSON: %v", err)
+	}
+}
+
+// TestSpanTableEventRing: a table carries an event ring of eventRingCap
+// events that counts what it overwrote; a nil table records nothing.
+func TestSpanTableEventRing(t *testing.T) {
+	var none *SpanTable
+	none.Emit(0, Recv, 1, 2)
+	if none.Events() != nil || none.Events().Loss() != (Loss{}) {
+		t.Fatal("nil table must be inert")
+	}
+	tab := NewSpanTable(1)
+	for i := 0; i < eventRingCap+2; i++ {
+		tab.Emit(sim.Time(i), Recv, 0, 0)
+	}
+	ev := tab.Events()
+	if n, loss := len(ev.Events()), ev.Loss(); n != eventRingCap || loss != (Loss{Cap: eventRingCap, Lost: 2}) {
+		t.Fatalf("ring holds %d events, loss %v; want %d, cap %d lost 2", n, loss, eventRingCap, eventRingCap)
 	}
 }

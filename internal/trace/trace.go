@@ -1,8 +1,10 @@
 // Package trace provides a lightweight, fixed-memory event tracer for the
 // Lynx runtime: a ring of typed events (message received, dispatched,
-// drained, forwarded, dropped, relayed) with virtual timestamps. It exists
-// for the observability a production server needs — `lynxd -trace` dumps the
-// tail of the ring, and tests assert on event flows.
+// drained, forwarded, dropped, relayed) with virtual timestamps. A node's
+// ring lives in its SpanTable (Emit, Events), so the node's whole runtime
+// record is one object. It exists for the observability a production server
+// needs — `lynxd -trace` dumps the tail of node 0's ring, and tests assert
+// on event flows.
 package trace
 
 import (
@@ -169,6 +171,24 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, arg0, arg1 uint64) {
 	}
 }
 
+// Loss is a bounded ring's capacity and how many entries it overwrote.
+type Loss struct {
+	Cap  int    `json:"cap"`
+	Lost uint64 `json:"lost"`
+}
+
+// String renders the loss, e.g. "cap 4096, lost 812".
+func (l Loss) String() string { return fmt.Sprintf("cap %d, lost %d", l.Cap, l.Lost) }
+
+// Loss reports the ring's capacity and the events it overwrote: Total minus
+// the events it keeps.
+func (t *Tracer) Loss() Loss {
+	if t == nil {
+		return Loss{}
+	}
+	return Loss{Cap: cap(t.ring), Lost: t.Total() - uint64(len(t.ring))}
+}
+
 // Total reports all events ever emitted (including evicted ones).
 func (t *Tracer) Total() uint64 {
 	if t == nil {
@@ -190,11 +210,8 @@ func (t *Tracer) Events() []Event {
 	if t == nil || len(t.ring) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) < cap(t.ring) {
-		return append(out, t.ring...)
-	}
-	out = append(out, t.ring[t.next:]...)
+	// Until the ring fills, next is its length and the first part empty.
+	out := append(make([]Event, 0, len(t.ring)), t.ring[t.next:]...)
 	return append(out, t.ring[:t.next]...)
 }
 

@@ -80,9 +80,9 @@ type (
 	// (*Machine).HostPlatform.
 	Platform = core.Platform
 	// ClusterProfile is the observability plane a WithProfile cluster
-	// carries — event ring, span table, flight recorder and metrics registry,
-	// the same plane every rack node carries under RackTelemetry; obtain it
-	// with (*Cluster).Profile for advanced wiring.
+	// carries — span table with its event ring, flight recorder and metrics
+	// registry, the same plane every rack node carries under RackTelemetry;
+	// obtain it with (*Cluster).Profile for advanced wiring.
 	ClusterProfile = profile.Profile
 	// BatchConfig tunes end-to-end hot-path batching (doorbell coalescing,
 	// CQ drain budget, dispatcher quantum); install it
@@ -98,9 +98,9 @@ type (
 	// over one-sided RDMA.
 	Rack = cluster.Rack
 	// RackTelemetry arms the per-node observability plane of a rack build:
-	// every node gets its own ClusterProfile (event ring, span table, flight
-	// recorder, sampling metrics registry), rolled up by the rack testbed's
-	// TelemetrySnapshot and TraceExport.
+	// every node gets its own ClusterProfile (span table with its event
+	// ring, flight recorder, sampling metrics registry), rolled up by the
+	// rack testbed's TelemetrySnapshot and TraceExport.
 	RackTelemetry = cluster.Telemetry
 	// InvariantChecker collects runtime invariant violations; create one
 	// with NewInvariantChecker when arming a RackConfig.
@@ -172,7 +172,8 @@ func WithInvariants() Option {
 // a span whose five phases (network, snic, transfer, queueing, execution)
 // are each decomposed into waiting and in-service time, a monitor samples
 // per-resource utilization, a bounded flight recorder keeps the slowest and
-// most recent completed spans, and an event ring records runtime events.
+// most recent completed spans, and the span table's event ring records
+// runtime events.
 // Read the outcome with Profile().Report() after the run; servers must be created
 // with (*Cluster).NewServer to be wired into the plane. Combined with
 // WithInvariants, span-accounting finishers (phase telescoping,
@@ -247,10 +248,9 @@ func (c *Cluster) AddClient(name string) *Host { return c.tb.AddClient(name) }
 
 // NewServer creates a Lynx runtime on a platform obtained from a
 // SmartNIC's Platform method or (*Machine).HostPlatform. With WithProfile
-// armed, the runtime records events into the cluster's event ring and stamps
-// request spans into its span table (where plat carries none of its own),
-// and a monitor samples its resource utilization into the cluster's metrics
-// registry.
+// armed, the runtime stamps request spans and records events into the
+// cluster's span table (unless plat carries its own), and a monitor samples
+// its resource utilization into the cluster's metrics registry.
 func (c *Cluster) NewServer(plat Platform) *Server {
 	srv := core.NewRuntime(c.tb.Platform(0, plat))
 	if c.Profile() != nil {

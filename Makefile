@@ -12,11 +12,11 @@ test:
 vet:
 	gofmt -l . && $(GO) vet ./...
 
-# The size every simplicity change reports: non-test Go lines outside
-# bench/perf (the benchmark's own module), blank and //-comment lines
-# excluded.
+# The size every simplicity change reports: non-test Go and assembly (.s)
+# lines outside bench/perf (the benchmark's own module), blank and
+# //-comment lines excluded.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/perf/*' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+	@find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './bench/perf/*' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
 
 # The option count the ROADMAP tracks: flag definitions (fs.Int("name",
 # fs.String("name", ...) in each binary's non-test Go files, then the total.

@@ -1,9 +1,10 @@
 // Package lenet implements the LeNet-5 convolutional network forward pass
 // used by the paper's model-serving server (§6.3): 28x28 grayscale digits in,
 // 10 class scores out. The network is executed for real (float32 arithmetic
-// in Go standing in for the TVM-generated GPU kernels), so the simulated
-// service computes genuine answers; the *time* a request occupies the GPU is
-// taken from the calibrated model (LeNetServiceK40/K80).
+// on the host, SSE assembly on amd64 and Go elsewhere, standing in for the
+// TVM-generated GPU kernels), so the simulated service computes genuine
+// answers; the *time* a request occupies the GPU is taken from the
+// calibrated model (LeNetServiceK40/K80).
 //
 // Weights are deterministic pseudo-random (the paper's accuracy is not under
 // test — its serving architecture is), so every simulation run classifies
@@ -35,13 +36,17 @@ type Network struct {
 	conv1B [6]float32
 	conv2W [16][6][5][5]float32
 	conv2B [16]float32
-	// Fully connected weights, row-major: row r of a layer with c inputs is
-	// w[r*c : (r+1)*c].
+	// Fully connected weights, row-blocked: the rows of a layer with c
+	// inputs come in blocks of four, and block k holds input i's four
+	// weights side by side, so row r's weight for input i is
+	// w[(r/4*c+i)*4+r%4]. A layer's rows are padded with zero rows and zero
+	// biases to a multiple of 12 (only fc3 needs it), the rows the amd64
+	// dense kernel computes per pass.
 	fc1W []float32 // 120 x 400
 	fc1B []float32
 	fc2W []float32 // 84 x 120
 	fc2B []float32
-	fc3W []float32 // 10 x 84
+	fc3W []float32 // 12 x 84, rows 10 and 11 zero
 	fc3B []float32
 
 	// memo maps the SHA-256 digest of an image to its class. The weights
@@ -59,12 +64,11 @@ func New(seed uint64) *Network {
 		rng = 1
 	}
 	next := func() float32 {
-		// xorshift64*; scaled to a small symmetric range.
+		// xorshift64*
 		rng ^= rng >> 12
 		rng ^= rng << 25
 		rng ^= rng >> 27
-		v := rng * 0x2545F4914F6CDD1D
-		return (float32(v>>40)/float32(1<<24) - 0.5) * 0.25
+		return weight(rng * 0x2545F4914F6CDD1D)
 	}
 	n := &Network{memo: make(map[[sha256.Size]byte]uint8)}
 	for f := 0; f < 6; f++ {
@@ -86,12 +90,15 @@ func New(seed uint64) *Network {
 		n.conv2B[f] = next()
 	}
 	mat := func(rows, cols int) ([]float32, []float32) {
-		w := make([]float32, rows*cols)
-		for i := range w {
-			w[i] = next()
+		padded := (rows + 11) / 12 * 12
+		w := make([]float32, padded*cols)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				w[(r/4*cols+c)*4+r%4] = next()
+			}
 		}
-		b := make([]float32, rows)
-		for r := range b {
+		b := make([]float32, padded)
+		for r := range b[:rows] {
 			b[r] = next()
 		}
 		return w, b
@@ -102,11 +109,11 @@ func New(seed uint64) *Network {
 	return n
 }
 
-func relu(x float32) float32 {
-	if x < 0 {
-		return 0
-	}
-	return x
+// weight scales a xorshift64* output v to a weight in [-0.125, 0.125). Its
+// one zero is +0, never -0: x-0.5 is +0 when x is 0.5, and 0.25 times +0 is
+// +0. The amd64 conv1 kernel's zero padding relies on that (DESIGN §4.7).
+func weight(v uint64) float32 {
+	return (float32(v>>40)/float32(1<<24) - 0.5) * 0.25
 }
 
 // norm maps a pixel to its normalized input, float32(px)/255*2 - 1.
@@ -122,192 +129,34 @@ var norm = func() (t [256]float32) {
 //
 // Every output element is one float32 sum that starts at its bias and adds
 // its taps in a fixed order: kernel row, then kernel column (conv1, whose
-// out-of-image taps are skipped, not added as zeros); input channel, kernel
-// row, kernel column (conv2); input index (dense layers). The loops keep
-// several such sums in flight at once, a row of conv outputs or a group of
-// dense rows, so consecutive adds do not wait on each other, but no sum's
-// own order changes: the scores are bit-identical to one sum at a time.
+// out-of-image taps are skipped, or added as exact zeros, which leaves every
+// sum unchanged); input channel, kernel row, kernel column (conv2); input
+// index (dense layers). The kernels keep many such sums in flight at once,
+// as SIMD lanes on amd64 (lenet_amd64.s) and as scalar registers elsewhere
+// (lenet_other.go), but no sum's own order changes: the scores are
+// bit-identical to one sum at a time.
 func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 	var out [NumClasses]float32
 	if len(img) != InputBytes {
 		return out, fmt.Errorf("lenet: input is %d bytes, want %d", len(img), InputBytes)
 	}
-	var in [InputSize][InputSize]float32
-	for i := range in {
-		row := (*[InputSize]byte)(img[i*InputSize:])
-		for j, px := range row {
-			in[i][j] = norm[px]
-		}
-	}
-	// conv1: 5x5, pad 2, stride 1 -> 6 x 28 x 28, ReLU.
-	var c1 [6][InputSize][InputSize]float32
-	for f := range c1 {
-		n.conv1Plane(f, &in, &c1[f])
-	}
-	// pool1: 2x2 max -> 6 x 14 x 14.
-	var p1 [6][14][14]float32
-	for f := range p1 {
-		for y := 0; y < 14; y++ {
-			for x := 0; x < 14; x++ {
-				p1[f][y][x] = max4(c1[f][2*y][2*x], c1[f][2*y][2*x+1], c1[f][2*y+1][2*x], c1[f][2*y+1][2*x+1])
-			}
-		}
-	}
-	// conv2: 5x5, valid -> 16 x 10 x 10, ReLU.
-	var c2 [16][10][10]float32
-	for f := range c2 {
-		for y := range c2[f] {
-			n.conv2Row(f, y, &p1, &c2[f][y])
-		}
-	}
-	// pool2: 2x2 max -> 16 x 5 x 5 = 400, flattened channel-major.
+	// conv1: 5x5, pad 2, stride 1 -> 6 x 28 x 28, ReLU; pool1: 2x2 max ->
+	// 6 x 14 x 14, rows padded to 16 floats for the amd64 conv2's loads.
+	var p1 [6][14][16]float32
+	n.conv1((*[InputBytes]byte)(img), &p1)
+	// conv2: 5x5, valid -> 16 x 10 x 10, ReLU; pool2: 2x2 max -> 16 x 5 x 5
+	// = 400, flattened channel-major.
 	var flat [400]float32
-	idx := 0
-	for f := range c2 {
-		for y := 0; y < 5; y++ {
-			for x := 0; x < 5; x++ {
-				flat[idx] = max4(c2[f][2*y][2*x], c2[f][2*y][2*x+1], c2[f][2*y+1][2*x], c2[f][2*y+1][2*x+1])
-				idx++
-			}
-		}
-	}
-	// fc1 -> ReLU -> fc2 -> ReLU -> fc3.
+	n.conv2(&p1, &flat)
+	// fc1 -> ReLU -> fc2 -> ReLU -> fc3, whose two padding rows are dropped.
 	var h1 [120]float32
 	var h2 [84]float32
+	var h3 [12]float32
 	dense(n.fc1W, n.fc1B, flat[:], h1[:], true)
 	dense(n.fc2W, n.fc2B, h1[:], h2[:], true)
-	dense(n.fc3W, n.fc3B, h2[:], out[:], false)
+	dense(n.fc3W, n.fc3B, h2[:], h3[:], false)
+	copy(out[:], h3[:])
 	return out, nil
-}
-
-// max4 is the 2x2 max-pool of a, b, c, d, scanned in that order: the first
-// of equal maxima wins, as in a row-major scan of the window.
-func max4(a, b, c, d float32) float32 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if c > m {
-		m = c
-	}
-	if d > m {
-		m = d
-	}
-	return m
-}
-
-// conv1Plane writes filter f's ReLU'd output plane. Interior columns 2..25
-// see all five kernel columns and run eight sums at a time; the four edge
-// columns run together, each clipping its kernel-column range to the taps
-// inside the image. Kernel rows are clipped the same way at the top and
-// bottom.
-func (n *Network) conv1Plane(f int, in *[InputSize][InputSize]float32, out *[InputSize][InputSize]float32) {
-	w := &n.conv1W[f]
-	b := n.conv1B[f]
-	for y := range out {
-		ky0, ky1 := max(0, 2-y), min(5, InputSize+2-y)
-		o := &out[y]
-		for x0 := 2; x0 < InputSize-2; x0 += 8 {
-			s0, s1, s2, s3, s4, s5, s6, s7 := b, b, b, b, b, b, b, b
-			for ky := ky0; ky < ky1; ky++ {
-				row := &in[y+ky-2]
-				for kx, wv := range &w[ky] {
-					r := (*[8]float32)(row[x0+kx-2:])
-					s0 += wv * r[0]
-					s1 += wv * r[1]
-					s2 += wv * r[2]
-					s3 += wv * r[3]
-					s4 += wv * r[4]
-					s5 += wv * r[5]
-					s6 += wv * r[6]
-					s7 += wv * r[7]
-				}
-			}
-			*(*[8]float32)(o[x0:]) = [8]float32{relu(s0), relu(s1), relu(s2), relu(s3), relu(s4), relu(s5), relu(s6), relu(s7)}
-		}
-		// Edge columns 0, 1, 26 and 27: a tap lands in the image for
-		// kx >= 2-x on the left and kx < 30-x on the right.
-		e0, e1, e2, e3 := b, b, b, b
-		for ky := ky0; ky < ky1; ky++ {
-			row := &in[y+ky-2]
-			for kx, wv := range &w[ky] {
-				if kx >= 2 {
-					e0 += wv * row[kx-2]
-				}
-				if kx >= 1 {
-					e1 += wv * row[kx-1]
-				}
-				if kx <= 3 {
-					e2 += wv * row[InputSize-4+kx]
-				}
-				if kx <= 2 {
-					e3 += wv * row[InputSize-3+kx]
-				}
-			}
-		}
-		o[0], o[1], o[InputSize-2], o[InputSize-1] = relu(e0), relu(e1), relu(e2), relu(e3)
-	}
-}
-
-// conv2Row writes row y of filter f's ReLU'd output, its ten sums kept in
-// flight together.
-func (n *Network) conv2Row(f, y int, p1 *[6][14][14]float32, out *[10]float32) {
-	b := n.conv2B[f]
-	s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 := b, b, b, b, b, b, b, b, b, b
-	for c := range p1 {
-		for ky := 0; ky < 5; ky++ {
-			row := &p1[c][y+ky]
-			for kx, wv := range &n.conv2W[f][c][ky] {
-				r := (*[10]float32)(row[kx:])
-				s0 += wv * r[0]
-				s1 += wv * r[1]
-				s2 += wv * r[2]
-				s3 += wv * r[3]
-				s4 += wv * r[4]
-				s5 += wv * r[5]
-				s6 += wv * r[6]
-				s7 += wv * r[7]
-				s8 += wv * r[8]
-				s9 += wv * r[9]
-			}
-		}
-	}
-	*out = [10]float32{relu(s0), relu(s1), relu(s2), relu(s3), relu(s4), relu(s5), relu(s6), relu(s7), relu(s8), relu(s9)}
-}
-
-// dense writes the fully connected layer w·in + b, optionally ReLU'd, into
-// out, which has one element per row of w. Four rows are summed at a time.
-func dense(w, b, in, out []float32, act bool) {
-	cols := len(in)
-	r := 0
-	for ; r+4 <= len(out); r += 4 {
-		w0 := w[r*cols:][:cols]
-		w1 := w[(r+1)*cols:][:cols]
-		w2 := w[(r+2)*cols:][:cols]
-		w3 := w[(r+3)*cols:][:cols]
-		s0, s1, s2, s3 := b[r], b[r+1], b[r+2], b[r+3]
-		for c, v := range in {
-			s0 += w0[c] * v
-			s1 += w1[c] * v
-			s2 += w2[c] * v
-			s3 += w3[c] * v
-		}
-		if act {
-			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
-		}
-		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
-	}
-	for ; r < len(out); r++ {
-		row := w[r*cols:][:cols]
-		sum := b[r]
-		for c, v := range in {
-			sum += row[c] * v
-		}
-		if act {
-			sum = relu(sum)
-		}
-		out[r] = sum
-	}
 }
 
 // Classify returns the argmax class for the image. Answers are memoized per

@@ -397,7 +397,7 @@ func (n *Network) InferReference(img []byte) ([NumClasses]float32, error) {
 						sum += n.conv1W[f][ky][kx] * at(in, InputSize, y+ky-2, x+kx-2)
 					}
 				}
-				c1[f][y*InputSize+x] = relu(sum)
+				c1[f][y*InputSize+x] = reluStraight(sum)
 			}
 		}
 	}
@@ -437,7 +437,7 @@ func (n *Network) InferReference(img []byte) ([NumClasses]float32, error) {
 						}
 					}
 				}
-				c2[f][y*10+x] = relu(sum)
+				c2[f][y*10+x] = reluStraight(sum)
 			}
 		}
 	}
@@ -487,7 +487,7 @@ func (n *Network) inferStraight(img []byte) ([NumClasses]float32, error) {
 						sum += n.conv1W[f][ky][kx] * in[iy][ix]
 					}
 				}
-				c1[f][y][x] = relu(sum)
+				c1[f][y][x] = reluStraight(sum)
 			}
 		}
 	}
@@ -521,7 +521,7 @@ func (n *Network) inferStraight(img []byte) ([NumClasses]float32, error) {
 						}
 					}
 				}
-				c2[f][y][x] = relu(sum)
+				c2[f][y][x] = reluStraight(sum)
 			}
 		}
 	}
@@ -553,26 +553,52 @@ func (n *Network) inferStraight(img []byte) ([NumClasses]float32, error) {
 	return out, nil
 }
 
-// denseStraight is dense one row at a time.
+// denseStraight is dense one row at a time, reading row r's weight for
+// input c from the row-blocked layout.
 func denseStraight(w, b, in, out []float32, act bool) {
 	for r := range out {
 		sum := b[r]
-		row := w[r*len(in) : (r+1)*len(in)]
 		for c, v := range in {
-			sum += row[c] * v
+			sum += w[(r/4*len(in)+c)*4+r%4] * v
 		}
 		if act {
-			sum = relu(sum)
+			sum = reluStraight(sum)
 		}
 		out[r] = sum
 	}
 }
 
-// bitsTestImages returns the 250 grid images followed by distinct images:
-// noised grid images and uniformly random ones, so every normalized value
-// and every conv1 border case is reached.
+// reluStraight is the ReLU every kernel applies: x < 0 -> +0, so -0 and NaN
+// pass through.
+func reluStraight(x float32) float32 {
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// bitsTestImages returns the 250 grid images, then images that reach every
+// vector lane's edge cases, then distinct images: noised grid images and
+// uniformly random ones, so every normalized value and every conv1 border
+// case is reached. The edge-case images are an all-0 and an all-255 image,
+// one bright pixel in each corner, and one bright pixel in each column where
+// a 4-lane vector of conv1 outputs starts or ends (x%4 is 0 or 3).
 func bitsTestImages(seed uint64, distinct int) [][]byte {
 	imgs := gridImages()
+	bright := func(y, x int) []byte {
+		img := make([]byte, InputBytes)
+		img[y*InputSize+x] = 255
+		return img
+	}
+	imgs = append(imgs, make([]byte, InputBytes), bytes.Repeat([]byte{255}, InputBytes))
+	for _, c := range [][2]int{{0, 0}, {0, InputSize - 1}, {InputSize - 1, 0}, {InputSize - 1, InputSize - 1}} {
+		imgs = append(imgs, bright(c[0], c[1]))
+	}
+	for x := 0; x < InputSize; x++ {
+		if x%4 == 0 || x%4 == 3 {
+			imgs = append(imgs, bright(x*7%InputSize, x))
+		}
+	}
 	rng := seed*0x9E3779B97F4A7C15 + 1
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -619,6 +645,14 @@ func TestInferBitsMatchStraightLine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The weight generator's one zero is +0: the amd64 conv1 kernel's zero
+// padding leaves every sum unchanged only because no bias is -0.
+func TestWeightZeroIsPositive(t *testing.T) {
+	if w := weight(1 << 63); math.Float32bits(w) != 0 {
+		t.Fatalf("weight at the midpoint = %v (%#08x), want +0", w, math.Float32bits(w))
 	}
 }
 

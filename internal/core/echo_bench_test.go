@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lynx/internal/core"
+	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/sim"
 	"lynx/internal/trace"
@@ -17,7 +18,8 @@ import (
 // sends datagrams from a client socket; a TCP rig kicks a client process
 // holding one connection. A traced rig arms a span table and gives every
 // request a fresh span id, which it begins before the send and closes when
-// the echo is back.
+// the echo is back. A batched rig runs the runtime under
+// model.DefaultBatchConfig(): batched receive, dispatch and posting.
 type echoRig struct {
 	b       *bed
 	spans   *trace.SpanTable // nil untraced
@@ -27,8 +29,12 @@ type echoRig struct {
 	back    func() bool // reports (and consumes) its echo
 }
 
-func newEchoRig(tb testing.TB, proto core.Proto, traced bool) *echoRig {
-	b := newBed(tb, 1)
+func newEchoRig(tb testing.TB, proto core.Proto, traced, batched bool) *echoRig {
+	p := model.Default()
+	if batched {
+		p.Batch = model.DefaultBatchConfig()
+	}
+	b := newBedWith(tb, 1, p)
 	plat := b.bf.Platform(7)
 	if traced {
 		plat.Spans = trace.NewSpanTable(0)
@@ -114,25 +120,25 @@ func (r *echoRig) request(tb testing.TB) {
 }
 
 // echoCeilings bounds the objects one warm echo request may allocate, per
-// client protocol. Every runtime hand-off lends its buffer: the GPU receives
-// into its queue's receive buffer, the SNIC drains into the queue's drain
-// buffer, and the runtime hands the request back to the network once it is
-// pushed, so the response's wire copy reuses it. What is left, over UDP and
-// TCP alike, is the one buffer the rig's client keeps: the request's wire
-// copy, which goes on to carry the response back to a client that never
-// releases it. Recording is free: a traced request, with its span
-// complete and its events in the ring, allocates and schedules exactly what
-// an untraced one does.
+// rig. Every hand-off lends its buffer: the GPU receives into its queue's
+// receive buffer, the SNIC drains into the queue's drain buffer, and every
+// network receive, the runtime's and the rig client's alike, holds its
+// payload only until the receiver's next receive, which hands it back to
+// the network for the next send's wire copy. The batched path binds its
+// frames once, like the unbatched one. So no request allocates. Recording
+// is free: a traced request, with its span complete and its events in the
+// ring, allocates and schedules exactly what an untraced one does.
 var echoCeilings = []struct {
-	name    string
-	proto   core.Proto
-	traced  bool
-	ceiling float64
+	name            string
+	proto           core.Proto
+	traced, batched bool
+	ceiling         float64
 }{
-	{"UDP", core.UDP, false, 1},
-	{"TCP", core.TCP, false, 1},
-	{"UDP-traced", core.UDP, true, 1},
-	{"TCP-traced", core.TCP, true, 1},
+	{"UDP", core.UDP, false, false, 0},
+	{"TCP", core.TCP, false, false, 0},
+	{"UDP-traced", core.UDP, true, false, 0},
+	{"TCP-traced", core.TCP, true, false, 0},
+	{"UDP-batched", core.UDP, false, true, 0},
 }
 
 // BenchmarkEchoRequest is the core layer's benchmark: one warm echo request,
@@ -141,7 +147,7 @@ var echoCeilings = []struct {
 func BenchmarkEchoRequest(b *testing.B) {
 	for _, c := range echoCeilings {
 		b.Run(c.name, func(b *testing.B) {
-			r := newEchoRig(b, c.proto, c.traced)
+			r := newEchoRig(b, c.proto, c.traced, c.batched)
 			defer r.b.tb.Sim.Shutdown()
 			s := r.b.tb.Sim
 			start := s.Executed()
@@ -160,7 +166,7 @@ func TestEchoRequestAllocs(t *testing.T) {
 	events := make(map[core.Proto]uint64) // untraced rigs' events over the run
 	for _, c := range echoCeilings {
 		t.Run(c.name, func(t *testing.T) {
-			r := newEchoRig(t, c.proto, c.traced)
+			r := newEchoRig(t, c.proto, c.traced, c.batched)
 			defer r.b.tb.Sim.Shutdown()
 			s := r.b.tb.Sim
 			start := s.Executed()
@@ -168,6 +174,9 @@ func TestEchoRequestAllocs(t *testing.T) {
 				t.Fatalf("one %s echo request allocates %.1f objects, want at most %.0f", c.name, n, c.ceiling)
 			}
 			ran := s.Executed() - start
+			if c.batched {
+				return
+			}
 			if !c.traced {
 				events[c.proto] = ran
 				return

@@ -51,7 +51,6 @@ func rackWrites(t *testing.T, faults fault.Config, n int) (*cluster.Rack, *check
 					}
 					ok = binary.LittleEndian.Uint64(dg.Payload) == id &&
 						bytes.Contains(dg.Payload[workload.SeqBytes:], []byte("STORED"))
-					sock.Release(dg.Payload)
 				}
 				if ok {
 					stored++

@@ -680,53 +680,16 @@ func (rt *Runtime) Start() error {
 		svc := svc
 		switch svc.proto {
 		case UDP:
-			if batch := rt.plat.Params.Batch; !batch.Unit() {
-				// Batched dequeue: each context drains a quantum of ready
-				// datagrams per wakeup, then dispatches the run through the
-				// serialized section once.
-				quantum := batch.EffQuantum()
-				for w := 0; w < rt.plat.Workers; w++ {
-					s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
-						dgs := make([]netstack.Datagram, quantum)
-						var loop func()
-						var n int // datagrams in the quantum being dispatched
-						// The quantum's pushes copied every datagram into a
-						// ring: hand them back to the network.
-						dispatched := func() {
-							for i := range dgs[:n] {
-								svc.udpSock.Release(dgs[i].Payload)
-							}
-							loop()
-						}
-						gotBatch := func(got int) {
-							n = got
-							now := t.Now()
-							for i := 0; i < n; i++ {
-								id := trace.SpanID(dgs[i].Payload)
-								rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-								if dgs[i].EnqueuedAt > 0 {
-									rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(dgs[i].EnqueuedAt))
-								}
-							}
-							rt.execBatchT(t, rt.stackCost(UDP), n, func(qw time.Duration) {
-								for i := 0; i < n; i++ {
-									rt.plat.Spans.AddWait(trace.SpanID(dgs[i].Payload), trace.PhaseSNIC, shareWait(qw, n, i))
-								}
-								svc.dispatchBatchT(t, dgs[:n], dispatched)
-							})
-						}
-						loop = func() {
-							if n, ok := svc.udpSock.RecvBatchT(t, dgs, gotBatch); ok {
-								gotBatch(n)
-							}
-						}
-						loop()
-					})
-				}
-				continue
-			}
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), rt.newRx(svc, nil).run)
+				name := fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w)
+				if rt.plat.Params.Batch.Unit() {
+					s.SpawnTask(name, rt.newRx(svc, nil).run)
+				} else {
+					// Batched dequeue: each context drains a quantum of
+					// ready datagrams per wakeup, then dispatches the run
+					// through the serialized section once.
+					s.SpawnTask(name, rt.newBatchRx(svc).run)
+				}
 			}
 		case TCP:
 			s.SpawnTask(fmt.Sprintf("lynx/tcp-accept:%d", svc.port),

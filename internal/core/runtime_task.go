@@ -7,9 +7,9 @@
 // calls — is what the committed goldens pin (see the seq-parity contract in
 // internal/sim): a reordering changes every simulation output.
 //
-// Every continuation on the unbatched paths is a method value bound once:
-// execFrame pools exec calls, and each receive context, manager context,
-// client binding and replicator is its own frame, because it has exactly one
+// Every continuation on a request's path is bound once: execFrame pools exec
+// calls, and each receive context (batched or not), manager context, client
+// binding and replicator is its own frame, because it has exactly one
 // operation in flight.
 package core
 
@@ -115,15 +115,18 @@ func (rt *Runtime) execParallelT(t *sim.Task, cost time.Duration, k func(qw time
 	rt.cores.WithT(t, scaled, f.afterCores)
 }
 
-// dispatchBatchT delivers a run of ready datagrams as one dispatcher
-// scheduling quantum (Params.Batch.Quantum > 1): the serialized section is
-// entered once for the whole run, every message's slot is reserved and its
-// reply bookkeeping recorded before any RDMA is posted, and the
+// batchRx is one batched receive context of a UDP service
+// (Params.Batch.Quantum > 1): each wakeup takes a quantum of ready datagrams
+// from the shared socket, charges the protocol stack for the run once, then
+// delivers it as one dispatcher scheduling quantum: the serialized section
+// is entered once for the whole run, every message's slot is reserved and
+// its reply bookkeeping recorded before any RDMA is posted, and the
 // message-bearing writes are posted in doorbell groups with a checkpointed
 // completion wait — ceil(k/doorbell) issue charges and ceil(k/cqDrain)
-// wakeups for a k-message quantum. The preparation loop is sequential: a
-// refresh inside PrepareWriteT parks the task and the loop resumes in its
-// continuation.
+// wakeups for a k-message quantum. The preparation is sequential: a refresh
+// inside PrepareWriteT parks the task, and the next message is prepared in
+// its continuation. Like rx, the context is its own frame, with its buffers
+// and continuations bound once, because it has one quantum in flight.
 //
 // Bookkeeping must precede posting: with only checkpoint completions
 // awaited, an early message of the batch lands — and its response can race
@@ -131,77 +134,142 @@ func (rt *Runtime) execParallelT(t *sim.Task, cost time.Duration, k func(qw time
 // Reserving the pending-reply FIFO entry at preparation time keeps that
 // response from being misread as an orphan. StagePushed is stamped by the
 // write's delivery hook exactly as in the per-message path.
-func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func()) {
-	rt := s.rt
-	n := len(dgs)
-	if n == 0 {
-		k()
-		return
+type batchRx struct {
+	rt   *Runtime
+	s    *Service
+	t    *sim.Task
+	cost time.Duration // the protocol stack's cost per message
+
+	dgs   []netstack.Datagram // the quantum's receive buffer
+	n     int                 // datagrams in the quantum being dispatched
+	qw    time.Duration       // the dispatcher's queueing wait for the quantum
+	i, qi int                 // the datagram being prepared and its queue
+	preps []preparedWR        // the admitted messages' writes, not yet posted
+	wrs   []rdma.WR           // the doorbell run being posted
+
+	gotK      func(int)
+	chargedK  func(time.Duration)
+	dispatchK func(time.Duration)
+	preparedK func(rdma.WR, int, error)
+	postedK   func(rdma.CQE)
+}
+
+// preparedWR is one admitted message's write and the QP that posts it.
+type preparedWR struct {
+	wr rdma.WR
+	qp *rdma.QP
+}
+
+// newBatchRx binds a batched receive context for UDP service s.
+func (rt *Runtime) newBatchRx(s *Service) *batchRx {
+	quantum := rt.plat.Params.Batch.EffQuantum()
+	b := &batchRx{rt: rt, s: s, cost: rt.stackCost(UDP), dgs: make([]netstack.Datagram, quantum),
+		preps: make([]preparedWR, 0, quantum), wrs: make([]rdma.WR, 0, quantum)}
+	b.gotK, b.chargedK, b.dispatchK, b.preparedK, b.postedK = b.got, b.charged, b.dispatch, b.prepared, b.posted
+	return b
+}
+
+// run is the body of the context's task.
+func (b *batchRx) run(t *sim.Task) {
+	b.t = t
+	b.loop()
+}
+
+// loop takes the next quantum; its receive hands the last one's datagrams
+// back to the network, which the pushes copied into the rings.
+func (b *batchRx) loop() {
+	if n, ok := b.s.udpSock.RecvBatchT(b.t, b.dgs, b.gotK); ok {
+		b.got(n)
+	}
+}
+
+// got stamps the quantum's arrival and charges the protocol stack once.
+func (b *batchRx) got(n int) {
+	sp, now := b.rt.plat.Spans, b.t.Now()
+	b.n = n
+	for i := range b.dgs[:n] {
+		id := trace.SpanID(b.dgs[i].Payload)
+		sp.Stamp(id, trace.StageSnicRecv, now)
+		if b.dgs[i].EnqueuedAt > 0 {
+			sp.AddWait(id, trace.PhaseNetwork, now.Sub(b.dgs[i].EnqueuedAt))
+		}
+	}
+	b.rt.execBatchT(b.t, b.cost, n, b.chargedK)
+}
+
+// charged apportions the stack's queueing wait and charges the dispatcher's
+// serialized section once for the quantum.
+func (b *batchRx) charged(qw time.Duration) {
+	rt, dgs := b.rt, b.dgs[:b.n]
+	for i := range dgs {
+		rt.plat.Spans.AddWait(trace.SpanID(dgs[i].Payload), trace.PhaseSNIC, shareWait(qw, b.n, i))
 	}
 	for i := range dgs {
-		rt.plat.Spans.Emit(t.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(s.port))
+		rt.plat.Spans.Emit(b.t.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(b.s.port))
 	}
-	rt.execBatchT(t, rt.plat.Params.DispatchCost, n, func(qw time.Duration) {
-		type preparedWR struct {
-			wr rdma.WR
-			qp *rdma.QP
-		}
-		preps := make([]preparedWR, 0, n)
-		var prep func(i int)
-		post := func() {
-			batch := rt.plat.Params.Batch
-			wrs := make([]rdma.WR, 0, len(preps))
-			var postNext func()
-			postNext = func() {
-				if len(preps) == 0 {
-					k()
-					return
-				}
-				qp := preps[0].qp
-				wrs = wrs[:0]
-				rest := preps[:0]
-				for _, pr := range preps {
-					if pr.qp == qp {
-						wrs = append(wrs, pr.wr)
-					} else {
-						rest = append(rest, pr)
-					}
-				}
-				preps = rest
-				qp.PostAndWaitT(t, wrs, batch.EffDoorbell(), batch.EffCQDrain(), func(rdma.CQE) {
-					postNext()
-				})
-			}
-			postNext()
-		}
-		finish := func(i, qi int, wr rdma.WR, slot int, err error) {
-			if s.admit(t.Now(), qi, slot, err, replyTo{udpFrom: dgs[i].From}, dgs[i].Payload) {
-				preps = append(preps, preparedWR{wr: wr, qp: s.stages[0][qi].q.QP()})
-			}
-		}
-		prep = func(i int) {
-			for ; i < n; i++ {
-				payload := dgs[i].Payload
-				qi := s.pick(0, dgs[i].From)
-				id := trace.SpanID(payload)
-				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
-				rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
-				rt.plat.Spans.SetQueue(id, qi)
-				i, qi := i, qi
-				wr, slot, err, inline := s.stages[0][qi].q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
-					finish(i, qi, wr, slot, err)
-					prep(i + 1)
-				})
-				if !inline {
-					return
-				}
-				finish(i, qi, wr, slot, err)
-			}
-			post()
-		}
-		prep(0)
-	})
+	rt.execBatchT(b.t, rt.plat.Params.DispatchCost, b.n, b.dispatchK)
 }
+
+// dispatch prepares the quantum's writes, from its first message.
+func (b *batchRx) dispatch(qw time.Duration) {
+	b.qw = qw
+	b.prepare(0)
+}
+
+// prepare steers message i to its queue and reserves its slot; once every
+// message is prepared, it posts the admitted writes.
+func (b *batchRx) prepare(i int) {
+	if i == b.n {
+		b.post()
+		return
+	}
+	s, sp := b.s, b.rt.plat.Spans
+	payload := b.dgs[i].Payload
+	qi := s.pick(0, b.dgs[i].From)
+	id := trace.SpanID(payload)
+	sp.AddWait(id, trace.PhaseSNIC, shareWait(b.qw, b.n, i))
+	sp.Stamp(id, trace.StageDispatch, b.t.Now())
+	sp.SetQueue(id, qi)
+	b.i, b.qi = i, qi
+	if wr, slot, err, inline := s.stages[0][qi].q.PrepareWriteT(b.t, payload, 0, b.preparedK); inline {
+		b.prepared(wr, slot, err)
+	}
+}
+
+// prepared books message i's push outcome, keeps its write if it was
+// accepted, and prepares the next message. It runs inline, or once a
+// header refresh the preparation needed completes.
+func (b *batchRx) prepared(wr rdma.WR, slot int, err error) {
+	dg := &b.dgs[b.i]
+	if b.s.admit(b.t.Now(), b.qi, slot, err, replyTo{udpFrom: dg.From}, dg.Payload) {
+		b.preps = append(b.preps, preparedWR{wr: wr, qp: b.s.stages[0][b.qi].q.QP()})
+	}
+	b.prepare(b.i + 1)
+}
+
+// post posts the writes of the first pending QP as one batch, then the next
+// QP's once it completes, and takes the next quantum when none is left.
+func (b *batchRx) post() {
+	if len(b.preps) == 0 {
+		b.loop()
+		return
+	}
+	qp := b.preps[0].qp
+	b.wrs = b.wrs[:0]
+	rest := b.preps[:0]
+	for _, pr := range b.preps {
+		if pr.qp == qp {
+			b.wrs = append(b.wrs, pr.wr)
+		} else {
+			rest = append(rest, pr)
+		}
+	}
+	b.preps = rest
+	batch := b.rt.plat.Params.Batch
+	qp.PostAndWaitT(b.t, b.wrs, batch.EffDoorbell(), batch.EffCQDrain(), b.postedK)
+}
+
+func (b *batchRx) posted(rdma.CQE) { b.post() }
 
 // rx is one receive context of a service: it takes one message at a time —
 // the next datagram of the shared UDP socket, or the next message of its TCP
@@ -313,15 +381,11 @@ func (r *rx) steer(qw time.Duration) {
 	s.stages[0][r.qi].q.PushT(r.t, r.msg, 0, r.enqueuedK)
 }
 
-// enqueued records the push's outcome, hands the message back to the
-// network — the push copied it into the ring — then takes the next message.
+// enqueued records the push's outcome, then takes the next message, whose
+// receive hands this one back to the network: the push copied it into the
+// ring.
 func (r *rx) enqueued(slot int, err error) {
 	r.s.admit(r.t.Now(), r.qi, slot, err, r.to, r.msg)
-	if r.conn != nil {
-		r.conn.Release(r.msg)
-	} else {
-		r.sock.Release(r.msg)
-	}
 	r.loop()
 }
 
@@ -774,16 +838,11 @@ func (cb *ClientBinding) charged(time.Duration) {
 	cb.bq.q.PushT(cb.t, cb.msg, 0, cb.pushedK)
 }
 
-// pushed hands the backend message back to the network — the push copied
-// it into the ring — then takes the next one.
+// pushed takes the next backend message, whose receive hands this one back
+// to the network: the push copied it into the ring.
 func (cb *ClientBinding) pushed(_ int, err error) {
 	if err != nil {
 		cb.rt.drop(cb.t.Now(), DropBackend, uint64(cb.qi))
-	}
-	if cb.conn != nil {
-		cb.conn.Release(cb.msg)
-	} else {
-		cb.sock.Release(cb.msg)
 	}
 	cb.recv()
 }

@@ -258,15 +258,9 @@ func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k fun
 		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()), true
 	}
 	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.RefreshT(t, func() {
-			if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-				q.full++
-				k(rdma.WR{}, 0, ErrQueueFull)
-				return
-			}
-			wr, slot := q.reserveWrite(payload, errStatus)
-			k(wr, slot, nil)
-		})
+		o := q.ops.get(q)
+		o.t, o.payload, o.errStatus, o.kWrite, o.stage = t, payload, errStatus, k, stWriteRefresh
+		q.qp.ReadCQET(t, q.region, q.lay.hdr, 16, o.step)
 		return rdma.WR{}, 0, nil, false
 	}
 	wr, slot := q.reserveWrite(payload, errStatus)
@@ -287,17 +281,21 @@ func (q *Queue) reserve() int {
 }
 
 // reserveWrite reserves the next RX slot and builds its coalesced WR (the
-// non-blocking tail of PrepareWriteT and PushAsync).
+// non-blocking tail of PrepareWriteT and PushAsync). The WR carries its slot
+// image in a pooled frame whose delivery hook stamps the push and recycles
+// the frame once the write lands.
 func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
-	slot := q.reserve()
+	o := q.ops.get(q)
+	o.slot = q.reserve()
 	q.pushed++
+	o.spans, o.spanID, o.spanStage = q.pushStamp(payload)
 	return rdma.WR{
 		Op:        rdma.OpWrite,
 		Region:    q.region,
-		Offset:    q.lay.rxSlot(q.cfg, slot),
-		Data:      appendSlot(make([]byte, 0, HeaderBytes+len(payload)), payload, errStatus, 0, 1),
-		OnDeliver: q.stampPushed(payload),
-	}, slot
+		Offset:    q.lay.rxSlot(q.cfg, o.slot),
+		Data:      o.image(payload, errStatus, 1),
+		OnDeliver: o.landedK,
+	}, o.slot
 }
 
 // pushStamp names the span stamp a push of payload records at its write's
@@ -317,16 +315,6 @@ func (q *Queue) pushStamp(payload []byte) (*trace.SpanTable, uint64, trace.Stage
 		return nil, 0, 0
 	}
 	return sp, id, stage
-}
-
-// stampPushed returns the OnDeliver hook recording pushStamp's stamp; nil
-// when there is none (keeps the uninstrumented push path allocation-free).
-func (q *Queue) stampPushed(payload []byte) func(at sim.Time) {
-	sp, id, stage := q.pushStamp(payload)
-	if sp == nil {
-		return nil
-	}
-	return func(at sim.Time) { sp.Stamp(id, stage, at) }
 }
 
 // PushAsync delivers one message like Push but does not wait for the RDMA

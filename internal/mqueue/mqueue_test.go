@@ -663,3 +663,62 @@ func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 		t.Fatalf("pushed = %d, want %d", pushed, n)
 	}
 }
+
+// A write prepared into a ring the SNIC believes full refreshes the header
+// first: it fails with ErrQueueFull while the accelerator has consumed
+// nothing, and prepares the write once it has.
+func TestPrepareWriteRefreshesFullRing(t *testing.T) {
+	r := newRig(t, false, 1<<16)
+	cfg := Config{Kind: ServerQueue, Slots: 2, SlotSize: 64}
+	snicQ, _ := New(r.region, 0, cfg, r.qp)
+	accQ, _ := Attach(r.region, 0, cfg, gpuProfile(r.params))
+	var recvd []string
+	r.s.Spawn("gpu", func(p *sim.Proc) {
+		p.Sleep(100 * time.Microsecond) // let the ring fill first
+		for i := 0; i < 3; i++ {
+			recvd = append(recvd, string(accQ.Recv(p).Payload))
+		}
+	})
+	var errs []error
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		var wrs []rdma.WR
+		for _, m := range []string{"m0", "m1"} {
+			wr, _, err, inline := snicQ.PrepareWriteT(tk, []byte(m), 0, nil)
+			if !inline || err != nil {
+				t.Errorf("prepare %s: inline=%v err=%v", m, inline, err)
+				return
+			}
+			wrs = append(wrs, wr)
+		}
+		// prepare prepares m2, which needs a refresh, and runs then with
+		// the outcome.
+		prepare := func(then func(rdma.WR, error)) {
+			_, _, _, inline := snicQ.PrepareWriteT(tk, []byte("m2"), 0, func(wr rdma.WR, _ int, err error) {
+				errs = append(errs, err)
+				then(wr, err)
+			})
+			if inline {
+				t.Error("a write into a full ring prepared without a refresh")
+			}
+		}
+		snicQ.QP().PostAndWaitT(tk, wrs, 2, 2, func(rdma.CQE) {
+			prepare(func(rdma.WR, error) {
+				tk.Sleep(200*time.Microsecond, func() {
+					prepare(func(wr rdma.WR, err error) {
+						if err == nil {
+							snicQ.QP().PostAndWaitT(tk, []rdma.WR{wr}, 1, 1, func(rdma.CQE) {})
+						}
+					})
+				})
+			})
+		})
+	})
+	r.s.RunUntil(sim.Time(time.Second))
+	r.s.Shutdown()
+	if len(errs) != 2 || errs[0] != ErrQueueFull || errs[1] != nil {
+		t.Fatalf("refreshing prepares returned %v, want [ErrQueueFull <nil>]", errs)
+	}
+	if fmt.Sprint(recvd) != "[m0 m1 m2]" {
+		t.Fatalf("accelerator received %q, want m0 m1 m2", recvd)
+	}
+}

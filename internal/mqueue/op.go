@@ -18,6 +18,7 @@ const (
 	stPushData                    // split push: payload+metadata landed
 	stPushBarrier                 // split push: barrier read done
 	stPushDoorbell                // the message-bearing write landed
+	stWriteRefresh                // full-ring header read: absorb, then prepare the write or fail
 )
 
 // doorbellSet is the one-byte doorbell write of the split push modes. The
@@ -52,12 +53,14 @@ type op struct {
 	cnt        [8]byte  // CommitTxT: the counter being published
 
 	// The caller's continuation: exactly one is set.
-	k     func()
-	kPush func(slot int, err error)
-	kMany func(n int)
+	k      func()
+	kPush  func(slot int, err error)
+	kMany  func(n int)
+	kWrite func(wr rdma.WR, slot int, err error)
 
 	step    func(rdma.CQE) // pre-bound o.advance
 	deliver func(sim.Time) // pre-bound o.stamp, the push's OnDeliver hook
+	landedK func(sim.Time) // pre-bound o.landed, a prepared write's OnDeliver hook
 }
 
 // opPool is a free list of op frames.
@@ -72,7 +75,7 @@ func (p *opPool) get(q *Queue) *op {
 		p.free = p.free[:n-1]
 	} else {
 		o = &op{pool: p}
-		o.step, o.deliver = o.advance, o.stamp
+		o.step, o.deliver, o.landedK = o.advance, o.stamp, o.landed
 	}
 	o.q = q
 	return o
@@ -81,8 +84,8 @@ func (p *opPool) get(q *Queue) *op {
 // release returns the frame to its pool, dropping every reference the
 // operation held; the slot image buffer stays for the next push.
 func (o *op) release() {
-	img, pool, step, deliver := o.img, o.pool, o.step, o.deliver
-	*o = op{pool: pool, img: img[:0], step: step, deliver: deliver}
+	img, pool, step, deliver, landedK := o.img, o.pool, o.step, o.deliver, o.landedK
+	*o = op{pool: pool, img: img[:0], step: step, deliver: deliver, landedK: landedK}
 	pool.free = append(pool.free, o)
 }
 
@@ -94,6 +97,18 @@ func (o *op) image(payload []byte, errStatus, doorbell byte) []byte {
 
 // stamp is the push's OnDeliver hook (see Queue.pushStamp).
 func (o *op) stamp(at sim.Time) { o.spans.Stamp(o.spanID, o.spanStage, at) }
+
+// landed is the OnDeliver hook of a write the frame prepared for posting
+// (Queue.reserveWrite): it stamps the push, then recycles the frame, whose
+// slot image the engine has just copied into the ring. A write that never
+// lands (a UC write dropped for lack of credits) leaves its frame to the
+// garbage collector.
+func (o *op) landed(at sim.Time) {
+	if o.spans != nil {
+		o.stamp(at)
+	}
+	o.release()
+}
 
 // pushSlot reserves the next RX slot and issues the mode-dependent write
 // chain (the post-flow-control body of PushT).
@@ -181,5 +196,16 @@ func (o *op) advance(cqe rdma.CQE) {
 		slot, k := o.slot, o.kPush
 		o.release()
 		k(slot, nil)
+	case stWriteRefresh:
+		q.absorbHeader(cqe.Data, cqe.At)
+		payload, errStatus, k := o.payload, o.errStatus, o.kWrite
+		o.release()
+		if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+			q.full++
+			k(rdma.WR{}, 0, ErrQueueFull)
+			return
+		}
+		wr, slot := q.reserveWrite(payload, errStatus)
+		k(wr, slot, nil)
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // udpSend drives warm datagrams from one host's socket to another's: the
-// receiver task parks in RecvT, and each delivery releases its payload and
-// sends the next datagram. The continuations are bound once.
+// receiver task parks in RecvT, and each delivery sends the next datagram;
+// the receiver's next RecvT hands its payload back. The continuations are
+// bound once.
 type udpSend struct {
 	s        *sim.Sim
 	from, to *UDPSocket
@@ -28,7 +29,6 @@ func newUDPSend(tb testing.TB) *udpSend {
 		if len(dg.Payload) != len(u.payload) {
 			tb.Fatalf("received %d bytes, want %d", len(dg.Payload), len(u.payload))
 		}
-		u.to.Release(dg.Payload)
 		if u.left--; u.left > 0 {
 			u.from.SendTo(u.dst, u.payload)
 		}
@@ -55,8 +55,8 @@ func (u *udpSend) run(n int) {
 
 // BenchmarkUDPSend is the netstack layer's benchmark: one warm 64-byte
 // datagram from a socket's SendTo across the switch to the receiving
-// socket's RecvT, its payload released. events/op counts the simulator
-// events one datagram costs.
+// socket's RecvT, its payload handed back by the next RecvT. events/op
+// counts the simulator events one datagram costs.
 func BenchmarkUDPSend(b *testing.B) {
 	u := newUDPSend(b)
 	u.run(100) // warm the payload pool and the receiver's waiter node

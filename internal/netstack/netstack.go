@@ -32,7 +32,8 @@ type Addr struct {
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
 
 // Datagram is one received UDP message. Payload is the network's copy of the
-// sent bytes; the receiver owns it until it hands it back with Release.
+// sent bytes, lent to the receiving process until its next receive on the
+// same socket (see UDPSocket).
 type Datagram struct {
 	From    Addr
 	To      Addr
@@ -91,13 +92,14 @@ type Network struct {
 	segs    []*segment // free list of TCP wire records
 	// bufs is the free list of payload copies, one stack per power-of-two
 	// size class: class c holds buffers of capacity at least 1<<c. Sends take
-	// their copy from it, and Release and undeliverable messages refill it,
-	// so it is bounded by the messages in flight.
+	// their copy from it; a receiver's next receive and undeliverable
+	// messages refill it, so it is bounded by the messages in flight and the
+	// payloads lent to receivers.
 	bufs [][][]byte
 }
 
-// poison fills a released buffer while checks are armed, so a use after
-// Release reads bytes no sender wrote.
+// poison fills a released buffer while checks are armed, so a use past the
+// end of a payload's lease reads bytes no sender wrote.
 const poison = 0xDB
 
 // copyOf returns a copy of payload in a buffer from the free list of its
@@ -150,7 +152,8 @@ func (n *Network) SetFaults(pl *fault.Plan) { n.faults = pl }
 // check: every datagram launched since installation is accounted for as
 // delivered, dropped (wire or receive queue), unreachable, or still in
 // flight at shutdown (a non-negative remainder). While ck is installed, every
-// released buffer is poisoned, so a use after Release reads garbage.
+// buffer returned to the free list is poisoned, so a receiver that reads a
+// payload after its lease ended reads garbage.
 func (n *Network) RegisterInvariants(ck *check.Checker) {
 	if !ck.Enabled() {
 		return
@@ -272,11 +275,119 @@ func (n *Network) transmitDelayed(src, dst *Host, payload, overhead int, extra t
 // ---------------------------------------------------------------------------
 // UDP
 
-// UDPSocket is a bound UDP endpoint.
+// UDPSocket is a bound UDP endpoint. A received payload is lent to the
+// process that received it: it stays valid until that process's next
+// receive on the socket, which returns it to the network's free list before
+// anything else. Several processes may drain one socket, each holding the
+// payloads of its own last receive, so a receiver that keeps a payload
+// longer, or hands it to another process, copies it.
 type UDPSocket struct {
 	host *Host
 	port uint16
 	rxq  *sim.Chan[Datagram]
+	// lent is the first receiving process's lease, more those of any
+	// others: a socket with one reader, every client's, holds its lease
+	// inline.
+	lent lease
+	more []*lease
+}
+
+// lease is one receiving process's hold on a socket: the payloads of its
+// last receive. A killed process, or one that never receives again, keeps
+// its lease until the simulation ends.
+type lease struct {
+	owner any    // the receiving *sim.Proc or *sim.Task, or tryOwner; nil while unused
+	b     []byte // the last single receive's payload
+	tl    *taskLease
+}
+
+// taskLease is the part of a lease only task-form receives need, made on
+// the first that needs it: the last RecvBatchT's payloads and the state of a
+// parked receive. A parked receive runs the thunk bound here, which takes
+// the payloads before the caller's continuation runs with them.
+type taskLease struct {
+	l     *lease
+	bs    [][]byte
+	k     func(Datagram)
+	kn    func(int)
+	buf   []Datagram
+	gotK  func(Datagram)
+	gotNK func(int)
+}
+
+// tryOwner is TryRecv's receiving process: polls from outside any process
+// share one lease.
+type tryOwner struct{}
+
+// renew returns owner's lease, after handing the payloads of its last
+// receive back to the network.
+func (s *UDPSocket) renew(owner any) *lease {
+	l := &s.lent
+	if l.owner != owner {
+		l = s.leaseOf(owner)
+	}
+	n := s.host.net
+	if l.b != nil {
+		n.release(l.b)
+		l.b = nil
+	}
+	if tl := l.tl; tl != nil {
+		for i, b := range tl.bs {
+			n.release(b)
+			tl.bs[i] = nil
+		}
+		tl.bs = tl.bs[:0]
+	}
+	return l
+}
+
+// leaseOf finds owner's lease, or gives it one: the inline lease while it is
+// unused, else a new one in more.
+func (s *UDPSocket) leaseOf(owner any) *lease {
+	if s.lent.owner == nil {
+		s.lent.owner = owner
+		return &s.lent
+	}
+	for _, l := range s.more {
+		if l.owner == owner {
+			return l
+		}
+	}
+	l := &lease{owner: owner}
+	s.more = append(s.more, l)
+	return l
+}
+
+// task returns the lease's task-form part, binding its thunks the first time.
+func (l *lease) task() *taskLease {
+	if l.tl == nil {
+		tl := &taskLease{l: l}
+		tl.gotK, tl.gotNK = tl.got, tl.gotN
+		l.tl = tl
+	}
+	return l.tl
+}
+
+// got takes a parked RecvT's datagram, then runs its continuation.
+func (tl *taskLease) got(dg Datagram) {
+	k := tl.k
+	tl.k, tl.l.b = nil, dg.Payload
+	k(dg)
+}
+
+// gotN takes a parked RecvBatchT's n datagrams, then runs its continuation.
+func (tl *taskLease) gotN(n int) {
+	k, buf := tl.kn, tl.buf
+	tl.kn, tl.buf = nil, nil
+	tl.take(buf[:n])
+	k(n)
+}
+
+// take holds a batch's payloads.
+func (tl *taskLease) take(dgs []Datagram) {
+	for i := range dgs {
+		tl.bs = append(tl.bs, dgs[i].Payload)
+	}
 }
 
 // ErrPortInUse reports a bind conflict.
@@ -306,9 +417,9 @@ func (s *UDPSocket) Addr() Addr { return s.host.Addr(s.port) }
 
 // SendTo transmits payload to the destination address. Unknown destinations
 // are silently dropped (as on a real network). The payload is copied into a
-// buffer the receiver owns (see Release); the caller keeps payload. The
-// network's fault plan, if any, may drop or duplicate the datagram; a
-// duplicate carries a copy of its own.
+// buffer from the network's free list, lent to the receiver (see
+// UDPSocket); the caller keeps payload. The network's fault plan, if any,
+// may drop or duplicate the datagram; a duplicate carries a copy of its own.
 func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 	n := s.host.net
 	checked := n.check.Enabled()
@@ -333,7 +444,7 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 			n.udpDuplicated++
 		}
 		// The copy serializes behind the original on the same links, in a
-		// buffer of its own: each delivery is released on its own.
+		// buffer of its own: each delivery is lent on its own.
 		dg.Payload = n.copyOf(payload)
 		n.transmit(s.host, dst, len(payload), udpOverhead, n.flight(dst, dg, checked))
 	}
@@ -341,7 +452,8 @@ func (s *UDPSocket) SendTo(to Addr, payload []byte) {
 
 // flight is one datagram on the wire. Records recycle through
 // Network.flights and arrive is bound once, so a send allocates at most its
-// payload copy, and none once receivers release what they are done with.
+// payload copy, and none once the pool holds the buffers in flight and on
+// lease.
 type flight struct {
 	n       *Network
 	dst     *Host
@@ -394,14 +506,21 @@ func (f *flight) land() {
 }
 
 // Recv blocks until a datagram arrives.
-func (s *UDPSocket) Recv(p *sim.Proc) Datagram { return s.rxq.Get(p) }
+func (s *UDPSocket) Recv(p *sim.Proc) Datagram {
+	l := s.renew(p)
+	dg := s.rxq.Get(p)
+	l.b = dg.Payload
+	return dg
+}
 
 // RecvTimeout blocks up to d for a datagram, following the package-wide
 // (value, ok, err) timeout-receive idiom: ok is false on timeout, and err is
 // reserved for socket-level failures (always nil for UDP today — a timed-out
 // or successful receive never sets it).
 func (s *UDPSocket) RecvTimeout(p *sim.Proc, d time.Duration) (Datagram, bool, error) {
+	l := s.renew(p)
 	dg, ok := s.rxq.GetTimeout(p, d)
+	l.b = dg.Payload
 	return dg, ok, nil
 }
 
@@ -409,25 +528,41 @@ func (s *UDPSocket) RecvTimeout(p *sim.Proc, d time.Duration) (Datagram, bool, e
 // queued (continuation NOT called — caller continues inline), else parks the
 // task and fn runs when one arrives.
 func (s *UDPSocket) RecvT(t *sim.Task, fn func(Datagram)) (Datagram, bool) {
-	return s.rxq.GetT(t, fn)
+	l := s.renew(t)
+	if dg, ok := s.rxq.TryGet(); ok {
+		l.b = dg.Payload
+		return dg, true
+	}
+	tl := l.task()
+	tl.k = fn
+	s.rxq.GetT(t, tl.gotK) // the queue was just found empty: never inline
+	return Datagram{}, false
 }
 
 // RecvBatchT receives up to len(buf) datagrams: it waits for the first, then
 // drains whatever is already queued without waiting — the dispatcher's
 // batched dequeue, one wakeup per burst instead of one per packet. It has
 // RecvT's inline-return convention: (n, true) means n datagrams were stored
-// inline.
+// inline. All n payloads are lent until t's next receive.
 func (s *UDPSocket) RecvBatchT(t *sim.Task, buf []Datagram, fn func(int)) (int, bool) {
-	return s.rxq.GetBatchT(t, buf, fn)
+	tl := s.renew(t).task()
+	tl.kn, tl.buf = fn, buf
+	n, ok := s.rxq.GetBatchT(t, buf, tl.gotNK)
+	if ok {
+		tl.kn, tl.buf = nil, nil
+		tl.take(buf[:n])
+	}
+	return n, ok
 }
 
-// TryRecv polls for a datagram without blocking.
-func (s *UDPSocket) TryRecv() (Datagram, bool) { return s.rxq.TryGet() }
-
-// Release hands a received payload back to the network once the receiver is
-// done with it: a later send reuses the buffer. A receiver that keeps the
-// payload simply does not release it. Nothing may touch b after Release.
-func (s *UDPSocket) Release(b []byte) { s.host.net.release(b) }
+// TryRecv polls for a datagram without blocking. Every poll is one
+// receiving process's: its payload is lent until the next TryRecv.
+func (s *UDPSocket) TryRecv() (Datagram, bool) {
+	l := s.renew(tryOwner{})
+	dg, ok := s.rxq.TryGet()
+	l.b = dg.Payload
+	return dg, ok
+}
 
 // ---------------------------------------------------------------------------
 // TCP
@@ -442,7 +577,12 @@ type TCPListener struct {
 // TCPConn is one side of an established connection carrying framed messages
 // in order (the simulation does not re-segment: each Send is one app-level
 // message, the unit every experiment in the paper operates on). A
-// connection serves one blocked reader at a time.
+// connection serves one reader at a time, and a received message is lent to
+// it until its next receive on the connection, which returns the message to
+// the network's free list before anything else; a reader that keeps a
+// message longer, or hands it to another process, copies it. A second
+// reader that receives while the first waits panics: its receive would
+// return the first reader's message to the pool.
 type TCPConn struct {
 	net        *Network
 	local      Addr
@@ -455,8 +595,11 @@ type TCPConn struct {
 	reset      bool
 
 	// parked is set while an untimed reader (Recv, RecvQueued, RecvQueuedT)
-	// waits on rxq, so a close or reset knows to wake it with an eof notice.
-	parked bool
+	// waits on rxq, so a close or reset knows to wake it with an eof notice;
+	// waiting while any reader, timed or not, does.
+	parked, waiting bool
+	// lent is the message of the reader's last receive.
+	lent []byte
 	// rk is the pending RecvQueuedT continuation; gotK, bound once, hands
 	// it the dequeued message.
 	rk   func(msg []byte, enq sim.Time, err error)
@@ -570,7 +713,8 @@ func (c *TCPConn) RemoteAddr() Addr { return c.remote }
 // ACK in the reverse direction, which is what makes TCP dearer on the wire
 // as well as on the CPU. Under a fault plan, a "lost" segment manifests as
 // retransmission delay — the reliable transport masks the loss, as real TCP
-// does. The message is copied into a buffer the receiver owns (see Release).
+// does. The message is copied into a buffer from the network's free list,
+// lent to the receiver (see TCPConn).
 func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
 	if c.closed {
 		return ErrConnClosed
@@ -581,10 +725,6 @@ func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
 	c.net.transmitDelayed(c.localHost, c.remoteHost, len(msg), tcpOverhead, c.net.faults.TCPDelay(), c.net.segment(c, c.net.copyOf(msg)))
 	return nil
 }
-
-// Release hands a received message back to the network once the receiver is
-// done with it, as UDPSocket.Release does.
-func (c *TCPConn) Release(b []byte) { c.net.release(b) }
 
 // segment is one TCP message on the wire. Records recycle through
 // Network.segs and arrive is bound once, like UDP's flight, and the payload
@@ -644,9 +784,9 @@ func (c *TCPConn) RecvQueued(p *sim.Proc) ([]byte, sim.Time, error) {
 	if msg, enq, err, done := c.recvNow(); done {
 		return msg, enq, err
 	}
-	c.parked = true
+	c.parked, c.waiting = true, true
 	m := c.rxq.Get(p)
-	c.parked = false
+	c.parked, c.waiting = false, false
 	return c.take(m)
 }
 
@@ -661,7 +801,7 @@ func (c *TCPConn) RecvQueuedT(t *sim.Task, k func(msg []byte, enq sim.Time, err 
 	if c.gotK == nil {
 		c.gotK = c.got
 	}
-	c.rk, c.parked = k, true
+	c.rk, c.parked, c.waiting = k, true, true
 	// The queue was just found empty, so the wait cannot complete inline.
 	c.rxq.GetT(t, c.gotK)
 }
@@ -669,13 +809,21 @@ func (c *TCPConn) RecvQueuedT(t *sim.Task, k func(msg []byte, enq sim.Time, err 
 // got ends a RecvQueuedT wait with the dequeued message.
 func (c *TCPConn) got(m tcpMsg) {
 	k := c.rk
-	c.rk, c.parked = nil, false
+	c.rk, c.parked, c.waiting = nil, false, false
 	k(c.take(m))
 }
 
-// recvNow takes a queued message or reports the connection's error without
-// waiting; done is false when the receiver has to wait.
+// recvNow starts a receive: it ends the lease of the last one, then takes a
+// queued message or reports the connection's error without waiting; done is
+// false when the receiver has to wait.
 func (c *TCPConn) recvNow() (msg []byte, enq sim.Time, err error, done bool) {
+	if c.waiting {
+		panic(fmt.Sprintf("netstack: second reader on TCP connection %v -> %v", c.local, c.remote))
+	}
+	if c.lent != nil {
+		c.net.release(c.lent)
+		c.lent = nil
+	}
 	if m, ok := c.rxq.TryGet(); ok {
 		msg, enq, err = c.take(m)
 		return msg, enq, err, true
@@ -686,12 +834,13 @@ func (c *TCPConn) recvNow() (msg []byte, enq sim.Time, err error, done bool) {
 	return nil, 0, nil, false
 }
 
-// take unpacks a dequeued entry: a message, or the connection's error for an
-// eof notice.
+// take unpacks a dequeued entry: a message, lent to the reader, or the
+// connection's error for an eof notice.
 func (c *TCPConn) take(m tcpMsg) ([]byte, sim.Time, error) {
 	if m.eof {
 		return nil, 0, c.err()
 	}
+	c.lent = m.b
 	return m.b, m.enq, nil
 }
 
@@ -715,7 +864,9 @@ func (c *TCPConn) RecvQueuedTimeout(p *sim.Proc, d time.Duration) ([]byte, sim.T
 	if msg, enq, err, done := c.recvNow(); done {
 		return msg, enq, err == nil, err
 	}
+	c.waiting = true
 	m, ok := c.rxq.GetTimeout(p, d)
+	c.waiting = false
 	if !ok {
 		return nil, 0, false, nil
 	}

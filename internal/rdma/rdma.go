@@ -384,14 +384,15 @@ func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) (data []byte)
 // through sim.Proc.Await, which consumes no scheduler slot of its own.
 
 // call carries one task-form RDMA operation (WriteT, WriteNotifyT, ReadCQET,
-// BarrierT) through its issue cost, send-queue entry and completion wait
-// without per-call closures: its continuations are bound once when the frame
-// is created, and frames recycle through QP.calls, so the pool is bounded by
-// the operations in flight. Each frame owns its completion channel and, for
-// READs, the destination buffer: CQE.Data is lent to the continuation and
-// valid only until it returns. A completion channel only ever holds buffered
-// completions (TryPut by finish, GetT by the poster), so an unbounded
-// recycled channel behaves exactly like a fresh one.
+// BarrierT, or a PostAndWaitT batch) through its issue cost, send-queue
+// entry and completion wait without per-call closures: its continuations are
+// bound once when the frame is created, and frames recycle through QP.calls,
+// so the pool is bounded by the operations in flight. Each frame owns its
+// completion channel and, for READs, the destination buffer: CQE.Data is
+// lent to the continuation and valid only until it returns. A completion
+// channel only ever holds buffered completions (TryPut by finish, GetT by
+// the poster), so an unbounded recycled channel behaves exactly like a fresh
+// one.
 type call struct {
 	qp    *QP
 	t     *sim.Task
@@ -403,6 +404,16 @@ type call struct {
 	issued   func()    // pre-bound c.enqueue: runs after the CPU issue cost
 	enqueued func()    // pre-bound c.await: runs once the WR is in the send queue
 	done     func(CQE) // pre-bound c.complete: runs with the completion
+
+	// A batch: the WRs still to post, the doorbell group being posted, the
+	// group size, and the checkpoint completions still awaited with the
+	// last one seen.
+	wrs, group []WR
+	doorbell   int
+	remaining  int
+	last       CQE
+	postK      func()    // pre-bound c.postAll: runs after a group's issue cost
+	collectedK func(CQE) // pre-bound c.collected: runs with a checkpoint completion
 }
 
 // getCall takes a call frame from the QP's pool (or creates one).
@@ -415,6 +426,7 @@ func (qp *QP) getCall() *call {
 	}
 	c := &call{qp: qp, reply: sim.NewChan[CQE](qp.engine.sim, 0)}
 	c.issued, c.enqueued, c.done = c.enqueue, c.await, c.complete
+	c.postK, c.collectedK = c.postAll, c.collected
 	return c
 }
 
@@ -461,40 +473,6 @@ func (c *call) complete(cqe CQE) {
 	c.qp.calls = append(c.qp.calls, c)
 }
 
-// postManyT enqueues a run of work requests under a single doorbell
-// (multi-WQE posting): the poster pays one issue cost for the whole group
-// instead of one per WQE (none on hardware-driven QPs), then the WRs enter
-// the send queue in order; k runs when all are enqueued. The engine-side
-// pipeline cost and wire time remain per-WR — doorbell coalescing amortizes
-// only the CPU touch, as on real verbs.
-func (qp *QP) postManyT(t *sim.Task, wrs []WR, k func()) {
-	if len(wrs) == 0 {
-		k()
-		return
-	}
-	if qp.hw {
-		qp.postAllT(t, wrs, k)
-		return
-	}
-	t.Sleep(qp.engine.params.RDMAIssue, func() { qp.postAllT(t, wrs, k) })
-}
-
-// postAllT enqueues wrs in order. Unbounded send queues (the common case)
-// accept every WR inline; a bounded queue at capacity parks the task and the
-// chain resumes where it stopped.
-func (qp *QP) postAllT(t *sim.Task, wrs []WR, k func()) {
-	for i := range wrs {
-		qp.posted++
-		if qp.sq.TryPut(wrs[i]) {
-			continue
-		}
-		rest := wrs[i+1:]
-		qp.sq.PutT(t, wrs[i], func() { qp.postAllT(t, rest, k) })
-		return
-	}
-	k()
-}
-
 // PostAndWaitT posts wrs in doorbell groups of at most doorbell WRs (one
 // issue cost per group) and runs k with the final CQE once the last
 // completes. The completion wait is checkpointed: a reply is requested on
@@ -515,42 +493,77 @@ func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(
 	if cqDrain < 1 {
 		cqDrain = 1
 	}
-	checkpoints := 0
-	// The checkpoints complete on a pooled call frame's channel.
-	f := qp.getCall()
+	// The batch travels in a pooled call frame, and its checkpoints
+	// complete on the frame's channel.
+	c := qp.getCall()
+	c.t, c.k, c.wrs, c.doorbell = t, k, wrs, doorbell
 	for i := range wrs {
 		if (i+1)%cqDrain == 0 || i == n-1 {
-			wrs[i].reply = f.reply
-			checkpoints++
+			wrs[i].reply = c.reply
+			c.remaining++
 		}
 	}
-	var postGroup func(off int)
-	var collect func(remaining int, last CQE)
-	postGroup = func(off int) {
-		if off >= n {
-			collect(checkpoints, CQE{})
+	c.postGroup()
+}
+
+// postGroup posts the batch's next run of WRs under a single doorbell
+// (multi-WQE posting): the poster pays one issue cost for the whole group
+// instead of one per WQE (none on hardware-driven QPs), then the WRs enter
+// the send queue in order. The engine-side pipeline cost and wire time remain
+// per-WR — doorbell coalescing amortizes only the CPU touch, as on real
+// verbs. Once every group is posted, the frame collects the checkpoints.
+func (c *call) postGroup() {
+	if len(c.wrs) == 0 {
+		c.collect()
+		return
+	}
+	end := min(c.doorbell, len(c.wrs))
+	c.group, c.wrs = c.wrs[:end], c.wrs[end:]
+	if c.qp.hw {
+		c.postAll()
+		return
+	}
+	c.t.Sleep(c.qp.engine.params.RDMAIssue, c.postK)
+}
+
+// postAll enqueues the group's WRs in order. Unbounded send queues (the
+// common case) accept every WR inline; a bounded queue at capacity parks the
+// task and the group resumes where it stopped.
+func (c *call) postAll() {
+	for len(c.group) > 0 {
+		wr := c.group[0]
+		c.group = c.group[1:]
+		c.qp.posted++
+		if !c.qp.sq.TryPut(wr) {
+			c.qp.sq.PutT(c.t, wr, c.postK)
 			return
 		}
-		end := off + doorbell
-		if end > n {
-			end = n
-		}
-		qp.postManyT(t, wrs[off:end], func() { postGroup(end) })
 	}
-	collect = func(remaining int, last CQE) {
-		for remaining > 0 {
-			rem := remaining
-			cqe, ok := f.reply.GetT(t, func(c CQE) { collect(rem-1, c) })
-			if !ok {
-				return
-			}
-			last = cqe
-			remaining--
+	c.postGroup()
+}
+
+// collect awaits the batch's remaining checkpoint completions, then
+// recycles the frame and runs the continuation with the last one.
+func (c *call) collect() {
+	for c.remaining > 0 {
+		cqe, ok := c.reply.GetT(c.t, c.collectedK)
+		if !ok {
+			return
 		}
-		qp.calls = append(qp.calls, f)
-		k(last)
+		c.last = cqe
+		c.remaining--
 	}
-	postGroup(0)
+	k, last := c.k, c.last
+	c.t, c.k, c.wrs, c.group, c.last = nil, nil, nil, nil, CQE{}
+	c.qp.calls = append(c.qp.calls, c)
+	k(last)
+}
+
+// collected takes one checkpoint completion and goes on collecting.
+func (c *call) collected(cqe CQE) {
+	c.last = cqe
+	c.remaining--
+	c.collect()
 }
 
 // WriteT performs a one-sided RDMA WRITE from a task; k runs with the CQE.

@@ -566,12 +566,15 @@ type waiter[T any] struct {
 	t   *Task // the parked task, whose continuation the wake runs
 	val T     // value being delivered (getter: filled by putter; putter: value to enqueue)
 	// The wake runs one continuation: kv receives the delivered value
-	// (GetT), kto ends a GetTimeoutT wait either way, kn just continues
+	// (GetT), kb the size of the burst drained into batch behind it
+	// (GetBatchT), kto ends a GetTimeoutT wait either way, kn just continues
 	// (PutT, and every Proc form: its resume, after which the Proc reads
 	// val and timedOut from this node). wake is the node's event thunk,
 	// bound once per node and kept across the free list, so steady-state
 	// parking allocates nothing.
 	kv       func(T)
+	kb       func(n int)
+	batch    []T
 	kto      func(v T, ok bool)
 	kn       func()
 	wake     func()
@@ -600,7 +603,7 @@ func (c *Chan[T]) getWaiter(t *Task) *waiter[T] {
 // to the node, not the wait), and so does the node's queued deadline event.
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
-	w.t, w.kv, w.kto, w.kn, w.val, w.timedOut = nil, nil, nil, nil, zero, false
+	w.t, w.kv, w.kb, w.batch, w.kto, w.kn, w.val, w.timedOut = nil, nil, nil, nil, nil, nil, zero, false
 	w.dl.seq = 0
 	c.free = append(c.free, w)
 }
@@ -615,6 +618,9 @@ func (c *Chan[T]) wakeTask(w *waiter[T]) {
 		switch {
 		case w.kv != nil:
 			w.kv(w.val)
+		case w.kb != nil:
+			w.batch[0] = w.val
+			w.kb(1 + c.drainInto(w.batch[1:]))
 		case w.kto != nil:
 			w.kto(w.val, !w.timedOut)
 		case w.kn != nil:

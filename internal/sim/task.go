@@ -247,10 +247,8 @@ func (c *Chan[T]) GetBatchT(t *Task, buf []T, fn func(n int)) (int, bool) {
 		buf[0] = v
 		return 1 + c.drainInto(buf[1:]), true
 	}
-	c.GetT(t, func(v T) {
-		buf[0] = v
-		fn(1 + c.drainInto(buf[1:]))
-	})
+	_, w := c.recv(t, nil)
+	w.kb, w.batch = fn, buf
 	return 0, false
 }
 

@@ -384,7 +384,6 @@ func (in *Innova) serve(port uint16, acc accel.Accelerator, cfg mqueue.Config, n
 				sinceRefresh = 0
 			}
 			slot, err := q.PushAsync(p, dg.Payload, 0)
-			sock.Release(dg.Payload) // the posted write carries its own copy
 			if err != nil {
 				in.dropped++
 				continue

@@ -319,9 +319,7 @@ func (g *Generator) runUDP() {
 					if ok {
 						g.noteRxWait(dg.Payload, dg.EnqueuedAt, p.Now())
 						g.record(dg.Payload, p.Now())
-						rseq, rok := Seq(dg.Payload)
-						sock.Release(dg.Payload)
-						if rok && rseq == seq {
+						if rseq, rok := Seq(dg.Payload); rok && rseq == seq {
 							break
 						}
 						// A stale response to an earlier retransmitted
@@ -379,7 +377,6 @@ func (g *Generator) runUDPOpenLoop() {
 				dg := sock.Recv(p)
 				g.noteRxWait(dg.Payload, dg.EnqueuedAt, p.Now())
 				g.record(dg.Payload, p.Now())
-				sock.Release(dg.Payload)
 			}
 		})
 	}
@@ -418,7 +415,6 @@ func (g *Generator) runTCP() {
 				}
 				g.noteRxWait(msg, enq, p.Now())
 				g.record(msg, p.Now())
-				conn.Release(msg)
 			}
 		})
 	}

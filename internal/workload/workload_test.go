@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -103,9 +104,12 @@ func TestClosedLoopConcurrencyScalesThroughput(t *testing.T) {
 		s.Spawn("srv", func(p *sim.Proc) {
 			for {
 				dg := sock.Recv(p)
+				// The handler outlives the payload's lease, which ends
+				// at this loop's next receive: it answers with a copy.
+				from, payload := dg.From, bytes.Clone(dg.Payload)
 				s.Spawn("handler", func(hp *sim.Proc) {
 					hp.Sleep(200 * time.Microsecond)
-					sock.SendTo(dg.From, dg.Payload)
+					sock.SendTo(from, payload)
 				})
 			}
 		})

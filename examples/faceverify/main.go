@@ -68,7 +68,7 @@ func main() {
 	must(err)
 	clientIdx := make([]int, nTB)
 	for i := range clientIdx {
-		cb, err := srv.AddClientQueue(h, lynx.TCP, lynx.Addr{Host: "dbserver", Port: 11211})
+		cb, err := srv.AddClientQueue(h, lynx.Addr{Host: "dbserver", Port: 11211})
 		must(err)
 		clientIdx[i] = cb.QueueIndex()
 	}

@@ -108,7 +108,10 @@ type Stats struct {
 	DroppedOverflow uint64
 	DroppedStalled  uint64
 	DroppedBackend  uint64
-	// Retries counts client-mqueue retransmissions after request timeouts.
+	// Retries reads 0: nothing in the runtime retransmits any more (client
+	// mqueues speak TCP, and clients retry on their own). It stays in the
+	// stats line and the monitor's "retries" series so both keep their
+	// shape.
 	Retries uint64
 	// Failovers counts queues the MQ-manager watchdog marked failed;
 	// Failbacks counts queues it restored after they made progress again.
@@ -145,10 +148,9 @@ type Runtime struct {
 
 	stats Stats
 
-	nextEphemeral uint16
-	cpuBusy       time.Duration
-	serialBusy    time.Duration
-	execCalls     uint64
+	cpuBusy    time.Duration
+	serialBusy time.Duration
+	execCalls  uint64
 
 	// execFrames pools the scratch frames that carry task-substrate exec
 	// calls through their serialized/parallel resource holds (see
@@ -597,50 +599,27 @@ func shareWait(qw time.Duration, k, i int) time.Duration {
 // ---------------------------------------------------------------------------
 // Client mqueues (§4.3: accelerator-initiated connections to backends)
 
-// pendingSend is one client-mqueue UDP request awaiting its backend response
-// (responses match requests FIFO: the backends Lynx targets answer in order).
-type pendingSend struct {
-	payload  []byte
-	attempts int
-	deadline sim.Time
-}
-
 // ClientBinding wires one client mqueue to a fixed backend destination over
-// TCP (the §6.4 memcached pattern) or UDP.
+// one TCP connection (the §6.4 memcached pattern).
 type ClientBinding struct {
-	rt    *Runtime
-	proto Proto
-	dst   netstack.Addr
-	bq    *boundQueue
-	conn  *netstack.TCPConn
-	sock  *netstack.UDPSocket
-	qi    int
-
-	// outstanding is the FIFO of unanswered UDP requests, retransmitted by
-	// the per-binding retry task (TCP bindings rely on the transport and
-	// report failures through mqueue metadata instead).
-	outstanding []pendingSend
+	rt   *Runtime
+	dst  netstack.Addr
+	bq   *boundQueue
+	conn *netstack.TCPConn
+	qi   int
 
 	// The pump task's frame (see pump): the backend message in flight.
 	t        *sim.Task
 	msg      []byte
-	dgK      func(netstack.Datagram)
 	msgK     func([]byte, sim.Time, error)
 	chargedK func(time.Duration)
 	pushedK  func(slot int, err error)
-	// The retry task's frame (see retry): the pass's start time and the
-	// request being resent.
-	retryT  *sim.Task
-	now     sim.Time
-	head    *pendingSend
-	checkK  func()
-	resentK func(time.Duration)
 }
 
 // AddClientQueue claims one mqueue of the handle as a client mqueue bound to
 // dst. "The destination address is assigned when the server is initialized"
 // (§4.3): the connection is established at Start and never changes.
-func (rt *Runtime) AddClientQueue(h *AccelHandle, proto Proto, dst netstack.Addr) (*ClientBinding, error) {
+func (rt *Runtime) AddClientQueue(h *AccelHandle, dst netstack.Addr) (*ClientBinding, error) {
 	if rt.started {
 		return nil, fmt.Errorf("core: cannot add client queues after Start")
 	}
@@ -649,7 +628,7 @@ func (rt *Runtime) AddClientQueue(h *AccelHandle, proto Proto, dst netstack.Addr
 		return nil, err
 	}
 	cb := &ClientBinding{
-		rt: rt, proto: proto, dst: dst, qi: idx[0],
+		rt: rt, dst: dst, qi: idx[0],
 		bq: &boundQueue{q: qs[0], h: h},
 	}
 	rt.clients = append(rt.clients, cb)
@@ -698,13 +677,9 @@ func (rt *Runtime) Start() error {
 	}
 
 	// Client bindings: establish static connections, then pump responses
-	// inbound. UDP bindings also run a retry task enforcing the per-request
-	// timeout with bounded retransmission + exponential backoff.
+	// inbound.
 	for _, cb := range rt.clients {
 		s.SpawnTask(fmt.Sprintf("lynx/client-mq:%s", cb.dst), cb.pump)
-		if cb.proto == UDP && rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
-			s.SpawnTask(fmt.Sprintf("lynx/client-retry:%s", cb.dst), cb.retry)
-		}
 	}
 
 	// Replication delivery pumps: one per replicated service, flushing

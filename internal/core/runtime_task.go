@@ -14,7 +14,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"lynx/internal/mqueue"
@@ -630,30 +629,17 @@ func (m *mqManager) forwardOut(cb *ClientBinding, msg *mqueue.TxMsg) {
 
 func (m *mqManager) outServed(time.Duration) {
 	m.rt.stats.Forwarded++
-	m.rt.execParallelT(m.t, m.rt.stackCost(m.sinks[m.i].cb.proto), m.outSentK)
+	m.rt.execParallelT(m.t, m.rt.stackCost(TCP), m.outSentK)
 }
 
+// outSent hands the message to the backend connection. A connection error,
+// or no connection at all (the dial was refused or has not completed), is
+// reported through mqueue metadata (§5.1): an empty error-flagged message.
 func (m *mqManager) outSent(time.Duration) {
-	rt, cb, payload := m.rt, m.sinks[m.i].cb, m.msgs[m.j].Payload
-	switch cb.proto {
-	case UDP:
-		cb.sock.SendTo(cb.dst, payload)
-		if rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
-			// The retry list outlives the drained payload: keep a copy.
-			cb.outstanding = append(cb.outstanding, pendingSend{
-				payload:  bytes.Clone(payload),
-				deadline: m.t.Now().Add(rt.plat.Params.ClientRetryTimeout),
-			})
-		}
-	case TCP:
-		if cb.conn != nil {
-			if err := cb.conn.Send(nil, payload); err != nil {
-				// Report the connection error through mqueue metadata
-				// (§5.1): push an empty error-flagged message.
-				cb.bq.q.PushT(m.t, nil, 1, m.outReportedK)
-				return
-			}
-		}
+	cb := m.sinks[m.i].cb
+	if cb.conn == nil || cb.conn.Send(nil, m.msgs[m.j].Payload) != nil {
+		cb.bq.q.PushT(m.t, nil, 1, m.outReportedK)
+		return
 	}
 	m.next()
 }
@@ -771,42 +757,22 @@ func (m *mqManager) poll() { m.t.Sleep(m.rt.plat.Params.MQPollInterval/2, m.swee
 
 func (m *mqManager) woke(bool) { m.poll() }
 
-// pump is the body of a client binding's task: it establishes the static
-// connection — a bound UDP socket, or one TCP connection to the backend —
-// then pushes every backend message it receives into the binding's mqueue.
+// pump is the body of a client binding's task: it dials the static TCP
+// connection to the backend, then pushes every backend message it receives
+// into the binding's mqueue.
 func (cb *ClientBinding) pump(t *sim.Task) {
-	rt := cb.rt
 	cb.t = t
-	cb.dgK = func(dg netstack.Datagram) { cb.received(dg.Payload) }
 	cb.msgK, cb.chargedK, cb.pushedK = cb.gotMsg, cb.charged, cb.pushed
-	if cb.proto == TCP {
-		rt.plat.NetHost.TCPDialT(t, cb.dst, func(conn *netstack.TCPConn, err error) {
-			if err == nil {
-				cb.conn = conn
-				cb.recv()
-			}
-		})
-		return
-	}
-	rt.nextEphemeral++
-	sock, err := rt.plat.NetHost.UDPBind(52000 + rt.nextEphemeral)
-	if err != nil {
-		return
-	}
-	cb.sock = sock
-	cb.recv()
+	cb.rt.plat.NetHost.TCPDialT(t, cb.dst, func(conn *netstack.TCPConn, err error) {
+		if err == nil {
+			cb.conn = conn
+			cb.recv()
+		}
+	})
 }
 
 // recv takes the next backend message.
-func (cb *ClientBinding) recv() {
-	if cb.conn != nil {
-		cb.conn.RecvQueuedT(cb.t, cb.msgK)
-		return
-	}
-	if dg, ok := cb.sock.RecvT(cb.t, cb.dgK); ok {
-		cb.received(dg.Payload)
-	}
-}
+func (cb *ClientBinding) recv() { cb.conn.RecvQueuedT(cb.t, cb.msgK) }
 
 // gotMsg takes one message of the TCP connection. A connection error ends
 // the pump, after reporting it to the accelerator through mqueue metadata
@@ -819,20 +785,14 @@ func (cb *ClientBinding) gotMsg(msg []byte, _ sim.Time, err error) {
 	cb.received(msg)
 }
 
-// received charges the transport's stack cost for one backend message.
+// received charges the TCP stack cost for one backend message.
 func (cb *ClientBinding) received(msg []byte) {
 	cb.msg = msg
-	cb.rt.execParallelT(cb.t, cb.rt.stackCost(cb.proto), cb.chargedK)
+	cb.rt.execParallelT(cb.t, cb.rt.stackCost(TCP), cb.chargedK)
 }
 
 func (cb *ClientBinding) charged(time.Duration) {
 	rt, now := cb.rt, cb.t.Now()
-	if len(cb.outstanding) > 0 {
-		// FIFO response matching settles the oldest request (late
-		// duplicates of retransmitted requests settle newer ones —
-		// harmless for idempotent backends).
-		cb.outstanding = cb.outstanding[1:]
-	}
 	rt.plat.Spans.Emit(now, trace.BackendIn, uint64(len(cb.msg)), uint64(cb.qi))
 	rt.plat.Spans.Stamp(trace.SpanID(cb.msg), trace.StageBackendIn, now)
 	cb.bq.q.PushT(cb.t, cb.msg, 0, cb.pushedK)
@@ -845,56 +805,4 @@ func (cb *ClientBinding) pushed(_ int, err error) {
 		cb.rt.drop(cb.t.Now(), DropBackend, uint64(cb.qi))
 	}
 	cb.recv()
-}
-
-// retry is the body of a UDP binding's retransmission task: every quarter
-// timeout it resends each request whose deadline passed, doubling the next
-// deadline per attempt, and drops a request that exhausted its attempts.
-func (cb *ClientBinding) retry(t *sim.Task) {
-	cb.retryT = t
-	cb.checkK, cb.resentK = cb.check, cb.resent
-	cb.sleep()
-}
-
-func (cb *ClientBinding) sleep() {
-	cb.retryT.Sleep(cb.rt.plat.Params.ClientRetryTimeout/4, cb.checkK)
-}
-
-func (cb *ClientBinding) check() {
-	if cb.sock == nil {
-		cb.sleep()
-		return
-	}
-	cb.now = cb.retryT.Now()
-	cb.resend()
-}
-
-// resend works through the expired requests at the head of the FIFO, as of
-// the pass's start time.
-func (cb *ClientBinding) resend() {
-	rt, now := cb.rt, cb.now
-	for len(cb.outstanding) > 0 {
-		head := &cb.outstanding[0]
-		if now < head.deadline {
-			break
-		}
-		if head.attempts >= rt.plat.Params.ClientRetryMax {
-			cb.outstanding = cb.outstanding[1:]
-			rt.drop(now, DropBackend, uint64(cb.qi))
-			continue
-		}
-		head.attempts++
-		rt.stats.Retries++
-		rt.plat.Spans.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
-		cb.head = head
-		rt.execParallelT(cb.retryT, rt.stackCost(UDP), cb.resentK)
-		return
-	}
-	cb.sleep()
-}
-
-func (cb *ClientBinding) resent(time.Duration) {
-	cb.sock.SendTo(cb.dst, cb.head.payload)
-	cb.head.deadline = cb.now.Add(cb.rt.plat.Params.ClientRetryTimeout << uint(cb.head.attempts))
-	cb.resend()
 }

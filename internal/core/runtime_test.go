@@ -270,7 +270,7 @@ func TestClientQueueToBackend(t *testing.T) {
 
 	rt := core.NewRuntime(b.bf.Platform(7))
 	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ClientQueue, Slots: 16, SlotSize: 128}, 1)
-	cb, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{Host: "backend1", Port: 11211})
+	cb, err := rt.AddClientQueue(h, netstack.Addr{Host: "backend1", Port: 11211})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestRegistrationErrors(t *testing.T) {
 	if _, err := rt.AddService(core.UDP, 7002, nil, 1, h); err == nil {
 		t.Fatal("AddService after Start must fail")
 	}
-	if _, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{}); err == nil {
+	if _, err := rt.AddClientQueue(h, netstack.Addr{}); err == nil {
 		t.Fatal("AddClientQueue after Start must fail")
 	}
 	b.tb.Sim.Shutdown()
@@ -513,47 +513,41 @@ func TestMultiTenantIsolation(t *testing.T) {
 	}
 }
 
-// Client mqueues over UDP: the accelerator reaches a UDP backend through
-// Lynx (the transport the paper uses for client-facing traffic also works
-// for backends).
-func TestClientQueueUDPBackend(t *testing.T) {
+// §5.1 failure injection: a client mqueue whose backend refused the dial
+// has no connection, so each message the accelerator sends comes back as an
+// error-flagged reply instead of vanishing.
+func TestClientQueueRefusedDialReportsError(t *testing.T) {
 	b := newBed(t, 11)
-	backend := b.tb.NewMachine("backend1", 6)
-	bsock := backend.NetHost.MustUDPBind(5300)
-	b.tb.Sim.Spawn("udp-backend", func(p *sim.Proc) {
-		for {
-			dg := bsock.Recv(p)
-			backend.CPU.ExecOn(p, 2*time.Microsecond)
-			bsock.SendTo(dg.From, append([]byte("u:"), dg.Payload...))
-		}
-	})
+	b.tb.NewMachine("backend1", 6) // nothing listens on 11211
 	rt := core.NewRuntime(b.bf.Platform(7))
 	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ClientQueue, Slots: 16, SlotSize: 128}, 1)
-	cb, err := rt.AddClientQueue(h, core.UDP, netstack.Addr{Host: "backend1", Port: 5300})
+	cb, err := rt.AddClientQueue(h, netstack.Addr{Host: "backend1", Port: 11211})
 	if err != nil {
 		t.Fatal(err)
 	}
 	aq := h.AccelQueues()[cb.QueueIndex()]
-	var got []string
+	var got []mqueue.Msg
 	b.gpu.LaunchPersistent(b.tb.Sim, 1, func(tb *accel.TB) {
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 3; i++ {
 			if aq.Send(tb.Proc(), 0, []byte(fmt.Sprintf("m%d", i))) != nil {
 				return
 			}
-			m := aq.Recv(tb.Proc())
-			got = append(got, string(m.Payload))
+			got = append(got, aq.Recv(tb.Proc()))
 		}
 	})
 	rt.Start()
-	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return len(got) == 5 })
+	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return len(got) == 3 })
 	b.tb.Sim.Shutdown()
-	if len(got) != 5 {
-		t.Fatalf("completed %d/5 UDP backend round trips", len(got))
+	if len(got) != 3 {
+		t.Fatalf("accelerator got %d/3 replies from a refused backend", len(got))
 	}
-	for i, g := range got {
-		if g != fmt.Sprintf("u:m%d", i) {
-			t.Fatalf("reply %d = %q", i, g)
+	for i, m := range got {
+		if m.Err == 0 || len(m.Payload) != 0 {
+			t.Fatalf("reply %d = %+v, want an empty error-flagged message", i, m)
 		}
+	}
+	if f := rt.Stats().Forwarded; f != 3 {
+		t.Fatalf("forwarded = %d, want 3", f)
 	}
 }
 
@@ -577,7 +571,7 @@ func TestClientQueueConnectionErrorMetadata(t *testing.T) {
 	})
 	rt := core.NewRuntime(b.bf.Platform(7))
 	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ClientQueue, Slots: 16, SlotSize: 128}, 1)
-	cb, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{Host: "backend1", Port: 11211})
+	cb, err := rt.AddClientQueue(h, netstack.Addr{Host: "backend1", Port: 11211})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -347,7 +347,7 @@ func (c faceVerifyCell) run(cfg Config) workload.Result {
 		// backend over TCP (§6.4).
 		clientIdx := make([]int, nTB)
 		for i := 0; i < nTB; i++ {
-			cb, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{Host: "dbserver", Port: 11211})
+			cb, err := rt.AddClientQueue(h, netstack.Addr{Host: "dbserver", Port: 11211})
 			if err != nil {
 				panic(err)
 			}

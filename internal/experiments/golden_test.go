@@ -96,7 +96,6 @@ func TestGoldens(t *testing.T) {
 			return goldenPipeline(t, core.TCP)
 		}},
 		{"tcp-client-mqueue", []string{"path_tcp_client_mqueue.csv", "path_tcp_client_mqueue_trace.txt"}, goldenTCPClientQueue},
-		{"udp-client-mqueue", []string{"path_udp_client_mqueue.csv", "path_udp_client_mqueue_trace.txt"}, goldenUDPClientQueue},
 		{"replication-kill", []string{"path_replication_kill.csv", "path_replication_kill_trace.txt"}, goldenReplicationKill},
 		{"rf1-rack", []string{"pr9_replication_identity_scale025_seed7.csv", "pr9_replication_identity_scale025_seed7_trace.txt"}, goldenRF1Rack},
 		{"innova-duplex", []string{"path_innova_duplex.csv"}, func(t *testing.T) []string {
@@ -304,7 +303,7 @@ func goldenTCPClientQueue(t *testing.T) []string {
 	}
 	clientIdx := make([]int, nTB)
 	for i := range clientIdx {
-		cb, err := rt.AddClientQueue(h, core.TCP, netstack.Addr{Host: "dbserver", Port: 11211})
+		cb, err := rt.AddClientQueue(h, netstack.Addr{Host: "dbserver", Port: 11211})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,74 +340,6 @@ func goldenTCPClientQueue(t *testing.T) []string {
 	})
 	e.tb.Sim.Shutdown()
 	return []string{goldenReport("tcp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
-		traceText(t, plat.Spans.Events())}
-}
-
-// goldenUDPClientQueue drives UDP client mqueues to a memcached backend over
-// a lossy network, so the per-binding retry loop retransmits and gives up.
-func goldenUDPClientQueue(t *testing.T) []string {
-	const nTB = 4
-	cfg := goldenCfg
-	cfg.Faults = fault.Config{Seed: 3, DropRate: 0.25}
-	e := newEnv(cfg)
-	backend := e.tb.NewMachine("dbserver", 6)
-	store := memcachedInstances(e.tb, backend.NetHost, backend.CPU, &e.params, 11211, 2, false, 0, nil)
-	for i := 0; i < 64; i++ {
-		store.Set(fmt.Sprintf("key-%03d", i), 0, []byte("value-0123456789"))
-	}
-	plat := e.lynxPlatform(platLynxBF)
-	plat.Spans = wideTable()
-	rt := core.NewRuntime(plat)
-	h, err := rt.Register(e.gpu, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 8, SlotSize: 128}, 2*nTB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := rt.AddService(core.UDP, 7000, nil, nTB, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientIdx := make([]int, nTB)
-	for i := range clientIdx {
-		cb, err := rt.AddClientQueue(h, core.UDP, netstack.Addr{Host: "dbserver", Port: 11211})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clientIdx[i] = cb.QueueIndex()
-	}
-	qs := h.AccelQueues()
-	if err := e.gpu.LaunchPersistent(e.tb.Sim, nTB, func(tb *accel.TB) {
-		serverQ, clientQ := qs[tb.Index()], qs[clientIdx[tb.Index()]]
-		for {
-			m := serverQ.Recv(tb.Proc())
-			get := make([]byte, workload.SeqBytes, 64)
-			copy(get, m.Payload[:workload.SeqBytes])
-			get = kvstore.AppendGet(get, kvKeys[m.Slot%64])
-			if clientQ.Send(tb.Proc(), 0, get) != nil {
-				return
-			}
-			// A reply the backend loses for good parks this threadblock for
-			// the rest of the window.
-			reply := clientQ.Recv(tb.Proc())
-			resp := make([]byte, workload.SeqBytes+1)
-			copy(resp, m.Payload[:workload.SeqBytes])
-			resp[workload.SeqBytes] = byte(len(reply.Payload))
-			if serverQ.Send(tb.Proc(), uint16(m.Slot), resp) != nil {
-				return
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	res := e.measure(workload.Config{
-		Proto: workload.UDP, Target: svc.Addr(), Payload: 64,
-		Clients: 2 * nTB, Duration: 20 * time.Millisecond, Warmup: time.Millisecond,
-		Timeout: 5 * time.Millisecond, Retries: 2,
-	})
-	e.tb.Sim.Shutdown()
-	return []string{goldenReport("udp-client-mqueue", e.tb.Sim, res, [2]string{"runtime", rt.Stats().String()}),
 		traceText(t, plat.Spans.Events())}
 }
 

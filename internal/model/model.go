@@ -252,14 +252,6 @@ type Params struct {
 	// per-request accelerator service time (LeNet is ~300 µs). Zero
 	// disables the watchdog.
 	MQWatchdogTimeout time.Duration
-	// ClientRetryTimeout is how long a client-mqueue UDP request to a
-	// backend may stay unanswered before the runtime retransmits it; each
-	// further attempt doubles the wait (exponential backoff).
-	ClientRetryTimeout time.Duration
-	// ClientRetryMax is the number of retransmissions after the original
-	// send before the request is dropped as unanswerable. Zero disables
-	// client-mqueue retransmission.
-	ClientRetryMax int
 }
 
 // Default returns the calibrated parameter set. The returned value may be
@@ -319,9 +311,7 @@ func Default() Params {
 		ForwardCost:    1200 * time.Nanosecond,
 		MQPollInterval: 1 * time.Microsecond,
 
-		MQWatchdogTimeout:  5 * time.Millisecond,
-		ClientRetryTimeout: 2 * time.Millisecond,
-		ClientRetryMax:     3,
+		MQWatchdogTimeout: 5 * time.Millisecond,
 	}
 }
 

@@ -129,8 +129,8 @@ type QP struct {
 	remote time.Duration
 
 	hw       bool
-	sq       *sim.Chan[WR]
-	cur      WR // WR between dequeue and engine stage of the run task
+	sq       *sim.Chan[WR] // unbounded: posting never parks
+	cur      WR            // WR between dequeue and engine stage of the run task
 	inflight []*inflightWR
 	inflHead int
 
@@ -351,7 +351,7 @@ func (qp *QP) Post(p *sim.Proc, wr WR) {
 		p.Sleep(qp.engine.params.RDMAIssue)
 	}
 	qp.posted++
-	qp.sq.Put(p, wr)
+	qp.sq.TryPut(wr)
 }
 
 // Write performs a blocking one-sided RDMA WRITE.
@@ -401,9 +401,8 @@ type call struct {
 	reply *sim.Chan[CQE]
 	buf   []byte
 
-	issued   func()    // pre-bound c.enqueue: runs after the CPU issue cost
-	enqueued func()    // pre-bound c.await: runs once the WR is in the send queue
-	done     func(CQE) // pre-bound c.complete: runs with the completion
+	issued func()    // pre-bound c.enqueue: runs after the CPU issue cost
+	done   func(CQE) // pre-bound c.complete: runs with the completion
 
 	// A batch: the WRs still to post, the doorbell group being posted, the
 	// group size, and the checkpoint completions still awaited with the
@@ -425,7 +424,7 @@ func (qp *QP) getCall() *call {
 		return c
 	}
 	c := &call{qp: qp, reply: sim.NewChan[CQE](qp.engine.sim, 0)}
-	c.issued, c.enqueued, c.done = c.enqueue, c.await, c.complete
+	c.issued, c.done = c.enqueue, c.complete
 	c.postK, c.collectedK = c.postAll, c.collected
 	return c
 }
@@ -451,14 +450,10 @@ func (c *call) readBuf(n int) []byte {
 	return c.buf[:n]
 }
 
+// enqueue puts the WR in the send queue, then waits for its completion.
 func (c *call) enqueue() {
 	c.qp.posted++
-	if c.qp.sq.PutT(c.t, c.wr, c.enqueued) {
-		c.await()
-	}
-}
-
-func (c *call) await() {
+	c.qp.sq.TryPut(c.wr)
 	if cqe, ok := c.reply.GetT(c.t, c.done); ok {
 		c.complete(cqe)
 	}
@@ -526,18 +521,12 @@ func (c *call) postGroup() {
 	c.t.Sleep(c.qp.engine.params.RDMAIssue, c.postK)
 }
 
-// postAll enqueues the group's WRs in order. Unbounded send queues (the
-// common case) accept every WR inline; a bounded queue at capacity parks the
-// task and the group resumes where it stopped.
+// postAll enqueues the group's WRs in order; the unbounded send queue
+// accepts every WR inline.
 func (c *call) postAll() {
-	for len(c.group) > 0 {
-		wr := c.group[0]
-		c.group = c.group[1:]
+	for _, wr := range c.group {
 		c.qp.posted++
-		if !c.qp.sq.TryPut(wr) {
-			c.qp.sq.PutT(c.t, wr, c.postK)
-			return
-		}
+		c.qp.sq.TryPut(wr)
 	}
 	c.postGroup()
 }

@@ -37,9 +37,6 @@ const (
 	BackendOut
 	// BackendIn: a backend response was pushed into a client mqueue.
 	BackendIn
-	// Retry: a timed-out request was retransmitted (arg0 = queue index,
-	// arg1 = attempt number).
-	Retry
 	// Failover: the MQ-manager watchdog changed a queue's health (arg0 =
 	// queue index, arg1 = 0 for failover, 1 for failback).
 	Failover
@@ -75,8 +72,6 @@ func (k Kind) String() string {
 		return "backend-out"
 	case BackendIn:
 		return "backend-in"
-	case Retry:
-		return "retry"
 	case Failover:
 		return "failover"
 	case PeerKill:
@@ -116,8 +111,6 @@ func (e Event) String() string {
 		args = fmt.Sprintf("queue=%d cause=%d", e.Arg0, e.Arg1)
 	case BackendOut, BackendIn:
 		args = fmt.Sprintf("bytes=%d queue=%d", e.Arg0, e.Arg1)
-	case Retry:
-		args = fmt.Sprintf("queue=%d attempt=%d", e.Arg0, e.Arg1)
 	case Failover:
 		dir := "failed"
 		if e.Arg1 == 1 {

@@ -107,15 +107,15 @@ func TestRingOrderProperty(t *testing.T) {
 }
 
 // Counts are totals over the whole run: wrapping the ring evicts events but
-// never the counters, including the robustness kinds (Retry, Failover).
+// never the counters, including the robustness kinds (PeerKill, Failover).
 func TestCountsSurviveWraparound(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 50; i++ {
 		tr.Emit(sim.Time(i), Drop, uint64(i), 0)
 	}
-	tr.Emit(50, Retry, 1, 2)
+	tr.Emit(50, PeerKill, 1, 2)
 	tr.Emit(51, Failover, 3, 0)
-	if tr.Count(Drop) != 50 || tr.Count(Retry) != 1 || tr.Count(Failover) != 1 {
+	if tr.Count(Drop) != 50 || tr.Count(PeerKill) != 1 || tr.Count(Failover) != 1 {
 		t.Fatalf("counts wrong after wraparound: %s", tr.Summary())
 	}
 	evs := tr.Events()
@@ -123,14 +123,14 @@ func TestCountsSurviveWraparound(t *testing.T) {
 		t.Fatalf("retained %d, want 4", len(evs))
 	}
 	// The ring holds only the most recent events, still in order.
-	if evs[2].Kind != Retry || evs[3].Kind != Failover {
+	if evs[2].Kind != PeerKill || evs[3].Kind != Failover {
 		t.Fatalf("tail events %v", evs)
 	}
-	if Retry.String() != "retry" || Failover.String() != "failover" {
-		t.Fatalf("kind strings: %q %q", Retry.String(), Failover.String())
+	if PeerKill.String() != "peer-kill" || Failover.String() != "failover" {
+		t.Fatalf("kind strings: %q %q", PeerKill.String(), Failover.String())
 	}
 	s := tr.Summary()
-	if !strings.Contains(s, "retry=1") || !strings.Contains(s, "failover=1") {
+	if !strings.Contains(s, "peer-kill=1") || !strings.Contains(s, "failover=1") {
 		t.Fatalf("summary %q", s)
 	}
 }

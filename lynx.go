@@ -107,10 +107,9 @@ type (
 	InvariantChecker = check.Checker
 )
 
-// Protocols and queue kinds.
+// Protocol and queue kinds.
 const (
 	UDP = core.UDP
-	TCP = core.TCP
 
 	ServerQueue = mqueue.ServerQueue
 

@@ -22,7 +22,6 @@ import (
 //
 //	<name> safety                  an error, invariant-failure, kill or unwind path
 //	<name> test-hook <test file>   another package's test needs it
-//	<name> kept <ROADMAP item>     a mechanism a ROADMAP item keeps for later
 //
 // <name> is spelled as in surfaceAllowlist. String and Error methods need
 // no line, and a test-hook line names an entry of surfaceAllowlist.
@@ -51,10 +50,6 @@ func TestTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	surface, err := readAllowlist(surfaceAllowlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roadmap, err := os.ReadFile("ROADMAP.md")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +135,6 @@ func TestTraffic(t *testing.T) {
 		}
 		switch e.kind {
 		case "safety":
-		case "kept":
-			item, _, _ := strings.Cut(e.file, "(")
-			if item == "" || !strings.Contains(string(roadmap), "\n"+item+". ") {
-				t.Errorf("%s:%d: kept %q names no ROADMAP.md item", trafficAllowlist, e.line, e.file)
-			}
 		case "test-hook":
 			if _, ok := surface[name]; !ok {
 				t.Errorf("%s:%d: %s is no entry of %s; a function only tests call is a dead declaration there first",
@@ -157,7 +147,7 @@ func TestTraffic(t *testing.T) {
 				t.Errorf("%s:%d: %s does not use %s (no %q)", trafficAllowlist, e.line, e.file, name, use)
 			}
 		default:
-			t.Errorf("%s:%d: kind %q, want safety, test-hook or kept", trafficAllowlist, e.line, e.kind)
+			t.Errorf("%s:%d: kind %q, want safety or test-hook", trafficAllowlist, e.line, e.kind)
 		}
 	}
 	t.Logf("library (internal/ and lynx): %d of %d statements not executed (%.1f%%); %d of %d functions not executed, %d of them String or Error methods",

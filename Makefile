@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags traffic clean
+.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags spawns traffic clean
 
 all: vet test
 
@@ -23,6 +23,15 @@ loc:
 flags:
 	@for d in cmd/lynxd cmd/lynxbench; do \
 		printf '%s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -cE 'fs\.[A-Z][A-Za-z0-9]*\("'); \
+	done | awk '{ print; n += $$2 } END { print "total", n }'
+
+# The process spawn sites ROADMAP items 10 and 11 track: non-test call sites
+# of Spawn(, SpawnTask( and LaunchPersistent( outside bench/perf, per kind,
+# then the total. Comment lines and func declarations (the lynx facade's
+# forwarders) do not count.
+spawns:
+	@for k in Spawn SpawnTask LaunchPersistent; do \
+		printf '%s %s\n' $$k $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/perf/*' -exec cat {} + | grep -v '^[[:space:]]*//' | grep -v '^func ' | grep -oE "\.$$k\(" | wc -l); \
 	done | awk '{ print; n += $$2 } END { print "total", n }'
 
 # The traffic run (DESIGN.md §4.18): every program, built with coverage, runs

@@ -37,25 +37,9 @@ func main() {
 	for id := uint32(0); id < identities; id++ {
 		store.Set(fmt.Sprintf("person-%05d", id), 0, lbp.SynthFace(id, 0))
 	}
-	listener := backend.NetHost.MustTCPListen(11211)
-	cluster.Spawn("memcached", func(p *lynx.Proc) {
-		for {
-			conn := listener.Accept(p)
-			cluster.Spawn("memcached-conn", func(p *lynx.Proc) {
-				var reply []byte // reused: Send copies it
-				for {
-					msg, err := conn.Recv(p)
-					if err != nil {
-						return
-					}
-					backend.CPU.ExecOn(p, 2*time.Microsecond)
-					reply = store.AppendServe(reply[:0], msg)
-					if conn.Send(p, reply) != nil {
-						return
-					}
-				}
-			})
-		}
+	backend.NetHost.MustTCPListen(11211).Serve("memcached", func(p *lynx.Proc, msg, out []byte) []byte {
+		backend.CPU.ExecOn(p, 2*time.Microsecond)
+		return store.AppendServe(out, msg)
 	})
 
 	// --- Frontend tier: Lynx on BlueField + GPU persistent kernel. ---

@@ -72,7 +72,7 @@ func runHostCentric(net *lenet.Network) workload.Result {
 	client := cluster.AddClient("client1")
 	p := cluster.Params()
 	sv := hostcentric.New(cluster.Testbed().Sim, p, server.CPU, server.NetHost, gpu, hostcentric.Config{
-		Port: 7000, Streams: 8, Cores: 1, Bypass: true,
+		Port: 7000, Streams: 8, Cores: 1,
 		KernelTime: p.LeNetServiceK40, Exclusive: true, Launches: 8,
 		Handler: func(req []byte) []byte { return classify(net, req) },
 	})

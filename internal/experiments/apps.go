@@ -10,6 +10,7 @@ import (
 	"lynx/internal/apps/lbp"
 	"lynx/internal/apps/secure"
 	"lynx/internal/core"
+	"lynx/internal/cpuarch"
 	"lynx/internal/hostcentric"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
@@ -32,10 +33,7 @@ func init() {
 // cores (one pinned instance per core, the paper's deployment), serving the
 // real kvstore over UDP. batched selects the BlueField throughput-optimized
 // mode (deep batching: higher throughput, much higher latency).
-func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface {
-	Exec(p *sim.Proc, d time.Duration)
-	Scale(d time.Duration) time.Duration
-}, params *model.Params, port uint16, n int, kernelStack bool, batchLatency time.Duration, served *uint64) *kvstore.Store {
+func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine *cpuarch.Machine, params *model.Params, port uint16, n int, kernelStack bool, batchLatency time.Duration, served *uint64) *kvstore.Store {
 	store := kvstore.NewStore()
 	sock := host.MustUDPBind(port)
 	stackCost := params.UDPCost(model.XeonCore, !kernelStack)
@@ -44,36 +42,30 @@ func memcachedInstances(tb *snic.Testbed, host *netstack.Host, machine interface
 		// efficiency experiment); ARM syscalls are dearer (§5.1.1).
 		stackCost = time.Duration(float64(stackCost) * params.ARMSyscallPenalty)
 	}
-	for i := 0; i < n; i++ {
-		tb.Sim.Spawn(fmt.Sprintf("memcached/%s/%d", host.Name(), i), func(p *sim.Proc) {
-			var out []byte // the reply, reused: SendTo copies it
-			for {
-				dg := sock.Recv(p)
-				machine.Exec(p, stackCost)
-				// Strip the sequence header, serve, re-prefix.
-				if len(dg.Payload) < workload.SeqBytes {
-					continue
-				}
-				machine.Exec(p, params.MemcachedOpXeon)
-				out = store.AppendServe(append(out[:0], dg.Payload[:workload.SeqBytes]...), dg.Payload[workload.SeqBytes:])
-				machine.Exec(p, stackCost)
-				if served != nil {
-					*served++
-				}
-				if batchLatency > 0 {
-					// Throughput-optimized batching: replies leave in batch
-					// windows. Throughput is unaffected; latency pays the
-					// window (Fig. 9: 160 µs p99 on BlueField at 400 Ktps).
-					// The reply leaves after the next one is built: it
-					// needs a copy of its own.
-					from, batched := dg.From, bytes.Clone(out)
-					tb.Sim.After(batchLatency, func() { sock.SendTo(from, batched) })
-					continue
-				}
-				sock.SendTo(dg.From, out)
-			}
-		})
-	}
+	sock.Serve("memcached/"+host.Name(), n, func(p *sim.Proc, _ int, from netstack.Addr, msg, out []byte) []byte {
+		machine.Exec(p, stackCost)
+		// Strip the sequence header, serve, re-prefix.
+		if len(msg) < workload.SeqBytes {
+			return nil
+		}
+		machine.Exec(p, params.MemcachedOpXeon)
+		out = store.AppendServe(append(out, msg[:workload.SeqBytes]...), msg[workload.SeqBytes:])
+		machine.Exec(p, stackCost)
+		if served != nil {
+			*served++
+		}
+		if batchLatency > 0 {
+			// Throughput-optimized batching: replies leave in batch
+			// windows. Throughput is unaffected; latency pays the window
+			// (Fig. 9: 160 µs p99 on BlueField at 400 Ktps). The reply
+			// leaves after the next one is built: it needs a copy of its
+			// own.
+			batched := bytes.Clone(out)
+			tb.Sim.After(batchLatency, func() { sock.SendTo(from, batched) })
+			return nil
+		}
+		return out
+	})
 	return store
 }
 
@@ -247,25 +239,9 @@ func memcachedBackend(e *env) {
 	backend := e.tb.NewMachine("dbserver", 6)
 	store := kvstore.NewStore()
 	fvPopulate(store)
-	l := backend.NetHost.MustTCPListen(11211)
-	e.tb.Sim.Spawn("memcached-backend", func(p *sim.Proc) {
-		for {
-			conn := l.Accept(p)
-			e.tb.Sim.Spawn("memcached-conn", func(p *sim.Proc) {
-				var reply []byte // reused: Send copies it
-				for {
-					msg, err := conn.Recv(p)
-					if err != nil {
-						return
-					}
-					backend.CPU.ExecOn(p, e.params.MemcachedOpXeon)
-					reply = store.AppendServe(reply[:0], msg)
-					if conn.Send(p, reply) != nil {
-						return
-					}
-				}
-			})
-		}
+	backend.NetHost.MustTCPListen(11211).Serve("memcached-backend", func(p *sim.Proc, msg, out []byte) []byte {
+		backend.CPU.ExecOn(p, e.params.MemcachedOpXeon)
+		return store.AppendServe(out, msg)
 	})
 }
 
@@ -295,7 +271,7 @@ func (c faceVerifyCell) run(cfg Config) workload.Result {
 			}
 		})
 		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: nTB, Cores: 2, Bypass: true,
+			Port: 7000, Streams: nTB, Cores: 2,
 			KernelTime: e.params.FaceVerifyService,
 			H2DBytes:   2 * lbp.ImageBytes, D2HBytes: 16,
 			PreKernel: func(p *sim.Proc, req []byte) []byte {
@@ -434,38 +410,33 @@ func (c vcaCell) run(cfg Config) workload.Result {
 	}
 	vca := e.server.AddVCA("vca0")
 	enc := vca.NewEnclave()
-	serve := func(p *sim.Proc, req []byte) []byte {
-		resp := make([]byte, vcaPayload)
+	// serve appends the response to req to out: the request's sequence
+	// header, then the enclave's result, zero-padded to vcaPayload.
+	serve := func(p *sim.Proc, req, out []byte) []byte {
+		resp := append(out, make([]byte, vcaPayload)...)
 		copy(resp, req[:workload.SeqBytes])
-		var out []byte
 		enc.ECall(p, e.params.SecureComputeService, func() {
 			if o, err := secure.EnclaveCompute(cipher, req[workload.SeqBytes:vcaPayload]); err == nil {
-				out = o
+				copy(resp[workload.SeqBytes:], o)
 			}
 		})
-		copy(resp[workload.SeqBytes:], out)
 		return resp
 	}
 	target := e.server.NetHost.Addr(7000)
 	if c.bridge {
 		sock := e.server.NetHost.MustUDPBind(7000)
 		// One server context per VCA node (three E3 processors, §5.4).
-		for node := 0; node < vca.Nodes(); node++ {
-			e.tb.Sim.Spawn(fmt.Sprintf("vca-bridge-server/%d", node), func(p *sim.Proc) {
-				for {
-					dg := sock.Recv(p)
-					// Host bridge + IP-over-PCIe tunnel + VCA kernel
-					// stack, each way.
-					p.Sleep(e.params.VCABridgeKernelPath)
-					if len(dg.Payload) < vcaPayload {
-						continue
-					}
-					resp := serve(p, dg.Payload)
-					p.Sleep(e.params.VCABridgeKernelPath)
-					sock.SendTo(dg.From, resp)
-				}
-			})
-		}
+		sock.Serve("vca-bridge-server", vca.Nodes(), func(p *sim.Proc, _ int, _ netstack.Addr, msg, out []byte) []byte {
+			// Host bridge + IP-over-PCIe tunnel + VCA kernel stack, each
+			// way.
+			p.Sleep(e.params.VCABridgeKernelPath)
+			if len(msg) < vcaPayload {
+				return nil
+			}
+			out = serve(p, msg, out)
+			p.Sleep(e.params.VCABridgeKernelPath)
+			return out
+		})
 	} else {
 		rt := core.NewRuntime(e.bf.Platform(7))
 		h, err := rt.Register(vca, mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: vcaPayload + 16}, 1)
@@ -478,12 +449,14 @@ func (c vcaCell) run(cfg Config) workload.Result {
 		}
 		aq := h.AccelQueues()[0]
 		e.tb.Sim.Spawn("vca-node0", func(p *sim.Proc) {
+			var out []byte // the response, reused: the send copies it
 			for {
 				m := aq.Recv(p)
 				if len(m.Payload) < vcaPayload {
 					continue
 				}
-				if aq.Send(p, uint16(m.Slot), serve(p, m.Payload)) != nil {
+				out = serve(p, m.Payload, out[:0])
+				if aq.Send(p, uint16(m.Slot), out) != nil {
 					return
 				}
 			}

@@ -59,25 +59,11 @@ func (c integratedNICCell) run(cfg Config) workload.Result {
 		scalar := sim.NewResource(e.tb.Sim, 2)
 		tcpCost := model.ScaleCPU(e.params.TCPCost(model.XeonCore, false), model.ARMCore)
 		computeUnits := sim.NewResource(e.tb.Sim, integratedUnits)
-		l := accMachine.NetHost.MustTCPListen(7000)
-		e.tb.Sim.Spawn("goya-accept", func(p *sim.Proc) {
-			for {
-				conn := l.Accept(p)
-				e.tb.Sim.Spawn("goya-conn", func(p *sim.Proc) {
-					for {
-						msg, err := conn.Recv(p)
-						if err != nil {
-							return
-						}
-						scalar.With(p, tcpCost, nil)                 // rx stack
-						computeUnits.With(p, integratedService, nil) // the kernel
-						scalar.With(p, tcpCost, nil)                 // tx stack
-						if conn.Send(p, msg) != nil {
-							return
-						}
-					}
-				})
-			}
+		accMachine.NetHost.MustTCPListen(7000).Serve("goya", func(p *sim.Proc, msg, out []byte) []byte {
+			scalar.With(p, tcpCost, nil)                 // rx stack
+			computeUnits.With(p, integratedService, nil) // the kernel
+			scalar.With(p, tcpCost, nil)                 // tx stack
+			return append(out, msg...)
 		})
 	}
 	res := e.measure(workload.Config{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lynx/internal/accel"
@@ -9,6 +10,7 @@ import (
 	"lynx/internal/hostcentric"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
+	"lynx/internal/netstack"
 	"lynx/internal/sim"
 	"lynx/internal/workload"
 )
@@ -52,7 +54,7 @@ func (c fig6Cell) throughput(cfg Config, bc model.BatchConfig) float64 {
 	window := cfg.window(30 * time.Millisecond)
 	if c.plat == platHostCentric {
 		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: c.nMQ, Cores: 1, Bypass: true, KernelTime: c.reqTime,
+			Port: 7000, Streams: c.nMQ, Cores: 1, KernelTime: c.reqTime,
 		})
 		if err := sv.Start(); err != nil {
 			panic(err)
@@ -182,14 +184,10 @@ func fig7(cfg Config) *Report {
 const sec62MQCount = 240
 
 // launchRxSinks starts receive-only GPU threadblocks: consume without
-// responding.
+// responding. Every request is shorter than Serve's minimum length, so each
+// one is dropped uncharged.
 func launchRxSinks(e *env, qs []*mqueue.AccelQueue) {
-	if err := e.gpu.LaunchPersistent(e.tb.Sim, len(qs), func(tb *accel.TB) {
-		aq := qs[tb.Index()]
-		for {
-			aq.Recv(tb.Proc())
-		}
-	}); err != nil {
+	if err := e.gpu.Serve(e.tb.Sim, qs, math.MaxInt, 0, nil); err != nil {
 		panic(err)
 	}
 }
@@ -246,19 +244,18 @@ func bluefieldRxRate(cfg Config) float64 {
 func hostRxRate(cfg Config) float64 {
 	window := cfg.window(8 * time.Millisecond)
 	e := newEnv(cfg)
-	sock := e.server.NetHost.MustUDPBind(7000)
-	var delivered uint64
-	for w := 0; w < 6; w++ {
-		st := e.gpu.NewStream()
-		e.tb.Sim.Spawn("hc-rx", func(p *sim.Proc) {
-			for {
-				dg := sock.Recv(p)
-				e.server.CPU.ExecOn(p, e.params.UDPCost(model.XeonCore, true))
-				st.MemcpyH2D(p, len(dg.Payload))
-				delivered++
-			}
-		})
+	const workers = 6
+	streams := make([]*accel.Stream, workers)
+	for w := range streams {
+		streams[w] = e.gpu.NewStream()
 	}
+	var delivered uint64
+	e.server.NetHost.MustUDPBind(7000).Serve("hc-rx", workers, func(p *sim.Proc, w int, _ netstack.Addr, msg, _ []byte) []byte {
+		e.server.CPU.ExecOn(p, e.params.UDPCost(model.XeonCore, true))
+		streams[w].MemcpyH2D(p, len(msg))
+		delivered++
+		return nil
+	})
 	return e.openLoopRate(e.server.NetHost.Addr(7000), 4e5, window, func() uint64 { return delivered })
 }
 
@@ -301,7 +298,7 @@ func (c isolationCell) run(cfg Config) workload.Result {
 		return res
 	}
 	sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-		Port: 7000, Streams: 4, Cores: 1, Bypass: true, KernelTime: 50 * time.Microsecond,
+		Port: 7000, Streams: 4, Cores: 1, KernelTime: 50 * time.Microsecond,
 	})
 	if err := sv.Start(); err != nil {
 		panic(err)

@@ -112,7 +112,7 @@ func (c lenetCell) run(cfg Config) workload.Result {
 	}
 	if c.plat == platHostCentric {
 		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: 8, Cores: 1, Bypass: true,
+			Port: 7000, Streams: 8, Cores: 1,
 			KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
 			Handler: lenetHandler(sharedLeNet()),
 		})

@@ -39,7 +39,7 @@ type invocation struct{ e2e, overhead time.Duration }
 func (invocationPoint) run(cfg Config) invocation {
 	e := newEnv(cfg)
 	sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-		Port: 7000, Streams: 1, Cores: 1, Bypass: true, KernelTime: invocationKernel,
+		Port: 7000, Streams: 1, Cores: 1, KernelTime: invocationKernel,
 	})
 	if err := sv.Start(); err != nil {
 		panic(err)
@@ -79,7 +79,7 @@ func (c noisyCell) run(cfg Config) workload.Result {
 	e := newEnv(Config{Seed: cfg.Seed, Scale: cfg.Scale, Invariants: cfg.Invariants})
 	e.server.CPU.SetNoisy(c.noisy)
 	sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-		Port: 7000, Streams: 4, Cores: 1, Bypass: true,
+		Port: 7000, Streams: 4, Cores: 1,
 		KernelTime: 50 * time.Microsecond,
 	})
 	if err := sv.Start(); err != nil {

@@ -134,7 +134,7 @@ func (c loadCell) run(cfg Config) workload.Result {
 		rt.Start()
 	} else {
 		sv := hostcentric.New(e.tb.Sim, e.tb.Params, e.server.CPU, e.server.NetHost, e.gpu, hostcentric.Config{
-			Port: 7000, Streams: 8, Cores: 1, Bypass: true,
+			Port: 7000, Streams: 8, Cores: 1,
 			KernelTime: e.params.LeNetServiceK40, Exclusive: true, Launches: lenetLaunches,
 			Handler: lenetHandler(sharedLeNet()),
 		})

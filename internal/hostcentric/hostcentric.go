@@ -33,8 +33,6 @@ type Config struct {
 	// Cores is the number of CPU cores the frontend may use (1 in the
 	// paper's GPU microbenchmarks, 2 for face verification).
 	Cores int
-	// Bypass selects VMA networking on the host.
-	Bypass bool
 	// KernelTime is the GPU execution time per request.
 	KernelTime time.Duration
 	// Exclusive marks whole-GPU kernels (LeNet) vs single-TB ones (echo).
@@ -54,7 +52,6 @@ type Config struct {
 
 // Server is a host-centric accelerated network server.
 type Server struct {
-	sim     *sim.Sim
 	params  *model.Params
 	machine *cpuarch.Machine
 	host    *netstack.Host
@@ -78,7 +75,7 @@ func New(s *sim.Sim, p *model.Params, machine *cpuarch.Machine, host *netstack.H
 		cfg.Handler = func(req []byte) []byte { return req }
 	}
 	return &Server{
-		sim: s, params: p, machine: machine, host: host, gpu: gpu, cfg: cfg,
+		params: p, machine: machine, host: host, gpu: gpu, cfg: cfg,
 		cores: sim.NewResource(s, cfg.Cores),
 	}
 }
@@ -117,12 +114,8 @@ func (sv *Server) handle(p *sim.Proc, st *accel.Stream, req []byte) []byte {
 	return resp
 }
 
-func (sv *Server) udpCost() time.Duration {
-	return sv.params.UDPCost(model.XeonCore, sv.cfg.Bypass)
-}
-
 // Start brings up the frontend: one worker process per CUDA stream, all
-// draining the shared socket.
+// draining the shared socket. The host runs VMA networking (§5.1.1).
 func (sv *Server) Start() error {
 	if sv.started {
 		return fmt.Errorf("hostcentric: already started")
@@ -132,17 +125,17 @@ func (sv *Server) Start() error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < sv.cfg.Streams; i++ {
-		st := sv.gpu.NewStream()
-		sv.sim.Spawn(fmt.Sprintf("hostcentric/stream%d", i), func(p *sim.Proc) {
-			for {
-				dg := sock.Recv(p)
-				sv.exec(p, sv.udpCost())
-				resp := sv.handle(p, st, dg.Payload)
-				sv.exec(p, sv.udpCost())
-				sock.SendTo(dg.From, resp)
-			}
-		})
+	streams := make([]*accel.Stream, sv.cfg.Streams)
+	for i := range streams {
+		streams[i] = sv.gpu.NewStream()
 	}
+	udpCost := sv.params.UDPCost(model.XeonCore, true)
+	sock.Serve("hostcentric/stream", len(streams), func(p *sim.Proc, i int, _ netstack.Addr, msg, out []byte) []byte {
+		sv.exec(p, udpCost)
+		resp := sv.handle(p, streams[i], msg)
+		sv.exec(p, udpCost)
+		// resp may be the lent request itself (the default echo Handler).
+		return append(out, resp...)
+	})
 	return nil
 }

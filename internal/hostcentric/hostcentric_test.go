@@ -31,7 +31,7 @@ func newBed(seed uint64) *bed {
 func TestEchoRoundTripLatency(t *testing.T) {
 	b := newBed(1)
 	sv := hostcentric.New(b.tb.Sim, b.tb.Params, b.server.CPU, b.server.NetHost, b.gpu, hostcentric.Config{
-		Port: 7000, Streams: 1, Cores: 1, Bypass: true,
+		Port: 7000, Streams: 1, Cores: 1,
 		KernelTime: 100 * time.Microsecond,
 	})
 	if err := sv.Start(); err != nil {
@@ -69,7 +69,7 @@ func TestThroughputCappedByDriverLock(t *testing.T) {
 	for _, streams := range []int{4, 32} {
 		b := newBed(2)
 		sv := hostcentric.New(b.tb.Sim, b.tb.Params, b.server.CPU, b.server.NetHost, b.gpu, hostcentric.Config{
-			Port: 7000, Streams: streams, Cores: 1, Bypass: true,
+			Port: 7000, Streams: streams, Cores: 1,
 			KernelTime: 20 * time.Microsecond,
 		})
 		sv.Start()
@@ -96,7 +96,7 @@ func TestPreKernelHookRuns(t *testing.T) {
 	b := newBed(4)
 	ran := 0
 	sv := hostcentric.New(b.tb.Sim, b.tb.Params, b.server.CPU, b.server.NetHost, b.gpu, hostcentric.Config{
-		Port: 7000, Streams: 1, Cores: 2, Bypass: true,
+		Port: 7000, Streams: 1, Cores: 2,
 		KernelTime: 10 * time.Microsecond,
 		PreKernel: func(p *sim.Proc, req []byte) []byte {
 			ran++

@@ -564,6 +564,29 @@ func (s *UDPSocket) TryRecv() (Datagram, bool) {
 	return dg, ok
 }
 
+// Serve starts the socket's server: n worker processes, named name/0 to
+// name/n-1 and spawned in that order, share the socket, each looping
+// receive → handle → reply. handle gets the worker's index and the sender,
+// charges its own costs on p and appends the reply to out, a buffer the
+// worker reuses for every request; the worker sends the reply to the
+// sender, and a nil reply sends nothing (a dropped request). The reply must
+// not alias msg, which is lent only until the worker's next receive, the
+// rule GPU.Serve's handlers follow too.
+func (s *UDPSocket) Serve(name string, n int, handle func(p *sim.Proc, w int, from Addr, msg, out []byte) []byte) {
+	for w := 0; w < n; w++ {
+		s.host.net.sim.Spawn(fmt.Sprintf("%s/%d", name, w), func(p *sim.Proc) {
+			out := []byte{} // non-nil, so an empty reply is still sent
+			for {
+				dg := s.Recv(p)
+				if r := handle(p, w, dg.From, dg.Payload, out[:0]); r != nil {
+					out = r
+					s.SendTo(dg.From, out)
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // TCP
 
@@ -650,6 +673,34 @@ func (l *TCPListener) Accept(p *sim.Proc) *TCPConn { return l.backlog.Get(p) }
 // otherwise t parks and k runs with the next one.
 func (l *TCPListener) AcceptT(t *sim.Task, k func(*TCPConn)) (*TCPConn, bool) {
 	return l.backlog.GetT(t, k)
+}
+
+// Serve starts the listener's server: an accept process named name, which
+// gives each connection a process named name/conn that loops receive →
+// handle → send and ends when a receive or a send fails. handle charges its
+// own costs on p and appends the reply to out, a buffer the connection's
+// process reuses. As with UDPSocket.Serve, the reply must not alias msg,
+// which is lent only until the next receive.
+func (l *TCPListener) Serve(name string, handle func(p *sim.Proc, msg, out []byte) []byte) {
+	s := l.host.net.sim
+	s.Spawn(name, func(p *sim.Proc) {
+		for {
+			conn := l.Accept(p)
+			s.Spawn(name+"/conn", func(p *sim.Proc) {
+				var out []byte
+				for {
+					msg, err := conn.Recv(p)
+					if err != nil {
+						return
+					}
+					out = handle(p, msg, out[:0])
+					if conn.Send(p, out) != nil {
+						return
+					}
+				}
+			})
+		}
+	})
 }
 
 // TCPDial establishes a connection to addr, blocking for the handshake

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-compare bench-perf goldens eval examples vet loc flags spawns traffic clean
+.PHONY: all test bench bench-compare bench-perf ab goldens eval examples vet loc flags spawns traffic clean
 
 all: vet test
 
@@ -66,6 +66,14 @@ bench-compare:
 PERF_ARGS ?= --seed 1 --seconds 10 --trace 0
 bench-perf:
 	for w in echo-udp echo-tcp lenet kv-rack; do bash bench/perf/run.sh --workload $$w $(PERF_ARGS) || exit 1; done
+
+# Parent-versus-change pairs on the repository benchmark (scripts/ab.sh): REV
+# against the working tree, N alternating pairs (default 10) per workload at
+# BENCHMARK.json's run_seconds, judged by cmd/abcmp with the pair rule of
+# internal/bench. Optional: SEED (default 1), WORKLOADS (default all), e.g.
+#   make ab REV=HEAD~1 WORKLOADS=echo-udp SEED=2
+ab:
+	REV="$(REV)" N="$(N)" SEED="$(SEED)" WORKLOADS="$(WORKLOADS)" bash scripts/ab.sh
 
 # Re-record the goldens TestGoldens checks (internal/experiments/testdata:
 # the pinned -exp all CSVs, the attribution and rack JSON artifacts, the path

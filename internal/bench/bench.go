@@ -1,6 +1,8 @@
-// Package bench holds cmd/benchcmp's statistics: the go-test output parser,
-// the median and Mann-Whitney U machinery, and the comparison table. It is
-// the repository's one comparator of go-benchmark samples.
+// Package bench holds the repository's benchmark statistics: cmd/benchcmp's
+// go-test output parser, median and Mann-Whitney U machinery and comparison
+// table, the repository's one comparator of go-benchmark samples; and the
+// paired-run verdict cmd/abcmp applies to `make ab`'s alternating runs of
+// bench/perf.
 package bench
 
 import (
@@ -147,6 +149,70 @@ func MannWhitneyP(a, b []float64) float64 {
 		z += 0.5 / math.Sqrt(sigma2)
 	}
 	return 2 * (1 - stdNormalCDF(math.Abs(z)))
+}
+
+// Quartiles returns the first and third quartiles of xs, interpolated
+// between order statistics at positions (n+1)/4 and 3(n+1)/4 (1-based,
+// clamped to the sample), as Python's statistics.quantiles gives them by
+// default. Both are NaN for an empty slice.
+func Quartiles(xs []float64) (q1, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		if len(s) == 0 {
+			return math.NaN()
+		}
+		h := min(max(q*float64(len(s)+1), 1), float64(len(s))) - 1
+		i := int(h)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (h-float64(i))*(s[i+1]-s[i])
+	}
+	return at(0.25), at(0.75)
+}
+
+// minPairs is the fewest pairs a gain may be claimed on.
+const minPairs = 10
+
+// Paired is one metric of alternating runs of a parent and a change: run i
+// of each side ran back to back, in alternating order.
+type Paired struct {
+	OldMedian, NewMedian float64
+	OldIQR               float64 // Q3 - Q1 of the parent's runs
+	Wins, Pairs          int     // pairs the change won; ties count for neither side
+	LowerBetter          bool
+}
+
+// ComparePairs pairs old[i] with new[i] (the shorter side sets the count);
+// lowerBetter gives the metric's direction.
+func ComparePairs(old, new []float64, lowerBetter bool) Paired {
+	n := min(len(old), len(new))
+	old, new = old[:n], new[:n]
+	q1, q3 := Quartiles(old)
+	p := Paired{OldMedian: Median(old), NewMedian: Median(new), OldIQR: q3 - q1, Pairs: n, LowerBetter: lowerBetter}
+	for i := range old {
+		if p.better(new[i]-old[i]) > 0 {
+			p.Wins++
+		}
+	}
+	return p
+}
+
+// better signs a change's difference d so that positive is better.
+func (p Paired) better(d float64) float64 {
+	if p.LowerBetter {
+		return -d
+	}
+	return d
+}
+
+// Gain reports whether the runs show the change better, by the rule the
+// repository claims a gain with: at least minPairs pairs, the change winning
+// at least nine tenths of them, and its median better than the parent's by
+// more than the parent's interquartile range.
+func (p Paired) Gain() bool {
+	return p.Pairs >= minPairs && 10*p.Wins >= 9*p.Pairs && p.better(p.NewMedian-p.OldMedian) > p.OldIQR
 }
 
 func stdNormalCDF(x float64) float64 {

@@ -124,3 +124,60 @@ func TestCompareRowOrderAndSides(t *testing.T) {
 		t.Fatalf("table:\n%s", tbl)
 	}
 }
+
+func TestQuartiles(t *testing.T) {
+	// statistics.quantiles([1..10], n=4) gives 2.75 and 8.25.
+	q1, q3 := Quartiles([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	if q1 != 2.75 || q3 != 8.25 {
+		t.Fatalf("quartiles of 1..10 = %v, %v, want 2.75, 8.25", q1, q3)
+	}
+	if q1, q3 := Quartiles([]float64{4}); q1 != 4 || q3 != 4 {
+		t.Fatalf("quartiles of one sample = %v, %v, want 4, 4", q1, q3)
+	}
+	if q1, q3 := Quartiles(nil); !math.IsNaN(q1) || !math.IsNaN(q3) {
+		t.Fatalf("quartiles of nothing = %v, %v, want NaN", q1, q3)
+	}
+}
+
+// TestPairedVerdict walks the gain rule's three conditions: nine tenths of
+// the pairs won, ties counting for neither; a median gap larger than the
+// parent's interquartile range, in the metric's better direction; and at
+// least minPairs pairs.
+func TestPairedVerdict(t *testing.T) {
+	parent := []float64{100, 104, 98, 102, 96, 101, 99, 103, 97, 100} // Q1 97.75, Q3 102.25
+	shifted := func(by float64, tie ...int) []float64 {
+		xs := make([]float64, len(parent))
+		for i, v := range parent {
+			xs[i] = v + by
+		}
+		for _, i := range tie {
+			xs[i] = parent[i]
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		name        string
+		old, new    []float64
+		lowerBetter bool
+		gain        bool
+		wins        int
+	}{
+		{"10/10 faster by more than the IQR", parent, shifted(-5), true, true, 10},
+		{"9/10 with a tie", parent, shifted(-5, 3), true, true, 9},
+		{"8/10 with two ties", parent, shifted(-5, 3, 7), true, false, 8},
+		{"10/10 but inside the IQR", parent, shifted(-4), true, false, 10},
+		{"higher is better", parent, shifted(5), false, true, 10},
+		{"slower by more than the IQR", parent, shifted(5), true, false, 0},
+		{"9 pairs are too few", parent[:9], shifted(-5)[:9], true, false, 9},
+		{"a shorter side sets the count", parent[:9], shifted(-5), true, false, 9},
+		{"identical runs", parent, parent, true, false, 0},
+	} {
+		p := ComparePairs(c.old, c.new, c.lowerBetter)
+		if p.Gain() != c.gain || p.Wins != c.wins {
+			t.Errorf("%s: %+v: gain %v wins %d, want %v %d", c.name, p, p.Gain(), p.Wins, c.gain, c.wins)
+		}
+	}
+	if p := ComparePairs(parent, shifted(-5), true); p.OldIQR != 4.5 || p.OldMedian != 100 || p.NewMedian != 95 {
+		t.Errorf("medians %v -> %v, parent IQR %v, want 100 -> 95, 4.5", p.OldMedian, p.NewMedian, p.OldIQR)
+	}
+}

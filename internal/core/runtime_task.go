@@ -1,11 +1,11 @@
 // The runtime's stages. Start() hosts every process the runtime spawns,
 // except the monitor, on run-to-completion Tasks: the receive contexts of
 // services (pipelines included), the TCP accept contexts, the client-mqueue
-// pumps and retry timers, the replicator pump (replicate.go) and the Remote
-// MQ Manager sweep. Their operation sequence — the order of exec charges,
-// span stamps, tracer emissions, counter updates, and blocking-primitive
-// calls — is what the committed goldens pin (see the seq-parity contract in
-// internal/sim): a reordering changes every simulation output.
+// pumps, the replicator pump (replicate.go) and the Remote MQ Manager sweep.
+// Their operation sequence — the order of exec charges, span stamps, tracer
+// emissions, counter updates, and blocking-primitive calls — is what the
+// committed goldens pin (see the seq-parity contract in internal/sim): a
+// reordering changes every simulation output.
 //
 // Every continuation on a request's path is bound once: execFrame pools exec
 // calls, and each receive context (batched or not), manager context, client

@@ -5,19 +5,20 @@ import (
 	"time"
 )
 
-// Same-instant events take the immediate-queue fast path; their execution
-// order must still be exactly global (at, seq) order, interleaved with heap
-// events scheduled for the same instant from earlier instants.
+// Same-instant events are appended to the current instant's wheel bucket;
+// their execution order must still be exactly global (at, seq) order,
+// interleaved with events scheduled for the same instant from earlier
+// instants.
 func TestSameInstantFIFOOrder(t *testing.T) {
 	s := New(Config{Seed: 1})
 	var order []int
 	rec := func(id int) func() { return func() { order = append(order, id) } }
-	// From t=0, schedule two future events at t=1µs (heap path, seq 1 and 2).
+	// From t=0, schedule two future events at t=1µs (seq 1 and 2).
 	at := Time(time.Microsecond)
 	s.At(at, rec(1))
 	s.At(at, rec(2))
-	// The first future event schedules more work at its own instant (immediate
-	// queue, higher seq) — it must run after event 2, in FIFO order.
+	// The first future event schedules more work at its own instant (higher
+	// seq) — it must run after event 2, in FIFO order.
 	s.At(at, func() {
 		order = append(order, 3)
 		s.At(s.Now(), rec(5))
@@ -38,14 +39,16 @@ func TestSameInstantFIFOOrder(t *testing.T) {
 	s.Shutdown()
 }
 
-// Pending must count immediate-queue events alongside heap events.
+// Pending must count wheel events, those of the current instant included,
+// alongside heap events.
 func TestPendingCountsImmediateQueue(t *testing.T) {
 	s := New(Config{Seed: 1})
 	s.At(s.Now(), func() {})
 	s.At(s.Now(), func() {})
 	s.At(Time(time.Microsecond), func() {})
-	if got := s.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d, want 3 (2 immediate + 1 heap)", got)
+	s.At(Time(time.Millisecond), func() {})
+	if got := s.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d, want 4 (3 on the wheel + 1 on the heap)", got)
 	}
 	s.RunUntil(Time(time.Millisecond))
 	if got := s.Pending(); got != 0 {

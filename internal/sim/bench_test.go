@@ -38,6 +38,48 @@ func BenchmarkSimEngine(b *testing.B) {
 		s.Shutdown()
 	})
 
+	// delay-mix is the event queue's shape at the Fig. 6 point: each of 480
+	// tasks cycles through the fixed delays its requests' stages charge,
+	// waiting for each delivery with a 100 ms deadline on its own channel,
+	// so every step queues one short-delay delivery and one same-instant
+	// wake while the queue also holds one armed far-future deadline per
+	// task.
+	b.Run("delay-mix", func(b *testing.B) {
+		const nTasks = 480
+		delays := []time.Duration{150, 300, 350, 400, 700, 840, 910, 942, 1050, 1227, 1260, 1365, 2460}
+		s := New(Config{Seed: 1})
+		for i := 0; i < nTasks; i++ {
+			ch := NewChan[int](s, 0)
+			deliver := func() { ch.TryPut(1) }
+			j := i % len(delays)
+			s.SpawnTask("stage", func(t *Task) {
+				var step func(int, bool)
+				step = func(int, bool) {
+					for {
+						j = (j + 1) % len(delays)
+						s.At(s.Now().Add(delays[j]), deliver)
+						if _, _, inline := ch.GetTimeoutT(t, 100*time.Millisecond, step); !inline {
+							return
+						}
+					}
+				}
+				step(0, true)
+			})
+		}
+		s.RunUntil(s.Now().Add(10 * time.Microsecond)) // settle spawns
+		b.ReportAllocs()
+		b.ResetTimer()
+		start := s.Executed()
+		for i := 0; i < b.N; i++ {
+			s.RunUntil(s.Now().Add(time.Microsecond))
+		}
+		b.StopTimer()
+		if b.N > 0 {
+			reportEventRate(b, int(s.Executed()-start)/b.N)
+		}
+		s.Shutdown()
+	})
+
 	b.Run("timers-coroutine", func(b *testing.B) {
 		const nProcs = 256
 		s := New(Config{Seed: 1})
@@ -246,8 +288,8 @@ func BenchmarkSimEngine(b *testing.B) {
 	// as same-instant delivery callbacks (the shape of fabric/NIC delivery
 	// events), the server drains the whole run with one GetBatch wakeup and
 	// echoes it back the same way. The same-timestamp burst rides the
-	// scheduler's same-instant FIFO (O(1) per event) and amortizes one
-	// goroutine handoff over the run — the two mechanisms the end-to-end
+	// wheel's bucket for the current instant (O(1) per event) and amortizes
+	// one goroutine handoff over the run — the two mechanisms the end-to-end
 	// batching work (BatchConfig) leans on.
 	// events/sec here is computed from the engine's actual executed-event
 	// counter, not a nominal per-cycle estimate.

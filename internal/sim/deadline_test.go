@@ -48,6 +48,10 @@ func (h *refHeap) Pop() any {
 //     moves it;
 //   - falling: a deadline that falls faster than the clock advances, so
 //     each wait's deadline is earlier than the one its node has queued;
+//   - short: a deadline of 100 ns to 6 µs drawn per wait, so a node's
+//     queued event often carries a later deadline forward to a time
+//     inside the wheel's horizon, where the wheel may already hold newer
+//     events due at that time;
 //   - kills: now and then a parked consumer is killed and a new one takes
 //     its place, and with it the killed wait's recycled node and whatever
 //     event that node still has queued.
@@ -106,10 +110,11 @@ func TestDeadlineOrderDifferential(t *testing.T) {
 			timeout refEvent // the pending wait's timeout
 			wake    refEvent // the pending put or fire wake
 			weight  int      // feed share
+			short   bool     // deadlines inside the wheel's horizon
 		}
 		var cs []*consumer
 		var falling *consumer
-		carriedFired, fallingFired, kills := 0, 0, 0
+		carriedFired, shortCarriedFired, fallingFired, kills := 0, 0, 0, 0
 		var start func(c *consumer)
 		start = func(c *consumer) {
 			var arm func(timedOut bool)
@@ -121,6 +126,9 @@ func TestDeadlineOrderDifferential(t *testing.T) {
 					observe(c.timeout)
 					if c.carried {
 						carriedFired++
+						if c.short {
+							shortCarriedFired++
+						}
 					}
 					if c == falling {
 						fallingFired++
@@ -179,6 +187,11 @@ func TestDeadlineOrderDifferential(t *testing.T) {
 				return since.Add(wd).Sub(now)
 			}})
 		}
+		short := func(Time, bool) time.Duration {
+			return 100 * time.Nanosecond * time.Duration(1+rng.IntN(60))
+		}
+		add(&consumer{ch: NewChan[int](s, 0), next: short, weight: 3, short: true})
+		add(&consumer{g: NewGate(s), next: short, weight: 3, short: true})
 		// A deadline that falls two units per unit of clock: each wake
 		// re-arms strictly earlier than every timeout it armed before,
 		// down to a few feed intervals, so shortened deadlines expire too.
@@ -297,9 +310,9 @@ func TestDeadlineOrderDifferential(t *testing.T) {
 		if popDead(); ref.Len() != 0 || s.Live() != 0 {
 			t.Fatalf("seed %d: drained with %d expected events and %d live tasks left", seed, ref.Len(), s.Live())
 		}
-		if carriedFired == 0 || fallingFired == 0 || kills == 0 {
-			t.Fatalf("seed %d: %d carried and %d falling deadlines expired and %d consumers were killed, want all > 0",
-				seed, carriedFired, fallingFired, kills)
+		if carriedFired == 0 || shortCarriedFired == 0 || fallingFired == 0 || kills == 0 {
+			t.Fatalf("seed %d: %d carried (%d short) and %d falling deadlines expired and %d consumers were killed, want all > 0",
+				seed, carriedFired, shortCarriedFired, fallingFired, kills)
 		}
 	}
 }
@@ -487,26 +500,29 @@ func TestDeadlineShortenedAndCarried(t *testing.T) {
 
 // TestCarriedDeadlineKeepsItsSlot: a deadline the node's queued event
 // carries forward runs in the slot it was armed in, before an event due at
-// the same time that was scheduled after the arm — even when that event
-// already sits at the in-order lane's tail.
+// the same time that was scheduled after the arm. At the µs scale both
+// events wait on the heap; at the ns scale both are due within the wheel's
+// horizon, so the later event sits in the deadline's bucket, and the carried
+// deadline must still run first.
 func TestCarriedDeadlineKeepsItsSlot(t *testing.T) {
-	us := Time(time.Microsecond)
-	s := New(Config{})
-	g := NewGate(s)
-	var order []string
-	s.At(us, g.Fire)
-	s.At(2*us, func() { s.At(20*us, func() { order = append(order, "later event") }) })
-	s.SpawnTask("waiter", func(tk *Task) {
-		g.WaitTimeoutT(tk, g.Version(), 10*time.Microsecond, func(bool) {
-			// Re-armed at 1 µs for 20 µs, after the event queued for 10 µs.
-			g.WaitTimeoutT(tk, g.Version(), 19*time.Microsecond, func(fired bool) {
-				order = append(order, fmt.Sprintf("timeout fired=%v at %v", fired, s.Now()))
+	for _, unit := range []time.Duration{time.Microsecond, 100 * time.Nanosecond} {
+		s := New(Config{})
+		g := NewGate(s)
+		var order []string
+		s.At(Time(unit), g.Fire)
+		s.At(Time(2*unit), func() { s.At(Time(20*unit), func() { order = append(order, "later event") }) })
+		s.SpawnTask("waiter", func(tk *Task) {
+			g.WaitTimeoutT(tk, g.Version(), 10*unit, func(bool) {
+				// Re-armed at 1 unit for 20, after the event queued for 10.
+				g.WaitTimeoutT(tk, g.Version(), 19*unit, func(fired bool) {
+					order = append(order, fmt.Sprintf("timeout fired=%v at %v", fired, s.Now()))
+				})
 			})
 		})
-	})
-	s.Run()
-	if got := fmt.Sprint(order); got != "[timeout fired=false at 20µs later event]" {
-		t.Fatalf("ran %s, want the carried timeout at 20µs first", got)
+		s.Run()
+		if got, want := fmt.Sprint(order), fmt.Sprintf("[timeout fired=false at %v later event]", Time(20*unit)); got != want {
+			t.Fatalf("unit %v: ran %s, want %s", unit, got, want)
+		}
 	}
 }
 

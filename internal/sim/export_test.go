@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // Name returns the task name given at SpawnTask time.
 func (t *Task) Name() string { return t.name }
@@ -31,8 +34,19 @@ func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v
 }
 
 // Pending reports the number of queued events, stale deadline events
-// included.
-func (s *Sim) Pending() int { return len(s.events) + s.iq.n + s.lane.n }
+// included: the heap's and those on every occupied wheel bucket's list.
+func (s *Sim) Pending() int {
+	n := len(s.events)
+	for w, word := range s.wheel.occ {
+		for ; word != 0; word &= word - 1 {
+			b := s.wheel.buckets[w<<6+bits.TrailingZeros64(word)]
+			for i := b.head; i != 0; i = s.wheel.nodes[i].next {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Name returns the process name given at Spawn time.
 func (p *Proc) Name() string { return p.name }

@@ -25,18 +25,19 @@
 // this makes every simulation bit-reproducible.
 //
 // The event loop is built for throughput. Events are plain values (no
-// container/heap interface boxing, no per-event allocation) in three queues:
-// a FIFO of events at the current instant, an in-order FIFO lane that takes
-// every later event scheduled no earlier than the lane's tail — the runs of
-// equal-duration sleeps — and an inlined 4-ary min-heap holding the
-// out-of-order remainder. Wait timeouts are lazy: a channel or gate waiter
-// node keeps at most one queued event however many waits it serves, and a
-// wait that resolves before its deadline leaves nothing new behind (see
+// container/heap interface boxing, no per-event allocation) in two queues: a
+// timing wheel of one-nanosecond buckets that takes every event scheduled due
+// within the next 4096 ns, the current instant included, and an inlined 4-ary
+// min-heap holding the far-future remainder. Nearly every event a model
+// schedules lands in the wheel at O(1), and the loop finds the next one with
+// a two-level occupancy bitmap. Wait timeouts are lazy: a channel or gate
+// waiter node keeps at most one queued event however many waits it serves,
+// and a wait that resolves before its deadline leaves nothing new behind (see
 // deadline), so the queues hold the live events, not every stale timer of
 // every deadline class. Every wake schedules a thunk bound once — a Proc's
 // resume, a Task's activation, a waiter node's wake or deadline — and the
-// waiter nodes of channels and gates recycle through free lists.
-// Steady-state scheduling therefore allocates nothing on either substrate.
+// waiter nodes of channels and gates recycle through free lists. Steady-state
+// scheduling therefore allocates nothing on either substrate.
 //
 // Typical usage:
 //
@@ -54,6 +55,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"time"
 )
@@ -83,34 +85,21 @@ type Config struct {
 // from inside event callbacks, or from processes spawned on this Sim.
 type Sim struct {
 	now Time
-	// events is a 4-ary min-heap ordered by (at, seq): the events neither
-	// FIFO below can take, and the deadlines a waiter node carries forward.
+	// wheel holds every event scheduled due before now+wheelSize; events
+	// is a 4-ary min-heap ordered by (at, seq) holding the later ones and
+	// the deadlines a waiter node carries forward. The loop runs the lesser
+	// of the two heads, which is exactly the (at, seq) order of one heap:
+	// results are byte-identical. Events of one instant from the two
+	// process substrates have no tie-break of their own: a Task activation
+	// and a Proc step run purely in seq order, the order their wakes were
+	// scheduled.
+	wheel  wheel
 	events []event
 	seq    uint64
 	// cur is the seq of the executing event, by which a deadline event
 	// tells whether it is its node's armed deadline (see deadline).
 	cur uint64
 	rng *rand.Rand
-
-	// iq is the same-instant fast path: events scheduled at exactly the
-	// current timestamp — Proc resumes, Task activations, and plain
-	// callbacks alike — land in this FIFO instead of the lane or the heap,
-	// so a k-event burst of immediate handoffs (channel rendezvous, gate
-	// fires, resource releases) costs O(k) pushes and pops. Entries always
-	// satisfy at == now and carry seq values greater than any queued event
-	// at the same instant, so iq is (at, seq)-sorted. Same-instant events
-	// from the two process substrates have no tie-break of their own: a
-	// Task activation and a Proc step at the same timestamp run purely in
-	// seq order, i.e. the order their wakes were scheduled.
-	iq fifo
-
-	// lane takes every later event whose time is no earlier than the
-	// lane's tail; the rest go to the heap. seq only grows, so the lane is
-	// (at, seq)-sorted too, and sleeps and waits armed with one duration
-	// ride it in time order. The loop runs the least of the three heads,
-	// which is exactly the (at, seq) order of one heap: results are
-	// byte-identical.
-	lane fifo
 
 	executed uint64
 
@@ -263,58 +252,102 @@ func (s *Sim) popMin() event {
 	return min
 }
 
-// fifo is a ring buffer of events, popped in push order. It grows only when
-// full, unwrapping into a larger array sized by append's growth policy, so a
-// warm fifo allocates nothing.
-type fifo struct {
-	buf  []event // len(buf) == cap(buf) is the ring's capacity
-	head int     // index of the oldest entry
-	n    int     // number of entries
+// The wheel's geometry: wheelSize one-nanosecond buckets, so an event due in
+// [now, now+wheelSize) has a bucket of its own instant.
+const (
+	wheelSize = 1 << 12
+	wheelMask = wheelSize - 1
+)
+
+// wheel is a timing wheel (Varghese & Lauck) of one-nanosecond buckets. Every
+// queued event is due in [now, now+wheelSize), so bucket at&wheelMask holds
+// events of that one instant only, as a singly linked list of slab nodes. An
+// event enters the wheel only with the newest seq, so appending at a
+// bucket's tail keeps every bucket (at, seq)-sorted. occ has one bit per
+// occupied bucket and summary one bit per non-zero occ word, so the first
+// occupied bucket from the clock is two trailing-zero counts away. The
+// bucket and bitmap arrays are fixed; nodes recycle through a free list, so
+// a warm wheel allocates nothing.
+type wheel struct {
+	buckets [wheelSize]bucket
+	occ     [wheelSize / 64]uint64
+	summary uint64
+	// nodes is the slab; index 0 is the nil link and never holds an event.
+	nodes []wheelNode
+	free  int32 // head of the free-node list, 0 for none
 }
 
-// front returns the oldest entry; back returns the newest. Both require
-// q.n > 0.
-func (q *fifo) front() *event { return &q.buf[q.head] }
+// bucket is one instant's list: the slab indexes of its oldest and newest
+// nodes, 0 while empty.
+type bucket struct{ head, tail int32 }
 
-func (q *fifo) back() *event {
-	i := q.head + q.n - 1
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return &q.buf[i]
+type wheelNode struct {
+	event
+	next int32
 }
 
-func (q *fifo) push(e event) {
-	if q.n == len(q.buf) {
-		q.grow()
+// push appends e, which is due within the horizon and carries the newest
+// seq, to its bucket.
+func (w *wheel) push(e event) {
+	n := w.free
+	if n != 0 {
+		w.free = w.nodes[n].next
+		w.nodes[n] = wheelNode{event: e}
+	} else {
+		if len(w.nodes) == 0 {
+			w.nodes = append(w.nodes, wheelNode{})
+		}
+		n = int32(len(w.nodes))
+		w.nodes = append(w.nodes, wheelNode{event: e})
 	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
+	i := int(e.at) & wheelMask
+	b := &w.buckets[i]
+	if b.head == 0 {
+		b.head = n
+		w.occ[i>>6] |= 1 << (i & 63)
+		w.summary |= 1 << (i >> 6)
+	} else {
+		w.nodes[b.tail].next = n
 	}
-	q.buf[i] = e
-	q.n++
+	b.tail = n
 }
 
-func (q *fifo) pop() event {
-	e := q.buf[q.head]
-	q.buf[q.head] = event{} // release the closure reference
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
+// first returns the index of the first occupied bucket in time order from
+// now, or -1 when the wheel is empty. Scanning from now's bucket, the words
+// after it come first, then those before it, and last the low bits of its
+// own word: the far end of the horizon.
+func (w *wheel) first(now Time) int {
+	if w.summary == 0 {
+		return -1
 	}
-	q.n--
+	p := int(now) & wheelMask
+	word := p >> 6
+	if m := w.occ[word] >> (p & 63); m != 0 {
+		return p + bits.TrailingZeros64(m)
+	}
+	upTo := uint64(2)<<word - 1 // the summary bits of words 0..word
+	m := w.summary &^ upTo
+	if m == 0 {
+		m = w.summary & upTo
+	}
+	word = bits.TrailingZeros64(m)
+	return word<<6 + bits.TrailingZeros64(w.occ[word])
+}
+
+// pop removes and returns the oldest event of occupied bucket i.
+func (w *wheel) pop(i int) event {
+	b := &w.buckets[i]
+	n := b.head
+	node := &w.nodes[n]
+	e := node.event
+	if b.head = node.next; b.head == 0 {
+		if w.occ[i>>6] &^= 1 << (i & 63); w.occ[i>>6] == 0 {
+			w.summary &^= 1 << (i >> 6)
+		}
+	}
+	node.fn, node.next = nil, w.free // release the closure reference
+	w.free = n
 	return e
-}
-
-// grow moves the full ring into a larger array, oldest entry first.
-func (q *fifo) grow() {
-	n := len(q.buf)
-	buf := append(q.buf, event{}) // a new array: the ring is full
-	buf = buf[:cap(buf)]
-	copy(buf, q.buf[q.head:])
-	copy(buf[n-q.head:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
 }
 
 // enqueue gives e the next sequence number and queues it.
@@ -324,16 +357,12 @@ func (s *Sim) enqueue(e event) {
 	s.place(e)
 }
 
-// place queues e, which carries the newest sequence number: on iq at the
-// current instant, on the lane at or after the lane's tail, and on the heap
-// otherwise.
+// place queues e, which carries the newest sequence number: on the wheel
+// when it is due within the horizon, on the heap otherwise.
 func (s *Sim) place(e event) {
-	switch {
-	case e.at == s.now:
-		s.iq.push(e)
-	case s.lane.n == 0 || e.at >= s.lane.back().at:
-		s.lane.push(e)
-	default:
+	if uint64(e.at-s.now) < wheelSize {
+		s.wheel.push(e)
+	} else {
 		s.push(e)
 	}
 }
@@ -368,17 +397,15 @@ func (s *Sim) RunUntil(limit Time) {
 		return
 	}
 	for {
-		// The next event is the least of the three queue heads.
+		// The next event is the lesser of the wheel's and the heap's heads.
 		var next *event
-		var from *fifo // nil: the heap
-		if s.iq.n > 0 {
-			next, from = s.iq.front(), &s.iq
+		i := s.wheel.first(s.now)
+		if i >= 0 {
+			next = &s.wheel.nodes[s.wheel.buckets[i].head].event
 		}
-		if s.lane.n > 0 && (next == nil || eventLess(s.lane.front(), next)) {
-			next, from = s.lane.front(), &s.lane
-		}
-		if len(s.events) > 0 && (next == nil || eventLess(&s.events[0], next)) {
-			next, from = &s.events[0], nil
+		fromHeap := len(s.events) > 0 && (next == nil || eventLess(&s.events[0], next))
+		if fromHeap {
+			next = &s.events[0]
 		}
 		if next == nil {
 			break
@@ -387,10 +414,10 @@ func (s *Sim) RunUntil(limit Time) {
 			s.now = limit
 			return
 		}
-		if from != nil {
-			s.runEvent(from.pop())
-		} else {
+		if fromHeap {
 			s.runEvent(s.popMin())
+		} else {
+			s.runEvent(s.wheel.pop(i))
 		}
 	}
 	if s.now < limit && limit < Time(1<<62-1) {
@@ -532,7 +559,7 @@ func (s *Sim) Shutdown() {
 	}
 	// Drop remaining events; their closures may reference dead procs.
 	s.events = nil
-	s.iq, s.lane = fifo{}, fifo{}
+	s.wheel = wheel{}
 	s.order = nil
 }
 
@@ -821,8 +848,8 @@ func (s *Sim) arm(dl *deadline, d time.Duration) {
 // deadline event is the engine's bookkeeping, not a model event, and is not
 // counted in Executed: the node's queued event re-queues the later deadline
 // armed since (if any), and a replaced one does nothing. A re-queued
-// deadline goes to the heap: its slot is older than events the FIFOs may
-// already hold at its time.
+// deadline goes to the heap even when it is due within the wheel's horizon:
+// its slot is older than events the wheel may already hold at its time.
 func (s *Sim) due(dl *deadline) bool {
 	if s.cur == dl.seq {
 		dl.seq, dl.qseq = 0, 0

@@ -476,17 +476,21 @@ func TestEventOrderProperty(t *testing.T) {
 // TestEventOrderDifferential checks the event queues against a stable (time,
 // scheduling order) sort on seeded schedules that events grow from inside
 // other events: same-instant bursts, short random delays, runs of one long
-// timeout (the lane's shape), and rare far outliers that push the lane's
-// tail past everything else. The driver stops RunUntil between events and
-// schedules at the new Now() after each stop. Every queue gets a large share
-// of the events, and lane heads often tie an iq head's time with a smaller
-// seq.
+// timeout, rare far outliers, and delays of 0, wheelSize-1, wheelSize and
+// wheelSize+1 ns, which straddle the edge between the wheel and the heap.
+// The test loop stops RunUntil between events, at random limits, just before
+// the wheel's next event, or a horizon or more ahead, so the clock jumps
+// over whole turns of the wheel and its buckets are reused after
+// wraparound; it schedules at the new Now() after each stop. Both queues
+// get a large share of the events, and heap heads often tie a wheel head's
+// time with a smaller seq.
 func TestEventOrderDifferential(t *testing.T) {
 	const budget = 20000 // events scheduled per seed
 	type rec struct {
 		at Time
 		id int
 	}
+	edges := []Time{0, wheelSize - 1, wheelSize, wheelSize + 1}
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		s := New(Config{Seed: seed})
@@ -494,7 +498,8 @@ func TestEventOrderDifferential(t *testing.T) {
 		scheduled := 0
 		// A chain event is a process step: it continues its chain after a
 		// short random delay and arms zero to two wait timeouts, all with
-		// the same long duration. Any event may fire a same-instant burst.
+		// the same long duration. Any event may fire a same-instant burst
+		// or schedule an event at one of the edge delays.
 		var schedule func(at Time, chain bool)
 		schedule = func(at Time, chain bool) {
 			id := scheduled
@@ -512,6 +517,9 @@ func TestEventOrderDifferential(t *testing.T) {
 						schedule(at, false)
 					}
 				}
+				if rng.IntN(4) == 0 {
+					schedule(at+edges[rng.IntN(len(edges))], false)
+				}
 				if !chain {
 					return
 				}
@@ -527,13 +535,23 @@ func TestEventOrderDifferential(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			schedule(Time(rng.IntN(100)), true)
 		}
+		jumps := 0
 		for s.Pending() > 0 {
 			limit := s.Now()
-			switch rng.IntN(3) {
-			case 1:
+			switch r := rng.IntN(16); {
+			case r < 6:
+			case r < 10:
 				limit += Time(rng.IntN(5_000))
-			case 2:
+			case r < 11:
 				limit += Time(rng.IntN(100_000))
+			case r < 14:
+				// Just before the wheel's next event.
+				if i := s.wheel.first(s.Now()); i >= 0 {
+					limit = max(limit, s.wheel.nodes[s.wheel.buckets[i].head].at-1)
+				}
+			default:
+				limit += wheelSize + Time(rng.IntN(2*wheelSize))
+				jumps++
 			}
 			s.RunUntil(limit)
 			if s.Now() != limit || s.TimeRegressions() != 0 || s.Pending() != scheduled-len(got) {
@@ -544,8 +562,8 @@ func TestEventOrderDifferential(t *testing.T) {
 				schedule(s.Now(), false)
 			}
 		}
-		if len(got) != scheduled {
-			t.Fatalf("seed %d: ran %d of %d events", seed, len(got), scheduled)
+		if len(got) != scheduled || jumps == 0 {
+			t.Fatalf("seed %d: ran %d of %d events with %d horizon jumps", seed, len(got), scheduled, jumps)
 		}
 		want := append([]rec(nil), got...)
 		sort.SliceStable(want, func(i, j int) bool {

@@ -72,8 +72,13 @@ for e in quickstart lenet faceverify scaleout securevca pipeline; do
 done
 for w in echo-udp echo-tcp lenet kv-rack; do
 	x perf -workload "$w" -seed 1 -seconds 0.5 -trace 0 -profiles "$run/perf-profiles"
+	# The run's JSON line as both sides of one make ab pair, for abcmp.
+	for side in base change; do
+		printf '{"side":"%s","workload":"%s","pair":0,"run":%s}\n' "$side" "$w" "$(tail -n 1 "$run/last.out")" >>"$run/ab.jsonl"
+	done
 done
 x perf -workload kv-rack -seed 1 -seconds 0.5 -trace 1 -profiles "$run/perf-profiles"
+x abcmp BENCHMARK.json "$run/ab.jsonl"
 
 # TestTraffic reads the merged profile while it exists; it is removed on
 # exit, so a later `go test ./...` skips the test instead of checking a
